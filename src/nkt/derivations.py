@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from .graded_poly import (
     Density,
     GradedPolynomial,
-    JetVariable,
     Parity,
     VariableId,
+    gp_sum,
 )
 from .jet_calculus import (
     TrivialityReport,
@@ -61,16 +61,11 @@ class GeneralizedVectorField:
 
 def prolong_apply(vf: GeneralizedVectorField, p: GradedPolynomial) -> GradedPolynomial:
     """theta(p) with theta the infinite prolongation of vf."""
-    out = GradedPolynomial.zero()
-    for jv in sorted(p.variables(), key=lambda j: j.key):
-        comp = vf.components.get(jv.var)
-        if comp is None:
-            continue
-        inner = partial_left(p, jv)
-        if inner.is_zero():
-            continue
-        out = out + total_derivative_multi(comp, jv.mi) * inner
-    return out
+    return gp_sum(
+        total_derivative_multi(vf.components[jv.var], jv.mi) * partial_left(p, jv)
+        for jv in p.variables()
+        if jv.var in vf.components
+    )
 
 
 def lie_derivative_density(vf: GeneralizedVectorField, lagrangian: Density) -> Density:
@@ -83,10 +78,9 @@ def contract_with_EL(
 ) -> Density:
     """The interior product with the variational one-form: sum of v^A E_A."""
     derivs = euler_lagrange(lagrangian, sorted(vf.components, key=lambda a: a.rank))
-    out = GradedPolynomial.zero()
-    for var in sorted(vf.components, key=lambda a: a.rank):
-        out = out + vf.components[var] * derivs[var]
-    return Density(out)
+    return Density(
+        gp_sum(comp * derivs[var] for var, comp in vf.components.items())
+    )
 
 
 def check_variational(

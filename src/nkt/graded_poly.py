@@ -11,10 +11,11 @@ hashing and rendering are all decidable and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .multiindex import EMPTY, MultiIndex
 
@@ -250,26 +251,6 @@ class Scalar:
 # Graded monomials and polynomials.
 
 
-@dataclass(frozen=True)
-class GradedMonomial:
-    """One canonical term: scalar coefficient times ordered jet factors.
-
-    Factors are (variable, exponent) pairs in canonical order; odd variables
-    always carry exponent 1.
-    """
-
-    coeff: Scalar
-    factors: tuple[tuple[JetVariable, int], ...]
-
-    @property
-    def parity(self) -> Parity:
-        total = 0
-        for jv, exp in self.factors:
-            if jv.parity is Parity.ODD:
-                total += exp
-        return Parity(total % 2)
-
-
 def _sort_flat(factors: Sequence[JetVariable]) -> tuple[int, tuple[JetVariable, ...] | None]:
     """Stable-sort factors into canonical order.
 
@@ -323,10 +304,45 @@ def _merge_flat(
 _Flat = tuple[JetVariable, ...]
 
 
-class GradedPolynomial:
-    """Canonical sum of graded monomials; immutable."""
+def _all_partials(
+    terms: tuple[tuple[_Flat, Scalar], ...], right: bool
+) -> Mapping[JetVariable, "GradedPolynomial"]:
+    """Every graded partial of a canonical term list, in one pass over it.
 
-    __slots__ = ("_terms",)
+    Dropping one factor from a canonical term leaves a canonical term, so
+    only the Koszul sign needs tracking: an odd variable's derivative passes
+    the odd factors on its left (left partial) or on its right (right
+    partial).  A repeated even factor contributes once per occurrence.
+    """
+    acc: dict[JetVariable, dict[_Flat, Scalar]] = {}
+    for flat, s in terms:
+        odd = [jv.parity is Parity.ODD for jv in flat]
+        odd_before = 0
+        odd_after = sum(odd)
+        for i, jv in enumerate(flat):
+            contrib = s
+            if odd[i]:
+                odd_after -= 1
+                if (odd_after if right else odd_before) & 1:
+                    contrib = -s
+                odd_before += 1
+            rest = flat[:i] + flat[i + 1 :]
+            bucket = acc.get(jv)
+            if bucket is None:
+                bucket = acc[jv] = {}
+            cur = bucket.get(rest)
+            bucket[rest] = contrib if cur is None else cur + contrib
+    return MappingProxyType({jv: GradedPolynomial(b) for jv, b in acc.items()})
+
+
+class GradedPolynomial:
+    """Canonical sum of graded monomials; immutable.
+
+    The partial-derivative maps are filled on first use only; they are
+    derived from the terms, so equality and hashing never look at them.
+    """
+
+    __slots__ = ("_terms", "_left", "_right")
 
     def __init__(self, terms: dict[_Flat, Scalar] | None = None):
         cleaned: dict[_Flat, Scalar] = {}
@@ -334,7 +350,7 @@ class GradedPolynomial:
             for flat, s in terms.items():
                 if not s.is_zero():
                     cleaned[flat] = s
-        ordered = sorted(cleaned.items(), key=lambda kv: tuple(f.key for f in kv[0]))
+        ordered = sorted(cleaned.items(), key=lambda kv: [f.key for f in kv[0]])
         object.__setattr__(self, "_terms", tuple(ordered))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -371,18 +387,6 @@ class GradedPolynomial:
     def raw_terms(self) -> tuple[tuple[_Flat, Scalar], ...]:
         return self._terms
 
-    def terms(self) -> tuple[GradedMonomial, ...]:
-        out = []
-        for flat, s in self._terms:
-            packed: list[tuple[JetVariable, int]] = []
-            for f in flat:
-                if packed and packed[-1][0] == f:
-                    packed[-1] = (f, packed[-1][1] + 1)
-                else:
-                    packed.append((f, 1))
-            out.append(GradedMonomial(s, tuple(packed)))
-        return tuple(out)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -409,14 +413,30 @@ class GradedPolynomial:
                 return None
         return seen.pop() if seen else Parity.EVEN
 
+    # -- graded partials -----------------------------------------------------
+
+    def left_partials(self) -> Mapping[JetVariable, "GradedPolynomial"]:
+        """Left partial d/dv for every variable v that occurs, keyed by v."""
+        try:
+            return self._left
+        except AttributeError:
+            out = _all_partials(self._terms, right=False)
+            object.__setattr__(self, "_left", out)
+            return out
+
+    def right_partials(self) -> Mapping[JetVariable, "GradedPolynomial"]:
+        """Right partial d/dv for every variable v that occurs, keyed by v."""
+        try:
+            return self._right
+        except AttributeError:
+            out = _all_partials(self._terms, right=True)
+            object.__setattr__(self, "_right", out)
+            return out
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        acc = dict(self._terms)
-        for flat, s in other._terms:
-            cur = acc.get(flat)
-            acc[flat] = s if cur is None else cur + s
-        return GradedPolynomial(acc)
+        return gp_sum((self, other))
 
     def __neg__(self) -> "GradedPolynomial":
         return GradedPolynomial({flat: -s for flat, s in self._terms})
@@ -462,6 +482,16 @@ class GradedPolynomial:
         return f"GradedPolynomial<{len(self._terms)} terms>"
 
 
+def gp_sum(polys: Iterable[GradedPolynomial]) -> GradedPolynomial:
+    """The sum of any number of polynomials, canonicalized once."""
+    acc: dict[_Flat, Scalar] = {}
+    for p in polys:
+        for flat, s in p.raw_terms():
+            cur = acc.get(flat)
+            acc[flat] = s if cur is None else cur + s
+    return GradedPolynomial(acc)
+
+
 def gp_normalize(
     raw_terms: Iterable[tuple[Scalar | Fraction | int, Sequence[JetVariable]]],
 ) -> GradedPolynomial:
@@ -482,14 +512,6 @@ def gp_normalize(
         cur = acc.get(flat)
         acc[flat] = coeff if cur is None else cur + coeff
     return GradedPolynomial(acc)
-
-
-def gp_mul(a: GradedPolynomial, b: GradedPolynomial) -> GradedPolynomial:
-    return a * b
-
-
-def gp_parity(p: GradedPolynomial) -> Parity | None:
-    return p.parity()
 
 
 @dataclass(frozen=True)

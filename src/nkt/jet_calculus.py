@@ -9,16 +9,17 @@ derivative symbol passes the factors on one side or the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .graded_poly import (
     Density,
     GradedPolynomial,
     JetVariable,
-    Parity,
     Scalar,
     VariableId,
     gp_normalize,
+    gp_sum,
 )
 from .multiindex import MultiIndex
 
@@ -54,38 +55,14 @@ def total_derivative_multi(p: GradedPolynomial, mi: MultiIndex) -> GradedPolynom
 
 def partial_left(p: GradedPolynomial, v: JetVariable) -> GradedPolynomial:
     """Left graded derivative: the sign counts odd factors left of the hit."""
-    acc: dict[tuple[JetVariable, ...], Scalar] = {}
-    v_odd = v.parity is Parity.ODD
-    for flat, s in p.raw_terms():
-        odd_before = 0
-        for i, jv in enumerate(flat):
-            if jv == v:
-                rest = flat[:i] + flat[i + 1 :]
-                contrib = -s if (v_odd and odd_before & 1) else s
-                cur = acc.get(rest)
-                acc[rest] = contrib if cur is None else cur + contrib
-            if jv.parity is Parity.ODD:
-                odd_before += 1
-    return GradedPolynomial(acc)
+    found = p.left_partials().get(v)
+    return GradedPolynomial.zero() if found is None else found
 
 
 def partial_right(p: GradedPolynomial, v: JetVariable) -> GradedPolynomial:
     """Right graded derivative: the sign counts odd factors right of the hit."""
-    acc: dict[tuple[JetVariable, ...], Scalar] = {}
-    v_odd = v.parity is Parity.ODD
-    for flat, s in p.raw_terms():
-        odd_total = sum(1 for jv in flat if jv.parity is Parity.ODD)
-        odd_before = 0
-        for i, jv in enumerate(flat):
-            here_odd = 1 if jv.parity is Parity.ODD else 0
-            if jv == v:
-                odd_after = odd_total - odd_before - here_odd
-                rest = flat[:i] + flat[i + 1 :]
-                contrib = -s if (v_odd and odd_after & 1) else s
-                cur = acc.get(rest)
-                acc[rest] = contrib if cur is None else cur + contrib
-            odd_before += here_odd
-    return GradedPolynomial(acc)
+    found = p.right_partials().get(v)
+    return GradedPolynomial.zero() if found is None else found
 
 
 @dataclass(frozen=True)
@@ -118,26 +95,26 @@ def euler_lagrange(
     occurs in the density; variables absent from it have E_A = 0 anyway.
     """
     expr = _as_expr(density)
-    per_var: dict[VariableId, list[MultiIndex]] = {}
+    per_var: dict[VariableId, list[JetVariable]] = {}
     for jv in expr.variables():
-        per_var.setdefault(jv.var, []).append(jv.mi)
+        per_var.setdefault(jv.var, []).append(jv)
     if variables is None:
         targets = sorted(per_var, key=lambda v: v.rank)
     else:
         targets = list(variables)
-    components: dict[VariableId, GradedPolynomial] = {}
-    for var in targets:
-        total = GradedPolynomial.zero()
-        for mi in per_var.get(var, []):
-            inner = partial_left(expr, JetVariable(var, mi))
-            if inner.is_zero():
-                continue
-            term = total_derivative_multi(inner, mi)
-            if mi.order & 1:
-                term = -term
-            total = total + term
-        components[var] = total
+    components = {
+        var: gp_sum(_el_terms(expr, per_var.get(var, ()))) for var in targets
+    }
     return VariationalDerivatives(components)
+
+
+def _el_terms(
+    expr: GradedPolynomial, jets: Iterable[JetVariable]
+) -> Iterator[GradedPolynomial]:
+    """(-1)^|Lam| d_Lam(dL/dA_Lam) for each jet A_Lam of one base variable."""
+    for jv in jets:
+        term = total_derivative_multi(partial_left(expr, jv), jv.mi)
+        yield -term if jv.mi.order & 1 else term
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,10 @@ from .graded_poly import (
     Kind,
     VariableId,
     antifield_of,
+    gp_sum,
 )
 from .jet_calculus import euler_lagrange, partial_right, total_derivative_multi
+from .multiindex import MultiIndex
 from .noether import (
     ROLE_GAUGE,
     ROLE_NOETHER,
@@ -65,13 +67,11 @@ def operator_boundary(
     op: LinearJetOperator, param: VariableId
 ) -> GradedPolynomial:
     """The dual density of one parameter: sum of coeff * antifield jet."""
-    total = GradedPolynomial.zero()
-    for (p, target, mi), poly in op.coeffs.items():
-        if p != param:
-            continue
-        bar = GradedPolynomial.variable(JetVariable(antifield_of(target), mi))
-        total = total + poly * bar
-    return total
+    return gp_sum(
+        poly * GradedPolynomial.variable(JetVariable(antifield_of(target), mi))
+        for (p, target, mi), poly in op.coeffs.items()
+        if p == param
+    )
 
 
 def extend_with_operator(
@@ -113,13 +113,11 @@ def extend_with_operator(
 
 def kt_apply(ctx: KoszulTateContext, p: GradedPolynomial) -> GradedPolynomial:
     """The boundary of p: right chain rule over the antifield-sector jets."""
-    total = GradedPolynomial.zero()
-    for jv in sorted(p.variables()):
-        image = ctx.boundaries.get(jv.var)
-        if image is None:
-            continue
-        total = total + partial_right(p, jv) * total_derivative_multi(image, jv.mi)
-    return total
+    return gp_sum(
+        partial_right(p, jv) * total_derivative_multi(ctx.boundaries[jv.var], jv.mi)
+        for jv in p.variables()
+        if jv.var in ctx.boundaries
+    )
 
 
 def kt_nilpotency_residuals(
@@ -155,19 +153,18 @@ class ReductionCertificate:
 def certificate_expansion(
     ctx: KoszulTateContext, cert: ReductionCertificate
 ) -> GradedPolynomial:
-    total = GradedPolynomial.zero()
+    parts: list[GradedPolynomial] = []
     if cert.witness is not None:
-        total = total + kt_apply(ctx, cert.witness)
-    if cert.m_coeffs:
-        for (var, mi), poly in cert.m_coeffs.items():
-            image = ctx.boundaries.get(antifield_of(var))
-            if image is None:
-                raise SemanticError(
-                    f"certificate references {var.render()}, which has no"
-                    " boundary in this complex"
-                )
-            total = total + poly * total_derivative_multi(image, mi)
-    return total
+        parts.append(kt_apply(ctx, cert.witness))
+    for (var, mi), poly in (cert.m_coeffs or {}).items():
+        image = ctx.boundaries.get(antifield_of(var))
+        if image is None:
+            raise SemanticError(
+                f"certificate references {var.render()}, which has no"
+                " boundary in this complex"
+            )
+        parts.append(poly * total_derivative_multi(image, mi))
+    return gp_sum(parts)
 
 
 @dataclass(frozen=True)

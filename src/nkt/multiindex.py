@@ -79,11 +79,6 @@ class MultiIndex:
 EMPTY = MultiIndex()
 
 
-def mi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    """Merge two multi-indices (multiset union)."""
-    return a + b
-
-
 def mi_enumerate(n: int, up_to_order: int) -> list[MultiIndex]:
     """All distinct multi-indices over n directions with order <= up_to_order.
 

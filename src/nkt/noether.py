@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
+from typing import TypeVar
 
 from .derivations import GeneralizedVectorField, check_variational
 from .errors import NktError, SemanticError
@@ -29,6 +30,7 @@ from .graded_poly import (
     Scalar,
     VariableId,
     gp_normalize,
+    gp_sum,
 )
 from .jet_calculus import (
     TrivialityReport,
@@ -42,6 +44,7 @@ ROLE_NOETHER = "noether"
 ROLE_STAGE = "stage"
 
 CoeffKey = tuple[VariableId, VariableId, MultiIndex]  # (parameter, target, Lam)
+_Key = TypeVar("_Key")
 
 
 class NonVariationalError(NktError):
@@ -131,9 +134,6 @@ class LinearJetOperator:
         ))))
 
 
-NoetherOperator = LinearJetOperator  # role "noether": antifield-valued reading
-
-
 def _sub_multiindices(mi: MultiIndex) -> list[MultiIndex]:
     """All multisets contained in mi (including empty and mi itself)."""
     groups: dict[int, int] = {}
@@ -160,7 +160,7 @@ def eta_family(
     representatives this weight realizes the symmetrized-coefficient sum and
     makes the defining adjoint identity hold exactly.
     """
-    acc: dict[CoeffKey, GradedPolynomial] = {}
+    parts: dict[CoeffKey, list[GradedPolynomial]] = {}
     for (param, target, total_mi), poly in coeffs.items():
         for lam in _sub_multiindices(total_mi):
             sigma_entries = list(total_mi.entries)
@@ -170,10 +170,16 @@ def eta_family(
             term = total_derivative_multi(poly, sigma).scaled(split_weight(sigma, lam))
             if total_mi.order & 1:
                 term = -term
-            key = (param, target, lam)
-            cur = acc.get(key)
-            acc[key] = term if cur is None else cur + term
-    return {k: p for k, p in acc.items() if not p.is_zero()}
+            parts.setdefault((param, target, lam), []).append(term)
+    return _sum_nonzero(parts)
+
+
+def _sum_nonzero(
+    parts: dict[_Key, list[GradedPolynomial]],
+) -> dict[_Key, GradedPolynomial]:
+    """Sum each key's polynomials, keeping the keys whose sum is nonzero."""
+    sums = {key: gp_sum(polys) for key, polys in parts.items()}
+    return {key: p for key, p in sums.items() if not p.is_zero()}
 
 
 def _flip_role(role: str) -> str:
@@ -203,15 +209,13 @@ def apply_to_sections(
     The parameter jet multiplies from the left, matching the ghost-leftmost
     density convention.
     """
-    out: dict[VariableId, GradedPolynomial] = {}
+    parts: dict[VariableId, list[GradedPolynomial]] = {}
     for (param, target, mi), poly in op.coeffs.items():
         sec = sections.get(param)
         if sec is None or sec.is_zero():
             continue
-        contrib = total_derivative_multi(sec, mi) * poly
-        cur = out.get(target)
-        out[target] = contrib if cur is None else cur + contrib
-    return {t: p for t, p in out.items() if not p.is_zero()}
+        parts.setdefault(target, []).append(total_derivative_multi(sec, mi) * poly)
+    return _sum_nonzero(parts)
 
 
 def gauge_vector_field(op: LinearJetOperator) -> GeneralizedVectorField:
@@ -284,7 +288,7 @@ def compose(outer: LinearJetOperator, inner: LinearJetOperator) -> LinearJetOper
     mid = apply_to_sections(inner, sections)
     final = apply_to_sections(outer, mid)
 
-    coeffs: dict[CoeffKey, GradedPolynomial] = {}
+    parts: dict[CoeffKey, list[GradedPolynomial]] = {}
     probe_vars = {p: param for param, p in probes.items()}
     for target, poly in final.items():
         for flat, s in poly.raw_terms():
@@ -296,12 +300,12 @@ def compose(outer: LinearJetOperator, inner: LinearJetOperator) -> LinearJetOper
             rest = list(flat)
             rest.remove(pj)
             key = (probe_vars[pj.var], target, pj.mi)
-            contrib = GradedPolynomial({tuple(rest): s})
-            cur = coeffs.get(key)
-            coeffs[key] = contrib if cur is None else cur + contrib
+            parts.setdefault(key, []).append(GradedPolynomial({tuple(rest): s}))
     role = outer.role if outer.role != ROLE_STAGE else inner.role
     stage = outer.stage if outer.role == ROLE_STAGE else None
-    return LinearJetOperator(outer.dim, role, coeffs, stage if role == ROLE_STAGE else None)
+    return LinearJetOperator(
+        outer.dim, role, _sum_nonzero(parts), stage if role == ROLE_STAGE else None
+    )
 
 
 # --------------------------------------------------------------------------
@@ -330,15 +334,13 @@ def noether_residuals(
     """Per parameter r: sum over A, Lam of Delta^{A,Lam}_r d_Lam(E_A)."""
     derivs = euler_lagrange(lagrangian, op.targets())
     cache: dict[tuple[VariableId, MultiIndex], GradedPolynomial] = {}
-    out: dict[VariableId, GradedPolynomial] = {
-        r: GradedPolynomial.zero() for r in op.parameters()
-    }
+    parts: dict[VariableId, list[GradedPolynomial]] = {r: [] for r in op.parameters()}
     for (param, target, mi), poly in op.coeffs.items():
         key = (target, mi)
         if key not in cache:
             cache[key] = total_derivative_multi(derivs[target], mi)
-        out[param] = out[param] + poly * cache[key]
-    return out
+        parts[param].append(poly * cache[key])
+    return {r: gp_sum(polys) for r, polys in parts.items()}
 
 
 def check_noether_identity(
@@ -412,10 +414,8 @@ def trivial_gauge_symmetry(
             )
     sources = sorted({s[0] for (_, _, s) in table}, key=lambda v: v.rank)
     derivs = euler_lagrange(lagrangian, sources)
-    m_family: dict[CoeffKey, GradedPolynomial] = {}
+    parts: dict[CoeffKey, list[GradedPolynomial]] = {}
     for (r, (i, lam), (j, sigma)), poly in table.items():
         contrib = poly * total_derivative_multi(derivs[j], sigma)
-        key = (r, i, lam)
-        cur = m_family.get(key)
-        m_family[key] = contrib if cur is None else cur + contrib
-    return LinearJetOperator(dim, ROLE_GAUGE, eta_family(m_family, dim))
+        parts.setdefault((r, i, lam), []).append(contrib)
+    return LinearJetOperator(dim, ROLE_GAUGE, eta_family(_sum_nonzero(parts), dim))

@@ -71,7 +71,7 @@ def random_polynomial(
 ) -> GradedPolynomial:
     """Random polynomial in the field jets; optionally parity-homogeneous."""
     pool = jet_pool(fields, dim, max_order)
-    total = GradedPolynomial.zero()
+    raw: list[tuple[Scalar | int, list[JetVariable]]] = []
     for _ in range(rng.randint(1, max_terms)):
         for _attempt in range(20):
             factors = [
@@ -89,8 +89,8 @@ def random_polynomial(
             coeff: Scalar | int = random_scalar(rng, dim)
         else:
             coeff = rng.choice([-2, -1, 1, 2])
-        total = total + gp_normalize([(coeff, factors)])
-    return total
+        raw.append((coeff, factors))
+    return gp_normalize(raw)
 
 
 def random_operator(

@@ -46,6 +46,7 @@ from .graded_poly import (
     antifield_of,
     base_of_antifield,
     coordinate_token,
+    gp_sum,
     render_polynomial,
 )
 from .koszul_tate import ReductionCertificate
@@ -815,10 +816,11 @@ def _eval(env: _Env, node: object) -> GradedPolynomial:
             raise SemanticError(
                 f"sum index {node.index!r} shadows a declaration", node.span
             )
-        total = GradedPolynomial.zero()
+        parts: list[GradedPolynomial] = []
         for value in range(node.lo, node.hi + 1):
             env.bindings[node.index] = value
-            total = total + _eval(env, node.body)
+            parts.append(_eval(env, node.body))
+        total = gp_sum(parts)
         if saved is None:
             env.bindings.pop(node.index, None)
         else:

@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from nkt.errors import JetOrderError
-from nkt.multiindex import EMPTY, MultiIndex, binom, mi_add, mi_enumerate, split_weight
+from nkt.multiindex import EMPTY, MultiIndex, binom, mi_enumerate, split_weight
 
 
 def _brute_force_multisets(n: int, up_to: int) -> set[tuple[int, ...]]:
@@ -43,9 +43,9 @@ def test_entries_are_sorted_on_construction() -> None:
     assert MultiIndex((1, 1, 0)) == MultiIndex((0, 1, 1))
 
 
-def test_mi_add_merges_multisets() -> None:
-    assert mi_add(MultiIndex((0, 2)), MultiIndex((1, 0))).entries == (0, 0, 1, 2)
-    assert mi_add(EMPTY, MultiIndex((3,))).entries == (3,)
+def test_add_merges_multisets() -> None:
+    assert (MultiIndex((0, 2)) + MultiIndex((1, 0))).entries == (0, 0, 1, 2)
+    assert (EMPTY + MultiIndex((3,))).entries == (3,)
     assert (MultiIndex((1,)) + 0).entries == (0, 1)
 
 
