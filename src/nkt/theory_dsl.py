@@ -161,7 +161,12 @@ def minkowski(n: int) -> ConstantTensor:
     )
 
 
-_BUILDERS = {"levi_civita": levi_civita, "kronecker": kronecker, "minkowski": minkowski}
+# Each builder with its number of indices at a given size.
+_BUILDERS = {
+    "levi_civita": (levi_civita, lambda k: k),
+    "kronecker": (kronecker, lambda k: 2),
+    "minkowski": (minkowski, lambda n: 2),
+}
 
 
 @dataclass(frozen=True)
@@ -717,6 +722,11 @@ class _Env:
     variables: dict[str, VarDecl]
     constants: dict[str, ConstantTensor]
     bindings: dict[str, int]
+    # Values of evaluated nodes keyed by (id(node), values of the node's free
+    # names in bindings), and each node's free names keyed by id(node).  An env
+    # lives for one statement, whose AST keeps those ids from being reused.
+    memo: dict[tuple, GradedPolynomial] = dc_field(default_factory=dict)
+    free: dict[int, tuple[str, ...]] = dc_field(default_factory=dict)
 
 
 def _resolve_index(env: _Env, arg: "int | str", span: SourceSpan) -> int:
@@ -791,7 +801,52 @@ def _multi_index(entries: tuple[int, ...], span: SourceSpan) -> MultiIndex:
         raise SemanticError(str(exc), span) from None
 
 
+def _free_names(env: _Env, node: object) -> tuple[str, ...]:
+    """The names whose value in env.bindings can change what node evaluates to."""
+    names = env.free.get(id(node))
+    if names is not None:
+        return names
+    found: set[str] = set()
+    if isinstance(node, _Ref):
+        found.add(node.name)
+        found.update(a for a in node.args if isinstance(a, str))
+    elif isinstance(node, _BracketJet):
+        found.update(a for a in node.comps + node.dirs if isinstance(a, str))
+    elif isinstance(node, _D):
+        found.update(_free_names(env, node.base))
+        found.update(a for a in node.dirs if isinstance(a, str))
+    elif isinstance(node, _Sum):
+        found.update(_free_names(env, node.body))
+        found.discard(node.index)
+    elif isinstance(node, _Binary):
+        found.update(_free_names(env, node.left), _free_names(env, node.right))
+    elif isinstance(node, _Unary):
+        found.update(_free_names(env, node.operand))
+    elif isinstance(node, _Pow):
+        found.update(_free_names(env, node.base))
+    names = env.free[id(node)] = tuple(sorted(found))
+    return names
+
+
 def _eval(env: _Env, node: object) -> GradedPolynomial:
+    """Evaluate node once per binding of its free names within env's statement.
+
+    Only successful evaluations are kept, and evaluation order is unchanged,
+    so every value and every error is what a fresh evaluation would give.
+    Without bindings a node lies outside every sum of a statement without
+    binders and is reached once, so it skips the memo, as literals do.
+    """
+    bindings = env.bindings
+    if not bindings or type(node) is _Num:
+        return _eval_node(env, node)
+    key = (id(node), *map(bindings.get, _free_names(env, node)))
+    value = env.memo.get(key)
+    if value is None:
+        value = env.memo[key] = _eval_node(env, node)
+    return value
+
+
+def _eval_node(env: _Env, node: object) -> GradedPolynomial:
     if isinstance(node, _Num):
         return GradedPolynomial.scalar(node.value)
     if isinstance(node, _Unary):
@@ -805,11 +860,7 @@ def _eval(env: _Env, node: object) -> GradedPolynomial:
             return left - right
         return left * right
     if isinstance(node, _Pow):
-        base = _eval(env, node.base)
-        out = GradedPolynomial.one()
-        for _ in range(node.exponent):
-            out = out * base
-        return out
+        return _eval(env, node.base) ** node.exponent
     if isinstance(node, _Sum):
         saved = env.bindings.get(node.index)
         if node.index in env.variables or node.index in env.constants:
@@ -931,9 +982,9 @@ class _TheoryParser:
 
     # -- helpers
 
-    def _env(self, bindings: dict[str, int] | None = None) -> _Env:
+    def _env(self) -> _Env:
         assert self.dim is not None
-        return _Env(self.dim, self.variables, self.constants, bindings or {})
+        return _Env(self.dim, self.variables, self.constants, {})
 
     def _next(self) -> _Stmt | None:
         if self.index >= len(self.statements):
@@ -1066,11 +1117,11 @@ class _TheoryParser:
             raise ParseError("expected a constant value", st.span())
         if tok.kind == "name":
             builder_tok = st.take()
-            builder = _BUILDERS.get(builder_tok.text)
-            if builder is None:
+            if builder_tok.text not in _BUILDERS:
                 raise ParseError(
                     f"unknown constant builder {builder_tok.text!r}", builder_tok.span
                 )
+            builder, arity = _BUILDERS[builder_tok.text]
             st.expect("(")
             size = st.expect_int()
             st.expect(")")
@@ -1079,6 +1130,10 @@ class _TheoryParser:
                 raise SemanticError(
                     f"builder size must be between 1 and {MAX_DIM + 1}",
                     builder_tok.span,
+                )
+            if size ** arity(size) > MAX_COMPONENTS:
+                raise SemanticError(
+                    f"constant {name} declares too many entries", builder_tok.span
                 )
             made = builder(size)
             const = ConstantTensor(name, made.ranges, made.entries, made.builder)
@@ -1186,8 +1241,9 @@ class _TheoryParser:
             st.expect_end()
             binders = param_key.binders + target_key.binders
             self._check_binders(binders, open_tok.span)
+            env = self._env()
             for bindings in _binding_combinations(binders, open_tok.span):
-                env = self._env(bindings)
+                env.bindings = bindings
                 param = _resolve_component(env, param_key.ref)
                 target = _resolve_component(env, target_key.ref)
                 mi = _multi_index(
@@ -1218,8 +1274,9 @@ class _TheoryParser:
             ast = _parse_expr(st)
             st.expect_end()
             self._check_binders(target_key.binders, name_tok.span)
+            env = self._env()
             for bindings in _binding_combinations(target_key.binders, name_tok.span):
-                env = self._env(bindings)
+                env.bindings = bindings
                 target = _resolve_component(env, target_key.ref)
                 poly = _eval(env, ast)
                 if target in components:
@@ -1265,8 +1322,9 @@ class _TheoryParser:
             ast = _parse_expr(st)
             st.expect_end()
             self._check_binders(target_key.binders, open_tok.span)
+            env = self._env()
             for bindings in _binding_combinations(target_key.binders, open_tok.span):
-                env = self._env(bindings)
+                env.bindings = bindings
                 target = _resolve_component(env, target_key.ref)
                 mi = _multi_index(
                     tuple(_resolve_direction(env, e, mi_span) for e in mi_entries),

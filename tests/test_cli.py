@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, JSON schema, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", SCALAR])
         assert exc.value.code == 2
+
+    def test_oversized_builder_constant_fails_fast(self, capsys, tmp_path):
+        f = tmp_path / "big.nkt"
+        f.write_text("theory big\ndim 1\nconstant e = levi_civita(10)\n")
+        started = time.monotonic()
+        code, _, err = run(capsys, "el", str(f))
+        assert time.monotonic() - started < 1.0
+        assert code == 2
+        assert err == "error: constant e declares too many entries (line 3, column 14)\n"
 
     def test_jet_order_env_limit(self, capsys, tmp_path, monkeypatch):
         f = tmp_path / "deep.nkt"

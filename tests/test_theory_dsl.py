@@ -181,6 +181,23 @@ class TestExpressions:
         with pytest.raises(SemanticError):
             parse_expression("y[1]", t)
 
+    def test_zero_factor_keeps_the_error_of_a_bad_reference(self):
+        t = parse_theory("theory t\ndim 2\nfield a[mu=0..1] parity even")
+        for text, value, column in (("0 * a[9]", 9, 5), ("sum(i,0..2, 0 * a[i])", 2, 17)):
+            with pytest.raises(SemanticError) as exc:
+                parse_expression(text, t)
+            assert str(exc.value) == (
+                f"index mu={value} of a is outside 0..1 (line 1, column {column})"
+            )
+            assert exc.value.span.column == column
+
+    def test_sum_fails_at_its_first_bad_binding(self):
+        t = parse_theory("theory t\ndim 4\nfield y parity even")
+        with pytest.raises(SemanticError) as exc:
+            parse_expression("sum(i,0..4, d(y;i))", t)
+        assert str(exc.value) == "direction 4 outside base dimension (line 1, column 13)"
+        assert exc.value.span.column == 13
+
     def test_jet_order_limit_is_a_semantic_error(self, monkeypatch):
         monkeypatch.setenv("NKT_MAX_JET_ORDER", "2")
         t = parse_theory(SCALAR)
