@@ -19,6 +19,7 @@ from .graded_poly import (
 )
 from .jet_calculus import (
     TrivialityReport,
+    VariationalDerivatives,
     euler_lagrange,
     is_variationally_trivial,
     partial_left,
@@ -78,6 +79,10 @@ def contract_with_EL(
 ) -> Density:
     """The interior product with the variational one-form: sum of v^A E_A."""
     derivs = euler_lagrange(lagrangian, sorted(vf.components, key=lambda a: a.rank))
+    return _contract(vf, derivs)
+
+
+def _contract(vf: GeneralizedVectorField, derivs: VariationalDerivatives) -> Density:
     return Density(
         gp_sum(comp * derivs[var] for var, comp in vf.components.items())
     )
@@ -89,6 +94,13 @@ def check_variational(
     """A symmetry is variational iff its contraction with the variational
     one-form is a total divergence."""
     return is_variationally_trivial(contract_with_EL(vf, lagrangian).expr)
+
+
+def _check_variational_with(
+    vf: GeneralizedVectorField, derivs: VariationalDerivatives
+) -> TrivialityReport:
+    """check_variational given variational derivatives that cover vf's targets."""
+    return is_variationally_trivial(_contract(vf, derivs).expr)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .multiindex import EMPTY, MultiIndex
+from .multiindex import EMPTY, MultiIndex, check_jet_order
 
 
 class Parity(IntEnum):
@@ -100,38 +100,59 @@ def base_of_antifield(var: VariableId) -> VariableId:
     return VariableId(kind, var.name, var.components, var.parity.flipped(), var.stage)
 
 
+_INTERNED: dict[tuple[VariableId, tuple[int, ...]], "JetVariable"] = {}
+
+
 class JetVariable:
-    """A variable differentiated along a multi-index, e.g. y_(0,1)."""
+    """A variable differentiated along a multi-index, e.g. y_(0,1).
 
-    __slots__ = ("var", "mi", "key", "_hash")
+    Jet variables are interned: JetVariable(var, mi) returns the one shared
+    instance for (var, mi.entries), so equality is identity and the hash is
+    the identity hash.  The intern table holds its instances for the life of
+    the process; it grows to at most the declared variable components times
+    the multi-indices up to the jet-order bound, per theory.  `key` orders
+    variables canonically and `odd` is the parity as a plain flag.
+    """
 
-    def __init__(self, var: VariableId, mi: MultiIndex = EMPTY):
-        self.var = var
-        self.mi = mi
-        major, minor = _kind_rank(var.kind, var.stage)
-        self.key = (
-            major,
-            minor,
-            var.name,
-            var.components,
-            mi.order,
-            mi.entries,
-            int(var.parity),
-        )
-        self._hash = hash(self.key)
+    __slots__ = ("var", "mi", "key", "odd", "_raised")
+
+    def __new__(cls, var: VariableId, mi: MultiIndex = EMPTY) -> "JetVariable":
+        ident = (var, mi.entries)
+        self = _INTERNED.get(ident)
+        if self is None:
+            self = _INTERNED[ident] = object.__new__(cls)
+            self.var = var
+            self.mi = mi
+            major, minor = _kind_rank(var.kind, var.stage)
+            self.key = (
+                major,
+                minor,
+                var.name,
+                var.components,
+                mi.order,
+                mi.entries,
+                int(var.parity),
+            )
+            self.odd = var.parity is Parity.ODD
+            self._raised = {}
+        return self
 
     @property
     def parity(self) -> Parity:
         return self.var.parity
 
     def raised(self, direction: int) -> "JetVariable":
-        return JetVariable(self.var, self.mi + direction)
+        """This variable with one more derivative along direction.
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, JetVariable) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return self._hash
+        The result is kept per direction, but the jet-order bound in force
+        is checked on every call.
+        """
+        up = self._raised.get(direction)
+        if up is None:
+            up = self._raised[direction] = JetVariable(self.var, self.mi + direction)
+        else:
+            check_jet_order(up.mi.order)
+        return up
 
     def __lt__(self, other: "JetVariable") -> bool:
         return self.key < other.key
@@ -167,6 +188,13 @@ class Scalar:
         raise AttributeError("Scalar is immutable")
 
     @classmethod
+    def _canonical(cls, terms: tuple[tuple[_Exps, Fraction], ...]) -> "Scalar":
+        """A scalar from terms already sorted, each with a nonzero coefficient."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
+
+    @classmethod
     def zero(cls) -> "Scalar":
         return cls()
 
@@ -199,18 +227,26 @@ class Scalar:
         return None
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        acc = dict(self.terms)
-        for exps, q in other.terms:
-            acc[exps] = acc.get(exps, Fraction(0)) + q
+        a, b = self.terms, other.terms
+        if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
+            q = a[0][1] + b[0][1]
+            return Scalar._canonical(((a[0][0], q),) if q else ())
+        acc = dict(a)
+        for exps, q in b:
+            cur = acc.get(exps)
+            acc[exps] = q if cur is None else cur + q
         return Scalar(acc)
 
     def __neg__(self) -> "Scalar":
-        return Scalar({exps: -q for exps, q in self.terms})
+        return Scalar._canonical(tuple((exps, -q) for exps, q in self.terms))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        a, b = self.terms, other.terms
+        if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0] == ():
+            return Scalar._canonical((((), a[0][1] * b[0][1]),))
         acc: dict[_Exps, Fraction] = {}
         for e1, q1 in self.terms:
             for e2, q2 in other.terms:
@@ -218,7 +254,8 @@ class Scalar:
                 for coord, exp in e2:
                     merged[coord] = merged.get(coord, 0) + exp
                 key = tuple(sorted(merged.items()))
-                acc[key] = acc.get(key, Fraction(0)) + q1 * q2
+                cur = acc.get(key)
+                acc[key] = q1 * q2 if cur is None else cur + q1 * q2
         return Scalar(acc)
 
     def scaled(self, q: Fraction | int) -> "Scalar":
@@ -263,13 +300,13 @@ def _sort_flat(factors: Sequence[JetVariable]) -> tuple[int, tuple[JetVariable, 
         i = len(out)
         while i > 0 and out[i - 1].key > f.key:
             i -= 1
-        if f.parity is Parity.ODD:
-            crossings = sum(1 for g in out[i:] if g.parity is Parity.ODD)
+        if f.odd:
+            crossings = sum(1 for g in out[i:] if g.odd)
             if crossings & 1:
                 sign = -sign
         out.insert(i, f)
     for a, b in zip(out, out[1:]):
-        if a.parity is Parity.ODD and a == b:
+        if a is b and a.odd:
             return 0, None
     return sign, tuple(out)
 
@@ -280,23 +317,23 @@ def _merge_flat(
     """Merge two canonical factor tuples, tracking the Koszul sign."""
     out: list[JetVariable] = []
     sign = 1
-    odd_left = sum(1 for f in a if f.parity is Parity.ODD)
+    odd_left = sum(1 for f in a if f.odd)
     i = j = 0
     while i < len(a) and j < len(b):
         if a[i].key <= b[j].key:
-            if a[i].parity is Parity.ODD:
+            if a[i].odd:
                 odd_left -= 1
             out.append(a[i])
             i += 1
         else:
-            if b[j].parity is Parity.ODD and (odd_left & 1):
+            if b[j].odd and (odd_left & 1):
                 sign = -sign
             out.append(b[j])
             j += 1
     out.extend(a[i:])
     out.extend(b[j:])
     for u, v in zip(out, out[1:]):
-        if u.parity is Parity.ODD and u == v:
+        if u is v and u.odd:
             return 0, None
     return sign, tuple(out)
 
@@ -316,7 +353,7 @@ def _all_partials(
     """
     acc: dict[JetVariable, dict[_Flat, Scalar]] = {}
     for flat, s in terms:
-        odd = [jv.parity is Parity.ODD for jv in flat]
+        odd = [jv.odd for jv in flat]
         odd_before = 0
         odd_after = sum(odd)
         for i, jv in enumerate(flat):
@@ -407,7 +444,7 @@ class GradedPolynomial:
         """EVEN/ODD for homogeneous polynomials, None for mixed; zero is even."""
         seen: set[Parity] = set()
         for flat, _ in self._terms:
-            odd = sum(1 for f in flat if f.parity is Parity.ODD)
+            odd = sum(1 for f in flat if f.odd)
             seen.add(Parity(odd % 2))
             if len(seen) > 1:
                 return None

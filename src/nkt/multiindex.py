@@ -16,6 +16,16 @@ from .config import max_jet_order
 from .errors import JetOrderError
 
 
+def check_jet_order(order: int) -> None:
+    """Raise JetOrderError if a multi-index of this order exceeds the bound."""
+    limit = max_jet_order()
+    if order > limit:
+        raise JetOrderError(
+            f"jet order {order} exceeds the bound {limit}"
+            " (raise NKT_MAX_JET_ORDER to override)"
+        )
+
+
 class MultiIndex:
     """A multiset of base directions, e.g. (0, 0, 1) for d0 d0 d1."""
 
@@ -26,12 +36,7 @@ class MultiIndex:
         for e in entries:
             if e < 0:
                 raise ValueError(f"negative base direction {e}")
-        limit = max_jet_order()
-        if len(entries) > limit:
-            raise JetOrderError(
-                f"jet order {len(entries)} exceeds the bound {limit}"
-                " (raise NKT_MAX_JET_ORDER to override)"
-            )
+        check_jet_order(len(entries))
         object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name: str, value: object) -> None:

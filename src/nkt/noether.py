@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import TypeVar
 
-from .derivations import GeneralizedVectorField, check_variational
+from .derivations import GeneralizedVectorField, _check_variational_with
 from .errors import NktError, SemanticError
 from .graded_poly import (
     Density,
@@ -34,6 +34,7 @@ from .graded_poly import (
 )
 from .jet_calculus import (
     TrivialityReport,
+    VariationalDerivatives,
     euler_lagrange,
     total_derivative_multi,
 )
@@ -332,7 +333,13 @@ def noether_residuals(
     op: LinearJetOperator, lagrangian: Density | GradedPolynomial
 ) -> dict[VariableId, GradedPolynomial]:
     """Per parameter r: sum over A, Lam of Delta^{A,Lam}_r d_Lam(E_A)."""
-    derivs = euler_lagrange(lagrangian, op.targets())
+    return _residuals(op, euler_lagrange(lagrangian, op.targets()))
+
+
+def _residuals(
+    op: LinearJetOperator, derivs: VariationalDerivatives
+) -> dict[VariableId, GradedPolynomial]:
+    """noether_residuals given variational derivatives that cover op's targets."""
     cache: dict[tuple[VariableId, MultiIndex], GradedPolynomial] = {}
     parts: dict[VariableId, list[GradedPolynomial]] = {r: [] for r in op.parameters()}
     for (param, target, mi), poly in op.coeffs.items():
@@ -362,11 +369,13 @@ def derive_noether_from_gauge(
     """
     if op.role != ROLE_GAUGE:
         raise SemanticError("derive_noether_from_gauge expects a gauge-role operator")
-    variational = check_variational(gauge_vector_field(op), lagrangian)
+    # eta(op) and the vector field of op both target a subset of op's targets
+    derivs = euler_lagrange(lagrangian, op.targets())
+    variational = _check_variational_with(gauge_vector_field(op), derivs)
     if not variational.trivial:
         raise NonVariationalError(variational)
     noether_op = eta(op)
-    report = NoetherReport(noether_residuals(noether_op, lagrangian), variational)
+    report = NoetherReport(_residuals(noether_op, derivs), variational)
     return noether_op, report
 
 
@@ -374,13 +383,17 @@ def derive_gauge_from_noether(
     op: LinearJetOperator, lagrangian: Density | GradedPolynomial
 ) -> tuple[LinearJetOperator, NoetherReport]:
     """Noether operator -> gauge symmetry, with variationality verified."""
-    identity = check_noether_identity(op, lagrangian)
+    if op.role != ROLE_NOETHER:  # the check, and message, of check_noether_identity
+        raise SemanticError("check_noether_identity expects a noether-role operator")
+    # eta(op) and its vector field both target a subset of op's targets
+    derivs = euler_lagrange(lagrangian, op.targets())
+    identity = NoetherReport(_residuals(op, derivs))
     if not identity.holds:
         raise SemanticError(
             "operator does not satisfy the Noether identity; nothing to derive"
         )
     gauge_op = eta(op)
-    variational = check_variational(gauge_vector_field(gauge_op), lagrangian)
+    variational = _check_variational_with(gauge_vector_field(gauge_op), derivs)
     notes = ()
     if eta(gauge_op) != op:
         notes = ("round-trip eta(eta(op)) failed to reproduce the operator",)

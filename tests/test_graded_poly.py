@@ -20,6 +20,7 @@ from nkt.graded_poly import (
     render_polynomial,
     render_scalar,
 )
+from nkt.errors import JetOrderError
 from nkt.multiindex import MultiIndex
 
 Y = even_field("y")
@@ -128,6 +129,60 @@ def test_power_operator() -> None:
     assert p**2 == v(Y) * v(Y) + v(Y).scaled(2) + GradedPolynomial.one()
     assert (v(C) + v(C1)) ** 2 == v(C) * v(C1) + v(C1) * v(C)  # = 0
     assert ((v(C) + v(C1)) ** 2).is_zero()
+
+
+# -- interned jet variables ----------------------------------------------------
+
+
+def test_jet_variables_are_interned() -> None:
+    assert JetVariable(Y, MultiIndex((1, 0))) is JetVariable(Y, MultiIndex((0, 1)))
+    assert jv(C, 0, 2) is jv(C, 2, 0)
+    assert JetVariable(Y) is jv(Y)
+    assert jv(Y, 0) is not jv(Y, 1)
+
+
+def test_kind_stage_and_parity_give_distinct_variables() -> None:
+    variants = [
+        VariableId(Kind.GHOST, "c", (1,), Parity.ODD),
+        VariableId(Kind.GHOST, "c", (1,), Parity.EVEN),
+        VariableId(Kind.GHOST, "c", (1,), Parity.ODD, stage=1),
+        VariableId(Kind.GHOST, "c", (1,), Parity.EVEN, stage=2),
+        VariableId(Kind.FIELD, "c", (1,), Parity.ODD),
+        VariableId(Kind.ANTIGHOST, "c", (1,), Parity.ODD),
+    ]
+    jets = [jv(var, 0) for var in variants]
+    assert len({id(j) for j in jets}) == len(variants)
+    assert len(set(jets)) == len(variants)
+    for var, j in zip(variants, jets):
+        assert jv(var, 0) is j
+        assert j.var == var
+        assert j.odd == (var.parity is Parity.ODD)
+        assert j.parity is var.parity
+
+
+def test_raised_is_the_interned_variable() -> None:
+    for var in (Y, C, C1):
+        for dirs in ((), (1,), (0, 2)):
+            j = jv(var, *dirs)
+            for d in (0, 1, 2):
+                up = j.raised(d)
+                assert up is JetVariable(j.var, j.mi + d)
+                assert j.raised(d) is up
+
+
+def test_cached_raise_still_checks_the_jet_order_bound(monkeypatch) -> None:
+    j = jv(Y, 0, 0)
+    up = j.raised(1)
+    monkeypatch.setenv("NKT_MAX_JET_ORDER", "2")
+    with pytest.raises(JetOrderError) as cached:
+        j.raised(1)
+    with pytest.raises(JetOrderError) as fresh:
+        MultiIndex((0, 0, 1))
+    assert str(cached.value) == str(fresh.value) == (
+        "jet order 3 exceeds the bound 2 (raise NKT_MAX_JET_ORDER to override)"
+    )
+    monkeypatch.delenv("NKT_MAX_JET_ORDER")
+    assert j.raised(1) is up
 
 
 # -- the canonical-form invariant ---------------------------------------------

@@ -1,11 +1,15 @@
-"""Differential tests: the one-pass memoized kernels against their definitions.
+"""Differential tests: the fast kernels against their definitions.
 
 The reference partials below are the per-variable scans the package used
 before the one-pass kernel: each rescans every term of p for one jet
-variable.  The reference evaluator is the theory-file expression evaluator
-the package used before evaluation was memoized: it evaluates every node
-afresh for every index binding.  Both stay here as the oracles the fast
-kernels must match exactly.
+variable.  The reference jet variable compares and hashes by its sort key,
+as jet variables did before they were interned, and the reference factor
+sorting, merging and scalar arithmetic are the general paths used before
+the identity checks, the parity flag and the constant-coefficient shortcuts.
+The reference evaluator is the theory-file expression evaluator the package
+used before evaluation was memoized: it evaluates every node afresh for
+every index binding.  All stay here as the oracles the fast kernels must
+match exactly.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from nkt.graded_poly import (
     Parity,
     Scalar,
     VariableId,
+    _kind_rank,
     antifield_of,
     gp_normalize,
     gp_sum,
@@ -38,10 +43,11 @@ from nkt.jet_calculus import (
     euler_lagrange,
     partial_left,
     partial_right,
+    total_derivative,
     total_derivative_multi,
 )
-from nkt.multiindex import EMPTY
-from nkt.randgen import random_polynomial
+from nkt.multiindex import EMPTY, MultiIndex
+from nkt.randgen import jet_pool, random_polynomial, random_scalar
 from nkt.theory_dsl import (
     _COORD_RE,
     _BracketJet,
@@ -105,6 +111,186 @@ def oracle_partial_right(p: GradedPolynomial, v: JetVariable) -> GradedPolynomia
                 acc[rest] = contrib if cur is None else cur + contrib
             odd_before += here_odd
     return GradedPolynomial(acc)
+
+
+class OracleJetVariable:
+    """A variable differentiated along a multi-index, e.g. y_(0,1)."""
+
+    __slots__ = ("var", "mi", "key", "_hash")
+
+    def __init__(self, var: VariableId, mi: MultiIndex = EMPTY):
+        self.var = var
+        self.mi = mi
+        major, minor = _kind_rank(var.kind, var.stage)
+        self.key = (
+            major,
+            minor,
+            var.name,
+            var.components,
+            mi.order,
+            mi.entries,
+            int(var.parity),
+        )
+        self._hash = hash(self.key)
+
+    @property
+    def parity(self) -> Parity:
+        return self.var.parity
+
+    def raised(self, direction: int) -> "OracleJetVariable":
+        return OracleJetVariable(self.var, self.mi + direction)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, OracleJetVariable) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __lt__(self, other: "OracleJetVariable") -> bool:
+        return self.key < other.key
+
+    def __repr__(self) -> str:
+        return f"OracleJetVariable({self.var.render()}, {self.mi.entries})"
+
+
+def oracle_sort_flat(factors):
+    """Stable-sort factors into canonical order.
+
+    Returns (sign, sorted factors); sign is -1 per odd-odd transposition and
+    the factors are None when an odd variable repeats (the monomial is zero).
+    """
+    out = []
+    sign = 1
+    for f in factors:
+        i = len(out)
+        while i > 0 and out[i - 1].key > f.key:
+            i -= 1
+        if f.parity is Parity.ODD:
+            crossings = sum(1 for g in out[i:] if g.parity is Parity.ODD)
+            if crossings & 1:
+                sign = -sign
+        out.insert(i, f)
+    for a, b in zip(out, out[1:]):
+        if a.parity is Parity.ODD and a == b:
+            return 0, None
+    return sign, tuple(out)
+
+
+def oracle_merge_flat(a, b):
+    """Merge two canonical factor tuples, tracking the Koszul sign."""
+    out = []
+    sign = 1
+    odd_left = sum(1 for f in a if f.parity is Parity.ODD)
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if a[i].key <= b[j].key:
+            if a[i].parity is Parity.ODD:
+                odd_left -= 1
+            out.append(a[i])
+            i += 1
+        else:
+            if b[j].parity is Parity.ODD and (odd_left & 1):
+                sign = -sign
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    for u, v in zip(out, out[1:]):
+        if u.parity is Parity.ODD and u == v:
+            return 0, None
+    return sign, tuple(out)
+
+
+def oracle_scalar_add(self: Scalar, other: Scalar) -> Scalar:
+    acc = dict(self.terms)
+    for exps, q in other.terms:
+        acc[exps] = acc.get(exps, Fraction(0)) + q
+    return Scalar(acc)
+
+
+def oracle_scalar_neg(self: Scalar) -> Scalar:
+    return Scalar({exps: -q for exps, q in self.terms})
+
+
+def oracle_scalar_mul(self: Scalar, other: Scalar) -> Scalar:
+    acc = {}
+    for e1, q1 in self.terms:
+        for e2, q2 in other.terms:
+            merged = dict(e1)
+            for coord, exp in e2:
+                merged[coord] = merged.get(coord, 0) + exp
+            key = tuple(sorted(merged.items()))
+            acc[key] = acc.get(key, Fraction(0)) + q1 * q2
+    return Scalar(acc)
+
+
+def oracle_jets(flat) -> tuple[OracleJetVariable, ...]:
+    return tuple(OracleJetVariable(jv.var, jv.mi) for jv in flat)
+
+
+def oracle_terms(acc: dict) -> tuple:
+    """The canonical term tuple of an oracle accumulator, in interned variables."""
+    terms = [
+        (tuple(JetVariable(f.var, f.mi) for f in flat), s)
+        for flat, s in acc.items()
+        if s.terms
+    ]
+    return tuple(sorted(terms, key=lambda kv: [f.key for f in kv[0]]))
+
+
+def oracle_accumulate(acc: dict, flat, s: Scalar) -> None:
+    cur = acc.get(flat)
+    acc[flat] = s if cur is None else oracle_scalar_add(cur, s)
+
+
+def oracle_mul(p: GradedPolynomial, q: GradedPolynomial) -> tuple:
+    acc: dict = {}
+    for fa, sa in p.raw_terms():
+        for fb, sb in q.raw_terms():
+            sign, merged = oracle_merge_flat(oracle_jets(fa), oracle_jets(fb))
+            if merged is None:
+                continue
+            s = oracle_scalar_mul(sa, sb)
+            oracle_accumulate(acc, merged, oracle_scalar_neg(s) if sign < 0 else s)
+    return oracle_terms(acc)
+
+
+def oracle_sum(ps) -> tuple:
+    acc: dict = {}
+    for p in ps:
+        for flat, s in p.raw_terms():
+            oracle_accumulate(acc, oracle_jets(flat), s)
+    return oracle_terms(acc)
+
+
+def oracle_normalize(raw) -> tuple:
+    acc: dict = {}
+    for coeff, factors in raw:
+        if not isinstance(coeff, Scalar):
+            coeff = Scalar.of(coeff)
+        sign, flat = oracle_sort_flat(oracle_jets(factors))
+        if flat is None or not coeff.terms:
+            continue
+        oracle_accumulate(acc, flat, oracle_scalar_neg(coeff) if sign < 0 else coeff)
+    return oracle_terms(acc)
+
+
+def oracle_total_derivative(p: GradedPolynomial, direction: int) -> tuple:
+    raw = []
+    for flat, s in p.raw_terms():
+        jets = oracle_jets(flat)
+        ds = s.diff(direction)
+        if ds.terms:
+            raw.append((ds, jets))
+        for i, jv in enumerate(jets):
+            raw.append((s, jets[:i] + (jv.raised(direction),) + jets[i + 1 :]))
+    acc: dict = {}
+    for coeff, factors in raw:
+        sign, flat = oracle_sort_flat(factors)
+        if flat is None:
+            continue
+        oracle_accumulate(acc, flat, oracle_scalar_neg(coeff) if sign < 0 else coeff)
+    return oracle_terms(acc)
 
 
 def oracle_eval(env: _Env, node: object) -> GradedPolynomial:
@@ -279,6 +465,80 @@ def test_prolongation_matches_the_oracle(p, component) -> None:
             inner = oracle_partial_left(p, jv)
             expected = expected + total_derivative_multi(component, jv.mi) * inner
     assert prolong_apply(vf, p) == expected
+
+
+# -- interned variables and scalar shortcuts against the general kernels ------------
+
+
+@st.composite
+def scalars(draw) -> Scalar:
+    """Zero, constant and one- or many-term scalars in x0 and x1."""
+    exps = st.sampled_from([(), (), ((0, 1),), ((1, 2),), ((0, 1), (1, 1))])
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return Scalar(draw(st.dictionaries(exps, coeff, max_size=3)))
+
+
+@st.composite
+def raw_term_lists(draw) -> list:
+    """Raw terms: factors in any order, odd repeats, exactly cancelling pairs."""
+    variables = _variables(
+        draw(st.integers(0, 2)), draw(st.integers(1, 2)), draw(st.booleans()), False
+    )
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    dim = draw(st.integers(1, 2))
+    pool = jet_pool(variables, dim, draw(st.integers(0, 1)))
+    raw: list = []
+    for _ in range(draw(st.integers(0, 6))):
+        factors = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+        coeff = random_scalar(rng, dim) if rng.random() < 0.5 else rng.choice([-1, 2])
+        raw.append((coeff, factors))
+        if rng.random() < 0.4:
+            again = factors if rng.random() < 0.5 else rng.sample(factors, len(factors))
+            raw.append((-coeff, again))
+    return raw
+
+
+@KERNEL_SETTINGS
+@given(scalars(), scalars())
+def test_scalar_arithmetic_matches_the_general_paths(a, b) -> None:
+    minus_b = oracle_scalar_neg(b)
+    for x, y in ((a, b), (b, a), (a, minus_b), (a, oracle_scalar_neg(a)), (a, a)):
+        assert (x + y).terms == oracle_scalar_add(x, y).terms
+        assert (x * y).terms == oracle_scalar_mul(x, y).terms
+        assert (x - y).terms == oracle_scalar_add(x, oracle_scalar_neg(y)).terms
+    assert (-a).terms == oracle_scalar_neg(a).terms
+    assert (a + -a).terms == ()
+
+
+@KERNEL_SETTINGS
+@given(graded_polynomials(), graded_polynomials())
+def test_products_match_the_key_comparing_kernels(p, q) -> None:
+    for x, y in ((p, q), (q, p), (p, p), (p, -p)):
+        assert (x * y).raw_terms() == oracle_mul(x, y)
+
+
+@KERNEL_SETTINGS
+@given(st.lists(graded_polynomials(), min_size=1, max_size=4), st.integers(0, 4))
+def test_sums_match_the_key_comparing_kernels(ps, cancelled) -> None:
+    summands = ps + [-p for p in ps[:cancelled]]
+    assert gp_sum(summands).raw_terms() == oracle_sum(summands)
+    assert (ps[0] + ps[-1]).raw_terms() == oracle_sum([ps[0], ps[-1]])
+    assert (ps[0] - ps[0]).raw_terms() == ()
+
+
+@KERNEL_SETTINGS
+@given(graded_polynomials(), st.integers(0, 2))
+def test_total_derivative_matches_the_key_comparing_kernels(p, direction) -> None:
+    got = total_derivative(p, direction)
+    assert got.raw_terms() == oracle_total_derivative(p, direction)
+    # a second pass takes every raise from the per-variable cache
+    assert total_derivative(p, direction).raw_terms() == got.raw_terms()
+
+
+@KERNEL_SETTINGS
+@given(raw_term_lists())
+def test_gp_normalize_matches_the_key_comparing_kernels(raw) -> None:
+    assert gp_normalize(raw).raw_terms() == oracle_normalize(raw)
 
 
 # -- expression evaluation against the oracle ---------------------------------------

@@ -2,16 +2,19 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import even_field, even_ghost, odd_ghost, v
 
-from nkt.derivations import GeneralizedVectorField, contract_with_EL
+from nkt import derivations, jet_calculus, noether
+from nkt.derivations import GeneralizedVectorField, check_variational, contract_with_EL
 from nkt.graded_poly import Density, GradedPolynomial
-from nkt.jet_calculus import total_derivative, total_derivative_multi
+from nkt.jet_calculus import euler_lagrange, total_derivative, total_derivative_multi
 from nkt.multiindex import EMPTY, MultiIndex, mi_enumerate
 from nkt.noether import (
     LinearJetOperator,
+    NoetherReport,
     NonVariationalError,
     ROLE_GAUGE,
     ROLE_NOETHER,
@@ -23,9 +26,11 @@ from nkt.noether import (
     eta,
     gauge_vector_field,
     linearize_in_ghosts,
+    noether_residuals,
     trivial_gauge_symmetry,
 )
 from nkt.errors import SemanticError
+from nkt.theory_dsl import parse_theory
 from nkt.randgen import even_fields, graded_fields, random_operator, random_polynomial
 
 Y = even_field("y")
@@ -217,6 +222,54 @@ class TestNoetherSecondTheorem:
         report = check_noether_identity(bad, lagr)
         assert not report.holds
         assert report.residuals[XI] == v(Y)
+
+
+def _bundled_gauge_symmetry(name, op):
+    theory_dir = Path(__file__).resolve().parent.parent / "theories"
+    theory = parse_theory((theory_dir / f"{name}.nkt").read_text())
+    return theory.operators[op], theory.lagrangian
+
+
+GAUGE_SYMMETRIES = {
+    "abelian": lambda: (_abelian_gauge_op(), _abelian_lagrangian()),
+    "two_form": lambda: _bundled_gauge_symmetry("two_form", "gauge_sym"),
+    "on_shell_pair": lambda: _bundled_gauge_symmetry("on_shell_pair", "rot"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GAUGE_SYMMETRIES))
+def test_derivations_compute_the_lagrangian_variational_derivatives_once(
+    case, monkeypatch
+):
+    op, lagr = GAUGE_SYMMETRIES[case]()
+    # the public steps each derivation is made of, run separately
+    noe_expected = eta(op)
+    report_expected = NoetherReport(
+        noether_residuals(noe_expected, lagr),
+        check_variational(gauge_vector_field(op), lagr),
+    )
+    back_expected = eta(noe_expected)
+    back_report_expected = NoetherReport(
+        check_noether_identity(noe_expected, lagr).residuals,
+        check_variational(gauge_vector_field(back_expected), lagr),
+    )
+
+    on_lagrangian = []
+
+    def spy(density, variables=None):
+        if density is lagr:
+            on_lagrangian.append(variables)
+        return euler_lagrange(density, variables)
+
+    for module in (derivations, jet_calculus, noether):
+        monkeypatch.setattr(module, "euler_lagrange", spy)
+    noe, report = derive_noether_from_gauge(op, lagr)
+    assert len(on_lagrangian) == 1
+    assert noe == noe_expected and report == report_expected
+    on_lagrangian.clear()
+    back, back_report = derive_gauge_from_noether(noe, lagr)
+    assert len(on_lagrangian) == 1
+    assert back == back_expected and back_report == back_report_expected
 
 
 class TestTrivialSymmetries:
