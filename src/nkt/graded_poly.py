@@ -6,7 +6,9 @@ a product of jet variables.  Normalization sorts factors into the canonical
 variable order, tracking the Koszul sign for each transposition of two odd
 factors and killing any monomial in which an odd variable repeats.  Two
 expressions are equal iff their canonical forms are identical, so equality,
-hashing and rendering are all decidable and deterministic.
+hashing and rendering are all decidable and deterministic.  The order of the
+monomials themselves is only materialized when it is observed, by
+raw_terms() and rendering; arithmetic works on an unordered term map.
 """
 
 from __future__ import annotations
@@ -161,6 +163,24 @@ class JetVariable:
         return f"JetVariable({self.var.render()}, {self.mi.entries})"
 
 
+def raised_jets(
+    jets: Iterable[JetVariable], direction: int
+) -> dict[JetVariable, JetVariable]:
+    """Each jet variable raised once along direction, keyed by the original.
+
+    The jet-order bound is checked once, on the highest raised order, so the
+    error names the same order whatever order the jets come in.
+    """
+    jets = tuple(jets)
+    if jets:
+        check_jet_order(max(jv.mi.order for jv in jets) + 1)
+    out: dict[JetVariable, JetVariable] = {}
+    for jv in jets:
+        up = jv._raised.get(direction)
+        out[jv] = jv.raised(direction) if up is None else up
+    return out
+
+
 def jet(var: VariableId, *directions: int) -> JetVariable:
     return JetVariable(var, MultiIndex(tuple(directions)))
 
@@ -241,7 +261,15 @@ class Scalar:
         return Scalar._canonical(tuple((exps, -q) for exps, q in self.terms))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-other)
+        a, b = self.terms, other.terms
+        if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
+            q = a[0][1] - b[0][1]
+            return Scalar._canonical(((a[0][0], q),) if q else ())
+        acc = dict(a)
+        for exps, q in b:
+            cur = acc.get(exps)
+            acc[exps] = -q if cur is None else cur - q
+        return Scalar(acc)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         a, b = self.terms, other.terms
@@ -342,9 +370,9 @@ _Flat = tuple[JetVariable, ...]
 
 
 def _all_partials(
-    terms: tuple[tuple[_Flat, Scalar], ...], right: bool
+    terms: Mapping[_Flat, Scalar], right: bool
 ) -> Mapping[JetVariable, "GradedPolynomial"]:
-    """Every graded partial of a canonical term list, in one pass over it.
+    """Every graded partial of a canonical term map, in one pass over it.
 
     Dropping one factor from a canonical term leaves a canonical term, so
     only the Koszul sign needs tracking: an odd variable's derivative passes
@@ -352,7 +380,7 @@ def _all_partials(
     partial).  A repeated even factor contributes once per occurrence.
     """
     acc: dict[JetVariable, dict[_Flat, Scalar]] = {}
-    for flat, s in terms:
+    for flat, s in terms.items():
         odd = [jv.odd for jv in flat]
         odd_before = 0
         odd_after = sum(odd)
@@ -369,31 +397,55 @@ def _all_partials(
                 bucket = acc[jv] = {}
             cur = bucket.get(rest)
             bucket[rest] = contrib if cur is None else cur + contrib
-    return MappingProxyType({jv: GradedPolynomial(b) for jv, b in acc.items()})
+    return MappingProxyType(
+        {jv: GradedPolynomial.from_accumulator(b) for jv, b in acc.items()}
+    )
+
+
+def _term_order(term: tuple[_Flat, Scalar]) -> list[tuple]:
+    return [f.key for f in term[0]]
 
 
 class GradedPolynomial:
     """Canonical sum of graded monomials; immutable.
 
-    The partial-derivative maps are filled on first use only; they are
-    derived from the terms, so equality and hashing never look at them.
+    The terms live in a map from canonical factor tuple to nonzero Scalar.
+    Equality compares the maps and the hash is independent of the order the
+    map was filled in.  The canonical term order is built only when it is
+    observed (raw_terms and rendering): the first observation refills the
+    map in that order, so later ones need no sort.  The partial-derivative
+    maps are filled on first use only; they are derived from the terms, so
+    equality and hashing never look at them.
     """
 
-    __slots__ = ("_terms", "_left", "_right")
+    __slots__ = ("_terms", "_ordered", "_left", "_right")
 
-    def __init__(self, terms: dict[_Flat, Scalar] | None = None):
+    def __init__(self, terms: Mapping[_Flat, Scalar] | None = None):
         cleaned: dict[_Flat, Scalar] = {}
         if terms:
             for flat, s in terms.items():
                 if not s.is_zero():
                     cleaned[flat] = s
-        ordered = sorted(cleaned.items(), key=lambda kv: [f.key for f in kv[0]])
-        object.__setattr__(self, "_terms", tuple(ordered))
+        object.__setattr__(self, "_terms", cleaned)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GradedPolynomial is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_accumulator(cls, acc: dict[_Flat, Scalar]) -> "GradedPolynomial":
+        """Take over a map of canonical factor tuples to Scalars.
+
+        Zero coefficients are deleted from acc in place; the caller must not
+        touch acc afterwards.
+        """
+        dead = [flat for flat, s in acc.items() if not s.terms]
+        for flat in dead:
+            del acc[flat]
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", acc)
+        return out
 
     @classmethod
     def zero(cls) -> "GradedPolynomial":
@@ -422,14 +474,25 @@ class GradedPolynomial:
     # -- views -------------------------------------------------------------
 
     def raw_terms(self) -> tuple[tuple[_Flat, Scalar], ...]:
-        return self._terms
+        """The (factors, coefficient) pairs in canonical order."""
+        try:
+            self._ordered
+        except AttributeError:
+            ordered = dict(sorted(self._terms.items(), key=_term_order))
+            object.__setattr__(self, "_terms", ordered)
+            object.__setattr__(self, "_ordered", True)
+        return tuple(self._terms.items())
+
+    def items(self) -> Iterable[tuple[_Flat, Scalar]]:
+        """The (factors, coefficient) pairs in no particular order."""
+        return self._terms.items()
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def variables(self) -> set[JetVariable]:
         seen: set[JetVariable] = set()
-        for flat, _ in self._terms:
+        for flat in self._terms:
             seen.update(flat)
         return seen
 
@@ -443,7 +506,7 @@ class GradedPolynomial:
     def parity(self) -> Parity | None:
         """EVEN/ODD for homogeneous polynomials, None for mixed; zero is even."""
         seen: set[Parity] = set()
-        for flat, _ in self._terms:
+        for flat in self._terms:
             odd = sum(1 for f in flat if f.odd)
             seen.add(Parity(odd % 2))
             if len(seen) > 1:
@@ -476,24 +539,28 @@ class GradedPolynomial:
         return gp_sum((self, other))
 
     def __neg__(self) -> "GradedPolynomial":
-        return GradedPolynomial({flat: -s for flat, s in self._terms})
+        return GradedPolynomial.from_accumulator(
+            {flat: -s for flat, s in self._terms.items()}
+        )
 
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        return self + (-other)
+        return gp_sum((self,), (other,))
 
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         acc: dict[_Flat, Scalar] = {}
-        for fa, sa in self._terms:
-            for fb, sb in other._terms:
+        right = other._terms.items()
+        for fa, sa in self._terms.items():
+            for fb, sb in right:
                 sign, merged = _merge_flat(fa, fb)
                 if merged is None:
                     continue
                 s = sa * sb
-                if sign < 0:
-                    s = -s
                 cur = acc.get(merged)
-                acc[merged] = s if cur is None else cur + s
-        return GradedPolynomial(acc)
+                if sign < 0:
+                    acc[merged] = -s if cur is None else cur - s
+                else:
+                    acc[merged] = s if cur is None else cur + s
+        return GradedPolynomial.from_accumulator(acc)
 
     def __pow__(self, exponent: int) -> "GradedPolynomial":
         if exponent < 0:
@@ -505,28 +572,38 @@ class GradedPolynomial:
 
     def scaled(self, q: Fraction | int | Scalar) -> "GradedPolynomial":
         if isinstance(q, Scalar):
-            return GradedPolynomial({flat: s * q for flat, s in self._terms})
+            return GradedPolynomial.from_accumulator(
+                {flat: s * q for flat, s in self._terms.items()}
+            )
         q = Fraction(q)
-        return GradedPolynomial({flat: s.scaled(q) for flat, s in self._terms})
+        return GradedPolynomial.from_accumulator(
+            {flat: s.scaled(q) for flat, s in self._terms.items()}
+        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GradedPolynomial) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
         return f"GradedPolynomial<{len(self._terms)} terms>"
 
 
-def gp_sum(polys: Iterable[GradedPolynomial]) -> GradedPolynomial:
-    """The sum of any number of polynomials, canonicalized once."""
+def gp_sum(
+    polys: Iterable[GradedPolynomial], negated: Iterable[GradedPolynomial] = ()
+) -> GradedPolynomial:
+    """The sum of polys minus the sum of negated, canonicalized once."""
     acc: dict[_Flat, Scalar] = {}
     for p in polys:
-        for flat, s in p.raw_terms():
+        for flat, s in p._terms.items():
             cur = acc.get(flat)
             acc[flat] = s if cur is None else cur + s
-    return GradedPolynomial(acc)
+    for p in negated:
+        for flat, s in p._terms.items():
+            cur = acc.get(flat)
+            acc[flat] = -s if cur is None else cur - s
+    return GradedPolynomial.from_accumulator(acc)
 
 
 def gp_normalize(
@@ -548,7 +625,7 @@ def gp_normalize(
             coeff = -coeff
         cur = acc.get(flat)
         acc[flat] = coeff if cur is None else cur + coeff
-    return GradedPolynomial(acc)
+    return GradedPolynomial.from_accumulator(acc)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ derivative symbol passes the factors on one side or the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .graded_poly import (
     Density,
@@ -18,8 +17,8 @@ from .graded_poly import (
     JetVariable,
     Scalar,
     VariableId,
-    gp_normalize,
     gp_sum,
+    raised_jets,
 )
 from .multiindex import MultiIndex
 
@@ -34,16 +33,42 @@ FIELD_INDEPENDENT_NOTE = (
 
 
 def total_derivative(p: GradedPolynomial, direction: int) -> GradedPolynomial:
-    """Apply the total derivative d_direction once."""
-    raw: list[tuple[Scalar, tuple[JetVariable, ...]]] = []
-    for flat, s in p.raw_terms():
+    """Apply the total derivative d_direction once.
+
+    Raising factor i of a canonical term keeps the others in place: the
+    raised factor only moves right past the factors of its own variable with
+    a smaller key, picking up the sign of the odd factors it passes, and the
+    term vanishes if an odd raised factor lands on an equal one.
+    """
+    ups = raised_jets(p.variables(), direction)
+    acc: dict[tuple[JetVariable, ...], Scalar] = {}
+    for flat, s in p.items():
         ds = s.diff(direction)
-        if not ds.is_zero():
-            raw.append((ds, flat))
+        if ds.terms:
+            cur = acc.get(flat)
+            acc[flat] = ds if cur is None else cur + ds
+        n = len(flat)
         for i, jv in enumerate(flat):
-            raised = flat[:i] + (jv.raised(direction),) + flat[i + 1 :]
-            raw.append((s, raised))
-    return gp_normalize(raw)
+            up = ups[jv]
+            key = up.key
+            j = i + 1
+            passed = 0
+            while j < n and flat[j].key < key:
+                passed += flat[j].odd
+                j += 1
+            if up.odd:
+                if j < n and flat[j] is up:
+                    continue
+                negative = passed & 1
+            else:
+                negative = 0
+            raised = flat[:i] + flat[i + 1 : j] + (up,) + flat[j:]
+            cur = acc.get(raised)
+            if negative:
+                acc[raised] = -s if cur is None else cur - s
+            else:
+                acc[raised] = s if cur is None else cur + s
+    return GradedPolynomial.from_accumulator(acc)
 
 
 def total_derivative_multi(p: GradedPolynomial, mi: MultiIndex) -> GradedPolynomial:
@@ -102,19 +127,19 @@ def euler_lagrange(
         targets = sorted(per_var, key=lambda v: v.rank)
     else:
         targets = list(variables)
-    components = {
-        var: gp_sum(_el_terms(expr, per_var.get(var, ()))) for var in targets
-    }
+    components = {}
+    for var in targets:
+        jets = per_var.get(var, ())
+        components[var] = gp_sum(
+            (_el_term(expr, jv) for jv in jets if not jv.mi.order & 1),
+            (_el_term(expr, jv) for jv in jets if jv.mi.order & 1),
+        )
     return VariationalDerivatives(components)
 
 
-def _el_terms(
-    expr: GradedPolynomial, jets: Iterable[JetVariable]
-) -> Iterator[GradedPolynomial]:
-    """(-1)^|Lam| d_Lam(dL/dA_Lam) for each jet A_Lam of one base variable."""
-    for jv in jets:
-        term = total_derivative_multi(partial_left(expr, jv), jv.mi)
-        yield -term if jv.mi.order & 1 else term
+def _el_term(expr: GradedPolynomial, jv: JetVariable) -> GradedPolynomial:
+    """d_Lam(dL/dA_Lam) for the jet A_Lam; its sign (-1)^|Lam| is the caller's."""
+    return total_derivative_multi(partial_left(expr, jv), jv.mi)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import even_field, odd_field, odd_ghost, v
 from nkt.graded_poly import (
     GradedPolynomial,
@@ -13,6 +15,8 @@ from nkt.graded_poly import (
     Scalar,
     gp_normalize,
 )
+from nkt import multiindex
+from nkt.errors import JetOrderError
 from nkt.jet_calculus import (
     euler_lagrange,
     is_variationally_trivial,
@@ -90,6 +94,43 @@ def test_total_derivative_is_even_derivation() -> None:
     for _ in range(100):
         p, q = _random_poly(rng, pool), _random_poly(rng, pool)
         assert total_derivative(p * q, 0) == total_derivative(p, 0) * q + p * total_derivative(q, 0)
+
+
+def test_total_derivative_checks_the_jet_order_bound_once(monkeypatch) -> None:
+    # y_xx c - y c_x: raising y_xx along x reaches order 3
+    p = v(Y, 0, 0) * v(C) - v(Y) * v(C, 0) * v(C, 0, 0)
+    first = total_derivative(p, 0)  # fills every raise cache
+    reads = []
+    bound = multiindex.max_jet_order
+    monkeypatch.setattr(multiindex, "max_jet_order", lambda: reads.append(1) or bound())
+    assert total_derivative(p, 0) == first
+    assert len(reads) == 1
+    monkeypatch.setenv("NKT_MAX_JET_ORDER", "2")
+    with pytest.raises(JetOrderError) as err:
+        total_derivative(p, 0)
+    assert str(err.value) == (
+        "jet order 3 exceeds the bound 2 (raise NKT_MAX_JET_ORDER to override)"
+    )
+    # jets already past a lowered bound: the highest raised order is named,
+    # whatever order the terms were inserted in
+    monkeypatch.setenv("NKT_MAX_JET_ORDER", "1")
+    for q in (p, GradedPolynomial(dict(reversed(p.raw_terms())))):
+        with pytest.raises(JetOrderError, match="^jet order 3 exceeds the bound 1 "):
+            total_derivative(q, 0)
+
+
+def test_total_derivative_raises_in_place_with_the_koszul_sign() -> None:
+    # d_x(c c_x c_y) = c_x c_x c_y + c c_xx c_y + c c_x c_xy; the first term
+    # vanishes (c_x lands on c_x), c_xx passes no odd factor, and c_xy is
+    # already last
+    p = v(C) * v(C, 0) * v(C, 1)
+    assert total_derivative(p, 0) == v(C) * v(C, 0, 0) * v(C, 1) + v(C) * v(C, 0) * v(C, 0, 1)
+    # d_y(c c_x c_y) = c_y c_x c_y + c c_xy c_y + c c_x c_yy: c_xy passes c_y,
+    # giving c c_y c_xy with a minus sign
+    assert total_derivative(p, 1) == (
+        v(C) * v(C, 1) * v(C, 0, 1) * GradedPolynomial.scalar(-1)
+        + v(C) * v(C, 0) * v(C, 1, 1)
+    )
 
 
 # -- graded partial derivatives --------------------------------------------------
