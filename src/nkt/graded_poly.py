@@ -1,14 +1,15 @@
 """Canonical polynomial algebra over even and odd jet variables.
 
 Every expression the package manipulates is a GradedPolynomial: a finite sum
-of monomials, each an exact-rational polynomial in the base coordinates times
-a product of jet variables.  Normalization sorts factors into the canonical
-variable order, tracking the Koszul sign for each transposition of two odd
-factors and killing any monomial in which an odd variable repeats.  Two
-expressions are equal iff their canonical forms are identical, so equality,
-hashing and rendering are all decidable and deterministic.  The order of the
-monomials themselves is only materialized when it is observed, by
-raw_terms() and rendering; arithmetic works on an unordered term map.
+of monomials, each a nonzero Fraction times a product of factors.  The
+factors are base coordinates, which are even and sort first, and jet
+variables.  Normalization sorts factors into the canonical order, tracking
+the Koszul sign for each transposition of two odd factors and killing any
+monomial in which an odd variable repeats.  Two expressions are equal iff
+their canonical forms are identical, so equality, hashing and rendering are
+all decidable and deterministic.  The order of the monomials themselves is
+only materialized when it is observed, by raw_terms() and rendering;
+arithmetic works on an unordered term map.
 """
 
 from __future__ import annotations
@@ -186,143 +187,48 @@ def jet(var: VariableId, *directions: int) -> JetVariable:
 
 
 # --------------------------------------------------------------------------
-# Scalars: exact rational polynomials in the base coordinates x^0..x^{n-1}.
+# Base coordinates x^0..x^{n-1}, as even factors of a monomial.
 
-_Exps = tuple[tuple[int, int], ...]  # ((coordinate, exponent), ...) sorted
+_COORDINATES: dict[int, "Coordinate"] = {}
 
 
-class Scalar:
-    """Polynomial in the base coordinates with Fraction coefficients."""
+class Coordinate:
+    """The base coordinate x^k as an even factor of a monomial.
 
-    __slots__ = ("terms",)
+    Coordinates are interned like jet variables.  Their key sorts before
+    every jet key, so a canonical term lists its coordinates first, once per
+    power, and then its jet variables.
+    """
 
-    def __init__(self, terms: dict[_Exps, Fraction] | None = None):
-        cleaned: dict[_Exps, Fraction] = {}
-        if terms:
-            for exps, q in terms.items():
-                if q:
-                    cleaned[exps] = q
-        object.__setattr__(self, "terms", tuple(sorted(cleaned.items())))
+    __slots__ = ("k", "key", "odd")
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Scalar is immutable")
-
-    @classmethod
-    def _canonical(cls, terms: tuple[tuple[_Exps, Fraction], ...]) -> "Scalar":
-        """A scalar from terms already sorted, each with a nonzero coefficient."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "terms", terms)
-        return out
-
-    @classmethod
-    def zero(cls) -> "Scalar":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Scalar":
-        return cls({(): Fraction(1)})
-
-    @classmethod
-    def of(cls, q: Fraction | int) -> "Scalar":
-        return cls({(): Fraction(q)})
-
-    @classmethod
-    def coordinate(cls, k: int, exponent: int = 1) -> "Scalar":
-        if exponent == 0:
-            return cls.one()
-        return cls({((k, exponent),): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(exps == () for exps, _ in self.terms)
-
-    def constant_value(self) -> Fraction | None:
-        """The Fraction value if this scalar is a plain number, else None."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and self.terms[0][0] == ():
-            return self.terms[0][1]
-        return None
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        a, b = self.terms, other.terms
-        if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
-            q = a[0][1] + b[0][1]
-            return Scalar._canonical(((a[0][0], q),) if q else ())
-        acc = dict(a)
-        for exps, q in b:
-            cur = acc.get(exps)
-            acc[exps] = q if cur is None else cur + q
-        return Scalar(acc)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar._canonical(tuple((exps, -q) for exps, q in self.terms))
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        a, b = self.terms, other.terms
-        if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
-            q = a[0][1] - b[0][1]
-            return Scalar._canonical(((a[0][0], q),) if q else ())
-        acc = dict(a)
-        for exps, q in b:
-            cur = acc.get(exps)
-            acc[exps] = -q if cur is None else cur - q
-        return Scalar(acc)
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        a, b = self.terms, other.terms
-        if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0] == ():
-            return Scalar._canonical((((), a[0][1] * b[0][1]),))
-        acc: dict[_Exps, Fraction] = {}
-        for e1, q1 in self.terms:
-            for e2, q2 in other.terms:
-                merged: dict[int, int] = dict(e1)
-                for coord, exp in e2:
-                    merged[coord] = merged.get(coord, 0) + exp
-                key = tuple(sorted(merged.items()))
-                cur = acc.get(key)
-                acc[key] = q1 * q2 if cur is None else cur + q1 * q2
-        return Scalar(acc)
-
-    def scaled(self, q: Fraction | int) -> "Scalar":
-        q = Fraction(q)
-        return Scalar({exps: c * q for exps, c in self.terms})
-
-    def diff(self, direction: int) -> "Scalar":
-        """Partial derivative along one base coordinate."""
-        acc: dict[_Exps, Fraction] = {}
-        for exps, q in self.terms:
-            for i, (coord, exp) in enumerate(exps):
-                if coord != direction:
-                    continue
-                rest = exps[:i] + ((coord, exp - 1),) + exps[i + 1 :]
-                rest = tuple(p for p in rest if p[1] != 0)
-                acc[rest] = acc.get(rest, Fraction(0)) + q * exp
-        return Scalar(acc)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Scalar) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
+    def __new__(cls, k: int) -> "Coordinate":
+        self = _COORDINATES.get(k)
+        if self is None:
+            self = _COORDINATES[k] = object.__new__(cls)
+            self.k = k
+            self.key = (-1, k)
+            self.odd = False
+        return self
 
     def __repr__(self) -> str:
-        return f"Scalar({dict(self.terms)!r})"
+        return f"Coordinate({self.k})"
 
 
 # --------------------------------------------------------------------------
 # Graded monomials and polynomials.
 
+_Factor = Coordinate | JetVariable
+_Flat = tuple[_Factor, ...]
 
-def _sort_flat(factors: Sequence[JetVariable]) -> tuple[int, tuple[JetVariable, ...] | None]:
+
+def _sort_flat(factors: Sequence[_Factor]) -> tuple[int, _Flat | None]:
     """Stable-sort factors into canonical order.
 
     Returns (sign, sorted factors); sign is -1 per odd-odd transposition and
     the factors are None when an odd variable repeats (the monomial is zero).
     """
-    out: list[JetVariable] = []
+    out: list[_Factor] = []
     sign = 1
     for f in factors:
         i = len(out)
@@ -339,11 +245,9 @@ def _sort_flat(factors: Sequence[JetVariable]) -> tuple[int, tuple[JetVariable, 
     return sign, tuple(out)
 
 
-def _merge_flat(
-    a: tuple[JetVariable, ...], b: tuple[JetVariable, ...]
-) -> tuple[int, tuple[JetVariable, ...] | None]:
+def _merge_flat(a: _Flat, b: _Flat) -> tuple[int, _Flat | None]:
     """Merge two canonical factor tuples, tracking the Koszul sign."""
-    out: list[JetVariable] = []
+    out: list[_Factor] = []
     sign = 1
     odd_left = sum(1 for f in a if f.odd)
     i = j = 0
@@ -366,11 +270,8 @@ def _merge_flat(
     return sign, tuple(out)
 
 
-_Flat = tuple[JetVariable, ...]
-
-
 def _all_partials(
-    terms: Mapping[_Flat, Scalar], right: bool
+    terms: Mapping[_Flat, Fraction], right: bool
 ) -> Mapping[JetVariable, "GradedPolynomial"]:
     """Every graded partial of a canonical term map, in one pass over it.
 
@@ -378,13 +279,15 @@ def _all_partials(
     only the Koszul sign needs tracking: an odd variable's derivative passes
     the odd factors on its left (left partial) or on its right (right
     partial).  A repeated even factor contributes once per occurrence.
+    Coordinates are dropped like any even factor; their buckets are
+    discarded at the end.
     """
-    acc: dict[JetVariable, dict[_Flat, Scalar]] = {}
+    acc: dict[_Factor, dict[_Flat, Fraction]] = {}
     for flat, s in terms.items():
-        odd = [jv.odd for jv in flat]
+        odd = [f.odd for f in flat]
         odd_before = 0
         odd_after = sum(odd)
-        for i, jv in enumerate(flat):
+        for i, f in enumerate(flat):
             contrib = s
             if odd[i]:
                 odd_after -= 1
@@ -392,24 +295,50 @@ def _all_partials(
                     contrib = -s
                 odd_before += 1
             rest = flat[:i] + flat[i + 1 :]
-            bucket = acc.get(jv)
+            bucket = acc.get(f)
             if bucket is None:
-                bucket = acc[jv] = {}
+                bucket = acc[f] = {}
             cur = bucket.get(rest)
             bucket[rest] = contrib if cur is None else cur + contrib
     return MappingProxyType(
-        {jv: GradedPolynomial.from_accumulator(b) for jv, b in acc.items()}
+        {
+            f: GradedPolynomial.from_accumulator(b)
+            for f, b in acc.items()
+            if f.__class__ is JetVariable
+        }
     )
 
 
-def _term_order(term: tuple[_Flat, Scalar]) -> list[tuple]:
-    return [f.key for f in term[0]]
+def _split(flat: _Flat) -> tuple[_Flat, _Flat]:
+    """A canonical term's leading coordinates and its jet variables."""
+    n = 0
+    while n < len(flat) and flat[n].__class__ is Coordinate:
+        n += 1
+    return flat[:n], flat[n:]
+
+
+def _runs(factors: _Flat) -> list[tuple[_Factor, int]]:
+    """Equal adjacent factors packed as (factor, power)."""
+    runs: list[tuple[_Factor, int]] = []
+    for f in factors:
+        if runs and runs[-1][0] is f:
+            runs[-1] = (f, runs[-1][1] + 1)
+        else:
+            runs.append((f, 1))
+    return runs
+
+
+def _term_order(term: tuple[_Flat, Fraction]) -> tuple[list[tuple], tuple]:
+    # by jet part first, so terms sharing one are adjacent, then by the
+    # coordinate exponents ((k, e), ...)
+    coords, jets = _split(term[0])
+    return [f.key for f in jets], tuple((c.k, e) for c, e in _runs(coords))
 
 
 class GradedPolynomial:
     """Canonical sum of graded monomials; immutable.
 
-    The terms live in a map from canonical factor tuple to nonzero Scalar.
+    The terms live in a map from canonical factor tuple to nonzero Fraction.
     Equality compares the maps and the hash is independent of the order the
     map was filled in.  The canonical term order is built only when it is
     observed (raw_terms and rendering): the first observation refills the
@@ -420,12 +349,12 @@ class GradedPolynomial:
 
     __slots__ = ("_terms", "_ordered", "_left", "_right")
 
-    def __init__(self, terms: Mapping[_Flat, Scalar] | None = None):
-        cleaned: dict[_Flat, Scalar] = {}
+    def __init__(self, terms: Mapping[_Flat, Fraction] | None = None):
+        cleaned: dict[_Flat, Fraction] = {}
         if terms:
-            for flat, s in terms.items():
-                if not s.is_zero():
-                    cleaned[flat] = s
+            for flat, q in terms.items():
+                if q:
+                    cleaned[flat] = q
         object.__setattr__(self, "_terms", cleaned)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -434,13 +363,13 @@ class GradedPolynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_accumulator(cls, acc: dict[_Flat, Scalar]) -> "GradedPolynomial":
-        """Take over a map of canonical factor tuples to Scalars.
+    def from_accumulator(cls, acc: dict[_Flat, Fraction]) -> "GradedPolynomial":
+        """Take over a map of canonical factor tuples to Fractions.
 
         Zero coefficients are deleted from acc in place; the caller must not
         touch acc afterwards.
         """
-        dead = [flat for flat, s in acc.items() if not s.terms]
+        dead = [flat for flat, q in acc.items() if not q]
         for flat in dead:
             del acc[flat]
         out = object.__new__(cls)
@@ -453,27 +382,25 @@ class GradedPolynomial:
 
     @classmethod
     def one(cls) -> "GradedPolynomial":
-        return cls({(): Scalar.one()})
+        return cls({(): Fraction(1)})
 
     @classmethod
-    def scalar(cls, s: Scalar | Fraction | int) -> "GradedPolynomial":
-        if not isinstance(s, Scalar):
-            s = Scalar.of(s)
-        return cls({(): s})
+    def scalar(cls, q: Fraction | int) -> "GradedPolynomial":
+        return cls({(): Fraction(q)})
 
     @classmethod
     def coordinate(cls, k: int) -> "GradedPolynomial":
-        return cls({(): Scalar.coordinate(k)})
+        return cls({(Coordinate(k),): Fraction(1)})
 
     @classmethod
     def variable(cls, v: JetVariable | VariableId) -> "GradedPolynomial":
         if isinstance(v, VariableId):
             v = JetVariable(v)
-        return cls({(v,): Scalar.one()})
+        return cls({(v,): Fraction(1)})
 
     # -- views -------------------------------------------------------------
 
-    def raw_terms(self) -> tuple[tuple[_Flat, Scalar], ...]:
+    def raw_terms(self) -> tuple[tuple[_Flat, Fraction], ...]:
         """The (factors, coefficient) pairs in canonical order."""
         try:
             self._ordered
@@ -483,7 +410,7 @@ class GradedPolynomial:
             object.__setattr__(self, "_ordered", True)
         return tuple(self._terms.items())
 
-    def items(self) -> Iterable[tuple[_Flat, Scalar]]:
+    def items(self) -> Iterable[tuple[_Flat, Fraction]]:
         """The (factors, coefficient) pairs in no particular order."""
         return self._terms.items()
 
@@ -491,9 +418,11 @@ class GradedPolynomial:
         return not self._terms
 
     def variables(self) -> set[JetVariable]:
-        seen: set[JetVariable] = set()
+        """The jet variables that occur; coordinates are not variables."""
+        seen: set[_Factor] = set()
         for flat in self._terms:
             seen.update(flat)
+        seen.difference_update(_COORDINATES.values())
         return seen
 
     def base_variables(self) -> set[VariableId]:
@@ -540,26 +469,26 @@ class GradedPolynomial:
 
     def __neg__(self) -> "GradedPolynomial":
         return GradedPolynomial.from_accumulator(
-            {flat: -s for flat, s in self._terms.items()}
+            {flat: -q for flat, q in self._terms.items()}
         )
 
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         return gp_sum((self,), (other,))
 
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        acc: dict[_Flat, Scalar] = {}
+        acc: dict[_Flat, Fraction] = {}
         right = other._terms.items()
-        for fa, sa in self._terms.items():
-            for fb, sb in right:
+        for fa, qa in self._terms.items():
+            for fb, qb in right:
                 sign, merged = _merge_flat(fa, fb)
                 if merged is None:
                     continue
-                s = sa * sb
+                q = qa * qb
                 cur = acc.get(merged)
                 if sign < 0:
-                    acc[merged] = -s if cur is None else cur - s
+                    acc[merged] = -q if cur is None else cur - q
                 else:
-                    acc[merged] = s if cur is None else cur + s
+                    acc[merged] = q if cur is None else cur + q
         return GradedPolynomial.from_accumulator(acc)
 
     def __pow__(self, exponent: int) -> "GradedPolynomial":
@@ -570,14 +499,10 @@ class GradedPolynomial:
             out = out * self
         return out
 
-    def scaled(self, q: Fraction | int | Scalar) -> "GradedPolynomial":
-        if isinstance(q, Scalar):
-            return GradedPolynomial.from_accumulator(
-                {flat: s * q for flat, s in self._terms.items()}
-            )
+    def scaled(self, q: Fraction | int) -> "GradedPolynomial":
         q = Fraction(q)
         return GradedPolynomial.from_accumulator(
-            {flat: s.scaled(q) for flat, s in self._terms.items()}
+            {flat: c * q for flat, c in self._terms.items()}
         )
 
     def __eq__(self, other: object) -> bool:
@@ -594,37 +519,34 @@ def gp_sum(
     polys: Iterable[GradedPolynomial], negated: Iterable[GradedPolynomial] = ()
 ) -> GradedPolynomial:
     """The sum of polys minus the sum of negated, canonicalized once."""
-    acc: dict[_Flat, Scalar] = {}
+    acc: dict[_Flat, Fraction] = {}
     for p in polys:
-        for flat, s in p._terms.items():
+        for flat, q in p._terms.items():
             cur = acc.get(flat)
-            acc[flat] = s if cur is None else cur + s
+            acc[flat] = q if cur is None else cur + q
     for p in negated:
-        for flat, s in p._terms.items():
+        for flat, q in p._terms.items():
             cur = acc.get(flat)
-            acc[flat] = -s if cur is None else cur - s
+            acc[flat] = -q if cur is None else cur - q
     return GradedPolynomial.from_accumulator(acc)
 
 
 def gp_normalize(
-    raw_terms: Iterable[tuple[Scalar | Fraction | int, Sequence[JetVariable]]],
+    raw_terms: Iterable[tuple[Fraction | int, Sequence[_Factor]]],
 ) -> GradedPolynomial:
     """Canonicalize a raw term list: sort factors, track signs, merge terms.
 
     Each raw term is (coefficient, factor sequence) with factors in any order
     and with repeats spelled out; odd repeats annihilate the term.
     """
-    acc: dict[_Flat, Scalar] = {}
+    acc: dict[_Flat, Fraction] = {}
     for coeff, factors in raw_terms:
-        if not isinstance(coeff, Scalar):
-            coeff = Scalar.of(coeff)
         sign, flat = _sort_flat(tuple(factors))
-        if flat is None or coeff.is_zero():
+        if flat is None or not coeff:
             continue
-        if sign < 0:
-            coeff = -coeff
+        q = Fraction(coeff) if sign > 0 else -Fraction(coeff)
         cur = acc.get(flat)
-        acc[flat] = coeff if cur is None else cur + coeff
+        acc[flat] = q if cur is None else cur + q
     return GradedPolynomial.from_accumulator(acc)
 
 
@@ -634,19 +556,12 @@ class Density:
 
     expr: GradedPolynomial
 
-    def is_even(self) -> bool:
-        return self.expr.parity() is Parity.EVEN
-
-    def __add__(self, other: "Density") -> "Density":
-        return Density(self.expr + other.expr)
-
-    def __sub__(self, other: "Density") -> "Density":
-        return Density(self.expr - other.expr)
-
 
 # --------------------------------------------------------------------------
 # Deterministic text rendering.  The forms produced here are exactly what
 # the theory-file grammar accepts, so render/parse round-trips are stable.
+# Terms that share their jet part render as one term whose coefficient is
+# the sum of their coordinate monomials, e.g. (2 + x0)*y.
 
 
 def coordinate_token(k: int, dim: int) -> str:
@@ -664,30 +579,13 @@ def render_jet_variable(jv: JetVariable, dim: int) -> str:
     return prefix + jv.var.name
 
 
-def _render_fraction(q: Fraction) -> str:
-    return str(q)
+def _power(token: str, exp: int) -> str:
+    return token if exp == 1 else f"{token}^{exp}"
 
 
-def _scalar_monomial_parts(exps: _Exps, q: Fraction, dim: int) -> tuple[int, list[str]]:
-    """Sign and factor strings for one scalar monomial (abs value)."""
-    sign = -1 if q < 0 else 1
-    mag = abs(q)
-    parts: list[str] = []
-    if mag != 1 or not exps:
-        parts.append(_render_fraction(mag))
-    for coord, exp in exps:
-        tok = coordinate_token(coord, dim)
-        parts.append(tok if exp == 1 else f"{tok}^{exp}")
-    return sign, parts
-
-
-def render_scalar(s: Scalar, dim: int) -> str:
-    if s.is_zero():
-        return "0"
+def _join_signed(signed: Iterable[tuple[int, str]]) -> str:
     chunks: list[str] = []
-    for i, (exps, q) in enumerate(s.terms):
-        sign, parts = _scalar_monomial_parts(exps, q, dim)
-        body = "*".join(parts)
+    for i, (sign, body) in enumerate(signed):
         if i == 0:
             chunks.append(("-" if sign < 0 else "") + body)
         else:
@@ -695,39 +593,48 @@ def render_scalar(s: Scalar, dim: int) -> str:
     return " ".join(chunks)
 
 
-def _term_signed_body(flat_factors: _Flat, s: Scalar, dim: int) -> tuple[int, str]:
-    factor_parts: list[str] = []
-    packed: list[tuple[JetVariable, int]] = []
-    for f in flat_factors:
-        if packed and packed[-1][0] == f:
-            packed[-1] = (f, packed[-1][1] + 1)
-        else:
-            packed.append((f, 1))
-    for jv, exp in packed:
-        tok = render_jet_variable(jv, dim)
-        factor_parts.append(tok if exp == 1 else f"{tok}^{exp}")
+def _coordinate_monomial_parts(
+    coords: _Flat, q: Fraction, dim: int
+) -> tuple[int, list[str]]:
+    """Sign and factor strings for one coordinate monomial (abs value)."""
+    mag = abs(q)
+    parts: list[str] = []
+    if mag != 1 or not coords:
+        parts.append(str(mag))
+    for c, exp in _runs(coords):
+        parts.append(_power(coordinate_token(c.k, dim), exp))
+    return (-1 if q < 0 else 1), parts
 
-    if len(s.terms) == 1:
-        exps, q = s.terms[0]
-        sign, parts = _scalar_monomial_parts(exps, q, dim)
-        coeff_parts = parts
+
+def _term_signed_body(
+    jets: _Flat, coefficient: list[tuple[_Flat, Fraction]], dim: int
+) -> tuple[int, str]:
+    factor_parts = [_power(render_jet_variable(jv, dim), e) for jv, e in _runs(jets)]
+    if len(coefficient) == 1:
+        ((coords, q),) = coefficient
+        sign, coeff_parts = _coordinate_monomial_parts(coords, q, dim)
         if factor_parts and coeff_parts == ["1"]:
             coeff_parts = []
         return sign, "*".join(coeff_parts + factor_parts)
-    body = f"({render_scalar(s, dim)})"
-    if factor_parts:
-        body += "*" + "*".join(factor_parts)
-    return 1, body
+    inner = _join_signed(
+        (sign, "*".join(parts))
+        for sign, parts in (
+            _coordinate_monomial_parts(coords, q, dim) for coords, q in coefficient
+        )
+    )
+    return 1, "*".join([f"({inner})"] + factor_parts)
 
 
 def render_polynomial(p: GradedPolynomial, dim: int) -> str:
     if p.is_zero():
         return "0"
-    chunks: list[str] = []
-    for i, (flat, s) in enumerate(p.raw_terms()):
-        sign, body = _term_signed_body(flat, s, dim)
-        if i == 0:
-            chunks.append(("-" if sign < 0 else "") + body)
+    groups: list[tuple[_Flat, list[tuple[_Flat, Fraction]]]] = []
+    for flat, q in p.raw_terms():
+        coords, jets = _split(flat)
+        if groups and groups[-1][0] == jets:
+            groups[-1][1].append((coords, q))
         else:
-            chunks.append(("- " if sign < 0 else "+ ") + body)
-    return " ".join(chunks)
+            groups.append((jets, [(coords, q)]))
+    return _join_signed(
+        _term_signed_body(jets, coefficient, dim) for jets, coefficient in groups
+    )

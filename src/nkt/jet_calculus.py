@@ -1,7 +1,7 @@
 """Total derivatives, graded partial derivatives, Euler-Lagrange operators.
 
-The total derivative along direction lam acts on the base coordinates and
-raises every jet variable by one index; it is an even derivation, so no
+The total derivative along direction lam drops each coordinate factor x^lam
+in turn and raises every jet variable by one index; it is an even derivation, so no
 Koszul signs appear in its Leibniz rule.  Left and right partial derivatives
 with respect to a jet variable differ by the sign picked up while the
 derivative symbol passes the factors on one side or the other.
@@ -10,12 +10,12 @@ derivative symbol passes the factors on one side or the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .graded_poly import (
     Density,
     GradedPolynomial,
     JetVariable,
-    Scalar,
     VariableId,
     gp_sum,
     raised_jets,
@@ -35,21 +35,25 @@ FIELD_INDEPENDENT_NOTE = (
 def total_derivative(p: GradedPolynomial, direction: int) -> GradedPolynomial:
     """Apply the total derivative d_direction once.
 
-    Raising factor i of a canonical term keeps the others in place: the
-    raised factor only moves right past the factors of its own variable with
-    a smaller key, picking up the sign of the odd factors it passes, and the
-    term vanishes if an odd raised factor lands on an equal one.
+    Each factor x^direction of a term is dropped once, with the term's
+    coefficient; other coordinates stay.  Raising jet factor i of a
+    canonical term keeps the others in place: the raised factor only moves
+    right past the factors of its own variable with a smaller key, picking
+    up the sign of the odd factors it passes, and the term vanishes if an
+    odd raised factor lands on an equal one.
     """
     ups = raised_jets(p.variables(), direction)
-    acc: dict[tuple[JetVariable, ...], Scalar] = {}
+    acc: dict[tuple, Fraction] = {}
     for flat, s in p.items():
-        ds = s.diff(direction)
-        if ds.terms:
-            cur = acc.get(flat)
-            acc[flat] = ds if cur is None else cur + ds
         n = len(flat)
-        for i, jv in enumerate(flat):
-            up = ups[jv]
+        for i, f in enumerate(flat):
+            up = ups.get(f)
+            if up is None:
+                if f.k == direction:
+                    dropped = flat[:i] + flat[i + 1 :]
+                    cur = acc.get(dropped)
+                    acc[dropped] = s if cur is None else cur + s
+                continue
             key = up.key
             j = i + 1
             passed = 0

@@ -16,6 +16,7 @@ Noether operators and back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as iter_product
 from typing import TypeVar
 
@@ -27,7 +28,6 @@ from .graded_poly import (
     JetVariable,
     Kind,
     Parity,
-    Scalar,
     VariableId,
     gp_normalize,
     gp_sum,
@@ -237,20 +237,19 @@ def linearize_in_ghosts(
     leftward past them, with the graded sign) form the coefficient.  This
     inverts gauge_vector_field.
     """
-    raw: dict[CoeffKey, list[tuple[Scalar, tuple[JetVariable, ...]]]] = {}
+    raw: dict[CoeffKey, list[tuple[Fraction, tuple]]] = {}
     for target, comp in vf.components.items():
+        ghosts = {jv for jv in comp.variables() if jv.var.kind is Kind.GHOST}
         for flat, s in comp.raw_terms():
-            hits = [i for i, jv in enumerate(flat) if jv.var.kind is Kind.GHOST]
+            hits = [i for i, f in enumerate(flat) if f in ghosts]
             if len(hits) != 1:
                 raise SemanticError(
                     f"component for {target.render()} is not linear in the ghosts"
                 )
             i = hits[0]
             g = flat[i]
-            if g.parity is Parity.ODD:
-                odd_before = sum(1 for jv in flat[:i] if jv.parity is Parity.ODD)
-                if odd_before % 2:
-                    s = -s
+            if g.odd and sum(f.odd for f in flat[:i]) & 1:
+                s = -s
             key = (g.var, target, g.mi)
             raw.setdefault(key, []).append((s, flat[:i] + flat[i + 1 :]))
     coeffs = {key: gp_normalize(terms) for key, terms in raw.items()}
@@ -292,11 +291,12 @@ def compose(outer: LinearJetOperator, inner: LinearJetOperator) -> LinearJetOper
     parts: dict[CoeffKey, list[GradedPolynomial]] = {}
     probe_vars = {p: param for param, p in probes.items()}
     for target, poly in final.items():
+        probe_jets = {jv for jv in poly.variables() if jv.var in probe_vars}
         for flat, s in poly.raw_terms():
-            probe_jets = [f for f in flat if f.var in probe_vars]
-            if len(probe_jets) != 1:
+            hits = [f for f in flat if f in probe_jets]
+            if len(hits) != 1:
                 raise SemanticError("composite is not linear in the parameters")
-            pj = probe_jets[0]
+            pj = hits[0]
             # even probes: removal needs no sign
             rest = list(flat)
             rest.remove(pj)

@@ -11,11 +11,11 @@ import random
 from fractions import Fraction
 
 from .graded_poly import (
+    Coordinate,
     GradedPolynomial,
     JetVariable,
     Kind,
     Parity,
-    Scalar,
     VariableId,
     gp_normalize,
 )
@@ -35,18 +35,19 @@ def graded_fields(n_even: int, n_odd: int) -> list[VariableId]:
 
 def random_scalar(
     rng: random.Random, dim: int, *, max_terms: int = 2, max_exp: int = 2
-) -> Scalar:
+) -> GradedPolynomial:
+    """A random nonzero polynomial in the base coordinates alone."""
     terms: dict = {}
     for _ in range(rng.randint(1, max_terms)):
-        exps = tuple(
-            (coord, e)
+        coords = tuple(
+            Coordinate(coord)
             for coord in range(dim)
-            if (e := rng.randint(0, max_exp)) > 0
+            for _ in range(rng.randint(0, max_exp))
         )
         q = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
-        terms[exps] = terms.get(exps, Fraction(0)) + q
-    s = Scalar(terms)
-    return s if not s.is_zero() else Scalar.one()
+        terms[coords] = terms.get(coords, Fraction(0)) + q
+    s = GradedPolynomial(terms)
+    return s if not s.is_zero() else GradedPolynomial.one()
 
 
 def jet_pool(
@@ -71,7 +72,7 @@ def random_polynomial(
 ) -> GradedPolynomial:
     """Random polynomial in the field jets; optionally parity-homogeneous."""
     pool = jet_pool(fields, dim, max_order)
-    raw: list[tuple[Scalar | int, list[JetVariable]]] = []
+    raw: list[tuple[Fraction | int, list]] = []
     for _ in range(rng.randint(1, max_terms)):
         for _attempt in range(20):
             factors = [
@@ -86,10 +87,10 @@ def random_polynomial(
         else:
             continue
         if scalar_coeffs:
-            coeff: Scalar | int = random_scalar(rng, dim)
+            for coords, q in random_scalar(rng, dim).items():
+                raw.append((q, list(coords) + factors))
         else:
-            coeff = rng.choice([-2, -1, 1, 2])
-        raw.append((coeff, factors))
+            raw.append((rng.choice([-2, -1, 1, 2]), factors))
     return gp_normalize(raw)
 
 

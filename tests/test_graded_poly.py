@@ -9,18 +9,18 @@ import pytest
 
 from conftest import even_field, odd_field, odd_ghost, v
 from nkt.graded_poly import (
+    Coordinate,
     GradedPolynomial,
     JetVariable,
     Kind,
     Parity,
-    Scalar,
     VariableId,
     antifield_of,
     gp_normalize,
     render_polynomial,
-    render_scalar,
 )
 from nkt.errors import JetOrderError
+from nkt.jet_calculus import total_derivative
 from nkt.multiindex import MultiIndex
 
 Y = even_field("y")
@@ -33,25 +33,30 @@ def jv(var, *dirs):
     return JetVariable(var, MultiIndex(dirs))
 
 
-# -- scalars ----------------------------------------------------------------
+# -- coordinates ------------------------------------------------------------
 
 
-def test_scalar_arithmetic() -> None:
-    x = Scalar.coordinate(0)
-    p = x * x + Scalar.of(Fraction(1, 2))
-    assert p.diff(0) == x.scaled(2)
+def test_coordinate_arithmetic() -> None:
+    x = GradedPolynomial.coordinate(0)
+    p = x * x + GradedPolynomial.scalar(Fraction(1, 2))
+    assert total_derivative(p, 0) == x.scaled(2)
     assert (p - p).is_zero()
-    assert p * Scalar.zero() == Scalar.zero()
-    assert Scalar.of(3).constant_value() == 3
-    assert p.constant_value() is None
+    assert p * GradedPolynomial.zero() == GradedPolynomial.zero()
+    assert GradedPolynomial.scalar(3).raw_terms() == (((), 3),)
+    x0 = Coordinate(0)
+    assert p.raw_terms() == (((), Fraction(1, 2)), ((x0, x0), 1))
+    assert not p.variables() and p.parity() is Parity.EVEN
 
 
-def test_scalar_render() -> None:
-    x0, x1 = Scalar.coordinate(0), Scalar.coordinate(1)
-    s = x0 * x0.scaled(2) + x1.scaled(-1) + Scalar.of(Fraction(3, 2))
-    assert render_scalar(s, 2) == "3/2 + 2*x0^2 - x1"
-    assert render_scalar(Scalar.coordinate(0), 1) == "x"
-    assert render_scalar(Scalar.zero(), 1) == "0"
+def test_coordinate_render() -> None:
+    x0, x1 = GradedPolynomial.coordinate(0), GradedPolynomial.coordinate(1)
+    s = x0 * x0.scaled(2) + x1.scaled(-1) + GradedPolynomial.scalar(Fraction(3, 2))
+    assert render_polynomial(s, 2) == "(3/2 + 2*x0^2 - x1)"
+    assert render_polynomial(x0, 1) == "x"
+    assert render_polynomial(x0 - x0, 1) == "0"
+    # coordinate monomials order by exponents ((k, e), ...): x0*x1 before x0^2
+    q = (x0 * x0 + x0 * x1 + GradedPolynomial.one()) * v(Y)
+    assert render_polynomial(q, 2) == "(1 + x0*x1 + x0^2)*y"
 
 
 # -- normalization and signs --------------------------------------------------
@@ -64,7 +69,7 @@ def test_odd_transposition_flips_sign() -> None:
     assert p == q
     ((flat, coeff),) = p.raw_terms()
     assert flat == (jv(C), jv(C, 0))
-    assert coeff == Scalar.of(-1)
+    assert coeff == -1 and type(coeff) is Fraction
 
 
 def test_odd_square_vanishes() -> None:

@@ -12,7 +12,6 @@ from nkt.graded_poly import (
     GradedPolynomial,
     JetVariable,
     Parity,
-    Scalar,
     gp_normalize,
 )
 from nkt import multiindex
@@ -68,6 +67,25 @@ def test_total_derivative_hits_base_coordinates() -> None:
     x = GradedPolynomial.coordinate(0)
     assert total_derivative(x * v(Y), 0) == v(Y) + x * v(Y, 0)
     assert total_derivative(GradedPolynomial.one(), 0).is_zero()
+
+
+def test_total_derivative_drops_each_coordinate_factor_once() -> None:
+    x0, x1 = GradedPolynomial.coordinate(0), GradedPolynomial.coordinate(1)
+    y = v(Y)
+    # d_x0(x0^2 y) = 2 x0 y + x0^2 y_x0
+    assert total_derivative(x0 * x0 * y, 0) == (x0 * y).scaled(2) + x0 * x0 * v(Y, 0)
+    # other coordinates are constants along x0
+    assert total_derivative(x1 * y, 0) == x1 * v(Y, 0)
+    assert total_derivative(x0 * x1 * x1, 0) == x1 * x1
+
+
+def test_coordinates_are_not_variables() -> None:
+    x0 = GradedPolynomial.coordinate(0)
+    p = x0 * v(Y)
+    assert p.variables() == {jv(Y)}
+    assert p.base_variables() == {Y} and p.max_jet_order() == 0
+    assert dict(p.left_partials()) == dict(p.right_partials()) == {jv(Y): x0}
+    assert not x0.variables() and not x0.left_partials()
 
 
 def test_total_derivatives_commute() -> None:

@@ -4,8 +4,11 @@ The reference partials below are the per-variable scans the package used
 before the one-pass kernel: each rescans every term of p for one jet
 variable.  The reference jet variable compares and hashes by its sort key,
 as jet variables did before they were interned, and the reference factor
-sorting, merging and scalar arithmetic are the general paths used before
-the identity checks, the parity flag and the constant-coefficient shortcuts.
+sorting and merging are the general paths used before the identity checks
+and the parity flag.  The reference coefficient is OracleScalar, the
+polynomial in the base coordinates that every coefficient was before
+coordinates became factors of the monomial: the oracles regroup each
+polynomial's coordinate factors into one, and expand their results back.
 The reference total derivative is the one used before factors were raised
 in place: it rebuilds every raised term and re-sorts it from scratch.
 The reference evaluator is the theory-file expression evaluator the package
@@ -30,11 +33,11 @@ from nkt import theory_dsl
 from nkt.derivations import GeneralizedVectorField, prolong_apply
 from nkt.errors import NktError, SemanticError
 from nkt.graded_poly import (
+    Coordinate,
     GradedPolynomial,
     JetVariable,
     Kind,
     Parity,
-    Scalar,
     VariableId,
     _kind_rank,
     antifield_of,
@@ -81,26 +84,26 @@ KERNEL_SETTINGS = settings(
 
 def oracle_partial_left(p: GradedPolynomial, v: JetVariable) -> GradedPolynomial:
     """Left graded derivative: the sign counts odd factors left of the hit."""
-    acc: dict[tuple[JetVariable, ...], Scalar] = {}
+    acc: dict = {}
+    v = OracleJetVariable(v.var, v.mi)
     v_odd = v.parity is Parity.ODD
-    for flat, s in p.raw_terms():
+    for flat, s in oracle_regroup(p).items():
         odd_before = 0
         for i, jv in enumerate(flat):
             if jv == v:
                 rest = flat[:i] + flat[i + 1 :]
-                contrib = -s if (v_odd and odd_before & 1) else s
-                cur = acc.get(rest)
-                acc[rest] = contrib if cur is None else cur + contrib
+                oracle_accumulate(acc, rest, s.neg() if (v_odd and odd_before & 1) else s)
             if jv.parity is Parity.ODD:
                 odd_before += 1
-    return GradedPolynomial(acc)
+    return GradedPolynomial(dict(oracle_expand(acc)))
 
 
 def oracle_partial_right(p: GradedPolynomial, v: JetVariable) -> GradedPolynomial:
     """Right graded derivative: the sign counts odd factors right of the hit."""
-    acc: dict[tuple[JetVariable, ...], Scalar] = {}
+    acc: dict = {}
+    v = OracleJetVariable(v.var, v.mi)
     v_odd = v.parity is Parity.ODD
-    for flat, s in p.raw_terms():
+    for flat, s in oracle_regroup(p).items():
         odd_total = sum(1 for jv in flat if jv.parity is Parity.ODD)
         odd_before = 0
         for i, jv in enumerate(flat):
@@ -108,11 +111,9 @@ def oracle_partial_right(p: GradedPolynomial, v: JetVariable) -> GradedPolynomia
             if jv == v:
                 odd_after = odd_total - odd_before - here_odd
                 rest = flat[:i] + flat[i + 1 :]
-                contrib = -s if (v_odd and odd_after & 1) else s
-                cur = acc.get(rest)
-                acc[rest] = contrib if cur is None else cur + contrib
+                oracle_accumulate(acc, rest, s.neg() if (v_odd and odd_after & 1) else s)
             odd_before += here_odd
-    return GradedPolynomial(acc)
+    return GradedPolynomial(dict(oracle_expand(acc)))
 
 
 class OracleJetVariable:
@@ -203,87 +204,140 @@ def oracle_merge_flat(a, b):
     return sign, tuple(out)
 
 
-def oracle_scalar_add(self: Scalar, other: Scalar) -> Scalar:
-    acc = dict(self.terms)
-    for exps, q in other.terms:
-        acc[exps] = acc.get(exps, Fraction(0)) + q
-    return Scalar(acc)
+_Exps = tuple[tuple[int, int], ...]  # ((coordinate, exponent), ...) sorted
 
 
-def oracle_scalar_neg(self: Scalar) -> Scalar:
-    return Scalar({exps: -q for exps, q in self.terms})
+class OracleScalar:
+    """Polynomial in the base coordinates with Fraction coefficients."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[_Exps, Fraction] | None = None):
+        cleaned: dict[_Exps, Fraction] = {}
+        if terms:
+            for exps, q in terms.items():
+                if q:
+                    cleaned[exps] = q
+        self.terms = tuple(sorted(cleaned.items()))
+
+    def add(self, other: "OracleScalar") -> "OracleScalar":
+        acc = dict(self.terms)
+        for exps, q in other.terms:
+            acc[exps] = acc.get(exps, Fraction(0)) + q
+        return OracleScalar(acc)
+
+    def neg(self) -> "OracleScalar":
+        return OracleScalar({exps: -q for exps, q in self.terms})
+
+    def mul(self, other: "OracleScalar") -> "OracleScalar":
+        acc = {}
+        for e1, q1 in self.terms:
+            for e2, q2 in other.terms:
+                merged = dict(e1)
+                for coord, exp in e2:
+                    merged[coord] = merged.get(coord, 0) + exp
+                key = tuple(sorted(merged.items()))
+                acc[key] = acc.get(key, Fraction(0)) + q1 * q2
+        return OracleScalar(acc)
+
+    def diff(self, direction: int) -> "OracleScalar":
+        """Partial derivative along one base coordinate."""
+        acc: dict[_Exps, Fraction] = {}
+        for exps, q in self.terms:
+            for i, (coord, exp) in enumerate(exps):
+                if coord != direction:
+                    continue
+                rest = exps[:i] + ((coord, exp - 1),) + exps[i + 1 :]
+                rest = tuple(p for p in rest if p[1] != 0)
+                acc[rest] = acc.get(rest, Fraction(0)) + q * exp
+        return OracleScalar(acc)
+
+    def __repr__(self) -> str:
+        return f"OracleScalar({dict(self.terms)!r})"
 
 
-def oracle_scalar_mul(self: Scalar, other: Scalar) -> Scalar:
-    acc = {}
-    for e1, q1 in self.terms:
-        for e2, q2 in other.terms:
-            merged = dict(e1)
-            for coord, exp in e2:
-                merged[coord] = merged.get(coord, 0) + exp
-            key = tuple(sorted(merged.items()))
-            acc[key] = acc.get(key, Fraction(0)) + q1 * q2
-    return Scalar(acc)
+def oracle_exponents(coords) -> _Exps:
+    """The ((coordinate, exponent), ...) of a product of coordinate factors."""
+    exps: dict[int, int] = {}
+    for c in coords:
+        exps[c.k] = exps.get(c.k, 0) + 1
+    return tuple(sorted(exps.items()))
+
+
+def oracle_coordinates(exps: _Exps) -> tuple[Coordinate, ...]:
+    return tuple(Coordinate(k) for k, e in exps for _ in range(e))
 
 
 def oracle_jets(flat) -> tuple[OracleJetVariable, ...]:
     return tuple(OracleJetVariable(jv.var, jv.mi) for jv in flat)
 
 
-def oracle_terms(acc: dict) -> tuple:
-    """The canonical term tuple of an oracle accumulator, in interned variables."""
-    terms = [
-        (tuple(JetVariable(f.var, f.mi) for f in flat), s)
-        for flat, s in acc.items()
-        if s.terms
-    ]
-    return tuple(sorted(terms, key=lambda kv: [f.key for f in kv[0]]))
+def oracle_regroup(p: GradedPolynomial) -> dict:
+    """p as {oracle jets: OracleScalar}: each term's coordinates form its coefficient."""
+    acc: dict = {}
+    for flat, q in p.raw_terms():
+        coords = [f for f in flat if isinstance(f, Coordinate)]
+        jets = oracle_jets(f for f in flat if isinstance(f, JetVariable))
+        oracle_accumulate(acc, jets, OracleScalar({oracle_exponents(coords): q}))
+    return acc
 
 
-def oracle_accumulate(acc: dict, flat, s: Scalar) -> None:
+def oracle_expand(acc: dict) -> tuple:
+    """The canonical term tuple of {oracle jets: OracleScalar}, in interned factors.
+
+    Terms order by their jets and then by their coordinate exponents.
+    """
+    terms = []
+    for flat, s in sorted(acc.items(), key=lambda kv: [f.key for f in kv[0]]):
+        jets = tuple(JetVariable(f.var, f.mi) for f in flat)
+        for exps, q in s.terms:
+            terms.append((oracle_coordinates(exps) + jets, q))
+    return tuple(terms)
+
+
+def oracle_accumulate(acc: dict, flat, s: OracleScalar) -> None:
     cur = acc.get(flat)
-    acc[flat] = s if cur is None else oracle_scalar_add(cur, s)
+    acc[flat] = s if cur is None else cur.add(s)
 
 
 def oracle_mul(p: GradedPolynomial, q: GradedPolynomial) -> tuple:
     acc: dict = {}
-    for fa, sa in p.raw_terms():
-        for fb, sb in q.raw_terms():
-            sign, merged = oracle_merge_flat(oracle_jets(fa), oracle_jets(fb))
+    for fa, sa in oracle_regroup(p).items():
+        for fb, sb in oracle_regroup(q).items():
+            sign, merged = oracle_merge_flat(fa, fb)
             if merged is None:
                 continue
-            s = oracle_scalar_mul(sa, sb)
-            oracle_accumulate(acc, merged, oracle_scalar_neg(s) if sign < 0 else s)
-    return oracle_terms(acc)
+            s = sa.mul(sb)
+            oracle_accumulate(acc, merged, s.neg() if sign < 0 else s)
+    return oracle_expand(acc)
 
 
 def oracle_sum(ps) -> tuple:
     acc: dict = {}
     for p in ps:
-        for flat, s in p.raw_terms():
-            oracle_accumulate(acc, oracle_jets(flat), s)
-    return oracle_terms(acc)
+        for flat, s in oracle_regroup(p).items():
+            oracle_accumulate(acc, flat, s)
+    return oracle_expand(acc)
 
 
 def oracle_normalize(raw) -> tuple:
     acc: dict = {}
     for coeff, factors in raw:
-        if not isinstance(coeff, Scalar):
-            coeff = Scalar.of(coeff)
-        sign, flat = oracle_sort_flat(oracle_jets(factors))
-        if flat is None or not coeff.terms:
+        # coordinates are even: collecting them into the coefficient costs no sign
+        coords = [f for f in factors if isinstance(f, Coordinate)]
+        coeff = OracleScalar({oracle_exponents(coords): Fraction(coeff)})
+        jets = oracle_jets(f for f in factors if isinstance(f, JetVariable))
+        sign, flat = oracle_sort_flat(jets)
+        if flat is None:
             continue
-        oracle_accumulate(acc, flat, oracle_scalar_neg(coeff) if sign < 0 else coeff)
-    return oracle_terms(acc)
+        oracle_accumulate(acc, flat, coeff.neg() if sign < 0 else coeff)
+    return oracle_expand(acc)
 
 
 def oracle_total_derivative(p: GradedPolynomial, direction: int) -> tuple:
     raw = []
-    for flat, s in p.raw_terms():
-        jets = oracle_jets(flat)
-        ds = s.diff(direction)
-        if ds.terms:
-            raw.append((ds, jets))
+    for jets, s in oracle_regroup(p).items():
+        raw.append((s.diff(direction), jets))
         for i, jv in enumerate(jets):
             raw.append((s, jets[:i] + (jv.raised(direction),) + jets[i + 1 :]))
     acc: dict = {}
@@ -291,8 +345,8 @@ def oracle_total_derivative(p: GradedPolynomial, direction: int) -> tuple:
         sign, flat = oracle_sort_flat(factors)
         if flat is None:
             continue
-        oracle_accumulate(acc, flat, oracle_scalar_neg(coeff) if sign < 0 else coeff)
-    return oracle_terms(acc)
+        oracle_accumulate(acc, flat, coeff.neg() if sign < 0 else coeff)
+    return oracle_expand(acc)
 
 
 def oracle_total_derivative_multi(p: GradedPolynomial, mi: MultiIndex) -> GradedPolynomial:
@@ -414,7 +468,7 @@ def graded_polynomials(draw) -> GradedPolynomial:
         # x-dependent coefficient: a raised factor moves past its lower
         # jets, and may land on an equal one
         var = draw(st.sampled_from(odds))
-        tower = GradedPolynomial.scalar(random_scalar(rng, dim))
+        tower = random_scalar(rng, dim)
         for mi in draw(st.lists(st.sampled_from(_TOWER_INDICES), min_size=2, max_size=4)):
             tower = tower * GradedPolynomial.variable(JetVariable(var, mi))
         p = p + tower
@@ -513,16 +567,20 @@ def test_prolongation_matches_the_oracle(p, component) -> None:
 
 
 @st.composite
-def scalars(draw) -> Scalar:
-    """Zero, constant and one- or many-term scalars in x0 and x1."""
+def scalars(draw) -> GradedPolynomial:
+    """Zero, constant and one- or many-term polynomials in x0 and x1 alone."""
     exps = st.sampled_from([(), (), ((0, 1),), ((1, 2),), ((0, 1), (1, 1))])
     coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-    return Scalar(draw(st.dictionaries(exps, coeff, max_size=3)))
+    terms = draw(st.dictionaries(exps, coeff, max_size=3))
+    return GradedPolynomial({oracle_coordinates(e): q for e, q in terms.items()})
 
 
 @st.composite
 def raw_term_lists(draw) -> list:
-    """Raw terms: factors in any order, odd repeats, exactly cancelling pairs."""
+    """Raw terms: factors in any order, odd repeats, exactly cancelling pairs.
+
+    Coordinate factors stand anywhere among the jet variables.
+    """
     variables = _variables(
         draw(st.integers(0, 2)), draw(st.integers(1, 2)), draw(st.booleans()), False
     )
@@ -532,24 +590,36 @@ def raw_term_lists(draw) -> list:
     raw: list = []
     for _ in range(draw(st.integers(0, 6))):
         factors = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
-        coeff = random_scalar(rng, dim) if rng.random() < 0.5 else rng.choice([-1, 2])
-        raw.append((coeff, factors))
-        if rng.random() < 0.4:
-            again = factors if rng.random() < 0.5 else rng.sample(factors, len(factors))
-            raw.append((-coeff, again))
+        if rng.random() < 0.5:
+            terms = [(q, list(coords)) for coords, q in random_scalar(rng, dim).items()]
+        else:
+            terms = [(rng.choice([-1, 2]), [])]
+        for coeff, coords in terms:
+            mixed = factors + coords
+            rng.shuffle(mixed)
+            raw.append((coeff, mixed))
+            if rng.random() < 0.4:
+                again = mixed if rng.random() < 0.5 else rng.sample(mixed, len(mixed))
+                raw.append((-coeff, again))
     return raw
 
 
 @KERNEL_SETTINGS
-@given(scalars(), scalars())
-def test_scalar_arithmetic_matches_the_general_paths(a, b) -> None:
-    minus_b = oracle_scalar_neg(b)
-    for x, y in ((a, b), (b, a), (a, minus_b), (a, oracle_scalar_neg(a)), (a, a)):
-        assert (x + y).terms == oracle_scalar_add(x, y).terms
-        assert (x * y).terms == oracle_scalar_mul(x, y).terms
-        assert (x - y).terms == oracle_scalar_add(x, oracle_scalar_neg(y)).terms
-    assert (-a).terms == oracle_scalar_neg(a).terms
-    assert (a + -a).terms == ()
+@given(scalars(), scalars(), st.integers(0, 1))
+def test_coordinate_arithmetic_matches_the_scalar_oracle(a, b, direction) -> None:
+    def oracle(p: GradedPolynomial) -> OracleScalar:
+        return oracle_regroup(p).get((), OracleScalar())
+
+    def expand(s: OracleScalar) -> tuple:
+        return oracle_expand({(): s})
+
+    for x, y in ((a, b), (b, a), (a, -b), (a, -a), (a, a)):
+        assert (x + y).raw_terms() == expand(oracle(x).add(oracle(y)))
+        assert (x * y).raw_terms() == expand(oracle(x).mul(oracle(y)))
+        assert (x - y).raw_terms() == expand(oracle(x).add(oracle(y).neg()))
+    assert (-a).raw_terms() == expand(oracle(a).neg())
+    assert (a + -a).raw_terms() == ()
+    assert total_derivative(a, direction).raw_terms() == expand(oracle(a).diff(direction))
 
 
 @KERNEL_SETTINGS

@@ -105,6 +105,18 @@ class TestComposition:
         assert comp.coefficient(S, S, MX) == y * y * v(Y, 0) + y + v(Y, 0, 0)
         assert comp.coefficient(S, S, MultiIndex((0, 0))) == v(Y, 0)
 
+    def test_hand_expanded_x_dependent_composition(self):
+        # inner f = x y f_x, outer g = x^2 g + g_x; outer(inner f) =
+        # (x^3 y + y + x y_x) f_x + x y f_xx
+        x, y = GradedPolynomial.coordinate(0), v(Y)
+        inner = op_of(1, ROLE_GAUGE, {(S, S, MX): x * y})
+        outer = op_of(1, ROLE_GAUGE, {(S, S, EMPTY): x * x, (S, S, MX): GradedPolynomial.one()})
+        comp = compose(outer, inner)
+        assert comp.coeffs == {
+            (S, S, MX): x * x * x * y + y + x * v(Y, 0),
+            (S, S, MultiIndex((0, 0))): x * y,
+        }
+
     def test_composition_agrees_with_section_application(self):
         rng = random.Random(33)
         fields = even_fields(2)
@@ -146,6 +158,20 @@ class TestGaugeVectorField:
             param = XI if trial % 2 == 0 else odd_ghost("chi")
             op = random_operator(rng, [param], fields[:2], fields, 2, max_order=2)
             assert linearize_in_ghosts(gauge_vector_field(op), 2) == op
+
+    def test_linearization_with_x_dependent_coefficients(self):
+        # x0 y chi_x + x0^2 x1 chi c: chi crosses the odd c once in the
+        # canonical order x0 x0 x1 c chi
+        chi = odd_ghost("chi")
+        c = graded_fields(0, 1)[0]
+        x0, x1 = GradedPolynomial.coordinate(0), GradedPolynomial.coordinate(1)
+        op = op_of(2, ROLE_GAUGE, {
+            (chi, Y, MX): x0 * v(Y),
+            (chi, Y, EMPTY): x0 * x0 * x1 * v(c),
+        })
+        vf = gauge_vector_field(op)
+        assert vf.component(Y) == v(chi, 0) * x0 * v(Y) + v(chi) * x0 * x0 * x1 * v(c)
+        assert linearize_in_ghosts(vf, 2) == op
 
     def test_odd_ghost_sign_crossing_an_odd_factor(self):
         # component c y_x xi with odd c: pulling xi left crosses one odd jet

@@ -8,6 +8,7 @@ import pytest
 
 from nkt.errors import ParseError, SemanticError
 from nkt.graded_poly import (
+    Coordinate,
     GradedPolynomial,
     JetVariable,
     Kind,
@@ -208,9 +209,8 @@ class TestExpressions:
     def test_coordinates_enter_scalars(self):
         t = parse_theory("theory t\ndim 2\nfield y parity even")
         p = parse_expression("x0 * d(y;x1)", t)
-        ((flat, s),) = p.raw_terms()
-        assert flat == (JetVariable(resolve_component(t, "y"), MultiIndex((1,))),)
-        assert s.terms == ((((0, 1),), Fraction(1)),)
+        y_x1 = JetVariable(resolve_component(t, "y"), MultiIndex((1,)))
+        assert p.raw_terms() == (((Coordinate(0), y_x1), 1),)
 
 
 class TestConstants:
