@@ -52,7 +52,12 @@ from .noether import (
     eta,
     linearize_in_ghosts,
 )
-from .randgen import graded_fields, random_operator, random_polynomial
+from .randgen import (
+    graded_fields,
+    random_operator,
+    random_polynomial,
+    random_theory,
+)
 from .theory_dsl import (
     Theory,
     _render_operator,
@@ -139,14 +144,8 @@ def _derivation(theory: Theory, name: str) -> GeneralizedVectorField:
     return vf
 
 
-def _operator_entries(
-    op: LinearJetOperator, dim: int
-) -> list[tuple[str, str]]:
-    out = []
-    for param, target, mi in op.sorted_keys():
-        where = f"{param.render()}|{target.render()}|{mi.render()}"
-        out.append((where, render_polynomial(op.coeffs[(param, target, mi)], dim)))
-    return out
+def _operator_entries(op: LinearJetOperator) -> list[tuple[str, str]]:
+    return list(op.to_json()["coefficients"].items())
 
 
 def _residual_entries(
@@ -182,7 +181,7 @@ def _cmd_eta(theory: Theory, args: argparse.Namespace) -> VerificationReport:
     body = _render_operator(f"eta_{args.op}", out, theory.dim)
     return VerificationReport(
         "eta", theory.name, args.op, True,
-        _operator_entries(out, theory.dim), [], [], body,
+        _operator_entries(out), [], [], body,
     )
 
 
@@ -213,7 +212,7 @@ def _cmd_derive_noether(
     body = _render_operator(f"{args.sym}_noether", noether_op, theory.dim)
     return VerificationReport(
         "derive-noether", theory.name, args.sym, True,
-        _operator_entries(noether_op, theory.dim), assumptions, [], body,
+        _operator_entries(noether_op), assumptions, [], body,
     )
 
 
@@ -235,7 +234,7 @@ def _cmd_derive_gauge(
     body = _render_operator(f"{args.op}_gauge", gauge_op, theory.dim)
     return VerificationReport(
         "derive-gauge", theory.name, args.op, True,
-        _operator_entries(gauge_op, theory.dim), assumptions, [], body,
+        _operator_entries(gauge_op), assumptions, [], body,
     )
 
 
@@ -344,13 +343,6 @@ def _cmd_check_reducibility(
 # --------------------------------------------------------------------------
 # Built-in selftest: a fast, seeded slice of the property suite.
 
-_SELFTEST_SCALAR = """
-theory scalar
-dim 1
-field y parity even
-lagrangian 1/2 * d(y;x)^2
-"""
-
 _SELFTEST_GAUGE = """
 theory abelian
 dim 2
@@ -362,30 +354,6 @@ operator shift role gauge {
 }
 derivation brst {
   a[mu=0..1] : d(xi;mu)
-}
-"""
-
-_SELFTEST_KITCHEN = """
-theory kitchen
-dim 2
-field y parity even
-field a[mu=0..1] parity even
-ghost xi parity odd
-ghost e parity even stage 0
-constant eps = levi_civita(2)
-constant t[1..2] = { (1): 3 (2): -1/2 }
-lagrangian 1/2 * sum(m,0..1, d(y;m)^2) + t[1]*y^2
-operator shift role gauge {
-  (xi, a[mu=0..1], [mu]) : 1
-}
-operator null role stage 0 {
-  (e, xi, []) : y
-}
-derivation sc {
-  y : eps[1,2]*y
-}
-certificate e {
-  witness : y * ~y * ~a[0]
 }
 """
 
@@ -439,8 +407,8 @@ def _selftest() -> VerificationReport:
     def parser_roundtrip() -> bool:
         from .theory_dsl import render_theory
 
-        for text in (_SELFTEST_SCALAR, _SELFTEST_GAUGE, _SELFTEST_KITCHEN):
-            theory = parse_theory(text)
+        for _ in range(10):
+            theory = random_theory(rng)
             if parse_theory(render_theory(theory)) != theory:
                 return False
         return True

@@ -20,6 +20,7 @@ from .graded_poly import (
 from .jet_calculus import (
     TrivialityReport,
     VariationalDerivatives,
+    _as_expr,
     euler_lagrange,
     is_variationally_trivial,
     partial_left,
@@ -69,9 +70,11 @@ def prolong_apply(vf: GeneralizedVectorField, p: GradedPolynomial) -> GradedPoly
     )
 
 
-def lie_derivative_density(vf: GeneralizedVectorField, lagrangian: Density) -> Density:
+def lie_derivative_density(
+    vf: GeneralizedVectorField, lagrangian: Density | GradedPolynomial
+) -> Density:
     """The Lie derivative of a horizontal density along a vertical field."""
-    return Density(prolong_apply(vf, lagrangian.expr))
+    return Density(prolong_apply(vf, _as_expr(lagrangian)))
 
 
 def contract_with_EL(
@@ -144,7 +147,7 @@ class FirstVariationalReport:
 
 
 def first_variational_residual(
-    vf: GeneralizedVectorField, lagrangian: Density
+    vf: GeneralizedVectorField, lagrangian: Density | GradedPolynomial
 ) -> FirstVariationalReport:
     """R = Lie_theta(L) - contraction; the first variational formula says R
     is a total divergence for every vertical field."""

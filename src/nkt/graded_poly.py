@@ -222,29 +222,6 @@ _Factor = Coordinate | JetVariable
 _Flat = tuple[_Factor, ...]
 
 
-def _sort_flat(factors: Sequence[_Factor]) -> tuple[int, _Flat | None]:
-    """Stable-sort factors into canonical order.
-
-    Returns (sign, sorted factors); sign is -1 per odd-odd transposition and
-    the factors are None when an odd variable repeats (the monomial is zero).
-    """
-    out: list[_Factor] = []
-    sign = 1
-    for f in factors:
-        i = len(out)
-        while i > 0 and out[i - 1].key > f.key:
-            i -= 1
-        if f.odd:
-            crossings = sum(1 for g in out[i:] if g.odd)
-            if crossings & 1:
-                sign = -sign
-        out.insert(i, f)
-    for a, b in zip(out, out[1:]):
-        if a is b and a.odd:
-            return 0, None
-    return sign, tuple(out)
-
-
 def _merge_flat(a: _Flat, b: _Flat) -> tuple[int, _Flat | None]:
     """Merge two canonical factor tuples, tracking the Koszul sign."""
     out: list[_Factor] = []
@@ -537,11 +514,18 @@ def gp_normalize(
     """Canonicalize a raw term list: sort factors, track signs, merge terms.
 
     Each raw term is (coefficient, factor sequence) with factors in any order
-    and with repeats spelled out; odd repeats annihilate the term.
+    and with repeats spelled out; odd repeats annihilate the term.  Factors
+    are folded in one at a time through the product merge, so the sign and
+    the zero rule are exactly those of multiplication.
     """
     acc: dict[_Flat, Fraction] = {}
     for coeff, factors in raw_terms:
-        sign, flat = _sort_flat(tuple(factors))
+        sign, flat = 1, ()
+        for f in factors:
+            step, flat = _merge_flat(flat, (f,))
+            if flat is None:
+                break
+            sign *= step
         if flat is None or not coeff:
             continue
         q = Fraction(coeff) if sign > 0 else -Fraction(coeff)

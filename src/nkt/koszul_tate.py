@@ -48,9 +48,6 @@ class KoszulTateContext:
     dim: int
     boundaries: dict[VariableId, GradedPolynomial]
 
-    def generators(self) -> list[VariableId]:
-        return sorted(self.boundaries, key=lambda v: v.rank)
-
 
 def kt_context(
     lagrangian: Density | GradedPolynomial,

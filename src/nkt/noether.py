@@ -16,9 +16,8 @@ Noether operators and back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iter_product
-from typing import TypeVar
+from typing import Callable, TypeVar
 
 from .derivations import GeneralizedVectorField, _check_variational_with
 from .errors import NktError, SemanticError
@@ -29,7 +28,6 @@ from .graded_poly import (
     Kind,
     Parity,
     VariableId,
-    gp_normalize,
     gp_sum,
 )
 from .jet_calculus import (
@@ -227,32 +225,46 @@ def gauge_vector_field(op: LinearJetOperator) -> GeneralizedVectorField:
     return GeneralizedVectorField(apply_to_sections(op, sections))
 
 
+def _add_slot_coefficients(
+    coeffs: dict[CoeffKey, GradedPolynomial],
+    target: VariableId,
+    poly: GradedPolynomial,
+    param_of: Callable[[VariableId], VariableId | None],
+    message: str,
+) -> None:
+    """Add the coefficient of each parameter slot of poly to coeffs.
+
+    A slot is a jet v whose variable param_of maps to a parameter; each term
+    must hold exactly one, or SemanticError(message) is raised.  The left
+    partial d/dv, which pulls v leftward past the other factors with the
+    graded sign, is stored under (param_of(v.var), target, v.mi).
+    """
+    slots = {jv for jv in poly.variables() if param_of(jv.var) is not None}
+    for flat, _ in poly.items():
+        if sum(f in slots for f in flat) != 1:
+            raise SemanticError(message)
+    for jv, coeff in poly.left_partials().items():
+        if jv in slots:
+            coeffs[(param_of(jv.var), target, jv.mi)] = coeff
+
+
+def _ghost_parameter(var: VariableId) -> VariableId | None:
+    return var if var.kind is Kind.GHOST else None
+
+
 def linearize_in_ghosts(
     vf: GeneralizedVectorField, dim: int, role: str = ROLE_GAUGE
 ) -> LinearJetOperator:
     """Recover the linear operator behind a ghost-linear vector field.
 
     Every term of every component must contain exactly one ghost jet; that
-    jet is the parameter slot, and the remaining factors (the ghost pulled
-    leftward past them, with the graded sign) form the coefficient.  This
-    inverts gauge_vector_field.
+    jet is the parameter slot, and its left partial is the coefficient.
+    This inverts gauge_vector_field.
     """
-    raw: dict[CoeffKey, list[tuple[Fraction, tuple]]] = {}
+    coeffs: dict[CoeffKey, GradedPolynomial] = {}
     for target, comp in vf.components.items():
-        ghosts = {jv for jv in comp.variables() if jv.var.kind is Kind.GHOST}
-        for flat, s in comp.raw_terms():
-            hits = [i for i, f in enumerate(flat) if f in ghosts]
-            if len(hits) != 1:
-                raise SemanticError(
-                    f"component for {target.render()} is not linear in the ghosts"
-                )
-            i = hits[0]
-            g = flat[i]
-            if g.odd and sum(f.odd for f in flat[:i]) & 1:
-                s = -s
-            key = (g.var, target, g.mi)
-            raw.setdefault(key, []).append((s, flat[:i] + flat[i + 1 :]))
-    coeffs = {key: gp_normalize(terms) for key, terms in raw.items()}
+        message = f"component for {target.render()} is not linear in the ghosts"
+        _add_slot_coefficients(coeffs, target, comp, _ghost_parameter, message)
     return LinearJetOperator(dim, role, coeffs)
 
 
@@ -288,24 +300,15 @@ def compose(outer: LinearJetOperator, inner: LinearJetOperator) -> LinearJetOper
     mid = apply_to_sections(inner, sections)
     final = apply_to_sections(outer, mid)
 
-    parts: dict[CoeffKey, list[GradedPolynomial]] = {}
+    coeffs: dict[CoeffKey, GradedPolynomial] = {}
     probe_vars = {p: param for param, p in probes.items()}
     for target, poly in final.items():
-        probe_jets = {jv for jv in poly.variables() if jv.var in probe_vars}
-        for flat, s in poly.raw_terms():
-            hits = [f for f in flat if f in probe_jets]
-            if len(hits) != 1:
-                raise SemanticError("composite is not linear in the parameters")
-            pj = hits[0]
-            # even probes: removal needs no sign
-            rest = list(flat)
-            rest.remove(pj)
-            key = (probe_vars[pj.var], target, pj.mi)
-            parts.setdefault(key, []).append(GradedPolynomial({tuple(rest): s}))
+        message = "composite is not linear in the parameters"
+        _add_slot_coefficients(coeffs, target, poly, probe_vars.get, message)
     role = outer.role if outer.role != ROLE_STAGE else inner.role
     stage = outer.stage if outer.role == ROLE_STAGE else None
     return LinearJetOperator(
-        outer.dim, role, _sum_nonzero(parts), stage if role == ROLE_STAGE else None
+        outer.dim, role, coeffs, stage if role == ROLE_STAGE else None
     )
 
 

@@ -451,9 +451,6 @@ class _Stmt:
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
     def span(self) -> SourceSpan:
         tok = self.peek() or self.tokens[-1]
         return tok.span
@@ -1008,12 +1005,38 @@ class _TheoryParser:
             raise SemanticError(f"duplicate declaration of {tok.text}", tok.span)
         return tok.text
 
-    def _check_binders(
-        self, binders: tuple[tuple[str, int, int], ...], span: SourceSpan
+    def _expand_entry(
+        self,
+        acc: dict[tuple, GradedPolynomial],
+        keys: tuple[_KeyRef, ...],
+        mi: tuple[tuple["int | str", ...], SourceSpan] | None,
+        ast: object,
+        binder_span: SourceSpan,
     ) -> None:
+        """Add one block entry into acc at every binding of its binders.
+
+        The key is the resolved components of keys, followed by the resolved
+        multi-index when mi (entries and span) is given; entries that land
+        on the same key sum.  Binder errors are reported at binder_span.
+        """
+        binders = tuple(b for key in keys for b in key.binders)
         for label, _, _ in binders:
             if label in self.variables or label in self.constants:
-                raise SemanticError(f"binder {label!r} shadows a declaration", span)
+                raise SemanticError(
+                    f"binder {label!r} shadows a declaration", binder_span
+                )
+        env = self._env()
+        for bindings in _binding_combinations(binders, binder_span):
+            env.bindings = bindings
+            key = tuple(_resolve_component(env, k.ref) for k in keys)
+            if mi is not None:
+                entries, mi_span = mi
+                dirs = tuple(_resolve_direction(env, e, mi_span) for e in entries)
+                key += (_multi_index(dirs, mi_span),)
+            poly = _eval(env, ast)
+            if key in acc:
+                poly = acc[key] + poly
+            acc[key] = poly
 
     # -- entry points
 
@@ -1234,27 +1257,12 @@ class _TheoryParser:
             st.expect(",")
             target_key = _parse_key_ref(st)
             st.expect(",")
-            mi_entries, mi_span = _parse_mi_literal(st)
+            mi = _parse_mi_literal(st)
             st.expect(")")
             st.expect(":")
             ast = _parse_expr(st)
             st.expect_end()
-            binders = param_key.binders + target_key.binders
-            self._check_binders(binders, open_tok.span)
-            env = self._env()
-            for bindings in _binding_combinations(binders, open_tok.span):
-                env.bindings = bindings
-                param = _resolve_component(env, param_key.ref)
-                target = _resolve_component(env, target_key.ref)
-                mi = _multi_index(
-                    tuple(_resolve_direction(env, e, mi_span) for e in mi_entries),
-                    mi_span,
-                )
-                poly = _eval(env, ast)
-                key = (param, target, mi)
-                if key in coeffs:
-                    poly = coeffs[key] + poly
-                coeffs[key] = poly
+            self._expand_entry(coeffs, (param_key, target_key), mi, ast, open_tok.span)
         try:
             self.operators[name] = LinearJetOperator(dim, role, coeffs, stage=stage)
         except SemanticError as exc:
@@ -1267,22 +1275,16 @@ class _TheoryParser:
         head_st.expect_end()
         self._need_dim(name_tok.span)
 
-        components: dict[VariableId, GradedPolynomial] = {}
+        components: dict[tuple[VariableId], GradedPolynomial] = {}
         for st in self._block_entries(name_tok):
             target_key = _parse_key_ref(st)
             st.expect(":")
             ast = _parse_expr(st)
             st.expect_end()
-            self._check_binders(target_key.binders, name_tok.span)
-            env = self._env()
-            for bindings in _binding_combinations(target_key.binders, name_tok.span):
-                env.bindings = bindings
-                target = _resolve_component(env, target_key.ref)
-                poly = _eval(env, ast)
-                if target in components:
-                    poly = components[target] + poly
-                components[target] = poly
-        self.derivations[name] = GeneralizedVectorField(components)
+            self._expand_entry(components, (target_key,), None, ast, name_tok.span)
+        self.derivations[name] = GeneralizedVectorField(
+            {target: poly for (target,), poly in components.items()}
+        )
 
     def _parse_certificate(self, head_st: _Stmt) -> None:
         name_tok = head_st.expect_name("a certificate label")
@@ -1316,25 +1318,12 @@ class _TheoryParser:
             open_tok = st.expect("(")
             target_key = _parse_key_ref(st)
             st.expect(",")
-            mi_entries, mi_span = _parse_mi_literal(st)
+            mi = _parse_mi_literal(st)
             st.expect(")")
             st.expect(":")
             ast = _parse_expr(st)
             st.expect_end()
-            self._check_binders(target_key.binders, open_tok.span)
-            env = self._env()
-            for bindings in _binding_combinations(target_key.binders, open_tok.span):
-                env.bindings = bindings
-                target = _resolve_component(env, target_key.ref)
-                mi = _multi_index(
-                    tuple(_resolve_direction(env, e, mi_span) for e in mi_entries),
-                    mi_span,
-                )
-                poly = _eval(env, ast)
-                key = (target, mi)
-                if key in m_coeffs:
-                    poly = m_coeffs[key] + poly
-                m_coeffs[key] = poly
+            self._expand_entry(m_coeffs, (target_key,), mi, ast, open_tok.span)
         m_coeffs = {k: p for k, p in m_coeffs.items() if not p.is_zero()}
         self.certificates[label] = ReductionCertificate(
             m_coeffs or None, witness

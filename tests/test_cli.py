@@ -1,7 +1,11 @@
 """Command line behavior: outputs, exit codes, JSON schema, determinism."""
 
+import hashlib
+import io
 import json
+import re
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -248,3 +252,98 @@ class TestJsonReports:
             jsons.add(json.dumps(doc))
         assert len(texts) == 1
         assert len(jsons) == 1
+
+
+# --------------------------------------------------------------------------
+# Pinned reports: every benchmark CLI call and the selftest, in text and JSON
+# form, must print byte-identical output (elapsed_ms masked) to the digests
+# in cli_digests.json.  Re-record them with
+# `PYTHONPATH=src python tests/test_cli.py` only when a report is meant to
+# change.
+
+DIGESTS = Path(__file__).resolve().parent / "cli_digests.json"
+
+
+def _ym_antifields() -> tuple[str, ...]:
+    fields = [f"~a[{m},{r}]" for m in range(4) for r in range(1, 4)]
+    return tuple(fields + [f"~C[{q}]" for q in range(1, 4)])
+
+
+# The call table of the cli_theories benchmark workload:
+# (subcommand, theory) -> (option, values) or None.
+CLI_PAIRS = {
+    ("el", "scalar"): None,
+    ("kt", "scalar"): ("--expr", ("~y",)),
+    ("el", "scalar_mass"): None,
+    ("eta", "scalar_mass"): ("--op", ("bad",)),
+    ("check-noether", "scalar_mass"): ("--op", ("bad",)),
+    ("derive-gauge", "scalar_mass"): ("--op", ("bad",)),
+    ("check-variational", "scalar_mass"): ("--sym", ("scaling",)),
+    ("check-nilpotent", "scalar_mass"): ("--sym", ("scaling",)),
+    ("kt", "scalar_mass"): ("--expr", ("~y", "~xi")),
+    ("el", "two_form"): None,
+    ("eta", "two_form"): ("--op", ("gauge_sym", "lambda_shift")),
+    ("kt", "two_form"): (
+        "--expr",
+        ("~b01", "~b02", "~b12", "~c[0]", "~c[1]", "~c[2]", "~e"),
+    ),
+    ("check-reducibility", "two_form"): None,
+    ("el", "on_shell_pair"): None,
+    ("eta", "on_shell_pair"): ("--op", ("rot", "null_dir")),
+    ("kt", "on_shell_pair"): ("--expr", ("~y1", "~y2", "~xi", "~e2")),
+    ("check-reducibility", "on_shell_pair"): None,
+    ("el", "ym_su2"): None,
+    ("eta", "ym_su2"): ("--op", ("gauge_sym",)),
+    ("derive-noether", "ym_su2"): ("--sym", ("brst",)),
+    ("check-variational", "ym_su2"): ("--sym", ("brst",)),
+    ("check-nilpotent", "ym_su2"): ("--sym", ("brst",)),
+    ("kt", "ym_su2"): ("--expr", _ym_antifields()),
+    ("check-reducibility", "ym_su2"): None,
+}
+
+
+def pinned_calls() -> list[list[str]]:
+    """Every benchmark call and the selftest, each without and with --json."""
+    calls = [["selftest"]]
+    for (sub, theory), spec in CLI_PAIRS.items():
+        for value in spec[1] if spec is not None else (None,):
+            argv = [sub, f"{theory}.nkt"]
+            if value is not None:
+                argv += [spec[0], value]
+            if sub == "kt":
+                argv.append("--stages")
+            calls.append(argv)
+    return [argv + extra for argv in calls for extra in ([], ["--json"])]
+
+
+def pinned_output(argv: list[str]) -> str:
+    """Exit code, stdout and stderr of one call, with elapsed_ms masked."""
+    full = [str(THEORY_DIR / a) if a.endswith(".nkt") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(full)
+    masked = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out.getvalue())
+    return f"exit {code}\n{masked}\nstderr:\n{err.getvalue()}"
+
+
+def pinned_digest(output: str) -> str:
+    return hashlib.sha256(output.encode()).hexdigest()
+
+
+def test_reports_match_the_pinned_digests():
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    calls = pinned_calls()
+    assert sorted(expected) == sorted(" ".join(argv) for argv in calls)
+    mismatches = []
+    for argv in calls:
+        output = pinned_output(argv)
+        if pinned_digest(output) != expected[" ".join(argv)]:
+            mismatches.append(f"$ nkt {' '.join(argv)}\n{output}")
+    assert not mismatches, "reports changed:\n" + "\n".join(mismatches)
+
+
+if __name__ == "__main__":
+    record = {
+        " ".join(argv): pinned_digest(pinned_output(argv)) for argv in pinned_calls()
+    }
+    DIGESTS.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

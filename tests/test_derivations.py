@@ -106,6 +106,14 @@ class TestFirstVariationalFormula:
         assert report.residual == -total_derivative(v(Y) * v(C), 0)
         assert report.holds
 
+    def test_bare_polynomial_gives_the_density_report(self):
+        vf = GeneralizedVectorField({C: v(Y)})
+        p = v(C) * v(C, 0)
+        report = first_variational_residual(vf, p)
+        assert report == first_variational_residual(vf, _density(p))
+        assert not report.residual.is_zero()
+        assert lie_derivative_density(vf, p) == lie_derivative_density(vf, _density(p))
+
     def test_random_even_vector_fields(self):
         rng = random.Random(22)
         fields = graded_fields(2, 1)

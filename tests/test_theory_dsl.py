@@ -312,28 +312,47 @@ class TestValidation:
             ghost xi parity odd
             operator p role gauge {
               (xi, a[mu=0..1], [mu]) : 1
+              (xi, a[1], [1]) : a[0]
+            }
+            derivation s {
+              a[mu=0..1] : d(xi;mu)
+              a[0] : xi*a[1]
             }
             """
         )
         op = t.operators["p"]
         assert len(op.coeffs) == 2
         a0 = resolve_component(t, "a[0]")
+        a1 = resolve_component(t, "a[1]")
         xi = resolve_component(t, "xi")
-        assert op.coefficient(xi, a0, MultiIndex((0,))) == GradedPolynomial.one()
+        one = GradedPolynomial.one()
+        assert op.coefficient(xi, a0, MultiIndex((0,))) == one
+        # entries that land on an expanded key add to it
+        assert op.coefficient(xi, a1, MultiIndex((1,))) == one + jet(t, "a[0]")
+        s = t.derivations["s"].components
+        assert s[a0] == jet(t, "xi", 0) + jet(t, "xi") * jet(t, "a[1]")
+        assert s[a1] == jet(t, "xi", 1)
 
     def test_binder_may_not_shadow_a_declaration(self):
-        with pytest.raises(SemanticError):
-            parse_theory(
-                """
-                theory t
-                dim 2
-                field a[mu=0..1] parity even
-                ghost xi parity odd
-                operator p role gauge {
-                  (xi, a[xi=0..1], [xi]) : 1
-                }
-                """
-            )
+        head = (
+            "theory t\ndim 2\nfield a[mu=0..1] parity even\n"
+            "ghost xi parity odd\nghost e parity even stage 0\n"
+        )
+        # operator and certificate entries report binder errors at their
+        # "(", derivation entries at the derivation's name
+        cases = [
+            ("operator p role gauge {\n  (xi, a[xi=0..1], [xi]) : 1\n}", 7, 3),
+            ("derivation s {\n  a[xi=0..1] : xi\n}", 6, 12),
+            ("certificate e {\n  (a[xi=0..1], [xi]) : 1\n}", 7, 3),
+        ]
+        for block, line, column in cases:
+            with pytest.raises(SemanticError, match="shadows a declaration") as info:
+                parse_theory(head + block)
+            assert (info.value.span.line, info.value.span.column) == (line, column)
+        repeated = "operator p role gauge {\n  (xi[m=0..0], a[m=0..1], [m]) : 1\n}"
+        with pytest.raises(SemanticError, match="repeated binder name") as info:
+            parse_theory(head + repeated)
+        assert (info.value.span.line, info.value.span.column) == (7, 3)
 
     def test_certificate_labels_resolve_to_stage_ghosts(self):
         text = """
