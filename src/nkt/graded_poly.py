@@ -1,15 +1,22 @@
 """Canonical polynomial algebra over even and odd jet variables.
 
 Every expression the package manipulates is a GradedPolynomial: a finite sum
-of monomials, each a nonzero Fraction times a product of factors.  The
+of monomials, each a nonzero rational times a product of factors.  The
 factors are base coordinates, which are even and sort first, and jet
 variables.  Normalization sorts factors into the canonical order, tracking
 the Koszul sign for each transposition of two odd factors and killing any
-monomial in which an odd variable repeats.  Two expressions are equal iff
-their canonical forms are identical, so equality, hashing and rendering are
-all decidable and deterministic.  The order of the monomials themselves is
-only materialized when it is observed, by raw_terms() and rendering;
-arithmetic works on an unordered term map.
+monomial in which an odd variable repeats.
+
+The rationals are stored as integer numerators over one common denominator
+den >= 1 per polynomial, normalized so that no numerator is zero,
+gcd(den, *numerators) == 1, and den == 1 for the zero polynomial.  That form
+is unique, so two expressions are equal iff their (den, numerator map) pairs
+are identical, and equality, hashing and rendering are all decidable and
+deterministic.  Arithmetic is plain int arithmetic, normalized once per
+result; reduced Fractions are built only when coefficients are observed.
+The order of the monomials is likewise only materialized when it is
+observed, by raw_terms() and rendering; arithmetic works on an unordered
+term map.
 """
 
 from __future__ import annotations
@@ -17,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import ItemsView, Iterable, KeysView, Mapping, Sequence
 
 from .multiindex import EMPTY, MultiIndex, check_jet_order
 
@@ -248,18 +256,18 @@ def _merge_flat(a: _Flat, b: _Flat) -> tuple[int, _Flat | None]:
 
 
 def _all_partials(
-    terms: Mapping[_Flat, Fraction], right: bool
+    terms: Mapping[_Flat, int], den: int, right: bool
 ) -> Mapping[JetVariable, "GradedPolynomial"]:
-    """Every graded partial of a canonical term map, in one pass over it.
+    """Every graded partial of a canonical numerator map over den, in one pass.
 
     Dropping one factor from a canonical term leaves a canonical term, so
     only the Koszul sign needs tracking: an odd variable's derivative passes
     the odd factors on its left (left partial) or on its right (right
     partial).  A repeated even factor contributes once per occurrence.
-    Coordinates are dropped like any even factor; their buckets are
-    discarded at the end.
+    Every partial keeps the denominator.  Coordinates are dropped like any
+    even factor; their buckets are discarded at the end.
     """
-    acc: dict[_Factor, dict[_Flat, Fraction]] = {}
+    acc: dict[_Factor, dict[_Flat, int]] = {}
     for flat, s in terms.items():
         odd = [f.odd for f in flat]
         odd_before = 0
@@ -279,7 +287,7 @@ def _all_partials(
             bucket[rest] = contrib if cur is None else cur + contrib
     return MappingProxyType(
         {
-            f: GradedPolynomial.from_accumulator(b)
+            f: GradedPolynomial.from_accumulator(b, den)
             for f, b in acc.items()
             if f.__class__ is JetVariable
         }
@@ -305,7 +313,7 @@ def _runs(factors: _Flat) -> list[tuple[_Factor, int]]:
     return runs
 
 
-def _term_order(term: tuple[_Flat, Fraction]) -> tuple[list[tuple], tuple]:
+def _term_order(term: tuple[_Flat, int]) -> tuple[list[tuple], tuple]:
     # by jet part first, so terms sharing one are adjacent, then by the
     # coordinate exponents ((k, e), ...)
     coords, jets = _split(term[0])
@@ -315,42 +323,54 @@ def _term_order(term: tuple[_Flat, Fraction]) -> tuple[list[tuple], tuple]:
 class GradedPolynomial:
     """Canonical sum of graded monomials; immutable.
 
-    The terms live in a map from canonical factor tuple to nonzero Fraction.
-    Equality compares the maps and the hash is independent of the order the
-    map was filled in.  The canonical term order is built only when it is
-    observed (raw_terms and rendering): the first observation refills the
-    map in that order, so later ones need no sort.  The partial-derivative
-    maps are filled on first use only; they are derived from the terms, so
+    The terms live in a map from canonical factor tuple to nonzero int
+    numerator, over one common denominator _den (see the module docstring
+    for the invariant).  Equality compares (_den, map) and the hash is
+    independent of the order the map was filled in.  The canonical term
+    order is built only when it is observed (raw_terms and rendering): the
+    first observation refills the map in that order, and the second keeps
+    the (factors, Fraction) tuple.  The partial-derivative maps are filled
+    on first use only; like the tuple they are derived from (_den, map), so
     equality and hashing never look at them.
     """
 
-    __slots__ = ("_terms", "_ordered", "_left", "_right")
+    __slots__ = ("_terms", "_den", "_raw", "_left", "_right")
 
-    def __init__(self, terms: Mapping[_Flat, Fraction] | None = None):
-        cleaned: dict[_Flat, Fraction] = {}
-        if terms:
-            for flat, q in terms.items():
-                if q:
-                    cleaned[flat] = q
-        object.__setattr__(self, "_terms", cleaned)
+    def __init__(self, terms: Mapping[_Flat, Fraction | int] | None = None):
+        terms = terms or {}
+        den = lcm(*[q.denominator for q in terms.values()])
+        acc = {flat: q.numerator * (den // q.denominator) for flat, q in terms.items()}
+        self._take(acc, den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GradedPolynomial is immutable")
 
+    def _take(self, acc: dict[_Flat, int], den: int) -> None:
+        # the one normalization: drop zero numerators, divide out the gcd
+        if 0 in acc.values():
+            for flat in [flat for flat, n in acc.items() if not n]:
+                del acc[flat]
+        if den != 1:
+            g = gcd(den, *acc.values())
+            if g != 1:
+                den //= g
+                for flat, n in acc.items():
+                    acc[flat] = n // g
+        object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "_den", den)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_accumulator(cls, acc: dict[_Flat, Fraction]) -> "GradedPolynomial":
-        """Take over a map of canonical factor tuples to Fractions.
+    def from_accumulator(cls, acc: dict[_Flat, int], den: int) -> "GradedPolynomial":
+        """Take over a map of canonical factor tuples to int numerators over den.
 
-        Zero coefficients are deleted from acc in place; the caller must not
-        touch acc afterwards.
+        den must be a positive int.  The result is normalized in place: zero
+        numerators are deleted from acc and the gcd of den and the numerators
+        is divided out, so the caller must not touch acc afterwards.
         """
-        dead = [flat for flat, q in acc.items() if not q]
-        for flat in dead:
-            del acc[flat]
         out = object.__new__(cls)
-        object.__setattr__(out, "_terms", acc)
+        out._take(acc, den)
         return out
 
     @classmethod
@@ -359,37 +379,63 @@ class GradedPolynomial:
 
     @classmethod
     def one(cls) -> "GradedPolynomial":
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     @classmethod
     def scalar(cls, q: Fraction | int) -> "GradedPolynomial":
-        return cls({(): Fraction(q)})
+        return cls({(): q})
 
     @classmethod
     def coordinate(cls, k: int) -> "GradedPolynomial":
-        return cls({(Coordinate(k),): Fraction(1)})
+        return cls({(Coordinate(k),): 1})
 
     @classmethod
     def variable(cls, v: JetVariable | VariableId) -> "GradedPolynomial":
         if isinstance(v, VariableId):
             v = JetVariable(v)
-        return cls({(v,): Fraction(1)})
+        return cls({(v,): 1})
 
     # -- views -------------------------------------------------------------
 
     def raw_terms(self) -> tuple[tuple[_Flat, Fraction], ...]:
-        """The (factors, coefficient) pairs in canonical order."""
+        """The (factors, reduced Fraction) pairs in canonical order.
+
+        The first call sorts the term map into that order in place and keeps
+        no copy; the second keeps the tuple it builds, for callers that
+        observe one polynomial repeatedly.
+        """
         try:
-            self._ordered
+            raw = self._raw
         except AttributeError:
             ordered = dict(sorted(self._terms.items(), key=_term_order))
             object.__setattr__(self, "_terms", ordered)
-            object.__setattr__(self, "_ordered", True)
-        return tuple(self._terms.items())
+            object.__setattr__(self, "_raw", None)
+            return self._pairs()
+        if raw is None:
+            raw = self._pairs()
+            object.__setattr__(self, "_raw", raw)
+        return raw
+
+    def _pairs(self) -> tuple[tuple[_Flat, Fraction], ...]:
+        den = self._den
+        return tuple([(flat, Fraction(n, den)) for flat, n in self._terms.items()])
 
     def items(self) -> Iterable[tuple[_Flat, Fraction]]:
-        """The (factors, coefficient) pairs in no particular order."""
+        """The (factors, reduced Fraction) pairs in no particular order."""
+        den = self._den
+        return ((flat, Fraction(n, den)) for flat, n in self._terms.items())
+
+    def monomials(self) -> KeysView[_Flat]:
+        """The canonical factor tuples that occur, in no particular order."""
+        return self._terms.keys()
+
+    def numerators(self) -> ItemsView[_Flat, int]:
+        """The (factors, int numerator) pairs over denominator(), in no order."""
         return self._terms.items()
+
+    def denominator(self) -> int:
+        """The common denominator of the coefficients, coprime to their numerators."""
+        return self._den
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -426,7 +472,7 @@ class GradedPolynomial:
         try:
             return self._left
         except AttributeError:
-            out = _all_partials(self._terms, right=False)
+            out = _all_partials(self._terms, self._den, right=False)
             object.__setattr__(self, "_left", out)
             return out
 
@@ -435,7 +481,7 @@ class GradedPolynomial:
         try:
             return self._right
         except AttributeError:
-            out = _all_partials(self._terms, right=True)
+            out = _all_partials(self._terms, self._den, right=True)
             object.__setattr__(self, "_right", out)
             return out
 
@@ -446,27 +492,27 @@ class GradedPolynomial:
 
     def __neg__(self) -> "GradedPolynomial":
         return GradedPolynomial.from_accumulator(
-            {flat: -q for flat, q in self._terms.items()}
+            {flat: -n for flat, n in self._terms.items()}, self._den
         )
 
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         return gp_sum((self,), (other,))
 
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        acc: dict[_Flat, Fraction] = {}
+        acc: dict[_Flat, int] = {}
         right = other._terms.items()
-        for fa, qa in self._terms.items():
-            for fb, qb in right:
+        for fa, na in self._terms.items():
+            for fb, nb in right:
                 sign, merged = _merge_flat(fa, fb)
                 if merged is None:
                     continue
-                q = qa * qb
+                n = na * nb
                 cur = acc.get(merged)
                 if sign < 0:
-                    acc[merged] = -q if cur is None else cur - q
+                    acc[merged] = -n if cur is None else cur - n
                 else:
-                    acc[merged] = q if cur is None else cur + q
-        return GradedPolynomial.from_accumulator(acc)
+                    acc[merged] = n if cur is None else cur + n
+        return GradedPolynomial.from_accumulator(acc, self._den * other._den)
 
     def __pow__(self, exponent: int) -> "GradedPolynomial":
         if exponent < 0:
@@ -477,16 +523,21 @@ class GradedPolynomial:
         return out
 
     def scaled(self, q: Fraction | int) -> "GradedPolynomial":
-        q = Fraction(q)
+        num = q.numerator
         return GradedPolynomial.from_accumulator(
-            {flat: c * q for flat, c in self._terms.items()}
+            {flat: n * num for flat, n in self._terms.items()},
+            self._den * q.denominator,
         )
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, GradedPolynomial) and self._terms == other._terms
+        return (
+            isinstance(other, GradedPolynomial)
+            and self._den == other._den
+            and self._terms == other._terms
+        )
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         return f"GradedPolynomial<{len(self._terms)} terms>"
@@ -495,17 +546,29 @@ class GradedPolynomial:
 def gp_sum(
     polys: Iterable[GradedPolynomial], negated: Iterable[GradedPolynomial] = ()
 ) -> GradedPolynomial:
-    """The sum of polys minus the sum of negated, canonicalized once."""
-    acc: dict[_Flat, Fraction] = {}
-    for p in polys:
-        for flat, q in p._terms.items():
+    """The sum of polys minus the sum of negated, canonicalized once.
+
+    The sum's denominator is the lcm of the summands' denominators; each
+    summand's numerators are scaled by one multiplier to reach it.
+    """
+    parts = [(p, 1) for p in polys]
+    if negated:
+        parts += [(p, -1) for p in negated]
+    den = 1
+    for p, _ in parts:
+        if p._den != 1:
+            den = lcm(den, p._den)
+    acc: dict[_Flat, int] = {}
+    for p, sign in parts:
+        m = sign * (den // p._den)
+        if m == 1 and not acc:
+            acc.update(p._terms)
+            continue
+        for flat, n in p._terms.items():
+            n *= m
             cur = acc.get(flat)
-            acc[flat] = q if cur is None else cur + q
-    for p in negated:
-        for flat, q in p._terms.items():
-            cur = acc.get(flat)
-            acc[flat] = -q if cur is None else cur - q
-    return GradedPolynomial.from_accumulator(acc)
+            acc[flat] = n if cur is None else cur + n
+    return GradedPolynomial.from_accumulator(acc, den)
 
 
 def gp_normalize(
@@ -518,7 +581,7 @@ def gp_normalize(
     are folded in one at a time through the product merge, so the sign and
     the zero rule are exactly those of multiplication.
     """
-    acc: dict[_Flat, Fraction] = {}
+    merged: list[tuple[_Flat, Fraction | int]] = []
     for coeff, factors in raw_terms:
         sign, flat = 1, ()
         for f in factors:
@@ -526,12 +589,15 @@ def gp_normalize(
             if flat is None:
                 break
             sign *= step
-        if flat is None or not coeff:
-            continue
-        q = Fraction(coeff) if sign > 0 else -Fraction(coeff)
+        if flat is not None and coeff:
+            merged.append((flat, coeff if sign > 0 else -coeff))
+    den = lcm(*(q.denominator for _, q in merged))
+    acc: dict[_Flat, int] = {}
+    for flat, q in merged:
+        n = q.numerator * (den // q.denominator)
         cur = acc.get(flat)
-        acc[flat] = q if cur is None else cur + q
-    return GradedPolynomial.from_accumulator(acc)
+        acc[flat] = n if cur is None else cur + n
+    return GradedPolynomial.from_accumulator(acc, den)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ derivative symbol passes the factors on one side or the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graded_poly import (
     Density,
@@ -40,11 +39,12 @@ def total_derivative(p: GradedPolynomial, direction: int) -> GradedPolynomial:
     canonical term keeps the others in place: the raised factor only moves
     right past the factors of its own variable with a smaller key, picking
     up the sign of the odd factors it passes, and the term vanishes if an
-    odd raised factor lands on an equal one.
+    odd raised factor lands on an equal one.  The result keeps p's
+    denominator; only its numerators are added.
     """
     ups = raised_jets(p.variables(), direction)
-    acc: dict[tuple, Fraction] = {}
-    for flat, s in p.items():
+    acc: dict[tuple, int] = {}
+    for flat, s in p.numerators():
         n = len(flat)
         for i, f in enumerate(flat):
             up = ups.get(f)
@@ -72,7 +72,7 @@ def total_derivative(p: GradedPolynomial, direction: int) -> GradedPolynomial:
                 acc[raised] = -s if cur is None else cur - s
             else:
                 acc[raised] = s if cur is None else cur + s
-    return GradedPolynomial.from_accumulator(acc)
+    return GradedPolynomial.from_accumulator(acc, p.denominator())
 
 
 def total_derivative_multi(p: GradedPolynomial, mi: MultiIndex) -> GradedPolynomial:

@@ -75,12 +75,14 @@ class LinearJetOperator:
         for (param, target, mi), poly in self.coeffs.items():
             if poly.is_zero():
                 continue
-            for var in poly.base_variables():
-                if var.kind is not Kind.FIELD:
-                    raise SemanticError(
-                        "operator coefficients may depend on field jets only;"
-                        f" found {var.render()}"
-                    )
+            found = [v for v in poly.base_variables() if v.kind is not Kind.FIELD]
+            if found:
+                # name the first in rank order, not in the set's hash order
+                first = min(found, key=lambda v: v.rank)
+                raise SemanticError(
+                    "operator coefficients may depend on field jets only;"
+                    f" found {first.render()}"
+                )
             cleaned[(param, target, mi)] = poly
         object.__setattr__(self, "coeffs", cleaned)
 
@@ -240,7 +242,7 @@ def _add_slot_coefficients(
     graded sign, is stored under (param_of(v.var), target, v.mi).
     """
     slots = {jv for jv in poly.variables() if param_of(jv.var) is not None}
-    for flat, _ in poly.items():
+    for flat in poly.monomials():
         if sum(f in slots for f in flat) != 1:
             raise SemanticError(message)
     for jv, coeff in poly.left_partials().items():

@@ -44,8 +44,7 @@ def random_scalar(
             for coord in range(dim)
             for _ in range(rng.randint(0, max_exp))
         )
-        q = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
-        terms[coords] = terms.get(coords, Fraction(0)) + q
+        terms[coords] = terms.get(coords, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
     s = GradedPolynomial(terms)
     return s if not s.is_zero() else GradedPolynomial.one()
 

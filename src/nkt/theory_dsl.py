@@ -219,13 +219,19 @@ def _check_vars(
     where: str,
     kinds: tuple[Kind, ...],
 ) -> None:
-    for jv in poly.variables():
-        if not _declared(theory, jv.var):
-            raise SemanticError(f"{where} uses undeclared variable {jv.var.render()}")
-        if jv.var.kind not in kinds:
-            raise SemanticError(
-                f"{where} may not depend on {jv.var.render()} ({jv.var.kind.name.lower()})"
-            )
+    bad = [
+        jv for jv in poly.variables()
+        if not _declared(theory, jv.var) or jv.var.kind not in kinds
+    ]
+    if not bad:
+        return
+    # name the first in canonical order, not in the set's hash order
+    jv = min(bad)
+    if not _declared(theory, jv.var):
+        raise SemanticError(f"{where} uses undeclared variable {jv.var.render()}")
+    raise SemanticError(
+        f"{where} may not depend on {jv.var.render()} ({jv.var.kind.name.lower()})"
+    )
 
 
 _BASE_SECTOR = (Kind.FIELD, Kind.GHOST)

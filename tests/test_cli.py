@@ -3,7 +3,10 @@
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -252,6 +255,38 @@ class TestJsonReports:
             jsons.add(json.dumps(doc))
         assert len(texts) == 1
         assert len(jsons) == 1
+
+    # several offending variables in one coefficient: the error must name
+    # the same one whatever order Python's string hashing puts them in
+    HASH_ORDER_BODIES = {
+        "operator": "operator bad role gauge {\n  (xi, y, []) : ~y*~z*~w\n}\n",
+        "derivation": "derivation bad {\n  y : ~y*~z*~w + ~z*~w\n}\n",
+    }
+
+    @pytest.mark.parametrize("block", sorted(HASH_ORDER_BODIES))
+    def test_errors_do_not_depend_on_the_hash_seed(self, tmp_path, block):
+        f = tmp_path / "hashed.nkt"
+        f.write_text(
+            "theory hashed\ndim 1\n"
+            "field y parity even\nfield z parity even\nfield w parity even\n"
+            "ghost xi parity odd\nlagrangian 1/2 * y^2\n"
+            + self.HASH_ORDER_BODIES[block]
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outcomes = set()
+        for seed in range(1, 7):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed))
+            paths = [src, env.get("PYTHONPATH")]
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+            done = subprocess.run(
+                [sys.executable, "-m", "nkt", "el", str(f)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            outcomes.add((done.returncode, done.stdout, done.stderr))
+        assert len(outcomes) == 1
+        ((code, _, err),) = outcomes
+        assert code == 2
+        assert "~w" in err and "~y" not in err and "~z" not in err
 
 
 # --------------------------------------------------------------------------

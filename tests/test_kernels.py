@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from operator import add
 from pathlib import Path
 
@@ -434,6 +435,12 @@ _TOWER_INDICES = [
     MultiIndex(entries) for entries in [(), (0,), (1,), (0, 0), (0, 1), (1, 1)]
 ]
 
+# term multipliers with mixed denominators: the lcm of 2/3 and 7/4 exceeds
+# both denominators, and sums such as 5/6 + 7/6 leave a gcd to divide out
+RATIONALS = [
+    Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(7, 4), Fraction(-7, 6), 1
+]
+
 
 @st.composite
 def graded_polynomials(draw) -> GradedPolynomial:
@@ -472,6 +479,8 @@ def graded_polynomials(draw) -> GradedPolynomial:
         for mi in draw(st.lists(st.sampled_from(_TOWER_INDICES), min_size=2, max_size=4)):
             tower = tower * GradedPolynomial.variable(JetVariable(var, mi))
         p = p + tower
+    if draw(st.booleans()):
+        p = GradedPolynomial({flat: q * rng.choice(RATIONALS) for flat, q in p.items()})
     return p
 
 
@@ -509,13 +518,19 @@ def test_memo_leaves_the_polynomial_unchanged(p) -> None:
 
 
 @KERNEL_SETTINGS
-@given(graded_polynomials(), st.randoms(use_true_random=False))
-def test_term_order_is_independent_of_insertion_order(p, rnd) -> None:
+@given(graded_polynomials(), st.randoms(use_true_random=False), st.integers(1, 12))
+def test_term_order_is_independent_of_insertion_order(p, rnd, k) -> None:
     items = list(p.items())
     rnd.shuffle(items)
+    numerators = list(p.numerators())
+    rnd.shuffle(numerators)
+    # the accumulator also takes a common factor k on every numerator and
+    # the denominator, and zero numerators, and must divide out and drop both
+    acc = {flat: k * n for flat, n in reversed(numerators)}
+    acc[(ABSENT[0],)] = 0
     shuffled = [
         GradedPolynomial(dict(items)),
-        GradedPolynomial.from_accumulator(dict(reversed(items))),
+        GradedPolynomial.from_accumulator(acc, k * p.denominator()),
     ]
     # hash before any raw_terms() call, which stores the canonical order
     assert [hash(q) for q in shuffled] == [hash(p)] * 2
@@ -533,6 +548,64 @@ def test_gp_sum_is_the_left_fold_of_add(ps) -> None:
     assert total == reduce(add, ps, GradedPolynomial.zero())
     assert total == gp_normalize((s, flat) for p in ps for flat, s in p.raw_terms())
     assert gp_sum(reversed(ps)) == total
+
+
+def assert_canonical(p: GradedPolynomial) -> None:
+    """The invariant of the numerator/denominator form, and its Fraction view."""
+    den, numerators = p.denominator(), dict(p.numerators())
+    assert type(den) is int and den >= 1
+    assert all(type(n) is int and n != 0 for n in numerators.values())
+    assert gcd(den, *numerators.values()) == 1
+    assert numerators or den == 1
+    assert dict(p.items()) == {flat: Fraction(n, den) for flat, n in numerators.items()}
+    assert p == GradedPolynomial(dict(p.items()))
+
+
+@KERNEL_SETTINGS
+@given(
+    graded_polynomials(),
+    graded_polynomials(),
+    st.sampled_from(RATIONALS + [0, -3, Fraction(3, 7)]),
+    st.integers(0, 2),
+)
+def test_every_kernel_returns_the_canonical_form(p, q, c, direction) -> None:
+    results = [p * q, q * p, p * p, p + q, p - q, q - p, p - p, -p, p.scaled(c)]
+    results += [total_derivative(p, direction), gp_sum([p, q, -p, q.scaled(c)])]
+    results += [*p.left_partials().values(), *p.right_partials().values()]
+    results.append(
+        gp_normalize((c * s, flat) for x in (p, q) for flat, s in x.raw_terms())
+    )
+    for r in [p, q, *results]:
+        assert_canonical(r)
+
+
+def test_denominators_follow_the_lcm_and_lose_common_factors() -> None:
+    x, y = (JetVariable(VariableId(Kind.FIELD, n, (), Parity.EVEN)) for n in "uv")
+    a = GradedPolynomial({(x,): Fraction(2, 3), (y,): Fraction(7, 4)})
+    assert (a.denominator(), dict(a.numerators())) == (12, {(x,): 8, (y,): 21})
+    b = GradedPolynomial({(x,): Fraction(1, 3), (y,): Fraction(1, 4)})
+    assert (a + b).denominator() == 1
+    assert dict((a + b).numerators()) == {(x,): 1, (y,): 2}
+    assert (a - a).denominator() == 1 and (a - a).is_zero()
+    half, two_thirds = Fraction(1, 2), Fraction(2, 3)
+    product = GradedPolynomial({(x,): half}) * GradedPolynomial({(y,): two_thirds})
+    assert (product.denominator(), dict(product.numerators())) == (3, {(x, y): 1})
+    # numerators 8*4, 8*3 + 21*4 and 21*3 share no factor with 12 * 12
+    assert (a * b).denominator() == 144
+    half_square = GradedPolynomial({(x, x): half, (Coordinate(0),) * 2: half})
+    assert half_square.left_partials()[x] == GradedPolynomial.variable(x)
+    assert total_derivative(half_square, 0).raw_terms() == (
+        ((Coordinate(0),), 1),
+        ((x, JetVariable(x.var, MultiIndex((0,)))), 1),
+    )
+    assert a.scaled(Fraction(3, 7)).denominator() == 28
+
+
+def test_polynomials_that_differ_only_in_their_denominator_differ() -> None:
+    x = JetVariable(VariableId(Kind.FIELD, "u", (), Parity.EVEN))
+    ladder = [GradedPolynomial({(x,): Fraction(1, d)}) for d in range(1, 9)]
+    assert [p == ladder[0] for p in ladder] == [True] + [False] * 7
+    assert len(set(ladder)) == len({hash(p) for p in ladder}) == 8
 
 
 # -- the callers against the oracle -----------------------------------------------
@@ -635,6 +708,7 @@ def test_sums_match_the_key_comparing_kernels(ps, cancelled) -> None:
     summands = ps + [-p for p in ps[:cancelled]]
     assert gp_sum(summands).raw_terms() == oracle_sum(summands)
     assert (ps[0] + ps[-1]).raw_terms() == oracle_sum([ps[0], ps[-1]])
+    assert (ps[0] - ps[-1]).raw_terms() == oracle_sum([ps[0], -ps[-1]])
     assert (ps[0] - ps[0]).raw_terms() == ()
 
 
