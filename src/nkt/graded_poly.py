@@ -172,24 +172,6 @@ class JetVariable:
         return f"JetVariable({self.var.render()}, {self.mi.entries})"
 
 
-def raised_jets(
-    jets: Iterable[JetVariable], direction: int
-) -> dict[JetVariable, JetVariable]:
-    """Each jet variable raised once along direction, keyed by the original.
-
-    The jet-order bound is checked once, on the highest raised order, so the
-    error names the same order whatever order the jets come in.
-    """
-    jets = tuple(jets)
-    if jets:
-        check_jet_order(max(jv.mi.order for jv in jets) + 1)
-    out: dict[JetVariable, JetVariable] = {}
-    for jv in jets:
-        up = jv._raised.get(direction)
-        out[jv] = jv.raised(direction) if up is None else up
-    return out
-
-
 def jet(var: VariableId, *directions: int) -> JetVariable:
     return JetVariable(var, MultiIndex(tuple(directions)))
 

@@ -17,9 +17,8 @@ from .graded_poly import (
     JetVariable,
     VariableId,
     gp_sum,
-    raised_jets,
 )
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, check_jet_order
 
 TRIVIAL_TOPOLOGY_NOTE = (
     "exactness decided by vanishing variational derivatives;"
@@ -41,19 +40,35 @@ def total_derivative(p: GradedPolynomial, direction: int) -> GradedPolynomial:
     up the sign of the odd factors it passes, and the term vanishes if an
     odd raised factor lands on an equal one.  The result keeps p's
     denominator; only its numerators are added.
+
+    The jet-order bound is checked once, on the highest raised order, so the
+    error names the same order whatever order the terms come in.
     """
-    ups = raised_jets(p.variables(), direction)
+    terms = p.numerators()
+    top = max(
+        (
+            len(f.mi.entries)
+            for flat, _ in terms
+            for f in flat
+            if f.__class__ is JetVariable
+        ),
+        default=-1,
+    )
+    if top >= 0:
+        check_jet_order(top + 1)
     acc: dict[tuple, int] = {}
-    for flat, s in p.numerators():
+    for flat, s in terms:
         n = len(flat)
         for i, f in enumerate(flat):
-            up = ups.get(f)
-            if up is None:
+            if f.__class__ is not JetVariable:
                 if f.k == direction:
                     dropped = flat[:i] + flat[i + 1 :]
                     cur = acc.get(dropped)
                     acc[dropped] = s if cur is None else cur + s
                 continue
+            up = f._raised.get(direction)
+            if up is None:
+                up = f.raised(direction)
             key = up.key
             j = i + 1
             passed = 0

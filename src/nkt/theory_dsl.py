@@ -25,6 +25,16 @@ mutually inverse on every theory this module produces.
 Binder sugar in block entry keys, e.g. (C[q=1..3], a[mu=0..3,r=1..3], [mu]),
 expands one declared line into one line per index combination; the bound
 names are visible in the entry's expression.
+
+Each statement's expression (the Lagrangian, a witness, a block entry under
+all its bindings) evaluates each node once per binding of the index names
+it uses.  A sum whose body is a * chain with a constant factor that reads
+the sum's index, such as g[m,al] in sum(al, 0..3, g[m,al]*...), binds only
+the index values where that factor has a nonzero stored entry.  It does so
+only after a range proof over the statement's literal sum and binder
+ranges shows that evaluating it cannot raise; a skipped binding adds
+exactly zero, so values stay the same.  When the proof fails, every sum
+binds every value in order, so each error keeps its message and span.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import permutations, product as iter_product
 
+from .config import max_jet_order
 from .derivations import GeneralizedVectorField
 from .errors import JetOrderError, ParseError, SemanticError, SourceSpan
 from .graded_poly import (
@@ -453,6 +464,7 @@ class _Stmt:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.sums: list[_Sum] = []  # every sum parsed from these tokens
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -712,7 +724,9 @@ def _parse_sum(st: _Stmt, span: SourceSpan, depth: int) -> object:
     st.expect(")")
     if hi - lo + 1 > MAX_SUM_SPAN:
         raise ParseError(f"sum range wider than {MAX_SUM_SPAN}", span)
-    return _Sum(index, lo, hi, body, span)
+    node = _Sum(index, lo, hi, body, span)
+    st.sums.append(node)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +744,9 @@ class _Env:
     # lives for one statement, whose AST keeps those ids from being reused.
     memo: dict[tuple, GradedPolynomial] = dc_field(default_factory=dict)
     free: dict[int, tuple[str, ...]] = dc_field(default_factory=dict)
+    # For the sums of a statement proven in range, keyed by id(node): one
+    # pair per constant factor that zeroes the body, see _zeroing_factors.
+    sparse: dict[int, tuple[tuple[dict, tuple], ...]] = dc_field(default_factory=dict)
 
 
 def _resolve_index(env: _Env, arg: "int | str", span: SourceSpan) -> int:
@@ -834,7 +851,8 @@ def _free_names(env: _Env, node: object) -> tuple[str, ...]:
 def _eval(env: _Env, node: object) -> GradedPolynomial:
     """Evaluate node once per binding of its free names within env's statement.
 
-    Only successful evaluations are kept, and evaluation order is unchanged,
+    Only successful evaluations are kept, and evaluation order is unchanged
+    but for the bindings _sum_values skips, which add zero and cannot raise,
     so every value and every error is what a fresh evaluation would give.
     Without bindings a node lies outside every sum of a statement without
     binders and is reached once, so it skips the memo, as literals do.
@@ -871,7 +889,7 @@ def _eval_node(env: _Env, node: object) -> GradedPolynomial:
                 f"sum index {node.index!r} shadows a declaration", node.span
             )
         parts: list[GradedPolynomial] = []
-        for value in range(node.lo, node.hi + 1):
+        for value in _sum_values(env, node):
             env.bindings[node.index] = value
             parts.append(_eval(env, node.body))
         total = gp_sum(parts)
@@ -905,6 +923,183 @@ def _eval_ref(env: _Env, node: _Ref) -> GradedPolynomial:
     if node.name in env.variables:
         return GradedPolynomial.variable(_jet_of(env, node))
     raise SemanticError(f"unknown name {node.name!r}", node.span)
+
+
+# ---------------------------------------------------------------------------
+# sparse contraction
+
+
+def _statement_env(
+    dim: int,
+    variables: dict[str, VarDecl],
+    constants: dict[str, ConstantTensor],
+    st: _Stmt,
+    ast: object,
+    binders: tuple[tuple[str, int, int], ...] = (),
+) -> _Env:
+    """A fresh env for ast, the expression of statement st, under binders.
+
+    When a sum of st multiplies its body by a constant factor and evaluating
+    ast provably cannot raise, the env lets that sum skip the bindings where
+    the factor is zero.  Statements without such a sum are not analysed.
+    """
+    env = _Env(dim, variables, constants, {})
+    plans = {}
+    for node in st.sums:
+        factors = _zeroing_factors(constants, node.body, node.index, ())
+        if factors:
+            plans[id(node)] = factors
+    if plans and _cannot_raise(env, ast, {b: (lo, hi) for b, lo, hi in binders}):
+        env.sparse = plans
+    return env
+
+
+def _zeroing_factors(
+    constants: dict[str, ConstantTensor],
+    node: object,
+    index: str,
+    inner: tuple[str, ...],
+) -> tuple[tuple[dict, tuple], ...]:
+    """Constant factors of node's * chain whose zero entry makes node zero.
+
+    The chain is followed into nested sums, whose indices go to inner; a
+    factor counts when its arguments read index and otherwise only literals
+    and names bound outside the sum of index.  A sum over index itself
+    shadows it.  Each factor is given as its other arguments and a map from
+    their values to the set of index values with a nonzero stored entry.
+    """
+    if isinstance(node, _Binary):
+        if node.op != "*":
+            return ()
+        return _zeroing_factors(constants, node.left, index, inner) + _zeroing_factors(
+            constants, node.right, index, inner
+        )
+    if isinstance(node, _Sum):
+        if node.index == index:
+            return ()
+        return _zeroing_factors(constants, node.body, index, inner + (node.index,))
+    if (
+        isinstance(node, _Ref)
+        and node.explicit_args
+        and not node.anti
+        and node.name in constants
+        and index in node.args
+        and not any(a in inner for a in node.args)
+    ):
+        args = node.args
+        nonzero: dict[tuple, set[int]] = {}
+        for key, value in constants[node.name].entries.items():
+            if not value or len(key) != len(args):
+                continue
+            hits = {k for k, a in zip(key, args) if a == index}
+            if len(hits) == 1:
+                rest = tuple(k for k, a in zip(key, args) if a != index)
+                nonzero.setdefault(rest, set()).update(hits)
+        return ((nonzero, tuple(a for a in args if a != index)),)
+    return ()
+
+
+def _sum_values(env: _Env, node: _Sum) -> "range | list[int]":
+    """The values of node's index to bind, in order.
+
+    A sum with zeroing factors skips each value where one of them has no
+    nonzero stored entry: the statement is proven in range, so that binding
+    would have added exactly zero and raised nothing.
+    """
+    values = range(node.lo, node.hi + 1)
+    factors = env.sparse.get(id(node))
+    if factors is None:
+        return values
+    bindings = env.bindings
+    for nonzero, rest in factors:
+        key = tuple(bindings[a] if isinstance(a, str) else a for a in rest)
+        hits = nonzero.get(key, ())
+        values = [value for value in values if value in hits]
+    return values
+
+
+def _cannot_raise(
+    env: _Env, node: object, scope: dict[str, tuple[int, int]]
+) -> bool:
+    """Whether evaluating node cannot raise while each name in scope is bound
+    within its interval.
+
+    The checks are those of _eval_node, on intervals in place of values;
+    names outside scope are unbound.
+    """
+    if isinstance(node, _Num):
+        return True
+    if isinstance(node, _Unary):
+        return _cannot_raise(env, node.operand, scope)
+    if isinstance(node, _Pow):
+        return _cannot_raise(env, node.base, scope)
+    if isinstance(node, _Binary):
+        return _cannot_raise(env, node.left, scope) and _cannot_raise(
+            env, node.right, scope
+        )
+    if isinstance(node, _Sum):
+        if node.index in env.variables or node.index in env.constants:
+            return False
+        return _cannot_raise(env, node.body, {**scope, node.index: (node.lo, node.hi)})
+    if isinstance(node, _Ref) and not node.anti:
+        if not node.explicit_args and node.name in scope:
+            return True
+        if not node.explicit_args and _COORD_RE.match(node.name):
+            return _coordinate_in(env.dim, node.name)
+        if node.name in env.constants:
+            return _within(node.args, env.constants[node.name].ranges, scope)
+    order = _jet_order(env, node, scope)
+    return order is not None and order <= max_jet_order()
+
+
+def _jet_order(
+    env: _Env, node: object, scope: dict[str, tuple[int, int]]
+) -> int | None:
+    """The order of the jet _jet_of builds for node, or None if it may raise."""
+    if isinstance(node, _D):
+        inner = _jet_order(env, node.base, scope)
+        if inner is None or not all(_direction_in(env, d, scope) for d in node.dirs):
+            return None
+        return inner + len(node.dirs)
+    if not isinstance(node, (_Ref, _BracketJet)):
+        return None
+    decl = env.variables.get(node.name)
+    if decl is None:
+        return None
+    comps, dirs = (node.args, ()) if isinstance(node, _Ref) else (node.comps, node.dirs)
+    ranges = tuple((lo, hi) for _, lo, hi in decl.indices)
+    if not _within(comps, ranges, scope):
+        return None
+    if not all(_direction_in(env, d, scope) for d in dirs):
+        return None
+    return len(dirs)
+
+
+def _within(
+    args: tuple["int | str", ...],
+    ranges: tuple[tuple[int, int], ...],
+    scope: dict[str, tuple[int, int]],
+) -> bool:
+    """Whether args resolve, one per range, to values inside their ranges."""
+    if len(args) != len(ranges):
+        return False
+    for arg, (lo, hi) in zip(args, ranges):
+        interval = scope.get(arg) if isinstance(arg, str) else (arg, arg)
+        if interval is None or not (lo <= interval[0] and interval[1] <= hi):
+            return False
+    return True
+
+
+def _direction_in(
+    env: _Env, arg: "int | str", scope: dict[str, tuple[int, int]]
+) -> bool:
+    if isinstance(arg, str) and arg not in scope:
+        return _COORD_RE.match(arg) is not None and _coordinate_in(env.dim, arg)
+    return _within((arg,), ((0, env.dim - 1),), scope)
+
+
+def _coordinate_in(dim: int, name: str) -> bool:
+    return dim == 1 if name == "x" else int(name[1:]) < dim
 
 
 # ---------------------------------------------------------------------------
@@ -985,9 +1180,16 @@ class _TheoryParser:
 
     # -- helpers
 
-    def _env(self) -> _Env:
+    def _env(
+        self,
+        st: _Stmt,
+        ast: object,
+        binders: tuple[tuple[str, int, int], ...] = (),
+    ) -> _Env:
         assert self.dim is not None
-        return _Env(self.dim, self.variables, self.constants, {})
+        return _statement_env(
+            self.dim, self.variables, self.constants, st, ast, binders
+        )
 
     def _next(self) -> _Stmt | None:
         if self.index >= len(self.statements):
@@ -1016,10 +1218,12 @@ class _TheoryParser:
         acc: dict[tuple, GradedPolynomial],
         keys: tuple[_KeyRef, ...],
         mi: tuple[tuple["int | str", ...], SourceSpan] | None,
+        st: _Stmt,
         ast: object,
         binder_span: SourceSpan,
     ) -> None:
-        """Add one block entry into acc at every binding of its binders.
+        """Add one block entry, ast parsed from st, into acc at every binding
+        of its binders.
 
         The key is the resolved components of keys, followed by the resolved
         multi-index when mi (entries and span) is given; entries that land
@@ -1031,8 +1235,9 @@ class _TheoryParser:
                 raise SemanticError(
                     f"binder {label!r} shadows a declaration", binder_span
                 )
-        env = self._env()
-        for bindings in _binding_combinations(binders, binder_span):
+        combinations = _binding_combinations(binders, binder_span)
+        env = self._env(st, ast, binders)
+        for bindings in combinations:
             env.bindings = bindings
             key = tuple(_resolve_component(env, k.ref) for k in keys)
             if mi is not None:
@@ -1221,7 +1426,7 @@ class _TheoryParser:
             raise SemanticError("duplicate lagrangian", head.span)
         ast = _parse_expr(st)
         st.expect_end()
-        self.lagrangian = Density(_eval(self._env(), ast))
+        self.lagrangian = Density(_eval(self._env(st, ast), ast))
 
     # -- blocks
 
@@ -1268,7 +1473,9 @@ class _TheoryParser:
             st.expect(":")
             ast = _parse_expr(st)
             st.expect_end()
-            self._expand_entry(coeffs, (param_key, target_key), mi, ast, open_tok.span)
+            self._expand_entry(
+                coeffs, (param_key, target_key), mi, st, ast, open_tok.span
+            )
         try:
             self.operators[name] = LinearJetOperator(dim, role, coeffs, stage=stage)
         except SemanticError as exc:
@@ -1287,7 +1494,7 @@ class _TheoryParser:
             st.expect(":")
             ast = _parse_expr(st)
             st.expect_end()
-            self._expand_entry(components, (target_key,), None, ast, name_tok.span)
+            self._expand_entry(components, (target_key,), None, st, ast, name_tok.span)
         self.derivations[name] = GeneralizedVectorField(
             {target: poly for (target,), poly in components.items()}
         )
@@ -1318,7 +1525,7 @@ class _TheoryParser:
                 st.expect(":")
                 ast = _parse_expr(st)
                 st.expect_end()
-                poly = _eval(self._env(), ast)
+                poly = _eval(self._env(st, ast), ast)
                 witness = poly if witness is None else witness + poly
                 continue
             open_tok = st.expect("(")
@@ -1329,7 +1536,7 @@ class _TheoryParser:
             st.expect(":")
             ast = _parse_expr(st)
             st.expect_end()
-            self._expand_entry(m_coeffs, (target_key,), mi, ast, open_tok.span)
+            self._expand_entry(m_coeffs, (target_key,), mi, st, ast, open_tok.span)
         m_coeffs = {k: p for k, p in m_coeffs.items() if not p.is_zero()}
         self.certificates[label] = ReductionCertificate(
             m_coeffs or None, witness
@@ -1349,7 +1556,7 @@ def parse_expression(text: str, theory: Theory) -> GradedPolynomial:
     st = _Stmt(statements[0])
     ast = _parse_expr(st)
     st.expect_end()
-    env = _Env(theory.dim, theory.variables, theory.constants, {})
+    env = _statement_env(theory.dim, theory.variables, theory.constants, st, ast)
     return _eval(env, ast)
 
 

@@ -740,14 +740,24 @@ constant k[0..1,1..2] = {
   (0,1): 1
   (1,2): -2/3
 }
+constant kd = kronecker(2)
+constant z[1..2,0..1] = {
+  (1,0): 0
+  (1,1): 1/2
+  (2,0): -1
+}
 """
 MEMO_THEORY = parse_theory(MEMO_THEORY_TEXT)
 
 # Sums reuse these names, nested and side by side; r also shadows the binder
 # of the derivation entry below.  The 0..2 range runs past a's first axis and
-# past the base dimension, so some draws fail part way through a sum.
+# past the base dimension, so some draws fail part way through a sum, and
+# fail the range proof that lets a sum skip the zeros of its constant factors.
 SUM_NAMES = ("i", "j", "r")
 SUM_RANGES = ("0..1", "1..2", "1..1", "0..2")
+CONSTANT_AXES = {
+    "e": ("1..2", "1..2"), "k": ("0..1", "1..2"), "kd": ("1..2", "1..2"), "z": ("1..2", "0..1")
+}
 
 
 @st.composite
@@ -762,7 +772,7 @@ def expressions(draw, scope: tuple[str, ...] = (), depth: int = 0) -> str:
 
     if depth >= 4 or draw(st.integers(0, 2)) == 0:
         leaf = draw(st.sampled_from(
-            ["num", "num", "coord", "y", "dy", "a", "da", "ajet", "C", "e", "k"]
+            ["num", "num", "coord", "y", "dy", "a", "da", "ajet", "C", *CONSTANT_AXES]
             + ["index"] * bool(scope)
         ))
         if leaf == "num":
@@ -783,14 +793,32 @@ def expressions(draw, scope: tuple[str, ...] = (), depth: int = 0) -> str:
             return f"a[{index(0, 1)},{index(1, 2)};{direction()},{direction()}]"
         if leaf == "C":
             return f"C[{index(1, 2)}]"
-        if leaf == "e":
-            return f"e[{index(1, 2)},{index(1, 2)}]"
+        if leaf in ("e", "kd"):
+            return f"{leaf}[{index(1, 2)},{index(1, 2)}]"
+        if leaf == "z":
+            return f"z[{index(1, 2)},{index(0, 1)}]"
         return f"k[{index(0, 1)},{index(1, 2)}]"
-    kind = draw(st.sampled_from(["+", "-", "*", "*", "neg", "pow", "sum", "sum"]))
+    kind = draw(st.sampled_from(
+        ["+", "-", "*", "*", "neg", "pow", "sum", "sum", "contract"]
+    ))
     if kind == "sum":
         name = draw(st.sampled_from(SUM_NAMES))
         body = draw(expressions(tuple(sorted({*scope, name})), depth + 1))
         return f"sum({name},{draw(st.sampled_from(SUM_RANGES))}, {body})"
+    if kind == "contract":
+        # a factor, then a constant reading the indices of two nested sums,
+        # which mostly run over the constant's own axes
+        const = draw(st.sampled_from(sorted(CONSTANT_AXES)))
+        outer = draw(st.sampled_from(SUM_NAMES))
+        inner = draw(st.sampled_from(SUM_NAMES))
+        factor = draw(expressions(tuple(sorted({*scope, outer, inner})), depth + 1))
+        args = draw(st.permutations([outer, inner]))
+        axes = dict(zip(args, CONSTANT_AXES[const]))
+        ranges = [draw(st.sampled_from([axes[n]] * 4 + [*SUM_RANGES])) for n in (outer, inner)]
+        return (
+            f"sum({outer},{ranges[0]}, sum({inner},{ranges[1]},"
+            f" ({factor}) * {const}[{args[0]},{args[1]}]))"
+        )
     operand = draw(expressions(scope, depth + 1))
     if kind == "neg":
         return f"-({operand})"
@@ -839,3 +867,61 @@ def test_bundled_theories_match_the_fresh_evaluator(path, monkeypatch) -> None:
     reference = parse_theory(text)
     assert theory == reference
     assert render_theory(theory) == render_theory(reference)
+
+
+@pytest.mark.parametrize("text, message, column", [
+    # a zero factor does not hide a later error
+    ("0 * C[9]", "index r=9 of C is outside 1..2", 5),
+    # the constant factor reads no index of the sum; a[2,1] is out of range
+    ("sum(i,0..2, e[1,1]*a[i,1])", "index mu=2 of a is outside 0..1", 20),
+    # the constant's own index runs out of range
+    ("sum(i,1..3, e[i,1]*y)", "index 3 of e is outside 1..2", 13),
+    # the inner i shadows the outer one, and runs past k's first axis
+    ("sum(i,1..2, sum(i,1..2, k[i,i]*y))", "index 2 of k is outside 0..1", 25),
+    # e[i,i] is always zero, but the jet is past the order bound
+    (
+        "sum(i,1..2, e[i,i]*d(y;0,0,0,0,0,0,0,0,0))",
+        "jet order 9 exceeds the bound 8 (raise NKT_MAX_JET_ORDER to override)",
+        20,
+    ),
+])
+def test_errors_keep_their_precedence(text, message, column) -> None:
+    got = outcome(parse_expression, text, MEMO_THEORY)
+    assert got == oracle_outcome(parse_expression, text, MEMO_THEORY)
+    assert got[:3] == ("error", SemanticError, f"{message} (line 1, column {column})")
+    assert (got[3].line, got[3].column) == (1, column)
+
+
+def test_a_constant_under_a_sum_zeroes_only_a_product() -> None:
+    # e[1,1] = 0 leaves the i = 1 binding's y in the sum
+    got = parse_expression("sum(i,1..2, e[1,i] + y)", MEMO_THEORY)
+    assert got == parse_expression("1 + 2*y", MEMO_THEORY)
+
+
+def products_evaluated(monkeypatch, parse, text: str, start: int, *args) -> int:
+    """How often parse(text, *args) evaluates the product whose * is at start."""
+    calls = []
+    eval_node = theory_dsl._eval_node
+
+    def counted(env, node):
+        if isinstance(node, _Binary) and node.span.start == start:
+            calls.append(node)
+        return eval_node(env, node)
+
+    monkeypatch.setattr(theory_dsl, "_eval_node", counted)
+    parse(text, *args)
+    return len(calls)
+
+
+def test_sums_visit_only_the_nonzero_entries_of_their_constants(monkeypatch) -> None:
+    # minkowski(4) is diagonal: g[m,al]*g[n,be] is nonzero for 4*4 of the
+    # 4^4 (m,n,al,be), times 3 values of r
+    text = (THEORY_DIR / "ym_su2.nkt").read_text()
+    start = text.index("* (d(a[be,r];al)")
+    assert products_evaluated(monkeypatch, parse_theory, text, start) == 48
+    # a stored zero is skipped like a missing entry: z[1,0] is stored as 0,
+    # z[2,1] is not stored, so two of the four (i,j) remain
+    text = "sum(i,1..2, sum(j,0..1, z[i,j]*y))"
+    start = text.index("*")
+    count = products_evaluated(monkeypatch, parse_expression, text, start, MEMO_THEORY)
+    assert count == 2
