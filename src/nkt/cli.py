@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
+from . import config
 from .derivations import (
     GeneralizedVectorField,
     check_nilpotent,
@@ -499,6 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    config.reload()
     started = time.monotonic()
     try:
         if args.command == "selftest":

@@ -16,7 +16,9 @@ deterministic.  Arithmetic is plain int arithmetic, normalized once per
 result; reduced Fractions are built only when coefficients are observed.
 The order of the monomials is likewise only materialized when it is
 observed, by raw_terms() and rendering; arithmetic works on an unordered
-term map.
+term map.  Its keys are interned Monomials, which remember their products,
+total-derivative images and partials up to MEMO_CAP entries in all, so a
+repeated product or derivative of a monomial costs one lookup.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from enum import IntEnum
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import ItemsView, Iterable, KeysView, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .multiindex import EMPTY, MultiIndex, check_jet_order
 
@@ -206,17 +208,127 @@ class Coordinate:
 
 
 # --------------------------------------------------------------------------
-# Graded monomials and polynomials.
+# Interned monomials and their memoized kernels.
 
 _Factor = Coordinate | JetVariable
 _Flat = tuple[_Factor, ...]
 
+MEMO_CAP = 1 << 16
+"""Most memo entries that all monomials together hold.
 
-def _merge_flat(a: _Flat, b: _Flat) -> tuple[int, _Flat | None]:
-    """Merge two canonical factor tuples, tracking the Koszul sign."""
+An entry is one remembered product (left, right), one total-derivative
+image (monomial, direction) or one monomial's partials.  Entries live until
+the count reaches MEMO_CAP; the next entry first clears every memo at once
+(clear_memos), so the memos never hold more than MEMO_CAP entries.  A
+workload whose distinct products, images and partials fit under the cap
+computes each of them once for the life of the process.
+"""
+
+_MONOMIALS: dict[_Flat, "Monomial"] = {}
+# the memo of a monomial that has none: read-only and shared
+_NO_MEMO: Mapping = MappingProxyType({})
+# the monomial holding each memo entry, in the order the entries were made
+_MEMOIZED: list["Monomial"] = []
+
+
+class Monomial:
+    """A canonical product of factors, interned, with memoized kernels.
+
+    Monomial(factors) returns the one shared instance for a canonical factor
+    tuple, so a term map keys on identity and hashes no tuple.  Like the
+    JetVariable table, the intern table holds its instances for the life of
+    the process (it is dropped only with the `nkt.graded_poly` module), so
+    identity stays sound however long a polynomial lives.  Each monomial
+    keeps its factors, odd (its number of odd factors), jets (its factors
+    after the leading coordinates) and top (the highest jet order among
+    them, -1 without jets), and one memo dict, bounded by MEMO_CAP.  It
+    maps each right monomial met to the product (sign, product), or
+    (0, None) when an odd factor repeats; each direction to the
+    total-derivative image, as (multiplier, monomial) pairs; and None to
+    the partials (see _drop_flat).
+    """
+
+    __slots__ = ("factors", "odd", "jets", "top", "_memo")
+
+    def __new__(cls, factors: _Flat) -> "Monomial":
+        self = _MONOMIALS.get(factors)
+        if self is None:
+            self = _MONOMIALS[factors] = object.__new__(cls)
+            self.factors = factors
+            self.odd = sum([f.odd for f in factors])
+            _, self.jets = _split(factors)
+            self.top = max([len(f.mi.entries) for f in self.jets], default=-1)
+            self._memo = _NO_MEMO
+        return self
+
+    def times(self, other: "Monomial") -> tuple[int, "Monomial | None"]:
+        """(sign, self * other), or (0, None) when an odd factor repeats."""
+        hit = self._memo.get(other)
+        if hit is None:
+            sign, flat = _merge_flat(self.factors, other.factors, self.odd)
+            hit = (0, None) if flat is None else (sign, Monomial(flat))
+            _remember(self, other, hit)
+        return hit
+
+    def image(self, direction: int) -> tuple[tuple[int, "Monomial"], ...]:
+        """The total derivative along direction, as (multiplier, monomial) pairs.
+
+        Only jet variables already within the bound in force are raised, so
+        the caller checks the jet-order bound before asking.
+        """
+        hit = self._memo.get(direction)
+        if hit is None:
+            hit = _derive_flat(self.factors, direction)
+            _remember(self, direction, hit)
+        return hit
+
+    def partials(self) -> tuple[tuple[JetVariable, "Monomial", int, int], ...]:
+        """The jet factors with what dropping them leaves; see _drop_flat."""
+        hit = self._memo.get(None)
+        if hit is None:
+            hit = _drop_flat(self.factors)
+            _remember(self, None, hit)
+        return hit
+
+    def __repr__(self) -> str:
+        return f"Monomial({self.factors!r})"
+
+
+def _remember(m: Monomial, key: "Monomial | int | None", value: tuple) -> None:
+    """Store one memo entry of m, first clearing every memo at MEMO_CAP."""
+    if len(_MEMOIZED) >= MEMO_CAP:
+        clear_memos()
+    _MEMOIZED.append(m)
+    if m._memo is _NO_MEMO:
+        m._memo = {}
+    m._memo[key] = value
+
+
+def clear_memos() -> None:
+    """Forget every remembered product, image and partial; monomials stay."""
+    for m in _MEMOIZED:
+        m._memo = _NO_MEMO
+    _MEMOIZED.clear()
+
+
+def memo_sizes() -> dict[str, int]:
+    """Interned monomials and the entries of each kind of memo."""
+    keys = [k.__class__ for m in _MONOMIALS.values() for k in m._memo]
+    return {
+        "monomials": len(_MONOMIALS),
+        "products": keys.count(Monomial),
+        "images": keys.count(int),
+        "partials": keys.count(type(None)),
+    }
+
+
+def _merge_flat(a: _Flat, b: _Flat, odd_left: int) -> tuple[int, _Flat | None]:
+    """Merge two canonical factor tuples, tracking the Koszul sign.
+
+    odd_left is the number of odd factors in a.
+    """
     out: list[_Factor] = []
     sign = 1
-    odd_left = sum(1 for f in a if f.odd)
     i = j = 0
     while i < len(a) and j < len(b):
         if a[i].key <= b[j].key:
@@ -237,42 +349,98 @@ def _merge_flat(a: _Flat, b: _Flat) -> tuple[int, _Flat | None]:
     return sign, tuple(out)
 
 
-def _all_partials(
-    terms: Mapping[_Flat, int], den: int, right: bool
-) -> Mapping[JetVariable, "GradedPolynomial"]:
-    """Every graded partial of a canonical numerator map over den, in one pass.
+def _derive_flat(flat: _Flat, direction: int) -> tuple[tuple[int, Monomial], ...]:
+    """The total derivative of one canonical term, as (multiplier, monomial).
+
+    Each factor x^direction is dropped once; other coordinates stay.
+    Raising jet factor i keeps the others in place: the raised factor only
+    moves right past the factors of its own variable with a smaller key,
+    picking up the sign of the odd factors it passes, and the term vanishes
+    if an odd raised factor lands on an equal one.  Equal results (from a
+    repeated even factor) are merged at the first one.
+    """
+    acc: dict[_Flat, int] = {}
+    n = len(flat)
+    for i, f in enumerate(flat):
+        if f.__class__ is not JetVariable:
+            if f.k == direction:
+                dropped = flat[:i] + flat[i + 1 :]
+                acc[dropped] = acc.get(dropped, 0) + 1
+            continue
+        up = f._raised.get(direction)
+        if up is None:
+            up = f.raised(direction)
+        key = up.key
+        j = i + 1
+        passed = 0
+        while j < n and flat[j].key < key:
+            passed += flat[j].odd
+            j += 1
+        if up.odd:
+            if j < n and flat[j] is up:
+                continue
+            step = -1 if passed & 1 else 1
+        else:
+            step = 1
+        raised = flat[:i] + flat[i + 1 : j] + (up,) + flat[j:]
+        acc[raised] = acc.get(raised, 0) + step
+    return tuple([(c, Monomial(t)) for t, c in acc.items() if c])
+
+
+def _drop_flat(flat: _Flat) -> tuple[tuple[JetVariable, Monomial, int, int], ...]:
+    """Each jet factor of a canonical term with the term it leaves, and signs.
 
     Dropping one factor from a canonical term leaves a canonical term, so
     only the Koszul sign needs tracking: an odd variable's derivative passes
     the odd factors on its left (left partial) or on its right (right
-    partial).  A repeated even factor contributes once per occurrence.
-    Every partial keeps the denominator.  Coordinates are dropped like any
-    even factor; their buckets are discarded at the end.
+    partial).  Entries are (jet, rest, left multiplier, right multiplier); a
+    repeated even factor appears once, with its power as both multipliers.
     """
-    acc: dict[_Factor, dict[_Flat, int]] = {}
-    for flat, s in terms.items():
-        odd = [f.odd for f in flat]
-        odd_before = 0
-        odd_after = sum(odd)
-        for i, f in enumerate(flat):
-            contrib = s
-            if odd[i]:
-                odd_after -= 1
-                if (odd_after if right else odd_before) & 1:
-                    contrib = -s
-                odd_before += 1
-            rest = flat[:i] + flat[i + 1 :]
+    acc: dict[JetVariable, list] = {}
+    odd_before = 0
+    odd_after = sum([f.odd for f in flat])
+    for i, f in enumerate(flat):
+        left = right = 1
+        if f.odd:
+            odd_after -= 1
+            if odd_before & 1:
+                left = -1
+            if odd_after & 1:
+                right = -1
+            odd_before += 1
+        if f.__class__ is not JetVariable:
+            continue
+        entry = acc.get(f)
+        if entry is None:
+            acc[f] = [flat[:i] + flat[i + 1 :], left, right]
+        else:
+            entry[1] += left
+            entry[2] += right
+    return tuple([(f, Monomial(rest), l, r) for f, (rest, l, r) in acc.items()])
+
+
+def _all_partials(
+    terms: Mapping[Monomial, int], den: int, right: bool
+) -> Mapping[JetVariable, "GradedPolynomial"]:
+    """Every graded partial of a numerator map over den, in one pass.
+
+    Each monomial contributes its memoized partials; every partial keeps the
+    denominator.
+    """
+    acc: dict[JetVariable, dict[Monomial, int]] = {}
+    for m, s in terms.items():
+        drops = m._memo.get(None)
+        if drops is None:
+            drops = m.partials()
+        for f, rest, on_left, on_right in drops:
+            contrib = s * (on_right if right else on_left)
             bucket = acc.get(f)
             if bucket is None:
                 bucket = acc[f] = {}
             cur = bucket.get(rest)
             bucket[rest] = contrib if cur is None else cur + contrib
     return MappingProxyType(
-        {
-            f: GradedPolynomial.from_accumulator(b, den)
-            for f, b in acc.items()
-            if f.__class__ is JetVariable
-        }
+        {f: GradedPolynomial._from_terms(b, den) for f, b in acc.items()}
     )
 
 
@@ -295,25 +463,30 @@ def _runs(factors: _Flat) -> list[tuple[_Factor, int]]:
     return runs
 
 
-def _term_order(term: tuple[_Flat, int]) -> tuple[list[tuple], tuple]:
+def _term_order(term: tuple[Monomial, int]) -> tuple[list[tuple], tuple]:
     # by jet part first, so terms sharing one are adjacent, then by the
     # coordinate exponents ((k, e), ...)
-    coords, jets = _split(term[0])
-    return [f.key for f in jets], tuple((c.k, e) for c, e in _runs(coords))
+    m = term[0]
+    coords = m.factors[: len(m.factors) - len(m.jets)]
+    return [f.key for f in m.jets], tuple((c.k, e) for c, e in _runs(coords))
+
+
+_ONE = Monomial(())
 
 
 class GradedPolynomial:
     """Canonical sum of graded monomials; immutable.
 
-    The terms live in a map from canonical factor tuple to nonzero int
-    numerator, over one common denominator _den (see the module docstring
-    for the invariant).  Equality compares (_den, map) and the hash is
-    independent of the order the map was filled in.  The canonical term
-    order is built only when it is observed (raw_terms and rendering): the
-    first observation refills the map in that order, and the second keeps
-    the (factors, Fraction) tuple.  The partial-derivative maps are filled
-    on first use only; like the tuple they are derived from (_den, map), so
-    equality and hashing never look at them.
+    The terms live in a map from interned Monomial to nonzero int numerator,
+    over one common denominator _den (see the module docstring for the
+    invariant); the views give canonical factor tuples, not monomials.
+    Equality compares (_den, map) and the hash is independent of the order
+    the map was filled in.  The canonical term order is built only when it
+    is observed (raw_terms and rendering): the first observation refills the
+    map in that order, and the second keeps the (factors, Fraction) tuple.
+    The partial-derivative maps are filled on first use only; like the tuple
+    they are derived from (_den, map), so equality and hashing never look at
+    them.
     """
 
     __slots__ = ("_terms", "_den", "_raw", "_left", "_right")
@@ -321,35 +494,47 @@ class GradedPolynomial:
     def __init__(self, terms: Mapping[_Flat, Fraction | int] | None = None):
         terms = terms or {}
         den = lcm(*[q.denominator for q in terms.values()])
-        acc = {flat: q.numerator * (den // q.denominator) for flat, q in terms.items()}
+        acc = {
+            Monomial(flat): q.numerator * (den // q.denominator)
+            for flat, q in terms.items()
+        }
         self._take(acc, den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GradedPolynomial is immutable")
 
-    def _take(self, acc: dict[_Flat, int], den: int) -> None:
+    def _take(self, acc: dict[Monomial, int], den: int) -> None:
         # the one normalization: drop zero numerators, divide out the gcd
         if 0 in acc.values():
-            for flat in [flat for flat, n in acc.items() if not n]:
-                del acc[flat]
+            for m in [m for m, n in acc.items() if not n]:
+                del acc[m]
         if den != 1:
             g = gcd(den, *acc.values())
             if g != 1:
                 den //= g
-                for flat, n in acc.items():
-                    acc[flat] = n // g
+                for m, n in acc.items():
+                    acc[m] = n // g
         object.__setattr__(self, "_terms", acc)
         object.__setattr__(self, "_den", den)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_accumulator(cls, acc: dict[_Flat, int], den: int) -> "GradedPolynomial":
-        """Take over a map of canonical factor tuples to int numerators over den.
+    def from_accumulator(cls, acc: Mapping[_Flat, int], den: int) -> "GradedPolynomial":
+        """The polynomial of a map of canonical factor tuples to int numerators.
 
-        den must be a positive int.  The result is normalized in place: zero
-        numerators are deleted from acc and the gcd of den and the numerators
-        is divided out, so the caller must not touch acc afterwards.
+        den must be a positive int.  Zero numerators are dropped and the gcd
+        of den and the numerators is divided out.
+        """
+        return cls._from_terms({Monomial(flat): n for flat, n in acc.items()}, den)
+
+    @classmethod
+    def _from_terms(cls, acc: dict[Monomial, int], den: int) -> "GradedPolynomial":
+        """Take over a map of monomials to int numerators over den > 0.
+
+        The result is normalized in place: zero numerators are deleted from
+        acc and the gcd of den and the numerators is divided out, so the
+        caller must not touch acc afterwards.
         """
         out = object.__new__(cls)
         out._take(acc, den)
@@ -400,20 +585,20 @@ class GradedPolynomial:
 
     def _pairs(self) -> tuple[tuple[_Flat, Fraction], ...]:
         den = self._den
-        return tuple([(flat, Fraction(n, den)) for flat, n in self._terms.items()])
+        return tuple([(m.factors, Fraction(n, den)) for m, n in self._terms.items()])
 
     def items(self) -> Iterable[tuple[_Flat, Fraction]]:
         """The (factors, reduced Fraction) pairs in no particular order."""
         den = self._den
-        return ((flat, Fraction(n, den)) for flat, n in self._terms.items())
+        return ((m.factors, Fraction(n, den)) for m, n in self._terms.items())
 
-    def monomials(self) -> KeysView[_Flat]:
+    def monomials(self) -> list[_Flat]:
         """The canonical factor tuples that occur, in no particular order."""
-        return self._terms.keys()
+        return [m.factors for m in self._terms]
 
-    def numerators(self) -> ItemsView[_Flat, int]:
+    def numerators(self) -> list[tuple[_Flat, int]]:
         """The (factors, int numerator) pairs over denominator(), in no order."""
-        return self._terms.items()
+        return [(m.factors, n) for m, n in self._terms.items()]
 
     def denominator(self) -> int:
         """The common denominator of the coefficients, coprime to their numerators."""
@@ -424,28 +609,23 @@ class GradedPolynomial:
 
     def variables(self) -> set[JetVariable]:
         """The jet variables that occur; coordinates are not variables."""
-        seen: set[_Factor] = set()
-        for flat in self._terms:
-            seen.update(flat)
-        seen.difference_update(_COORDINATES.values())
+        seen: set[JetVariable] = set()
+        for m in self._terms:
+            seen.update(m.jets)
         return seen
 
     def base_variables(self) -> set[VariableId]:
         return {jv.var for jv in self.variables()}
 
     def max_jet_order(self) -> int:
-        orders = [jv.mi.order for jv in self.variables()]
-        return max(orders, default=0)
+        return max([0, *[m.top for m in self._terms]])
 
     def parity(self) -> Parity | None:
         """EVEN/ODD for homogeneous polynomials, None for mixed; zero is even."""
-        seen: set[Parity] = set()
-        for flat in self._terms:
-            odd = sum(1 for f in flat if f.odd)
-            seen.add(Parity(odd % 2))
-            if len(seen) > 1:
-                return None
-        return seen.pop() if seen else Parity.EVEN
+        seen = {m.odd & 1 for m in self._terms}
+        if len(seen) > 1:
+            return None
+        return Parity(seen.pop()) if seen else Parity.EVEN
 
     # -- graded partials -----------------------------------------------------
 
@@ -467,26 +647,61 @@ class GradedPolynomial:
             object.__setattr__(self, "_right", out)
             return out
 
+    # -- total derivatives ---------------------------------------------------
+
+    def derivative(self, direction: int) -> "GradedPolynomial":
+        """The total derivative d_direction of this polynomial.
+
+        Each monomial contributes its memoized image along direction (see
+        _derive_flat): its x^direction factors dropped once each, and each
+        jet factor raised in place with the Koszul sign of the odd factors
+        it passes.  The result keeps the denominator; only the numerators
+        are added.
+
+        The jet-order bound is checked once per call, on the highest raised
+        order, before any image is read, so the error names the same order
+        whatever order the terms come in, and a remembered image never
+        lets a raise past a bound lowered since.
+        """
+        terms = self._terms
+        top = max([m.top for m in terms], default=-1)
+        if top >= 0:
+            check_jet_order(top + 1)
+        acc: dict[Monomial, int] = {}
+        for m, s in terms.items():
+            image = m._memo.get(direction)
+            if image is None:
+                image = m.image(direction)
+            for c, r in image:
+                n = c * s
+                cur = acc.get(r)
+                acc[r] = n if cur is None else cur + n
+        return GradedPolynomial._from_terms(acc, self._den)
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         return gp_sum((self, other))
 
     def __neg__(self) -> "GradedPolynomial":
-        return GradedPolynomial.from_accumulator(
-            {flat: -n for flat, n in self._terms.items()}, self._den
+        return GradedPolynomial._from_terms(
+            {m: -n for m, n in self._terms.items()}, self._den
         )
 
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         return gp_sum((self,), (other,))
 
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        acc: dict[_Flat, int] = {}
+        acc: dict[Monomial, int] = {}
         right = other._terms.items()
-        for fa, na in self._terms.items():
-            for fb, nb in right:
-                sign, merged = _merge_flat(fa, fb)
-                if merged is None:
+        for ma, na in self._terms.items():
+            products = ma._memo
+            for mb, nb in right:
+                hit = products.get(mb)
+                if hit is None:
+                    hit = ma.times(mb)
+                sign, merged = hit
+                if not sign:
                     continue
                 n = na * nb
                 cur = acc.get(merged)
@@ -494,7 +709,7 @@ class GradedPolynomial:
                     acc[merged] = -n if cur is None else cur - n
                 else:
                     acc[merged] = n if cur is None else cur + n
-        return GradedPolynomial.from_accumulator(acc, self._den * other._den)
+        return GradedPolynomial._from_terms(acc, self._den * other._den)
 
     def __pow__(self, exponent: int) -> "GradedPolynomial":
         if exponent < 0:
@@ -506,8 +721,8 @@ class GradedPolynomial:
 
     def scaled(self, q: Fraction | int) -> "GradedPolynomial":
         num = q.numerator
-        return GradedPolynomial.from_accumulator(
-            {flat: n * num for flat, n in self._terms.items()},
+        return GradedPolynomial._from_terms(
+            {m: n * num for m, n in self._terms.items()},
             self._den * q.denominator,
         )
 
@@ -540,17 +755,17 @@ def gp_sum(
     for p, _ in parts:
         if p._den != 1:
             den = lcm(den, p._den)
-    acc: dict[_Flat, int] = {}
+    acc: dict[Monomial, int] = {}
     for p, sign in parts:
-        m = sign * (den // p._den)
-        if m == 1 and not acc:
+        k = sign * (den // p._den)
+        if k == 1 and not acc:
             acc.update(p._terms)
             continue
-        for flat, n in p._terms.items():
-            n *= m
-            cur = acc.get(flat)
-            acc[flat] = n if cur is None else cur + n
-    return GradedPolynomial.from_accumulator(acc, den)
+        for m, n in p._terms.items():
+            n *= k
+            cur = acc.get(m)
+            acc[m] = n if cur is None else cur + n
+    return GradedPolynomial._from_terms(acc, den)
 
 
 def gp_normalize(
@@ -560,26 +775,26 @@ def gp_normalize(
 
     Each raw term is (coefficient, factor sequence) with factors in any order
     and with repeats spelled out; odd repeats annihilate the term.  Factors
-    are folded in one at a time through the product merge, so the sign and
-    the zero rule are exactly those of multiplication.
+    are folded in one at a time through the monomial product, so the sign
+    and the zero rule are exactly those of multiplication.
     """
-    merged: list[tuple[_Flat, Fraction | int]] = []
+    merged: list[tuple[Monomial, Fraction | int]] = []
     for coeff, factors in raw_terms:
-        sign, flat = 1, ()
+        sign, m = 1, _ONE
         for f in factors:
-            step, flat = _merge_flat(flat, (f,))
-            if flat is None:
+            step, m = m.times(Monomial((f,)))
+            if m is None:
                 break
             sign *= step
-        if flat is not None and coeff:
-            merged.append((flat, coeff if sign > 0 else -coeff))
+        if m is not None and coeff:
+            merged.append((m, coeff if sign > 0 else -coeff))
     den = lcm(*(q.denominator for _, q in merged))
-    acc: dict[_Flat, int] = {}
-    for flat, q in merged:
+    acc: dict[Monomial, int] = {}
+    for m, q in merged:
         n = q.numerator * (den // q.denominator)
-        cur = acc.get(flat)
-        acc[flat] = n if cur is None else cur + n
-    return GradedPolynomial.from_accumulator(acc, den)
+        cur = acc.get(m)
+        acc[m] = n if cur is None else cur + n
+    return GradedPolynomial._from_terms(acc, den)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from .graded_poly import (
     VariableId,
     gp_sum,
 )
-from .multiindex import MultiIndex, check_jet_order
+from .multiindex import MultiIndex
 
 TRIVIAL_TOPOLOGY_NOTE = (
     "exactness decided by vanishing variational derivatives;"
@@ -31,63 +31,8 @@ FIELD_INDEPENDENT_NOTE = (
 
 
 def total_derivative(p: GradedPolynomial, direction: int) -> GradedPolynomial:
-    """Apply the total derivative d_direction once.
-
-    Each factor x^direction of a term is dropped once, with the term's
-    coefficient; other coordinates stay.  Raising jet factor i of a
-    canonical term keeps the others in place: the raised factor only moves
-    right past the factors of its own variable with a smaller key, picking
-    up the sign of the odd factors it passes, and the term vanishes if an
-    odd raised factor lands on an equal one.  The result keeps p's
-    denominator; only its numerators are added.
-
-    The jet-order bound is checked once, on the highest raised order, so the
-    error names the same order whatever order the terms come in.
-    """
-    terms = p.numerators()
-    top = max(
-        (
-            len(f.mi.entries)
-            for flat, _ in terms
-            for f in flat
-            if f.__class__ is JetVariable
-        ),
-        default=-1,
-    )
-    if top >= 0:
-        check_jet_order(top + 1)
-    acc: dict[tuple, int] = {}
-    for flat, s in terms:
-        n = len(flat)
-        for i, f in enumerate(flat):
-            if f.__class__ is not JetVariable:
-                if f.k == direction:
-                    dropped = flat[:i] + flat[i + 1 :]
-                    cur = acc.get(dropped)
-                    acc[dropped] = s if cur is None else cur + s
-                continue
-            up = f._raised.get(direction)
-            if up is None:
-                up = f.raised(direction)
-            key = up.key
-            j = i + 1
-            passed = 0
-            while j < n and flat[j].key < key:
-                passed += flat[j].odd
-                j += 1
-            if up.odd:
-                if j < n and flat[j] is up:
-                    continue
-                negative = passed & 1
-            else:
-                negative = 0
-            raised = flat[:i] + flat[i + 1 : j] + (up,) + flat[j:]
-            cur = acc.get(raised)
-            if negative:
-                acc[raised] = -s if cur is None else cur - s
-            else:
-                acc[raised] = s if cur is None else cur + s
-    return GradedPolynomial.from_accumulator(acc, p.denominator())
+    """Apply the total derivative d_direction once (GradedPolynomial.derivative)."""
+    return p.derivative(direction)
 
 
 def total_derivative_multi(p: GradedPolynomial, mi: MultiIndex) -> GradedPolynomial:

@@ -19,6 +19,7 @@ from nkt.graded_poly import (
     gp_normalize,
     render_polynomial,
 )
+from nkt import config
 from nkt.errors import JetOrderError
 from nkt.jet_calculus import total_derivative
 from nkt.multiindex import MultiIndex
@@ -179,6 +180,7 @@ def test_cached_raise_still_checks_the_jet_order_bound(monkeypatch) -> None:
     j = jv(Y, 0, 0)
     up = j.raised(1)
     monkeypatch.setenv("NKT_MAX_JET_ORDER", "2")
+    config.reload()
     with pytest.raises(JetOrderError) as cached:
         j.raised(1)
     with pytest.raises(JetOrderError) as fresh:
@@ -187,6 +189,7 @@ def test_cached_raise_still_checks_the_jet_order_bound(monkeypatch) -> None:
         "jet order 3 exceeds the bound 2 (raise NKT_MAX_JET_ORDER to override)"
     )
     monkeypatch.delenv("NKT_MAX_JET_ORDER")
+    config.reload()
     assert j.raised(1) is up
 
 

@@ -14,7 +14,7 @@ from nkt.graded_poly import (
     Parity,
     gp_normalize,
 )
-from nkt import multiindex
+from nkt import config, multiindex
 from nkt.errors import JetOrderError
 from nkt.jet_calculus import (
     euler_lagrange,
@@ -124,6 +124,7 @@ def test_total_derivative_checks_the_jet_order_bound_once(monkeypatch) -> None:
     assert total_derivative(p, 0) == first
     assert len(reads) == 1
     monkeypatch.setenv("NKT_MAX_JET_ORDER", "2")
+    config.reload()
     with pytest.raises(JetOrderError) as err:
         total_derivative(p, 0)
     assert str(err.value) == (
@@ -132,9 +133,27 @@ def test_total_derivative_checks_the_jet_order_bound_once(monkeypatch) -> None:
     # jets already past a lowered bound: the highest raised order is named,
     # whatever order the terms were inserted in
     monkeypatch.setenv("NKT_MAX_JET_ORDER", "1")
+    config.reload()
     for q in (p, GradedPolynomial(dict(reversed(p.raw_terms())))):
         with pytest.raises(JetOrderError, match="^jet order 3 exceeds the bound 1 "):
             total_derivative(q, 0)
+
+
+def test_euler_lagrange_checks_the_jet_order_bound_with_warm_memos(monkeypatch) -> None:
+    # E_y of y_xx^2 c c_x is 2 d_x d_x (y_xx c c_x): its last raise reaches order 4
+    lag = v(Y, 0, 0) * v(Y, 0, 0) * v(C) * v(C, 0)
+    first = euler_lagrange(lag)  # fills the partials and every image memo
+    partials = lag.left_partials()
+    assert euler_lagrange(lag).components == first.components
+    assert lag.left_partials() is partials
+    monkeypatch.setenv("NKT_MAX_JET_ORDER", "3")
+    config.reload()
+    with pytest.raises(JetOrderError) as err:
+        euler_lagrange(lag)
+    assert str(err.value) == (
+        "jet order 4 exceeds the bound 3 (raise NKT_MAX_JET_ORDER to override)"
+    )
+    assert lag.left_partials() is partials
 
 
 def test_total_derivative_raises_in_place_with_the_koszul_sign() -> None:

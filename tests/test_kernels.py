@@ -11,6 +11,9 @@ coordinates became factors of the monomial: the oracles regroup each
 polynomial's coordinate factors into one, and expand their results back.
 The reference total derivative is the one used before factors were raised
 in place: it rebuilds every raised term and re-sorts it from scratch.
+The per-call merge and raise loop below are the product and total-derivative
+kernels used before monomials were interned and their products and images
+memoized: they merge and raise every term of every call afresh.
 The reference evaluator is the theory-file expression evaluator the package
 used before evaluation was memoized: it evaluates every node afresh for
 every index binding.  All stay here as the oracles the fast kernels must
@@ -30,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nkt import theory_dsl
+from nkt import graded_poly, theory_dsl
 from nkt.derivations import GeneralizedVectorField, prolong_apply
 from nkt.errors import NktError, SemanticError
 from nkt.graded_poly import (
@@ -38,12 +41,15 @@ from nkt.graded_poly import (
     GradedPolynomial,
     JetVariable,
     Kind,
+    Monomial,
     Parity,
     VariableId,
     _kind_rank,
     antifield_of,
+    clear_memos,
     gp_normalize,
     gp_sum,
+    memo_sizes,
     render_polynomial,
 )
 from nkt.jet_calculus import (
@@ -52,7 +58,7 @@ from nkt.jet_calculus import (
     partial_right,
     total_derivative,
 )
-from nkt.multiindex import EMPTY, MultiIndex
+from nkt.multiindex import EMPTY, MultiIndex, check_jet_order
 from nkt.randgen import jet_pool, random_polynomial, random_scalar
 from nkt.theory_dsl import (
     _COORD_RE,
@@ -203,6 +209,89 @@ def oracle_merge_flat(a, b):
         if u.parity is Parity.ODD and u == v:
             return 0, None
     return sign, tuple(out)
+
+
+def oracle_merge_interned(a, b):
+    """Merge two canonical factor tuples of interned factors, per call."""
+    out = []
+    sign = 1
+    odd_left = sum(1 for f in a if f.odd)
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if a[i].key <= b[j].key:
+            if a[i].odd:
+                odd_left -= 1
+            out.append(a[i])
+            i += 1
+        else:
+            if b[j].odd and (odd_left & 1):
+                sign = -sign
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    for u, v in zip(out, out[1:]):
+        if u is v and u.odd:
+            return 0, None
+    return sign, tuple(out)
+
+
+def oracle_product(p: GradedPolynomial, q: GradedPolynomial) -> GradedPolynomial:
+    acc: dict = {}
+    for fa, na in p.numerators():
+        for fb, nb in q.numerators():
+            sign, merged = oracle_merge_interned(fa, fb)
+            if merged is not None:
+                acc[merged] = acc.get(merged, 0) + sign * na * nb
+    return GradedPolynomial.from_accumulator(acc, p.denominator() * q.denominator())
+
+
+def oracle_raise_in_place(p: GradedPolynomial, direction: int) -> GradedPolynomial:
+    """The total derivative, raising each factor of each term in place, per call."""
+    terms = p.numerators()
+    top = max(
+        (
+            len(f.mi.entries)
+            for flat, _ in terms
+            for f in flat
+            if f.__class__ is JetVariable
+        ),
+        default=-1,
+    )
+    if top >= 0:
+        check_jet_order(top + 1)
+    acc: dict[tuple, int] = {}
+    for flat, s in terms:
+        n = len(flat)
+        for i, f in enumerate(flat):
+            if f.__class__ is not JetVariable:
+                if f.k == direction:
+                    dropped = flat[:i] + flat[i + 1 :]
+                    cur = acc.get(dropped)
+                    acc[dropped] = s if cur is None else cur + s
+                continue
+            up = f._raised.get(direction)
+            if up is None:
+                up = f.raised(direction)
+            key = up.key
+            j = i + 1
+            passed = 0
+            while j < n and flat[j].key < key:
+                passed += flat[j].odd
+                j += 1
+            if up.odd:
+                if j < n and flat[j] is up:
+                    continue
+                negative = passed & 1
+            else:
+                negative = 0
+            raised = flat[:i] + flat[i + 1 : j] + (up,) + flat[j:]
+            cur = acc.get(raised)
+            if negative:
+                acc[raised] = -s if cur is None else cur - s
+            else:
+                acc[raised] = s if cur is None else cur + s
+    return GradedPolynomial.from_accumulator(acc, p.denominator())
 
 
 _Exps = tuple[tuple[int, int], ...]  # ((coordinate, exponent), ...) sorted
@@ -725,6 +814,106 @@ def test_total_derivative_matches_the_key_comparing_kernels(p, direction) -> Non
 @given(raw_term_lists())
 def test_gp_normalize_matches_the_key_comparing_kernels(raw) -> None:
     assert gp_normalize(raw).raw_terms() == oracle_normalize(raw)
+
+
+# -- memoized monomial kernels against the per-call ones -----------------------------
+
+
+@KERNEL_SETTINGS
+@given(graded_polynomials(), graded_polynomials(), st.integers(0, 2))
+def test_memoized_kernels_match_the_per_call_ones(p, q, direction) -> None:
+    for x, y in ((p, q), (q, p), (p, p)):
+        assert (x * y).raw_terms() == oracle_product(x, y).raw_terms()
+        for fa in x.monomials():
+            for fb in y.monomials():
+                sign, product = Monomial(fa).times(Monomial(fb))
+                want_sign, want = oracle_merge_interned(fa, fb)
+                assert sign == want_sign
+                assert (None if product is None else product.factors) == want
+    for x in (p, q, p * q):
+        got = total_derivative(x, direction)
+        assert got.raw_terms() == oracle_raise_in_place(x, direction).raw_terms()
+
+
+def kernel_outcomes(ps: list, raw: list, direction: int) -> list:
+    """Products, sums, derivatives, partials, EL and normal forms of fresh copies.
+
+    The copies are rebuilt from factor tuples, so they share the interned
+    monomials of ps but none of the per-polynomial caches.
+    """
+    ps = [GradedPolynomial(dict(p.items())) for p in ps]
+    results = [x * y for x in ps for y in ps]
+    results += [gp_sum(ps), ps[0] - ps[-1], gp_normalize(raw)]
+    for p in ps:
+        results += [total_derivative(p, d) for d in range(3)]
+        results.append(total_derivative(total_derivative(p, direction), direction))
+        for partials in (p.left_partials(), p.right_partials()):
+            results += [partials[jv] for jv in sorted(partials)]
+        el = euler_lagrange(p).components
+        results += [el[var] for var in sorted(el, key=lambda var: var.rank)]
+    return [(r.raw_terms(), render_polynomial(r, 3), hash(r), r.parity()) for r in results]
+
+
+@KERNEL_SETTINGS
+@given(
+    st.lists(graded_polynomials(), min_size=1, max_size=3),
+    raw_term_lists(),
+    st.integers(0, 2),
+)
+def test_results_do_not_depend_on_the_memos(ps, raw, direction) -> None:
+    clear_memos()
+    cold = kernel_outcomes(ps, raw, direction)
+    assert kernel_outcomes(ps, raw, direction) == cold
+    with pytest.MonkeyPatch.context() as mp:
+        # a cap this small clears every memo many times within one kernel call
+        mp.setattr(graded_poly, "MEMO_CAP", 5)
+        assert kernel_outcomes(ps, raw, direction) == cold
+    clear_memos()
+    assert kernel_outcomes(ps, raw, direction) == cold
+
+
+def memo_entries() -> int:
+    sizes = memo_sizes()
+    return sizes["products"] + sizes["images"] + sizes["partials"]
+
+
+def test_memos_stay_within_their_cap(monkeypatch) -> None:
+    cap = 40
+    monkeypatch.setattr(graded_poly, "MEMO_CAP", cap)
+    clear_memos()
+    flushes = []
+    monkeypatch.setattr(graded_poly, "clear_memos", lambda: flushes.append(1) or clear_memos())
+    rng = random.Random(7)
+    variables = _variables(2, 2, True, True)
+    pool = jet_pool(variables, 2, 2)
+    before = [random_polynomial(rng, variables, 2, max_order=2, max_terms=4) for _ in range(6)]
+    built = [x * y for x in before for y in before] + [total_derivative(x, 1) for x in before]
+    digests = [(hash(x), x.raw_terms()) for x in built]
+    for i in range(300):
+        # fresh products and derivatives: factors drawn from 42 jets
+        x = gp_normalize([(1, rng.sample(pool, 3)), (Fraction(1, 2), rng.sample(pool, 2))])
+        y = gp_normalize([(2, rng.sample(pool, 3))])
+        for _ in (x * y, total_derivative(x, rng.randint(0, 1)), *x.left_partials().values()):
+            assert len(graded_poly._MEMOIZED) <= cap
+        if i % 30 == 0:
+            assert memo_entries() == len(graded_poly._MEMOIZED)
+    assert len(flushes) > 50
+    # built before all those flushes, the same polynomials rebuilt after them
+    # are equal, hash the same and list the same terms
+    again = [x * y for x in before for y in before] + [total_derivative(x, 1) for x in before]
+    assert again == built
+    assert [(hash(x), x.raw_terms()) for x in again] == digests
+
+
+def test_clear_memos_keeps_the_monomials() -> None:
+    y = JetVariable(VariableId(Kind.FIELD, "y", (), Parity.EVEN))
+    p = GradedPolynomial({(y,): 1})
+    square = p * p
+    m = Monomial((y, y))
+    clear_memos()
+    assert memo_entries() == 0
+    assert Monomial((y, y)) is m
+    assert p * p == square and hash(p * p) == hash(square)
 
 
 # -- expression evaluation against the oracle ---------------------------------------

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from nkt import config
 from nkt.errors import JetOrderError
 from nkt.multiindex import EMPTY, MultiIndex, binom, mi_enumerate, split_weight
 
@@ -106,10 +107,22 @@ def test_order_cap_enforced() -> None:
 
 def test_order_cap_env_override(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.setenv("NKT_MAX_JET_ORDER", "10")
+    config.reload()
     assert MultiIndex((0,) * 10).order == 10
     monkeypatch.setenv("NKT_MAX_JET_ORDER", "not-a-number")
+    config.reload()
     with pytest.raises(JetOrderError):
         MultiIndex((0,) * 9)
+
+
+def test_the_bound_is_read_once_until_reloaded(monkeypatch: pytest.MonkeyPatch) -> None:
+    bound = config.max_jet_order()
+    monkeypatch.setenv("NKT_MAX_JET_ORDER", "3")
+    assert config.max_jet_order() == bound
+    config.reload()
+    assert config.max_jet_order() == 3
+    with pytest.raises(JetOrderError):
+        MultiIndex((0,) * 4)
 
 
 def test_remove_one() -> None:

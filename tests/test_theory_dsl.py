@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from nkt import config
 from nkt.errors import ParseError, SemanticError
 from nkt.graded_poly import (
     Coordinate,
@@ -201,6 +202,7 @@ class TestExpressions:
 
     def test_jet_order_limit_is_a_semantic_error(self, monkeypatch):
         monkeypatch.setenv("NKT_MAX_JET_ORDER", "2")
+        config.reload()
         t = parse_theory(SCALAR)
         assert not parse_expression("d(y;x,x)", t).is_zero()
         with pytest.raises(SemanticError):
