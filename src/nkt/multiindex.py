@@ -84,11 +84,16 @@ class MultiIndex:
 EMPTY = MultiIndex()
 
 
+_ENUMERATIONS: dict[tuple[int, int], tuple[MultiIndex, ...]] = {}
+
+
 def mi_enumerate(n: int, up_to_order: int) -> list[MultiIndex]:
     """All distinct multi-indices over n directions with order <= up_to_order.
 
     Ordered by (order, entries), which is the canonical enumeration order
-    used everywhere coefficients are listed.
+    used everywhere coefficients are listed.  Each (n, up_to_order) is
+    enumerated once per process; the jet-order bound is checked on every
+    call, and every call gets a fresh list.
     """
     if n < 1:
         raise ValueError("base dimension must be at least 1")
@@ -96,11 +101,14 @@ def mi_enumerate(n: int, up_to_order: int) -> list[MultiIndex]:
         raise JetOrderError(
             f"requested order {up_to_order} exceeds the bound {max_jet_order()}"
         )
-    out: list[MultiIndex] = []
-    for k in range(up_to_order + 1):
-        for combo in combinations_with_replacement(range(n), k):
-            out.append(MultiIndex(combo))
-    return out
+    known = _ENUMERATIONS.get((n, up_to_order))
+    if known is None:
+        known = _ENUMERATIONS[(n, up_to_order)] = tuple(
+            MultiIndex(combo)
+            for k in range(up_to_order + 1)
+            for combo in combinations_with_replacement(range(n), k)
+        )
+    return list(known)
 
 
 def binom(a: int, b: int) -> int:

@@ -27,14 +27,18 @@ expands one declared line into one line per index combination; the bound
 names are visible in the entry's expression.
 
 Each statement's expression (the Lagrangian, a witness, a block entry under
-all its bindings) evaluates each node once per binding of the index names
-it uses.  A sum whose body is a * chain with a constant factor that reads
-the sum's index, such as g[m,al] in sum(al, 0..3, g[m,al]*...), binds only
-the index values where that factor has a nonzero stored entry.  It does so
-only after a range proof over the statement's literal sum and binder
-ranges shows that evaluating it cannot raise; a skipped binding adds
-exactly zero, so values stay the same.  When the proof fails, every sum
-binds every value in order, so each error keeps its message and span.
+all its bindings) is analysed once, then evaluated.  One pass records for
+each node the index names it reads, whether a range proof over the sum and
+binder ranges shows it cannot raise, whether it is a rational constant, the
+constant factors that can zero a sum over it, and bounds on its term count
+and expansion work; a statement whose bounded work passes
+MAX_EXPANSION_WORK is refused there.  The evaluator built from these facts
+evaluates each node once per binding of the names it reads, shares values
+between nodes equal up to a renaming of bound names, and scales by
+constants.  A sum whose body cannot raise binds only the index values where
+a constant factor reading the index, such as g[m,al] in
+sum(al, 0..3, g[m,al]*...), has a nonzero entry; every other sum binds every
+value in order, so each error keeps its message and span.
 """
 
 from __future__ import annotations
@@ -43,8 +47,10 @@ import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import permutations, product as iter_product
+from math import comb, prod
+from operator import add, mul, sub
+from typing import Callable, NamedTuple
 
-from .config import max_jet_order
 from .derivations import GeneralizedVectorField
 from .errors import JetOrderError, ParseError, SemanticError, SourceSpan
 from .graded_poly import (
@@ -56,7 +62,6 @@ from .graded_poly import (
     VariableId,
     antifield_of,
     base_of_antifield,
-    coordinate_token,
     gp_sum,
     render_polynomial,
 )
@@ -68,6 +73,9 @@ MAX_DIM = 9
 MAX_COMPONENTS = 512
 MAX_EXPONENT = 64
 MAX_SUM_SPAN = 512
+# bound on one statement's expansion steps, from its sum spans, binder
+# ranges, term counts and exponents, checked before it is evaluated
+MAX_EXPANSION_WORK = 1_000_000
 MAX_STAGE = 32
 _MAX_DEPTH = 64
 
@@ -394,107 +402,102 @@ def _check_operator(theory: Theory, name: str, op: LinearJetOperator) -> None:
 # tokens
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # name | int | punct | dotdot | newline
-    text: str
-    span: SourceSpan
-
-
+# Blanks and comments before a token are consumed with it, `bad` catches any
+# other character and `end` the end of the text: every match succeeds
+# without backtracking, and every character is matched in order.
 _TOKEN_RE = re.compile(
-    r"(?P<comment>#[^\n]*)"
-    r"|(?P<newline>\n)"
-    r"|(?P<ws>[ \t\r]+)"
+    r"(?:[ \t\r]|#[^\n]*)*(?:"
+    r"(?P<newline>\n)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<int>\d+)"
     r"|(?P<dotdot>\.\.)"
     r"|(?P<punct>[()\[\]{},;:=~*+\-^/])"
+    r"|(?P<bad>.)"
+    r"|(?P<end>\Z))"
 )
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
+def _statements(text: str) -> list[list[tuple]]:
+    """Tokenize text into statements; newlines inside (..) or [..] continue.
+
+    A token is the tuple (kind, text, line, column, start), kind one of
+    name, int, dotdot and punct; _span makes its SourceSpan when a node or
+    an error needs one.
+    """
+    out: list[list[tuple]] = []
+    current: list[tuple] = []
+    depth = 0
     line = 1
     line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            span = SourceSpan(line, pos - line_start + 1, pos, pos + 1)
-            raise ParseError(f"unexpected character {text[pos]!r}", span)
-        kind = m.lastgroup or ""
-        tok_text = m.group()
-        span = SourceSpan(line, m.start() - line_start + 1, m.start(), m.end())
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "end":
+            break
+        start = m.start(kind)
         if kind == "newline":
-            tokens.append(_Token("newline", tok_text, span))
-            line += 1
-            line_start = m.end()
-        elif kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, tok_text, span))
-        pos = m.end()
-    tokens.append(_Token("newline", "\n", SourceSpan(line, 1, pos, pos)))
-    return tokens
-
-
-def _statements(tokens: list[_Token]) -> list[list[_Token]]:
-    """Group tokens into statements; newlines inside (..) or [..] continue."""
-    out: list[list[_Token]] = []
-    current: list[_Token] = []
-    depth = 0
-    for tok in tokens:
-        if tok.kind == "punct" and tok.text in "([":
-            depth += 1
-        elif tok.kind == "punct" and tok.text in ")]":
-            depth = max(0, depth - 1)
-        if tok.kind == "newline":
-            if depth == 0:
-                if current:
-                    out.append(current)
+            if depth == 0 and current:
+                out.append(current)
                 current = []
+            line += 1
+            line_start = start + 1
             continue
-        current.append(tok)
+        if kind == "bad":
+            span = SourceSpan(line, start - line_start + 1, start, start + 1)
+            raise ParseError(f"unexpected character {text[start]!r}", span)
+        tok_text = m.group(kind)
+        if kind == "punct":
+            if tok_text in "([":
+                depth += 1
+            elif tok_text in ")]":
+                depth = max(0, depth - 1)
+        current.append((kind, tok_text, line, start - line_start + 1, start))
     if current:
         out.append(current)
     return out
 
 
+def _span(tok: tuple) -> SourceSpan:
+    _, text, line, column, start = tok
+    return SourceSpan(line, column, start, start + len(text))
+
+
 class _Stmt:
     """Cursor over one statement's tokens."""
 
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.pos = 0
-        self.sums: list[_Sum] = []  # every sum parsed from these tokens
 
-    def peek(self) -> _Token | None:
+    def peek(self) -> tuple | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def span(self) -> SourceSpan:
-        tok = self.peek() or self.tokens[-1]
-        return tok.span
+    def peek_text(self) -> str | None:
+        return self.tokens[self.pos][1] if self.pos < len(self.tokens) else None
 
-    def take(self) -> _Token:
+    def span(self) -> SourceSpan:
+        return _span(self.peek() or self.tokens[-1])
+
+    def take(self) -> tuple:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of line", self.tokens[-1].span)
+            raise ParseError("unexpected end of line", _span(self.tokens[-1]))
         self.pos += 1
         return tok
 
-    def expect_name(self, what: str = "a name") -> _Token:
+    def expect_name(self, what: str = "a name") -> tuple:
         tok = self.take()
-        if tok.kind != "name":
-            raise ParseError(f"expected {what}, got {tok.text!r}", tok.span)
+        if tok[0] != "name":
+            raise ParseError(f"expected {what}, got {tok[1]!r}", _span(tok))
         return tok
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> tuple:
         tok = self.take()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, got {tok.text!r}", tok.span)
+        if tok[1] != text:
+            raise ParseError(f"expected {text!r}, got {tok[1]!r}", _span(tok))
         return tok
 
     def accept(self, text: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok.text == text:
+        if self.peek_text() == text:
             self.pos += 1
             return True
         return False
@@ -502,14 +505,19 @@ class _Stmt:
     def expect_int(self) -> int:
         neg = self.accept("-")
         tok = self.take()
-        if tok.kind != "int":
-            raise ParseError(f"expected an integer, got {tok.text!r}", tok.span)
-        return -int(tok.text) if neg else int(tok.text)
+        if tok[0] != "int":
+            raise ParseError(f"expected an integer, got {tok[1]!r}", _span(tok))
+        return -int(tok[1]) if neg else int(tok[1])
+
+    def expect_range(self) -> tuple[int, int]:
+        lo = self.expect_int()
+        self.expect("..")
+        return lo, self.expect_int()
 
     def expect_end(self) -> None:
         tok = self.peek()
         if tok is not None:
-            raise ParseError(f"unexpected trailing {tok.text!r}", tok.span)
+            raise ParseError(f"unexpected trailing {tok[1]!r}", _span(tok))
 
     def expect_fraction(self) -> Fraction:
         num = self.expect_int()
@@ -525,13 +533,13 @@ class _Stmt:
 # expression AST
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class _Num:
     value: Fraction
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class _Ref:
     name: str
     args: tuple["int | str", ...]
@@ -540,7 +548,7 @@ class _Ref:
     explicit_args: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class _BracketJet:
     name: str
     anti: bool
@@ -549,14 +557,14 @@ class _BracketJet:
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class _D:
     base: object
     dirs: tuple["int | str", ...]
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class _Sum:
     index: str
     lo: int
@@ -565,14 +573,14 @@ class _Sum:
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class _Unary:
     op: str
     operand: object
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class _Binary:
     op: str
     left: object
@@ -580,7 +588,7 @@ class _Binary:
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class _Pow:
     base: object
     exponent: int
@@ -591,60 +599,62 @@ def _parse_index_arg(st: _Stmt) -> "int | str":
     tok = st.peek()
     if tok is None:
         raise ParseError("unexpected end of index list", st.span())
-    if tok.kind == "name":
+    if tok[0] == "name":
         st.take()
-        return tok.text
+        return tok[1]
     return st.expect_int()
+
+
+def _parse_index_list(st: _Stmt, *closers: str) -> list["int | str"]:
+    """Comma separated index arguments, none if a closer comes first."""
+    args: list[int | str] = []
+    if st.peek_text() not in (*closers, None):
+        args.append(_parse_index_arg(st))
+        while st.accept(","):
+            args.append(_parse_index_arg(st))
+    return args
 
 
 def _parse_expr(st: _Stmt, depth: int = 0) -> object:
     if depth > _MAX_DEPTH:
         raise ParseError("expression nested too deeply", st.span())
     node = _parse_term(st, depth + 1)
-    while True:
-        tok = st.peek()
-        if tok is not None and tok.text in ("+", "-"):
-            st.take()
-            right = _parse_term(st, depth + 1)
-            node = _Binary(tok.text, node, right, tok.span)
-        else:
-            return node
+    while st.peek_text() in ("+", "-"):
+        tok = st.take()
+        right = _parse_term(st, depth + 1)
+        node = _Binary(tok[1], node, right, _span(tok))
+    return node
 
 
 def _parse_term(st: _Stmt, depth: int) -> object:
     if depth > _MAX_DEPTH:
         raise ParseError("expression nested too deeply", st.span())
     node = _parse_unary(st, depth + 1)
-    while True:
-        tok = st.peek()
-        if tok is not None and tok.text == "*":
-            st.take()
-            node = _Binary("*", node, _parse_unary(st, depth + 1), tok.span)
-        else:
-            return node
+    while st.peek_text() == "*":
+        tok = st.take()
+        node = _Binary("*", node, _parse_unary(st, depth + 1), _span(tok))
+    return node
 
 
 def _parse_unary(st: _Stmt, depth: int) -> object:
     if depth > _MAX_DEPTH:
         raise ParseError("expression nested too deeply", st.span())
-    tok = st.peek()
-    if tok is not None and tok.text == "-":
-        st.take()
-        return _Unary("-", _parse_unary(st, depth + 1), tok.span)
+    if st.peek_text() == "-":
+        tok = st.take()
+        return _Unary("-", _parse_unary(st, depth + 1), _span(tok))
     return _parse_power(st, depth + 1)
 
 
 def _parse_power(st: _Stmt, depth: int) -> object:
     node = _parse_atom(st, depth + 1)
-    tok = st.peek()
-    if tok is not None and tok.text == "^":
-        st.take()
+    if st.peek_text() == "^":
+        tok = st.take()
         exp = st.expect_int()
         if exp < 0 or exp > MAX_EXPONENT:
             raise ParseError(
-                f"exponent must be between 0 and {MAX_EXPONENT}", tok.span
+                f"exponent must be between 0 and {MAX_EXPONENT}", _span(tok)
             )
-        return _Pow(node, exp, tok.span)
+        return _Pow(node, exp, _span(tok))
     return node
 
 
@@ -654,48 +664,39 @@ def _parse_atom(st: _Stmt, depth: int) -> object:
     tok = st.peek()
     if tok is None:
         raise ParseError("expected an expression", st.span())
-    if tok.kind == "int":
-        span = tok.span
-        return _Num(st.expect_fraction(), span)
-    if tok.text == "(":
+    kind, text = tok[0], tok[1]
+    if kind == "int":
+        return _Num(st.expect_fraction(), _span(tok))
+    if text == "(":
         st.take()
         node = _parse_expr(st, depth + 1)
         st.expect(")")
         return node
-    if tok.text == "~":
+    if text == "~":
         st.take()
         name = st.expect_name("a variable name")
         return _parse_ref_tail(st, name, anti=True)
-    if tok.kind == "name":
+    if kind == "name":
         st.take()
-        if tok.text == "d" and st.peek() is not None and st.peek().text == "(":
-            return _parse_d(st, tok.span, depth + 1)
-        if tok.text == "sum" and st.peek() is not None and st.peek().text == "(":
-            return _parse_sum(st, tok.span, depth + 1)
+        if text == "d" and st.peek_text() == "(":
+            return _parse_d(st, _span(tok), depth + 1)
+        if text == "sum" and st.peek_text() == "(":
+            return _parse_sum(st, _span(tok), depth + 1)
         return _parse_ref_tail(st, tok, anti=False)
-    raise ParseError(f"unexpected {tok.text!r} in expression", tok.span)
+    raise ParseError(f"unexpected {text!r} in expression", _span(tok))
 
 
-def _parse_ref_tail(st: _Stmt, name_tok: _Token, anti: bool) -> object:
+def _parse_ref_tail(st: _Stmt, name_tok: tuple, anti: bool) -> object:
+    name, span = name_tok[1], _span(name_tok)
     if not st.accept("["):
-        return _Ref(name_tok.text, (), anti, name_tok.span)
-    comps: list[int | str] = []
-    if st.peek() is not None and st.peek().text not in (";", "]"):
-        comps.append(_parse_index_arg(st))
-        while st.accept(","):
-            comps.append(_parse_index_arg(st))
+        return _Ref(name, (), anti, span)
+    comps = _parse_index_list(st, ";", "]")
     if st.accept(";"):
-        dirs: list[int | str] = []
-        if st.peek() is not None and st.peek().text != "]":
-            dirs.append(_parse_index_arg(st))
-            while st.accept(","):
-                dirs.append(_parse_index_arg(st))
+        dirs = _parse_index_list(st, "]")
         st.expect("]")
-        return _BracketJet(
-            name_tok.text, anti, tuple(comps), tuple(dirs), name_tok.span
-        )
+        return _BracketJet(name, anti, tuple(comps), tuple(dirs), span)
     st.expect("]")
-    return _Ref(name_tok.text, tuple(comps), anti, name_tok.span, explicit_args=True)
+    return _Ref(name, tuple(comps), anti, span, explicit_args=True)
 
 
 def _parse_d(st: _Stmt, span: SourceSpan, depth: int) -> object:
@@ -714,19 +715,15 @@ def _parse_d(st: _Stmt, span: SourceSpan, depth: int) -> object:
 
 def _parse_sum(st: _Stmt, span: SourceSpan, depth: int) -> object:
     st.expect("(")
-    index = st.expect_name("an index name").text
+    index = st.expect_name("an index name")[1]
     st.expect(",")
-    lo = st.expect_int()
-    st.expect("..")
-    hi = st.expect_int()
+    lo, hi = st.expect_range()
     st.expect(",")
     body = _parse_expr(st, depth + 1)
     st.expect(")")
     if hi - lo + 1 > MAX_SUM_SPAN:
         raise ParseError(f"sum range wider than {MAX_SUM_SPAN}", span)
-    node = _Sum(index, lo, hi, body, span)
-    st.sums.append(node)
-    return node
+    return _Sum(index, lo, hi, body, span)
 
 
 # ---------------------------------------------------------------------------
@@ -735,18 +732,12 @@ def _parse_sum(st: _Stmt, span: SourceSpan, depth: int) -> object:
 
 @dataclass
 class _Env:
+    """What references resolve against: declarations and index bindings."""
+
     dim: int
     variables: dict[str, VarDecl]
     constants: dict[str, ConstantTensor]
     bindings: dict[str, int]
-    # Values of evaluated nodes keyed by (id(node), values of the node's free
-    # names in bindings), and each node's free names keyed by id(node).  An env
-    # lives for one statement, whose AST keeps those ids from being reused.
-    memo: dict[tuple, GradedPolynomial] = dc_field(default_factory=dict)
-    free: dict[int, tuple[str, ...]] = dc_field(default_factory=dict)
-    # For the sums of a statement proven in range, keyed by id(node): one
-    # pair per constant factor that zeroes the body, see _zeroing_factors.
-    sparse: dict[int, tuple[tuple[dict, tuple], ...]] = dc_field(default_factory=dict)
 
 
 def _resolve_index(env: _Env, arg: "int | str", span: SourceSpan) -> int:
@@ -821,94 +812,14 @@ def _multi_index(entries: tuple[int, ...], span: SourceSpan) -> MultiIndex:
         raise SemanticError(str(exc), span) from None
 
 
-def _free_names(env: _Env, node: object) -> tuple[str, ...]:
-    """The names whose value in env.bindings can change what node evaluates to."""
-    names = env.free.get(id(node))
-    if names is not None:
-        return names
-    found: set[str] = set()
-    if isinstance(node, _Ref):
-        found.add(node.name)
-        found.update(a for a in node.args if isinstance(a, str))
-    elif isinstance(node, _BracketJet):
-        found.update(a for a in node.comps + node.dirs if isinstance(a, str))
-    elif isinstance(node, _D):
-        found.update(_free_names(env, node.base))
-        found.update(a for a in node.dirs if isinstance(a, str))
-    elif isinstance(node, _Sum):
-        found.update(_free_names(env, node.body))
-        found.discard(node.index)
-    elif isinstance(node, _Binary):
-        found.update(_free_names(env, node.left), _free_names(env, node.right))
-    elif isinstance(node, _Unary):
-        found.update(_free_names(env, node.operand))
-    elif isinstance(node, _Pow):
-        found.update(_free_names(env, node.base))
-    names = env.free[id(node)] = tuple(sorted(found))
-    return names
-
-
-def _eval(env: _Env, node: object) -> GradedPolynomial:
-    """Evaluate node once per binding of its free names within env's statement.
-
-    Only successful evaluations are kept, and evaluation order is unchanged
-    but for the bindings _sum_values skips, which add zero and cannot raise,
-    so every value and every error is what a fresh evaluation would give.
-    Without bindings a node lies outside every sum of a statement without
-    binders and is reached once, so it skips the memo, as literals do.
-    """
-    bindings = env.bindings
-    if not bindings or type(node) is _Num:
-        return _eval_node(env, node)
-    key = (id(node), *map(bindings.get, _free_names(env, node)))
-    value = env.memo.get(key)
-    if value is None:
-        value = env.memo[key] = _eval_node(env, node)
-    return value
-
-
-def _eval_node(env: _Env, node: object) -> GradedPolynomial:
-    if isinstance(node, _Num):
-        return GradedPolynomial.scalar(node.value)
-    if isinstance(node, _Unary):
-        return -_eval(env, node.operand)
-    if isinstance(node, _Binary):
-        left = _eval(env, node.left)
-        right = _eval(env, node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
-    if isinstance(node, _Pow):
-        return _eval(env, node.base) ** node.exponent
-    if isinstance(node, _Sum):
-        saved = env.bindings.get(node.index)
-        if node.index in env.variables or node.index in env.constants:
-            raise SemanticError(
-                f"sum index {node.index!r} shadows a declaration", node.span
-            )
-        parts: list[GradedPolynomial] = []
-        for value in _sum_values(env, node):
-            env.bindings[node.index] = value
-            parts.append(_eval(env, node.body))
-        total = gp_sum(parts)
-        if saved is None:
-            env.bindings.pop(node.index, None)
-        else:
-            env.bindings[node.index] = saved
-        return total
-    if isinstance(node, (_D, _BracketJet)):
+def _leaf(env: _Env, node: object) -> "GradedPolynomial | Fraction | int":
+    """The value of a reference or jet leaf; index values and constant
+    entries stay numbers.  Every leaf error is raised here."""
+    if not isinstance(node, _Ref):
         return GradedPolynomial.variable(_jet_of(env, node))
-    if isinstance(node, _Ref):
-        return _eval_ref(env, node)
-    raise SemanticError("malformed expression")
-
-
-def _eval_ref(env: _Env, node: _Ref) -> GradedPolynomial:
     if not node.anti and not node.explicit_args:
         if node.name in env.bindings:
-            return GradedPolynomial.scalar(Fraction(env.bindings[node.name]))
+            return env.bindings[node.name]
         if _COORD_RE.match(node.name):
             return GradedPolynomial.coordinate(
                 _coordinate_of(env, node.name, node.span)
@@ -917,7 +828,7 @@ def _eval_ref(env: _Env, node: _Ref) -> GradedPolynomial:
         const = env.constants[node.name]
         idx = tuple(_resolve_index(env, a, node.span) for a in node.args)
         try:
-            return GradedPolynomial.scalar(const.entry(idx))
+            return const.entry(idx)
         except SemanticError as exc:
             raise SemanticError(str(exc), node.span) from None
     if node.name in env.variables:
@@ -925,249 +836,357 @@ def _eval_ref(env: _Env, node: _Ref) -> GradedPolynomial:
     raise SemanticError(f"unknown name {node.name!r}", node.span)
 
 
-# ---------------------------------------------------------------------------
-# sparse contraction
+class _Facts(NamedTuple):
+    """What _analyse records about one node of a statement's expression."""
+
+    node: object
+    const: bool  # the value is a rational number, not a polynomial
+    safe: bool  # evaluating the node provably cannot raise
+    free: frozenset[str] = frozenset()  # the bound names the value depends on
+    kids: tuple["_Facts", ...] = ()
+    run: Callable[[], object] | None = None  # a leaf's evaluator
+    cheap: bool = False  # a leaf no dearer than a memo lookup
+    values: int = 1  # how many values the free names take together
+    terms: int = 1  # bound on the value's term count
+    own: int = 1  # bound on the expansion steps of one evaluation, kids aside
+    fanout: int = 1  # evaluations of each kid per evaluation
+    shape: tuple = ()  # prefix form, bound names as 1-tuples; inside sums only
+    # [number, nodes] of the shape up to renaming bound names, and the free
+    # names in memo key order
+    key: tuple[list, list[str]] | None = None
+    factors: tuple[_Ref, ...] = ()  # constant entries of the node's * chain
+    plan: tuple = ()  # a sum's zeroing factors, see _sum_run
 
 
-def _statement_env(
-    dim: int,
-    variables: dict[str, VarDecl],
-    constants: dict[str, ConstantTensor],
-    st: _Stmt,
-    ast: object,
-    binders: tuple[tuple[str, int, int], ...] = (),
-) -> _Env:
-    """A fresh env for ast, the expression of statement st, under binders.
+class _Statement:
+    """One statement's expression, evaluated at each binding of its binders.
 
-    When a sum of st multiplies its body by a constant factor and evaluating
-    ast provably cannot raise, the env lets that sum skip the bindings where
-    the factor is zero.  Statements without such a sum are not analysed.
+    _analyse visits each node once and records its facts; _compile builds
+    the evaluator from them, top down, knowing how often each node is
+    reached.  Memo entries live as long as this object.
     """
-    env = _Env(dim, variables, constants, {})
-    plans = {}
-    for node in st.sums:
-        factors = _zeroing_factors(constants, node.body, node.index, ())
-        if factors:
-            plans[id(node)] = factors
-    if plans and _cannot_raise(env, ast, {b: (lo, hi) for b, lo, hi in binders}):
-        env.sparse = plans
-    return env
+
+    def __init__(self, ast: object, dim: int, variables: dict[str, VarDecl],
+                 constants: dict[str, ConstantTensor], binders: tuple = ()):
+        self.env = _Env(dim, variables, constants, {})
+        self.memo: dict[tuple, object] = {}
+        self.shapes: dict[tuple, list] = {}
+        facts = _analyse(self, ast, {name: (lo, hi) for name, lo, hi in binders})
+        # the root is reached once per binding
+        self.work = visits = prod(hi - lo + 1 for _, lo, hi in binders)
+        self.const = facts.const
+        self.run = _compile(self, facts, visits)
+
+    def __call__(self, bindings: dict[str, int]) -> GradedPolynomial:
+        # every call binds the same names, and sums unbind their own
+        self.env.bindings.update(bindings)
+        value = self.run()
+        return GradedPolynomial.scalar(value) if self.const else value
 
 
-def _zeroing_factors(
-    constants: dict[str, ConstantTensor],
-    node: object,
-    index: str,
-    inner: tuple[str, ...],
-) -> tuple[tuple[dict, tuple], ...]:
-    """Constant factors of node's * chain whose zero entry makes node zero.
+_CAP = MAX_EXPANSION_WORK + 1  # bounds past the budget are all alike
 
-    The chain is followed into nested sums, whose indices go to inner; a
-    factor counts when its arguments read index and otherwise only literals
-    and names bound outside the sum of index.  A sum over index itself
-    shadows it.  Each factor is given as its other arguments and a map from
-    their values to the set of index values with a nonzero stored entry.
-    """
-    if isinstance(node, _Binary):
-        if node.op != "*":
-            return ()
-        return _zeroing_factors(constants, node.left, index, inner) + _zeroing_factors(
-            constants, node.right, index, inner
+
+def _analyse(
+    stmt: _Statement, node: object, scope: dict[str, tuple[int, int]]
+) -> _Facts:
+    """The facts of node, evaluated with each name of scope bound within
+    its interval; one visit per node."""
+    kind = type(node)
+    if kind is _Num:
+        value = node.value
+        shape = ("n", value.numerator, value.denominator)
+        return _Facts(node, True, True, run=lambda: value, cheap=True, shape=shape)
+    if kind is _Ref or kind is _BracketJet or kind is _D:
+        facts = _analyse_leaf(stmt, node, scope)
+    elif kind is _Sum:
+        facts = _analyse_sum(stmt, node, scope)
+    elif kind is _Binary:
+        left = _analyse(stmt, node.left, scope)
+        right = _analyse(stmt, node.right, scope)
+        product = node.op == "*"
+        terms = left.terms * right.terms if product else left.terms + right.terms
+        terms = min(terms, _CAP)
+        facts = _Facts(
+            node, left.const and right.const, left.safe and right.safe,
+            left.free | right.free, (left, right), terms=terms, own=terms,
+            shape=(node.op,) + left.shape + right.shape if scope else (),
+            factors=left.factors + right.factors if product else (),
         )
-    if isinstance(node, _Sum):
-        if node.index == index:
-            return ()
-        return _zeroing_factors(constants, node.body, index, inner + (node.index,))
-    if (
-        isinstance(node, _Ref)
-        and node.explicit_args
-        and not node.anti
-        and node.name in constants
-        and index in node.args
-        and not any(a in inner for a in node.args)
-    ):
-        args = node.args
+    elif kind is _Unary or kind is _Pow:
+        arg = _analyse(stmt, node.operand if kind is _Unary else node.base, scope)
+        t, k = arg.terms, (node.exponent if kind is _Pow else -1)  # -1: negation
+        if k > 0:
+            # (t terms)^k has at most C(t+k-1, k) terms; building it by k
+            # products takes t times the terms of the powers below k
+            terms, own = comb(t + k - 1, k), t * comb(t + k - 1, k - 1)
+        else:
+            terms = own = 1 if k == 0 else t
+        facts = _Facts(
+            node, arg.const, arg.safe, arg.free, (arg,), terms=min(terms, _CAP),
+            own=min(own, _CAP), shape=("^", k) + arg.shape if scope else (),
+        )
+    else:
+        raise SemanticError("malformed expression", getattr(node, "span", None))
+    if not scope or facts.cheap:
+        return facts
+    values = prod(max(0, scope[n][1] - scope[n][0] + 1) for n in facts.free)
+    # bound names are numbered by first occurrence: the free ones, in that
+    # order, line up in the memo keys of nodes of one shape; a closed node
+    # has one value, so its own number keys it
+    numbers: dict[str, int] = {}
+    canon = tuple([
+        (numbers.setdefault(t[0], len(numbers)),) if type(t) is tuple else t
+        for t in facts.shape
+    ]) if facts.free else ("closed", id(node))
+    entry = stmt.shapes.setdefault(canon, [len(stmt.shapes), 0])
+    entry[1] += 1
+    names = [n for n in numbers if n in facts.free]
+    return facts._replace(values=values, key=(entry, names))
+
+
+def _analyse_sum(
+    stmt: _Statement, node: _Sum, scope: dict[str, tuple[int, int]]
+) -> _Facts:
+    """A sum whose body cannot raise gets a plan: for each constant factor
+    reading the index, a map from its other arguments' values to the index
+    values with a nonzero stored entry."""
+    index, env = node.index, stmt.env
+    body = _analyse(stmt, node.body, {**scope, index: (node.lo, node.hi)})
+    safe = body.safe and index not in env.variables and index not in env.constants
+    plan = []
+    for ref in body.factors if safe else ():
+        args = ref.args
+        if index not in args:
+            continue
         nonzero: dict[tuple, set[int]] = {}
-        for key, value in constants[node.name].entries.items():
+        for key, value in env.constants[ref.name].entries.items():
             if not value or len(key) != len(args):
                 continue
             hits = {k for k, a in zip(key, args) if a == index}
             if len(hits) == 1:
                 rest = tuple(k for k, a in zip(key, args) if a != index)
                 nonzero.setdefault(rest, set()).update(hits)
-        return ((nonzero, tuple(a for a in args if a != index)),)
-    return ()
+        plan.append((nonzero, [(a, isinstance(a, str)) for a in args if a != index]))
+    # a plan factor binds at most its most entries for any other arguments
+    fanout = min(
+        [max(0, node.hi - node.lo + 1)]
+        + [max(map(len, nonzero.values()), default=0) for nonzero, _ in plan]
+    )
+    return _Facts(
+        node, body.const, safe, body.free - {index}, (body,),
+        terms=min((fanout if index in body.free else 1) * body.terms, _CAP),
+        own=min(fanout * body.terms, _CAP), fanout=fanout,
+        shape=("s", (index,), node.lo, node.hi) + body.shape if scope else (),
+        factors=tuple(f for f in body.factors if index not in f.args),
+        plan=tuple(plan),
+    )
 
 
-def _sum_values(env: _Env, node: _Sum) -> "range | list[int]":
-    """The values of node's index to bind, in order.
-
-    A sum with zeroing factors skips each value where one of them has no
-    nonzero stored entry: the statement is proven in range, so that binding
-    would have added exactly zero and raised nothing.
-    """
-    values = range(node.lo, node.hi + 1)
-    factors = env.sparse.get(id(node))
-    if factors is None:
-        return values
-    bindings = env.bindings
-    for nonzero, rest in factors:
-        key = tuple(bindings[a] if isinstance(a, str) else a for a in rest)
-        hits = nonzero.get(key, ())
-        values = [value for value in values if value in hits]
-    return values
-
-
-def _cannot_raise(
-    env: _Env, node: object, scope: dict[str, tuple[int, int]]
-) -> bool:
-    """Whether evaluating node cannot raise while each name in scope is bound
-    within its interval.
-
-    The checks are those of _eval_node, on intervals in place of values;
-    names outside scope are unbound.
-    """
-    if isinstance(node, _Num):
-        return True
-    if isinstance(node, _Unary):
-        return _cannot_raise(env, node.operand, scope)
-    if isinstance(node, _Pow):
-        return _cannot_raise(env, node.base, scope)
-    if isinstance(node, _Binary):
-        return _cannot_raise(env, node.left, scope) and _cannot_raise(
-            env, node.right, scope
-        )
-    if isinstance(node, _Sum):
-        if node.index in env.variables or node.index in env.constants:
-            return False
-        return _cannot_raise(env, node.body, {**scope, node.index: (node.lo, node.hi)})
-    if isinstance(node, _Ref) and not node.anti:
-        if not node.explicit_args and node.name in scope:
-            return True
-        if not node.explicit_args and _COORD_RE.match(node.name):
-            return _coordinate_in(env.dim, node.name)
-        if node.name in env.constants:
-            return _within(node.args, env.constants[node.name].ranges, scope)
-    order = _jet_order(env, node, scope)
-    return order is not None and order <= max_jet_order()
+def _analyse_leaf(
+    stmt: _Statement, node: object, scope: dict[str, tuple[int, int]]
+) -> _Facts:
+    """Leaves are evaluated by _leaf, which raises their errors.  A leaf
+    that reads no bound name has one outcome, found here: its value, or an
+    error raised again each time it is evaluated."""
+    env = stmt.env
+    b = env.bindings  # empty until the statement is evaluated
+    shape = _leaf_shape(node, scope) if scope else ()
+    free = frozenset(t[0] for t in shape if type(t) is tuple)
+    by_leaf = lambda: _leaf(env, node)
+    if not free:
+        try:
+            value = _leaf(env, node)
+        except SemanticError:
+            return _Facts(node, False, False, run=by_leaf, cheap=True, shape=shape)
+        const = type(value) is not GradedPolynomial
+        return _Facts(node, const, True, run=lambda: value, cheap=True, shape=shape)
+    plain = type(node) is _Ref and not node.anti
+    if plain and not node.explicit_args:  # a name in scope read as a value
+        return _Facts(node, True, True, free, run=lambda: b[node.name], cheap=True,
+                      shape=shape)
+    # each check of _leaf (of _jet_of, for a jet) holds one index or direction
+    # to an interval, so a leaf that passes them with its names at the low
+    # ends of their ranges, and with each in turn at its high end, passes at
+    # every binding between
+    const = env.constants.get(node.name) if plain else None
+    low = {n: scope[n][0] for n in free}
+    highs = [{**low, n: scope[n][1]} for n in free if scope[n][1] != low[n]]
+    safe = True
+    for point in [low, *highs]:
+        b.update(point)
+        try:
+            (_jet_of if const is None else _leaf)(env, node)
+        except SemanticError:
+            safe = False
+            break
+        finally:
+            b.clear()
+    if const is None:
+        return _Facts(node, False, safe, free, run=by_leaf, shape=shape)
+    entries, keys = const.entries, [(a, isinstance(a, str)) for a in node.args]
+    if safe:
+        by_leaf = lambda: entries.get(tuple([b[a] if k else a for a, k in keys]), 0)
+    return _Facts(node, True, safe, free, run=by_leaf, cheap=True, shape=shape,
+                  factors=(node,))
 
 
-def _jet_order(
-    env: _Env, node: object, scope: dict[str, tuple[int, int]]
-) -> int | None:
-    """The order of the jet _jet_of builds for node, or None if it may raise."""
+def _leaf_shape(node: object, scope: dict[str, tuple[int, int]]) -> tuple:
+    def token(arg: "int | str") -> object:
+        return (arg,) if arg in scope else arg
+
     if isinstance(node, _D):
-        inner = _jet_order(env, node.base, scope)
-        if inner is None or not all(_direction_in(env, d, scope) for d in node.dirs):
-            return None
-        return inner + len(node.dirs)
-    if not isinstance(node, (_Ref, _BracketJet)):
-        return None
-    decl = env.variables.get(node.name)
-    if decl is None:
-        return None
-    comps, dirs = (node.args, ()) if isinstance(node, _Ref) else (node.comps, node.dirs)
-    ranges = tuple((lo, hi) for _, lo, hi in decl.indices)
-    if not _within(comps, ranges, scope):
-        return None
-    if not all(_direction_in(env, d, scope) for d in dirs):
-        return None
-    return len(dirs)
+        dirs = node.dirs
+        return ("d", len(dirs), *map(token, dirs), *_leaf_shape(node.base, scope))
+    if isinstance(node, _BracketJet):
+        comps, dirs = node.comps, node.dirs
+        return ("j", node.name, node.anti, len(comps), *map(token, comps),
+                len(dirs), *map(token, dirs))
+    index = not node.anti and not node.explicit_args and node.name in scope
+    return ("r", (node.name,) if index else node.name, node.anti,
+            node.explicit_args, len(node.args), *map(token, node.args))
 
 
-def _within(
-    args: tuple["int | str", ...],
-    ranges: tuple[tuple[int, int], ...],
-    scope: dict[str, tuple[int, int]],
-) -> bool:
-    """Whether args resolve, one per range, to values inside their ranges."""
-    if len(args) != len(ranges):
-        return False
-    for arg, (lo, hi) in zip(args, ranges):
-        interval = scope.get(arg) if isinstance(arg, str) else (arg, arg)
-        if interval is None or not (lo <= interval[0] and interval[1] <= hi):
-            return False
-    return True
+def _compile(
+    stmt: _Statement, facts: _Facts, visits: int, shared: bool = False
+) -> Callable[[], object]:
+    """The evaluator of a node reached at most visits times.
+
+    The node is memoized, unless it is a leaf no dearer than a lookup, when
+    its free names take fewer values than visits, or when another node has
+    its shape and no ancestor, shared, does; so it is evaluated at most
+    min(visits, facts.values) times, and those evaluations' steps count
+    towards the statement's expansion work.  A raise is not remembered.
+    """
+    node = facts.node
+    evals = min(visits, facts.values)
+    stmt.work += evals * facts.own
+    if stmt.work > MAX_EXPANSION_WORK:
+        raise SemanticError(
+            f"expansion work budget of {MAX_EXPANSION_WORK} steps exceeded", node.span
+        )
+    twin = facts.key is not None and facts.key[0][1] > 1
+    runs = [
+        _compile(stmt, kid, evals * facts.fanout, shared or twin) for kid in facts.kids
+    ]
+    if facts.run is not None:
+        run = facts.run
+    elif type(node) is _Sum:
+        run = _sum_run(stmt, facts, *runs)
+    elif type(node) is _Binary:
+        # left first; a scalar times a polynomial is a scaling, and a
+        # scalar is lifted to a polynomial only to be added
+        (f, g), (left, right) = runs, facts.kids
+        fn = combine = _OPS[node.op]
+        lift = GradedPolynomial.scalar
+        if left.const != right.const and node.op == "*":
+            fn = (lambda q, p: p.scaled(q)) if left.const else GradedPolynomial.scaled
+        elif left.const != right.const:
+            fn = (lambda q, p: combine(lift(q), p)) if left.const else (
+                lambda p, q: combine(p, lift(q))
+            )
+        run = lambda: fn(f(), g())
+    elif type(node) is _Unary:
+        (f,) = runs
+        run = lambda: -f()
+    else:
+        (f,), k = runs, node.exponent
+        run = lambda: f() ** k
+    if facts.key is None or (facts.values >= visits and (shared or not twin)):
+        return run
+    (number, _), names = facts.key
+    memo, b = stmt.memo, stmt.env.bindings
+
+    def memoized() -> object:
+        key = (number, *[b[name] for name in names])
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = run()
+        return value
+
+    return memoized
 
 
-def _direction_in(
-    env: _Env, arg: "int | str", scope: dict[str, tuple[int, int]]
-) -> bool:
-    if isinstance(arg, str) and arg not in scope:
-        return _COORD_RE.match(arg) is not None and _coordinate_in(env.dim, arg)
-    return _within((arg,), ((0, env.dim - 1),), scope)
+_OPS = {"+": add, "-": sub, "*": mul}
 
 
-def _coordinate_in(dim: int, name: str) -> bool:
-    return dim == 1 if name == "x" else int(name[1:]) < dim
+def _sum_run(
+    stmt: _Statement, facts: _Facts, evaluate: Callable[[], object]
+) -> Callable[[], object]:
+    """Evaluate the body of a sum at each value of its index, in order,
+    skipping those where a factor of the plan has no nonzero stored entry:
+    the body cannot raise, so they would add exactly zero and nothing else.
+    """
+    node, b = facts.node, stmt.env.bindings
+    index, span, plan = node.index, node.span, facts.plan
+    if index in stmt.env.variables or index in stmt.env.constants:
+        def shadowing() -> object:
+            raise SemanticError(f"sum index {index!r} shadows a declaration", span)
+
+        return shadowing
+    values = range(node.lo, node.hi + 1)
+    total = sum if facts.const else gp_sum
+
+    def run() -> object:
+        saved = b.get(index)
+        todo = values
+        for nonzero, rest in plan:
+            hits = nonzero.get(tuple([b[a] if named else a for a, named in rest]), ())
+            todo = [v for v in todo if v in hits]
+        parts = []
+        for value in todo:
+            b[index] = value
+            parts.append(evaluate())
+        if saved is None:
+            b.pop(index, None)
+        else:
+            b[index] = saved
+        return parts[0] if len(parts) == 1 else total(parts)
+
+    return run
 
 
 # ---------------------------------------------------------------------------
 # statement parsing
 
 
-@dataclass(frozen=True)
-class _KeyRef:
-    """A block-entry reference that may carry fresh binder definitions."""
-
-    ref: _Ref
-    binders: tuple[tuple[str, int, int], ...]
-
-
-def _parse_key_ref(st: _Stmt) -> _KeyRef:
+def _parse_key_ref(st: _Stmt) -> tuple[_Ref, tuple[tuple[str, int, int], ...]]:
+    """A block-entry reference and the binders it defines, e.g. a[mu=0..3,2]."""
     name = st.expect_name("a variable name")
     args: list[int | str] = []
     binders: list[tuple[str, int, int]] = []
     explicit = False
     if st.accept("["):
         explicit = True
-        while st.peek() is not None and st.peek().text != "]":
+        while st.peek_text() not in ("]", None):
             tok = st.peek()
-            if tok.kind == "name":
+            if tok[0] == "name":
                 st.take()
+                args.append(tok[1])
                 if st.accept("="):
-                    lo = st.expect_int()
-                    st.expect("..")
-                    hi = st.expect_int()
+                    lo, hi = st.expect_range()
                     if hi - lo + 1 > MAX_SUM_SPAN or lo > hi:
-                        raise ParseError(f"bad binder range {lo}..{hi}", tok.span)
-                    binders.append((tok.text, lo, hi))
-                    args.append(tok.text)
-                else:
-                    args.append(tok.text)
+                        raise ParseError(f"bad binder range {lo}..{hi}", _span(tok))
+                    binders.append((tok[1], lo, hi))
             else:
                 args.append(st.expect_int())
             if not st.accept(","):
                 break
         st.expect("]")
-    ref = _Ref(name.text, tuple(args), False, name.span, explicit_args=explicit)
-    return _KeyRef(ref, tuple(binders))
+    ref = _Ref(name[1], tuple(args), False, _span(name), explicit_args=explicit)
+    return ref, tuple(binders)
 
 
 def _parse_mi_literal(st: _Stmt) -> tuple[tuple["int | str", ...], SourceSpan]:
-    span = st.expect("[").span
-    entries: list[int | str] = []
-    if st.peek() is not None and st.peek().text != "]":
-        entries.append(_parse_index_arg(st))
-        while st.accept(","):
-            entries.append(_parse_index_arg(st))
+    span = _span(st.expect("["))
+    entries = _parse_index_list(st, "]")
     st.expect("]")
     return tuple(entries), span
 
 
-def _binding_combinations(
-    binders: tuple[tuple[str, int, int], ...], span: SourceSpan
-) -> list[dict[str, int]]:
-    names = [b[0] for b in binders]
-    if len(set(names)) != len(names):
-        raise SemanticError("repeated binder name", span)
-    ranges = [range(lo, hi + 1) for _, lo, hi in binders]
-    return [dict(zip(names, combo)) for combo in iter_product(*ranges)]
-
-
 class _TheoryParser:
     def __init__(self, text: str):
-        self.statements = _statements(_tokenize(text))
+        self.statements = _statements(text)
         self.index = 0
         self.theory_name: str | None = None
         self.dim: int | None = None
@@ -1180,16 +1199,8 @@ class _TheoryParser:
 
     # -- helpers
 
-    def _env(
-        self,
-        st: _Stmt,
-        ast: object,
-        binders: tuple[tuple[str, int, int], ...] = (),
-    ) -> _Env:
-        assert self.dim is not None
-        return _statement_env(
-            self.dim, self.variables, self.constants, st, ast, binders
-        )
+    def _statement(self, ast: object, binders: tuple = ()) -> _Statement:
+        return _Statement(ast, self.dim, self.variables, self.constants, binders)
 
     def _next(self) -> _Stmt | None:
         if self.index >= len(self.statements):
@@ -1203,48 +1214,55 @@ class _TheoryParser:
             raise ParseError("dim must be declared first", span)
         return self.dim
 
-    def _fresh_name(self, tok: _Token, table: dict) -> str:
+    def _fresh_name(self, tok: tuple, table: dict) -> str:
         if table is self.variables or table is self.constants:
-            if tok.text in self.variables or tok.text in self.constants:
-                raise SemanticError(f"duplicate declaration of {tok.text}", tok.span)
-            if _is_reserved(tok.text):
-                raise SemanticError(f"{tok.text!r} is reserved", tok.span)
-        elif tok.text in table:
-            raise SemanticError(f"duplicate declaration of {tok.text}", tok.span)
-        return tok.text
+            if tok[1] in self.variables or tok[1] in self.constants:
+                raise SemanticError(f"duplicate declaration of {tok[1]}", _span(tok))
+            if _is_reserved(tok[1]):
+                raise SemanticError(f"{tok[1]!r} is reserved", _span(tok))
+        elif tok[1] in table:
+            raise SemanticError(f"duplicate declaration of {tok[1]}", _span(tok))
+        return tok[1]
 
     def _expand_entry(
         self,
         acc: dict[tuple, GradedPolynomial],
-        keys: tuple[_KeyRef, ...],
+        keys: tuple[tuple[_Ref, tuple[tuple[str, int, int], ...]], ...],
         mi: tuple[tuple["int | str", ...], SourceSpan] | None,
         st: _Stmt,
-        ast: object,
         binder_span: SourceSpan,
     ) -> None:
-        """Add one block entry, ast parsed from st, into acc at every binding
-        of its binders.
+        """Parse the rest of a block entry, ": expr", from st, and add it
+        into acc at every binding of its binders.
 
         The key is the resolved components of keys, followed by the resolved
         multi-index when mi (entries and span) is given; entries that land
         on the same key sum.  Binder errors are reported at binder_span.
         """
-        binders = tuple(b for key in keys for b in key.binders)
-        for label, _, _ in binders:
+        st.expect(":")
+        ast = _parse_expr(st)
+        st.expect_end()
+        binders = tuple(b for _, defined in keys for b in defined)
+        names = [name for name, _, _ in binders]
+        for label in names:
             if label in self.variables or label in self.constants:
                 raise SemanticError(
                     f"binder {label!r} shadows a declaration", binder_span
                 )
-        combinations = _binding_combinations(binders, binder_span)
-        env = self._env(st, ast, binders)
-        for bindings in combinations:
+        if len(set(names)) != len(names):
+            raise SemanticError("repeated binder name", binder_span)
+        stmt = self._statement(ast, binders)
+        env = _Env(self.dim, self.variables, self.constants, {})
+        ranges = [range(lo, hi + 1) for _, lo, hi in binders]
+        for values in iter_product(*ranges):
+            bindings = dict(zip(names, values))
             env.bindings = bindings
-            key = tuple(_resolve_component(env, k.ref) for k in keys)
+            key = tuple(_resolve_component(env, ref) for ref, _ in keys)
             if mi is not None:
                 entries, mi_span = mi
                 dirs = tuple(_resolve_direction(env, e, mi_span) for e in entries)
                 key += (_multi_index(dirs, mi_span),)
-            poly = _eval(env, ast)
+            poly = stmt(bindings)
             if key in acc:
                 poly = acc[key] + poly
             acc[key] = poly
@@ -1256,7 +1274,7 @@ class _TheoryParser:
         if st is None:
             raise ParseError("empty theory file")
         st.expect("theory")
-        self.theory_name = st.expect_name("the theory name").text
+        self.theory_name = st.expect_name("the theory name")[1]
         st.expect_end()
 
         st = self._next()
@@ -1270,20 +1288,20 @@ class _TheoryParser:
 
         while (st := self._next()) is not None:
             head = st.expect_name("a declaration keyword")
-            if head.text in ("field", "ghost"):
+            if head[1] in ("field", "ghost"):
                 self._parse_variable(st, head)
-            elif head.text == "constant":
+            elif head[1] == "constant":
                 self._parse_constant(st, head)
-            elif head.text == "lagrangian":
+            elif head[1] == "lagrangian":
                 self._parse_lagrangian(st, head)
-            elif head.text == "operator":
+            elif head[1] == "operator":
                 self._parse_operator(st)
-            elif head.text == "derivation":
+            elif head[1] == "derivation":
                 self._parse_derivation(st)
-            elif head.text == "certificate":
+            elif head[1] == "certificate":
                 self._parse_certificate(st)
             else:
-                raise ParseError(f"unknown declaration {head.text!r}", head.span)
+                raise ParseError(f"unknown declaration {head[1]!r}", _span(head))
 
         theory = Theory(
             self.theory_name,
@@ -1300,48 +1318,42 @@ class _TheoryParser:
 
     # -- declarations
 
-    def _parse_variable(self, st: _Stmt, head: _Token) -> None:
-        self._need_dim(head.span)
+    def _parse_variable(self, st: _Stmt, head: tuple) -> None:
+        self._need_dim(_span(head))
         name_tok = st.expect_name("a variable name")
         name = self._fresh_name(name_tok, self.variables)
         indices: list[tuple[str, int, int]] = []
         if st.accept("["):
             while True:
-                label = st.expect_name("an index name").text
+                label = st.expect_name("an index name")[1]
                 st.expect("=")
-                lo = st.expect_int()
-                st.expect("..")
-                hi = st.expect_int()
-                indices.append((label, lo, hi))
+                indices.append((label, *st.expect_range()))
                 if not st.accept(","):
                     break
             st.expect("]")
         st.expect("parity")
         parity_tok = st.expect_name("even or odd")
-        if parity_tok.text not in ("even", "odd"):
-            raise ParseError("parity must be even or odd", parity_tok.span)
-        parity = Parity.EVEN if parity_tok.text == "even" else Parity.ODD
+        if parity_tok[1] not in ("even", "odd"):
+            raise ParseError("parity must be even or odd", _span(parity_tok))
+        parity = Parity.EVEN if parity_tok[1] == "even" else Parity.ODD
         stage: int | None = None
         if st.accept("stage"):
             stage = st.expect_int()
         st.expect_end()
-        kind = Kind.FIELD if head.text == "field" else Kind.GHOST
+        kind = Kind.FIELD if head[1] == "field" else Kind.GHOST
         if stage is not None and kind is not Kind.GHOST:
-            raise SemanticError("only ghosts carry a stage", head.span)
+            raise SemanticError("only ghosts carry a stage", _span(head))
         self.variables[name] = VarDecl(name, kind, parity, tuple(indices), stage)
 
-    def _parse_constant(self, st: _Stmt, head: _Token) -> None:
-        self._need_dim(head.span)
+    def _parse_constant(self, st: _Stmt, head: tuple) -> None:
+        self._need_dim(_span(head))
         name_tok = st.expect_name("a constant name")
         name = self._fresh_name(name_tok, self.constants)
         declared_ranges: list[tuple[int, int]] | None = None
         if st.accept("["):
             declared_ranges = []
             while True:
-                lo = st.expect_int()
-                st.expect("..")
-                hi = st.expect_int()
-                declared_ranges.append((lo, hi))
+                declared_ranges.append(st.expect_range())
                 if not st.accept(","):
                     break
             st.expect("]")
@@ -1349,13 +1361,13 @@ class _TheoryParser:
         tok = st.peek()
         if tok is None:
             raise ParseError("expected a constant value", st.span())
-        if tok.kind == "name":
+        if tok[0] == "name":
             builder_tok = st.take()
-            if builder_tok.text not in _BUILDERS:
+            if builder_tok[1] not in _BUILDERS:
                 raise ParseError(
-                    f"unknown constant builder {builder_tok.text!r}", builder_tok.span
+                    f"unknown constant builder {builder_tok[1]!r}", _span(builder_tok)
                 )
-            builder, arity = _BUILDERS[builder_tok.text]
+            builder, arity = _BUILDERS[builder_tok[1]]
             st.expect("(")
             size = st.expect_int()
             st.expect(")")
@@ -1363,11 +1375,11 @@ class _TheoryParser:
             if not 1 <= size <= MAX_DIM + 1:
                 raise SemanticError(
                     f"builder size must be between 1 and {MAX_DIM + 1}",
-                    builder_tok.span,
+                    _span(builder_tok),
                 )
             if size ** arity(size) > MAX_COMPONENTS:
                 raise SemanticError(
-                    f"constant {name} declares too many entries", builder_tok.span
+                    f"constant {name} declares too many entries", _span(builder_tok)
                 )
             made = builder(size)
             const = ConstantTensor(name, made.ranges, made.entries, made.builder)
@@ -1375,17 +1387,17 @@ class _TheoryParser:
             entries = self._parse_constant_table(st, head)
             if declared_ranges is None:
                 raise SemanticError(
-                    f"constant {name} needs declared index ranges", head.span
+                    f"constant {name} needs declared index ranges", _span(head)
                 )
             const = ConstantTensor(name, tuple(declared_ranges), entries)
         if declared_ranges is not None and const.ranges != tuple(declared_ranges):
             raise SemanticError(
-                f"declared ranges of {name} do not match its builder", head.span
+                f"declared ranges of {name} do not match its builder", _span(head)
             )
         self.constants[name] = const
 
     def _parse_constant_table(
-        self, st: _Stmt, head: _Token
+        self, st: _Stmt, head: tuple
     ) -> dict[tuple[int, ...], Fraction]:
         st.expect("{")
         entries: dict[tuple[int, ...], Fraction] = {}
@@ -1395,7 +1407,7 @@ class _TheoryParser:
                 tok = stmt.peek()
                 if tok is None:
                     return False
-                if tok.text == "}":
+                if tok[1] == "}":
                     stmt.take()
                     stmt.expect_end()
                     return True
@@ -1408,7 +1420,7 @@ class _TheoryParser:
                 value = stmt.expect_fraction()
                 key = tuple(idx)
                 if key in entries:
-                    raise SemanticError(f"duplicate entry {key}", tok.span)
+                    raise SemanticError(f"duplicate entry {key}", _span(tok))
                 entries[key] = value
                 stmt.accept(",")
 
@@ -1416,27 +1428,27 @@ class _TheoryParser:
         while not closed:
             nxt = self._next()
             if nxt is None:
-                raise ParseError("unterminated constant table", head.span)
+                raise ParseError("unterminated constant table", _span(head))
             closed = parse_entries(nxt)
         return entries
 
-    def _parse_lagrangian(self, st: _Stmt, head: _Token) -> None:
-        self._need_dim(head.span)
+    def _parse_lagrangian(self, st: _Stmt, head: tuple) -> None:
+        self._need_dim(_span(head))
         if self.lagrangian is not None:
-            raise SemanticError("duplicate lagrangian", head.span)
+            raise SemanticError("duplicate lagrangian", _span(head))
         ast = _parse_expr(st)
         st.expect_end()
-        self.lagrangian = Density(_eval(self._env(st, ast), ast))
+        self.lagrangian = Density(self._statement(ast)({}))
 
     # -- blocks
 
-    def _block_entries(self, opener: _Token) -> list[_Stmt]:
+    def _block_entries(self, opener: tuple) -> list[_Stmt]:
         entries: list[_Stmt] = []
         while True:
             st = self._next()
             if st is None:
-                raise ParseError("unterminated block", opener.span)
-            if st.peek() is not None and st.peek().text == "}":
+                raise ParseError("unterminated block", _span(opener))
+            if st.peek_text() == "}":
                 st.take()
                 st.expect_end()
                 return entries
@@ -1448,18 +1460,18 @@ class _TheoryParser:
         head_st.expect("role")
         role_tok = head_st.expect_name("gauge, noether, or stage")
         stage: int | None = None
-        if role_tok.text == "gauge":
+        if role_tok[1] == "gauge":
             role = ROLE_GAUGE
-        elif role_tok.text == "noether":
+        elif role_tok[1] == "noether":
             role = ROLE_NOETHER
-        elif role_tok.text == "stage":
+        elif role_tok[1] == "stage":
             role = ROLE_STAGE
             stage = head_st.expect_int()
         else:
-            raise ParseError("role must be gauge, noether, or stage K", role_tok.span)
+            raise ParseError("role must be gauge, noether, or stage K", _span(role_tok))
         head_st.expect("{")
         head_st.expect_end()
-        dim = self._need_dim(name_tok.span)
+        dim = self._need_dim(_span(name_tok))
 
         coeffs: dict[tuple[VariableId, VariableId, MultiIndex], GradedPolynomial] = {}
         for st in self._block_entries(name_tok):
@@ -1470,31 +1482,23 @@ class _TheoryParser:
             st.expect(",")
             mi = _parse_mi_literal(st)
             st.expect(")")
-            st.expect(":")
-            ast = _parse_expr(st)
-            st.expect_end()
-            self._expand_entry(
-                coeffs, (param_key, target_key), mi, st, ast, open_tok.span
-            )
+            self._expand_entry(coeffs, (param_key, target_key), mi, st, _span(open_tok))
         try:
             self.operators[name] = LinearJetOperator(dim, role, coeffs, stage=stage)
         except SemanticError as exc:
-            raise SemanticError(f"operator {name}: {exc}", name_tok.span) from None
+            raise SemanticError(f"operator {name}: {exc}", _span(name_tok)) from None
 
     def _parse_derivation(self, head_st: _Stmt) -> None:
         name_tok = head_st.expect_name("a derivation name")
         name = self._fresh_name(name_tok, self.derivations)
         head_st.expect("{")
         head_st.expect_end()
-        self._need_dim(name_tok.span)
+        self._need_dim(_span(name_tok))
 
         components: dict[tuple[VariableId], GradedPolynomial] = {}
         for st in self._block_entries(name_tok):
             target_key = _parse_key_ref(st)
-            st.expect(":")
-            ast = _parse_expr(st)
-            st.expect_end()
-            self._expand_entry(components, (target_key,), None, st, ast, name_tok.span)
+            self._expand_entry(components, (target_key,), None, st, _span(name_tok))
         self.derivations[name] = GeneralizedVectorField(
             {target: poly for (target,), poly in components.items()}
         )
@@ -1507,25 +1511,25 @@ class _TheoryParser:
             while head_st.accept(","):
                 label_args.append(head_st.expect_int())
             head_st.expect("]")
-        label = name_tok.text
+        label = name_tok[1]
         if label_args:
             label += "[" + ",".join(map(str, label_args)) + "]"
         if label in self.certificates:
-            raise SemanticError(f"duplicate certificate {label}", name_tok.span)
+            raise SemanticError(f"duplicate certificate {label}", _span(name_tok))
         head_st.expect("{")
         head_st.expect_end()
-        self._need_dim(name_tok.span)
+        self._need_dim(_span(name_tok))
 
         m_coeffs: dict[tuple[VariableId, MultiIndex], GradedPolynomial] = {}
         witness: GradedPolynomial | None = None
         for st in self._block_entries(name_tok):
             tok = st.peek()
-            if tok is not None and tok.text == "witness":
+            if tok is not None and tok[1] == "witness":
                 st.take()
                 st.expect(":")
                 ast = _parse_expr(st)
                 st.expect_end()
-                poly = _eval(self._env(st, ast), ast)
+                poly = self._statement(ast)({})
                 witness = poly if witness is None else witness + poly
                 continue
             open_tok = st.expect("(")
@@ -1533,10 +1537,7 @@ class _TheoryParser:
             st.expect(",")
             mi = _parse_mi_literal(st)
             st.expect(")")
-            st.expect(":")
-            ast = _parse_expr(st)
-            st.expect_end()
-            self._expand_entry(m_coeffs, (target_key,), mi, st, ast, open_tok.span)
+            self._expand_entry(m_coeffs, (target_key,), mi, st, _span(open_tok))
         m_coeffs = {k: p for k, p in m_coeffs.items() if not p.is_zero()}
         self.certificates[label] = ReductionCertificate(
             m_coeffs or None, witness
@@ -1550,14 +1551,13 @@ def parse_theory(text: str) -> Theory:
 
 def parse_expression(text: str, theory: Theory) -> GradedPolynomial:
     """Parse one expression against a theory's declarations."""
-    statements = _statements(_tokenize(text))
+    statements = _statements(text)
     if len(statements) != 1:
         raise ParseError("expected exactly one expression")
     st = _Stmt(statements[0])
     ast = _parse_expr(st)
     st.expect_end()
-    env = _statement_env(theory.dim, theory.variables, theory.constants, st, ast)
-    return _eval(env, ast)
+    return _Statement(ast, theory.dim, theory.variables, theory.constants)({})
 
 
 # ---------------------------------------------------------------------------
@@ -1654,7 +1654,7 @@ def render_theory(theory: Theory) -> str:
 
 def resolve_component(theory: Theory, text: str) -> VariableId:
     """Resolve a rendered component name like C[1] or ~y against a theory."""
-    statements = _statements(_tokenize(text))
+    statements = _statements(text)
     if len(statements) != 1:
         raise ParseError(f"bad component reference {text!r}")
     st = _Stmt(statements[0])

@@ -180,6 +180,26 @@ class TestExitCodes:
         assert code == 2
         assert err == "error: constant e declares too many entries (line 3, column 14)\n"
 
+    @pytest.mark.parametrize("dim, lagrangian, column", [
+        # each of the 500^3 bindings builds a distinct product
+        (1, "sum(i,1..500, sum(j,1..500, sum(k,1..500, i*j*k*y)))", 12),
+        # about 1.2 million terms, built by 40 products
+        (2, "(y + d(y;x0) + d(y;x1) + d(y;x0,x1) + x0 + x1)^40", 58),
+    ])
+    def test_expansion_past_the_work_budget_fails_fast(
+        self, capsys, tmp_path, dim, lagrangian, column
+    ):
+        f = tmp_path / "hostile.nkt"
+        f.write_text(f"theory hostile\ndim {dim}\nfield y parity even\nlagrangian {lagrangian}\n")
+        started = time.monotonic()
+        code, _, err = run(capsys, "el", str(f))
+        assert time.monotonic() - started < 2.0
+        assert code == 2
+        assert err == (
+            "error: expansion work budget of 1000000 steps exceeded"
+            f" (line 4, column {column})\n"
+        )
+
     def test_jet_order_env_limit(self, capsys, tmp_path, monkeypatch):
         f = tmp_path / "deep.nkt"
         f.write_text(

@@ -15,8 +15,9 @@ The per-call merge and raise loop below are the product and total-derivative
 kernels used before monomials were interned and their products and images
 memoized: they merge and raise every term of every call afresh.
 The reference evaluator is the theory-file expression evaluator the package
-used before evaluation was memoized: it evaluates every node afresh for
-every index binding.  All stay here as the oracles the fast kernels must
+used before evaluation was memoized and analysed: it evaluates every node
+afresh for every index binding, and OracleStatement puts it in the place of
+the analysed statement.  All stay here as the oracles the fast kernels must
 match exactly.
 """
 
@@ -59,7 +60,7 @@ from nkt.jet_calculus import (
     total_derivative,
 )
 from nkt.multiindex import EMPTY, MultiIndex, check_jet_order
-from nkt.randgen import jet_pool, random_polynomial, random_scalar
+from nkt.randgen import jet_pool, random_polynomial, random_scalar, random_theory
 from nkt.theory_dsl import (
     _COORD_RE,
     _BracketJet,
@@ -485,6 +486,17 @@ def oracle_eval(env: _Env, node: object) -> GradedPolynomial:
     if isinstance(node, _Ref):
         return oracle_eval_ref(env, node)
     raise SemanticError("malformed expression")
+
+
+class OracleStatement:
+    """Stands in for theory_dsl._Statement: no analysis, no memo."""
+
+    def __init__(self, ast, dim, variables, constants, binders=()) -> None:
+        self.ast = ast
+        self.declarations = (dim, variables, constants)
+
+    def __call__(self, bindings: dict) -> GradedPolynomial:
+        return oracle_eval(_Env(*self.declarations, dict(bindings)), self.ast)
 
 
 def oracle_eval_ref(env: _Env, node: _Ref) -> GradedPolynomial:
@@ -1026,7 +1038,7 @@ def outcome(parse, *args) -> tuple:
 
 def oracle_outcome(parse, *args) -> tuple:
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(theory_dsl, "_eval", oracle_eval)
+        mp.setattr(theory_dsl, "_Statement", OracleStatement)
         return outcome(parse, *args)
 
 
@@ -1052,7 +1064,7 @@ def test_binder_entries_match_the_fresh_evaluator(text) -> None:
 def test_bundled_theories_match_the_fresh_evaluator(path, monkeypatch) -> None:
     text = path.read_text()
     theory = parse_theory(text)
-    monkeypatch.setattr(theory_dsl, "_eval", oracle_eval)
+    monkeypatch.setattr(theory_dsl, "_Statement", OracleStatement)
     reference = parse_theory(text)
     assert theory == reference
     assert render_theory(theory) == render_theory(reference)
@@ -1088,16 +1100,28 @@ def test_a_constant_under_a_sum_zeroes_only_a_product() -> None:
 
 
 def products_evaluated(monkeypatch, parse, text: str, start: int, *args) -> int:
-    """How often parse(text, *args) evaluates the product whose * is at start."""
+    """How often parse(text, *args) evaluates the product whose * is at start.
+
+    Counts calls of the evaluator _compile builds for that node; the
+    products counted below read every name their sums bind, so they are not
+    memoized and each call evaluates them.
+    """
     calls = []
-    eval_node = theory_dsl._eval_node
+    compile_node = theory_dsl._compile
 
-    def counted(env, node):
-        if isinstance(node, _Binary) and node.span.start == start:
+    def counted(stmt, facts, *args):
+        run = compile_node(stmt, facts, *args)
+        node = facts.node
+        if not (isinstance(node, _Binary) and node.span.start == start):
+            return run
+
+        def counting():
             calls.append(node)
-        return eval_node(env, node)
+            return run()
 
-    monkeypatch.setattr(theory_dsl, "_eval_node", counted)
+        return counting
+
+    monkeypatch.setattr(theory_dsl, "_compile", counted)
     parse(text, *args)
     return len(calls)
 
@@ -1114,3 +1138,34 @@ def test_sums_visit_only_the_nonzero_entries_of_their_constants(monkeypatch) -> 
     start = text.index("*")
     count = products_evaluated(monkeypatch, parse_expression, text, start, MEMO_THEORY)
     assert count == 2
+
+
+def test_random_theories_match_the_fresh_evaluator() -> None:
+    rng = random.Random(20261018)
+    for i in range(200):
+        text = render_theory(random_theory(rng, f"draw{i}"))
+        got, want = outcome(parse_theory, text), oracle_outcome(parse_theory, text)
+        assert got == want
+        assert render_theory(got[1]) == render_theory(want[1]) == text
+
+
+def test_alpha_equivalent_subterms_are_evaluated_once_per_value(monkeypatch) -> None:
+    # kd[i,j] leaves j = i only, so each factor is reached once per value of
+    # its index; the second is the first with i, p renamed to j, q and finds
+    # each of its values there: the two + nodes add twice, not four times
+    text = (
+        "sum(i,1..2, sum(j,1..2,"
+        " kd[i,j] * (y + sum(p,0..1, a[p,i])) * (y + sum(q,0..1, a[q,j]))))"
+    )
+    want = oracle_outcome(parse_expression, text, MEMO_THEORY)
+    adds = []
+    add = GradedPolynomial.__add__
+    monkeypatch.setattr(GradedPolynomial, "__add__", lambda p, q: adds.append(1) or add(p, q))
+    assert outcome(parse_expression, text, MEMO_THEORY) == want
+    assert len(adds) == 2
+    # the renaming swaps i and j: d(a[j,1];i) shares values with d(a[i,1];j)
+    # at swapped bindings, and the sum keeps 2*(d(a[1,1];0) - d(a[0,1];1))
+    text = "sum(m,1..2, sum(i,0..1, sum(j,0..1, i*(d(a[i,1];j) - d(a[j,1];i)))))"
+    got = outcome(parse_expression, text, MEMO_THEORY)
+    assert got == oracle_outcome(parse_expression, text, MEMO_THEORY)
+    assert got[1] == parse_expression("2*d(a[1,1];0) - 2*d(a[0,1];1)", MEMO_THEORY)

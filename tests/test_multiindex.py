@@ -125,6 +125,21 @@ def test_the_bound_is_read_once_until_reloaded(monkeypatch: pytest.MonkeyPatch) 
         MultiIndex((0,) * 4)
 
 
+def test_enumeration_is_remembered_but_the_bound_is_checked_each_call(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    first = mi_enumerate(2, 4)
+    first.clear()  # each call gets its own list
+    again = mi_enumerate(2, 4)
+    assert [mi.entries for mi in again][:4] == [(), (0,), (1,), (0, 0)]
+    assert len(again) == 15
+    monkeypatch.setenv("NKT_MAX_JET_ORDER", "3")
+    config.reload()
+    with pytest.raises(JetOrderError):
+        mi_enumerate(2, 4)
+    assert len(mi_enumerate(2, 3)) == 10
+
+
 def test_remove_one() -> None:
     m = MultiIndex((0, 1, 1))
     assert m.remove_one(1).entries == (0, 1)

@@ -149,6 +149,17 @@ class TestExpressions:
         with pytest.raises(ParseError):
             parse_expression("sum(i,0..600, y)", t)
 
+    def test_work_budget_counts_each_subexpression_once_per_binding(self):
+        t = parse_theory(SCALAR)
+        # y and each inner sum read no index: each is built once, and the
+        # outer sums add up copies of it
+        text = "sum(i,1..500, sum(j,1..500, sum(k,1..500, y)))"
+        assert parse_expression(text, t) == parse_expression("125000000*y", t)
+        # y*i*j*k differs at each of the 500^3 bindings
+        with pytest.raises(SemanticError, match="expansion work budget") as exc:
+            parse_expression(text.replace("y)", "y*i*j*k)"), t)
+        assert exc.value.span.column == 1
+
     def test_sum_binder_may_not_shadow_declarations(self):
         t = parse_theory(SCALAR)
         with pytest.raises(SemanticError):
