@@ -376,7 +376,7 @@ def derive_noether_from_gauge(
         raise SemanticError("derive_noether_from_gauge expects a gauge-role operator")
     # eta(op) and the vector field of op both target a subset of op's targets
     derivs = euler_lagrange(lagrangian, op.targets())
-    variational = _check_variational_with(gauge_vector_field(op), derivs)
+    variational = _check_variational_with(gauge_vector_field(op), lagrangian, derivs)
     if not variational.trivial:
         raise NonVariationalError(variational)
     noether_op = eta(op)
@@ -398,7 +398,7 @@ def derive_gauge_from_noether(
             "operator does not satisfy the Noether identity; nothing to derive"
         )
     gauge_op = eta(op)
-    variational = _check_variational_with(gauge_vector_field(gauge_op), derivs)
+    variational = _check_variational_with(gauge_vector_field(gauge_op), lagrangian, derivs)
     notes = ()
     if eta(gauge_op) != op:
         notes = ("round-trip eta(eta(op)) failed to reproduce the operator",)

@@ -232,21 +232,33 @@ def _declared(theory: Theory, var: VariableId) -> bool:
     )
 
 
+class _Declared(dict):
+    """_declared for one theory, each distinct variable checked once."""
+
+    def __init__(self, theory: Theory):
+        super().__init__()
+        self.theory = theory
+
+    def __missing__(self, var: VariableId) -> bool:
+        found = self[var] = _declared(self.theory, var)
+        return found
+
+
 def _check_vars(
-    theory: Theory,
+    declared: _Declared,
     poly: GradedPolynomial,
     where: str,
     kinds: tuple[Kind, ...],
 ) -> None:
     bad = [
         jv for jv in poly.variables()
-        if not _declared(theory, jv.var) or jv.var.kind not in kinds
+        if not declared[jv.var] or jv.var.kind not in kinds
     ]
     if not bad:
         return
     # name the first in canonical order, not in the set's hash order
     jv = min(bad)
-    if not _declared(theory, jv.var):
+    if not declared[jv.var]:
         raise SemanticError(f"{where} uses undeclared variable {jv.var.render()}")
     raise SemanticError(
         f"{where} may not depend on {jv.var.render()} ({jv.var.kind.name.lower()})"
@@ -305,22 +317,23 @@ def validate_theory(theory: Theory) -> None:
 
     _check_stage_parities(theory)
 
+    declared = _Declared(theory)
     if theory.lagrangian is not None:
         expr = theory.lagrangian.expr
-        _check_vars(theory, expr, "the lagrangian", (Kind.FIELD,))
+        _check_vars(declared, expr, "the lagrangian", (Kind.FIELD,))
         if expr.parity() is not Parity.EVEN:
             raise SemanticError("the lagrangian must be even")
 
     for name, op in theory.operators.items():
-        _check_operator(theory, name, op)
+        _check_operator(theory, declared, name, op)
 
     for name, vf in theory.derivations.items():
         for var, comp in vf.components.items():
-            if not _declared(theory, var) or var.kind not in _BASE_SECTOR:
+            if not declared[var] or var.kind not in _BASE_SECTOR:
                 raise SemanticError(
                     f"derivation {name} targets undeclared variable {var.render()}"
                 )
-            _check_vars(theory, comp, f"derivation {name}", _BASE_SECTOR)
+            _check_vars(declared, comp, f"derivation {name}", _BASE_SECTOR)
 
     for label, cert in theory.certificates.items():
         try:
@@ -333,13 +346,13 @@ def validate_theory(theory: Theory) -> None:
             )
         if cert.m_coeffs:
             for (var, _), poly in cert.m_coeffs.items():
-                if not _declared(theory, var) or var.kind not in _BASE_SECTOR:
+                if not declared[var] or var.kind not in _BASE_SECTOR:
                     raise SemanticError(
                         f"certificate {label} references undeclared {var.render()}"
                     )
-                _check_vars(theory, poly, f"certificate {label}", _BASE_SECTOR)
+                _check_vars(declared, poly, f"certificate {label}", _BASE_SECTOR)
         if cert.witness is not None:
-            _check_vars(theory, cert.witness, f"certificate {label}", _ALL_KINDS)
+            _check_vars(declared, cert.witness, f"certificate {label}", _ALL_KINDS)
 
 
 def _check_stage_parities(theory: Theory) -> None:
@@ -364,16 +377,18 @@ def _check_stage_parities(theory: Theory) -> None:
             )
 
 
-def _check_operator(theory: Theory, name: str, op: LinearJetOperator) -> None:
+def _check_operator(
+    theory: Theory, declared: _Declared, name: str, op: LinearJetOperator
+) -> None:
     if op.dim != theory.dim:
         raise SemanticError(f"operator {name} has dim {op.dim}, theory has {theory.dim}")
     for (param, target, _), poly in op.coeffs.items():
         for var in (param, target):
-            if not _declared(theory, var):
+            if not declared[var]:
                 raise SemanticError(
                     f"operator {name} references undeclared {var.render()}"
                 )
-        _check_vars(theory, poly, f"operator {name}", (Kind.FIELD,))
+        _check_vars(declared, poly, f"operator {name}", (Kind.FIELD,))
         if op.role in (ROLE_GAUGE, ROLE_NOETHER):
             if param.kind is not Kind.GHOST or param.stage is not None:
                 raise SemanticError(
@@ -891,28 +906,35 @@ def _analyse(
     stmt: _Statement, node: object, scope: dict[str, tuple[int, int]]
 ) -> _Facts:
     """The facts of node, evaluated with each name of scope bound within
-    its interval; one visit per node."""
+    its interval; one visit per node, in post-order.  A run of binary
+    operators such as y+y+...+y is a left-deep chain, walked by a loop."""
     kind = type(node)
     if kind is _Num:
         value = node.value
         shape = ("n", value.numerator, value.denominator)
         return _Facts(node, True, True, run=lambda: value, cheap=True, shape=shape)
+    if kind is _Binary:
+        chain = []
+        while type(node) is _Binary:
+            chain.append(node)
+            node = node.left
+        left = _analyse(stmt, node, scope)
+        for node in reversed(chain):
+            right = _analyse(stmt, node.right, scope)
+            product = node.op == "*"
+            terms = left.terms * right.terms if product else left.terms + right.terms
+            terms = min(terms, _CAP)
+            left = _keyed(stmt, _Facts(
+                node, left.const and right.const, left.safe and right.safe,
+                left.free | right.free, (left, right), terms=terms, own=terms,
+                shape=(node.op,) + left.shape + right.shape if scope else (),
+                factors=left.factors + right.factors if product else (),
+            ), scope)
+        return left
     if kind is _Ref or kind is _BracketJet or kind is _D:
         facts = _analyse_leaf(stmt, node, scope)
     elif kind is _Sum:
         facts = _analyse_sum(stmt, node, scope)
-    elif kind is _Binary:
-        left = _analyse(stmt, node.left, scope)
-        right = _analyse(stmt, node.right, scope)
-        product = node.op == "*"
-        terms = left.terms * right.terms if product else left.terms + right.terms
-        terms = min(terms, _CAP)
-        facts = _Facts(
-            node, left.const and right.const, left.safe and right.safe,
-            left.free | right.free, (left, right), terms=terms, own=terms,
-            shape=(node.op,) + left.shape + right.shape if scope else (),
-            factors=left.factors + right.factors if product else (),
-        )
     elif kind is _Unary or kind is _Pow:
         arg = _analyse(stmt, node.operand if kind is _Unary else node.base, scope)
         t, k = arg.terms, (node.exponent if kind is _Pow else -1)  # -1: negation
@@ -928,6 +950,13 @@ def _analyse(
         )
     else:
         raise SemanticError("malformed expression", getattr(node, "span", None))
+    return _keyed(stmt, facts, scope)
+
+
+def _keyed(
+    stmt: _Statement, facts: _Facts, scope: dict[str, tuple[int, int]]
+) -> _Facts:
+    """facts with the values its free names take and its memo key."""
     if not scope or facts.cheap:
         return facts
     values = prod(max(0, scope[n][1] - scope[n][0] + 1) for n in facts.free)
@@ -938,7 +967,7 @@ def _analyse(
     canon = tuple([
         (numbers.setdefault(t[0], len(numbers)),) if type(t) is tuple else t
         for t in facts.shape
-    ]) if facts.free else ("closed", id(node))
+    ]) if facts.free else ("closed", id(facts.node))
     entry = stmt.shapes.setdefault(canon, [len(stmt.shapes), 0])
     entry[1] += 1
     names = [n for n in numbers if n in facts.free]
@@ -1057,54 +1086,111 @@ def _compile(
     its shape and no ancestor, shared, does; so it is evaluated at most
     min(visits, facts.values) times, and those evaluations' steps count
     towards the statement's expansion work.  A raise is not remembered.
+
+    A run of binary operators, such as y+y+...+y, is a left-deep chain of
+    nodes, handled by loops: its nodes are charged and their operands
+    compiled in the order recursion would take, and its evaluator walks
+    down to the first remembered value, or to the leftmost operand, then
+    folds the right operands back in, left first.
     """
-    node = facts.node
-    evals = min(visits, facts.values)
-    stmt.work += evals * facts.own
-    if stmt.work > MAX_EXPANSION_WORK:
-        raise SemanticError(
-            f"expansion work budget of {MAX_EXPANSION_WORK} steps exceeded", node.span
+    chain = []  # (facts, evals, shared for the kids, memo key) down the chain
+    while True:
+        evals = min(visits, facts.values)
+        stmt.work += evals * facts.own
+        if stmt.work > MAX_EXPANSION_WORK:
+            raise SemanticError(
+                f"expansion work budget of {MAX_EXPANSION_WORK} steps exceeded",
+                facts.node.span,
+            )
+        twin = facts.key is not None and facts.key[0][1] > 1
+        memoized = facts.key is not None and (
+            facts.values < visits or (twin and not shared)
         )
-    twin = facts.key is not None and facts.key[0][1] > 1
-    runs = [
-        _compile(stmt, kid, evals * facts.fanout, shared or twin) for kid in facts.kids
-    ]
+        chain.append((facts, evals, shared or twin, facts.key if memoized else None))
+        if type(facts.node) is not _Binary:
+            break
+        visits, shared, facts = evals, shared or twin, facts.kids[0]
+    facts, evals, shared, key = chain.pop()
+    runs = [_compile(stmt, kid, evals * facts.fanout, shared) for kid in facts.kids]
+    node = facts.node
     if facts.run is not None:
         run = facts.run
     elif type(node) is _Sum:
         run = _sum_run(stmt, facts, *runs)
-    elif type(node) is _Binary:
-        # left first; a scalar times a polynomial is a scaling, and a
-        # scalar is lifted to a polynomial only to be added
-        (f, g), (left, right) = runs, facts.kids
-        fn = combine = _OPS[node.op]
-        lift = GradedPolynomial.scalar
-        if left.const != right.const and node.op == "*":
-            fn = (lambda q, p: p.scaled(q)) if left.const else GradedPolynomial.scaled
-        elif left.const != right.const:
-            fn = (lambda q, p: combine(lift(q), p)) if left.const else (
-                lambda p, q: combine(p, lift(q))
-            )
-        run = lambda: fn(f(), g())
     elif type(node) is _Unary:
         (f,) = runs
         run = lambda: -f()
     else:
         (f,), k = runs, node.exponent
         run = lambda: f() ** k
-    if facts.key is None or (facts.values >= visits and (shared or not twin)):
-        return run
-    (number, _), names = facts.key
     memo, b = stmt.memo, stmt.env.bindings
+    if key is not None:
+        run = _memoized(run, key, memo, b)
+    if not chain:
+        return run
+    steps = [
+        (_combine(facts), _compile(stmt, facts.kids[1], evals, shared), key)
+        for facts, evals, shared, key in reversed(chain)
+    ]
+    first = run
+    if len(steps) == 1:
+        ((fn, g, key),) = steps
+        run = lambda: fn(first(), g())
+        return run if key is None else _memoized(run, key, memo, b)
+
+    def chained() -> object:
+        keys = [None] * len(steps)
+        start = len(steps)
+        while start:
+            found = steps[start - 1][2]
+            if found is not None:
+                (number, _), names = found
+                k = keys[start - 1] = (number, *[b[name] for name in names])
+                value = memo.get(k)
+                if value is not None:
+                    break
+            start -= 1
+        else:
+            value = first()
+        for i in range(start, len(steps)):
+            fn, g, _ = steps[i]
+            value = fn(value, g())
+            if keys[i] is not None:
+                memo[keys[i]] = value
+        return value
+
+    return chained
+
+
+def _memoized(
+    run: Callable[[], object], key: tuple, memo: dict, b: dict
+) -> Callable[[], object]:
+    (number, _), names = key
 
     def memoized() -> object:
-        key = (number, *[b[name] for name in names])
-        value = memo.get(key)
+        k = (number, *[b[name] for name in names])
+        value = memo.get(k)
         if value is None:
-            value = memo[key] = run()
+            value = memo[k] = run()
         return value
 
     return memoized
+
+
+def _combine(facts: _Facts) -> Callable[[object, object], object]:
+    """A binary node's operation on its operands' values: left first; a
+    scalar times a polynomial is a scaling, and a scalar is lifted to a
+    polynomial only to be added."""
+    op, (left, right) = facts.node.op, facts.kids
+    fn = _OPS[op]
+    lift = GradedPolynomial.scalar
+    if left.const != right.const and op == "*":
+        return (lambda q, p: p.scaled(q)) if left.const else GradedPolynomial.scaled
+    if left.const != right.const:
+        return (lambda q, p: fn(lift(q), p)) if left.const else (
+            lambda p, q: fn(p, lift(q))
+        )
+    return fn
 
 
 _OPS = {"+": add, "-": sub, "*": mul}

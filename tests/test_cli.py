@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from nkt import cli
 from nkt.cli import main
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
@@ -198,6 +199,49 @@ class TestExitCodes:
         assert err == (
             "error: expansion work budget of 1000000 steps exceeded"
             f" (line 4, column {column})\n"
+        )
+
+    @pytest.mark.parametrize("count", [600, 2000])
+    def test_flat_sums_complete_or_name_the_budget(self, capsys, tmp_path, count):
+        f = tmp_path / "flat.nkt"
+        f.write_text(
+            "theory flat\ndim 1\nfield y parity even\nlagrangian "
+            + "+".join(["y"] * count) + "\n"
+        )
+        code, out, err = run(capsys, "el", str(f))
+        if count == 600:
+            assert (code, out, err) == (0, "E_y = 600\n", "")
+            return
+        # the work bound charges the k-th + its k + 1 terms, from the last +
+        # back: 2000 + 1999 + ... + 1415 passes the budget at the 1414th
+        assert code == 2
+        assert err == (
+            "error: expansion work budget of 1000000 steps exceeded"
+            f" (line 4, column {11 + 2 * 1414})\n"
+        )
+
+    def test_variationality_needs_only_the_orders_of_theta(
+        self, capsys, monkeypatch
+    ):
+        # the contraction's variational derivatives would reach jet order 3
+        monkeypatch.setenv("NKT_MAX_JET_ORDER", "2")
+        code, out, err = run(capsys, "check-variational", YM, "--sym", "brst")
+        assert (code, err) == (0, "")
+        assert out.startswith("check-variational ym_su2 brst: PASS\n")
+
+    def test_the_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        run(capsys, "el", SCALAR)
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("rebuilt"))
+        errors = []
+        for _ in range(2):
+            assert run(capsys, "el", SCALAR)[0] == 0
+            with pytest.raises(SystemExit) as exc:
+                main(["check-noether", SCALAR_MASS])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].endswith(
+            "nkt check-noether: error: the following arguments are required: --op\n"
         )
 
     def test_jet_order_env_limit(self, capsys, tmp_path, monkeypatch):

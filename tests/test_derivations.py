@@ -2,11 +2,15 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
-from conftest import even_field, odd_field, odd_ghost, v
+import pytest
+from conftest import even_field, even_ghost, odd_field, odd_ghost, v
 
+from nkt import config
 from nkt.derivations import (
     GeneralizedVectorField,
+    _check_variational_with,
     check_nilpotent,
     check_variational,
     contract_with_EL,
@@ -14,9 +18,19 @@ from nkt.derivations import (
     lie_derivative_density,
     prolong_apply,
 )
-from nkt.graded_poly import Density, GradedPolynomial, Parity
-from nkt.jet_calculus import total_derivative
-from nkt.randgen import graded_fields, random_polynomial
+from nkt.errors import JetOrderError
+from nkt.graded_poly import Density, GradedPolynomial, JetVariable, Parity
+from nkt.jet_calculus import (
+    FIELD_INDEPENDENT_NOTE,
+    TRIVIAL_TOPOLOGY_NOTE,
+    euler_lagrange,
+    is_variationally_trivial,
+    total_derivative,
+)
+from nkt.multiindex import mi_enumerate
+from nkt.noether import NonVariationalError, derive_noether_from_gauge, gauge_vector_field
+from nkt.randgen import graded_fields, random_operator, random_polynomial, random_scalar
+from nkt.theory_dsl import parse_theory
 
 
 Y = even_field("y")
@@ -163,3 +177,156 @@ class TestLieDerivative:
         vf = GeneralizedVectorField(comps)
         p = random_polynomial(rng, fields, 2)
         assert lie_derivative_density(vf, _density(p)).expr == prolong_apply(vf, p)
+
+
+# ---------------------------------------------------------------------------
+# check_variational decides on theta(L); its definition is the contraction.
+
+THEORIES = Path(__file__).resolve().parents[1] / "theories"
+# the brst derivation and gauge_sym operator of ym_su2 with their coupling
+# doubled, so that neither matches the Lagrangian's
+YM_UNMATCHED_EDITS = (
+    ("d(C[r];mu) + sum(p,1..3,", "d(C[r];mu) + 2 * sum(p,1..3,"),
+    (": sum(p,1..3, eps[r,p,q]*a[mu,p])", ": 2 * sum(p,1..3, eps[r,p,q]*a[mu,p])"),
+)
+NOTE_THEORY = """
+theory note
+dim 1
+field y parity even
+lagrangian x*d(y;x)
+derivation shift {
+  y : 1
+}
+"""
+
+
+def definitional_report(vf, lagr):
+    """Variationality by definition: the contraction's variational derivatives."""
+    return is_variationally_trivial(contract_with_EL(vf, lagr).expr)
+
+
+def assert_matches_definition(vf, lagr):
+    old = definitional_report(vf, lagr)
+    targets = sorted(vf.components, key=lambda a: a.rank)
+    for new in (
+        check_variational(vf, lagr),
+        _check_variational_with(vf, lagr, euler_lagrange(lagr, targets)),
+    ):
+        assert new.trivial == old.trivial
+        assert list(new.residuals.items()) == list(old.residuals.items())
+        assert new.assumptions == old.assumptions
+    return old
+
+
+def ym_su2(coupled: bool):
+    text = (THEORIES / "ym_su2.nkt").read_text()
+    if not coupled:
+        for anchor, edited in YM_UNMATCHED_EDITS:
+            assert text.count(anchor) == 1
+            text = text.replace(anchor, edited)
+    return parse_theory(text)
+
+
+class TestVariationalityMatchesTheContraction:
+    @pytest.mark.parametrize("relative", [Parity.EVEN, Parity.ODD, None])
+    def test_random_fields(self, relative):
+        rng = random.Random(40 + (2 if relative is None else int(relative)))
+        fields = graded_fields(2, 1)
+        failures = 0
+        for _ in range(60):
+            dim = rng.randint(1, 2)
+            lagr = random_polynomial(
+                rng, fields, dim, max_order=rng.randint(1, 2), parity=Parity.EVEN,
+                scalar_coeffs=rng.random() < 0.3,
+            )
+            comps = {}
+            for f in fields:
+                parity = None if relative is None else f.parity + relative
+                comps[f] = random_polynomial(
+                    rng, fields, dim, max_order=1, max_factors=2,
+                    parity=parity, scalar_coeffs=rng.random() < 0.3,
+                )
+            vf = GeneralizedVectorField(comps)
+            failures += not assert_matches_definition(vf, lagr).trivial
+        assert 0 < failures < 60  # both verdicts are met
+
+    def test_fields_of_divergences_and_jet_free_components(self):
+        # L = s(x) y_Lam + d_i P: theta(L) is a divergence plus a function
+        # of x alone, and jet-free components make the contraction jet free
+        rng = random.Random(43)
+        fields = graded_fields(2, 0)
+        notes = 0
+        for _ in range(60):
+            dim = rng.randint(1, 2)
+            p = random_polynomial(rng, fields, dim, max_order=1)
+            lam = rng.choice(mi_enumerate(dim, 1))
+            lagr = total_derivative(p, rng.randrange(dim)) + random_scalar(
+                rng, dim
+            ) * GradedPolynomial.variable(JetVariable(fields[0], lam))
+            comps = {fields[0]: random_scalar(rng, dim)}
+            if rng.random() < 0.5:
+                comps[fields[1]] = random_scalar(rng, dim)
+            report = assert_matches_definition(GeneralizedVectorField(comps), lagr)
+            assert report.trivial
+            notes += FIELD_INDEPENDENT_NOTE in report.assumptions
+        assert 0 < notes < 60
+
+    def test_gauge_vector_fields_of_random_operators(self):
+        rng = random.Random(44)
+        fields = graded_fields(2, 1)
+        ghosts = [odd_ghost("g0"), even_ghost("g1")]
+        for _ in range(40):
+            dim = rng.randint(1, 2)
+            op = random_operator(rng, ghosts, fields, fields, dim, max_order=1)
+            lagr = random_polynomial(rng, fields, dim, max_order=1, parity=Parity.EVEN)
+            assert_matches_definition(gauge_vector_field(op), lagr)
+
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_ym_su2_brst(self, coupled):
+        theory = ym_su2(coupled)
+        report = assert_matches_definition(theory.derivations["brst"], theory.lagrangian)
+        assert report.trivial == coupled
+
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_ym_su2_noether_paths(self, coupled):
+        theory = ym_su2(coupled)
+        op, lagr = theory.operators["gauge_sym"], theory.lagrangian
+        old = definitional_report(gauge_vector_field(op), lagr)
+        if coupled:
+            _, report = derive_noether_from_gauge(op, lagr)
+        else:
+            with pytest.raises(NonVariationalError) as exc:
+                derive_noether_from_gauge(op, lagr)
+            report = exc.value
+        assert report.variational == old if coupled else report.report == old
+
+    def test_the_note_describes_the_contraction_not_theta(self):
+        # theta(L) = 0, but the contraction 1 * E_y = -1 depends on x alone
+        theory = parse_theory(NOTE_THEORY)
+        vf, lagr = theory.derivations["shift"], theory.lagrangian
+        assert prolong_apply(vf, lagr.expr).is_zero()
+        assert contract_with_EL(vf, lagr).expr == -GradedPolynomial.one()
+        report = assert_matches_definition(vf, lagr)
+        assert report.assumptions == (TRIVIAL_TOPOLOGY_NOTE, FIELD_INDEPENDENT_NOTE)
+
+
+class TestVariationalityWithinTheJetOrderBound:
+    def test_theta_stays_below_the_orders_of_the_contraction(self, monkeypatch):
+        # ym_su2's brst: the contraction's variational derivatives reach jet
+        # order 3, theta(L) = 0 needs none
+        theory = parse_theory((THEORIES / "ym_su2.nkt").read_text())
+        vf, lagr = theory.derivations["brst"], theory.lagrangian
+        monkeypatch.setenv("NKT_MAX_JET_ORDER", "2")
+        config.reload()
+        with pytest.raises(JetOrderError, match="jet order 3 exceeds the bound 2"):
+            definitional_report(vf, lagr)
+        assert check_variational(vf, lagr).trivial
+
+    def test_a_component_above_the_lagrangians_order_falls_back(self):
+        # Q^y = y_xxxx^2 on L = y_x^2/2: theta(L) = 2 y_x y_xxxx y_xxxxx,
+        # whose variational derivative passes through order 9 on the way
+        vf = GeneralizedVectorField({Y: v(Y, 0, 0, 0, 0) * v(Y, 0, 0, 0, 0)})
+        lagr = v(Y, 0) * v(Y, 0).scaled(Fraction(1, 2))
+        with pytest.raises(JetOrderError, match="jet order 9 exceeds the bound 8"):
+            euler_lagrange(prolong_apply(vf, lagr))
+        assert not assert_matches_definition(vf, lagr).trivial

@@ -1169,3 +1169,23 @@ def test_alpha_equivalent_subterms_are_evaluated_once_per_value(monkeypatch) -> 
     got = outcome(parse_expression, text, MEMO_THEORY)
     assert got == oracle_outcome(parse_expression, text, MEMO_THEORY)
     assert got[1] == parse_expression("2*d(a[1,1];0) - 2*d(a[0,1];1)", MEMO_THEORY)
+
+
+def test_chains_find_the_values_of_their_renamed_prefixes(monkeypatch) -> None:
+    # i*y + y + y is also the first three terms of i*y + y + y + y, so the
+    # second factor adds only its last y: three additions per i, not five
+    text = "sum(i,1..2, (i*y + y + y) * (i*y + y + y + y))"
+    want = oracle_outcome(parse_expression, text, MEMO_THEORY)
+    assert want[1] == parse_expression("32*y^2", MEMO_THEORY)
+    adds = []
+    add = GradedPolynomial.__add__
+    monkeypatch.setattr(GradedPolynomial, "__add__", lambda p, q: adds.append(1) or add(p, q))
+    assert outcome(parse_expression, text, MEMO_THEORY) == want
+    assert len(adds) == 6
+    # two renamed 100-term factors: the second is found whole
+    run = "+".join(["i*y"] + ["y"] * 99)
+    text = f"sum(i,1..2, sum(j,1..2, ({run}) * ({run.replace('i', 'j')})))"
+    adds.clear()
+    got = outcome(parse_expression, text, MEMO_THEORY)
+    assert got[1] == parse_expression("40401*y^2", MEMO_THEORY)
+    assert len(adds) == 2 * 99

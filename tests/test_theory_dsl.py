@@ -1,24 +1,30 @@
 """Theory file parsing, resolution, validation, and the render roundtrip."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from nkt import config
+from nkt.derivations import GeneralizedVectorField
 from nkt.errors import ParseError, SemanticError
 from nkt.graded_poly import (
     Coordinate,
+    Density,
     GradedPolynomial,
     JetVariable,
     Kind,
     Parity,
+    VariableId,
     antifield_of,
 )
 from nkt.multiindex import EMPTY, MultiIndex
+from nkt.noether import ROLE_GAUGE, LinearJetOperator
 from nkt.randgen import random_theory
 from nkt.theory_dsl import (
+    MAX_EXPANSION_WORK,
     Theory,
     kronecker,
     levi_civita,
@@ -27,6 +33,7 @@ from nkt.theory_dsl import (
     parse_theory,
     render_theory,
     resolve_component,
+    validate_theory,
 )
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
@@ -37,6 +44,10 @@ dim 1
 field y parity even
 lagrangian 1/2 * d(y;x)^2
 """
+
+
+def v_y() -> GradedPolynomial:
+    return jet(parse_theory(SCALAR), "y")
 
 
 def jet(theory: Theory, text: str, *entries: int) -> GradedPolynomial:
@@ -159,6 +170,24 @@ class TestExpressions:
         with pytest.raises(SemanticError, match="expansion work budget") as exc:
             parse_expression(text.replace("y)", "y*i*j*k)"), t)
         assert exc.value.span.column == 1
+
+    @pytest.mark.parametrize("count", [600, 2000])
+    def test_flat_sums_are_walked_without_recursion(self, count):
+        # a run of + and - is a left-deep chain as long as the run; the work
+        # bound charges each partial sum its terms, 2 + 3 + ... + count
+        signs = ["+" if k % 3 else "-" for k in range(1, count)]
+        text = SCALAR.replace("1/2 * d(y;x)^2", "y" + "".join(s + "y" for s in signs))
+        if count * (count + 1) // 2 - 1 <= MAX_EXPANSION_WORK:
+            want = 1 + signs.count("+") - signs.count("-")
+            assert parse_theory(text).lagrangian.expr == v_y().scaled(want)
+            return
+        with pytest.raises(SemanticError, match="expansion work budget") as exc:
+            parse_theory(text)
+        assert exc.value.span.line == 5
+
+    def test_long_products_are_walked_without_recursion(self):
+        t = parse_theory(SCALAR)
+        assert parse_expression("*".join(["y"] * 700), t) == v_y() ** 700
 
     def test_sum_binder_may_not_shadow_declarations(self):
         t = parse_theory(SCALAR)
@@ -315,6 +344,44 @@ class TestValidation:
         with pytest.raises(SemanticError):
             # a stage-0 operator maps stage-0 ghosts to plain ghosts, not fields
             parse_theory(base + "operator s role stage 0 {\n  (e, y, []) : 1\n}")
+
+    def test_validation_reports_the_first_offence(self):
+        base = parse_theory(
+            "theory t\ndim 1\nfield y parity even\nghost xi parity odd\n"
+            "lagrangian y^2\n"
+        )
+        y, xi = resolve_component(base, "y"), resolve_component(base, "xi")
+        z = VariableId(Kind.FIELD, "z", (), Parity.EVEN)  # not declared
+        one, var = GradedPolynomial.one(), GradedPolynomial.variable
+
+        def op(*coeffs):
+            return {"p": LinearJetOperator(1, ROLE_GAUGE, dict(coeffs))}
+
+        cases = [
+            ({"operators": op(((xi, y, EMPTY), var(z)), ((z, y, EMPTY), one))},
+             "operator p uses undeclared variable z"),
+            ({"operators": op(((z, y, EMPTY), one), ((xi, y, EMPTY), var(z)))},
+             "operator p references undeclared z"),
+            ({"operators": op(((xi, y, EMPTY), var(y)), ((y, y, EMPTY), var(z)))},
+             "operator p uses undeclared variable z"),
+            ({"operators": op(((y, y, EMPTY), var(y)), ((xi, y, EMPTY), var(z)))},
+             "operator p: parameter y must be a plain ghost"),
+            ({"derivations": {"s": GeneralizedVectorField(
+                {y: var(antifield_of(y)) * var(z) + var(xi)})}},
+             "derivation s uses undeclared variable z"),
+            ({"derivations": {"s": GeneralizedVectorField(
+                {y: var(antifield_of(y)) * var(y), z: one})}},
+             "derivation s may not depend on ~y (antifield)"),
+            ({"derivations": {"s": GeneralizedVectorField(
+                {z: one, y: var(antifield_of(y))})}},
+             "derivation s targets undeclared variable z"),
+            ({"lagrangian": Density(var(z) ** 2), "operators": op(((z, y, EMPTY), one))},
+             "the lagrangian uses undeclared variable z"),
+        ]
+        for changes, message in cases:
+            with pytest.raises(SemanticError) as exc:
+                validate_theory(replace(base, **changes))
+            assert str(exc.value) == message
 
     def test_binder_sugar_expansion(self):
         t = parse_theory(
