@@ -19,7 +19,6 @@ reports apart from elapsed_ms.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import random
 import sys
@@ -498,15 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), once per process: a build costs more than a small
-    theory's whole command."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     config.reload()
     started = time.monotonic()
     try:

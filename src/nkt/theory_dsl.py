@@ -870,7 +870,7 @@ class _Facts(NamedTuple):
     # names in memo key order
     key: tuple[list, list[str]] | None = None
     factors: tuple[_Ref, ...] = ()  # constant entries of the node's * chain
-    plan: tuple = ()  # a sum's zeroing factors, see _sum_run
+    plan: tuple = ()  # a sum's zeroing factors, see _sum_run; a run's signs
 
 
 class _Statement:
@@ -906,35 +906,32 @@ def _analyse(
     stmt: _Statement, node: object, scope: dict[str, tuple[int, int]]
 ) -> _Facts:
     """The facts of node, evaluated with each name of scope bound within
-    its interval; one visit per node, in post-order.  A run of binary
-    operators such as y+y+...+y is a left-deep chain, walked by a loop."""
+    its interval; one visit per node."""
     kind = type(node)
     if kind is _Num:
         value = node.value
         shape = ("n", value.numerator, value.denominator)
         return _Facts(node, True, True, run=lambda: value, cheap=True, shape=shape)
-    if kind is _Binary:
-        chain = []
-        while type(node) is _Binary:
-            chain.append(node)
-            node = node.left
-        left = _analyse(stmt, node, scope)
-        for node in reversed(chain):
-            right = _analyse(stmt, node.right, scope)
-            product = node.op == "*"
-            terms = left.terms * right.terms if product else left.terms + right.terms
-            terms = min(terms, _CAP)
-            left = _keyed(stmt, _Facts(
-                node, left.const and right.const, left.safe and right.safe,
-                left.free | right.free, (left, right), terms=terms, own=terms,
-                shape=(node.op,) + left.shape + right.shape if scope else (),
-                factors=left.factors + right.factors if product else (),
-            ), scope)
-        return left
     if kind is _Ref or kind is _BracketJet or kind is _D:
         facts = _analyse_leaf(stmt, node, scope)
     elif kind is _Sum:
         facts = _analyse_sum(stmt, node, scope)
+    elif kind is _Binary and node.op != "*" and (
+        type(node.left) is _Binary and node.left.op != "*"
+    ):
+        facts = _analyse_run(stmt, node, scope)  # two or more + and -
+    elif kind is _Binary:
+        left = _analyse(stmt, node.left, scope)
+        right = _analyse(stmt, node.right, scope)
+        product = node.op == "*"
+        terms = left.terms * right.terms if product else left.terms + right.terms
+        terms = min(terms, _CAP)
+        facts = _Facts(
+            node, left.const and right.const, left.safe and right.safe,
+            left.free | right.free, (left, right), terms=terms, own=terms,
+            shape=(node.op,) + left.shape + right.shape if scope else (),
+            factors=left.factors + right.factors if product else (),
+        )
     elif kind is _Unary or kind is _Pow:
         arg = _analyse(stmt, node.operand if kind is _Unary else node.base, scope)
         t, k = arg.terms, (node.exponent if kind is _Pow else -1)  # -1: negation
@@ -950,13 +947,6 @@ def _analyse(
         )
     else:
         raise SemanticError("malformed expression", getattr(node, "span", None))
-    return _keyed(stmt, facts, scope)
-
-
-def _keyed(
-    stmt: _Statement, facts: _Facts, scope: dict[str, tuple[int, int]]
-) -> _Facts:
-    """facts with the values its free names take and its memo key."""
     if not scope or facts.cheap:
         return facts
     values = prod(max(0, scope[n][1] - scope[n][0] + 1) for n in facts.free)
@@ -967,11 +957,37 @@ def _keyed(
     canon = tuple([
         (numbers.setdefault(t[0], len(numbers)),) if type(t) is tuple else t
         for t in facts.shape
-    ]) if facts.free else ("closed", id(facts.node))
+    ]) if facts.free else ("closed", id(node))
     entry = stmt.shapes.setdefault(canon, [len(stmt.shapes), 0])
     entry[1] += 1
     names = [n for n in numbers if n in facts.free]
     return facts._replace(values=values, key=(entry, names))
+
+
+def _analyse_run(
+    stmt: _Statement, node: _Binary, scope: dict[str, tuple[int, int]]
+) -> _Facts:
+    """A run of two or more + and -, such as y+y+...+y, is one node whose
+    kids are its operands, left to right; the parser leaves it a left-deep
+    chain, walked here by a loop.  One evaluation sums the operands at
+    once, so it is charged their terms once."""
+    top, signs, operands = node, [], []
+    while type(node) is _Binary and node.op != "*":
+        signs.append(node.op)
+        operands.append(node.right)
+        node = node.left
+    operands.append(node)
+    signs.append("+")
+    signs.reverse()
+    kids = tuple([_analyse(stmt, operand, scope) for operand in reversed(operands)])
+    terms = min(sum(kid.terms for kid in kids), _CAP)
+    shape = ("+", len(kids), *signs)
+    return _Facts(
+        top, all(kid.const for kid in kids), all(kid.safe for kid in kids),
+        frozenset().union(*[kid.free for kid in kids]), kids, terms=terms, own=terms,
+        shape=shape + tuple(t for kid in kids for t in kid.shape) if scope else (),
+        plan=tuple(signs),
+    )
 
 
 def _analyse_sum(
@@ -1086,114 +1102,80 @@ def _compile(
     its shape and no ancestor, shared, does; so it is evaluated at most
     min(visits, facts.values) times, and those evaluations' steps count
     towards the statement's expansion work.  A raise is not remembered.
-
-    A run of binary operators, such as y+y+...+y, is a left-deep chain of
-    nodes, handled by loops: its nodes are charged and their operands
-    compiled in the order recursion would take, and its evaluator walks
-    down to the first remembered value, or to the leftmost operand, then
-    folds the right operands back in, left first.
     """
-    chain = []  # (facts, evals, shared for the kids, memo key) down the chain
-    while True:
-        evals = min(visits, facts.values)
-        stmt.work += evals * facts.own
-        if stmt.work > MAX_EXPANSION_WORK:
-            raise SemanticError(
-                f"expansion work budget of {MAX_EXPANSION_WORK} steps exceeded",
-                facts.node.span,
-            )
-        twin = facts.key is not None and facts.key[0][1] > 1
-        memoized = facts.key is not None and (
-            facts.values < visits or (twin and not shared)
-        )
-        chain.append((facts, evals, shared or twin, facts.key if memoized else None))
-        if type(facts.node) is not _Binary:
-            break
-        visits, shared, facts = evals, shared or twin, facts.kids[0]
-    facts, evals, shared, key = chain.pop()
-    runs = [_compile(stmt, kid, evals * facts.fanout, shared) for kid in facts.kids]
     node = facts.node
+    evals = min(visits, facts.values)
+    stmt.work += evals * facts.own
+    if stmt.work > MAX_EXPANSION_WORK:
+        raise SemanticError(
+            f"expansion work budget of {MAX_EXPANSION_WORK} steps exceeded", node.span
+        )
+    twin = facts.key is not None and facts.key[0][1] > 1
+    runs = [
+        _compile(stmt, kid, evals * facts.fanout, shared or twin) for kid in facts.kids
+    ]
     if facts.run is not None:
         run = facts.run
     elif type(node) is _Sum:
         run = _sum_run(stmt, facts, *runs)
+    elif type(node) is _Binary and len(runs) > 2:
+        run = _run_of_terms(facts, runs)
+    elif type(node) is _Binary:
+        # left first; a scalar times a polynomial is a scaling, and a
+        # scalar is lifted to a polynomial only to be added
+        (f, g), (left, right) = runs, facts.kids
+        fn = combine = _OPS[node.op]
+        lift = GradedPolynomial.scalar
+        if left.const != right.const and node.op == "*":
+            fn = (lambda q, p: p.scaled(q)) if left.const else GradedPolynomial.scaled
+        elif left.const != right.const:
+            fn = (lambda q, p: combine(lift(q), p)) if left.const else (
+                lambda p, q: combine(p, lift(q))
+            )
+        run = lambda: fn(f(), g())
     elif type(node) is _Unary:
         (f,) = runs
         run = lambda: -f()
     else:
         (f,), k = runs, node.exponent
         run = lambda: f() ** k
-    memo, b = stmt.memo, stmt.env.bindings
-    if key is not None:
-        run = _memoized(run, key, memo, b)
-    if not chain:
+    if facts.key is None or (facts.values >= visits and (shared or not twin)):
         return run
-    steps = [
-        (_combine(facts), _compile(stmt, facts.kids[1], evals, shared), key)
-        for facts, evals, shared, key in reversed(chain)
-    ]
-    first = run
-    if len(steps) == 1:
-        ((fn, g, key),) = steps
-        run = lambda: fn(first(), g())
-        return run if key is None else _memoized(run, key, memo, b)
-
-    def chained() -> object:
-        keys = [None] * len(steps)
-        start = len(steps)
-        while start:
-            found = steps[start - 1][2]
-            if found is not None:
-                (number, _), names = found
-                k = keys[start - 1] = (number, *[b[name] for name in names])
-                value = memo.get(k)
-                if value is not None:
-                    break
-            start -= 1
-        else:
-            value = first()
-        for i in range(start, len(steps)):
-            fn, g, _ = steps[i]
-            value = fn(value, g())
-            if keys[i] is not None:
-                memo[keys[i]] = value
-        return value
-
-    return chained
-
-
-def _memoized(
-    run: Callable[[], object], key: tuple, memo: dict, b: dict
-) -> Callable[[], object]:
-    (number, _), names = key
+    (number, _), names = facts.key
+    memo, b = stmt.memo, stmt.env.bindings
 
     def memoized() -> object:
-        k = (number, *[b[name] for name in names])
-        value = memo.get(k)
+        key = (number, *[b[name] for name in names])
+        value = memo.get(key)
         if value is None:
-            value = memo[k] = run()
+            value = memo[key] = run()
         return value
 
     return memoized
 
 
-def _combine(facts: _Facts) -> Callable[[object, object], object]:
-    """A binary node's operation on its operands' values: left first; a
-    scalar times a polynomial is a scaling, and a scalar is lifted to a
-    polynomial only to be added."""
-    op, (left, right) = facts.node.op, facts.kids
-    fn = _OPS[op]
-    lift = GradedPolynomial.scalar
-    if left.const != right.const and op == "*":
-        return (lambda q, p: p.scaled(q)) if left.const else GradedPolynomial.scaled
-    if left.const != right.const:
-        return (lambda q, p: fn(lift(q), p)) if left.const else (
-            lambda p, q: fn(p, lift(q))
-        )
-    return fn
-
-
 _OPS = {"+": add, "-": sub, "*": mul}
+
+
+def _run_of_terms(
+    facts: _Facts, runs: list[Callable[[], object]]
+) -> Callable[[], object]:
+    """Evaluate the operands of a run of + and -, left first, and add them
+    up at once; a scalar is lifted to a polynomial only to be added to one."""
+    signs = [1 if sign == "+" else -1 for sign in facts.plan]
+    if facts.const:
+        return lambda: sum([sign * f() for f, sign in zip(runs, signs)])
+    lift = GradedPolynomial.scalar
+    operands = list(zip(runs, signs, [kid.const for kid in facts.kids]))
+
+    def run() -> object:
+        plus, minus = [], []
+        for f, sign, scalar in operands:
+            value = lift(f()) if scalar else f()
+            (plus if sign > 0 else minus).append(value)
+        return gp_sum(plus, minus)
+
+    return run
 
 
 def _sum_run(

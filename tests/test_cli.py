@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from nkt import cli
 from nkt.cli import main
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
@@ -201,24 +200,22 @@ class TestExitCodes:
             f" (line 4, column {column})\n"
         )
 
-    @pytest.mark.parametrize("count", [600, 2000])
-    def test_flat_sums_complete_or_name_the_budget(self, capsys, tmp_path, count):
+    @pytest.mark.parametrize("count, inside_a_sum", [
+        (600, False), (2000, False), (10000, False),
+        # bound names give every node a shape and a memo key
+        (10000, True),
+    ])
+    def test_flat_sums_complete(self, capsys, tmp_path, count, inside_a_sum):
+        body = "+".join(["y"] * count)
         f = tmp_path / "flat.nkt"
         f.write_text(
             "theory flat\ndim 1\nfield y parity even\nlagrangian "
-            + "+".join(["y"] * count) + "\n"
+            + (f"sum(i,1..1, {body})" if inside_a_sum else body) + "\n"
         )
+        started = time.monotonic()
         code, out, err = run(capsys, "el", str(f))
-        if count == 600:
-            assert (code, out, err) == (0, "E_y = 600\n", "")
-            return
-        # the work bound charges the k-th + its k + 1 terms, from the last +
-        # back: 2000 + 1999 + ... + 1415 passes the budget at the 1414th
-        assert code == 2
-        assert err == (
-            "error: expansion work budget of 1000000 steps exceeded"
-            f" (line 4, column {11 + 2 * 1414})\n"
-        )
+        assert time.monotonic() - started < 2.0
+        assert (code, out, err) == (0, f"E_y = {count}\n", "")
 
     def test_variationality_needs_only_the_orders_of_theta(
         self, capsys, monkeypatch
@@ -228,21 +225,6 @@ class TestExitCodes:
         code, out, err = run(capsys, "check-variational", YM, "--sym", "brst")
         assert (code, err) == (0, "")
         assert out.startswith("check-variational ym_su2 brst: PASS\n")
-
-    def test_the_parser_is_built_once_per_process(self, capsys, monkeypatch):
-        run(capsys, "el", SCALAR)
-        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("rebuilt"))
-        errors = []
-        for _ in range(2):
-            assert run(capsys, "el", SCALAR)[0] == 0
-            with pytest.raises(SystemExit) as exc:
-                main(["check-noether", SCALAR_MASS])
-            assert exc.value.code == 2
-            errors.append(capsys.readouterr().err)
-        assert errors[0] == errors[1]
-        assert errors[0].endswith(
-            "nkt check-noether: error: the following arguments are required: --op\n"
-        )
 
     def test_jet_order_env_limit(self, capsys, tmp_path, monkeypatch):
         f = tmp_path / "deep.nkt"

@@ -1171,21 +1171,46 @@ def test_alpha_equivalent_subterms_are_evaluated_once_per_value(monkeypatch) -> 
     assert got[1] == parse_expression("2*d(a[1,1];0) - 2*d(a[0,1];1)", MEMO_THEORY)
 
 
-def test_chains_find_the_values_of_their_renamed_prefixes(monkeypatch) -> None:
-    # i*y + y + y is also the first three terms of i*y + y + y + y, so the
-    # second factor adds only its last y: three additions per i, not five
-    text = "sum(i,1..2, (i*y + y + y) * (i*y + y + y + y))"
+def test_a_run_of_terms_is_added_up_at_once(monkeypatch) -> None:
+    # kd[i,j] leaves j = i only; each run mixes polynomials and scalars, and
+    # the second is the first with i and j swapped, so it finds the first's
+    # value: two sums in all, and no partial sum is built by a binary + or -
+    text = (
+        "sum(i,1..2, sum(j,1..2, kd[i,j]"
+        " * (i*y - 1/2 + e[i,j] + y - j) * (j*y - 1/2 + e[j,i] + y - i)))"
+    )
     want = oracle_outcome(parse_expression, text, MEMO_THEORY)
-    assert want[1] == parse_expression("32*y^2", MEMO_THEORY)
-    adds = []
-    add = GradedPolynomial.__add__
-    monkeypatch.setattr(GradedPolynomial, "__add__", lambda p, q: adds.append(1) or add(p, q))
+    assert want[1] == parse_expression("(2*y - 3/2)^2 + (3*y - 5/2)^2", MEMO_THEORY)
+    binary, sums = [], []
+    for name in ("__add__", "__sub__"):
+        op = getattr(GradedPolynomial, name)
+        monkeypatch.setattr(
+            GradedPolynomial, name, lambda p, q, op=op: binary.append(1) or op(p, q)
+        )
+    make = theory_dsl._run_of_terms
+
+    def counted(facts, runs):
+        run = make(facts, runs)
+        return lambda: sums.append(1) or run()
+
+    monkeypatch.setattr(theory_dsl, "_run_of_terms", counted)
     assert outcome(parse_expression, text, MEMO_THEORY) == want
-    assert len(adds) == 6
-    # two renamed 100-term factors: the second is found whole
-    run = "+".join(["i*y"] + ["y"] * 99)
-    text = f"sum(i,1..2, sum(j,1..2, ({run}) * ({run.replace('i', 'j')})))"
-    adds.clear()
+    assert (len(sums), len(binary)) == (2, 0)
+
+
+@pytest.mark.parametrize("text, want", [
+    # a scalar run, and runs of one shape but for their signs
+    ("sum(i,1..2, (i - 3 - e[i,1] + 1/2) * y)", "-y"),
+    ("sum(i,1..2, (i*y + y - 2*y) * (i*y - y + 2*y))", "3*y^2"),
+    # a[5,1] runs past a's first axis, and a[7,1] too, or 5 past the base
+    # dimension: the first one read raises
+    ("y - a[5,1] + y + a[7,1]", None),
+    ("sum(i,5..6, y - a[i,1] + y + d(y;i))", None),
+])
+def test_runs_keep_their_signs_and_reading_order(text, want) -> None:
     got = outcome(parse_expression, text, MEMO_THEORY)
-    assert got[1] == parse_expression("40401*y^2", MEMO_THEORY)
-    assert len(adds) == 2 * 99
+    assert got == oracle_outcome(parse_expression, text, MEMO_THEORY)
+    if want is not None:
+        assert got[1] == parse_expression(want, MEMO_THEORY)
+    else:
+        assert got[0] == "error" and got[3].column == text.index("a[") + 1
