@@ -14,6 +14,14 @@ Exit codes: 0 when the check passed (computations always pass when they
 complete), 1 when the check ran and failed, 2 on usage, parse, or typing
 errors.  Output is deterministic: identical inputs give byte-identical
 reports apart from elapsed_ms.
+
+The subcommands are described once, in COMMANDS.  Each main() call builds
+a parser afresh, with only the invoked command's subparser when argv starts
+with a command name and with all of them otherwise, so a call pays for
+parsing its own options only; the output is the same either way (see
+build_parser).  A computed operator's coefficients are rendered once, for
+the text body and the JSON residuals alike, and rendering reuses the text
+each interned jet variable keeps (graded_poly.render_jet_variable).
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import sys
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import config
 from .derivations import (
@@ -51,6 +60,7 @@ from .noether import (
     derive_gauge_from_noether,
     derive_noether_from_gauge,
     eta,
+    json_coefficients,
     linearize_in_ghosts,
 )
 from .randgen import (
@@ -145,8 +155,17 @@ def _derivation(theory: Theory, name: str) -> GeneralizedVectorField:
     return vf
 
 
-def _operator_entries(op: LinearJetOperator) -> list[tuple[str, str]]:
-    return list(op.to_json()["coefficients"].items())
+def _operator_report(
+    check: str, theory: Theory, target: str, name: str, op: LinearJetOperator,
+    assumptions: list[str],
+) -> VerificationReport:
+    """A computed operator: its theory-file block as the text body and its
+    coefficients as the JSON residuals, each coefficient rendered once."""
+    rendered = op.rendered()
+    return VerificationReport(
+        check, theory.name, target, True, list(json_coefficients(rendered).items()),
+        assumptions, [], _render_operator(name, op, rendered),
+    )
 
 
 def _residual_entries(
@@ -177,13 +196,8 @@ def _cmd_el(theory: Theory, args: argparse.Namespace) -> VerificationReport:
 
 
 def _cmd_eta(theory: Theory, args: argparse.Namespace) -> VerificationReport:
-    op = _operator(theory, args.op)
-    out = eta(op)
-    body = _render_operator(f"eta_{args.op}", out, theory.dim)
-    return VerificationReport(
-        "eta", theory.name, args.op, True,
-        _operator_entries(out), [], [], body,
-    )
+    out = eta(_operator(theory, args.op))
+    return _operator_report("eta", theory, args.op, f"eta_{args.op}", out, [])
 
 
 def _cmd_derive_noether(
@@ -210,10 +224,9 @@ def _cmd_derive_noether(
             list(err.report.assumptions),
         )
     assumptions = list(report.variational.assumptions) if report.variational else []
-    body = _render_operator(f"{args.sym}_noether", noether_op, theory.dim)
-    return VerificationReport(
-        "derive-noether", theory.name, args.sym, True,
-        _operator_entries(noether_op), assumptions, [], body,
+    return _operator_report(
+        "derive-noether", theory, args.sym, f"{args.sym}_noether", noether_op,
+        assumptions,
     )
 
 
@@ -232,10 +245,8 @@ def _cmd_derive_gauge(
     gauge_op, report = derive_gauge_from_noether(op, lag)
     assumptions = list(report.variational.assumptions) if report.variational else []
     assumptions += list(report.notes)
-    body = _render_operator(f"{args.op}_gauge", gauge_op, theory.dim)
-    return VerificationReport(
-        "derive-gauge", theory.name, args.op, True,
-        _operator_entries(gauge_op), assumptions, [], body,
+    return _operator_report(
+        "derive-gauge", theory, args.op, f"{args.op}_gauge", gauge_op, assumptions
     )
 
 
@@ -440,66 +451,87 @@ def _selftest() -> VerificationReport:
 # --------------------------------------------------------------------------
 # Argument parsing and dispatch.
 
-_HANDLERS = {
-    "el": _cmd_el,
-    "eta": _cmd_eta,
-    "derive-noether": _cmd_derive_noether,
-    "derive-gauge": _cmd_derive_gauge,
-    "check-noether": _cmd_check_noether,
-    "check-variational": _cmd_check_variational,
-    "check-nilpotent": _cmd_check_nilpotent,
-    "kt": _cmd_kt,
-    "check-reducibility": _cmd_check_reducibility,
+
+class _Command(NamedTuple):
+    """One subcommand: its help text, its body and its own options.
+
+    A command with a body reads a theory file; selftest has none.  Every
+    command takes --json after the file and before its own options.
+    """
+
+    help: str
+    run: Callable[[Theory, argparse.Namespace], VerificationReport] | None
+    options: tuple[tuple[str, dict], ...] = ()
+
+
+_OPERATOR = ("--op", {"required": True, "help": "operator name"})
+_SYMMETRY = ("--sym", {"required": True, "help": "derivation name"})
+
+COMMANDS = {
+    "el": _Command("variational derivatives of the lagrangian", _cmd_el),
+    "eta": _Command("dualize a named operator", _cmd_eta, (_OPERATOR,)),
+    "derive-noether": _Command(
+        "identity operator from a ghost-linear symmetry", _cmd_derive_noether,
+        (_SYMMETRY,),
+    ),
+    "derive-gauge": _Command(
+        "gauge symmetry from an identity operator", _cmd_derive_gauge, (_OPERATOR,)
+    ),
+    "check-noether": _Command(
+        "verify the identity for a noether-role operator", _cmd_check_noether,
+        (_OPERATOR,),
+    ),
+    "check-variational": _Command(
+        "is the symmetry variational?", _cmd_check_variational, (_SYMMETRY,)
+    ),
+    "check-nilpotent": _Command(
+        "does the odd derivation square to zero?", _cmd_check_nilpotent, (_SYMMETRY,)
+    ),
+    "kt": _Command("apply the boundary operator to an expression", _cmd_kt, (
+        ("--expr", {"required": True, "help": "expression over the theory"}),
+        ("--stages", {
+            "action": "store_true",
+            "help": "extend the complex with stage-level operators",
+        }),
+    )),
+    "check-reducibility": _Command(
+        "verify the whole identity tower", _cmd_check_reducibility
+    ),
+    "selftest": _Command("run the built-in property checks", None),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The nkt parser with every subcommand, or with the named one only.
+
+    The top-level parser takes no option but -h and names the subcommands
+    COMMAND in its usage, and a subparser's prog, usage, help and errors do
+    not depend on its siblings; so an argv whose first word is a command
+    parses, prints and exits alike with either parser.
+    """
     parser = argparse.ArgumentParser(
         prog="nkt",
         description="Variational calculus and symmetry checks for theory files.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def add(name: str, help_text: str, *, file: bool = True) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        if file:
+    for name in COMMANDS if command is None else (command,):
+        spec = COMMANDS[name]
+        p = sub.add_parser(name, help=spec.help)
+        if spec.run is not None:
             p.add_argument("file", help="theory file to read")
         p.add_argument("--json", action="store_true", help="emit the JSON report")
-        return p
-
-    add("el", "variational derivatives of the lagrangian")
-    add("eta", "dualize a named operator").add_argument(
-        "--op", required=True, help="operator name"
-    )
-    add("derive-noether", "identity operator from a ghost-linear symmetry").add_argument(
-        "--sym", required=True, help="derivation name"
-    )
-    add("derive-gauge", "gauge symmetry from an identity operator").add_argument(
-        "--op", required=True, help="operator name"
-    )
-    add("check-noether", "verify the identity for a noether-role operator").add_argument(
-        "--op", required=True, help="operator name"
-    )
-    add("check-variational", "is the symmetry variational?").add_argument(
-        "--sym", required=True, help="derivation name"
-    )
-    add("check-nilpotent", "does the odd derivation square to zero?").add_argument(
-        "--sym", required=True, help="derivation name"
-    )
-    kt = add("kt", "apply the boundary operator to an expression")
-    kt.add_argument("--expr", required=True, help="expression over the theory")
-    kt.add_argument(
-        "--stages", action="store_true",
-        help="extend the complex with stage-level operators",
-    )
-    add("check-reducibility", "verify the whole identity tower")
-    add("selftest", "run the built-in property checks", file=False)
+        for flag, settings in spec.options:
+            p.add_argument(flag, **settings)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # only the invoked command's parser is built; any other argv (none, -h,
+    # an unknown command) gets the full one, which lists every command
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     config.reload()
     started = time.monotonic()
     try:
@@ -510,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
                 text = Path(args.file).read_text(encoding="utf-8")
             except OSError as err:
                 raise SemanticError(f"cannot read {args.file}: {err.strerror}")
-            report = _HANDLERS[args.command](parse_theory(text), args)
+            report = COMMANDS[args.command].run(parse_theory(text), args)
     except NktError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -29,6 +29,7 @@ from .graded_poly import (
     Parity,
     VariableId,
     gp_sum,
+    render_polynomial,
 )
 from .jet_calculus import (
     TrivialityReport,
@@ -108,13 +109,15 @@ class LinearJetOperator:
             self.coeffs, key=lambda k: (k[0].rank, k[1].rank, k[2].order, k[2].entries)
         )
 
-    def to_json(self) -> dict:
-        from .graded_poly import render_polynomial
+    def rendered(self) -> list[tuple[CoeffKey, str]]:
+        """Each coefficient's key and text, in sorted_keys() order."""
+        return [
+            (key, render_polynomial(self.coeffs[key], self.dim))
+            for key in self.sorted_keys()
+        ]
 
-        body = {}
-        for param, target, mi in self.sorted_keys():
-            key = f"{param.render()}|{target.render()}|{mi.render()}"
-            body[key] = render_polynomial(self.coeffs[(param, target, mi)], self.dim)
+    def to_json(self) -> dict:
+        body = json_coefficients(self.rendered())
         out = {"role": self.role, "dim": self.dim, "coefficients": body}
         if self.stage is not None:
             out["stage"] = self.stage
@@ -133,6 +136,14 @@ class LinearJetOperator:
         return hash((self.dim, self.role, self.stage, tuple(sorted(
             (k[0].rank, k[1].rank, k[2].entries) for k in self.coeffs
         ))))
+
+
+def json_coefficients(rendered: list[tuple[CoeffKey, str]]) -> dict[str, str]:
+    """The JSON form of rendered coefficients: "param|target|mi" -> text."""
+    return {
+        f"{param.render()}|{target.render()}|{mi.render()}": text
+        for (param, target, mi), text in rendered
+    }
 
 
 def _sub_multiindices(mi: MultiIndex) -> list[MultiIndex]:
@@ -374,11 +385,13 @@ def derive_noether_from_gauge(
     """
     if op.role != ROLE_GAUGE:
         raise SemanticError("derive_noether_from_gauge expects a gauge-role operator")
-    # eta(op) and the vector field of op both target a subset of op's targets
-    derivs = euler_lagrange(lagrangian, op.targets())
-    variational = _check_variational_with(gauge_vector_field(op), lagrangian, derivs)
+    # the check decides on theta(L); the variational derivatives are built
+    # only for a symmetry that passes it, and eta(op) targets a subset of
+    # op's targets
+    variational = _check_variational_with(gauge_vector_field(op), lagrangian, None)
     if not variational.trivial:
         raise NonVariationalError(variational)
+    derivs = euler_lagrange(lagrangian, op.targets())
     noether_op = eta(op)
     report = NoetherReport(_residuals(noether_op, derivs), variational)
     return noether_op, report

@@ -67,7 +67,13 @@ from .graded_poly import (
 )
 from .koszul_tate import ReductionCertificate
 from .multiindex import MultiIndex
-from .noether import ROLE_GAUGE, ROLE_NOETHER, ROLE_STAGE, LinearJetOperator
+from .noether import (
+    ROLE_GAUGE,
+    ROLE_NOETHER,
+    ROLE_STAGE,
+    CoeffKey,
+    LinearJetOperator,
+)
 
 MAX_DIM = 9
 MAX_COMPONENTS = 512
@@ -870,7 +876,7 @@ class _Facts(NamedTuple):
     # names in memo key order
     key: tuple[list, list[str]] | None = None
     factors: tuple[_Ref, ...] = ()  # constant entries of the node's * chain
-    plan: tuple = ()  # a sum's zeroing factors, see _sum_run; a run's signs
+    plan: tuple = ()  # a sum's zeroing factors, see _sum_run; a run of terms' signs
 
 
 class _Statement:
@@ -916,10 +922,10 @@ def _analyse(
         facts = _analyse_leaf(stmt, node, scope)
     elif kind is _Sum:
         facts = _analyse_sum(stmt, node, scope)
-    elif kind is _Binary and node.op != "*" and (
-        type(node.left) is _Binary and node.left.op != "*"
+    elif kind is _Binary and type(node.left) is _Binary and (
+        (node.op == "*") is (node.left.op == "*")
     ):
-        facts = _analyse_run(stmt, node, scope)  # two or more + and -
+        facts = _analyse_run(stmt, node, scope)  # two or more + and -, or *
     elif kind is _Binary:
         left = _analyse(stmt, node.left, scope)
         right = _analyse(stmt, node.right, scope)
@@ -967,26 +973,36 @@ def _analyse(
 def _analyse_run(
     stmt: _Statement, node: _Binary, scope: dict[str, tuple[int, int]]
 ) -> _Facts:
-    """A run of two or more + and -, such as y+y+...+y, is one node whose
-    kids are its operands, left to right; the parser leaves it a left-deep
-    chain, walked here by a loop.  One evaluation sums the operands at
-    once, so it is charged their terms once."""
-    top, signs, operands = node, [], []
-    while type(node) is _Binary and node.op != "*":
-        signs.append(node.op)
+    """A run of two or more + and -, such as y+y+...+y, or of two or more *,
+    such as y*y*...*y, is one node whose kids are its operands, left to
+    right; the parser leaves it a left-deep chain, walked here by a loop.
+    One evaluation of a run of terms sums its operands at once, so it is
+    charged their terms once; a run of factors multiplies them left to
+    right and is charged the terms of each partial product, as its chain
+    of binary products would be."""
+    top, product = node, node.op == "*"
+    ops, operands = [], []
+    while type(node) is _Binary and (node.op == "*") is product:
+        ops.append(node.op)
         operands.append(node.right)
         node = node.left
     operands.append(node)
-    signs.append("+")
-    signs.reverse()
     kids = tuple([_analyse(stmt, operand, scope) for operand in reversed(operands)])
-    terms = min(sum(kid.terms for kid in kids), _CAP)
-    shape = ("+", len(kids), *signs)
+    if product:
+        plan, terms, own = (), kids[0].terms, 0
+        for kid in kids[1:]:
+            terms = min(terms * kid.terms, _CAP)
+            own = min(own + terms, _CAP)
+    else:
+        plan = ("+", *reversed(ops))
+        terms = own = min(sum(kid.terms for kid in kids), _CAP)
+    shape = ("*" if product else "+", len(kids), *plan)
     return _Facts(
         top, all(kid.const for kid in kids), all(kid.safe for kid in kids),
-        frozenset().union(*[kid.free for kid in kids]), kids, terms=terms, own=terms,
+        frozenset().union(*[kid.free for kid in kids]), kids, terms=terms, own=own,
         shape=shape + tuple(t for kid in kids for t in kid.shape) if scope else (),
-        plan=tuple(signs),
+        factors=tuple(f for kid in kids for f in kid.factors) if product else (),
+        plan=plan,
     )
 
 
@@ -1119,7 +1135,7 @@ def _compile(
     elif type(node) is _Sum:
         run = _sum_run(stmt, facts, *runs)
     elif type(node) is _Binary and len(runs) > 2:
-        run = _run_of_terms(facts, runs)
+        run = (_run_of_factors if node.op == "*" else _run_of_terms)(facts, runs)
     elif type(node) is _Binary:
         # left first; a scalar times a polynomial is a scaling, and a
         # scalar is lifted to a polynomial only to be added
@@ -1174,6 +1190,29 @@ def _run_of_terms(
             value = lift(f()) if scalar else f()
             (plus if sign > 0 else minus).append(value)
         return gp_sum(plus, minus)
+
+    return run
+
+
+def _run_of_factors(
+    facts: _Facts, runs: list[Callable[[], object]]
+) -> Callable[[], object]:
+    """Multiply the operands of a run of *, left to right, each evaluated
+    just before it is taken; a scalar times a polynomial is a scaling."""
+    operands = list(zip(runs, [kid.const for kid in facts.kids]))
+    (first, scalar), rest = operands[0], operands[1:]
+
+    def run() -> object:
+        value, const = first(), scalar
+        for f, kid_const in rest:
+            other = f()
+            if const is kid_const:
+                value = value * other
+            elif const:
+                value, const = other.scaled(value), False
+            else:
+                value = value.scaled(other)
+        return value
 
     return run
 
@@ -1657,13 +1696,14 @@ def _render_constant(const: ConstantTensor) -> list[str]:
     return lines
 
 
-def _render_operator(name: str, op: LinearJetOperator, dim: int) -> list[str]:
+def _render_operator(
+    name: str, op: LinearJetOperator, rendered: list[tuple[CoeffKey, str]]
+) -> list[str]:
+    """The operator block of op, given op.rendered()."""
     role = op.role if op.role != ROLE_STAGE else f"stage {op.stage}"
     lines = [f"operator {name} role {role} {{"]
-    for param, target, mi in op.sorted_keys():
-        poly = op.coefficient(param, target, mi)
-        key = f"({param.render()}, {target.render()}, {mi.render()})"
-        lines.append(f"  {key} : {render_polynomial(poly, dim)}")
+    for (param, target, mi), text in rendered:
+        lines.append(f"  ({param.render()}, {target.render()}, {mi.render()}) : {text}")
     lines.append("}")
     return lines
 
@@ -1710,7 +1750,7 @@ def render_theory(theory: Theory) -> str:
         )
     for name, op in theory.operators.items():
         lines.append("")
-        lines.extend(_render_operator(name, op, theory.dim))
+        lines.extend(_render_operator(name, op, op.rendered()))
     for name, vf in theory.derivations.items():
         lines.append("")
         lines.extend(_render_derivation(name, vf, theory.dim))

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from nkt import cli
 from nkt.cli import main
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
@@ -217,6 +218,40 @@ class TestExitCodes:
         assert time.monotonic() - started < 2.0
         assert (code, out, err) == (0, f"E_y = {count}\n", "")
 
+    @pytest.mark.parametrize("count, inside_a_sum", [(500, False), (2000, True)])
+    def test_long_products_complete(self, capsys, tmp_path, count, inside_a_sum):
+        body = "*".join(["y"] * count)
+        f = tmp_path / "product.nkt"
+        f.write_text(
+            "theory product\ndim 1\nfield y parity even\nlagrangian "
+            + (f"sum(i,1..1, {body})" if inside_a_sum else body) + "\n"
+        )
+        started = time.monotonic()
+        code, out, err = run(capsys, "el", str(f))
+        assert time.monotonic() - started < 10.0
+        assert (code, out, err) == (0, f"E_y = {count}*y^{count - 1}\n", "")
+
+    def test_a_symmetry_is_judged_before_the_field_equations_are_built(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # theta(L) = 4*g*c*y^2 stays within jet order 1, while E_y of L
+        # reaches order 2: the verdict, FAIL, is the one given at the
+        # default bound, not a jet-order error
+        f = tmp_path / "odd_pair.nkt"
+        f.write_text(
+            "theory odd_pair\ndim 1\nfield y parity even\nfield c parity odd\n"
+            "ghost g parity odd\nlagrangian c*d(c;x)*d(y;x) + y^2\n"
+            "derivation shift {\n  y : 2*g*c*y\n}\n"
+        )
+        default = run(capsys, "derive-noether", str(f), "--sym", "shift")
+        monkeypatch.setenv("NKT_MAX_JET_ORDER", "1")
+        code, out, err = run(capsys, "derive-noether", str(f), "--sym", "shift")
+        assert (code, out, err) == default
+        assert (code, err) == (1, "")
+        assert out.startswith("derive-noether odd_pair shift: FAIL\n")
+        code, _, err = run(capsys, "el", str(f))
+        assert code == 2 and "jet order 2 exceeds the bound 1" in err
+
     def test_variationality_needs_only_the_orders_of_theta(
         self, capsys, monkeypatch
     ):
@@ -236,6 +271,76 @@ class TestExitCodes:
         monkeypatch.setenv("NKT_MAX_JET_ORDER", "2")
         code, _, err = run(capsys, "el", str(f))
         assert code == 2
+
+
+def outcome(argv: list[str]) -> tuple:
+    """Exit code (returned or raised), stdout and stderr of one main() call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# a valid call of each command, from the file on
+VALID_CALLS = {
+    "el": [SCALAR],
+    "eta": [SCALAR_MASS, "--op", "bad"],
+    "derive-noether": [SCALAR_MASS, "--sym", "scaling"],
+    "derive-gauge": [SCALAR_MASS, "--op", "bad"],
+    "check-noether": [SCALAR_MASS, "--op", "bad"],
+    "check-variational": [SCALAR_MASS, "--sym", "scaling"],
+    "check-nilpotent": [SCALAR_MASS, "--sym", "scaling"],
+    "kt": [SCALAR, "--expr", "~y", "--stages"],
+    "check-reducibility": [ON_SHELL],
+    "selftest": [],
+}
+
+
+def parser_cases() -> list[list[str]]:
+    cases = [[], ["-h"], ["bogus"], ["--json", "el", SCALAR]]
+    for name, rest in VALID_CALLS.items():
+        cases += [
+            [name, *rest],
+            [name, "no_such_file.nkt", *rest[1:]],
+            [name, *rest[:1]],  # the file without the required option
+            [name],
+            [name, *rest, "--bogus"],
+            [name, "-h"],
+        ]
+    # a command without options has no call that misses one
+    return [list(argv) for argv in dict.fromkeys(map(tuple, cases))]
+
+
+class TestParser:
+    def test_every_command_is_described(self):
+        assert sorted(cli.COMMANDS) == sorted(VALID_CALLS)
+
+    @pytest.mark.parametrize("argv", parser_cases(), ids=lambda argv: " ".join(
+        Path(a).name if a.endswith(".nkt") else a for a in argv
+    ) or "(none)")
+    def test_one_command_parser_matches_the_full_one(self, argv, monkeypatch):
+        build, built = cli.build_parser, []
+
+        def recorded(command=None):
+            built.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "build_parser", recorded)
+        got = outcome(list(argv))
+        assert built == [argv[0] if argv and argv[0] in VALID_CALLS else None]
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+        want = outcome(list(argv))
+        mask = lambda o: (o[0], re.sub(r'"elapsed_ms": \d+', "", o[1]), o[2])
+        assert mask(got) == mask(want)
+
+    def test_help_lists_every_command(self):
+        code, out, err = outcome(["--help"])
+        assert (code, err) == (0, "")
+        listed = re.findall(r"^    (\S+)", out, re.MULTILINE)
+        assert listed == list(VALID_CALLS)
 
 
 class TestJsonReports:

@@ -1206,6 +1206,12 @@ def test_a_run_of_terms_is_added_up_at_once(monkeypatch) -> None:
     # dimension: the first one read raises
     ("y - a[5,1] + y + a[7,1]", None),
     ("sum(i,5..6, y - a[i,1] + y + d(y;i))", None),
+    # runs of factors: scalars before, between and after polynomials, and
+    # odd factors whose order sets the sign; then the first bad one read
+    ("sum(i,1..2, 2*i*k[0,i]*y*3/2*y)", "3*y^2"),
+    ("sum(i,1..2, y*i*C[i]*C[1]*y*1/2)", "-y^2*C[1]*C[2]"),
+    ("y*a[5,1]*y*a[7,1]", None),
+    ("sum(i,5..6, y*a[i,1]*y*d(y;i))", None),
 ])
 def test_runs_keep_their_signs_and_reading_order(text, want) -> None:
     got = outcome(parse_expression, text, MEMO_THEORY)

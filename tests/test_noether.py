@@ -238,6 +238,24 @@ class TestNoetherSecondTheorem:
         assert not err.value.report.trivial
         assert err.value.report.residuals
 
+    def test_a_non_symmetry_builds_no_field_equations(self, monkeypatch):
+        # the verdict is decided on theta(L); the variational derivatives of
+        # L itself serve only the identity of a symmetry that passes
+        op = op_of(1, ROLE_GAUGE, {(XI, Y, EMPTY): GradedPolynomial.one()})
+        lagr = Density((v(Y) * v(Y)).scaled(Fraction(1, 2)))
+        on_lagrangian = []
+
+        def spy(density, variables=None):
+            if density is lagr or density is lagr.expr:
+                on_lagrangian.append(variables)
+            return euler_lagrange(density, variables)
+
+        for module in (derivations, jet_calculus, noether):
+            monkeypatch.setattr(module, "euler_lagrange", spy)
+        with pytest.raises(NonVariationalError):
+            derive_noether_from_gauge(op, lagr)
+        assert on_lagrangian == []
+
     def test_identity_check_requires_noether_role(self):
         with pytest.raises(SemanticError):
             check_noether_identity(_abelian_gauge_op(), _abelian_lagrangian())

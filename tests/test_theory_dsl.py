@@ -178,6 +178,24 @@ class TestExpressions:
         want = 1 + signs.count("+") - signs.count("-")
         assert parse_theory(text).lagrangian.expr == v_y().scaled(want)
 
+    @pytest.mark.parametrize("count", [500, 2000])
+    def test_long_products_are_walked_without_recursion(self, count):
+        # a run of * is one node too; scalars sit among its factors
+        factors = ["2" if k % 7 == 3 else "y" for k in range(count)]
+        text = SCALAR.replace("1/2 * d(y;x)^2", "*".join(factors))
+        (y,) = v_y().monomials()
+        want = GradedPolynomial({y * factors.count("y"): 2 ** factors.count("2")})
+        assert parse_theory(text).lagrangian.expr == want
+
+    def test_a_run_of_factors_is_charged_its_partial_products(self):
+        t = parse_theory(SCALAR)
+        # k factors of two terms: the partial products are charged 2^2 + ...
+        # + 2^k = 2^(k+1) - 4 steps, as a chain of binary products would
+        # be; that passes the budget for k = 19, where 2^k alone would not
+        assert not parse_expression("*".join(["(y+1)"] * 18), t).is_zero()
+        with pytest.raises(SemanticError, match="expansion work budget"):
+            parse_expression("*".join(["(y+1)"] * 19), t)
+
     def test_a_run_of_terms_is_charged_its_terms(self):
         t = parse_theory(SCALAR)
         # the sum, the run and the k products are charged 500 k steps each,
