@@ -19,9 +19,7 @@ The subcommands are described once, in COMMANDS.  Each main() call builds
 a parser afresh, with only the invoked command's subparser when argv starts
 with a command name and with all of them otherwise, so a call pays for
 parsing its own options only; the output is the same either way (see
-build_parser).  A computed operator's coefficients are rendered once, for
-the text body and the JSON residuals alike, and rendering reuses the text
-each interned jet variable keeps (graded_poly.render_jet_variable).
+build_parser).
 """
 
 from __future__ import annotations
@@ -60,7 +58,6 @@ from .noether import (
     derive_gauge_from_noether,
     derive_noether_from_gauge,
     eta,
-    json_coefficients,
     linearize_in_ghosts,
 )
 from .randgen import (
@@ -155,17 +152,8 @@ def _derivation(theory: Theory, name: str) -> GeneralizedVectorField:
     return vf
 
 
-def _operator_report(
-    check: str, theory: Theory, target: str, name: str, op: LinearJetOperator,
-    assumptions: list[str],
-) -> VerificationReport:
-    """A computed operator: its theory-file block as the text body and its
-    coefficients as the JSON residuals, each coefficient rendered once."""
-    rendered = op.rendered()
-    return VerificationReport(
-        check, theory.name, target, True, list(json_coefficients(rendered).items()),
-        assumptions, [], _render_operator(name, op, rendered),
-    )
+def _operator_entries(op: LinearJetOperator) -> list[tuple[str, str]]:
+    return list(op.to_json()["coefficients"].items())
 
 
 def _residual_entries(
@@ -196,8 +184,13 @@ def _cmd_el(theory: Theory, args: argparse.Namespace) -> VerificationReport:
 
 
 def _cmd_eta(theory: Theory, args: argparse.Namespace) -> VerificationReport:
-    out = eta(_operator(theory, args.op))
-    return _operator_report("eta", theory, args.op, f"eta_{args.op}", out, [])
+    op = _operator(theory, args.op)
+    out = eta(op)
+    body = _render_operator(f"eta_{args.op}", out, theory.dim)
+    return VerificationReport(
+        "eta", theory.name, args.op, True,
+        _operator_entries(out), [], [], body,
+    )
 
 
 def _cmd_derive_noether(
@@ -224,9 +217,10 @@ def _cmd_derive_noether(
             list(err.report.assumptions),
         )
     assumptions = list(report.variational.assumptions) if report.variational else []
-    return _operator_report(
-        "derive-noether", theory, args.sym, f"{args.sym}_noether", noether_op,
-        assumptions,
+    body = _render_operator(f"{args.sym}_noether", noether_op, theory.dim)
+    return VerificationReport(
+        "derive-noether", theory.name, args.sym, True,
+        _operator_entries(noether_op), assumptions, [], body,
     )
 
 
@@ -245,8 +239,10 @@ def _cmd_derive_gauge(
     gauge_op, report = derive_gauge_from_noether(op, lag)
     assumptions = list(report.variational.assumptions) if report.variational else []
     assumptions += list(report.notes)
-    return _operator_report(
-        "derive-gauge", theory, args.op, f"{args.op}_gauge", gauge_op, assumptions
+    body = _render_operator(f"{args.op}_gauge", gauge_op, theory.dim)
+    return VerificationReport(
+        "derive-gauge", theory.name, args.op, True,
+        _operator_entries(gauge_op), assumptions, [], body,
     )
 
 

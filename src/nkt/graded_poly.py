@@ -124,12 +124,10 @@ class JetVariable:
     the identity hash.  The intern table holds its instances for the life of
     the process; it grows to at most the declared variable components times
     the multi-indices up to the jet-order bound, per theory.  `key` orders
-    variables canonically and `odd` is the parity as a plain flag.  The
-    instance also keeps the jets raised from it and its text (see
-    render_jet_variable).
+    variables canonically and `odd` is the parity as a plain flag.
     """
 
-    __slots__ = ("var", "mi", "key", "odd", "_raised", "_text")
+    __slots__ = ("var", "mi", "key", "odd", "_raised")
 
     def __new__(cls, var: VariableId, mi: MultiIndex = EMPTY) -> "JetVariable":
         ident = (var, mi.entries)
@@ -150,7 +148,6 @@ class JetVariable:
             )
             self.odd = var.parity is Parity.ODD
             self._raised = {}
-            self._text = {}
         return self
 
     @property
@@ -819,19 +816,6 @@ def coordinate_token(k: int, dim: int) -> str:
 
 
 def render_jet_variable(jv: JetVariable, dim: int) -> str:
-    """The jet's text, built once per process for dim 1 and once for the rest.
-
-    Only the direction tokens depend on dim, and only on whether it is 1
-    (x against x0, x1, ...), so the interned jet keeps both texts.
-    """
-    one = dim == 1
-    text = jv._text.get(one)
-    if text is None:
-        text = jv._text[one] = _jet_text(jv, dim)
-    return text
-
-
-def _jet_text(jv: JetVariable, dim: int) -> str:
     prefix = "~" if jv.var.kind in (Kind.ANTIFIELD, Kind.ANTIGHOST) else ""
     comps = ",".join(str(c) for c in jv.var.components)
     dirs = ",".join(coordinate_token(d, dim) for d in jv.mi.entries)

@@ -29,7 +29,6 @@ from .graded_poly import (
     Parity,
     VariableId,
     gp_sum,
-    render_polynomial,
 )
 from .jet_calculus import (
     TrivialityReport,
@@ -109,15 +108,13 @@ class LinearJetOperator:
             self.coeffs, key=lambda k: (k[0].rank, k[1].rank, k[2].order, k[2].entries)
         )
 
-    def rendered(self) -> list[tuple[CoeffKey, str]]:
-        """Each coefficient's key and text, in sorted_keys() order."""
-        return [
-            (key, render_polynomial(self.coeffs[key], self.dim))
-            for key in self.sorted_keys()
-        ]
-
     def to_json(self) -> dict:
-        body = json_coefficients(self.rendered())
+        from .graded_poly import render_polynomial
+
+        body = {}
+        for param, target, mi in self.sorted_keys():
+            key = f"{param.render()}|{target.render()}|{mi.render()}"
+            body[key] = render_polynomial(self.coeffs[(param, target, mi)], self.dim)
         out = {"role": self.role, "dim": self.dim, "coefficients": body}
         if self.stage is not None:
             out["stage"] = self.stage
@@ -136,14 +133,6 @@ class LinearJetOperator:
         return hash((self.dim, self.role, self.stage, tuple(sorted(
             (k[0].rank, k[1].rank, k[2].entries) for k in self.coeffs
         ))))
-
-
-def json_coefficients(rendered: list[tuple[CoeffKey, str]]) -> dict[str, str]:
-    """The JSON form of rendered coefficients: "param|target|mi" -> text."""
-    return {
-        f"{param.render()}|{target.render()}|{mi.render()}": text
-        for (param, target, mi), text in rendered
-    }
 
 
 def _sub_multiindices(mi: MultiIndex) -> list[MultiIndex]:

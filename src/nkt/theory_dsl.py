@@ -48,7 +48,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import permutations, product as iter_product
 from math import comb, prod
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Callable, NamedTuple
 
 from .derivations import GeneralizedVectorField
@@ -67,13 +67,7 @@ from .graded_poly import (
 )
 from .koszul_tate import ReductionCertificate
 from .multiindex import MultiIndex
-from .noether import (
-    ROLE_GAUGE,
-    ROLE_NOETHER,
-    ROLE_STAGE,
-    CoeffKey,
-    LinearJetOperator,
-)
+from .noether import ROLE_GAUGE, ROLE_NOETHER, ROLE_STAGE, LinearJetOperator
 
 MAX_DIM = 9
 MAX_COMPONENTS = 512
@@ -876,7 +870,7 @@ class _Facts(NamedTuple):
     # names in memo key order
     key: tuple[list, list[str]] | None = None
     factors: tuple[_Ref, ...] = ()  # constant entries of the node's * chain
-    plan: tuple = ()  # a sum's zeroing factors, see _sum_run; a run of terms' signs
+    plan: tuple = ()  # a sum's zeroing factors, see _sum_run; a run's signs
 
 
 class _Statement:
@@ -922,21 +916,18 @@ def _analyse(
         facts = _analyse_leaf(stmt, node, scope)
     elif kind is _Sum:
         facts = _analyse_sum(stmt, node, scope)
-    elif kind is _Binary and type(node.left) is _Binary and (
-        (node.op == "*") is (node.left.op == "*")
-    ):
-        facts = _analyse_run(stmt, node, scope)  # two or more + and -, or *
-    elif kind is _Binary:
+    elif kind is _Binary and node.op == "*":
+        return _analyse_factors(stmt, node, scope)
+    elif kind is _Binary and type(node.left) is _Binary and node.left.op != "*":
+        facts = _analyse_terms(stmt, node, scope)  # two or more + and -
+    elif kind is _Binary:  # one + or -
         left = _analyse(stmt, node.left, scope)
         right = _analyse(stmt, node.right, scope)
-        product = node.op == "*"
-        terms = left.terms * right.terms if product else left.terms + right.terms
-        terms = min(terms, _CAP)
+        terms = min(left.terms + right.terms, _CAP)
         facts = _Facts(
             node, left.const and right.const, left.safe and right.safe,
             left.free | right.free, (left, right), terms=terms, own=terms,
             shape=(node.op,) + left.shape + right.shape if scope else (),
-            factors=left.factors + right.factors if product else (),
         )
     elif kind is _Unary or kind is _Pow:
         arg = _analyse(stmt, node.operand if kind is _Unary else node.base, scope)
@@ -953,6 +944,13 @@ def _analyse(
         )
     else:
         raise SemanticError("malformed expression", getattr(node, "span", None))
+    return _keyed(stmt, facts, scope)
+
+
+def _keyed(
+    stmt: _Statement, facts: _Facts, scope: dict[str, tuple[int, int]]
+) -> _Facts:
+    """facts with the number of values of its free names and its memo key."""
     if not scope or facts.cheap:
         return facts
     values = prod(max(0, scope[n][1] - scope[n][0] + 1) for n in facts.free)
@@ -963,47 +961,89 @@ def _analyse(
     canon = tuple([
         (numbers.setdefault(t[0], len(numbers)),) if type(t) is tuple else t
         for t in facts.shape
-    ]) if facts.free else ("closed", id(node))
+    ]) if facts.free else ("closed", id(facts.node))
     entry = stmt.shapes.setdefault(canon, [len(stmt.shapes), 0])
     entry[1] += 1
     names = [n for n in numbers if n in facts.free]
     return facts._replace(values=values, key=(entry, names))
 
 
-def _analyse_run(
-    stmt: _Statement, node: _Binary, scope: dict[str, tuple[int, int]]
-) -> _Facts:
-    """A run of two or more + and -, such as y+y+...+y, or of two or more *,
-    such as y*y*...*y, is one node whose kids are its operands, left to
-    right; the parser leaves it a left-deep chain, walked here by a loop.
-    One evaluation of a run of terms sums its operands at once, so it is
-    charged their terms once; a run of factors multiplies them left to
-    right and is charged the terms of each partial product, as its chain
-    of binary products would be."""
-    top, product = node, node.op == "*"
-    ops, operands = [], []
+def _chain(node: _Binary) -> tuple[list, list[_Binary]]:
+    """The operands, left to right, of the run of * or of + and - whose top
+    is node, and the run's binary nodes, innermost first.  The parser leaves
+    a run a left-deep chain, walked here by a loop."""
+    product, operands, links = node.op == "*", [], []
     while type(node) is _Binary and (node.op == "*") is product:
-        ops.append(node.op)
+        links.append(node)
         operands.append(node.right)
         node = node.left
     operands.append(node)
-    kids = tuple([_analyse(stmt, operand, scope) for operand in reversed(operands)])
-    if product:
-        plan, terms, own = (), kids[0].terms, 0
-        for kid in kids[1:]:
-            terms = min(terms * kid.terms, _CAP)
-            own = min(own + terms, _CAP)
-    else:
-        plan = ("+", *reversed(ops))
-        terms = own = min(sum(kid.terms for kid in kids), _CAP)
-    shape = ("*" if product else "+", len(kids), *plan)
+    operands.reverse()
+    links.reverse()
+    return operands, links
+
+
+def _analyse_terms(
+    stmt: _Statement, node: _Binary, scope: dict[str, tuple[int, int]]
+) -> _Facts:
+    """A run of two or more + and -, such as y+y+...+y, is one node whose
+    kids are its operands, left to right.  One evaluation sums the operands
+    at once, so it is charged their terms once."""
+    operands, links = _chain(node)
+    kids = tuple([_analyse(stmt, operand, scope) for operand in operands])
+    terms = min(sum(kid.terms for kid in kids), _CAP)
+    plan = ("+", *[link.op for link in links])
     return _Facts(
-        top, all(kid.const for kid in kids), all(kid.safe for kid in kids),
-        frozenset().union(*[kid.free for kid in kids]), kids, terms=terms, own=own,
-        shape=shape + tuple(t for kid in kids for t in kid.shape) if scope else (),
-        factors=tuple(f for kid in kids for f in kid.factors) if product else (),
+        node, all(kid.const for kid in kids), all(kid.safe for kid in kids),
+        frozenset().union(*[kid.free for kid in kids]), kids, terms=terms, own=terms,
+        shape=("+", len(kids), *plan) + tuple(t for kid in kids for t in kid.shape)
+        if scope else (),
         plan=plan,
     )
+
+
+def _analyse_factors(
+    stmt: _Statement, node: _Binary, scope: dict[str, tuple[int, int]]
+) -> _Facts:
+    """A run of one or more *, such as y*y*...*y, multiplied left to right.
+
+    Each stretch of the run whose partial products read the same bound
+    names is one node; its kids are the node of the stretch before it, if
+    any, and its own operands.  So each partial product is built once per
+    value of the names it reads and charged its terms each time, as in a
+    chain of binary products, and the nodes nest at most once per bound
+    name however long the run."""
+    operands, links = _chain(node)
+    kids = [_analyse(stmt, operand, scope) for operand in operands]
+    stretch, free = kids[:1], kids[0].free
+    for k in range(1, len(kids)):
+        if len(stretch) > 1 and not kids[k].free <= free:
+            # links[k - 2] is the product of the first k operands
+            stretch = [_product_facts(stmt, links[k - 2], stretch, scope)]
+        stretch.append(kids[k])
+        free = free | kids[k].free
+    return _product_facts(stmt, node, stretch, scope)
+
+
+def _product_facts(
+    stmt: _Statement, node: _Binary, kids: list[_Facts],
+    scope: dict[str, tuple[int, int]],
+) -> _Facts:
+    """The facts of a stretch of a run of *: one evaluation builds each
+    partial product of kids, left to right, and is charged their terms."""
+    terms, own = kids[0].terms, 0
+    for kid in kids[1:]:
+        terms = min(terms * kid.terms, _CAP)
+        own = min(own + terms, _CAP)
+    facts = _Facts(
+        node, all(kid.const for kid in kids), all(kid.safe for kid in kids),
+        frozenset().union(*[kid.free for kid in kids]), tuple(kids), terms=terms,
+        own=own,
+        shape=("*", len(kids)) + tuple(t for kid in kids for t in kid.shape)
+        if scope else (),
+        factors=tuple(f for kid in kids for f in kid.factors),
+    )
+    return _keyed(stmt, facts, scope)
 
 
 def _analyse_sum(
@@ -1134,17 +1174,17 @@ def _compile(
         run = facts.run
     elif type(node) is _Sum:
         run = _sum_run(stmt, facts, *runs)
+    elif type(node) is _Binary and node.op == "*":
+        run = _run_of_factors(facts, runs)
     elif type(node) is _Binary and len(runs) > 2:
-        run = (_run_of_factors if node.op == "*" else _run_of_terms)(facts, runs)
+        run = _run_of_terms(facts, runs)
     elif type(node) is _Binary:
-        # left first; a scalar times a polynomial is a scaling, and a
-        # scalar is lifted to a polynomial only to be added
+        # one + or -, left first; a scalar is lifted to a polynomial only to
+        # be added
         (f, g), (left, right) = runs, facts.kids
         fn = combine = _OPS[node.op]
         lift = GradedPolynomial.scalar
-        if left.const != right.const and node.op == "*":
-            fn = (lambda q, p: p.scaled(q)) if left.const else GradedPolynomial.scaled
-        elif left.const != right.const:
+        if left.const != right.const:
             fn = (lambda q, p: combine(lift(q), p)) if left.const else (
                 lambda p, q: combine(p, lift(q))
             )
@@ -1170,7 +1210,7 @@ def _compile(
     return memoized
 
 
-_OPS = {"+": add, "-": sub, "*": mul}
+_OPS = {"+": add, "-": sub}
 
 
 def _run_of_terms(
@@ -1197,8 +1237,9 @@ def _run_of_terms(
 def _run_of_factors(
     facts: _Facts, runs: list[Callable[[], object]]
 ) -> Callable[[], object]:
-    """Multiply the operands of a run of *, left to right, each evaluated
-    just before it is taken; a scalar times a polynomial is a scaling."""
+    """Multiply the kids of a stretch of a run of *, left to right, each
+    evaluated just before it is taken; a scalar times a polynomial is a
+    scaling."""
     operands = list(zip(runs, [kid.const for kid in facts.kids]))
     (first, scalar), rest = operands[0], operands[1:]
 
@@ -1696,14 +1737,13 @@ def _render_constant(const: ConstantTensor) -> list[str]:
     return lines
 
 
-def _render_operator(
-    name: str, op: LinearJetOperator, rendered: list[tuple[CoeffKey, str]]
-) -> list[str]:
-    """The operator block of op, given op.rendered()."""
+def _render_operator(name: str, op: LinearJetOperator, dim: int) -> list[str]:
     role = op.role if op.role != ROLE_STAGE else f"stage {op.stage}"
     lines = [f"operator {name} role {role} {{"]
-    for (param, target, mi), text in rendered:
-        lines.append(f"  ({param.render()}, {target.render()}, {mi.render()}) : {text}")
+    for param, target, mi in op.sorted_keys():
+        poly = op.coefficient(param, target, mi)
+        key = f"({param.render()}, {target.render()}, {mi.render()})"
+        lines.append(f"  {key} : {render_polynomial(poly, dim)}")
     lines.append("}")
     return lines
 
@@ -1750,7 +1790,7 @@ def render_theory(theory: Theory) -> str:
         )
     for name, op in theory.operators.items():
         lines.append("")
-        lines.extend(_render_operator(name, op, op.rendered()))
+        lines.extend(_render_operator(name, op, theory.dim))
     for name, vf in theory.derivations.items():
         lines.append("")
         lines.extend(_render_derivation(name, vf, theory.dim))

@@ -17,8 +17,6 @@ from nkt.graded_poly import (
     VariableId,
     antifield_of,
     gp_normalize,
-    jet,
-    render_jet_variable,
     render_polynomial,
 )
 from nkt import config
@@ -271,17 +269,6 @@ def test_render_polynomial_examples() -> None:
     assert render_polynomial(v(a, 1), 2) == "a[0,1;x1]"
     af = antifield_of(Y)
     assert render_polynomial(v(af), 1) == "~y"
-
-
-@pytest.mark.parametrize("dims", [(1, 2), (2, 1)])
-def test_a_jet_keeps_its_text_per_dimension(dims) -> None:
-    # a variable no other test renders, so the first dimension asked for
-    # is the first text the interned jet builds
-    jv = jet(even_field(f"render_order_{dims[0]}"), 0)
-    texts = {dim: render_jet_variable(jv, dim) for dim in dims}
-    name = jv.var.name
-    assert texts == {1: f"{name}[;x]", 2: f"{name}[;x0]"}
-    assert render_jet_variable(jv, 3) == f"{name}[;x0]"
 
 
 def test_render_polynomial_scalar_coefficients() -> None:

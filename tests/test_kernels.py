@@ -1198,6 +1198,20 @@ def test_a_run_of_terms_is_added_up_at_once(monkeypatch) -> None:
     assert (len(sums), len(binary)) == (2, 0)
 
 
+def test_a_prefix_of_a_product_is_built_once_per_value_of_its_names(monkeypatch) -> None:
+    # (y+i)*(y+1) reads only i: it is built once per i, not once per (i, j),
+    # and the whole product once per (i, j), 3 + 3*4 products in all
+    text = "sum(i,1..3, sum(j,1..4, (y+i)*(y+1)*(y+j)))"
+    want = oracle_outcome(parse_expression, text, MEMO_THEORY)
+    products = []
+    mul = GradedPolynomial.__mul__
+    monkeypatch.setattr(
+        GradedPolynomial, "__mul__", lambda p, q: products.append(1) or mul(p, q)
+    )
+    assert outcome(parse_expression, text, MEMO_THEORY) == want
+    assert len(products) == 3 + 3 * 4
+
+
 @pytest.mark.parametrize("text, want", [
     # a scalar run, and runs of one shape but for their signs
     ("sum(i,1..2, (i - 3 - e[i,1] + 1/2) * y)", "-y"),

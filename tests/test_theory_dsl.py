@@ -191,10 +191,19 @@ class TestExpressions:
         t = parse_theory(SCALAR)
         # k factors of two terms: the partial products are charged 2^2 + ...
         # + 2^k = 2^(k+1) - 4 steps, as a chain of binary products would
-        # be; that passes the budget for k = 19, where 2^k alone would not
+        # be; that passes the budget for k = 18 but not for k = 19, where
+        # 2^k alone would pass
         assert not parse_expression("*".join(["(y+1)"] * 18), t).is_zero()
         with pytest.raises(SemanticError, match="expansion work budget"):
             parse_expression("*".join(["(y+1)"] * 19), t)
+
+    def test_a_prefix_of_a_product_is_charged_per_value_of_its_names(self):
+        t = parse_theory(SCALAR)
+        # i*i and i*i*i read only i: they are charged once per i, and the
+        # whole product once per (i, j), 751,005 steps in all; charging
+        # every partial product per (i, j) would take 1,250,005
+        text = "sum(i,1..500, sum(j,1..500, i*i*i*j))"
+        assert parse_expression(text, t) == GradedPolynomial.scalar(125250**3)
 
     def test_a_run_of_terms_is_charged_its_terms(self):
         t = parse_theory(SCALAR)
