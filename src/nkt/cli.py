@@ -53,6 +53,7 @@ from .noether import (
     ROLE_GAUGE,
     ROLE_STAGE,
     LinearJetOperator,
+    NoetherIdentityError,
     NonVariationalError,
     check_noether_identity,
     derive_gauge_from_noether,
@@ -228,15 +229,14 @@ def _cmd_derive_gauge(
     theory: Theory, args: argparse.Namespace
 ) -> VerificationReport:
     lag = _require_lagrangian(theory)
-    op = _operator(theory, args.op)
-    identity = check_noether_identity(op, lag)
-    if not identity.holds:
+    try:
+        gauge_op, report = derive_gauge_from_noether(_operator(theory, args.op), lag)
+    except NoetherIdentityError as err:
         return VerificationReport(
             "derive-gauge", theory.name, args.op, False,
-            _residual_entries(identity.residuals, theory.dim),
+            _residual_entries(err.report.residuals, theory.dim),
             ["operator does not satisfy the identity; nothing to derive"],
         )
-    gauge_op, report = derive_gauge_from_noether(op, lag)
     assumptions = list(report.variational.assumptions) if report.variational else []
     assumptions += list(report.notes)
     body = _render_operator(f"{args.op}_gauge", gauge_op, theory.dim)
@@ -321,13 +321,12 @@ def _cmd_check_reducibility(
             "check-reducibility needs exactly one gauge-role operator;"
             f" theory {theory.name} declares {len(gauge_ops)}"
         )
-    stage_ops = sorted(
-        (op for op in theory.operators.values() if op.role == ROLE_STAGE),
-        key=lambda op: op.stage or 0,
-    )
+    stage_ops = [op for op in theory.operators.values() if op.role == ROLE_STAGE]
+    labelled = {
+        label: resolve_component(theory, label) for label in theory.certificates
+    }
     certificates = {
-        resolve_component(theory, label): cert
-        for label, cert in theory.certificates.items()
+        labelled[label]: cert for label, cert in theory.certificates.items()
     }
     report = check_reducibility_chain(lag, gauge_ops[0], stage_ops, certificates)
     residuals = _residual_entries(report.identity_residuals, theory.dim)
@@ -338,8 +337,7 @@ def _cmd_check_reducibility(
                 (var.render(), render_polynomial(result.residual, theory.dim))
             )
     cert_states = []
-    for label in theory.certificates:
-        var = resolve_component(theory, label)
+    for label, var in labelled.items():
         result = report.stage_results.get(var)
         cert_states.append((label, result.ok if result is not None else False))
     return VerificationReport(

@@ -23,7 +23,6 @@ from .jet_calculus import (
     FIELD_INDEPENDENT_NOTE,
     TRIVIAL_TOPOLOGY_NOTE,
     TrivialityReport,
-    VariationalDerivatives,
     _as_expr,
     euler_lagrange,
     is_variationally_trivial,
@@ -86,10 +85,6 @@ def contract_with_EL(
 ) -> Density:
     """The interior product with the variational one-form: sum of v^A E_A."""
     derivs = euler_lagrange(lagrangian, sorted(vf.components, key=lambda a: a.rank))
-    return _contract(vf, derivs)
-
-
-def _contract(vf: GeneralizedVectorField, derivs: VariationalDerivatives) -> Density:
     return Density(
         gp_sum(comp * derivs[var] for var, comp in vf.components.items())
     )
@@ -104,52 +99,28 @@ def check_variational(
     The verdict and residuals are decided on the Lie derivative theta(L):
     the first variational formula, theta(L) - sum Q^A E_A = D_i J^i, makes
     its variational derivatives equal those of the contraction exactly, and
-    theta(L) is usually the much smaller density, with lower jet orders.
+    theta(L) is usually the much smaller density, with lower jet orders.  A
+    component of higher order than L can take theta(L) past the jet-order
+    bound where the contraction stays within it (Q^y = y_xxxx^2 on L =
+    y_x^2/2 reaches order 9 against 8), so a JetOrderError there falls back
+    to the contraction.  FIELD_INDEPENDENT_NOTE describes the contraction,
+    which is otherwise built only when it can be free of jets: when the
+    check passes and some component has a jet-free term, since only such a
+    term times a jet-free term of E_A gives one.
     """
-    return _check_variational_with(vf, lagrangian, None)
-
-
-def _check_variational_with(
-    vf: GeneralizedVectorField,
-    lagrangian: Density | GradedPolynomial,
-    derivs: VariationalDerivatives | None,
-) -> TrivialityReport:
-    """check_variational, reusing derivs when they cover vf's targets.
-
-    Residuals are the variational derivatives of theta(L); see
-    check_variational.  A component of higher order than L can take theta(L)
-    past the jet-order bound where the contraction stays within it (Q^y =
-    y_xxxx^2 on L = y_x^2/2 reaches order 9 against 8), so a JetOrderError
-    there falls back to the contraction, whose variational derivatives are
-    the same.  FIELD_INDEPENDENT_NOTE describes the contraction, which is
-    otherwise built only when it can be free of jets: when the check passes
-    and some component has a jet-free term, since only such a term times a
-    jet-free term of E_A gives one.
-    """
-    expr = _as_expr(lagrangian)
     contraction = None
     try:
-        residuals = euler_lagrange(prolong_apply(vf, expr)).nonzero()
+        residuals = euler_lagrange(prolong_apply(vf, _as_expr(lagrangian))).nonzero()
     except JetOrderError:
-        contraction = _contraction(vf, expr, derivs)
+        contraction = contract_with_EL(vf, lagrangian).expr
         residuals = euler_lagrange(contraction).nonzero()
     assumptions = [TRIVIAL_TOPOLOGY_NOTE]
     if not residuals and any(map(_has_jet_free_term, vf.components.values())):
         if contraction is None:
-            contraction = _contraction(vf, expr, derivs)
+            contraction = contract_with_EL(vf, lagrangian).expr
         if not contraction.is_zero() and not contraction.variables():
             assumptions.append(FIELD_INDEPENDENT_NOTE)
     return TrivialityReport(not residuals, residuals, tuple(assumptions))
-
-
-def _contraction(
-    vf: GeneralizedVectorField,
-    lagrangian: GradedPolynomial,
-    derivs: VariationalDerivatives | None,
-) -> GradedPolynomial:
-    if derivs is None:
-        return contract_with_EL(vf, lagrangian).expr
-    return _contract(vf, derivs).expr
 
 
 def _has_jet_free_term(p: GradedPolynomial) -> bool:

@@ -10,6 +10,7 @@ derivative symbol passes the factors on one side or the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graded_poly import (
     Density,
@@ -62,6 +63,11 @@ class VariationalDerivatives:
 
     def __getitem__(self, var: VariableId) -> GradedPolynomial:
         return self.components.get(var, GradedPolynomial.zero())
+
+    def __iter__(self) -> Iterator[VariableId]:
+        """The varied variables, like a mapping's keys; without it Python
+        would iterate by indexing, which never ends."""
+        return iter(self.components)
 
     def nonzero(self) -> dict[VariableId, GradedPolynomial]:
         return {v: e for v, e in self.components.items() if not e.is_zero()}

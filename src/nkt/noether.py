@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Callable, TypeVar
 
-from .derivations import GeneralizedVectorField, _check_variational_with
+from .derivations import GeneralizedVectorField, check_variational
 from .errors import NktError, SemanticError
 from .graded_poly import (
     Density,
@@ -30,12 +30,7 @@ from .graded_poly import (
     VariableId,
     gp_sum,
 )
-from .jet_calculus import (
-    TrivialityReport,
-    VariationalDerivatives,
-    euler_lagrange,
-    total_derivative_multi,
-)
+from .jet_calculus import TrivialityReport, euler_lagrange, total_derivative_multi
 from .multiindex import EMPTY, MultiIndex, split_weight
 
 ROLE_GAUGE = "gauge"
@@ -54,6 +49,20 @@ class NonVariationalError(NktError):
         names = ", ".join(v.render() for v in report.residuals)
         super().__init__(
             f"symmetry is not variational; nonzero variational derivatives: {names}"
+        )
+
+
+class NoetherIdentityError(SemanticError):
+    """An operator fed to the inverse construction fails the Noether identity.
+
+    report is the NoetherReport of check_noether_identity, whose residuals
+    are the nonzero per-parameter expansions.
+    """
+
+    def __init__(self, report: NoetherReport):
+        self.report = report
+        super().__init__(
+            "operator does not satisfy the Noether identity; nothing to derive"
         )
 
 
@@ -338,13 +347,7 @@ def noether_residuals(
     op: LinearJetOperator, lagrangian: Density | GradedPolynomial
 ) -> dict[VariableId, GradedPolynomial]:
     """Per parameter r: sum over A, Lam of Delta^{A,Lam}_r d_Lam(E_A)."""
-    return _residuals(op, euler_lagrange(lagrangian, op.targets()))
-
-
-def _residuals(
-    op: LinearJetOperator, derivs: VariationalDerivatives
-) -> dict[VariableId, GradedPolynomial]:
-    """noether_residuals given variational derivatives that cover op's targets."""
+    derivs = euler_lagrange(lagrangian, op.targets())
     cache: dict[tuple[VariableId, MultiIndex], GradedPolynomial] = {}
     parts: dict[VariableId, list[GradedPolynomial]] = {r: [] for r in op.parameters()}
     for (param, target, mi), poly in op.coeffs.items():
@@ -370,37 +373,32 @@ def derive_noether_from_gauge(
     """Variational symmetry -> Noether operator, with the identity verified.
 
     Raises NonVariationalError when the symmetry fails the variational test;
-    the error carries the offending variational derivatives.
+    the error carries the offending variational derivatives.  The field
+    equations are built only for a symmetry that passes it.
     """
     if op.role != ROLE_GAUGE:
         raise SemanticError("derive_noether_from_gauge expects a gauge-role operator")
-    # the check decides on theta(L); the variational derivatives are built
-    # only for a symmetry that passes it, and eta(op) targets a subset of
-    # op's targets
-    variational = _check_variational_with(gauge_vector_field(op), lagrangian, None)
+    variational = check_variational(gauge_vector_field(op), lagrangian)
     if not variational.trivial:
         raise NonVariationalError(variational)
-    derivs = euler_lagrange(lagrangian, op.targets())
     noether_op = eta(op)
-    report = NoetherReport(_residuals(noether_op, derivs), variational)
+    report = NoetherReport(noether_residuals(noether_op, lagrangian), variational)
     return noether_op, report
 
 
 def derive_gauge_from_noether(
     op: LinearJetOperator, lagrangian: Density | GradedPolynomial
 ) -> tuple[LinearJetOperator, NoetherReport]:
-    """Noether operator -> gauge symmetry, with variationality verified."""
-    if op.role != ROLE_NOETHER:  # the check, and message, of check_noether_identity
-        raise SemanticError("check_noether_identity expects a noether-role operator")
-    # eta(op) and its vector field both target a subset of op's targets
-    derivs = euler_lagrange(lagrangian, op.targets())
-    identity = NoetherReport(_residuals(op, derivs))
+    """Noether operator -> gauge symmetry, with variationality verified.
+
+    Raises NoetherIdentityError, carrying check_noether_identity's report,
+    when the operator does not satisfy the identity.
+    """
+    identity = check_noether_identity(op, lagrangian)
     if not identity.holds:
-        raise SemanticError(
-            "operator does not satisfy the Noether identity; nothing to derive"
-        )
+        raise NoetherIdentityError(identity)
     gauge_op = eta(op)
-    variational = _check_variational_with(gauge_vector_field(gauge_op), lagrangian, derivs)
+    variational = check_variational(gauge_vector_field(gauge_op), lagrangian)
     notes = ()
     if eta(gauge_op) != op:
         notes = ("round-trip eta(eta(op)) failed to reproduce the operator",)

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import permutations, product as iter_product
 from math import comb, prod
-from operator import add, sub
 from typing import Callable, NamedTuple
 
 from .derivations import GeneralizedVectorField
@@ -388,7 +387,8 @@ def _check_operator(
                 raise SemanticError(
                     f"operator {name} references undeclared {var.render()}"
                 )
-        _check_vars(declared, poly, f"operator {name}", (Kind.FIELD,))
+        # declarations only: LinearJetOperator keeps coefficients to field jets
+        _check_vars(declared, poly, f"operator {name}", _ALL_KINDS)
         if op.role in (ROLE_GAUGE, ROLE_NOETHER):
             if param.kind is not Kind.GHOST or param.stage is not None:
                 raise SemanticError(
@@ -918,17 +918,8 @@ def _analyse(
         facts = _analyse_sum(stmt, node, scope)
     elif kind is _Binary and node.op == "*":
         return _analyse_factors(stmt, node, scope)
-    elif kind is _Binary and type(node.left) is _Binary and node.left.op != "*":
-        facts = _analyse_terms(stmt, node, scope)  # two or more + and -
-    elif kind is _Binary:  # one + or -
-        left = _analyse(stmt, node.left, scope)
-        right = _analyse(stmt, node.right, scope)
-        terms = min(left.terms + right.terms, _CAP)
-        facts = _Facts(
-            node, left.const and right.const, left.safe and right.safe,
-            left.free | right.free, (left, right), terms=terms, own=terms,
-            shape=(node.op,) + left.shape + right.shape if scope else (),
-        )
+    elif kind is _Binary:
+        facts = _analyse_terms(stmt, node, scope)
     elif kind is _Unary or kind is _Pow:
         arg = _analyse(stmt, node.operand if kind is _Unary else node.base, scope)
         t, k = arg.terms, (node.exponent if kind is _Pow else -1)  # -1: negation
@@ -986,16 +977,20 @@ def _chain(node: _Binary) -> tuple[list, list[_Binary]]:
 def _analyse_terms(
     stmt: _Statement, node: _Binary, scope: dict[str, tuple[int, int]]
 ) -> _Facts:
-    """A run of two or more + and -, such as y+y+...+y, is one node whose
+    """A run of one or more + and -, such as y+y+...+y, is one node whose
     kids are its operands, left to right.  One evaluation sums the operands
     at once, so it is charged their terms once."""
     operands, links = _chain(node)
     kids = tuple([_analyse(stmt, operand, scope) for operand in operands])
-    terms = min(sum(kid.terms for kid in kids), _CAP)
+    const = safe = True
+    terms, free = 0, frozenset()
+    for kid in kids:
+        const, safe = const and kid.const, safe and kid.safe
+        terms, free = terms + kid.terms, free | kid.free
+    terms = min(terms, _CAP)
     plan = ("+", *[link.op for link in links])
     return _Facts(
-        node, all(kid.const for kid in kids), all(kid.safe for kid in kids),
-        frozenset().union(*[kid.free for kid in kids]), kids, terms=terms, own=terms,
+        node, const, safe, free, kids, terms=terms, own=terms,
         shape=("+", len(kids), *plan) + tuple(t for kid in kids for t in kid.shape)
         if scope else (),
         plan=plan,
@@ -1176,19 +1171,8 @@ def _compile(
         run = _sum_run(stmt, facts, *runs)
     elif type(node) is _Binary and node.op == "*":
         run = _run_of_factors(facts, runs)
-    elif type(node) is _Binary and len(runs) > 2:
-        run = _run_of_terms(facts, runs)
     elif type(node) is _Binary:
-        # one + or -, left first; a scalar is lifted to a polynomial only to
-        # be added
-        (f, g), (left, right) = runs, facts.kids
-        fn = combine = _OPS[node.op]
-        lift = GradedPolynomial.scalar
-        if left.const != right.const:
-            fn = (lambda q, p: combine(lift(q), p)) if left.const else (
-                lambda p, q: combine(p, lift(q))
-            )
-        run = lambda: fn(f(), g())
+        run = _run_of_terms(facts, runs)
     elif type(node) is _Unary:
         (f,) = runs
         run = lambda: -f()
@@ -1208,9 +1192,6 @@ def _compile(
         return value
 
     return memoized
-
-
-_OPS = {"+": add, "-": sub}
 
 
 def _run_of_terms(

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from nkt import cli
+from nkt import cli, noether
 from nkt.cli import main
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
@@ -69,6 +69,33 @@ class TestComputationCommands:
         code, out, _ = run(capsys, "derive-gauge", str(f), "--op", "rot_dual")
         assert code == 0
         assert "(xi, y1, []) : y2" in out
+
+    def test_derive_gauge_report_on_ym_su2_is_pinned(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # ym_su2 with eta(gauge_sym) declared as a noether operator; the
+        # digests were recorded before derive-gauge lost its separate
+        # identity pass, and the field equations are now built once
+        code, block, _ = run(capsys, "eta", YM, "--op", "gauge_sym")
+        assert code == 0
+        f = tmp_path / "ym_dual.nkt"
+        f.write_text(Path(YM).read_text() + "\n" + block)
+        argv = ["derive-gauge", str(f), "--op", "eta_gauge_sym"]
+        text = pinned_output(argv)
+        assert text.startswith("exit 0\noperator eta_gauge_sym_gauge role gauge {\n")
+        assert pinned_digest(text) == (
+            "ab5625e54c2dca298b4169bd48d58aa68ef087a996a830e0f58aef37ba446cfd"
+        )
+        assert pinned_digest(pinned_output(argv + ["--json"])) == (
+            "8dd1a40bc78e5b415f2174cee9c407e79750070773d08f75d29c8129efc7a632"
+        )
+        calls = []
+        euler_lagrange = noether.euler_lagrange
+        monkeypatch.setattr(
+            noether, "euler_lagrange", lambda *a: calls.append(1) or euler_lagrange(*a)
+        )
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1
 
     def test_kt_applies_the_boundary(self, capsys):
         code, out, _ = run(capsys, "kt", ON_SHELL, "--expr", "~y1")

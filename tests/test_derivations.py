@@ -10,7 +10,6 @@ from conftest import even_field, even_ghost, odd_field, odd_ghost, v
 from nkt import config
 from nkt.derivations import (
     GeneralizedVectorField,
-    _check_variational_with,
     check_nilpotent,
     check_variational,
     contract_with_EL,
@@ -207,14 +206,10 @@ def definitional_report(vf, lagr):
 
 def assert_matches_definition(vf, lagr):
     old = definitional_report(vf, lagr)
-    targets = sorted(vf.components, key=lambda a: a.rank)
-    for new in (
-        check_variational(vf, lagr),
-        _check_variational_with(vf, lagr, euler_lagrange(lagr, targets)),
-    ):
-        assert new.trivial == old.trivial
-        assert list(new.residuals.items()) == list(old.residuals.items())
-        assert new.assumptions == old.assumptions
+    new = check_variational(vf, lagr)
+    assert new.trivial == old.trivial
+    assert list(new.residuals.items()) == list(old.residuals.items())
+    assert new.assumptions == old.assumptions
     return old
 
 

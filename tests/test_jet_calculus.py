@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -234,6 +235,16 @@ def test_euler_lagrange_odd_first_order() -> None:
     lag = v(C) * v(C, 0)
     derivs = euler_lagrange(lag, [C])
     assert derivs[C] == v(C, 0).scaled(2)
+
+
+def test_variational_derivatives_iterate_over_their_variables() -> None:
+    # without __iter__, iteration falls back to indexing 0, 1, 2, ..., which
+    # __getitem__ answers with zero forever; islice bounds a regression
+    lag = v(Y, 0) * v(Y, 0) + v(C) * v(C, 0)
+    derivs = euler_lagrange(lag, [Y, C])
+    assert list(islice(derivs, 3)) == [Y, C]
+    assert list(derivs) == list(derivs.components)
+    assert dict(zip(derivs, map(derivs.__getitem__, derivs))) == derivs.components
 
 
 def test_euler_lagrange_two_odd_fields() -> None:

@@ -1152,15 +1152,23 @@ def test_random_theories_match_the_fresh_evaluator() -> None:
 def test_alpha_equivalent_subterms_are_evaluated_once_per_value(monkeypatch) -> None:
     # kd[i,j] leaves j = i only, so each factor is reached once per value of
     # its index; the second is the first with i, p renamed to j, q and finds
-    # each of its values there: the two + nodes add twice, not four times
+    # each of its values there: the two + nodes add twice, not four times.
+    # A run of + and - adds through gp_sum(plus, minus); a sum's body values
+    # go through gp_sum(values) alone
     text = (
         "sum(i,1..2, sum(j,1..2,"
         " kd[i,j] * (y + sum(p,0..1, a[p,i])) * (y + sum(q,0..1, a[q,j]))))"
     )
     want = oracle_outcome(parse_expression, text, MEMO_THEORY)
     adds = []
-    add = GradedPolynomial.__add__
-    monkeypatch.setattr(GradedPolynomial, "__add__", lambda p, q: adds.append(1) or add(p, q))
+    total = theory_dsl.gp_sum
+
+    def counted(*parts):
+        if len(parts) == 2:
+            adds.append(1)
+        return total(*parts)
+
+    monkeypatch.setattr(theory_dsl, "gp_sum", counted)
     assert outcome(parse_expression, text, MEMO_THEORY) == want
     assert len(adds) == 2
     # the renaming swaps i and j: d(a[j,1];i) shares values with d(a[i,1];j)

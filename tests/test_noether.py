@@ -14,6 +14,7 @@ from nkt.jet_calculus import euler_lagrange, total_derivative, total_derivative_
 from nkt.multiindex import EMPTY, MultiIndex, mi_enumerate
 from nkt.noether import (
     LinearJetOperator,
+    NoetherIdentityError,
     NoetherReport,
     NonVariationalError,
     ROLE_GAUGE,
@@ -267,6 +268,24 @@ class TestNoetherSecondTheorem:
         assert not report.holds
         assert report.residuals[XI] == v(Y)
 
+    def test_an_operator_off_the_identity_is_refused_with_its_report(self):
+        bad = op_of(1, ROLE_NOETHER, {(XI, Y, EMPTY): GradedPolynomial.one()})
+        lagr = Density((v(Y) * v(Y)).scaled(Fraction(1, 2)))
+        with pytest.raises(NoetherIdentityError) as err:
+            derive_gauge_from_noether(bad, lagr)
+        assert isinstance(err.value, SemanticError)
+        assert str(err.value) == (
+            "operator does not satisfy the Noether identity; nothing to derive"
+        )
+        assert err.value.report == check_noether_identity(bad, lagr)
+        assert err.value.report.residuals == {XI: v(Y)}
+
+    def test_the_inverse_construction_requires_noether_role(self):
+        with pytest.raises(SemanticError) as err:
+            derive_gauge_from_noether(_abelian_gauge_op(), _abelian_lagrangian())
+        assert not isinstance(err.value, NoetherIdentityError)
+        assert str(err.value) == "check_noether_identity expects a noether-role operator"
+
 
 def _bundled_gauge_symmetry(name, op):
     theory_dir = Path(__file__).resolve().parent.parent / "theories"
@@ -314,6 +333,22 @@ def test_derivations_compute_the_lagrangian_variational_derivatives_once(
     back, back_report = derive_gauge_from_noether(noe, lagr)
     assert len(on_lagrangian) == 1
     assert back == back_expected and back_report == back_report_expected
+
+
+def test_the_inverse_construction_builds_the_field_equations_once(monkeypatch):
+    # ym_su2's covariant derivative, read as its Noether operator
+    gauge, lagr = _bundled_gauge_symmetry("ym_su2", "gauge_sym")
+    noe = eta(gauge)
+    calls = []
+
+    def counted(density, variables=None):
+        calls.append(variables)
+        return euler_lagrange(density, variables)
+
+    monkeypatch.setattr(noether, "euler_lagrange", counted)
+    back, report = derive_gauge_from_noether(noe, lagr)
+    assert calls == [noe.targets()]
+    assert back == gauge and report.holds and report.notes == ()
 
 
 class TestTrivialSymmetries:
