@@ -69,9 +69,9 @@ from .randgen import (
 )
 from .theory_dsl import (
     Theory,
-    _render_operator,
     parse_expression,
     parse_theory,
+    render_operator,
     resolve_component,
 )
 
@@ -112,9 +112,7 @@ class VerificationReport:
     def text(self) -> str:
         if self.body:
             return "\n".join(self.body)
-        head = f"{self.check} {self.theory}"
-        if self.target:
-            head += f" {self.target}"
+        head = " ".join(part for part in (self.check, self.theory, self.target) if part)
         head += ": PASS" if self.ok else ": FAIL"
         if self.verdict:
             head += f" ({self.verdict})"
@@ -153,8 +151,15 @@ def _derivation(theory: Theory, name: str) -> GeneralizedVectorField:
     return vf
 
 
-def _operator_entries(op: LinearJetOperator) -> list[tuple[str, str]]:
-    return list(op.to_json()["coefficients"].items())
+def _operator_report(
+    check: str, theory: Theory, target: str, name: str, op: LinearJetOperator,
+    assumptions: list[str],
+) -> VerificationReport:
+    block, coeffs = render_operator(name, op, theory.dim)
+    pairs = [("|".join(key), expr) for key, expr in coeffs]
+    return VerificationReport(
+        check, theory.name, target, True, pairs, assumptions, [], block
+    )
 
 
 def _residual_entries(
@@ -185,13 +190,8 @@ def _cmd_el(theory: Theory, args: argparse.Namespace) -> VerificationReport:
 
 
 def _cmd_eta(theory: Theory, args: argparse.Namespace) -> VerificationReport:
-    op = _operator(theory, args.op)
-    out = eta(op)
-    body = _render_operator(f"eta_{args.op}", out, theory.dim)
-    return VerificationReport(
-        "eta", theory.name, args.op, True,
-        _operator_entries(out), [], [], body,
-    )
+    out = eta(_operator(theory, args.op))
+    return _operator_report("eta", theory, args.op, f"eta_{args.op}", out, [])
 
 
 def _cmd_derive_noether(
@@ -218,10 +218,9 @@ def _cmd_derive_noether(
             list(err.report.assumptions),
         )
     assumptions = list(report.variational.assumptions) if report.variational else []
-    body = _render_operator(f"{args.sym}_noether", noether_op, theory.dim)
-    return VerificationReport(
-        "derive-noether", theory.name, args.sym, True,
-        _operator_entries(noether_op), assumptions, [], body,
+    return _operator_report(
+        "derive-noether", theory, args.sym, f"{args.sym}_noether", noether_op,
+        assumptions,
     )
 
 
@@ -239,10 +238,8 @@ def _cmd_derive_gauge(
         )
     assumptions = list(report.variational.assumptions) if report.variational else []
     assumptions += list(report.notes)
-    body = _render_operator(f"{args.op}_gauge", gauge_op, theory.dim)
-    return VerificationReport(
-        "derive-gauge", theory.name, args.op, True,
-        _operator_entries(gauge_op), assumptions, [], body,
+    return _operator_report(
+        "derive-gauge", theory, args.op, f"{args.op}_gauge", gauge_op, assumptions
     )
 
 
@@ -366,13 +363,16 @@ derivation brst {
 
 def _selftest() -> VerificationReport:
     rng = random.Random(20240817)
-    results: list[tuple[str, bool]] = []
+    names: list[str] = []
+    failures: list[tuple[str, str]] = []
 
     def run(name: str, fn) -> None:
+        names.append(name)
         try:
-            results.append((name, bool(fn())))
-        except Exception:
-            results.append((name, False))
+            if not fn():
+                failures.append((name, "failed"))
+        except Exception as err:  # a crash is reported, not taken for a wrong answer
+            failures.append((name, f"raised {type(err).__name__}: {err}"))
 
     def involution() -> bool:
         fields = graded_fields(2, 1)
@@ -433,12 +433,10 @@ def _selftest() -> VerificationReport:
     run("parser roundtrip", parser_roundtrip)
     run("noether pipeline", noether_pipeline)
 
-    ok = all(flag for _, flag in results)
-    body = [f"{name}: {'ok' if flag else 'FAILED'}" for name, flag in results]
-    failures = [(name, "failed") for name, flag in results if not flag]
+    ok = not failures
     return VerificationReport(
         "selftest", "", "", ok, failures,
-        [f"{len(results)} suites"], [], body if ok else [],
+        [f"{len(names)} suites"], [], [f"{name}: ok" for name in names] if ok else [],
     )
 
 

@@ -30,7 +30,6 @@ from .noether import (
     ROLE_STAGE,
     LinearJetOperator,
     eta,
-    noether_residuals,
 )
 
 ANTIFIELD_KINDS = (Kind.ANTIFIELD, Kind.ANTIGHOST)
@@ -237,9 +236,12 @@ def check_reducibility_chain(
             )
 
     noether_op = eta(gauge_op)
-    identity_residuals = noether_residuals(noether_op, lagrangian)
     ctx = kt_context(lagrangian, gauge_op.dim, gauge_op.targets())
     ctx = extend_with_operator(ctx, noether_op)
+    identity_residuals = {
+        r: kt_apply(ctx, ctx.boundaries[antifield_of(r)])
+        for r in noether_op.parameters()
+    }
 
     stage_results: dict[VariableId, WeakZeroReport] = {}
     notes: list[str] = []

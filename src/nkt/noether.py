@@ -117,18 +117,6 @@ class LinearJetOperator:
             self.coeffs, key=lambda k: (k[0].rank, k[1].rank, k[2].order, k[2].entries)
         )
 
-    def to_json(self) -> dict:
-        from .graded_poly import render_polynomial
-
-        body = {}
-        for param, target, mi in self.sorted_keys():
-            key = f"{param.render()}|{target.render()}|{mi.render()}"
-            body[key] = render_polynomial(self.coeffs[(param, target, mi)], self.dim)
-        out = {"role": self.role, "dim": self.dim, "coefficients": body}
-        if self.stage is not None:
-            out["stage"] = self.stage
-        return out
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, LinearJetOperator)
@@ -263,10 +251,8 @@ def _ghost_parameter(var: VariableId) -> VariableId | None:
     return var if var.kind is Kind.GHOST else None
 
 
-def linearize_in_ghosts(
-    vf: GeneralizedVectorField, dim: int, role: str = ROLE_GAUGE
-) -> LinearJetOperator:
-    """Recover the linear operator behind a ghost-linear vector field.
+def linearize_in_ghosts(vf: GeneralizedVectorField, dim: int) -> LinearJetOperator:
+    """Recover the gauge operator behind a ghost-linear vector field.
 
     Every term of every component must contain exactly one ghost jet; that
     jet is the parameter slot, and its left partial is the coefficient.
@@ -276,7 +262,7 @@ def linearize_in_ghosts(
     for target, comp in vf.components.items():
         message = f"component for {target.render()} is not linear in the ghosts"
         _add_slot_coefficients(coeffs, target, comp, _ghost_parameter, message)
-    return LinearJetOperator(dim, role, coeffs)
+    return LinearJetOperator(dim, ROLE_GAUGE, coeffs)
 
 
 _PROBE_NAME = "_probe"

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import permutations, product as iter_product
 from math import comb, prod
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .derivations import GeneralizedVectorField
 from .errors import JetOrderError, ParseError, SemanticError, SourceSpan
@@ -220,15 +220,10 @@ def _declared(theory: Theory, var: VariableId) -> bool:
     if var.kind in (Kind.ANTIFIELD, Kind.ANTIGHOST):
         base = base_of_antifield(var)
     decl = theory.variables.get(base.name)
-    if decl is None or decl.kind is not base.kind:
+    try:
+        return decl is not None and decl.variable(base.components) == base
+    except SemanticError:  # wrong arity or an index out of range
         return False
-    if decl.parity is not base.parity or decl.stage != base.stage:
-        return False
-    if len(base.components) != decl.arity():
-        return False
-    return all(
-        lo <= c <= hi for c, (_, lo, hi) in zip(base.components, decl.indices)
-    )
 
 
 class _Declared(dict):
@@ -295,8 +290,7 @@ def validate_theory(theory: Theory) -> None:
                 raise SemanticError(f"bad index name {label!r} on {name}")
             if lo > hi:
                 raise SemanticError(f"empty index range {lo}..{hi} on {name}")
-        if decl.component_count() > MAX_COMPONENTS:
-            raise SemanticError(f"{name} declares too many components")
+        _check_size(name, "components", [(lo, hi) for _, lo, hi in decl.indices], None)
 
     for name, const in theory.constants.items():
         if name != const.name or not _NAME_RE.match(name):
@@ -304,13 +298,10 @@ def validate_theory(theory: Theory) -> None:
         if _is_reserved(name) or name in seen:
             raise SemanticError(f"constant {name!r} clashes with another name")
         seen.add(name)
-        count = 1
         for lo, hi in const.ranges:
             if lo > hi:
                 raise SemanticError(f"empty range {lo}..{hi} on constant {name}")
-            count *= hi - lo + 1
-        if count > MAX_COMPONENTS:
-            raise SemanticError(f"constant {name} declares too many entries")
+        _check_size(f"constant {name}", "entries", const.ranges, None)
         for idx in const.entries:
             const.entry(idx)  # bounds check
 
@@ -352,6 +343,15 @@ def validate_theory(theory: Theory) -> None:
                 _check_vars(declared, poly, f"certificate {label}", _BASE_SECTOR)
         if cert.witness is not None:
             _check_vars(declared, cert.witness, f"certificate {label}", _ALL_KINDS)
+
+
+def _check_size(
+    name: str, unit: str, ranges: Iterable[tuple[int, int]], span: SourceSpan | None
+) -> None:
+    """Refuse over MAX_COMPONENTS cells in the ranges; an empty range holds none."""
+    if prod(max(hi - lo + 1, 0) for lo, hi in ranges) > MAX_COMPONENTS:
+        message = f"{name} declares too many {unit}; the limit is {MAX_COMPONENTS}"
+        raise SemanticError(message, span)
 
 
 def _check_stage_parities(theory: Theory) -> None:
@@ -1460,6 +1460,8 @@ class _TheoryParser:
                 if not st.accept(","):
                     break
             st.expect("]")
+            ranges = [(lo, hi) for _, lo, hi in indices]
+            _check_size(name, "components", ranges, _span(name_tok))
         st.expect("parity")
         parity_tok = st.expect_name("even or odd")
         if parity_tok[1] not in ("even", "odd"):
@@ -1486,6 +1488,7 @@ class _TheoryParser:
                 if not st.accept(","):
                     break
             st.expect("]")
+            _check_size(f"constant {name}", "entries", declared_ranges, _span(name_tok))
         st.expect("=")
         tok = st.peek()
         if tok is None:
@@ -1506,10 +1509,9 @@ class _TheoryParser:
                     f"builder size must be between 1 and {MAX_DIM + 1}",
                     _span(builder_tok),
                 )
-            if size ** arity(size) > MAX_COMPONENTS:
-                raise SemanticError(
-                    f"constant {name} declares too many entries", _span(builder_tok)
-                )
+            # each of a builder's arity(size) axes takes size values
+            ranges = [(1, size)] * arity(size)
+            _check_size(f"constant {name}", "entries", ranges, _span(builder_tok))
             made = builder(size)
             const = ConstantTensor(name, made.ranges, made.entries, made.builder)
         else:
@@ -1718,15 +1720,20 @@ def _render_constant(const: ConstantTensor) -> list[str]:
     return lines
 
 
-def _render_operator(name: str, op: LinearJetOperator, dim: int) -> list[str]:
+def render_operator(
+    name: str, op: LinearJetOperator, dim: int
+) -> tuple[list[str], list[tuple[tuple[str, str, str], str]]]:
+    """The block of op, and the strings it is built from: per coefficient, in
+    sorted_keys() order, its rendered (parameter, target, multi-index) and
+    polynomial, each rendered once."""
     role = op.role if op.role != ROLE_STAGE else f"stage {op.stage}"
-    lines = [f"operator {name} role {role} {{"]
-    for param, target, mi in op.sorted_keys():
-        poly = op.coefficient(param, target, mi)
-        key = f"({param.render()}, {target.render()}, {mi.render()})"
-        lines.append(f"  {key} : {render_polynomial(poly, dim)}")
-    lines.append("}")
-    return lines
+    coeffs = [
+        ((p.render(), t.render(), mi.render()),
+         render_polynomial(op.coeffs[(p, t, mi)], dim))
+        for p, t, mi in op.sorted_keys()
+    ]
+    body = [f"  ({', '.join(key)}) : {expr}" for key, expr in coeffs]
+    return [f"operator {name} role {role} {{", *body, "}"], coeffs
 
 
 def _render_derivation(name: str, vf: GeneralizedVectorField, dim: int) -> list[str]:
@@ -1771,7 +1778,7 @@ def render_theory(theory: Theory) -> str:
         )
     for name, op in theory.operators.items():
         lines.append("")
-        lines.extend(_render_operator(name, op, theory.dim))
+        lines.extend(render_operator(name, op, theory.dim)[0])
     for name, vf in theory.derivations.items():
         lines.append("")
         lines.extend(_render_derivation(name, vf, theory.dim))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from nkt import cli, noether
+from nkt import cli, graded_poly, noether, theory_dsl
 from nkt.cli import main
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
@@ -97,6 +97,42 @@ class TestComputationCommands:
         assert run(capsys, *argv)[0] == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("command", ["eta", "derive-noether", "derive-gauge"])
+    def test_each_operator_coefficient_is_rendered_once(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        argv = {
+            "eta": ["eta", YM, "--op", "gauge_sym"],
+            "derive-noether": ["derive-noether", YM, "--sym", "brst"],
+        }.get(command)
+        if argv is None:
+            # ym_su2 with eta(gauge_sym) declared as a noether operator
+            block = run(capsys, "eta", YM, "--op", "gauge_sym")[1]
+            f = tmp_path / "ym_dual.nkt"
+            f.write_text(Path(YM).read_text() + "\n" + block)
+            argv = ["derive-gauge", str(f), "--op", "eta_gauge_sym"]
+        calls = []
+        render = graded_poly.render_polynomial
+
+        def counted(*args):
+            calls.append(1)
+            return render(*args)
+
+        for module in (graded_poly, theory_dsl, cli):
+            monkeypatch.setattr(module, "render_polynomial", counted)
+        for extra in ([], ["--json"]):
+            calls.clear()
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == 0
+        # one call per coefficient, and the text and JSON reports agree
+        coefficients = json.loads(out)["residuals"]
+        assert len(calls) == len(coefficients) == 36
+        code, text, _ = run(capsys, *argv)
+        body = text.splitlines()[1:-1]
+        assert [line.rsplit(" : ", 1)[1] for line in body] == [
+            c["expr"] for c in coefficients
+        ]
+
     def test_kt_applies_the_boundary(self, capsys):
         code, out, _ = run(capsys, "kt", ON_SHELL, "--expr", "~y1")
         assert code == 0
@@ -167,6 +203,37 @@ class TestCheckCommands:
         assert code == 0
         assert "parser roundtrip: ok" in out
 
+    def test_a_crashing_selftest_suite_reads_as_a_crash(self, capsys, monkeypatch):
+        def broken(op):
+            raise KeyError("xi")
+
+        monkeypatch.setattr(cli, "eta", broken)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert out == (
+            "selftest: FAIL\n"
+            "  residual eta involution: raised KeyError: 'xi'\n"
+            "  note: 5 suites\n"
+        )
+        code, out, _ = run(capsys, "selftest", "--json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["pass"] is False
+        assert report["residuals"] == [
+            {"where": "eta involution", "expr": "raised KeyError: 'xi'"}
+        ]
+
+    def test_a_wrong_selftest_answer_reads_as_failed(self, capsys, monkeypatch):
+        # an eta that drops every coefficient is no involution
+        monkeypatch.setattr(
+            cli, "eta", lambda op: noether.LinearJetOperator(op.dim, op.role, {})
+        )
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert out.splitlines()[:2] == [
+            "selftest: FAIL", "  residual eta involution: failed"
+        ]
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):
@@ -206,7 +273,27 @@ class TestExitCodes:
         code, _, err = run(capsys, "el", str(f))
         assert time.monotonic() - started < 1.0
         assert code == 2
-        assert err == "error: constant e declares too many entries (line 3, column 14)\n"
+        assert err == (
+            "error: constant e declares too many entries; the limit is 512"
+            " (line 3, column 14)\n"
+        )
+
+    @pytest.mark.parametrize("declarations, message", [
+        ("field a[i=1..30,j=1..30] parity even",
+         "a declares too many components; the limit is 512 (line 3, column 7)"),
+        # the ranges are refused before the table's body is read
+        ("constant e[1..30,1..30] = {\n(1,1): 1, (1,1): 2\n}",
+         "constant e declares too many entries; the limit is 512 (line 3, column 10)"),
+        # the first oversized declaration in the file is named
+        ("constant e[1..30,1..30] = {\n}\nfield a[i=1..30,j=1..30] parity even",
+         "constant e declares too many entries; the limit is 512 (line 3, column 10)"),
+    ])
+    def test_oversized_declarations_name_the_limit_and_span(
+        self, capsys, tmp_path, declarations, message
+    ):
+        f = tmp_path / "big.nkt"
+        f.write_text(f"theory big\ndim 1\n{declarations}\n")
+        assert run(capsys, "el", str(f)) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("dim, lagrangian, column", [
         # each of the 500^3 bindings builds a distinct product

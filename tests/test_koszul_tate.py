@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import even_field, odd_ghost, v
 
+from nkt import jet_calculus, koszul_tate, noether
 from nkt.errors import SemanticError
 from nkt.graded_poly import (
     Density,
@@ -29,8 +31,16 @@ from nkt.koszul_tate import (
     operator_boundary,
 )
 from nkt.multiindex import EMPTY, MultiIndex
-from nkt.noether import ROLE_GAUGE, ROLE_NOETHER, ROLE_STAGE, LinearJetOperator, eta
+from nkt.noether import (
+    ROLE_GAUGE,
+    ROLE_NOETHER,
+    ROLE_STAGE,
+    LinearJetOperator,
+    eta,
+    noether_residuals,
+)
 from nkt.randgen import random_operator, random_polynomial
+from nkt.theory_dsl import parse_theory, resolve_component
 
 Y = even_field("y")
 SY = antifield_of(Y)
@@ -102,8 +112,6 @@ class TestAntighostExtension:
         assert kt_nilpotency_residuals(ctx) == {}
 
     def test_extension_nilpotency_equals_identity_residual(self):
-        from nkt.noether import noether_residuals
-
         rng = random.Random(41)
         fields = [Y, even_field("z")]
         lagr = random_polynomial(rng, fields, 1, parity=Parity.EVEN)
@@ -332,3 +340,58 @@ class TestEquationCoefficientCertificates:
         cert = ReductionCertificate(m_coeffs={(stray, EMPTY): GradedPolynomial.one()})
         with pytest.raises(SemanticError):
             certificate_expansion(ctx, cert)
+
+
+# --------------------------------------------------------------------------
+# The Noether identity read off the tower, on the bundled theories.
+
+THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
+TOWERS = ("two_form", "on_shell_pair", "ym_su2", "ym_su2_perturbed")
+
+
+def _tower(case, tmp_path):
+    """The lagrangian, gauge operator, stage operators and certificates of a
+    bundled theory; the perturbed ym_su2 doubles the structure constant in
+    its gauge operator only, which then breaks the Noether identity."""
+    name = case.removesuffix("_perturbed")
+    text = (THEORY_DIR / f"{name}.nkt").read_text()
+    if case != name:
+        coupling = "[]) : sum(p,1..3, eps[r,p,q]*a[mu,p])"
+        assert coupling in text
+        path = tmp_path / f"{case}.nkt"
+        path.write_text(text.replace(coupling, coupling.replace("eps", "2*eps")))
+        text = path.read_text()
+    theory = parse_theory(text)
+    ops = theory.operators.values()
+    (gauge,) = [op for op in ops if op.role == ROLE_GAUGE]
+    stages = [op for op in ops if op.role == ROLE_STAGE]
+    certificates = {
+        resolve_component(theory, label): cert
+        for label, cert in theory.certificates.items()
+    }
+    return theory.lagrangian, gauge, stages, certificates
+
+
+@pytest.mark.parametrize("case", TOWERS)
+def test_identity_read_off_the_tower_equals_the_noether_residuals(case, tmp_path):
+    lagr, gauge, stages, certificates = _tower(case, tmp_path)
+    report = check_reducibility_chain(lagr, gauge, stages, certificates)
+    assert report.identity_residuals == noether_residuals(eta(gauge), lagr)
+    broken = any(not r.is_zero() for r in report.identity_residuals.values())
+    assert broken == (case == "ym_su2_perturbed")
+    assert report.holds == (not broken)
+
+
+@pytest.mark.parametrize("case", TOWERS)
+def test_the_tower_builds_the_field_equations_once(case, tmp_path, monkeypatch):
+    lagr, gauge, stages, certificates = _tower(case, tmp_path)
+    calls = []
+
+    def counted(density, variables=None):
+        calls.append(variables)
+        return euler_lagrange(density, variables)
+
+    for module in (jet_calculus, noether, koszul_tate):
+        monkeypatch.setattr(module, "euler_lagrange", counted)
+    check_reducibility_chain(lagr, gauge, stages, certificates)
+    assert calls == [gauge.targets()]

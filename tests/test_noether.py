@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from conftest import even_field, even_ghost, odd_ghost, v
 
-from nkt import derivations, jet_calculus, noether
+from nkt import cli, derivations, jet_calculus, noether
 from nkt.derivations import GeneralizedVectorField, check_variational, contract_with_EL
 from nkt.graded_poly import Density, GradedPolynomial
 from nkt.jet_calculus import euler_lagrange, total_derivative, total_derivative_multi
@@ -31,7 +31,7 @@ from nkt.noether import (
     trivial_gauge_symmetry,
 )
 from nkt.errors import SemanticError
-from nkt.theory_dsl import parse_theory
+from nkt.theory_dsl import Theory, parse_theory
 from nkt.randgen import even_fields, graded_fields, random_operator, random_polynomial
 
 Y = even_field("y")
@@ -389,8 +389,14 @@ class TestOperatorHousekeeping:
         assert op.max_order() == 1
 
     def test_json_round_structure(self):
-        op = _abelian_gauge_op()
-        blob = op.to_json()
-        assert blob["role"] == ROLE_GAUGE
-        assert blob["dim"] == 2
-        assert set(blob["coefficients"]) == {"xi|a0|[0]", "xi|a1|[1]"}
+        theory = Theory("abelian", 2, {})
+        report = cli._operator_report(
+            "eta", theory, "shift", "shift", _abelian_gauge_op(), []
+        )
+        assert report.residuals == [("xi|a0|[0]", "1"), ("xi|a1|[1]", "1")]
+        assert report.body == [
+            "operator shift role gauge {",
+            "  (xi, a0, [0]) : 1",
+            "  (xi, a1, [1]) : 1",
+            "}",
+        ]

@@ -24,7 +24,9 @@ from nkt.multiindex import EMPTY, MultiIndex
 from nkt.noether import ROLE_GAUGE, LinearJetOperator
 from nkt.randgen import random_theory
 from nkt.theory_dsl import (
+    ConstantTensor,
     Theory,
+    VarDecl,
     kronecker,
     levi_civita,
     minkowski,
@@ -405,6 +407,49 @@ class TestValidation:
              "derivation s targets undeclared variable z"),
             ({"lagrangian": Density(var(z) ** 2), "operators": op(((z, y, EMPTY), one))},
              "the lagrangian uses undeclared variable z"),
+        ]
+        for changes, message in cases:
+            with pytest.raises(SemanticError) as exc:
+                validate_theory(replace(base, **changes))
+            assert str(exc.value) == message
+
+    def test_a_declaration_covers_its_own_components_only(self):
+        base = parse_theory(
+            "theory t\ndim 1\nfield a[i=0..1] parity even\nghost xi parity odd\n"
+        )
+        xi = resolve_component(base, "xi")
+        one = GradedPolynomial.one()
+        strays = [
+            VariableId(Kind.FIELD, "a", (2,), Parity.EVEN),  # out of range
+            VariableId(Kind.FIELD, "a", (), Parity.EVEN),  # wrong arity
+            VariableId(Kind.FIELD, "a", (0,), Parity.ODD),  # wrong parity
+            VariableId(Kind.GHOST, "a", (0,), Parity.EVEN),  # wrong kind
+        ]
+        for stray in strays:
+            op = LinearJetOperator(1, ROLE_GAUGE, {(xi, stray, EMPTY): one})
+            with pytest.raises(SemanticError) as exc:
+                validate_theory(replace(base, operators={"p": op}))
+            message = f"operator p references undeclared {stray.render()}"
+            assert str(exc.value) == message
+        # antifields resolve through their base variable
+        a2 = GradedPolynomial.variable(JetVariable(antifield_of(strays[0]), EMPTY))
+        vf = GeneralizedVectorField({resolve_component(base, "a[0]"): a2})
+        with pytest.raises(SemanticError) as exc:
+            validate_theory(replace(base, derivations={"s": vf}))
+        assert str(exc.value) == "derivation s uses undeclared variable ~a[2]"
+
+    def test_validation_names_the_size_limit(self):
+        base = parse_theory("theory t\ndim 1\n")
+        wide = VarDecl("a", Kind.FIELD, Parity.EVEN, (("i", 1, 30), ("j", 1, 30)))
+        table = ConstantTensor("e", ((1, 30), (1, 30)), {})
+        cases = [
+            ({"variables": {"a": wide}},
+             "a declares too many components; the limit is 512"),
+            ({"constants": {"e": table}},
+             "constant e declares too many entries; the limit is 512"),
+            # variables are checked before constants
+            ({"constants": {"e": table}, "variables": {"a": wide}},
+             "a declares too many components; the limit is 512"),
         ]
         for changes, message in cases:
             with pytest.raises(SemanticError) as exc:
