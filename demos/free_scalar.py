@@ -29,7 +29,7 @@ print("E_y =", render_polynomial(derivs[y], theory.dim))
 # adding a total derivative to the lagrangian changes nothing: the
 # variational derivative annihilates divergences exactly
 current = parse_expression("y^3 + y*d(y;x)", theory)
-shifted = theory.lagrangian.expr + total_derivative(current, 0)
+shifted = theory.lagrangian + total_derivative(current, 0)
 print("E_y after adding d_x(y^3 + y y_x):",
       render_polynomial(euler_lagrange(shifted)[y], theory.dim))
 

@@ -40,7 +40,7 @@ from .derivations import (
     check_variational,
 )
 from .errors import NktError, SemanticError
-from .graded_poly import Density, render_polynomial
+from .graded_poly import GradedPolynomial, render_polynomial
 from .jet_calculus import euler_lagrange, is_variationally_trivial, total_derivative
 from .koszul_tate import (
     KoszulTateContext,
@@ -131,7 +131,7 @@ class VerificationReport:
 # Shared lookups.
 
 
-def _require_lagrangian(theory: Theory) -> Density:
+def _require_lagrangian(theory: Theory) -> GradedPolynomial:
     if theory.lagrangian is None:
         raise SemanticError(f"theory {theory.name} declares no lagrangian")
     return theory.lagrangian
@@ -534,6 +534,9 @@ def main(argv: list[str] | None = None) -> int:
                 text = Path(args.file).read_text(encoding="utf-8")
             except OSError as err:
                 raise SemanticError(f"cannot read {args.file}: {err.strerror}")
+            except UnicodeDecodeError as err:
+                byte = f"byte 0x{err.object[err.start]:02x} at offset {err.start}"
+                raise SemanticError(f"cannot read {args.file}: not UTF-8 text ({byte})")
             report = COMMANDS[args.command].run(parse_theory(text), args)
     except NktError as err:
         print(f"error: {err}", file=sys.stderr)

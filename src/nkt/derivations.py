@@ -44,9 +44,6 @@ class GeneralizedVectorField:
             {a: p for a, p in self.components.items() if not p.is_zero()},
         )
 
-    def component(self, var: VariableId) -> GradedPolynomial:
-        return self.components.get(var, GradedPolynomial.zero())
-
     def relative_parity(self) -> Parity | None:
         """p such that [upsilon^A] = [A] + p for all components, else None.
 
@@ -75,19 +72,17 @@ def prolong_apply(vf: GeneralizedVectorField, p: GradedPolynomial) -> GradedPoly
 
 def lie_derivative_density(
     vf: GeneralizedVectorField, lagrangian: Density | GradedPolynomial
-) -> Density:
+) -> GradedPolynomial:
     """The Lie derivative of a horizontal density along a vertical field."""
-    return Density(prolong_apply(vf, _as_expr(lagrangian)))
+    return prolong_apply(vf, _as_expr(lagrangian))
 
 
 def contract_with_EL(
     vf: GeneralizedVectorField, lagrangian: Density | GradedPolynomial
-) -> Density:
+) -> GradedPolynomial:
     """The interior product with the variational one-form: sum of v^A E_A."""
     derivs = euler_lagrange(lagrangian, sorted(vf.components, key=lambda a: a.rank))
-    return Density(
-        gp_sum(comp * derivs[var] for var, comp in vf.components.items())
-    )
+    return gp_sum(comp * derivs[var] for var, comp in vf.components.items())
 
 
 def check_variational(
@@ -112,12 +107,12 @@ def check_variational(
     try:
         residuals = euler_lagrange(prolong_apply(vf, _as_expr(lagrangian))).nonzero()
     except JetOrderError:
-        contraction = contract_with_EL(vf, lagrangian).expr
+        contraction = contract_with_EL(vf, lagrangian)
         residuals = euler_lagrange(contraction).nonzero()
     assumptions = [TRIVIAL_TOPOLOGY_NOTE]
     if not residuals and any(map(_has_jet_free_term, vf.components.values())):
         if contraction is None:
-            contraction = contract_with_EL(vf, lagrangian).expr
+            contraction = contract_with_EL(vf, lagrangian)
         if not contraction.is_zero() and not contraction.variables():
             assumptions.append(FIELD_INDEPENDENT_NOTE)
     return TrivialityReport(not residuals, residuals, tuple(assumptions))
@@ -174,7 +169,5 @@ def first_variational_residual(
 ) -> FirstVariationalReport:
     """R = Lie_theta(L) - contraction; the first variational formula says R
     is a total divergence for every vertical field."""
-    lie = lie_derivative_density(vf, lagrangian)
-    contraction = contract_with_EL(vf, lagrangian)
-    residual = lie.expr - contraction.expr
+    residual = lie_derivative_density(vf, lagrangian) - contract_with_EL(vf, lagrangian)
     return FirstVariationalReport(residual, is_variationally_trivial(residual))

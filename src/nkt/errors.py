@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 
@@ -20,6 +21,12 @@ class SourceSpan:
 
 class NktError(Exception):
     """Base class for all errors raised by this package."""
+
+
+def too_many_digits(what: str) -> str:
+    """The refusal of an integer that int() and str() will not convert."""
+    limit = sys.get_int_max_str_digits()
+    return f"{what} exceeds the limit of {limit} digits for int/str conversion"
 
 
 class JetOrderError(NktError):

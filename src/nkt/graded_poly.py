@@ -30,6 +30,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+from .errors import NktError, too_many_digits
 from .multiindex import EMPTY, MultiIndex, check_jet_order
 
 
@@ -847,7 +848,10 @@ def _coordinate_monomial_parts(
     mag = abs(q)
     parts: list[str] = []
     if mag != 1 or not coords:
-        parts.append(str(mag))
+        try:
+            parts.append(str(mag))
+        except ValueError:
+            raise NktError(too_many_digits("a coefficient")) from None
     for c, exp in _runs(coords):
         parts.append(_power(coordinate_token(c.k, dim), exp))
     return (-1 if q < 0 else 1), parts

@@ -17,7 +17,6 @@ from .graded_poly import (
     Density,
     GradedPolynomial,
     JetVariable,
-    Kind,
     VariableId,
     antifield_of,
     gp_sum,
@@ -31,8 +30,6 @@ from .noether import (
     LinearJetOperator,
     eta,
 )
-
-ANTIFIELD_KINDS = (Kind.ANTIFIELD, Kind.ANTIGHOST)
 
 DECLARED_NOT_PROVEN = (
     "completeness of the identity tower (no boundary density is itself a"

@@ -69,11 +69,6 @@ class MultiIndex:
     def multiplicity(self, direction: int) -> int:
         return self.entries.count(direction)
 
-    def remove_one(self, direction: int) -> "MultiIndex":
-        """Drop one occurrence of a direction; raises if absent."""
-        idx = self.entries.index(direction)
-        return MultiIndex(self.entries[:idx] + self.entries[idx + 1 :])
-
     def __repr__(self) -> str:
         return f"MultiIndex({self.entries!r})"
 
@@ -111,19 +106,12 @@ def mi_enumerate(n: int, up_to_order: int) -> list[MultiIndex]:
     return list(known)
 
 
-def binom(a: int, b: int) -> int:
-    """b! / (a! (b-a)!), the number of a-subsets of b slots."""
-    if a < 0 or b < 0 or a > b:
-        raise ValueError(f"binom({a}, {b}) is undefined here")
-    return math.comb(b, a)
-
-
 def split_weight(sigma: MultiIndex, lam: MultiIndex) -> int:
     """Number of distinct ways the multiset sigma+lam splits into (sigma, lam).
 
     Per direction i this is C(m_i(sigma)+m_i(lam), m_i(sigma)); the total is
-    the product.  For one base direction it reduces to binom(|sigma|,
-    |sigma+lam|).  This is the weight with which a symmetric coefficient
+    the product.  For one base direction it reduces to C(|sigma+lam|,
+    |sigma|).  This is the weight with which a symmetric coefficient
     family's ordered-tuple sums collapse onto canonical representatives, and
     it is exactly the multivariate Leibniz count for d_(sigma+lam)(f g).
     """

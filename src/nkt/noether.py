@@ -148,7 +148,7 @@ def _sub_multiindices(mi: MultiIndex) -> list[MultiIndex]:
 
 
 def eta_family(
-    coeffs: dict[CoeffKey, GradedPolynomial], dim: int
+    coeffs: dict[CoeffKey, GradedPolynomial],
 ) -> dict[CoeffKey, GradedPolynomial]:
     """The eta transform of a coefficient family.
 
@@ -191,7 +191,7 @@ def _flip_role(role: str) -> str:
 def eta(op: LinearJetOperator) -> LinearJetOperator:
     """Intertwine gauge and Noether readings; an involution."""
     return LinearJetOperator(
-        op.dim, _flip_role(op.role), eta_family(op.coeffs, op.dim), op.stage
+        op.dim, _flip_role(op.role), eta_family(op.coeffs), op.stage
     )
 
 
@@ -422,4 +422,4 @@ def trivial_gauge_symmetry(
     for (r, (i, lam), (j, sigma)), poly in table.items():
         contrib = poly * total_derivative_multi(derivs[j], sigma)
         parts.setdefault((r, i, lam), []).append(contrib)
-    return LinearJetOperator(dim, ROLE_GAUGE, eta_family(_sum_nonzero(parts), dim))
+    return LinearJetOperator(dim, ROLE_GAUGE, eta_family(_sum_nonzero(parts)))

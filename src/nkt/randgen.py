@@ -132,7 +132,7 @@ def random_theory(rng: random.Random, name: str = "fuzz") -> "Theory":
     from dataclasses import replace
 
     from .derivations import GeneralizedVectorField
-    from .graded_poly import Density, antifield_of
+    from .graded_poly import antifield_of
     from .koszul_tate import ReductionCertificate
     from .multiindex import MultiIndex
     from .noether import ROLE_NOETHER, ROLE_STAGE
@@ -205,7 +205,7 @@ def random_theory(rng: random.Random, name: str = "fuzz") -> "Theory":
                 scalar_coeffs=rng.random() < 0.3, parity=Parity.EVEN,
             )
             if not cand.is_zero():
-                lagrangian = Density(cand)
+                lagrangian = cand
                 break
 
     operators: dict[str, LinearJetOperator] = {}

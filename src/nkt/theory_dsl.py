@@ -51,9 +51,8 @@ from math import comb, prod
 from typing import Callable, Iterable, NamedTuple
 
 from .derivations import GeneralizedVectorField
-from .errors import JetOrderError, ParseError, SemanticError, SourceSpan
+from .errors import JetOrderError, ParseError, SemanticError, SourceSpan, too_many_digits
 from .graded_poly import (
-    Density,
     GradedPolynomial,
     JetVariable,
     Kind,
@@ -100,15 +99,6 @@ class VarDecl:
     parity: Parity
     indices: tuple[tuple[str, int, int], ...] = ()
     stage: int | None = None
-
-    def arity(self) -> int:
-        return len(self.indices)
-
-    def component_count(self) -> int:
-        n = 1
-        for _, lo, hi in self.indices:
-            n *= hi - lo + 1
-        return n
 
     def variable(self, comps: tuple[int, ...]) -> VariableId:
         if len(comps) != len(self.indices):
@@ -195,24 +185,10 @@ class Theory:
     dim: int
     variables: dict[str, VarDecl]
     constants: dict[str, ConstantTensor] = dc_field(default_factory=dict)
-    lagrangian: Density | None = None
+    lagrangian: GradedPolynomial | None = None
     operators: dict[str, LinearJetOperator] = dc_field(default_factory=dict)
     derivations: dict[str, GeneralizedVectorField] = dc_field(default_factory=dict)
     certificates: dict[str, ReductionCertificate] = dc_field(default_factory=dict)
-
-    def fields(self) -> list[VariableId]:
-        out: list[VariableId] = []
-        for decl in self.variables.values():
-            if decl.kind is Kind.FIELD:
-                out.extend(decl.components())
-        return out
-
-    def ghosts(self) -> list[VariableId]:
-        out: list[VariableId] = []
-        for decl in self.variables.values():
-            if decl.kind is Kind.GHOST:
-                out.extend(decl.components())
-        return out
 
 
 def _declared(theory: Theory, var: VariableId) -> bool:
@@ -309,9 +285,8 @@ def validate_theory(theory: Theory) -> None:
 
     declared = _Declared(theory)
     if theory.lagrangian is not None:
-        expr = theory.lagrangian.expr
-        _check_vars(declared, expr, "the lagrangian", (Kind.FIELD,))
-        if expr.parity() is not Parity.EVEN:
+        _check_vars(declared, theory.lagrangian, "the lagrangian", (Kind.FIELD,))
+        if theory.lagrangian.parity() is not Parity.EVEN:
             raise SemanticError("the lagrangian must be even")
 
     for name, op in theory.operators.items():
@@ -522,7 +497,12 @@ class _Stmt:
         tok = self.take()
         if tok[0] != "int":
             raise ParseError(f"expected an integer, got {tok[1]!r}", _span(tok))
-        return -int(tok[1]) if neg else int(tok[1])
+        try:
+            value = int(tok[1])
+        except ValueError:
+            message = too_many_digits(f"integer of {len(tok[1])} digits")
+            raise ParseError(message, _span(tok)) from None
+        return -value if neg else value
 
     def expect_range(self) -> tuple[int, int]:
         lo = self.expect_int()
@@ -561,15 +541,6 @@ class _Ref:
     anti: bool
     span: SourceSpan
     explicit_args: bool = False
-
-
-@dataclass(eq=False, slots=True)
-class _BracketJet:
-    name: str
-    anti: bool
-    comps: tuple["int | str", ...]
-    dirs: tuple["int | str", ...]
-    span: SourceSpan
 
 
 @dataclass(eq=False, slots=True)
@@ -706,18 +677,19 @@ def _parse_ref_tail(st: _Stmt, name_tok: tuple, anti: bool) -> object:
     if not st.accept("["):
         return _Ref(name, (), anti, span)
     comps = _parse_index_list(st, ";", "]")
-    if st.accept(";"):
+    ref = _Ref(name, tuple(comps), anti, span, explicit_args=True)
+    if st.accept(";"):  # the rendered jet y[c;x,x], read as d(y[c];x,x)
         dirs = _parse_index_list(st, "]")
         st.expect("]")
-        return _BracketJet(name, anti, tuple(comps), tuple(dirs), span)
+        return _D(ref, tuple(dirs), span)
     st.expect("]")
-    return _Ref(name, tuple(comps), anti, span, explicit_args=True)
+    return ref
 
 
 def _parse_d(st: _Stmt, span: SourceSpan, depth: int) -> object:
     st.expect("(")
     base = _parse_atom(st, depth + 1)
-    if not isinstance(base, (_Ref, _BracketJet, _D)):
+    if not isinstance(base, (_Ref, _D)):
         raise ParseError("d(...) applies to a single variable reference", span)
     dirs: list[int | str] = []
     if st.accept(";"):
@@ -785,7 +757,11 @@ def _coordinate_of(env: _Env, name: str, span: SourceSpan) -> int:
                 f"write x0..x{env.dim - 1} in dimension {env.dim}", span
             )
         return 0
-    k = int(name[1:])
+    try:
+        k = int(name[1:])
+    except ValueError:
+        message = too_many_digits(f"integer of {len(name) - 1} digits")
+        raise SemanticError(message, span) from None
     if k >= env.dim:
         raise SemanticError(f"coordinate {name} outside base dimension", span)
     return k
@@ -806,11 +782,6 @@ def _resolve_component(env: _Env, node: _Ref) -> VariableId:
 def _jet_of(env: _Env, node: object) -> JetVariable:
     if isinstance(node, _Ref):
         return JetVariable(_resolve_component(env, node))
-    if isinstance(node, _BracketJet):
-        ref = _Ref(node.name, node.comps, node.anti, node.span, explicit_args=True)
-        base = _resolve_component(env, ref)
-        dirs = tuple(_resolve_direction(env, d, node.span) for d in node.dirs)
-        return JetVariable(base, _multi_index(dirs, node.span))
     if isinstance(node, _D):
         inner = _jet_of(env, node.base)
         dirs = tuple(_resolve_direction(env, d, node.span) for d in node.dirs)
@@ -912,7 +883,7 @@ def _analyse(
         value = node.value
         shape = ("n", value.numerator, value.denominator)
         return _Facts(node, True, True, run=lambda: value, cheap=True, shape=shape)
-    if kind is _Ref or kind is _BracketJet or kind is _D:
+    if kind is _Ref or kind is _D:
         facts = _analyse_leaf(stmt, node, scope)
     elif kind is _Sum:
         facts = _analyse_sum(stmt, node, scope)
@@ -1134,10 +1105,6 @@ def _leaf_shape(node: object, scope: dict[str, tuple[int, int]]) -> tuple:
     if isinstance(node, _D):
         dirs = node.dirs
         return ("d", len(dirs), *map(token, dirs), *_leaf_shape(node.base, scope))
-    if isinstance(node, _BracketJet):
-        comps, dirs = node.comps, node.dirs
-        return ("j", node.name, node.anti, len(comps), *map(token, comps),
-                len(dirs), *map(token, dirs))
     index = not node.anti and not node.explicit_args and node.name in scope
     return ("r", (node.name,) if index else node.name, node.anti,
             node.explicit_args, len(node.args), *map(token, node.args))
@@ -1321,7 +1288,7 @@ class _TheoryParser:
         self.dim: int | None = None
         self.variables: dict[str, VarDecl] = {}
         self.constants: dict[str, ConstantTensor] = {}
-        self.lagrangian: Density | None = None
+        self.lagrangian: GradedPolynomial | None = None
         self.operators: dict[str, LinearJetOperator] = {}
         self.derivations: dict[str, GeneralizedVectorField] = {}
         self.certificates: dict[str, ReductionCertificate] = {}
@@ -1337,11 +1304,6 @@ class _TheoryParser:
         st = _Stmt(self.statements[self.index])
         self.index += 1
         return st
-
-    def _need_dim(self, span: SourceSpan) -> int:
-        if self.dim is None:
-            raise ParseError("dim must be declared first", span)
-        return self.dim
 
     def _fresh_name(self, tok: tuple, table: dict) -> str:
         if table is self.variables or table is self.constants:
@@ -1410,9 +1372,10 @@ class _TheoryParser:
         if st is None:
             raise ParseError("missing dim declaration")
         st.expect("dim")
+        dim_span = st.span()
         self.dim = st.expect_int()
         if not 1 <= self.dim <= MAX_DIM:
-            raise SemanticError(f"dim must be between 1 and {MAX_DIM}")
+            raise SemanticError(f"dim must be between 1 and {MAX_DIM}", dim_span)
         st.expect_end()
 
         while (st := self._next()) is not None:
@@ -1448,7 +1411,6 @@ class _TheoryParser:
     # -- declarations
 
     def _parse_variable(self, st: _Stmt, head: tuple) -> None:
-        self._need_dim(_span(head))
         name_tok = st.expect_name("a variable name")
         name = self._fresh_name(name_tok, self.variables)
         indices: list[tuple[str, int, int]] = []
@@ -1477,7 +1439,6 @@ class _TheoryParser:
         self.variables[name] = VarDecl(name, kind, parity, tuple(indices), stage)
 
     def _parse_constant(self, st: _Stmt, head: tuple) -> None:
-        self._need_dim(_span(head))
         name_tok = st.expect_name("a constant name")
         name = self._fresh_name(name_tok, self.constants)
         declared_ranges: list[tuple[int, int]] | None = None
@@ -1564,12 +1525,11 @@ class _TheoryParser:
         return entries
 
     def _parse_lagrangian(self, st: _Stmt, head: tuple) -> None:
-        self._need_dim(_span(head))
         if self.lagrangian is not None:
             raise SemanticError("duplicate lagrangian", _span(head))
         ast = _parse_expr(st)
         st.expect_end()
-        self.lagrangian = Density(self._statement(ast)({}))
+        self.lagrangian = self._statement(ast)({})
 
     # -- blocks
 
@@ -1602,7 +1562,6 @@ class _TheoryParser:
             raise ParseError("role must be gauge, noether, or stage K", _span(role_tok))
         head_st.expect("{")
         head_st.expect_end()
-        dim = self._need_dim(_span(name_tok))
 
         coeffs: dict[tuple[VariableId, VariableId, MultiIndex], GradedPolynomial] = {}
         for st in self._block_entries(name_tok):
@@ -1615,7 +1574,7 @@ class _TheoryParser:
             st.expect(")")
             self._expand_entry(coeffs, (param_key, target_key), mi, st, _span(open_tok))
         try:
-            self.operators[name] = LinearJetOperator(dim, role, coeffs, stage=stage)
+            self.operators[name] = LinearJetOperator(self.dim, role, coeffs, stage=stage)
         except SemanticError as exc:
             raise SemanticError(f"operator {name}: {exc}", _span(name_tok)) from None
 
@@ -1624,7 +1583,6 @@ class _TheoryParser:
         name = self._fresh_name(name_tok, self.derivations)
         head_st.expect("{")
         head_st.expect_end()
-        self._need_dim(_span(name_tok))
 
         components: dict[tuple[VariableId], GradedPolynomial] = {}
         for st in self._block_entries(name_tok):
@@ -1649,7 +1607,6 @@ class _TheoryParser:
             raise SemanticError(f"duplicate certificate {label}", _span(name_tok))
         head_st.expect("{")
         head_st.expect_end()
-        self._need_dim(_span(name_tok))
 
         m_coeffs: dict[tuple[VariableId, MultiIndex], GradedPolynomial] = {}
         witness: GradedPolynomial | None = None
@@ -1773,9 +1730,7 @@ def render_theory(theory: Theory) -> str:
             lines.extend(_render_constant(const))
     if theory.lagrangian is not None:
         lines.append("")
-        lines.append(
-            f"lagrangian {render_polynomial(theory.lagrangian.expr, theory.dim)}"
-        )
+        lines.append(f"lagrangian {render_polynomial(theory.lagrangian, theory.dim)}")
     for name, op in theory.operators.items():
         lines.append("")
         lines.extend(render_operator(name, op, theory.dim)[0])

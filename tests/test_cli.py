@@ -266,6 +266,44 @@ class TestExitCodes:
             main(["frobnicate", SCALAR])
         assert exc.value.code == 2
 
+    def test_a_file_that_is_not_utf8_text(self, capsys, tmp_path):
+        f = tmp_path / "latin1.nkt"
+        f.write_bytes(b"theory t\ndim 1\nfield y parity even\nlagrangian y\xff\n")
+        for json_flag in ((), ("--json",)):
+            assert run(capsys, "el", str(f), *json_flag) == (
+                2, "", f"error: cannot read {f}: not UTF-8 text (byte 0xff at offset 47)\n"
+            )
+
+    def test_dim_out_of_range_names_its_span(self, capsys, tmp_path):
+        f = tmp_path / "dim.nkt"
+        f.write_text("theory t\ndim 12\nfield y parity even\n")
+        assert run(capsys, "el", str(f)) == (
+            2, "", "error: dim must be between 1 and 9 (line 2, column 5)\n"
+        )
+
+    @pytest.mark.parametrize("lagrangian, message", [
+        # a literal past the limit is refused where it is read
+        ("{digits}*y^2", "integer of {n} digits exceeds the limit of {limit} digits"
+         " for int/str conversion (line 4, column 12)"),
+        # the EL coefficient 64 * (10^100 - 1)^64 has about 6,400 digits
+        ("(" + "9" * 100 + "*y)^64",
+         "a coefficient exceeds the limit of {limit} digits for int/str conversion"),
+    ])
+    def test_integers_past_the_conversion_limit_name_it(
+        self, capsys, tmp_path, lagrangian, message
+    ):
+        limit = sys.get_int_max_str_digits()
+        n = limit + 700
+        f = tmp_path / "long.nkt"
+        f.write_text(
+            "theory t\ndim 1\nfield y parity even\n"
+            f"lagrangian {lagrangian.format(digits='7' * n)}\n"
+        )
+        for json_flag in ((), ("--json",)):
+            assert run(capsys, "el", str(f), *json_flag) == (
+                2, "", f"error: {message.format(n=n, limit=limit)}\n"
+            )
+
     def test_oversized_builder_constant_fails_fast(self, capsys, tmp_path):
         f = tmp_path / "big.nkt"
         f.write_text("theory big\ndim 1\nconstant e = levi_civita(10)\n")

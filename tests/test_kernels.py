@@ -63,7 +63,6 @@ from nkt.multiindex import EMPTY, MultiIndex, check_jet_order
 from nkt.randgen import jet_pool, random_polynomial, random_scalar, random_theory
 from nkt.theory_dsl import (
     _COORD_RE,
-    _BracketJet,
     _Binary,
     _coordinate_of,
     _D,
@@ -481,7 +480,7 @@ def oracle_eval(env: _Env, node: object) -> GradedPolynomial:
         else:
             env.bindings[node.index] = saved
         return total
-    if isinstance(node, (_D, _BracketJet)):
+    if isinstance(node, _D):
         return GradedPolynomial.variable(_jet_of(env, node))
     if isinstance(node, _Ref):
         return oracle_eval_ref(env, node)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
 from nkt import config
 from nkt.errors import JetOrderError
-from nkt.multiindex import EMPTY, MultiIndex, binom, mi_enumerate, split_weight
+from nkt.multiindex import EMPTY, MultiIndex, mi_enumerate, split_weight
 
 
 def _brute_force_multisets(n: int, up_to: int) -> set[tuple[int, ...]]:
@@ -50,14 +51,6 @@ def test_add_merges_multisets() -> None:
     assert (MultiIndex((1,)) + 0).entries == (0, 1)
 
 
-def test_binom_value() -> None:
-    assert binom(2, 4) == 6
-    assert binom(0, 5) == 1
-    assert binom(3, 3) == 1
-    with pytest.raises(ValueError):
-        binom(4, 2)
-
-
 def _brute_force_split_count(sigma: tuple[int, ...], lam: tuple[int, ...]) -> int:
     # Count position subsets of the merged multiset that realize (sigma, lam).
     merged = tuple(sorted(sigma + lam))
@@ -96,7 +89,7 @@ def test_split_weight_reduces_to_binom_in_one_dimension() -> None:
     for a in range(5):
         for b in range(5):
             w = split_weight(MultiIndex((0,) * a), MultiIndex((0,) * b))
-            assert w == binom(a, a + b)
+            assert w == math.comb(a + b, a)
 
 
 def test_order_cap_enforced() -> None:
@@ -138,13 +131,6 @@ def test_enumeration_is_remembered_but_the_bound_is_checked_each_call(
     with pytest.raises(JetOrderError):
         mi_enumerate(2, 4)
     assert len(mi_enumerate(2, 3)) == 10
-
-
-def test_remove_one() -> None:
-    m = MultiIndex((0, 1, 1))
-    assert m.remove_one(1).entries == (0, 1)
-    with pytest.raises(ValueError):
-        m.remove_one(5)
 
 
 def test_render() -> None:

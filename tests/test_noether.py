@@ -149,7 +149,7 @@ class TestGaugeVectorField:
     def test_parameter_jet_multiplies_from_the_left(self):
         op = op_of(1, ROLE_GAUGE, {(XI, Y, MX): v(Y)})
         vf = gauge_vector_field(op)
-        assert vf.component(Y) == v(XI, 0) * v(Y)
+        assert vf.components[Y] == v(XI, 0) * v(Y)
 
     def test_linearization_inverts_the_vector_field(self):
         rng = random.Random(77)
@@ -171,7 +171,7 @@ class TestGaugeVectorField:
             (chi, Y, EMPTY): x0 * x0 * x1 * v(c),
         })
         vf = gauge_vector_field(op)
-        assert vf.component(Y) == v(chi, 0) * x0 * v(Y) + v(chi) * x0 * x0 * x1 * v(c)
+        assert vf.components[Y] == v(chi, 0) * x0 * v(Y) + v(chi) * x0 * x0 * x1 * v(c)
         assert linearize_in_ghosts(vf, 2) == op
 
     def test_odd_ghost_sign_crossing_an_odd_factor(self):
@@ -360,7 +360,7 @@ class TestTrivialSymmetries:
         table = {(XI, slot_a, slot_b): one, (XI, slot_b, slot_a): -one}
         op = trivial_gauge_symmetry(table, lagr, 1)
         assert op.role == ROLE_GAUGE
-        contraction = contract_with_EL(gauge_vector_field(op), lagr).expr
+        contraction = contract_with_EL(gauge_vector_field(op), lagr)
         el_sq = v(Y, 0, 0) * v(Y, 0, 0)
         assert contraction == total_derivative(v(XI) * el_sq, 0)
 

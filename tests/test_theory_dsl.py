@@ -1,6 +1,7 @@
 """Theory file parsing, resolution, validation, and the render roundtrip."""
 
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -12,13 +13,13 @@ from nkt.derivations import GeneralizedVectorField
 from nkt.errors import ParseError, SemanticError
 from nkt.graded_poly import (
     Coordinate,
-    Density,
     GradedPolynomial,
     JetVariable,
     Kind,
     Parity,
     VariableId,
     antifield_of,
+    render_polynomial,
 )
 from nkt.multiindex import EMPTY, MultiIndex
 from nkt.noether import ROLE_GAUGE, LinearJetOperator
@@ -76,20 +77,22 @@ class TestDeclarations:
             ghost e parity even stage 0
             """
         )
-        assert t.variables["a"].component_count() == 6
+        assert len(t.variables["a"].components()) == 6
         assert t.variables["e"].stage == 0
-        assert len(t.fields()) == 6
-        assert len(t.ghosts()) == 4
+        by_kind = {Kind.FIELD: 0, Kind.GHOST: 0}
+        for decl in t.variables.values():
+            by_kind[decl.kind] += len(decl.components())
+        assert by_kind == {Kind.FIELD: 6, Kind.GHOST: 4}
 
     def test_dim_must_come_before_declarations(self):
         with pytest.raises(ParseError):
             parse_theory("dim 1\ntheory t\nfield y parity even")
 
     def test_dim_bounds(self):
-        with pytest.raises(SemanticError):
-            parse_theory("theory t\ndim 0")
-        with pytest.raises(SemanticError):
-            parse_theory("theory t\ndim 10")
+        for value in ("0", "10", "-1"):
+            with pytest.raises(SemanticError) as exc:
+                parse_theory(f"theory t\ndim {value}")
+            assert str(exc.value) == "dim must be between 1 and 9 (line 2, column 5)"
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(SemanticError):
@@ -178,7 +181,7 @@ class TestExpressions:
         signs = ["+" if k % 3 else "-" for k in range(1, count)]
         text = SCALAR.replace("1/2 * d(y;x)^2", "y" + "".join(s + "y" for s in signs))
         want = 1 + signs.count("+") - signs.count("-")
-        assert parse_theory(text).lagrangian.expr == v_y().scaled(want)
+        assert parse_theory(text).lagrangian == v_y().scaled(want)
 
     @pytest.mark.parametrize("count", [500, 2000])
     def test_long_products_are_walked_without_recursion(self, count):
@@ -187,7 +190,7 @@ class TestExpressions:
         text = SCALAR.replace("1/2 * d(y;x)^2", "*".join(factors))
         (y,) = v_y().monomials()
         want = GradedPolynomial({y * factors.count("y"): 2 ** factors.count("2")})
-        assert parse_theory(text).lagrangian.expr == want
+        assert parse_theory(text).lagrangian == want
 
     def test_a_run_of_factors_is_charged_its_partial_products(self):
         t = parse_theory(SCALAR)
@@ -252,6 +255,90 @@ class TestExpressions:
             parse_expression("z", t)
         with pytest.raises(SemanticError):
             parse_expression("y[1]", t)
+
+    def test_integers_past_the_conversion_limit_are_refused(self):
+        t = parse_theory(SCALAR)
+        limit = sys.get_int_max_str_digits()
+        digits = "7" * (limit + 700)
+        with pytest.raises(ParseError) as exc:
+            parse_expression(f"y + {digits}*y", t)
+        assert str(exc.value) == (
+            f"integer of {limit + 700} digits exceeds the limit of {limit} digits"
+            " for int/str conversion (line 1, column 5)"
+        )
+        with pytest.raises(SemanticError) as exc:
+            parse_expression(f"y + x{digits}*y", t)
+        assert str(exc.value) == (
+            f"integer of {limit + 700} digits exceeds the limit of {limit} digits"
+            " for int/str conversion (line 1, column 5)"
+        )
+
+    # (rendered jet form, the same jet through d(...), the rendered value or
+    # the error of the rendered form); a jet form reads as d(ref; dirs), so
+    # an error names the same offence in both forms, each at its own span
+    JET_FORMS = [
+        ("a[0,1;x0]", "d(a[0,1];x0)", "a[0,1;x0]"),
+        ("a[0,1;x0,x1,x0]", "d(a[0,1];x0,x1,x0)", "a[0,1;x0,x0,x1]"),
+        ("a[0,1;]", "d(a[0,1])", "a[0,1]"),
+        ("~a[1,2;x1]", "d(~a[1,2];x1)", "~a[1,2;x1]"),
+        ("y[;x0,x1]", "d(y;x0,x1)", "y[;x0,x1]"),
+        ("d(y[;x0];x1)", "d(y;x0,x1)", "y[;x0,x1]"),
+        ("c[;0,1]", "d(c;0,1)", "c[;x0,x1]"),
+        ("~c[;1]*c[;0]", "d(~c;1)*d(c;0)", "c[;x0]*~c[;x1]"),
+        ("sum(k, 0..1, a[k,1;k])", "sum(k, 0..1, d(a[k,1];k))",
+         "a[0,1;x0] + a[1,1;x1]"),
+        ("sum(k, 1..2, g[k,1]*a[0,k;x1])", "sum(k, 1..2, g[k,1]*d(a[0,k];x1))",
+         "a[0,1;x1]"),
+        ("sum(k, 0..1, sum(m, 1..2, a[k,m;k,x1]*a[k,m;x0]))",
+         "sum(k, 0..1, sum(m, 1..2, d(a[k,m];k,x1)*d(a[k,m];x0)))",
+         "a[0,1;x0]*a[0,1;x0,x1] + a[0,2;x0]*a[0,2;x0,x1]"
+         " + a[1,1;x0]*a[1,1;x1,x1] + a[1,2;x0]*a[1,2;x1,x1]"),
+        ("y[;x0] + y[;x1]*y - 1/2*y[;x0,x0]^2", "d(y;x0) + d(y;x1)*y - 1/2*d(y;x0,x0)^2",
+         "y*y[;x1] + y[;x0] - 1/2*y[;x0,x0]^2"),
+        ("a[3,1;x0]", "d(a[3,1];x0)",
+         "index i=3 of a is outside 0..1 (line 1, column 1)"),
+        ("a[0;x0]", "d(a[0];x0)", "a takes 2 indices, got 1 (line 1, column 1)"),
+        ("a[0,1,2;x0]", "d(a[0,1,2];x0)", "a takes 2 indices, got 3 (line 1, column 1)"),
+        ("b[0;x0]", "d(b[0];x0)", "unknown variable 'b' (line 1, column 1)"),
+        ("g[1,1;x0]", "d(g[1,1];x0)", "unknown variable 'g' (line 1, column 1)"),
+        ("y[0;x0]", "d(y[0];x0)", "y takes 0 indices, got 1 (line 1, column 1)"),
+        ("a[k,1;x0]", "d(a[k,1];x0)", "unbound index 'k' (line 1, column 1)"),
+        ("y[;z]", "d(y;z)", "unbound direction 'z' (line 1, column 1)"),
+        ("y[;x2]", "d(y;x2)", "coordinate x2 outside base dimension (line 1, column 1)"),
+        ("y[;x]", "d(y;x)", "write x0..x1 in dimension 2 (line 1, column 1)"),
+        ("y[;2]", "d(y;2)", "direction 2 outside base dimension (line 1, column 1)"),
+        ("y[;x0,x0,x0,x0,x0,x0,x0,x0,x0]", "d(y;x0,x0,x0,x0,x0,x0,x0,x0,x0)",
+         "jet order 9 exceeds the bound 8 (raise NKT_MAX_JET_ORDER to override)"
+         " (line 1, column 1)"),
+        ("d(y[;x0,x0,x0,x0,x0];x0,x0,x0,x0)", "d(y;x0,x0,x0,x0,x0,x0,x0,x0,x0)",
+         "jet order 9 exceeds the bound 8 (raise NKT_MAX_JET_ORDER to override)"
+         " (line 1, column 1)"),
+        ("1 + a[3,1;x0]", "1 + d(a[3,1];x0)",
+         "index i=3 of a is outside 0..1 (line 1, column 5)"),
+        ("sum(k, 0..2, a[k,1;x0])", "sum(k, 0..2, d(a[k,1];x0))",
+         "index i=2 of a is outside 0..1 (line 1, column 14)"),
+        ("sum(k, 0..1, y[;k,x1]) + sum(k, 0..2, y[;k])",
+         "sum(k, 0..1, d(y;k,x1)) + sum(k, 0..2, d(y;k))",
+         "direction 2 outside base dimension (line 1, column 39)"),
+    ]
+
+    @pytest.mark.parametrize("rendered, d_form, want", JET_FORMS)
+    def test_the_rendered_jet_form_reads_as_d(self, rendered, d_form, want):
+        t = parse_theory(
+            "theory t\ndim 2\nfield a[i=0..1,j=1..2] parity even\n"
+            "field y parity even\nghost c parity odd\nconstant g = kronecker(2)"
+        )
+        if "(line" not in want:
+            value = parse_expression(rendered, t)
+            assert render_polynomial(value, 2) == want
+            assert parse_expression(d_form, t) == value
+            return
+        with pytest.raises(SemanticError) as exc:
+            parse_expression(rendered, t)
+        assert str(exc.value) == want
+        with pytest.raises(SemanticError) as exc:
+            parse_expression(d_form, t)
+        assert str(exc.value).rsplit(" (line", 1)[0] == want.rsplit(" (line", 1)[0]
 
     def test_zero_factor_keeps_the_error_of_a_bad_reference(self):
         t = parse_theory("theory t\ndim 2\nfield a[mu=0..1] parity even")
@@ -405,7 +492,7 @@ class TestValidation:
             ({"derivations": {"s": GeneralizedVectorField(
                 {z: one, y: var(antifield_of(y))})}},
              "derivation s targets undeclared variable z"),
-            ({"lagrangian": Density(var(z) ** 2), "operators": op(((z, y, EMPTY), one))},
+            ({"lagrangian": var(z) ** 2, "operators": op(((z, y, EMPTY), one))},
              "the lagrangian uses undeclared variable z"),
         ]
         for changes, message in cases:
@@ -591,6 +678,6 @@ class TestResolveComponent:
 
     def test_rejects_unknowns_and_malformed(self):
         t = parse_theory("theory t\ndim 1\nfield y parity even")
-        for bad in ("z", "y[0]", "y[", "y y", ""):
+        for bad in ("z", "y[0]", "y[", "y y", "", "y[;x]"):
             with pytest.raises((ParseError, SemanticError)):
                 resolve_component(t, bad)
