@@ -25,6 +25,7 @@ build_parser).
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import random
 import sys
@@ -517,6 +518,25 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(file: str) -> str:
+    """A theory file's UTF-8 text, without a leading byte-order mark.
+
+    Line ends are translated as text-mode reading does.  A byte that is not
+    UTF-8 is named by its offset in the file, the mark included.
+    """
+    try:
+        data = Path(file).read_bytes()
+    except OSError as err:
+        raise SemanticError(f"cannot read {file}: {err.strerror}")
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    try:
+        text = data[bom:].decode("utf-8")
+    except UnicodeDecodeError as err:
+        byte = f"byte 0x{err.object[err.start]:02x} at offset {bom + err.start}"
+        raise SemanticError(f"cannot read {file}: not UTF-8 text ({byte})")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -530,13 +550,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "selftest":
             report = _selftest()
         else:
-            try:
-                text = Path(args.file).read_text(encoding="utf-8")
-            except OSError as err:
-                raise SemanticError(f"cannot read {args.file}: {err.strerror}")
-            except UnicodeDecodeError as err:
-                byte = f"byte 0x{err.object[err.start]:02x} at offset {err.start}"
-                raise SemanticError(f"cannot read {args.file}: not UTF-8 text ({byte})")
+            text = _read_text(args.file)
             report = COMMANDS[args.command].run(parse_theory(text), args)
     except NktError as err:
         print(f"error: {err}", file=sys.stderr)

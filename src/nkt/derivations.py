@@ -17,7 +17,7 @@ from .graded_poly import (
     JetVariable,
     Parity,
     VariableId,
-    gp_sum,
+    gp_sum_of_products,
 )
 from .jet_calculus import (
     FIELD_INDEPENDENT_NOTE,
@@ -63,8 +63,8 @@ class GeneralizedVectorField:
 
 def prolong_apply(vf: GeneralizedVectorField, p: GradedPolynomial) -> GradedPolynomial:
     """theta(p) with theta the infinite prolongation of vf."""
-    return gp_sum(
-        total_derivative_multi(vf.components[jv.var], jv.mi) * partial_left(p, jv)
+    return gp_sum_of_products(
+        (total_derivative_multi(vf.components[jv.var], jv.mi), partial_left(p, jv))
         for jv in p.variables()
         if jv.var in vf.components
     )
@@ -82,7 +82,7 @@ def contract_with_EL(
 ) -> GradedPolynomial:
     """The interior product with the variational one-form: sum of v^A E_A."""
     derivs = euler_lagrange(lagrangian, sorted(vf.components, key=lambda a: a.rank))
-    return gp_sum(comp * derivs[var] for var, comp in vf.components.items())
+    return gp_sum_of_products((c, derivs[var]) for var, c in vf.components.items())
 
 
 def check_variational(

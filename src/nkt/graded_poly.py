@@ -13,7 +13,8 @@ gcd(den, *numerators) == 1, and den == 1 for the zero polynomial.  That form
 is unique, so two expressions are equal iff their (den, numerator map) pairs
 are identical, and equality, hashing and rendering are all decidable and
 deterministic.  Arithmetic is plain int arithmetic, normalized once per
-result; reduced Fractions are built only when coefficients are observed.
+result, and a whole sum of products or of total derivatives is one result;
+reduced Fractions are built only when coefficients are observed.
 The order of the monomials is likewise only materialized when it is
 observed, by raw_terms() and rendering; arithmetic works on an unordered
 term map.  Its keys are interned Monomials, which remember their products,
@@ -653,30 +654,12 @@ class GradedPolynomial:
     def derivative(self, direction: int) -> "GradedPolynomial":
         """The total derivative d_direction of this polynomial.
 
-        Each monomial contributes its memoized image along direction (see
-        _derive_flat): its x^direction factors dropped once each, and each
-        jet factor raised in place with the Koszul sign of the odd factors
-        it passes.  The result keeps the denominator; only the numerators
-        are added.
-
-        The jet-order bound is checked once per call, on the highest raised
-        order, before any image is read, so the error names the same order
-        whatever order the terms come in, and a remembered image never
-        lets a raise past a bound lowered since.
+        The one-item case of gp_sum_of_derivatives: one run of its raise
+        loop (_raise_into), which keeps the denominator and adds only the
+        numerators.
         """
-        terms = self._terms
-        top = max([m.top for m in terms], default=-1)
-        if top >= 0:
-            check_jet_order(top + 1)
         acc: dict[Monomial, int] = {}
-        for m, s in terms.items():
-            image = m._memo.get(direction)
-            if image is None:
-                image = m.image(direction)
-            for c, r in image:
-                n = c * s
-                cur = acc.get(r)
-                acc[r] = n if cur is None else cur + n
+        _raise_into(acc, self._terms, direction, 1)
         return GradedPolynomial._from_terms(acc, self._den)
 
     # -- arithmetic --------------------------------------------------------
@@ -693,23 +676,10 @@ class GradedPolynomial:
         return gp_sum((self,), (other,))
 
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
+        # the one-pair case of gp_sum_of_products, run on its loop directly:
+        # the kernel's pass over its pairs is a large share of a small product
         acc: dict[Monomial, int] = {}
-        right = other._terms.items()
-        for ma, na in self._terms.items():
-            products = ma._memo
-            for mb, nb in right:
-                hit = products.get(mb)
-                if hit is None:
-                    hit = ma.times(mb)
-                sign, merged = hit
-                if not sign:
-                    continue
-                n = na * nb
-                cur = acc.get(merged)
-                if sign < 0:
-                    acc[merged] = -n if cur is None else cur - n
-                else:
-                    acc[merged] = n if cur is None else cur + n
+        _multiply_into(acc, self, other, 1)
         return GradedPolynomial._from_terms(acc, self._den * other._den)
 
     def __pow__(self, exponent: int) -> "GradedPolynomial":
@@ -758,15 +728,130 @@ def gp_sum(
             den = lcm(den, p._den)
     acc: dict[Monomial, int] = {}
     for p, sign in parts:
-        k = sign * (den // p._den)
-        if k == 1 and not acc:
-            acc.update(p._terms)
-            continue
-        for m, n in p._terms.items():
-            n *= k
-            cur = acc.get(m)
-            acc[m] = n if cur is None else cur + n
+        _add_into(acc, p._terms, sign * (den // p._den))
     return GradedPolynomial._from_terms(acc, den)
+
+
+def _add_into(acc: dict[Monomial, int], terms: Mapping[Monomial, int], k: int) -> None:
+    """Add k times a numerator map to acc."""
+    if k == 1 and not acc:
+        acc.update(terms)
+        return
+    for m, n in terms.items():
+        n *= k
+        cur = acc.get(m)
+        acc[m] = n if cur is None else cur + n
+
+
+def gp_sum_of_products(
+    pairs: Iterable[tuple[GradedPolynomial, GradedPolynomial]],
+    negated: Iterable[tuple[GradedPolynomial, GradedPolynomial]] = (),
+) -> GradedPolynomial:
+    """The sum of a * b over pairs minus that over negated, canonicalized once.
+
+    Each (a, b) keeps its operand order, so the Koszul sign of every
+    monomial product is that of a * b.  Every product of two terms is added
+    straight into one numerator map over the lcm of the products'
+    denominators (each product's den is a's times b's); one multiplier per
+    pair brings the pair to it.
+    """
+    parts = [(a, b, 1) for a, b in pairs]
+    if negated:
+        parts += [(a, b, -1) for a, b in negated]
+    den = 1
+    for a, b, _ in parts:
+        d = a._den * b._den
+        if d != 1:
+            den = lcm(den, d)
+    acc: dict[Monomial, int] = {}
+    for a, b, sign in parts:
+        _multiply_into(acc, a, b, sign * (den // (a._den * b._den)))
+    return GradedPolynomial._from_terms(acc, den)
+
+
+def _multiply_into(
+    acc: dict[Monomial, int], a: GradedPolynomial, b: GradedPolynomial, k: int
+) -> None:
+    """Add k times the numerators of a * b to acc, each term product memoized."""
+    right = b._terms.items()
+    for ma, na in a._terms.items():
+        na *= k
+        products = ma._memo
+        for mb, nb in right:
+            hit = products.get(mb)
+            if hit is None:
+                hit = ma.times(mb)
+            sign, merged = hit
+            if not sign:
+                continue
+            n = na * nb
+            cur = acc.get(merged)
+            if sign < 0:
+                acc[merged] = -n if cur is None else cur - n
+            else:
+                acc[merged] = n if cur is None else cur + n
+
+
+def gp_sum_of_derivatives(
+    items: Iterable[tuple[GradedPolynomial, Sequence[int], Fraction | int]],
+) -> GradedPolynomial:
+    """The sum of weight * d_Lam(p) over items (p, Lam, weight), canonicalized once.
+
+    Lam is a sequence of directions, such as a MultiIndex's entries, and
+    weight an int or a Fraction.  Between the steps of one d_Lam the terms
+    stay a plain numerator map, with zeros dropped and no gcd taken; the
+    last step adds into one map over the lcm of the items' denominators.
+    Every step checks the jet-order bound (see _raise_into), so a
+    JetOrderError names the order that applying total_derivative step by
+    step names.
+    """
+    items = list(items)
+    den = 1
+    for p, _, w in items:
+        d = p._den * w.denominator
+        if d != 1:
+            den = lcm(den, d)
+    acc: dict[Monomial, int] = {}
+    for p, lam, w in items:
+        k = w.numerator * (den // (p._den * w.denominator))
+        terms = p._terms
+        for direction in lam[:-1]:
+            step: dict[Monomial, int] = {}
+            _raise_into(step, terms, direction, 1)
+            terms = {m: n for m, n in step.items() if n}
+        if lam:
+            _raise_into(acc, terms, lam[-1], k)
+        else:
+            _add_into(acc, terms, k)
+    return GradedPolynomial._from_terms(acc, den)
+
+
+def _raise_into(
+    acc: dict[Monomial, int], terms: Mapping[Monomial, int], direction: int, k: int
+) -> None:
+    """Add k times the total derivative of a numerator map to acc.
+
+    Each monomial contributes its memoized image along direction (see
+    _derive_flat): its x^direction factors dropped once each, and each jet
+    factor raised in place with the Koszul sign of the odd factors it
+    passes.  The jet-order bound is checked first, on the highest raised
+    order, so the error names the same order whatever order the terms come
+    in, and a remembered image never lets a raise past a bound lowered
+    since.  terms must hold no zero numerators, so that its highest order
+    is the one a canonical polynomial of the same value has.
+    """
+    top = max([m.top for m in terms], default=-1)
+    if top >= 0:
+        check_jet_order(top + 1)
+    for m, s in terms.items():
+        image = m._memo.get(direction)
+        if image is None:
+            image = m.image(direction)
+        s *= k
+        for c, r in image:
+            n = c * s
+            cur = acc.get(r)
+            acc[r] = n if cur is None else cur + n
 
 
 def gp_normalize(

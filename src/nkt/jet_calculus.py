@@ -17,7 +17,7 @@ from .graded_poly import (
     GradedPolynomial,
     JetVariable,
     VariableId,
-    gp_sum,
+    gp_sum_of_derivatives,
 )
 from .multiindex import MultiIndex
 
@@ -37,10 +37,8 @@ def total_derivative(p: GradedPolynomial, direction: int) -> GradedPolynomial:
 
 
 def total_derivative_multi(p: GradedPolynomial, mi: MultiIndex) -> GradedPolynomial:
-    out = p
-    for direction in mi.entries:
-        out = total_derivative(out, direction)
-    return out
+    """Apply d_mi, one direction after another, canonicalizing once."""
+    return gp_sum_of_derivatives(((p, mi.entries, 1),)) if mi.order else p
 
 
 def partial_left(p: GradedPolynomial, v: JetVariable) -> GradedPolynomial:
@@ -89,27 +87,15 @@ def euler_lagrange(
     With variables=None the variation runs over every base variable that
     occurs in the density; variables absent from it have E_A = 0 anyway.
     """
-    expr = _as_expr(density)
-    per_var: dict[VariableId, list[JetVariable]] = {}
-    for jv in expr.variables():
-        per_var.setdefault(jv.var, []).append(jv)
+    per_var: dict[VariableId, list[tuple[GradedPolynomial, tuple[int, ...], int]]] = {}
+    for jv, partial in _as_expr(density).left_partials().items():
+        sign = -1 if jv.mi.order & 1 else 1
+        per_var.setdefault(jv.var, []).append((partial, jv.mi.entries, sign))
     if variables is None:
-        targets = sorted(per_var, key=lambda v: v.rank)
-    else:
-        targets = list(variables)
-    components = {}
-    for var in targets:
-        jets = per_var.get(var, ())
-        components[var] = gp_sum(
-            (_el_term(expr, jv) for jv in jets if not jv.mi.order & 1),
-            (_el_term(expr, jv) for jv in jets if jv.mi.order & 1),
-        )
-    return VariationalDerivatives(components)
-
-
-def _el_term(expr: GradedPolynomial, jv: JetVariable) -> GradedPolynomial:
-    """d_Lam(dL/dA_Lam) for the jet A_Lam; its sign (-1)^|Lam| is the caller's."""
-    return total_derivative_multi(partial_left(expr, jv), jv.mi)
+        variables = sorted(per_var, key=lambda v: v.rank)
+    return VariationalDerivatives(
+        {var: gp_sum_of_derivatives(per_var.get(var, ())) for var in variables}
+    )
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .graded_poly import (
     JetVariable,
     VariableId,
     antifield_of,
-    gp_sum,
+    gp_sum_of_products,
 )
 from .jet_calculus import euler_lagrange, partial_right, total_derivative_multi
 from .multiindex import MultiIndex
@@ -60,8 +60,8 @@ def operator_boundary(
     op: LinearJetOperator, param: VariableId
 ) -> GradedPolynomial:
     """The dual density of one parameter: sum of coeff * antifield jet."""
-    return gp_sum(
-        poly * GradedPolynomial.variable(JetVariable(antifield_of(target), mi))
+    return gp_sum_of_products(
+        (poly, GradedPolynomial.variable(JetVariable(antifield_of(target), mi)))
         for (p, target, mi), poly in op.coeffs.items()
         if p == param
     )
@@ -106,8 +106,8 @@ def extend_with_operator(
 
 def kt_apply(ctx: KoszulTateContext, p: GradedPolynomial) -> GradedPolynomial:
     """The boundary of p: right chain rule over the antifield-sector jets."""
-    return gp_sum(
-        partial_right(p, jv) * total_derivative_multi(ctx.boundaries[jv.var], jv.mi)
+    return gp_sum_of_products(
+        (partial_right(p, jv), total_derivative_multi(ctx.boundaries[jv.var], jv.mi))
         for jv in p.variables()
         if jv.var in ctx.boundaries
     )
@@ -146,9 +146,9 @@ class ReductionCertificate:
 def certificate_expansion(
     ctx: KoszulTateContext, cert: ReductionCertificate
 ) -> GradedPolynomial:
-    parts: list[GradedPolynomial] = []
+    pairs: list[tuple[GradedPolynomial, GradedPolynomial]] = []
     if cert.witness is not None:
-        parts.append(kt_apply(ctx, cert.witness))
+        pairs.append((kt_apply(ctx, cert.witness), GradedPolynomial.one()))
     for (var, mi), poly in (cert.m_coeffs or {}).items():
         image = ctx.boundaries.get(antifield_of(var))
         if image is None:
@@ -156,8 +156,8 @@ def certificate_expansion(
                 f"certificate references {var.render()}, which has no"
                 " boundary in this complex"
             )
-        parts.append(poly * total_derivative_multi(image, mi))
-    return gp_sum(parts)
+        pairs.append((poly, total_derivative_multi(image, mi)))
+    return gp_sum_of_products(pairs)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ from .graded_poly import (
     Kind,
     Parity,
     VariableId,
-    gp_sum,
+    gp_sum_of_derivatives,
+    gp_sum_of_products,
 )
 from .jet_calculus import TrivialityReport, euler_lagrange, total_derivative_multi
 from .multiindex import EMPTY, MultiIndex, split_weight
@@ -39,6 +40,7 @@ ROLE_STAGE = "stage"
 
 CoeffKey = tuple[VariableId, VariableId, MultiIndex]  # (parameter, target, Lam)
 _Key = TypeVar("_Key")
+_Item = TypeVar("_Item")
 
 
 class NonVariationalError(NktError):
@@ -158,25 +160,26 @@ def eta_family(
     representatives this weight realizes the symmetrized-coefficient sum and
     makes the defining adjoint identity hold exactly.
     """
-    parts: dict[CoeffKey, list[GradedPolynomial]] = {}
+    parts: dict[CoeffKey, list[tuple[GradedPolynomial, tuple[int, ...], int]]] = {}
     for (param, target, total_mi), poly in coeffs.items():
         for lam in _sub_multiindices(total_mi):
             sigma_entries = list(total_mi.entries)
             for e in lam.entries:
                 sigma_entries.remove(e)
             sigma = MultiIndex(tuple(sigma_entries))
-            term = total_derivative_multi(poly, sigma).scaled(split_weight(sigma, lam))
+            weight = split_weight(sigma, lam)
             if total_mi.order & 1:
-                term = -term
-            parts.setdefault((param, target, lam), []).append(term)
-    return _sum_nonzero(parts)
+                weight = -weight
+            parts.setdefault((param, target, lam), []).append((poly, sigma.entries, weight))
+    return _sum_nonzero(gp_sum_of_derivatives, parts)
 
 
 def _sum_nonzero(
-    parts: dict[_Key, list[GradedPolynomial]],
+    kernel: Callable[[list[_Item]], GradedPolynomial],
+    parts: dict[_Key, list[_Item]],
 ) -> dict[_Key, GradedPolynomial]:
-    """Sum each key's polynomials, keeping the keys whose sum is nonzero."""
-    sums = {key: gp_sum(polys) for key, polys in parts.items()}
+    """Sum each key's items with kernel, keeping the keys whose sum is nonzero."""
+    sums = {key: kernel(items) for key, items in parts.items()}
     return {key: p for key, p in sums.items() if not p.is_zero()}
 
 
@@ -207,13 +210,13 @@ def apply_to_sections(
     The parameter jet multiplies from the left, matching the ghost-leftmost
     density convention.
     """
-    parts: dict[VariableId, list[GradedPolynomial]] = {}
+    parts: dict[VariableId, list[tuple[GradedPolynomial, GradedPolynomial]]] = {}
     for (param, target, mi), poly in op.coeffs.items():
         sec = sections.get(param)
         if sec is None or sec.is_zero():
             continue
-        parts.setdefault(target, []).append(total_derivative_multi(sec, mi) * poly)
-    return _sum_nonzero(parts)
+        parts.setdefault(target, []).append((total_derivative_multi(sec, mi), poly))
+    return _sum_nonzero(gp_sum_of_products, parts)
 
 
 def gauge_vector_field(op: LinearJetOperator) -> GeneralizedVectorField:
@@ -335,13 +338,15 @@ def noether_residuals(
     """Per parameter r: sum over A, Lam of Delta^{A,Lam}_r d_Lam(E_A)."""
     derivs = euler_lagrange(lagrangian, op.targets())
     cache: dict[tuple[VariableId, MultiIndex], GradedPolynomial] = {}
-    parts: dict[VariableId, list[GradedPolynomial]] = {r: [] for r in op.parameters()}
+    parts: dict[VariableId, list[tuple[GradedPolynomial, GradedPolynomial]]] = {
+        r: [] for r in op.parameters()
+    }
     for (param, target, mi), poly in op.coeffs.items():
         key = (target, mi)
         if key not in cache:
             cache[key] = total_derivative_multi(derivs[target], mi)
-        parts[param].append(poly * cache[key])
-    return {r: gp_sum(polys) for r, polys in parts.items()}
+        parts[param].append((poly, cache[key]))
+    return {r: gp_sum_of_products(pairs) for r, pairs in parts.items()}
 
 
 def check_noether_identity(
@@ -418,8 +423,9 @@ def trivial_gauge_symmetry(
             )
     sources = sorted({s[0] for (_, _, s) in table}, key=lambda v: v.rank)
     derivs = euler_lagrange(lagrangian, sources)
-    parts: dict[CoeffKey, list[GradedPolynomial]] = {}
+    parts: dict[CoeffKey, list[tuple[GradedPolynomial, GradedPolynomial]]] = {}
     for (r, (i, lam), (j, sigma)), poly in table.items():
-        contrib = poly * total_derivative_multi(derivs[j], sigma)
+        contrib = (poly, total_derivative_multi(derivs[j], sigma))
         parts.setdefault((r, i, lam), []).append(contrib)
-    return LinearJetOperator(dim, ROLE_GAUGE, eta_family(_sum_nonzero(parts)))
+    coeffs = _sum_nonzero(gp_sum_of_products, parts)
+    return LinearJetOperator(dim, ROLE_GAUGE, eta_family(coeffs))

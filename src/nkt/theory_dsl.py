@@ -285,6 +285,11 @@ def validate_theory(theory: Theory) -> None:
 
     declared = _Declared(theory)
     if theory.lagrangian is not None:
+        if not isinstance(theory.lagrangian, GradedPolynomial):
+            raise SemanticError(
+                "the lagrangian must be a GradedPolynomial, not"
+                f" {type(theory.lagrangian).__name__}"
+            )
         _check_vars(declared, theory.lagrangian, "the lagrangian", (Kind.FIELD,))
         if theory.lagrangian.parity() is not Parity.EVEN:
             raise SemanticError("the lagrangian must be even")

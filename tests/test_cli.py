@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, JSON schema, determinism."""
 
+import codecs
 import hashlib
 import io
 import json
@@ -273,6 +274,18 @@ class TestExitCodes:
             assert run(capsys, "el", str(f), *json_flag) == (
                 2, "", f"error: cannot read {f}: not UTF-8 text (byte 0xff at offset 47)\n"
             )
+
+    def test_a_byte_order_mark_and_crlf_line_ends_are_read_past(self, capsys, tmp_path):
+        f = tmp_path / "bom.nkt"
+        f.write_bytes(codecs.BOM_UTF8 + Path(SCALAR).read_bytes().replace(b"\n", b"\r\n"))
+        assert run(capsys, "el", str(f)) == run(capsys, "el", SCALAR)
+
+    def test_a_bad_byte_after_a_byte_order_mark_names_its_file_offset(self, capsys, tmp_path):
+        f = tmp_path / "bom_latin1.nkt"
+        f.write_bytes(codecs.BOM_UTF8 + b"theory t\n\xff")
+        assert run(capsys, "el", str(f)) == (
+            2, "", f"error: cannot read {f}: not UTF-8 text (byte 0xff at offset 12)\n"
+        )
 
     def test_dim_out_of_range_names_its_span(self, capsys, tmp_path):
         f = tmp_path / "dim.nkt"

@@ -34,9 +34,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nkt import graded_poly, theory_dsl
+from nkt import config, graded_poly, theory_dsl
 from nkt.derivations import GeneralizedVectorField, prolong_apply
-from nkt.errors import NktError, SemanticError
+from nkt.errors import JetOrderError, NktError, SemanticError
 from nkt.graded_poly import (
     Coordinate,
     GradedPolynomial,
@@ -50,6 +50,9 @@ from nkt.graded_poly import (
     clear_memos,
     gp_normalize,
     gp_sum,
+    gp_sum_of_derivatives,
+    gp_sum_of_products,
+    jet,
     memo_sizes,
     render_polynomial,
 )
@@ -825,6 +828,108 @@ def test_total_derivative_matches_the_key_comparing_kernels(p, direction) -> Non
 @given(raw_term_lists())
 def test_gp_normalize_matches_the_key_comparing_kernels(raw) -> None:
     assert gp_normalize(raw).raw_terms() == oracle_normalize(raw)
+
+
+# -- fused sums of products and of total derivatives against their definitions ------
+
+WEIGHTS = RATIONALS + [-1, 3, Fraction(-3, 7)]
+
+
+def summed_products(pairs: list, negated: list) -> GradedPolynomial:
+    """Each product built alone by *, then summed."""
+    return gp_sum([a * b for a, b in pairs], [a * b for a, b in negated])
+
+
+def summed_derivatives(items: list) -> GradedPolynomial:
+    """Each derivative built by repeated total_derivative and scaled, then summed."""
+    return gp_sum([reduce(total_derivative, lam, p).scaled(w) for p, lam, w in items])
+
+
+@st.composite
+def fused_inputs(draw) -> tuple[list, list, list]:
+    """Product pairs, negated pairs and derivative items over drawn polynomials.
+
+    The pairs reuse their few polynomials, so odd factors meet their equals;
+    a negated copy of some pairs and items cancels part of each sum; any of
+    the lists may be empty.
+    """
+    ps = draw(st.lists(graded_polynomials(), min_size=1, max_size=3))
+    pick = st.sampled_from(ps)
+    pairs = draw(st.lists(st.tuples(pick, pick), max_size=4))
+    negated = draw(st.lists(st.tuples(pick, pick), max_size=2))
+    negated += pairs[: draw(st.integers(0, len(pairs)))]
+    lams = st.lists(st.integers(0, 2), max_size=3).map(lambda e: tuple(sorted(e)))
+    items = draw(st.lists(st.tuples(pick, lams, st.sampled_from(WEIGHTS)), max_size=4))
+    items += [(p, lam, -w) for p, lam, w in items[: draw(st.integers(0, len(items)))]]
+    return pairs, negated, items
+
+
+@KERNEL_SETTINGS
+@given(fused_inputs())
+def test_fused_sums_match_their_definitions(inputs) -> None:
+    pairs, negated, items = inputs
+    want = [summed_products(pairs, negated), summed_derivatives(items)]
+
+    def fused() -> list:
+        got = [gp_sum_of_products(pairs, negated), gp_sum_of_derivatives(iter(items))]
+        for r in got:
+            assert_canonical(r)
+        return [(r, r.raw_terms()) for r in got]
+
+    expected = [(r, r.raw_terms()) for r in want]
+    clear_memos()
+    assert fused() == expected
+    assert fused() == expected
+    with pytest.MonkeyPatch.context() as mp:
+        # a cap this small clears every memo many times within one kernel call
+        mp.setattr(graded_poly, "MEMO_CAP", 5)
+        assert fused() == expected
+    assert gp_sum_of_products([]).is_zero() and gp_sum_of_derivatives([]).is_zero()
+
+
+def derivative_outcome(kernel, items: list) -> tuple | str:
+    try:
+        return kernel(items).raw_terms()
+    except JetOrderError as err:
+        return str(err)
+
+
+@KERNEL_SETTINGS
+@given(fused_inputs(), st.integers(1, 3))
+def test_fused_derivatives_name_the_jet_order_of_the_stepwise_path(inputs, bound) -> None:
+    # drawn polynomials reach order 2, so a bound of 1 is already passed
+    # before the first step of some items
+    items = inputs[2]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("NKT_MAX_JET_ORDER", str(bound))
+        config.reload()
+        fused = derivative_outcome(gp_sum_of_derivatives, items)
+        assert fused == derivative_outcome(summed_derivatives, items)
+    config.reload()
+
+
+def test_fused_derivatives_check_the_bound_before_every_step(monkeypatch) -> None:
+    y = VariableId(Kind.FIELD, "y", (), Parity.EVEN)
+    x, y0 = GradedPolynomial.coordinate(0), GradedPolynomial.variable(JetVariable(y))
+    y1 = GradedPolynomial.variable(jet(y, 0))
+    # d_x(x*y_x - y) = x*y_xx: the first step's terms in y_x cancel
+    p = x * y1 - y0
+    # the two items cancel at every step: their sum is zero within the bound
+    pair = [(p, (0, 0), 1), (p, (0, 0), -1)]
+    monkeypatch.setenv("NKT_MAX_JET_ORDER", "3")
+    config.reload()
+    too_high = "jet order 4 exceeds the bound 3 (raise NKT_MAX_JET_ORDER to override)"
+    for items, want in [
+        ([(p, (0, 0), 1)], (((jet(y, 0, 0),), 1), ((Coordinate(0), jet(y, 0, 0, 0)), 1))),
+        (pair, ()),
+        # the third step would reach order 4; one check of the final order
+        # would name 1 + 4 = 5
+        ([(p, (0, 0, 0, 0), 1)], too_high),
+        (pair + [(p, (0, 0, 0, 0), 1)], too_high),
+        ([(x * x, (0, 0, 0, 0, 0), Fraction(1, 2))], ()),
+    ]:
+        assert derivative_outcome(summed_derivatives, items) == want
+        assert derivative_outcome(gp_sum_of_derivatives, items) == want
 
 
 # -- memoized monomial kernels against the per-call ones -----------------------------

@@ -13,6 +13,7 @@ from nkt.derivations import GeneralizedVectorField
 from nkt.errors import ParseError, SemanticError
 from nkt.graded_poly import (
     Coordinate,
+    Density,
     GradedPolynomial,
     JetVariable,
     Kind,
@@ -494,6 +495,9 @@ class TestValidation:
              "derivation s targets undeclared variable z"),
             ({"lagrangian": var(z) ** 2, "operators": op(((z, y, EMPTY), one))},
              "the lagrangian uses undeclared variable z"),
+            ({"lagrangian": Density(var(y) ** 2)},
+             "the lagrangian must be a GradedPolynomial, not Density"),
+            ({"lagrangian": "y^2"}, "the lagrangian must be a GradedPolynomial, not str"),
         ]
         for changes, message in cases:
             with pytest.raises(SemanticError) as exc:
