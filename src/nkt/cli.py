@@ -27,12 +27,10 @@ from __future__ import annotations
 import argparse
 import codecs
 import json
-import random
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import config
 from .derivations import (
@@ -62,12 +60,6 @@ from .noether import (
     eta,
     linearize_in_ghosts,
 )
-from .randgen import (
-    graded_fields,
-    random_operator,
-    random_polynomial,
-    random_theory,
-)
 from .theory_dsl import (
     Theory,
     parse_expression,
@@ -77,7 +69,6 @@ from .theory_dsl import (
 )
 
 
-@dataclass
 class VerificationReport:
     """One subcommand's outcome in both text and JSON form.
 
@@ -86,15 +77,32 @@ class VerificationReport:
     lines; when empty the standard check rendering is used.
     """
 
-    check: str
-    theory: str
-    target: str
-    ok: bool
-    residuals: list[tuple[str, str]] = dc_field(default_factory=list)
-    assumptions: list[str] = dc_field(default_factory=list)
-    certificates: list[tuple[str, bool]] = dc_field(default_factory=list)
-    body: list[str] = dc_field(default_factory=list)
-    verdict: str = ""
+    __slots__ = (
+        "check", "theory", "target", "ok", "residuals", "assumptions",
+        "certificates", "body", "verdict",
+    )
+
+    def __init__(
+        self,
+        check: str,
+        theory: str,
+        target: str,
+        ok: bool,
+        residuals: Sequence[tuple[str, str]] = (),
+        assumptions: Sequence[str] = (),
+        certificates: Sequence[tuple[str, bool]] = (),
+        body: Sequence[str] = (),
+        verdict: str = "",
+    ) -> None:
+        self.check = check
+        self.theory = theory
+        self.target = target
+        self.ok = ok
+        self.residuals = residuals
+        self.assumptions = assumptions
+        self.certificates = certificates
+        self.body = body
+        self.verdict = verdict
 
     def to_json(self, elapsed_ms: int) -> dict:
         return {
@@ -363,6 +371,10 @@ derivation brst {
 
 
 def _selftest() -> VerificationReport:
+    import random
+
+    from .randgen import graded_fields, random_operator, random_polynomial, random_theory
+
     rng = random.Random(20240817)
     names: list[str] = []
     failures: list[tuple[str, str]] = []

@@ -8,9 +8,7 @@ graded derivation when the components have homogeneous relative parity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import JetOrderError
+from .errors import JetOrderError, Record
 from .graded_poly import (
     Density,
     GradedPolynomial,
@@ -31,18 +29,15 @@ from .jet_calculus import (
 )
 
 
-@dataclass(frozen=True)
-class GeneralizedVectorField:
+class GeneralizedVectorField(Record):
     """Vertical vector field: base variable -> component polynomial."""
 
     components: dict[VariableId, GradedPolynomial]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "components",
-            {a: p for a, p in self.components.items() if not p.is_zero()},
-        )
+    __slots__ = __match_args__ = ("components",)
+
+    def __init__(self, components) -> None:
+        self._set_fields({a: p for a, p in components.items() if not p.is_zero()})
 
     def relative_parity(self) -> Parity | None:
         """p such that [upsilon^A] = [A] + p for all components, else None.
@@ -124,12 +119,16 @@ def _has_jet_free_term(p: GradedPolynomial) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class NilpotencyReport:
+class NilpotencyReport(Record):
     nilpotent: bool
     odd: bool
     residuals: dict[VariableId, GradedPolynomial]
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
+
+    __slots__ = __match_args__ = ("nilpotent", "odd", "residuals", "notes")
+
+    def __init__(self, nilpotent, odd, residuals, notes=()) -> None:
+        self._set_fields(nilpotent, odd, residuals, notes)
 
 
 def check_nilpotent(vf: GeneralizedVectorField) -> NilpotencyReport:
@@ -154,10 +153,14 @@ def check_nilpotent(vf: GeneralizedVectorField) -> NilpotencyReport:
     return NilpotencyReport(not residuals, True, residuals)
 
 
-@dataclass(frozen=True)
-class FirstVariationalReport:
+class FirstVariationalReport(Record):
     residual: GradedPolynomial
     triviality: TrivialityReport
+
+    __slots__ = __match_args__ = ("residual", "triviality")
+
+    def __init__(self, residual, triviality) -> None:
+        self._set_fields(residual, triviality)
 
     @property
     def holds(self) -> bool:

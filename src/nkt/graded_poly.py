@@ -24,14 +24,13 @@ repeated product or derivative of a monomial costs one lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import NktError, too_many_digits
+from .errors import NktError, Record, too_many_digits
 from .multiindex import EMPTY, MultiIndex, check_jet_order
 
 
@@ -68,24 +67,50 @@ def _kind_rank(kind: Kind, stage: int | None) -> tuple[int, int]:
     return (4, 0) if stage is None else (5, stage)
 
 
-@dataclass(frozen=True)
-class VariableId:
-    """One concrete component of a declared variable family."""
+_setattr = object.__setattr__
+_VARIABLE_IDS: dict[tuple, "VariableId"] = {}
+
+
+class VariableId(Record):
+    """One concrete component of a declared variable family.
+
+    Variables are interned like jet variables: equal fields give the one
+    shared instance, so equality is identity, and the table holds each
+    variable for the life of the process.  `rank` orders variables
+    canonically.  It and the hash are computed once, on first construction;
+    the hash is that of the field tuple, as for the other records, so sets
+    and dicts of variables iterate in the same order.
+    """
 
     kind: Kind
     name: str
     components: tuple[int, ...]
     parity: Parity
-    stage: int | None = None
+    stage: int | None
 
-    def __post_init__(self) -> None:
-        if self.stage is not None and self.kind in (Kind.FIELD, Kind.ANTIFIELD):
-            raise ValueError("only ghosts and antighosts carry a stage")
+    __match_args__ = ("kind", "name", "components", "parity", "stage")
+    __slots__ = __match_args__ + ("rank", "_hash")
 
-    @property
-    def rank(self) -> tuple[int, int, str, tuple[int, ...]]:
-        major, minor = _kind_rank(self.kind, self.stage)
-        return (major, minor, self.name, self.components)
+    def __new__(cls, kind, name, components, parity, stage=None) -> "VariableId":
+        key = (kind, name, components, parity, stage)
+        self = _VARIABLE_IDS.get(key)
+        if self is None:
+            if stage is not None and kind in (Kind.FIELD, Kind.ANTIFIELD):
+                raise ValueError("only ghosts and antighosts carry a stage")
+            self = _VARIABLE_IDS[key] = object.__new__(cls)
+            _setattr(self, "kind", kind)
+            _setattr(self, "name", name)
+            _setattr(self, "components", components)
+            _setattr(self, "parity", parity)
+            _setattr(self, "stage", stage)
+            _setattr(self, "rank", _kind_rank(kind, stage) + (name, components))
+            _setattr(self, "_hash", hash(key))
+        return self
+
+    __eq__ = object.__eq__  # equal fields are the same instance
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def render(self) -> str:
         prefix = "~" if self.kind in (Kind.ANTIFIELD, Kind.ANTIGHOST) else ""
@@ -522,15 +547,6 @@ class GradedPolynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_accumulator(cls, acc: Mapping[_Flat, int], den: int) -> "GradedPolynomial":
-        """The polynomial of a map of canonical factor tuples to int numerators.
-
-        den must be a positive int.  Zero numerators are dropped and the gcd
-        of den and the numerators is divided out.
-        """
-        return cls._from_terms({Monomial(flat): n for flat, n in acc.items()}, den)
-
-    @classmethod
     def _from_terms(cls, acc: dict[Monomial, int], den: int) -> "GradedPolynomial":
         """Take over a map of monomials to int numerators over den > 0.
 
@@ -883,11 +899,15 @@ def gp_normalize(
     return GradedPolynomial._from_terms(acc, den)
 
 
-@dataclass(frozen=True)
-class Density:
+class Density(Record):
     """A horizontal density: coefficient of the volume form omega."""
 
     expr: GradedPolynomial
+
+    __slots__ = __match_args__ = ("expr",)
+
+    def __init__(self, expr) -> None:
+        self._set_fields(expr)
 
 
 # --------------------------------------------------------------------------

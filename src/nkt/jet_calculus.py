@@ -9,9 +9,9 @@ derivative symbol passes the factors on one side or the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from .errors import Record
 from .graded_poly import (
     Density,
     GradedPolynomial,
@@ -53,11 +53,15 @@ def partial_right(p: GradedPolynomial, v: JetVariable) -> GradedPolynomial:
     return GradedPolynomial.zero() if found is None else found
 
 
-@dataclass(frozen=True)
-class VariationalDerivatives:
+class VariationalDerivatives(Record):
     """Euler-Lagrange components keyed by base variable."""
 
     components: dict[VariableId, GradedPolynomial]
+
+    __slots__ = __match_args__ = ("components",)
+
+    def __init__(self, components) -> None:
+        self._set_fields(components)
 
     def __getitem__(self, var: VariableId) -> GradedPolynomial:
         return self.components.get(var, GradedPolynomial.zero())
@@ -98,11 +102,15 @@ def euler_lagrange(
     )
 
 
-@dataclass(frozen=True)
-class TrivialityReport:
+class TrivialityReport(Record):
     trivial: bool
     residuals: dict[VariableId, GradedPolynomial]
     assumptions: tuple[str, ...]
+
+    __slots__ = __match_args__ = ("trivial", "residuals", "assumptions")
+
+    def __init__(self, trivial, residuals, assumptions) -> None:
+        self._set_fields(trivial, residuals, assumptions)
 
 
 def is_variationally_trivial(density: Density | GradedPolynomial) -> TrivialityReport:

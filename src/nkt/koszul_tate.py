@@ -10,9 +10,7 @@ identity, certified by explicit boundary witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import SemanticError
+from .errors import Record, SemanticError
 from .graded_poly import (
     Density,
     GradedPolynomial,
@@ -37,12 +35,16 @@ DECLARED_NOT_PROVEN = (
 )
 
 
-@dataclass(frozen=True)
-class KoszulTateContext:
+class KoszulTateContext(Record):
     """Boundary images of every antifield-sector generator."""
 
     dim: int
     boundaries: dict[VariableId, GradedPolynomial]
+
+    __slots__ = __match_args__ = ("dim", "boundaries")
+
+    def __init__(self, dim, boundaries) -> None:
+        self._set_fields(dim, boundaries)
 
 
 def kt_context(
@@ -129,8 +131,7 @@ def kt_nilpotency_residuals(
 # Weak (on-shell) vanishing and the reducibility chain.
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
+class ReductionCertificate(Record):
     """Weak-zero certificate.
 
     A claim is certified either by coefficients against the equations (the
@@ -139,8 +140,13 @@ class ReductionCertificate:
     equals the boundary of W); when both are given their expansions add.
     """
 
-    m_coeffs: dict[tuple[VariableId, MultiIndex], GradedPolynomial] | None = None
-    witness: GradedPolynomial | None = None
+    m_coeffs: dict[tuple[VariableId, MultiIndex], GradedPolynomial] | None
+    witness: GradedPolynomial | None
+
+    __slots__ = __match_args__ = ("m_coeffs", "witness")
+
+    def __init__(self, m_coeffs=None, witness=None) -> None:
+        self._set_fields(m_coeffs, witness)
 
 
 def certificate_expansion(
@@ -160,11 +166,15 @@ def certificate_expansion(
     return gp_sum_of_products(pairs)
 
 
-@dataclass(frozen=True)
-class WeakZeroReport:
+class WeakZeroReport(Record):
     ok: bool
     residual: GradedPolynomial
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
+
+    __slots__ = __match_args__ = ("ok", "residual", "notes")
+
+    def __init__(self, ok, residual, notes=()) -> None:
+        self._set_fields(ok, residual, notes)
 
 
 def check_weakly_zero(
@@ -187,13 +197,21 @@ def check_weakly_zero(
     )
 
 
-@dataclass(frozen=True)
-class ReducibilityReport:
+class ReducibilityReport(Record):
     stages: int  # highest stage index; -1 when no stage operators exist
     identity_residuals: dict[VariableId, GradedPolynomial]
     stage_results: dict[VariableId, WeakZeroReport]
     assumptions: tuple[str, ...]
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
+
+    __slots__ = __match_args__ = (
+        "stages", "identity_residuals", "stage_results", "assumptions", "notes"
+    )
+
+    def __init__(
+        self, stages, identity_residuals, stage_results, assumptions, notes=()
+    ) -> None:
+        self._set_fields(stages, identity_residuals, stage_results, assumptions, notes)
 
     @property
     def holds(self) -> bool:

@@ -15,12 +15,11 @@ Noether operators and back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Callable, TypeVar
 
 from .derivations import GeneralizedVectorField, check_variational
-from .errors import NktError, SemanticError
+from .errors import NktError, Record, SemanticError
 from .graded_poly import (
     Density,
     GradedPolynomial,
@@ -68,22 +67,23 @@ class NoetherIdentityError(SemanticError):
         )
 
 
-@dataclass(frozen=True)
-class LinearJetOperator:
+class LinearJetOperator(Record):
     """Field-coefficient linear operator family."""
 
     dim: int
     role: str
     coeffs: dict[CoeffKey, GradedPolynomial]
-    stage: int | None = None
+    stage: int | None
 
-    def __post_init__(self) -> None:
-        if self.role not in (ROLE_GAUGE, ROLE_NOETHER, ROLE_STAGE):
-            raise ValueError(f"unknown operator role {self.role!r}")
-        if (self.role == ROLE_STAGE) != (self.stage is not None):
+    __slots__ = __match_args__ = ("dim", "role", "coeffs", "stage")
+
+    def __init__(self, dim, role, coeffs, stage=None) -> None:
+        if role not in (ROLE_GAUGE, ROLE_NOETHER, ROLE_STAGE):
+            raise ValueError(f"unknown operator role {role!r}")
+        if (role == ROLE_STAGE) != (stage is not None):
             raise ValueError("stage operators and only they carry a stage index")
         cleaned: dict[CoeffKey, GradedPolynomial] = {}
-        for (param, target, mi), poly in self.coeffs.items():
+        for (param, target, mi), poly in coeffs.items():
             if poly.is_zero():
                 continue
             found = [v for v in poly.base_variables() if v.kind is not Kind.FIELD]
@@ -95,7 +95,7 @@ class LinearJetOperator:
                     f" found {first.render()}"
                 )
             cleaned[(param, target, mi)] = poly
-        object.__setattr__(self, "coeffs", cleaned)
+        self._set_fields(dim, role, cleaned, stage)
 
     def parameters(self) -> list[VariableId]:
         return sorted({k[0] for k in self.coeffs}, key=lambda v: v.rank)
@@ -316,13 +316,17 @@ def compose(outer: LinearJetOperator, inner: LinearJetOperator) -> LinearJetOper
 # Noether's second theorem, both directions.
 
 
-@dataclass(frozen=True)
-class NoetherReport:
+class NoetherReport(Record):
     """Per-parameter residuals of the Noether identity expansion."""
 
     residuals: dict[VariableId, GradedPolynomial]
-    variational: TrivialityReport | None = None
-    notes: tuple[str, ...] = ()
+    variational: TrivialityReport | None
+    notes: tuple[str, ...]
+
+    __slots__ = __match_args__ = ("residuals", "variational", "notes")
+
+    def __init__(self, residuals, variational=None, notes=()) -> None:
+        self._set_fields(residuals, variational, notes)
 
     @property
     def holds(self) -> bool:

@@ -129,8 +129,6 @@ def random_theory(rng: random.Random, name: str = "fuzz") -> "Theory":
     Used to fuzz the text roundtrip: render_theory followed by parse_theory
     must reproduce the object exactly.
     """
-    from dataclasses import replace
-
     from .derivations import GeneralizedVectorField
     from .graded_poly import antifield_of
     from .koszul_tate import ReductionCertificate
@@ -170,7 +168,7 @@ def random_theory(rng: random.Random, name: str = "fuzz") -> "Theory":
             [levi_civita(rng.randint(2, 3)), kronecker(rng.randint(2, 3)),
              minkowski(dim)]
         )
-        constants["g"] = replace(made, name="g")
+        constants["g"] = ConstantTensor("g", made.ranges, made.entries, made.builder)
     if rng.random() < 0.3:
         size = rng.randint(2, 3)
         entries = {

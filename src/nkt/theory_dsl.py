@@ -44,14 +44,15 @@ value in order, so each error keeps its message and span.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import permutations, product as iter_product
 from math import comb, prod
 from typing import Callable, Iterable, NamedTuple
 
 from .derivations import GeneralizedVectorField
-from .errors import JetOrderError, ParseError, SemanticError, SourceSpan, too_many_digits
+from .errors import (
+    JetOrderError, ParseError, Record, SemanticError, SourceSpan, too_many_digits,
+)
 from .graded_poly import (
     GradedPolynomial,
     JetVariable,
@@ -90,15 +91,19 @@ def _is_reserved(name: str) -> bool:
 # model
 
 
-@dataclass(frozen=True)
-class VarDecl:
+class VarDecl(Record):
     """A declared field or ghost family with its index ranges."""
 
     name: str
     kind: Kind
     parity: Parity
-    indices: tuple[tuple[str, int, int], ...] = ()
-    stage: int | None = None
+    indices: tuple[tuple[str, int, int], ...]
+    stage: int | None
+
+    __slots__ = __match_args__ = ("name", "kind", "parity", "indices", "stage")
+
+    def __init__(self, name, kind, parity, indices=(), stage=None) -> None:
+        self._set_fields(name, kind, parity, indices, stage)
 
     def variable(self, comps: tuple[int, ...]) -> VariableId:
         if len(comps) != len(self.indices):
@@ -117,14 +122,18 @@ class VarDecl:
         return [self.variable(tuple(c)) for c in iter_product(*ranges)]
 
 
-@dataclass(frozen=True)
-class ConstantTensor:
+class ConstantTensor(Record):
     """A rational constant tensor, kept sparse."""
 
     name: str
     ranges: tuple[tuple[int, int], ...]
     entries: dict[tuple[int, ...], Fraction]
-    builder: str | None = None
+    builder: str | None
+
+    __slots__ = __match_args__ = ("name", "ranges", "entries", "builder")
+
+    def __init__(self, name, ranges, entries, builder=None) -> None:
+        self._set_fields(name, ranges, entries, builder)
 
     def entry(self, idx: tuple[int, ...]) -> Fraction:
         if len(idx) != len(self.ranges):
@@ -177,18 +186,40 @@ _BUILDERS = {
 }
 
 
-@dataclass(frozen=True)
-class Theory:
-    """A parsed theory: declarations plus every named construct."""
+class Theory(Record):
+    """A parsed theory: declarations plus every named construct.
+
+    A dict left out of the constructor starts empty.
+    """
 
     name: str
     dim: int
     variables: dict[str, VarDecl]
-    constants: dict[str, ConstantTensor] = dc_field(default_factory=dict)
-    lagrangian: GradedPolynomial | None = None
-    operators: dict[str, LinearJetOperator] = dc_field(default_factory=dict)
-    derivations: dict[str, GeneralizedVectorField] = dc_field(default_factory=dict)
-    certificates: dict[str, ReductionCertificate] = dc_field(default_factory=dict)
+    constants: dict[str, ConstantTensor]
+    lagrangian: GradedPolynomial | None
+    operators: dict[str, LinearJetOperator]
+    derivations: dict[str, GeneralizedVectorField]
+    certificates: dict[str, ReductionCertificate]
+
+    __slots__ = __match_args__ = (
+        "name", "dim", "variables", "constants", "lagrangian", "operators",
+        "derivations", "certificates",
+    )
+
+    def __init__(
+        self, name, dim, variables, constants=None, lagrangian=None,
+        operators=None, derivations=None, certificates=None,
+    ) -> None:
+        self._set_fields(
+            name,
+            dim,
+            variables,
+            {} if constants is None else constants,
+            lagrangian,
+            {} if operators is None else operators,
+            {} if derivations is None else derivations,
+            {} if certificates is None else certificates,
+        )
 
 
 def _declared(theory: Theory, var: VariableId) -> bool:
@@ -530,60 +561,85 @@ class _Stmt:
 
 
 # ---------------------------------------------------------------------------
-# expression AST
+# expression AST: plain slotted classes, compared by identity
 
 
-@dataclass(eq=False, slots=True)
 class _Num:
-    value: Fraction
-    span: SourceSpan
+    __slots__ = ("value", "span")
+
+    def __init__(self, value: Fraction, span: SourceSpan) -> None:
+        self.value = value
+        self.span = span
 
 
-@dataclass(eq=False, slots=True)
 class _Ref:
-    name: str
-    args: tuple["int | str", ...]
-    anti: bool
-    span: SourceSpan
-    explicit_args: bool = False
+    __slots__ = ("name", "args", "anti", "span", "explicit_args")
+
+    def __init__(
+        self,
+        name: str,
+        args: tuple[int | str, ...],
+        anti: bool,
+        span: SourceSpan,
+        explicit_args: bool = False,
+    ) -> None:
+        self.name = name
+        self.args = args
+        self.anti = anti
+        self.span = span
+        self.explicit_args = explicit_args
 
 
-@dataclass(eq=False, slots=True)
 class _D:
-    base: object
-    dirs: tuple["int | str", ...]
-    span: SourceSpan
+    __slots__ = ("base", "dirs", "span")
+
+    def __init__(
+        self, base: object, dirs: tuple[int | str, ...], span: SourceSpan
+    ) -> None:
+        self.base = base
+        self.dirs = dirs
+        self.span = span
 
 
-@dataclass(eq=False, slots=True)
 class _Sum:
-    index: str
-    lo: int
-    hi: int
-    body: object
-    span: SourceSpan
+    __slots__ = ("index", "lo", "hi", "body", "span")
+
+    def __init__(
+        self, index: str, lo: int, hi: int, body: object, span: SourceSpan
+    ) -> None:
+        self.index = index
+        self.lo = lo
+        self.hi = hi
+        self.body = body
+        self.span = span
 
 
-@dataclass(eq=False, slots=True)
 class _Unary:
-    op: str
-    operand: object
-    span: SourceSpan
+    __slots__ = ("op", "operand", "span")
+
+    def __init__(self, op: str, operand: object, span: SourceSpan) -> None:
+        self.op = op
+        self.operand = operand
+        self.span = span
 
 
-@dataclass(eq=False, slots=True)
 class _Binary:
-    op: str
-    left: object
-    right: object
-    span: SourceSpan
+    __slots__ = ("op", "left", "right", "span")
+
+    def __init__(self, op: str, left: object, right: object, span: SourceSpan) -> None:
+        self.op = op
+        self.left = left
+        self.right = right
+        self.span = span
 
 
-@dataclass(eq=False, slots=True)
 class _Pow:
-    base: object
-    exponent: int
-    span: SourceSpan
+    __slots__ = ("base", "exponent", "span")
+
+    def __init__(self, base: object, exponent: int, span: SourceSpan) -> None:
+        self.base = base
+        self.exponent = exponent
+        self.span = span
 
 
 def _parse_index_arg(st: _Stmt) -> "int | str":
@@ -722,14 +778,22 @@ def _parse_sum(st: _Stmt, span: SourceSpan, depth: int) -> object:
 # evaluation
 
 
-@dataclass
 class _Env:
     """What references resolve against: declarations and index bindings."""
 
-    dim: int
-    variables: dict[str, VarDecl]
-    constants: dict[str, ConstantTensor]
-    bindings: dict[str, int]
+    __slots__ = ("dim", "variables", "constants", "bindings")
+
+    def __init__(
+        self,
+        dim: int,
+        variables: dict[str, VarDecl],
+        constants: dict[str, ConstantTensor],
+        bindings: dict[str, int],
+    ) -> None:
+        self.dim = dim
+        self.variables = variables
+        self.constants = constants
+        self.bindings = bindings
 
 
 def _resolve_index(env: _Env, arg: "int | str", span: SourceSpan) -> int:

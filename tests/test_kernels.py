@@ -214,6 +214,15 @@ def oracle_merge_flat(a, b):
     return sign, tuple(out)
 
 
+def from_accumulator(acc: dict[tuple, int], den: int) -> GradedPolynomial:
+    """The polynomial of a map of canonical factor tuples to int numerators.
+
+    den must be a positive int; zero numerators are dropped and the gcd of
+    den and the numerators is divided out.
+    """
+    return GradedPolynomial._from_terms({Monomial(flat): n for flat, n in acc.items()}, den)
+
+
 def oracle_merge_interned(a, b):
     """Merge two canonical factor tuples of interned factors, per call."""
     out = []
@@ -246,7 +255,7 @@ def oracle_product(p: GradedPolynomial, q: GradedPolynomial) -> GradedPolynomial
             sign, merged = oracle_merge_interned(fa, fb)
             if merged is not None:
                 acc[merged] = acc.get(merged, 0) + sign * na * nb
-    return GradedPolynomial.from_accumulator(acc, p.denominator() * q.denominator())
+    return from_accumulator(acc, p.denominator() * q.denominator())
 
 
 def oracle_raise_in_place(p: GradedPolynomial, direction: int) -> GradedPolynomial:
@@ -294,7 +303,7 @@ def oracle_raise_in_place(p: GradedPolynomial, direction: int) -> GradedPolynomi
                 acc[raised] = -s if cur is None else cur - s
             else:
                 acc[raised] = s if cur is None else cur + s
-    return GradedPolynomial.from_accumulator(acc, p.denominator())
+    return from_accumulator(acc, p.denominator())
 
 
 _Exps = tuple[tuple[int, int], ...]  # ((coordinate, exponent), ...) sorted
@@ -633,7 +642,7 @@ def test_term_order_is_independent_of_insertion_order(p, rnd, k) -> None:
     acc[(ABSENT[0],)] = 0
     shuffled = [
         GradedPolynomial(dict(items)),
-        GradedPolynomial.from_accumulator(acc, k * p.denominator()),
+        from_accumulator(acc, k * p.denominator()),
     ]
     # hash before any raw_terms() call, which stores the canonical order
     assert [hash(q) for q in shuffled] == [hash(p)] * 2

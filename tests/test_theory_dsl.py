@@ -2,7 +2,6 @@
 
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +46,12 @@ dim 1
 field y parity even
 lagrangian 1/2 * d(y;x)^2
 """
+
+
+def replace(theory: Theory, **changes) -> Theory:
+    """The theory with the named fields changed."""
+    fields = {name: getattr(theory, name) for name in Theory.__match_args__}
+    return Theory(**{**fields, **changes})
 
 
 def v_y() -> GradedPolynomial:
