@@ -8,7 +8,6 @@ operator form of its Noether identity by the intertwining dual.  The dual is
 an involution, so converting back recovers the symmetry exactly.
 """
 
-import time
 from pathlib import Path
 
 from nkt import (
@@ -20,7 +19,6 @@ from nkt import (
     render_polynomial,
 )
 
-started = time.monotonic()
 theory = parse_theory((Path(__file__).parent.parent / "theories" / "ym_su2.nkt").read_text())
 op = theory.operators["gauge_sym"]
 print("theory:", theory.name, " dim:", theory.dim,
@@ -48,4 +46,3 @@ for param, target, mi in sample:
 # coefficient
 gauge_back, _ = derive_gauge_from_noether(noether_op, theory.lagrangian)
 print("round trip recovers the symmetry:", gauge_back == op)
-print(f"elapsed: {time.monotonic() - started:.2f}s")

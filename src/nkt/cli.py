@@ -39,7 +39,14 @@ from .derivations import (
     check_variational,
 )
 from .errors import NktError, SemanticError
-from .graded_poly import GradedPolynomial, render_polynomial
+from .graded_poly import (
+    GradedPolynomial,
+    Kind,
+    Parity,
+    VariableId,
+    antifield_of,
+    render_polynomial,
+)
 from .jet_calculus import euler_lagrange, is_variationally_trivial, total_derivative
 from .koszul_tate import (
     KoszulTateContext,
@@ -65,6 +72,7 @@ from .theory_dsl import (
     parse_expression,
     parse_theory,
     render_operator,
+    render_theory,
     resolve_component,
 )
 
@@ -210,8 +218,6 @@ def _cmd_derive_noether(
     vf = _derivation(theory, args.sym)
     # only the field components define the symmetry operator; ghost
     # components carry the structure functions and may be ghost-quadratic
-    from .graded_poly import Kind
-
     field_part = GeneralizedVectorField(
         {v: p for v, p in vf.components.items() if v.kind is Kind.FIELD}
     )
@@ -389,8 +395,6 @@ def _selftest() -> VerificationReport:
 
     def involution() -> bool:
         fields = graded_fields(2, 1)
-        from .graded_poly import Kind, Parity, VariableId
-
         ghosts = [VariableId(Kind.GHOST, "g0", (), Parity.ODD)]
         for _ in range(20):
             dim = rng.randint(1, 2)
@@ -400,8 +404,6 @@ def _selftest() -> VerificationReport:
         return True
 
     def kt_squares_to_zero() -> bool:
-        from .graded_poly import antifield_of
-
         fields = graded_fields(2, 0)
         for _ in range(15):
             dim = rng.randint(1, 2)
@@ -424,8 +426,6 @@ def _selftest() -> VerificationReport:
         return True
 
     def parser_roundtrip() -> bool:
-        from .theory_dsl import render_theory
-
         for _ in range(10):
             theory = random_theory(rng)
             if parse_theory(render_theory(theory)) != theory:

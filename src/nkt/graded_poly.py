@@ -519,13 +519,8 @@ class GradedPolynomial:
     __slots__ = ("_terms", "_den", "_raw", "_left", "_right")
 
     def __init__(self, terms: Mapping[_Flat, Fraction | int] | None = None):
-        terms = terms or {}
-        den = lcm(*[q.denominator for q in terms.values()])
-        acc = {
-            Monomial(flat): q.numerator * (den // q.denominator)
-            for flat, q in terms.items()
-        }
-        self._take(acc, den)
+        # factors in any order, canonicalized as gp_normalize does
+        self._take(*_fold([(q, f) for f, q in terms.items()] if terms else ()))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GradedPolynomial is immutable")
@@ -558,27 +553,29 @@ class GradedPolynomial:
         out._take(acc, den)
         return out
 
+    # an empty or one-factor monomial is canonical: these skip the fold
+
     @classmethod
     def zero(cls) -> "GradedPolynomial":
-        return cls()
+        return cls._from_terms({}, 1)
 
     @classmethod
     def one(cls) -> "GradedPolynomial":
-        return cls({(): 1})
+        return cls._from_terms({_ONE: 1}, 1)
 
     @classmethod
     def scalar(cls, q: Fraction | int) -> "GradedPolynomial":
-        return cls({(): q})
+        return cls._from_terms({_ONE: q.numerator}, q.denominator)
 
     @classmethod
     def coordinate(cls, k: int) -> "GradedPolynomial":
-        return cls({(Coordinate(k),): 1})
+        return cls._from_terms({Monomial((Coordinate(k),)): 1}, 1)
 
     @classmethod
     def variable(cls, v: JetVariable | VariableId) -> "GradedPolynomial":
         if isinstance(v, VariableId):
             v = JetVariable(v)
-        return cls({(v,): 1})
+        return cls._from_terms({Monomial((v,)): 1}, 1)
 
     # -- views -------------------------------------------------------------
 
@@ -738,10 +735,7 @@ def gp_sum(
     parts = [(p, 1) for p in polys]
     if negated:
         parts += [(p, -1) for p in negated]
-    den = 1
-    for p, _ in parts:
-        if p._den != 1:
-            den = lcm(den, p._den)
+    den = lcm(*[p._den for p, _ in parts])
     acc: dict[Monomial, int] = {}
     for p, sign in parts:
         _add_into(acc, p._terms, sign * (den // p._den))
@@ -761,9 +755,8 @@ def _add_into(acc: dict[Monomial, int], terms: Mapping[Monomial, int], k: int) -
 
 def gp_sum_of_products(
     pairs: Iterable[tuple[GradedPolynomial, GradedPolynomial]],
-    negated: Iterable[tuple[GradedPolynomial, GradedPolynomial]] = (),
 ) -> GradedPolynomial:
-    """The sum of a * b over pairs minus that over negated, canonicalized once.
+    """The sum of a * b over pairs, canonicalized once.
 
     Each (a, b) keeps its operand order, so the Koszul sign of every
     monomial product is that of a * b.  Every product of two terms is added
@@ -771,17 +764,11 @@ def gp_sum_of_products(
     denominators (each product's den is a's times b's); one multiplier per
     pair brings the pair to it.
     """
-    parts = [(a, b, 1) for a, b in pairs]
-    if negated:
-        parts += [(a, b, -1) for a, b in negated]
-    den = 1
-    for a, b, _ in parts:
-        d = a._den * b._den
-        if d != 1:
-            den = lcm(den, d)
+    pairs = list(pairs)
+    den = lcm(*[a._den * b._den for a, b in pairs])
     acc: dict[Monomial, int] = {}
-    for a, b, sign in parts:
-        _multiply_into(acc, a, b, sign * (den // (a._den * b._den)))
+    for a, b in pairs:
+        _multiply_into(acc, a, b, den // (a._den * b._den))
     return GradedPolynomial._from_terms(acc, den)
 
 
@@ -822,11 +809,7 @@ def gp_sum_of_derivatives(
     step names.
     """
     items = list(items)
-    den = 1
-    for p, _, w in items:
-        d = p._den * w.denominator
-        if d != 1:
-            den = lcm(den, d)
+    den = lcm(*[p._den * w.denominator for p, _, w in items])
     acc: dict[Monomial, int] = {}
     for p, lam, w in items:
         k = w.numerator * (den // (p._den * w.denominator))
@@ -876,7 +859,17 @@ def gp_normalize(
     """Canonicalize a raw term list: sort factors, track signs, merge terms.
 
     Each raw term is (coefficient, factor sequence) with factors in any order
-    and with repeats spelled out; odd repeats annihilate the term.  Factors
+    and with repeats spelled out; odd repeats annihilate the term.
+    """
+    return GradedPolynomial._from_terms(*_fold(raw_terms))
+
+
+def _fold(
+    raw_terms: Iterable[tuple[Fraction | int, Sequence[_Factor]]],
+) -> tuple[dict[Monomial, int], int]:
+    """The numerators and denominator of raw terms, before _take reduces them.
+
+    The one place where a raw factor sequence becomes a monomial: factors
     are folded in one at a time through the monomial product, so the sign
     and the zero rule are exactly those of multiplication.
     """
@@ -896,7 +889,7 @@ def gp_normalize(
         n = q.numerator * (den // q.denominator)
         cur = acc.get(m)
         acc[m] = n if cur is None else cur + n
-    return GradedPolynomial._from_terms(acc, den)
+    return acc, den
 
 
 class Density(Record):

@@ -92,10 +92,7 @@ def mi_enumerate(n: int, up_to_order: int) -> list[MultiIndex]:
     """
     if n < 1:
         raise ValueError("base dimension must be at least 1")
-    if up_to_order > max_jet_order():
-        raise JetOrderError(
-            f"requested order {up_to_order} exceeds the bound {max_jet_order()}"
-        )
+    check_jet_order(up_to_order)
     known = _ENUMERATIONS.get((n, up_to_order))
     if known is None:
         known = _ENUMERATIONS[(n, up_to_order)] = tuple(

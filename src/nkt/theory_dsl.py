@@ -283,8 +283,6 @@ def validate_theory(theory: Theory) -> None:
             raise SemanticError(f"bad variable name {name!r}")
         if _is_reserved(name):
             raise SemanticError(f"{name!r} is reserved")
-        if name in seen:
-            raise SemanticError(f"duplicate declaration of {name}")
         seen.add(name)
         if decl.kind not in (Kind.FIELD, Kind.GHOST):
             raise SemanticError(f"{name} must be declared as a field or a ghost")

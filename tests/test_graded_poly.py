@@ -96,6 +96,27 @@ def test_even_variables_commute() -> None:
     assert v(Y) * v(z) == v(z) * v(Y)
 
 
+def test_the_constructor_canonicalizes_its_factors() -> None:
+    # the factor tuples of a term map may come in any order
+    y, z, c, c_x = jv(Y), jv(even_field("z")), jv(C), jv(C, 0)
+    assert GradedPolynomial({(z, y): 1}) == GradedPolynomial({(y, z): 1}) == v(Y) * v(z.var)
+    assert (GradedPolynomial({(z, y): 1}) - GradedPolynomial({(y, z): 1})).is_zero()
+    assert render_polynomial(GradedPolynomial({(z, y): 1}), 1) == "y*z"
+    # an odd square vanishes, and an odd transposition flips the sign
+    assert GradedPolynomial({(c, c): 1}).is_zero()
+    assert GradedPolynomial({(c_x, c): 1}) == -GradedPolynomial({(c, c_x): 1})
+    # a coordinate after a jet variable moves to the front
+    p = GradedPolynomial({(y, Coordinate(0)): 1})
+    assert p == GradedPolynomial.coordinate(0) * v(Y)
+    assert p.raw_terms() == (((Coordinate(0), y), 1),)
+    assert render_polynomial(p, 1) == "x*y"
+    # two orderings of one monomial add up
+    assert GradedPolynomial({(c_x, c): 1, (c, c_x): 1}).is_zero()
+    assert GradedPolynomial({(z, y): 1, (y, z): Fraction(1, 2)}) == (v(Y) * v(z.var)).scaled(
+        Fraction(3, 2)
+    )
+
+
 def test_like_terms_merge_and_cancel() -> None:
     p = gp_normalize([(1, [jv(Y)]), (2, [jv(Y)])])
     assert p == v(Y).scaled(3)

@@ -27,7 +27,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from math import gcd
-from operator import add
+from operator import add, mul
 from pathlib import Path
 
 import pytest
@@ -839,14 +839,62 @@ def test_gp_normalize_matches_the_key_comparing_kernels(raw) -> None:
     assert gp_normalize(raw).raw_terms() == oracle_normalize(raw)
 
 
+def single_factor(f: Coordinate | JetVariable) -> GradedPolynomial:
+    if isinstance(f, Coordinate):
+        return GradedPolynomial.coordinate(f.k)
+    return GradedPolynomial.variable(f)
+
+
+@KERNEL_SETTINGS
+@given(raw_term_lists(), st.integers(0, 2**32))
+def test_the_constructor_canonicalizes_as_the_product_does(raw, seed) -> None:
+    # one rational weight per factor multiset, so cancelling pairs still cancel
+    rng = random.Random(seed)
+    weights: dict = {}
+    raw = [
+        (q * weights.setdefault(tuple(sorted(map(id, f))), rng.choice(RATIONALS)), f)
+        for q, f in raw
+    ]
+    for q, f in raw:
+        p = GradedPolynomial({tuple(f): q})
+        assert_canonical(p)
+        assert p == gp_normalize([(q, f)])
+        assert p == reduce(mul, map(single_factor, f), GradedPolynomial.scalar(q))
+    terms: dict = {}
+    for q, f in raw:
+        terms[tuple(f)] = terms.get(tuple(f), 0) + q
+    p = GradedPolynomial(terms)
+    assert p == gp_normalize(raw)
+    assert p.raw_terms() == oracle_normalize(raw)
+
+
+def test_the_single_term_constructors_match_the_general_one() -> None:
+    y = jet(VariableId(Kind.FIELD, "y", (), Parity.ODD))
+    assert GradedPolynomial.zero() == GradedPolynomial() == GradedPolynomial({})
+    assert GradedPolynomial.one() == GradedPolynomial({(): 1})
+    assert GradedPolynomial.coordinate(1) == GradedPolynomial({(Coordinate(1),): 1})
+    assert GradedPolynomial.variable(y) == GradedPolynomial({(y,): 1})
+    assert GradedPolynomial.variable(y.var) == GradedPolynomial.variable(y)
+    for q in (0, 1, -3, Fraction(0), Fraction(-7, 6), Fraction(4, 2)):
+        assert GradedPolynomial.scalar(q) == GradedPolynomial({(): q})
+    for p in (
+        GradedPolynomial.zero(),
+        GradedPolynomial.one(),
+        GradedPolynomial.scalar(Fraction(-7, 6)),
+        GradedPolynomial.coordinate(1),
+        GradedPolynomial.variable(y),
+    ):
+        assert_canonical(p)
+
+
 # -- fused sums of products and of total derivatives against their definitions ------
 
 WEIGHTS = RATIONALS + [-1, 3, Fraction(-3, 7)]
 
 
-def summed_products(pairs: list, negated: list) -> GradedPolynomial:
+def summed_products(pairs: list) -> GradedPolynomial:
     """Each product built alone by *, then summed."""
-    return gp_sum([a * b for a, b in pairs], [a * b for a, b in negated])
+    return gp_sum([a * b for a, b in pairs])
 
 
 def summed_derivatives(items: list) -> GradedPolynomial:
@@ -855,32 +903,32 @@ def summed_derivatives(items: list) -> GradedPolynomial:
 
 
 @st.composite
-def fused_inputs(draw) -> tuple[list, list, list]:
-    """Product pairs, negated pairs and derivative items over drawn polynomials.
+def fused_inputs(draw) -> tuple[list, list]:
+    """Product pairs and derivative items over drawn polynomials.
 
     The pairs reuse their few polynomials, so odd factors meet their equals;
-    a negated copy of some pairs and items cancels part of each sum; any of
-    the lists may be empty.
+    some pairs have one operand negated, and copies of some pairs and items
+    with the other sign cancel part of each sum; either list may be empty.
     """
     ps = draw(st.lists(graded_polynomials(), min_size=1, max_size=3))
     pick = st.sampled_from(ps)
     pairs = draw(st.lists(st.tuples(pick, pick), max_size=4))
-    negated = draw(st.lists(st.tuples(pick, pick), max_size=2))
-    negated += pairs[: draw(st.integers(0, len(pairs)))]
+    pairs += [(-a, b) for a, b in draw(st.lists(st.tuples(pick, pick), max_size=2))]
+    pairs += [(a, -b) for a, b in pairs[: draw(st.integers(0, len(pairs)))]]
     lams = st.lists(st.integers(0, 2), max_size=3).map(lambda e: tuple(sorted(e)))
     items = draw(st.lists(st.tuples(pick, lams, st.sampled_from(WEIGHTS)), max_size=4))
     items += [(p, lam, -w) for p, lam, w in items[: draw(st.integers(0, len(items)))]]
-    return pairs, negated, items
+    return pairs, items
 
 
 @KERNEL_SETTINGS
 @given(fused_inputs())
 def test_fused_sums_match_their_definitions(inputs) -> None:
-    pairs, negated, items = inputs
-    want = [summed_products(pairs, negated), summed_derivatives(items)]
+    pairs, items = inputs
+    want = [summed_products(pairs), summed_derivatives(items)]
 
     def fused() -> list:
-        got = [gp_sum_of_products(pairs, negated), gp_sum_of_derivatives(iter(items))]
+        got = [gp_sum_of_products(iter(pairs)), gp_sum_of_derivatives(iter(items))]
         for r in got:
             assert_canonical(r)
         return [(r, r.raw_terms()) for r in got]
@@ -908,7 +956,7 @@ def derivative_outcome(kernel, items: list) -> tuple | str:
 def test_fused_derivatives_name_the_jet_order_of_the_stepwise_path(inputs, bound) -> None:
     # drawn polynomials reach order 2, so a bound of 1 is already passed
     # before the first step of some items
-    items = inputs[2]
+    items = inputs[1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("NKT_MAX_JET_ORDER", str(bound))
         config.reload()

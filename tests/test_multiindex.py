@@ -128,7 +128,11 @@ def test_enumeration_is_remembered_but_the_bound_is_checked_each_call(
     assert len(again) == 15
     monkeypatch.setenv("NKT_MAX_JET_ORDER", "3")
     config.reload()
-    with pytest.raises(JetOrderError):
+    # the message every jet-order refusal carries
+    with pytest.raises(
+        JetOrderError,
+        match=r"^jet order 4 exceeds the bound 3 \(raise NKT_MAX_JET_ORDER to override\)$",
+    ):
         mi_enumerate(2, 4)
     assert len(mi_enumerate(2, 3)) == 10
 
