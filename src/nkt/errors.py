@@ -90,21 +90,19 @@ class JetOrderError(NktError):
     """A jet order exceeded the configured bound."""
 
 
-class ParseError(NktError):
+class _SpannedError(NktError):
+    """An error that may name its source span, at the end of its message."""
+
+    def __init__(self, message: str, span: SourceSpan | None = None):
+        self.span = span
+        if span is not None:
+            message = f"{message} ({span})"
+        super().__init__(message)
+
+
+class ParseError(_SpannedError):
     """Theory or expression text could not be parsed."""
 
-    def __init__(self, message: str, span: SourceSpan | None = None):
-        self.span = span
-        if span is not None:
-            message = f"{message} ({span})"
-        super().__init__(message)
 
-
-class SemanticError(NktError):
+class SemanticError(_SpannedError):
     """Parsed text is well-formed but violates a declaration or typing rule."""
-
-    def __init__(self, message: str, span: SourceSpan | None = None):
-        self.span = span
-        if span is not None:
-            message = f"{message} ({span})"
-        super().__init__(message)

@@ -509,14 +509,13 @@ class GradedPolynomial:
     invariant); the views give canonical factor tuples, not monomials.
     Equality compares (_den, map) and the hash is independent of the order
     the map was filled in.  The canonical term order is built only when it
-    is observed (raw_terms and rendering): the first observation refills the
-    map in that order, and the second keeps the (factors, Fraction) tuple.
-    The partial-derivative maps are filled on first use only; like the tuple
-    they are derived from (_den, map), so equality and hashing never look at
-    them.
+    is observed (raw_terms and rendering), afresh on each observation, and
+    is not stored.  The partial-derivative maps are filled on first use
+    only; they are derived from (_den, map), so equality and hashing never
+    look at them.
     """
 
-    __slots__ = ("_terms", "_den", "_raw", "_left", "_right")
+    __slots__ = ("_terms", "_den", "_left", "_right")
 
     def __init__(self, terms: Mapping[_Flat, Fraction | int] | None = None):
         # factors in any order, canonicalized as gp_normalize does
@@ -580,27 +579,11 @@ class GradedPolynomial:
     # -- views -------------------------------------------------------------
 
     def raw_terms(self) -> tuple[tuple[_Flat, Fraction], ...]:
-        """The (factors, reduced Fraction) pairs in canonical order.
-
-        The first call sorts the term map into that order in place and keeps
-        no copy; the second keeps the tuple it builds, for callers that
-        observe one polynomial repeatedly.
-        """
-        try:
-            raw = self._raw
-        except AttributeError:
-            ordered = dict(sorted(self._terms.items(), key=_term_order))
-            object.__setattr__(self, "_terms", ordered)
-            object.__setattr__(self, "_raw", None)
-            return self._pairs()
-        if raw is None:
-            raw = self._pairs()
-            object.__setattr__(self, "_raw", raw)
-        return raw
-
-    def _pairs(self) -> tuple[tuple[_Flat, Fraction], ...]:
+        """The (factors, reduced Fraction) pairs in canonical order, sorted
+        on each call."""
         den = self._den
-        return tuple([(m.factors, Fraction(n, den)) for m, n in self._terms.items()])
+        ordered = sorted(self._terms.items(), key=_term_order)
+        return tuple([(m.factors, Fraction(n, den)) for m, n in ordered])
 
     def items(self) -> Iterable[tuple[_Flat, Fraction]]:
         """The (factors, reduced Fraction) pairs in no particular order."""

@@ -119,16 +119,8 @@ class LinearJetOperator(Record):
             self.coeffs, key=lambda k: (k[0].rank, k[1].rank, k[2].order, k[2].entries)
         )
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LinearJetOperator)
-            and self.dim == other.dim
-            and self.role == other.role
-            and self.stage == other.stage
-            and self.coeffs == other.coeffs
-        )
-
     def __hash__(self) -> int:
+        # Record's hash would hash the coeffs dict; hash its keys instead
         return hash((self.dim, self.role, self.stage, tuple(sorted(
             (k[0].rank, k[1].rank, k[2].entries) for k in self.coeffs
         ))))

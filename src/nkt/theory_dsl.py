@@ -222,26 +222,24 @@ class Theory(Record):
         )
 
 
-def _declared(theory: Theory, var: VariableId) -> bool:
-    base = var
-    if var.kind in (Kind.ANTIFIELD, Kind.ANTIGHOST):
-        base = base_of_antifield(var)
-    decl = theory.variables.get(base.name)
-    try:
-        return decl is not None and decl.variable(base.components) == base
-    except SemanticError:  # wrong arity or an index out of range
-        return False
-
-
 class _Declared(dict):
-    """_declared for one theory, each distinct variable checked once."""
+    """Whether a variable, or the base of an antifield, is a declared
+    component of one theory; each distinct variable is checked once."""
 
     def __init__(self, theory: Theory):
         super().__init__()
         self.theory = theory
 
     def __missing__(self, var: VariableId) -> bool:
-        found = self[var] = _declared(self.theory, var)
+        base = var
+        if var.kind in (Kind.ANTIFIELD, Kind.ANTIGHOST):
+            base = base_of_antifield(var)
+        decl = self.theory.variables.get(base.name)
+        try:
+            found = decl is not None and decl.variable(base.components) == base
+        except SemanticError:  # wrong arity or an index out of range
+            found = False
+        self[var] = found
         return found
 
 
@@ -552,8 +550,8 @@ class _Stmt:
         num = self.expect_int()
         if self.accept("/"):
             den = self.expect_int()
-            if den == 0:
-                raise ParseError("zero denominator", self.span())
+            if den == 0:  # at the 0 just taken, not at the token after it
+                raise ParseError("zero denominator", _span(self.tokens[self.pos - 1]))
             return Fraction(num, den)
         return Fraction(num)
 
@@ -562,82 +560,43 @@ class _Stmt:
 # expression AST: plain slotted classes, compared by identity
 
 
-class _Num:
+class _Node:
+    """Base of the AST nodes and _Env: the positional arguments fill
+    __slots__, in order, one each."""
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            setattr(self, name, value)
+
+
+class _Num(_Node):
     __slots__ = ("value", "span")
 
-    def __init__(self, value: Fraction, span: SourceSpan) -> None:
-        self.value = value
-        self.span = span
 
-
-class _Ref:
+class _Ref(_Node):
     __slots__ = ("name", "args", "anti", "span", "explicit_args")
 
-    def __init__(
-        self,
-        name: str,
-        args: tuple[int | str, ...],
-        anti: bool,
-        span: SourceSpan,
-        explicit_args: bool = False,
-    ) -> None:
-        self.name = name
-        self.args = args
-        self.anti = anti
-        self.span = span
-        self.explicit_args = explicit_args
 
-
-class _D:
+class _D(_Node):
     __slots__ = ("base", "dirs", "span")
 
-    def __init__(
-        self, base: object, dirs: tuple[int | str, ...], span: SourceSpan
-    ) -> None:
-        self.base = base
-        self.dirs = dirs
-        self.span = span
 
-
-class _Sum:
+class _Sum(_Node):
     __slots__ = ("index", "lo", "hi", "body", "span")
 
-    def __init__(
-        self, index: str, lo: int, hi: int, body: object, span: SourceSpan
-    ) -> None:
-        self.index = index
-        self.lo = lo
-        self.hi = hi
-        self.body = body
-        self.span = span
 
-
-class _Unary:
+class _Unary(_Node):
     __slots__ = ("op", "operand", "span")
 
-    def __init__(self, op: str, operand: object, span: SourceSpan) -> None:
-        self.op = op
-        self.operand = operand
-        self.span = span
 
-
-class _Binary:
+class _Binary(_Node):
     __slots__ = ("op", "left", "right", "span")
 
-    def __init__(self, op: str, left: object, right: object, span: SourceSpan) -> None:
-        self.op = op
-        self.left = left
-        self.right = right
-        self.span = span
 
-
-class _Pow:
+class _Pow(_Node):
     __slots__ = ("base", "exponent", "span")
-
-    def __init__(self, base: object, exponent: int, span: SourceSpan) -> None:
-        self.base = base
-        self.exponent = exponent
-        self.span = span
 
 
 def _parse_index_arg(st: _Stmt) -> "int | str":
@@ -650,14 +609,19 @@ def _parse_index_arg(st: _Stmt) -> "int | str":
     return st.expect_int()
 
 
+def _comma_list(st: _Stmt, read: Callable[[_Stmt], object]) -> list:
+    """One item read by read, then one more after each comma."""
+    items = [read(st)]
+    while st.accept(","):
+        items.append(read(st))
+    return items
+
+
 def _parse_index_list(st: _Stmt, *closers: str) -> list["int | str"]:
     """Comma separated index arguments, none if a closer comes first."""
-    args: list[int | str] = []
-    if st.peek_text() not in (*closers, None):
-        args.append(_parse_index_arg(st))
-        while st.accept(","):
-            args.append(_parse_index_arg(st))
-    return args
+    if st.peek_text() in (*closers, None):
+        return []
+    return _comma_list(st, _parse_index_arg)
 
 
 def _parse_expr(st: _Stmt, depth: int = 0) -> object:
@@ -734,9 +698,9 @@ def _parse_atom(st: _Stmt, depth: int) -> object:
 def _parse_ref_tail(st: _Stmt, name_tok: tuple, anti: bool) -> object:
     name, span = name_tok[1], _span(name_tok)
     if not st.accept("["):
-        return _Ref(name, (), anti, span)
+        return _Ref(name, (), anti, span, False)
     comps = _parse_index_list(st, ";", "]")
-    ref = _Ref(name, tuple(comps), anti, span, explicit_args=True)
+    ref = _Ref(name, tuple(comps), anti, span, True)
     if st.accept(";"):  # the rendered jet y[c;x,x], read as d(y[c];x,x)
         dirs = _parse_index_list(st, "]")
         st.expect("]")
@@ -750,11 +714,7 @@ def _parse_d(st: _Stmt, span: SourceSpan, depth: int) -> object:
     base = _parse_atom(st, depth + 1)
     if not isinstance(base, (_Ref, _D)):
         raise ParseError("d(...) applies to a single variable reference", span)
-    dirs: list[int | str] = []
-    if st.accept(";"):
-        dirs.append(_parse_index_arg(st))
-        while st.accept(","):
-            dirs.append(_parse_index_arg(st))
+    dirs = _comma_list(st, _parse_index_arg) if st.accept(";") else []
     st.expect(")")
     return _D(base, tuple(dirs), span)
 
@@ -776,22 +736,10 @@ def _parse_sum(st: _Stmt, span: SourceSpan, depth: int) -> object:
 # evaluation
 
 
-class _Env:
+class _Env(_Node):
     """What references resolve against: declarations and index bindings."""
 
     __slots__ = ("dim", "variables", "constants", "bindings")
-
-    def __init__(
-        self,
-        dim: int,
-        variables: dict[str, VarDecl],
-        constants: dict[str, ConstantTensor],
-        bindings: dict[str, int],
-    ) -> None:
-        self.dim = dim
-        self.variables = variables
-        self.constants = constants
-        self.bindings = bindings
 
 
 def _resolve_index(env: _Env, arg: "int | str", span: SourceSpan) -> int:
@@ -1316,28 +1264,35 @@ def _sum_run(
 def _parse_key_ref(st: _Stmt) -> tuple[_Ref, tuple[tuple[str, int, int], ...]]:
     """A block-entry reference and the binders it defines, e.g. a[mu=0..3,2]."""
     name = st.expect_name("a variable name")
-    args: list[int | str] = []
     binders: list[tuple[str, int, int]] = []
-    explicit = False
-    if st.accept("["):
-        explicit = True
-        while st.peek_text() not in ("]", None):
-            tok = st.peek()
-            if tok[0] == "name":
-                st.take()
-                args.append(tok[1])
-                if st.accept("="):
-                    lo, hi = st.expect_range()
-                    if hi - lo + 1 > MAX_SUM_SPAN or lo > hi:
-                        raise ParseError(f"bad binder range {lo}..{hi}", _span(tok))
-                    binders.append((tok[1], lo, hi))
-            else:
-                args.append(st.expect_int())
-            if not st.accept(","):
-                break
+
+    def index_or_binder(st: _Stmt) -> "int | str":
+        tok = st.peek()
+        if tok is None or tok[0] != "name":
+            return st.expect_int()
+        st.take()
+        if st.accept("="):
+            lo, hi = st.expect_range()
+            if hi - lo + 1 > MAX_SUM_SPAN or lo > hi:
+                raise ParseError(f"bad binder range {lo}..{hi}", _span(tok))
+            binders.append((tok[1], lo, hi))
+        return tok[1]
+
+    args: list[int | str] = []
+    explicit = st.accept("[")
+    if explicit:
+        if st.peek_text() not in ("]", None):
+            args = _comma_list(st, index_or_binder)
         st.expect("]")
-    ref = _Ref(name[1], tuple(args), False, _span(name), explicit_args=explicit)
+    ref = _Ref(name[1], tuple(args), False, _span(name), explicit)
     return ref, tuple(binders)
+
+
+def _parse_index_range(st: _Stmt) -> tuple[str, int, int]:
+    """A declared index range, e.g. mu=0..3."""
+    label = st.expect_name("an index name")[1]
+    st.expect("=")
+    return (label, *st.expect_range())
 
 
 def _parse_mi_literal(st: _Stmt) -> tuple[tuple["int | str", ...], SourceSpan]:
@@ -1482,12 +1437,7 @@ class _TheoryParser:
         name = self._fresh_name(name_tok, self.variables)
         indices: list[tuple[str, int, int]] = []
         if st.accept("["):
-            while True:
-                label = st.expect_name("an index name")[1]
-                st.expect("=")
-                indices.append((label, *st.expect_range()))
-                if not st.accept(","):
-                    break
+            indices = _comma_list(st, _parse_index_range)
             st.expect("]")
             ranges = [(lo, hi) for _, lo, hi in indices]
             _check_size(name, "components", ranges, _span(name_tok))
@@ -1510,11 +1460,7 @@ class _TheoryParser:
         name = self._fresh_name(name_tok, self.constants)
         declared_ranges: list[tuple[int, int]] | None = None
         if st.accept("["):
-            declared_ranges = []
-            while True:
-                declared_ranges.append(st.expect_range())
-                if not st.accept(","):
-                    break
+            declared_ranges = _comma_list(st, _Stmt.expect_range)
             st.expect("]")
             _check_size(f"constant {name}", "entries", declared_ranges, _span(name_tok))
         st.expect("=")
@@ -1571,13 +1517,10 @@ class _TheoryParser:
                     stmt.expect_end()
                     return True
                 stmt.expect("(")
-                idx = [stmt.expect_int()]
-                while stmt.accept(","):
-                    idx.append(stmt.expect_int())
+                key = tuple(_comma_list(stmt, _Stmt.expect_int))
                 stmt.expect(")")
                 stmt.expect(":")
                 value = stmt.expect_fraction()
-                key = tuple(idx)
                 if key in entries:
                     raise SemanticError(f"duplicate entry {key}", _span(tok))
                 entries[key] = value
@@ -1663,9 +1606,7 @@ class _TheoryParser:
         name_tok = head_st.expect_name("a certificate label")
         label_args: list[int] = []
         if head_st.accept("["):
-            label_args.append(head_st.expect_int())
-            while head_st.accept(","):
-                label_args.append(head_st.expect_int())
+            label_args = _comma_list(head_st, _Stmt.expect_int)
             head_st.expect("]")
         label = name_tok[1]
         if label_args:

@@ -644,7 +644,7 @@ def test_term_order_is_independent_of_insertion_order(p, rnd, k) -> None:
         GradedPolynomial(dict(items)),
         from_accumulator(acc, k * p.denominator()),
     ]
-    # hash before any raw_terms() call, which stores the canonical order
+    # hash each map in the order it was filled: raw_terms() stores no order
     assert [hash(q) for q in shuffled] == [hash(p)] * 2
     for q in shuffled:
         assert q == p and p == q

@@ -99,7 +99,7 @@ def test_record_behaves_as_a_frozen_dataclass(record: Record) -> None:
     rebuilt = copy.copy(record)
     assert rebuilt == record and not rebuilt != record
     assert record != twin
-    if type(record) is not LinearJetOperator:  # keeps its own __eq__ and __hash__
+    if type(record) is not LinearJetOperator:  # keeps its own __hash__
         try:
             expected = hash(twin)
         except TypeError:  # a field holds a dict

@@ -255,6 +255,13 @@ class TestExpressions:
         with pytest.raises(ParseError):
             parse_expression("y/2", t)
 
+    @pytest.mark.parametrize("rest", ["*y", " + y", ""])
+    def test_a_zero_denominator_is_reported_at_its_own_column(self, rest):
+        text = f"theory t\ndim 1\nfield y parity even\nlagrangian 1/0{rest}"
+        with pytest.raises(ParseError, match="zero denominator") as info:
+            parse_theory(text)
+        assert (info.value.span.line, info.value.span.column) == (4, 14)
+
     def test_unknown_names_and_bad_indices(self):
         t = parse_theory(SCALAR)
         with pytest.raises(SemanticError):
@@ -673,6 +680,30 @@ class TestRoundtrip:
             assert err.span.line == 4
         else:
             pytest.fail("undeclared name accepted")
+
+
+    @pytest.mark.parametrize(
+        "bracket, message, offset",
+        [
+            ("[1,]", "expected an integer, got ']'", 4),
+            ("[,1]", "expected an integer, got ','", 2),
+            ("[1 2]", "expected ']', got '2'", 4),
+            ("[]", "z takes 1 indices, got 0", 0),
+        ],
+    )
+    def test_a_block_key_reads_a_bracket_as_an_expression_does(
+        self, bracket, message, offset
+    ):
+        head = "theory t\ndim 1\nfield y parity even\nfield z[i=1..2] parity even\n"
+        # z starts column 3 of the key's line and column 12 of the lagrangian's
+        as_key = (head + f"derivation s {{\n  z{bracket} : y\n}}\n", 6, 3)
+        as_reference = (head + f"lagrangian z{bracket}^2\n", 5, 12)
+        for text, line, column in (as_key, as_reference):
+            with pytest.raises((ParseError, SemanticError)) as info:
+                parse_theory(text)
+            span = info.value.span
+            assert str(info.value) == f"{message} ({span})"
+            assert (span.line, span.column) == (line, column + offset)
 
 
 class TestResolveComponent:
