@@ -38,7 +38,7 @@ from .derivations import (
     check_nilpotent,
     check_variational,
 )
-from .errors import NktError, SemanticError
+from .errors import NktError, Record, SemanticError
 from .graded_poly import (
     GradedPolynomial,
     Kind,
@@ -77,7 +77,7 @@ from .theory_dsl import (
 )
 
 
-class VerificationReport:
+class VerificationReport(Record):
     """One subcommand's outcome in both text and JSON form.
 
     residuals carries (where, expr) pairs: obstruction terms for checks,
@@ -85,32 +85,15 @@ class VerificationReport:
     lines; when empty the standard check rendering is used.
     """
 
-    __slots__ = (
-        "check", "theory", "target", "ok", "residuals", "assumptions",
-        "certificates", "body", "verdict",
-    )
-
-    def __init__(
-        self,
-        check: str,
-        theory: str,
-        target: str,
-        ok: bool,
-        residuals: Sequence[tuple[str, str]] = (),
-        assumptions: Sequence[str] = (),
-        certificates: Sequence[tuple[str, bool]] = (),
-        body: Sequence[str] = (),
-        verdict: str = "",
-    ) -> None:
-        self.check = check
-        self.theory = theory
-        self.target = target
-        self.ok = ok
-        self.residuals = residuals
-        self.assumptions = assumptions
-        self.certificates = certificates
-        self.body = body
-        self.verdict = verdict
+    check: str
+    theory: str
+    target: str
+    ok: bool
+    residuals: Sequence[tuple[str, str]] = ()
+    assumptions: Sequence[str] = ()
+    certificates: Sequence[tuple[str, bool]] = ()
+    body: Sequence[str] = ()
+    verdict: str = ""
 
     def to_json(self, elapsed_ms: int) -> dict:
         return {

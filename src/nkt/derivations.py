@@ -34,10 +34,8 @@ class GeneralizedVectorField(Record):
 
     components: dict[VariableId, GradedPolynomial]
 
-    __slots__ = __match_args__ = ("components",)
-
     def __init__(self, components) -> None:
-        self._set_fields({a: p for a, p in components.items() if not p.is_zero()})
+        super().__init__({a: p for a, p in components.items() if not p.is_zero()})
 
     def relative_parity(self) -> Parity | None:
         """p such that [upsilon^A] = [A] + p for all components, else None.
@@ -123,12 +121,7 @@ class NilpotencyReport(Record):
     nilpotent: bool
     odd: bool
     residuals: dict[VariableId, GradedPolynomial]
-    notes: tuple[str, ...]
-
-    __slots__ = __match_args__ = ("nilpotent", "odd", "residuals", "notes")
-
-    def __init__(self, nilpotent, odd, residuals, notes=()) -> None:
-        self._set_fields(nilpotent, odd, residuals, notes)
+    notes: tuple[str, ...] = ()
 
 
 def check_nilpotent(vf: GeneralizedVectorField) -> NilpotencyReport:
@@ -156,11 +149,6 @@ def check_nilpotent(vf: GeneralizedVectorField) -> NilpotencyReport:
 class FirstVariationalReport(Record):
     residual: GradedPolynomial
     triviality: TrivialityReport
-
-    __slots__ = __match_args__ = ("residual", "triviality")
-
-    def __init__(self, residual, triviality) -> None:
-        self._set_fields(residual, triviality)
 
     @property
     def holds(self) -> bool:

@@ -4,28 +4,62 @@ from __future__ import annotations
 
 import sys
 
-_setattr = object.__setattr__
+
+class _RecordType(type):
+    """Reads a record's fields, in order, from its annotations (see Record)."""
+
+    def __new__(mcls, name: str, bases: tuple, ns: dict) -> type:
+        fields = tuple(ns.get("__annotations__", ()))
+        ns["_defaults"] = {f: ns.pop(f) for f in fields if f in ns}
+        ns["__match_args__"] = fields
+        ns["__slots__"] = fields + tuple(ns.get("__slots__", ()))
+        cls = super().__new__(mcls, name, bases, ns)
+        # each slot's setter reaches past the frozen __setattr__
+        cls._setters = tuple([vars(cls)[f].__set__ for f in fields])
+        return cls
 
 
-class Record:
+class Record(metaclass=_RecordType):
     """Base of nkt's immutable records, each a slotted class.
 
-    A record annotates its fields in its class body, names them in order in
-    ``__match_args__``, and takes them in that order in ``__init__``, which
-    sets them past the frozen ``__setattr__`` (``_set_fields``).  It behaves
-    as a frozen dataclass: ``==`` compares class and field tuple, ``hash`` is
-    the hash of the field tuple, ``repr`` reads ``Name(field=value, ...)``,
-    and assignment raises ``dataclasses.FrozenInstanceError``.  Not being a
-    dataclass, it is changed by building a new one, not by
-    ``dataclasses.replace``.
+    A record declares its fields once, as annotations in its class body; a
+    field's class-body value is its default.  The annotations, in order,
+    become ``__match_args__`` and the slots, and a class's own ``__slots__``
+    names only its extra slots.  ``__init__`` takes the fields by position
+    or by name, fills in the defaults and raises ``TypeError`` for a
+    missing, surplus or unknown argument; a record that normalizes its
+    arguments defines its own and ends it in ``super().__init__(...)``.
+    A record behaves as a frozen dataclass: ``==`` compares class and field
+    tuple, ``hash`` is the hash of the field tuple, ``repr`` reads
+    ``Name(field=value, ...)`` and assignment raises
+    ``dataclasses.FrozenInstanceError``.  ``copy`` and ``pickle`` rebuild it
+    through its constructor; ``dataclasses.replace`` does not apply.
     """
 
-    __slots__ = ()
-    __match_args__: tuple[str, ...] = ()
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
 
-    def _set_fields(self, *values: object) -> None:
-        for name, value in zip(self.__match_args__, values):
-            _setattr(self, name, value)
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call that is not one value per field."""
+        names, call = cls.__match_args__, f"{cls.__qualname__}()"
+        if len(args) > len(names):
+            raise TypeError(f"{call} takes {len(names)} arguments, got {len(args)}")
+        given = dict(zip(names, args))
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{call} got an unexpected argument {name!r}")
+            if name in given:
+                raise TypeError(f"{call} got multiple values for argument {name!r}")
+        given = {**cls._defaults, **given, **kwargs}
+        for name in names:
+            if name not in given:
+                raise TypeError(f"{call} missing argument {name!r}")
+        return [given[name] for name in names]
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -63,14 +97,6 @@ class SourceSpan(Record):
     column: int
     start: int
     end: int
-
-    __slots__ = __match_args__ = ("line", "column", "start", "end")
-
-    def __init__(self, line: int, column: int, start: int, end: int) -> None:
-        _setattr(self, "line", line)
-        _setattr(self, "column", column)
-        _setattr(self, "start", start)
-        _setattr(self, "end", end)
 
     def __str__(self) -> str:
         return f"line {self.line}, column {self.column}"

@@ -67,7 +67,6 @@ def _kind_rank(kind: Kind, stage: int | None) -> tuple[int, int]:
     return (4, 0) if stage is None else (5, stage)
 
 
-_setattr = object.__setattr__
 _VARIABLE_IDS: dict[tuple, "VariableId"] = {}
 
 
@@ -86,10 +85,9 @@ class VariableId(Record):
     name: str
     components: tuple[int, ...]
     parity: Parity
-    stage: int | None
+    stage: int | None = None
 
-    __match_args__ = ("kind", "name", "components", "parity", "stage")
-    __slots__ = __match_args__ + ("rank", "_hash")
+    __slots__ = ("rank", "_hash")
 
     def __new__(cls, kind, name, components, parity, stage=None) -> "VariableId":
         key = (kind, name, components, parity, stage)
@@ -98,15 +96,13 @@ class VariableId(Record):
             if stage is not None and kind in (Kind.FIELD, Kind.ANTIFIELD):
                 raise ValueError("only ghosts and antighosts carry a stage")
             self = _VARIABLE_IDS[key] = object.__new__(cls)
-            _setattr(self, "kind", kind)
-            _setattr(self, "name", name)
-            _setattr(self, "components", components)
-            _setattr(self, "parity", parity)
-            _setattr(self, "stage", stage)
-            _setattr(self, "rank", _kind_rank(kind, stage) + (name, components))
-            _setattr(self, "_hash", hash(key))
+            Record.__init__(self, *key)
+            object.__setattr__(self, "rank", _kind_rank(kind, stage) + (name, components))
+            object.__setattr__(self, "_hash", hash(key))
         return self
 
+    # __new__ returns the instance built; Record.__init__ must not run again
+    __init__ = object.__init__
     __eq__ = object.__eq__  # equal fields are the same instance
 
     def __hash__(self) -> int:
@@ -197,6 +193,9 @@ class JetVariable:
     def __lt__(self, other: "JetVariable") -> bool:
         return self.key < other.key
 
+    def __reduce__(self) -> tuple:
+        return (JetVariable, (self.var, self.mi))
+
     def __repr__(self) -> str:
         return f"JetVariable({self.var.render()}, {self.mi.entries})"
 
@@ -229,6 +228,9 @@ class Coordinate:
             self.key = (-1, k)
             self.odd = False
         return self
+
+    def __reduce__(self) -> tuple:
+        return (Coordinate, (self.k,))
 
     def __repr__(self) -> str:
         return f"Coordinate({self.k})"
@@ -316,6 +318,9 @@ class Monomial:
             hit = _drop_flat(self.factors)
             _remember(self, None, hit)
         return hit
+
+    def __reduce__(self) -> tuple:
+        return (Monomial, (self.factors,))
 
     def __repr__(self) -> str:
         return f"Monomial({self.factors!r})"
@@ -523,6 +528,10 @@ class GradedPolynomial:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GradedPolynomial is immutable")
+
+    def __reduce__(self) -> tuple:
+        # the partial maps are derived, so they are rebuilt on use
+        return (GradedPolynomial._from_terms, (dict(self._terms), self._den))
 
     def _take(self, acc: dict[Monomial, int], den: int) -> None:
         # the one normalization: drop zero numerators, divide out the gcd
@@ -879,11 +888,6 @@ class Density(Record):
     """A horizontal density: coefficient of the volume form omega."""
 
     expr: GradedPolynomial
-
-    __slots__ = __match_args__ = ("expr",)
-
-    def __init__(self, expr) -> None:
-        self._set_fields(expr)
 
 
 # --------------------------------------------------------------------------

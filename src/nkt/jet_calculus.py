@@ -58,11 +58,6 @@ class VariationalDerivatives(Record):
 
     components: dict[VariableId, GradedPolynomial]
 
-    __slots__ = __match_args__ = ("components",)
-
-    def __init__(self, components) -> None:
-        self._set_fields(components)
-
     def __getitem__(self, var: VariableId) -> GradedPolynomial:
         return self.components.get(var, GradedPolynomial.zero())
 
@@ -106,11 +101,6 @@ class TrivialityReport(Record):
     trivial: bool
     residuals: dict[VariableId, GradedPolynomial]
     assumptions: tuple[str, ...]
-
-    __slots__ = __match_args__ = ("trivial", "residuals", "assumptions")
-
-    def __init__(self, trivial, residuals, assumptions) -> None:
-        self._set_fields(trivial, residuals, assumptions)
 
 
 def is_variationally_trivial(density: Density | GradedPolynomial) -> TrivialityReport:

@@ -41,11 +41,6 @@ class KoszulTateContext(Record):
     dim: int
     boundaries: dict[VariableId, GradedPolynomial]
 
-    __slots__ = __match_args__ = ("dim", "boundaries")
-
-    def __init__(self, dim, boundaries) -> None:
-        self._set_fields(dim, boundaries)
-
 
 def kt_context(
     lagrangian: Density | GradedPolynomial,
@@ -140,13 +135,8 @@ class ReductionCertificate(Record):
     equals the boundary of W); when both are given their expansions add.
     """
 
-    m_coeffs: dict[tuple[VariableId, MultiIndex], GradedPolynomial] | None
-    witness: GradedPolynomial | None
-
-    __slots__ = __match_args__ = ("m_coeffs", "witness")
-
-    def __init__(self, m_coeffs=None, witness=None) -> None:
-        self._set_fields(m_coeffs, witness)
+    m_coeffs: dict[tuple[VariableId, MultiIndex], GradedPolynomial] | None = None
+    witness: GradedPolynomial | None = None
 
 
 def certificate_expansion(
@@ -169,12 +159,7 @@ def certificate_expansion(
 class WeakZeroReport(Record):
     ok: bool
     residual: GradedPolynomial
-    notes: tuple[str, ...]
-
-    __slots__ = __match_args__ = ("ok", "residual", "notes")
-
-    def __init__(self, ok, residual, notes=()) -> None:
-        self._set_fields(ok, residual, notes)
+    notes: tuple[str, ...] = ()
 
 
 def check_weakly_zero(
@@ -202,16 +187,7 @@ class ReducibilityReport(Record):
     identity_residuals: dict[VariableId, GradedPolynomial]
     stage_results: dict[VariableId, WeakZeroReport]
     assumptions: tuple[str, ...]
-    notes: tuple[str, ...]
-
-    __slots__ = __match_args__ = (
-        "stages", "identity_residuals", "stage_results", "assumptions", "notes"
-    )
-
-    def __init__(
-        self, stages, identity_residuals, stage_results, assumptions, notes=()
-    ) -> None:
-        self._set_fields(stages, identity_residuals, stage_results, assumptions, notes)
+    notes: tuple[str, ...] = ()
 
     @property
     def holds(self) -> bool:

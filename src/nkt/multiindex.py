@@ -42,6 +42,9 @@ class MultiIndex:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MultiIndex is immutable")
 
+    def __reduce__(self) -> tuple:
+        return (MultiIndex, (self.entries,))
+
     @property
     def order(self) -> int:
         return len(self.entries)

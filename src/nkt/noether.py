@@ -73,9 +73,7 @@ class LinearJetOperator(Record):
     dim: int
     role: str
     coeffs: dict[CoeffKey, GradedPolynomial]
-    stage: int | None
-
-    __slots__ = __match_args__ = ("dim", "role", "coeffs", "stage")
+    stage: int | None = None
 
     def __init__(self, dim, role, coeffs, stage=None) -> None:
         if role not in (ROLE_GAUGE, ROLE_NOETHER, ROLE_STAGE):
@@ -95,7 +93,7 @@ class LinearJetOperator(Record):
                     f" found {first.render()}"
                 )
             cleaned[(param, target, mi)] = poly
-        self._set_fields(dim, role, cleaned, stage)
+        super().__init__(dim, role, cleaned, stage)
 
     def parameters(self) -> list[VariableId]:
         return sorted({k[0] for k in self.coeffs}, key=lambda v: v.rank)
@@ -312,13 +310,8 @@ class NoetherReport(Record):
     """Per-parameter residuals of the Noether identity expansion."""
 
     residuals: dict[VariableId, GradedPolynomial]
-    variational: TrivialityReport | None
-    notes: tuple[str, ...]
-
-    __slots__ = __match_args__ = ("residuals", "variational", "notes")
-
-    def __init__(self, residuals, variational=None, notes=()) -> None:
-        self._set_fields(residuals, variational, notes)
+    variational: TrivialityReport | None = None
+    notes: tuple[str, ...] = ()
 
     @property
     def holds(self) -> bool:

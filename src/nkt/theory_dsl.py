@@ -97,13 +97,8 @@ class VarDecl(Record):
     name: str
     kind: Kind
     parity: Parity
-    indices: tuple[tuple[str, int, int], ...]
-    stage: int | None
-
-    __slots__ = __match_args__ = ("name", "kind", "parity", "indices", "stage")
-
-    def __init__(self, name, kind, parity, indices=(), stage=None) -> None:
-        self._set_fields(name, kind, parity, indices, stage)
+    indices: tuple[tuple[str, int, int], ...] = ()
+    stage: int | None = None
 
     def variable(self, comps: tuple[int, ...]) -> VariableId:
         if len(comps) != len(self.indices):
@@ -128,12 +123,7 @@ class ConstantTensor(Record):
     name: str
     ranges: tuple[tuple[int, int], ...]
     entries: dict[tuple[int, ...], Fraction]
-    builder: str | None
-
-    __slots__ = __match_args__ = ("name", "ranges", "entries", "builder")
-
-    def __init__(self, name, ranges, entries, builder=None) -> None:
-        self._set_fields(name, ranges, entries, builder)
+    builder: str | None = None
 
     def entry(self, idx: tuple[int, ...]) -> Fraction:
         if len(idx) != len(self.ranges):
@@ -201,16 +191,11 @@ class Theory(Record):
     derivations: dict[str, GeneralizedVectorField]
     certificates: dict[str, ReductionCertificate]
 
-    __slots__ = __match_args__ = (
-        "name", "dim", "variables", "constants", "lagrangian", "operators",
-        "derivations", "certificates",
-    )
-
     def __init__(
         self, name, dim, variables, constants=None, lagrangian=None,
         operators=None, derivations=None, certificates=None,
     ) -> None:
-        self._set_fields(
+        super().__init__(
             name,
             dim,
             variables,
@@ -1365,11 +1350,11 @@ class _TheoryParser:
         if len(set(names)) != len(names):
             raise SemanticError("repeated binder name", binder_span)
         stmt = self._statement(ast, binders)
-        env = _Env(self.dim, self.variables, self.constants, {})
+        env = stmt.env
         ranges = [range(lo, hi + 1) for _, lo, hi in binders]
         for values in iter_product(*ranges):
             bindings = dict(zip(names, values))
-            env.bindings = bindings
+            env.bindings.update(bindings)  # the keys resolve before the entry
             key = tuple(_resolve_component(env, ref) for ref, _ in keys)
             if mi is not None:
                 entries, mi_span = mi

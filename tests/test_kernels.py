@@ -505,6 +505,7 @@ class OracleStatement:
     def __init__(self, ast, dim, variables, constants, binders=()) -> None:
         self.ast = ast
         self.declarations = (dim, variables, constants)
+        self.env = _Env(dim, variables, constants, {})  # block keys resolve here
 
     def __call__(self, bindings: dict) -> GradedPolynomial:
         return oracle_eval(_Env(*self.declarations, dict(bindings)), self.ast)

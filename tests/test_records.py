@@ -1,14 +1,15 @@
 """nkt's immutable records behave as the frozen dataclasses they replaced.
 
-Each public record is set beside a frozen dataclass with the same name and
-fields, holding the same values: repr, ==, hash and the error raised on
-assignment must agree.
+Each public record is set beside a frozen dataclass with the same name,
+fields and defaults, holding the same values: repr, ==, hash, the error
+raised on assignment and the arguments the constructor accepts must agree.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,7 @@ from nkt import (
     kt_context,
     parse_theory,
 )
+from nkt.cli import VerificationReport
 from nkt.errors import Record
 from nkt.theory_dsl import kronecker
 
@@ -72,14 +74,56 @@ def _samples() -> list[Record]:
         theory.variables["y1"],
         kronecker(2),
         theory,
+        VerificationReport("el", theory.name, "", True, [("y1", "y1")], ["note"]),
     ]
 
 
+# The value each optional field takes when its argument is left out.
+_DEFAULTS: dict[str, dict[str, object]] = {
+    "VariableId": {"stage": None},
+    "NilpotencyReport": {"notes": ()},
+    "ReductionCertificate": {"m_coeffs": None, "witness": None},
+    "WeakZeroReport": {"notes": ()},
+    "ReducibilityReport": {"notes": ()},
+    "LinearJetOperator": {"stage": None},
+    "NoetherReport": {"variational": None, "notes": ()},
+    "VarDecl": {"indices": (), "stage": None},
+    "ConstantTensor": {"builder": None},
+    "Theory": {  # each dict left out starts empty
+        "constants": {},
+        "lagrangian": None,
+        "operators": {},
+        "derivations": {},
+        "certificates": {},
+    },
+    "VerificationReport": {
+        "residuals": (),
+        "assumptions": (),
+        "certificates": (),
+        "body": (),
+        "verdict": "",
+    },
+}
+
+
+def _twin_class(cls: type) -> type:
+    """A frozen dataclass of the record's name, fields and defaults."""
+    defaults = _DEFAULTS.get(cls.__name__, {})
+    fields: list = []
+    for name in cls.__match_args__:
+        if name in defaults:
+            # a factory, so that each call gets its own dict
+            fresh = partial(copy.copy, defaults[name])
+            fields.append((name, object, dataclasses.field(default_factory=fresh)))
+        else:
+            fields.append(name)
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+
+
 def _twin(record: Record) -> object:
-    """A frozen dataclass of the record's name and fields, with its values."""
+    """The record's twin, holding its values."""
     cls = type(record)
-    twin_cls = dataclasses.make_dataclass(cls.__name__, cls.__match_args__, frozen=True)
-    return twin_cls(*(getattr(record, name) for name in cls.__match_args__))
+    return _twin_class(cls)(*(getattr(record, name) for name in cls.__match_args__))
 
 
 def test_samples_cover_every_record_class() -> None:
@@ -116,6 +160,41 @@ def test_record_behaves_as_a_frozen_dataclass(record: Record) -> None:
         assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("record", _samples(), ids=lambda r: type(r).__name__)
+def test_constructor_takes_fields_by_position_by_name_and_by_default(
+    record: Record,
+) -> None:
+    cls = type(record)
+    twin_cls = _twin_class(cls)
+    values = {name: getattr(record, name) for name in cls.__match_args__}
+    optional = _DEFAULTS.get(cls.__name__, {})
+    required = {n: v for n, v in values.items() if n not in optional}
+    assert cls(*values.values()) == record == cls(**values)
+    assert repr(cls(**required)) == repr(twin_cls(**required))
+    assert cls(*required.values()) == cls(**required)
+
+
+@pytest.mark.parametrize("record", _samples(), ids=lambda r: type(r).__name__)
+def test_a_missing_surplus_or_unknown_argument_is_a_type_error(record: Record) -> None:
+    cls = type(record)
+    twin_cls = _twin_class(cls)
+    values = {name: getattr(record, name) for name in cls.__match_args__}
+    first = cls.__match_args__[0]
+    calls = [
+        ((*values.values(), None), {}),  # surplus
+        (tuple(values.values()), {"no_such_field": None}),  # unknown
+        (tuple(values.values()), {first: values[first]}),  # given twice
+    ]
+    required = [n for n in values if n not in _DEFAULTS.get(cls.__name__, {})]
+    if required:  # left out
+        calls.append(((), {n: v for n, v in values.items() if n != required[-1]}))
+    for args, kwargs in calls:
+        with pytest.raises(TypeError):
+            twin_cls(*args, **kwargs)
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
 def test_reprs_read_as_dataclass_reprs() -> None:
     span = SourceSpan(3, 7, 40, 45)
     assert repr(span) == "SourceSpan(line=3, column=7, start=40, end=45)"
@@ -131,6 +210,11 @@ def test_reprs_read_as_dataclass_reprs() -> None:
 def test_variable_id_is_interned_and_keeps_its_hash_and_rank() -> None:
     v = VariableId(Kind.ANTIGHOST, "c", (1,), Parity.EVEN, 2)
     assert VariableId(Kind.ANTIGHOST, "c", (1,), Parity.EVEN, stage=2) is v
+    assert VariableId(**{n: getattr(v, n) for n in VariableId.__match_args__}) is v
+    # a second construction leaves the shared instance's fields alone
+    components = v.components
+    assert VariableId(Kind.ANTIGHOST, "c", tuple([1]), Parity.EVEN, 2) is v
+    assert v.components is components
     assert VariableId(Kind.ANTIGHOST, "c", (1,), Parity.EVEN) is not v
     assert hash(v) == hash((Kind.ANTIGHOST, "c", (1,), Parity.EVEN, 2))
     assert v.rank == (5, 2, "c", (1,))
