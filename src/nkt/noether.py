@@ -18,6 +18,7 @@ from __future__ import annotations
 from itertools import product as iter_product
 from typing import Callable, TypeVar
 
+from .config import max_jet_order
 from .derivations import GeneralizedVectorField, check_variational
 from .errors import NktError, Record, SemanticError
 from .graded_poly import (
@@ -31,7 +32,7 @@ from .graded_poly import (
     gp_sum_of_products,
 )
 from .jet_calculus import TrivialityReport, euler_lagrange, total_derivative_multi
-from .multiindex import EMPTY, MultiIndex, split_weight
+from .multiindex import EMPTY, MultiIndex, check_jet_order, split_weight
 
 ROLE_GAUGE = "gauge"
 ROLE_NOETHER = "noether"
@@ -139,6 +140,39 @@ def _sub_multiindices(mi: MultiIndex) -> list[MultiIndex]:
     return out
 
 
+_Split = tuple[MultiIndex, tuple[int, ...], int]
+_SPLITS: dict[tuple[int, ...], tuple[_Split, ...]] = {}
+
+
+def _splits(mi: MultiIndex) -> tuple[_Split, ...]:
+    """The splits of mi into Lam + Sigma, one per Lam of _sub_multiindices
+    in its order, each as (Lam, Sigma's entries, (-1)^|mi| * w(Sigma, Lam)).
+
+    They are built once per multi-index and kept for the life of the
+    process in _SPLITS, keyed by mi's entries: one entry per distinct
+    multi-index met, each within the jet-order bound in force when it was
+    met, so at most C(n + k, k) entries over n directions under bound k.
+    The bound is checked on every call: a multi-index past it raises the
+    JetOrderError that building its splits raises, naming the order of the
+    first Lam past the bound.
+    """
+    known = _SPLITS.get(mi.entries)
+    if known is None:
+        sign = -1 if mi.order & 1 else 1
+        splits = []
+        for lam in _sub_multiindices(mi):
+            sigma_entries = list(mi.entries)
+            for e in lam.entries:
+                sigma_entries.remove(e)
+            sigma = MultiIndex(tuple(sigma_entries))
+            splits.append((lam, sigma.entries, sign * split_weight(sigma, lam)))
+        known = _SPLITS[mi.entries] = tuple(splits)
+    elif mi.order > max_jet_order():
+        for lam, _, _ in known:
+            check_jet_order(lam.order)
+    return known
+
+
 def eta_family(
     coeffs: dict[CoeffKey, GradedPolynomial],
 ) -> dict[CoeffKey, GradedPolynomial]:
@@ -152,15 +186,8 @@ def eta_family(
     """
     parts: dict[CoeffKey, list[tuple[GradedPolynomial, tuple[int, ...], int]]] = {}
     for (param, target, total_mi), poly in coeffs.items():
-        for lam in _sub_multiindices(total_mi):
-            sigma_entries = list(total_mi.entries)
-            for e in lam.entries:
-                sigma_entries.remove(e)
-            sigma = MultiIndex(tuple(sigma_entries))
-            weight = split_weight(sigma, lam)
-            if total_mi.order & 1:
-                weight = -weight
-            parts.setdefault((param, target, lam), []).append((poly, sigma.entries, weight))
+        for lam, sigma, weight in _splits(total_mi):
+            parts.setdefault((param, target, lam), []).append((poly, sigma, weight))
     return _sum_nonzero(gp_sum_of_derivatives, parts)
 
 

@@ -27,18 +27,23 @@ expands one declared line into one line per index combination; the bound
 names are visible in the entry's expression.
 
 Each statement's expression (the Lagrangian, a witness, a block entry under
-all its bindings) is analysed once, then evaluated.  One pass records for
-each node the index names it reads, whether a range proof over the sum and
-binder ranges shows it cannot raise, whether it is a rational constant, the
-constant factors that can zero a sum over it, and bounds on its term count
-and expansion work; a statement whose bounded work passes
-MAX_EXPANSION_WORK is refused there.  The evaluator built from these facts
-evaluates each node once per binding of the names it reads, shares values
-between nodes equal up to a renaming of bound names, and scales by
-constants.  A sum whose body cannot raise binds only the index values where
-a constant factor reading the index, such as g[m,al] in
-sum(al, 0..3, g[m,al]*...), has a nonzero entry; every other sum binds every
-value in order, so each error keeps its message and span.
+all its bindings) is charged its work before any of it is evaluated: bounds
+on each node's term count and expansion steps, from the sum and binder
+ranges, the term counts and the exponents.  A statement whose bounded work
+passes MAX_EXPANSION_WORK is refused at the node where it does.  A
+statement with no binders and no sum is then evaluated by one direct walk.
+Any other is analysed once: one pass records for each node the index names
+it reads, whether a range proof over the sum and binder ranges shows it
+cannot raise, whether it is a rational constant, the constant factors that
+can zero a sum over it, and its bounds.  The evaluator built from these
+facts evaluates each node once per binding of the names it reads, and
+shares values between nodes equal up to a renaming of bound names.  A sum
+whose body cannot raise binds only the index values where a constant factor
+reading the index, such as g[m,al] in sum(al, 0..3, g[m,al]*...), has a
+nonzero entry; every other sum binds every value in order, so each error
+keeps its message and span.  In both evaluators a run of + and - is added
+up at once, and a run of * scales by its constants and multiplies its
+polynomials in balanced pairs.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import re
 from fractions import Fraction
 from itertools import permutations, product as iter_product
 from math import comb, prod
+from operator import mul
 from typing import Callable, Iterable, NamedTuple
 
 from .derivations import GeneralizedVectorField
@@ -847,6 +853,8 @@ class _Facts(NamedTuple):
 class _Statement:
     """One statement's expression, evaluated at each binding of its binders.
 
+    A statement with no binders and no sum is charged its work by _charge
+    and evaluated by _walk, one direct walk.  Any other is analysed:
     _analyse visits each node once and records its facts; _compile builds
     the evaluator from them, top down, knowing how often each node is
     reached.  Memo entries live as long as this object.
@@ -855,22 +863,154 @@ class _Statement:
     def __init__(self, ast: object, dim: int, variables: dict[str, VarDecl],
                  constants: dict[str, ConstantTensor], binders: tuple = ()):
         self.env = _Env(dim, variables, constants, {})
+        # the root is reached once per binding
+        self.work = visits = prod(hi - lo + 1 for _, lo, hi in binders)
+        charges: list[tuple[int, object]] = []
+        if not binders and _charge(ast, charges) is not None:
+            for steps, node in charges:
+                _spend(self, steps, node)
+            env = self.env
+            self.run = lambda: _walk(env, ast)
+            return
         self.memo: dict[tuple, object] = {}
         self.shapes: dict[tuple, list] = {}
         facts = _analyse(self, ast, {name: (lo, hi) for name, lo, hi in binders})
-        # the root is reached once per binding
-        self.work = visits = prod(hi - lo + 1 for _, lo, hi in binders)
-        self.const = facts.const
         self.run = _compile(self, facts, visits)
 
     def __call__(self, bindings: dict[str, int]) -> GradedPolynomial:
         # every call binds the same names, and sums unbind their own
         self.env.bindings.update(bindings)
         value = self.run()
-        return GradedPolynomial.scalar(value) if self.const else value
+        return value if type(value) is GradedPolynomial else GradedPolynomial.scalar(value)
 
 
 _CAP = MAX_EXPANSION_WORK + 1  # bounds past the budget are all alike
+
+
+def _spend(stmt: _Statement, steps: int, node: object) -> None:
+    """Charge steps to the statement's work, refusing it at node once the
+    work passes MAX_EXPANSION_WORK."""
+    stmt.work += steps
+    if stmt.work > MAX_EXPANSION_WORK:
+        raise SemanticError(
+            f"expansion work budget of {MAX_EXPANSION_WORK} steps exceeded", node.span
+        )
+
+
+def _power_cost(t: int, k: int) -> tuple[int, int]:
+    """(terms, own) of the power k of a value of t terms, or of its
+    negation for k = -1."""
+    if k > 0:
+        # (t terms)^k has at most C(t+k-1, k) terms; building it by k
+        # products takes t times the terms of the powers below k
+        terms, own = comb(t + k - 1, k), t * comb(t + k - 1, k - 1)
+    else:
+        terms = own = 1 if k == 0 else t
+    return min(terms, _CAP), min(own, _CAP)
+
+
+def _terms_cost(kid_terms: list[int]) -> int:
+    """The terms, and the own steps, of a run of + and - over operands of
+    kid_terms terms: one evaluation adds them up at once."""
+    return min(sum(kid_terms), _CAP)
+
+
+def _product_cost(kid_terms: list[int]) -> tuple[int, int]:
+    """(terms, own) of a product of operands of kid_terms terms: one
+    evaluation is charged the terms of each partial product, left to right,
+    as a chain of binary products would build them."""
+    terms, own = kid_terms[0], 0
+    for t in kid_terms[1:]:
+        terms = min(terms * t, _CAP)
+        own = min(own + terms, _CAP)
+    return terms, own
+
+
+def _add_run(values: list, plan: tuple[str, ...]) -> object:
+    """The sum of a run of + and -, values[i] taken with the sign plan[i].
+
+    Numbers add up as numbers; once a polynomial is among the values, each
+    number is lifted to a polynomial and all are added at once."""
+    if GradedPolynomial not in map(type, values):
+        return sum([v if op == "+" else -v for v, op in zip(values, plan)])
+    lift = GradedPolynomial.scalar
+    plus, minus = [], []
+    for v, op in zip(values, plan):
+        (plus if op == "+" else minus).append(
+            v if type(v) is GradedPolynomial else lift(v)
+        )
+    return gp_sum(plus, minus)
+
+
+def _multiply_run(values: list) -> object:
+    """The product of a run of *, values in reading order.
+
+    The numbers multiply into one scale, which scales the product of the
+    polynomials.  Those are multiplied by balanced pairing of adjacent
+    operands, order kept, which associativity makes equal to the product
+    left to right: y*y*...*y with n factors builds O(log n) distinct
+    monomials and merges O(n log n) factors, where the left-to-right
+    product builds n and merges O(n^2)."""
+    scale, polys = None, []
+    for v in values:
+        if type(v) is GradedPolynomial:
+            polys.append(v)
+        else:
+            scale = v if scale is None else scale * v
+    if not polys:
+        return scale
+    while len(polys) > 1:
+        pairs = iter(polys)
+        polys = [*map(mul, pairs, pairs), *polys[len(polys) & -2:]]
+    return polys[0] if scale is None else polys[0].scaled(scale)
+
+
+def _charge(node: object, charges: list[tuple[int, object]]) -> int | None:
+    """The bound on the term count of a sum-free node, as _analyse bounds
+    it; the steps of one evaluation of node and of each node below it go
+    onto charges as (steps, node), in the order _compile charges them.
+    None when node holds a sum."""
+    at = len(charges)
+    charges.append((0, node))
+    kind = type(node)
+    if kind is _Binary:
+        kid_terms = [_charge(operand, charges) for operand in _chain(node)[0]]
+        if None in kid_terms:
+            return None
+        if node.op == "*":
+            terms, own = _product_cost(kid_terms)
+        else:
+            terms = own = _terms_cost(kid_terms)
+    elif kind is _Unary or kind is _Pow:
+        t = _charge(node.operand if kind is _Unary else node.base, charges)
+        if t is None:
+            return None
+        terms, own = _power_cost(t, node.exponent if kind is _Pow else -1)
+    elif kind is _Sum:
+        return None
+    else:
+        terms = own = 1
+    charges[at] = (own, node)
+    return terms
+
+
+def _walk(env: _Env, node: object) -> "GradedPolynomial | Fraction | int":
+    """The value of a sum-free node, its operands read left to right; every
+    error is a leaf's, raised by _leaf."""
+    kind = type(node)
+    if kind is _Binary:
+        operands, links = _chain(node)
+        values = [_walk(env, operand) for operand in operands]
+        if node.op == "*":
+            return _multiply_run(values)
+        return _add_run(values, ("+", *[link.op for link in links]))
+    if kind is _Unary:
+        return -_walk(env, node.operand)
+    if kind is _Pow:
+        return _walk(env, node.base) ** node.exponent
+    if kind is _Num:
+        return node.value
+    return _leaf(env, node)
 
 
 def _analyse(
@@ -893,16 +1033,11 @@ def _analyse(
         facts = _analyse_terms(stmt, node, scope)
     elif kind is _Unary or kind is _Pow:
         arg = _analyse(stmt, node.operand if kind is _Unary else node.base, scope)
-        t, k = arg.terms, (node.exponent if kind is _Pow else -1)  # -1: negation
-        if k > 0:
-            # (t terms)^k has at most C(t+k-1, k) terms; building it by k
-            # products takes t times the terms of the powers below k
-            terms, own = comb(t + k - 1, k), t * comb(t + k - 1, k - 1)
-        else:
-            terms = own = 1 if k == 0 else t
+        k = node.exponent if kind is _Pow else -1  # -1: negation
+        terms, own = _power_cost(arg.terms, k)
         facts = _Facts(
-            node, arg.const, arg.safe, arg.free, (arg,), terms=min(terms, _CAP),
-            own=min(own, _CAP), shape=("^", k) + arg.shape if scope else (),
+            node, arg.const, arg.safe, arg.free, (arg,), terms=terms, own=own,
+            shape=("^", k) + arg.shape if scope else (),
         )
     else:
         raise SemanticError("malformed expression", getattr(node, "span", None))
@@ -954,11 +1089,11 @@ def _analyse_terms(
     operands, links = _chain(node)
     kids = tuple([_analyse(stmt, operand, scope) for operand in operands])
     const = safe = True
-    terms, free = 0, frozenset()
+    free = frozenset()
     for kid in kids:
         const, safe = const and kid.const, safe and kid.safe
-        terms, free = terms + kid.terms, free | kid.free
-    terms = min(terms, _CAP)
+        free = free | kid.free
+    terms = _terms_cost([kid.terms for kid in kids])
     plan = ("+", *[link.op for link in links])
     return _Facts(
         node, const, safe, free, kids, terms=terms, own=terms,
@@ -997,10 +1132,7 @@ def _product_facts(
 ) -> _Facts:
     """The facts of a stretch of a run of *: one evaluation builds each
     partial product of kids, left to right, and is charged their terms."""
-    terms, own = kids[0].terms, 0
-    for kid in kids[1:]:
-        terms = min(terms * kid.terms, _CAP)
-        own = min(own + terms, _CAP)
+    terms, own = _product_cost([kid.terms for kid in kids])
     facts = _Facts(
         node, all(kid.const for kid in kids), all(kid.safe for kid in kids),
         frozenset().union(*[kid.free for kid in kids]), tuple(kids), terms=terms,
@@ -1123,11 +1255,7 @@ def _compile(
     """
     node = facts.node
     evals = min(visits, facts.values)
-    stmt.work += evals * facts.own
-    if stmt.work > MAX_EXPANSION_WORK:
-        raise SemanticError(
-            f"expansion work budget of {MAX_EXPANSION_WORK} steps exceeded", node.span
-        )
+    _spend(stmt, evals * facts.own, node)
     twin = facts.key is not None and facts.key[0][1] > 1
     runs = [
         _compile(stmt, kid, evals * facts.fanout, shared or twin) for kid in facts.kids
@@ -1137,7 +1265,7 @@ def _compile(
     elif type(node) is _Sum:
         run = _sum_run(stmt, facts, *runs)
     elif type(node) is _Binary and node.op == "*":
-        run = _run_of_factors(facts, runs)
+        run = lambda: _multiply_run([f() for f in runs])
     elif type(node) is _Binary:
         run = _run_of_terms(facts, runs)
     elif type(node) is _Unary:
@@ -1165,45 +1293,9 @@ def _run_of_terms(
     facts: _Facts, runs: list[Callable[[], object]]
 ) -> Callable[[], object]:
     """Evaluate the operands of a run of + and -, left first, and add them
-    up at once; a scalar is lifted to a polynomial only to be added to one."""
-    signs = [1 if sign == "+" else -1 for sign in facts.plan]
-    if facts.const:
-        return lambda: sum([sign * f() for f, sign in zip(runs, signs)])
-    lift = GradedPolynomial.scalar
-    operands = list(zip(runs, signs, [kid.const for kid in facts.kids]))
-
-    def run() -> object:
-        plus, minus = [], []
-        for f, sign, scalar in operands:
-            value = lift(f()) if scalar else f()
-            (plus if sign > 0 else minus).append(value)
-        return gp_sum(plus, minus)
-
-    return run
-
-
-def _run_of_factors(
-    facts: _Facts, runs: list[Callable[[], object]]
-) -> Callable[[], object]:
-    """Multiply the kids of a stretch of a run of *, left to right, each
-    evaluated just before it is taken; a scalar times a polynomial is a
-    scaling."""
-    operands = list(zip(runs, [kid.const for kid in facts.kids]))
-    (first, scalar), rest = operands[0], operands[1:]
-
-    def run() -> object:
-        value, const = first(), scalar
-        for f, kid_const in rest:
-            other = f()
-            if const is kid_const:
-                value = value * other
-            elif const:
-                value, const = other.scaled(value), False
-            else:
-                value = value.scaled(other)
-        return value
-
-    return run
+    up at once (see _add_run)."""
+    plan = facts.plan
+    return lambda: _add_run([f() for f in runs], plan)
 
 
 def _sum_run(

@@ -77,6 +77,7 @@ from nkt.theory_dsl import (
     _resolve_index,
     _Sum,
     _Unary,
+    Theory,
     parse_expression,
     parse_theory,
     render_theory,
@@ -1404,3 +1405,125 @@ def test_runs_keep_their_signs_and_reading_order(text, want) -> None:
         assert got[1] == parse_expression(want, MEMO_THEORY)
     else:
         assert got[0] == "error" and got[3].column == text.index("a[") + 1
+
+
+# -- the direct walk against the analysed evaluator ------------------------------
+
+DIRECT_THEORY = parse_theory("""\
+theory direct
+dim 2
+field y parity even
+field psi[k=1..2] parity odd
+field a[mu=0..1] parity even
+ghost C parity odd
+constant k[0..1,1..2] = {
+  (0,1): 1
+  (1,2): -2/3
+}
+""")
+DIRECT_LEAVES = (
+    "y", "~y", "x0", "C", "2", "3/4", "psi[1]", "~psi[2]", "~C", "x1", "a[0]", "0",
+    "1", "5/6", "psi[2]", "~a[1]", "d(y;x0)", "d(psi[1];0,1)", "y[;x1,x1]",
+    "d(a[1];x0)", "k[0,1]", "k[1,2]", "k[1,1]",
+)
+# an unknown name, a component out of range, a direction and a coordinate
+# past dim, a jet past the order bound (8), a constant index out of range
+DIRECT_ERRORS = ("w", "psi[3]", "d(y;2)", "x2", "d(y;0,0,0,0,0,0,0,0,0)", "k[2,1]")
+
+
+@st.composite
+def sum_free_expressions(draw, depth: int = 0) -> str:
+    """Expression text over DIRECT_THEORY without sums."""
+    if depth >= 3 or draw(st.integers(0, 2)) == 0:
+        if draw(st.integers(0, 19)) == 0:
+            return draw(st.sampled_from(DIRECT_ERRORS))
+        return draw(st.sampled_from(DIRECT_LEAVES))
+    kind = draw(st.sampled_from(["+", "*", "neg", "pow", "long"]))
+    if kind == "neg":
+        return f"-({draw(sum_free_expressions(depth + 1))})"
+    if kind == "pow":
+        return f"({draw(sum_free_expressions(depth + 1))})^{draw(st.integers(0, 4))}"
+    if kind == "long":
+        # few distinct values, so a power of a long run of + is cheap to
+        # build, while its bound passes the budget from about 50 operands
+        leaves = draw(st.lists(st.sampled_from(DIRECT_LEAVES[:6]), min_size=20, max_size=80))
+        if draw(st.booleans()):
+            return "*".join(leaves)
+        return f"({'+'.join(leaves)})^{draw(st.integers(1, 4))}"
+    operands = draw(st.lists(sum_free_expressions(depth + 1), min_size=2, max_size=5))
+    text = f"({operands[0]})"
+    for operand in operands[1:]:
+        text += f" {kind if kind == '*' else draw(st.sampled_from('+-'))} ({operand})"
+    return text
+
+
+def direct_outcome(text: str, theory: Theory = DIRECT_THEORY) -> tuple:
+    """parse_expression's outcome, with _analyse out of reach."""
+
+    def analysed(*args):
+        raise AssertionError("a sum-free statement without binders was analysed")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theory_dsl, "_analyse", analysed)
+        return outcome(parse_expression, text, theory)
+
+
+def compiled_outcome(text: str, theory: Theory = DIRECT_THEORY) -> tuple:
+    """parse_expression's outcome with the statement analysed and compiled:
+    a binder of one value, which the expression does not read, forces it."""
+    cursor = theory_dsl._Stmt(theory_dsl._statements(text)[0])
+    ast = theory_dsl._parse_expr(cursor)
+    cursor.expect_end()
+
+    def evaluate() -> GradedPolynomial:
+        declared = (theory.dim, theory.variables, theory.constants)
+        return theory_dsl._Statement(ast, *declared, (("unused", 1, 1),))({"unused": 1})
+
+    return outcome(evaluate)
+
+
+@KERNEL_SETTINGS
+@given(sum_free_expressions())
+def test_the_direct_walk_matches_the_analysed_evaluator(text) -> None:
+    got = direct_outcome(text)
+    assert got == compiled_outcome(text)
+    if got[0] == "value" or "budget" not in got[2]:
+        assert got == oracle_outcome(parse_expression, text, DIRECT_THEORY)
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ("y + 2*w", "unknown name 'w'", 7),
+    ("y*(psi[1] - psi[3])", "index k=3 of psi is outside 1..2", 13),
+    ("-d(y;0,2)^2", "direction 2 outside base dimension", 2),
+    ("d(y;0,0,0,0,0,0,0,0,0) + x2", "jet order 9 exceeds the bound 8"
+     " (raise NKT_MAX_JET_ORDER to override)", 1),
+    ("C*k[2,1]", "index 2 of k is outside 0..1", 3),
+    # the first of two bad leaves read raises, the later power too
+    ("(x2*y + w)^3", "coordinate x2 outside base dimension", 2),
+    # 50 terms to the 4th: 50 * C(53, 3) steps pass the budget at the ^,
+    # before the unknown w is read
+    (f"w*({'+'.join(['y'] * 50)})^4", "expansion work budget of"
+     f" {theory_dsl.MAX_EXPANSION_WORK} steps exceeded", 104),
+    # a node is charged before the nodes below it: the outer power passes
+    # the budget before the inner one would
+    (f"(({'+'.join(['y'] * 50)})^4)^2", "expansion work budget of"
+     f" {theory_dsl.MAX_EXPANSION_WORK} steps exceeded", 106),
+    # the run's own steps, 2^2 + ... + 2^20, pass it at the run's last *
+    ("*".join(["(y+1)"] * 19) + "*w", "expansion work budget of"
+     f" {theory_dsl.MAX_EXPANSION_WORK} steps exceeded", 114),
+])
+def test_the_direct_walk_raises_what_the_analysed_evaluator_raises(
+    text, message, column
+) -> None:
+    got = direct_outcome(text)
+    assert got == compiled_outcome(text)
+    assert got[:3] == ("error", SemanticError, f"{message} (line 1, column {column})")
+
+
+def test_a_budget_refusal_comes_before_a_leaf_error() -> None:
+    # the unknown w is read first, but the power's bound is refused first
+    text = "theory t\ndim 1\nfield y parity even\nlagrangian w*(y+d(y;x)+x+1)^64\n"
+    got = outcome(parse_theory, text)
+    budget = f"expansion work budget of {theory_dsl.MAX_EXPANSION_WORK} steps exceeded"
+    assert got[:3] == ("error", SemanticError, f"{budget} (line 4, column 28)")
+    assert (got[3].line, got[3].column) == (4, 28)

@@ -1,5 +1,6 @@
 """The eta transform, operator composition, and Noether's second theorem."""
 
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -7,11 +8,11 @@ from pathlib import Path
 import pytest
 from conftest import even_field, even_ghost, odd_ghost, v
 
-from nkt import cli, derivations, jet_calculus, noether
+from nkt import cli, config, derivations, jet_calculus, noether
 from nkt.derivations import GeneralizedVectorField, check_variational, contract_with_EL
-from nkt.graded_poly import Density, GradedPolynomial
+from nkt.graded_poly import Density, GradedPolynomial, gp_sum_of_derivatives
 from nkt.jet_calculus import euler_lagrange, total_derivative, total_derivative_multi
-from nkt.multiindex import EMPTY, MultiIndex, mi_enumerate
+from nkt.multiindex import EMPTY, MultiIndex, mi_enumerate, split_weight
 from nkt.noether import (
     LinearJetOperator,
     NoetherIdentityError,
@@ -30,7 +31,7 @@ from nkt.noether import (
     noether_residuals,
     trivial_gauge_symmetry,
 )
-from nkt.errors import SemanticError
+from nkt.errors import JetOrderError, SemanticError
 from nkt.theory_dsl import Theory, parse_theory
 from nkt.randgen import even_fields, graded_fields, random_operator, random_polynomial
 
@@ -95,6 +96,89 @@ class TestEtaTransform:
                         rhs = rhs + h * total_derivative_multi(z, mi)
                 assert lhs == rhs
 
+    def test_eta_matches_its_definition_term_by_term(self):
+        # random operators of orders up to 3 in dims 1-3, most of them
+        # meeting multi-indices whose splits are already known
+        rng = random.Random(35)
+        fields = graded_fields(1, 1)
+        for dim in (1, 2, 3):
+            for order in (1, 2, 3):
+                for _ in range(4):
+                    op = random_operator(rng, [XI], [Y, S], fields, dim, max_order=order)
+                    got, want = noether.eta_family(op.coeffs), eta_by_definition(op.coeffs)
+                    assert got == want
+                    assert list(got) == list(want)
+
+    @pytest.mark.parametrize("entries, dim, bound, named", [
+        ((0, 0, 0), 1, 1, 2),  # Lam runs (), [0], [0,0]: [0,0] is the first past
+        ((0, 1, 1), 2, 1, 2),
+        ((0, 0, 1, 1), 2, 2, 3),  # ..., [1,1], [0], [0,1], [0,1,1]
+    ])
+    def test_eta_names_the_first_split_past_a_lowered_bound(
+        self, monkeypatch, entries, dim, bound, named
+    ):
+        op = op_of(dim, ROLE_GAUGE, {
+            (XI, Y, EMPTY): GradedPolynomial.one(),
+            # a constant: its derivatives vanish before any step could raise
+            (XI, Y, MultiIndex(entries)): GradedPolynomial.scalar(2),
+        })
+
+        def outcome(transform):
+            monkeypatch.setenv("NKT_MAX_JET_ORDER", str(bound))
+            config.reload()
+            try:
+                transform(op.coeffs)
+            except JetOrderError as exc:
+                return str(exc)
+            finally:
+                monkeypatch.delenv("NKT_MAX_JET_ORDER")
+                config.reload()
+
+        monkeypatch.setattr(noether, "_SPLITS", {})
+        cold = outcome(noether.eta_family)
+        assert entries not in noether._SPLITS
+        want = eta(op)  # under the default bound: the splits are kept
+        assert entries in noether._SPLITS
+        warm = outcome(noether.eta_family)
+        message = (
+            f"jet order {named} exceeds the bound {bound}"
+            " (raise NKT_MAX_JET_ORDER to override)"
+        )
+        assert cold == warm == outcome(eta_by_definition) == message
+        assert eta(op) == want
+
+
+def sub_multiindices(mi):
+    """Every multiset contained in mi, the last direction's count fastest."""
+    groups = {}
+    for e in mi.entries:
+        groups[e] = groups.get(e, 0) + 1
+    dirs = sorted(groups)
+    out = []
+    for counts in itertools.product(*(range(groups[d] + 1) for d in dirs)):
+        entries = ()
+        for d, c in zip(dirs, counts):
+            entries += (d,) * c
+        out.append(MultiIndex(entries))
+    return out
+
+
+def eta_by_definition(coeffs):
+    """eta_family from its definition: every coefficient's multi-index is
+    split afresh, its Lam in the order of sub_multiindices."""
+    parts = {}
+    for (param, target, total_mi), poly in coeffs.items():
+        for lam in sub_multiindices(total_mi):
+            sigma_entries = list(total_mi.entries)
+            for e in lam.entries:
+                sigma_entries.remove(e)
+            sigma = MultiIndex(tuple(sigma_entries))
+            weight = split_weight(sigma, lam)
+            if total_mi.order & 1:
+                weight = -weight
+            parts.setdefault((param, target, lam), []).append((poly, sigma.entries, weight))
+    sums = {key: gp_sum_of_derivatives(items) for key, items in parts.items()}
+    return {key: p for key, p in sums.items() if not p.is_zero()}
 
 class TestComposition:
     def test_hand_expanded_scalar_composition(self):

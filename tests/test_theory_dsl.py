@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nkt import config
+from nkt import config, graded_poly
 from nkt.derivations import GeneralizedVectorField
 from nkt.errors import ParseError, SemanticError
 from nkt.graded_poly import (
@@ -197,6 +197,22 @@ class TestExpressions:
         (y,) = v_y().monomials()
         want = GradedPolynomial({y * factors.count("y"): 2 ** factors.count("2")})
         assert parse_theory(text).lagrangian == want
+
+    @pytest.mark.parametrize("name, wrap", [("u", "{}"), ("w", "sum(i,1..1, {})")])
+    def test_a_long_product_builds_few_monomials(self, name, wrap):
+        # the factors are paired, adjacent ones first: the powers of 2 of
+        # the field, and at most one more monomial per level of pairing, where
+        # multiplying left to right builds every power up to n
+        count = 20000
+        text = f"theory t\ndim 1\nfield {name} parity even\nlagrangian "
+        text += wrap.format("*".join([name] * count)) + "\n"
+        before = graded_poly.memo_sizes()["monomials"]
+        lagrangian = parse_theory(text).lagrangian
+        built = graded_poly.memo_sizes()["monomials"] - before
+        ((factors, coefficient),) = lagrangian.raw_terms()
+        assert coefficient == 1 and len(factors) == count
+        assert {f.var.name for f in factors} == {name}
+        assert built <= 2 * count.bit_length()
 
     def test_a_run_of_factors_is_charged_its_partial_products(self):
         t = parse_theory(SCALAR)
