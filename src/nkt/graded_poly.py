@@ -136,14 +136,14 @@ def base_of_antifield(var: VariableId) -> VariableId:
     return VariableId(kind, var.name, var.components, var.parity.flipped(), var.stage)
 
 
-_INTERNED: dict[tuple[VariableId, tuple[int, ...]], "JetVariable"] = {}
+_INTERNED: dict[tuple[VariableId, MultiIndex], "JetVariable"] = {}
 
 
 class JetVariable:
     """A variable differentiated along a multi-index, e.g. y_(0,1).
 
     Jet variables are interned: JetVariable(var, mi) returns the one shared
-    instance for (var, mi.entries), so equality is identity and the hash is
+    instance for (var, mi), so equality is identity and the hash is
     the identity hash.  The intern table holds its instances for the life of
     the process; it grows to at most the declared variable components times
     the multi-indices up to the jet-order bound, per theory.  `key` orders
@@ -153,7 +153,7 @@ class JetVariable:
     __slots__ = ("var", "mi", "key", "odd", "_raised")
 
     def __new__(cls, var: VariableId, mi: MultiIndex = EMPTY) -> "JetVariable":
-        ident = (var, mi.entries)
+        ident = (var, mi)
         self = _INTERNED.get(ident)
         if self is None:
             self = _INTERNED[ident] = object.__new__(cls)
@@ -620,9 +620,6 @@ class GradedPolynomial:
         for m in self._terms:
             seen.update(m.jets)
         return seen
-
-    def base_variables(self) -> set[VariableId]:
-        return {jv.var for jv in self.variables()}
 
     def max_jet_order(self) -> int:
         return max([0, *[m.top for m in self._terms]])

@@ -1,16 +1,18 @@
 """Symmetric multi-indices for iterated total derivatives.
 
 A multi-index is a multiset of base-coordinate directions, kept as a sorted
-tuple so that each multiset has exactly one representative.  All coefficient
-families in this package are stored against these canonical representatives
-and summed over distinct multi-indices, never over ordered tuples.
+tuple and interned like variables and monomials: MultiIndex(entries) returns
+the one shared instance for the sorted entries, so equality is identity.
+All coefficient families in this package are stored against these canonical
+representatives and summed over distinct multi-indices, never over ordered
+tuples.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
-from typing import Iterator
+from itertools import combinations_with_replacement, product
+from typing import Iterable
 
 from .config import max_jet_order
 from .errors import JetOrderError
@@ -26,18 +28,31 @@ def check_jet_order(order: int) -> None:
         )
 
 
+Split = tuple["MultiIndex", tuple[int, ...], int]  # (Lam, Sigma's entries, weight)
+
+_MULTIINDICES: dict[tuple[int, ...], "MultiIndex"] = {}
+
+
 class MultiIndex:
-    """A multiset of base directions, e.g. (0, 0, 1) for d0 d0 d1."""
+    """A multiset of base directions, e.g. (0, 0, 1) for d0 d0 d1.
 
-    __slots__ = ("entries",)
+    Interned for the life of the process, and checked against the jet-order
+    bound in force on every call, whether new or already interned.
+    """
 
-    def __init__(self, entries: tuple[int, ...] = ()):
+    __slots__ = ("entries", "_splits")
+
+    def __new__(cls, entries: Iterable[int] = ()) -> "MultiIndex":
         entries = tuple(sorted(entries))
-        for e in entries:
-            if e < 0:
-                raise ValueError(f"negative base direction {e}")
+        self = _MULTIINDICES.get(entries)
+        if self is None:
+            if entries and entries[0] < 0:
+                raise ValueError(f"negative base direction {entries[0]}")
+            self = object.__new__(cls)
+            object.__setattr__(self, "entries", entries)
+            object.__setattr__(self, "_splits", None)
         check_jet_order(len(entries))
-        object.__setattr__(self, "entries", entries)
+        return _MULTIINDICES.setdefault(entries, self)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MultiIndex is immutable")
@@ -49,18 +64,6 @@ class MultiIndex:
     def order(self) -> int:
         return len(self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MultiIndex) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
     def __lt__(self, other: "MultiIndex") -> bool:
         return (len(self.entries), self.entries) < (len(other.entries), other.entries)
 
@@ -69,8 +72,32 @@ class MultiIndex:
             return MultiIndex(self.entries + (other,))
         return MultiIndex(self.entries + other.entries)
 
-    def multiplicity(self, direction: int) -> int:
-        return self.entries.count(direction)
+    def splits(self) -> tuple[Split, ...]:
+        """The splits into Lam + Sigma as (Lam, Sigma's entries, weight).
+
+        Lam runs over the sub-multisets, the last direction's count fastest;
+        the weight, split_weight(Sigma, Lam), is the product over directions
+        of C(m_d, c_d), for the counts of d here and in Lam.  The splits are
+        kept on the instance, but past a bound lowered since then they raise
+        the JetOrderError that building them raises: the first Lam past it.
+        """
+        known = self._splits
+        if known is None:
+            dirs = sorted(set(self.entries))
+            counts = [self.entries.count(d) for d in dirs]
+            built = []
+            for picked in product(*(range(m + 1) for m in counts)):
+                lam, sigma = (), ()
+                for d, m, c in zip(dirs, counts, picked):
+                    lam, sigma = lam + (d,) * c, sigma + (d,) * (m - c)
+                weight = math.prod(map(math.comb, counts, picked))
+                built.append((MultiIndex(lam), sigma, weight))
+            known = tuple(built)
+            object.__setattr__(self, "_splits", known)
+        elif len(self.entries) > max_jet_order():
+            for lam, _, _ in known:
+                check_jet_order(lam.order)
+        return known
 
     def __repr__(self) -> str:
         return f"MultiIndex({self.entries!r})"
@@ -109,15 +136,15 @@ def mi_enumerate(n: int, up_to_order: int) -> list[MultiIndex]:
 def split_weight(sigma: MultiIndex, lam: MultiIndex) -> int:
     """Number of distinct ways the multiset sigma+lam splits into (sigma, lam).
 
-    Per direction i this is C(m_i(sigma)+m_i(lam), m_i(sigma)); the total is
-    the product.  For one base direction it reduces to C(|sigma+lam|,
-    |sigma|).  This is the weight with which a symmetric coefficient
-    family's ordered-tuple sums collapse onto canonical representatives, and
-    it is exactly the multivariate Leibniz count for d_(sigma+lam)(f g).
+    Per direction d this is C(m_d(sigma)+m_d(lam), m_d(sigma)), which is 1
+    where sigma lacks d; the total is the product.  For one base direction
+    it reduces to C(|sigma+lam|, |sigma|).  This is the weight with which a
+    symmetric coefficient family's ordered-tuple sums collapse onto
+    canonical representatives, and it is exactly the multivariate Leibniz
+    count for d_(sigma+lam)(f g).
     """
-    directions = set(sigma.entries) | set(lam.entries)
     w = 1
-    for d in directions:
-        ms, ml = sigma.multiplicity(d), lam.multiplicity(d)
-        w *= math.comb(ms + ml, ms)
+    for d in set(sigma.entries):
+        ms = sigma.entries.count(d)
+        w *= math.comb(ms + lam.entries.count(d), ms)
     return w

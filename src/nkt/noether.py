@@ -15,10 +15,8 @@ Noether operators and back.
 
 from __future__ import annotations
 
-from itertools import product as iter_product
 from typing import Callable, TypeVar
 
-from .config import max_jet_order
 from .derivations import GeneralizedVectorField, check_variational
 from .errors import NktError, Record, SemanticError
 from .graded_poly import (
@@ -32,7 +30,7 @@ from .graded_poly import (
     gp_sum_of_products,
 )
 from .jet_calculus import TrivialityReport, euler_lagrange, total_derivative_multi
-from .multiindex import EMPTY, MultiIndex, check_jet_order, split_weight
+from .multiindex import EMPTY, MultiIndex
 
 ROLE_GAUGE = "gauge"
 ROLE_NOETHER = "noether"
@@ -85,7 +83,7 @@ class LinearJetOperator(Record):
         for (param, target, mi), poly in coeffs.items():
             if poly.is_zero():
                 continue
-            found = [v for v in poly.base_variables() if v.kind is not Kind.FIELD]
+            found = [jv.var for jv in poly.variables() if jv.var.kind is not Kind.FIELD]
             if found:
                 # name the first in rank order, not in the set's hash order
                 first = min(found, key=lambda v: v.rank)
@@ -120,57 +118,7 @@ class LinearJetOperator(Record):
 
     def __hash__(self) -> int:
         # Record's hash would hash the coeffs dict; hash its keys instead
-        return hash((self.dim, self.role, self.stage, tuple(sorted(
-            (k[0].rank, k[1].rank, k[2].entries) for k in self.coeffs
-        ))))
-
-
-def _sub_multiindices(mi: MultiIndex) -> list[MultiIndex]:
-    """All multisets contained in mi (including empty and mi itself)."""
-    groups: dict[int, int] = {}
-    for e in mi.entries:
-        groups[e] = groups.get(e, 0) + 1
-    dirs = sorted(groups)
-    out: list[MultiIndex] = []
-    for counts in iter_product(*(range(groups[d] + 1) for d in dirs)):
-        entries: tuple[int, ...] = ()
-        for d, c in zip(dirs, counts):
-            entries += (d,) * c
-        out.append(MultiIndex(entries))
-    return out
-
-
-_Split = tuple[MultiIndex, tuple[int, ...], int]
-_SPLITS: dict[tuple[int, ...], tuple[_Split, ...]] = {}
-
-
-def _splits(mi: MultiIndex) -> tuple[_Split, ...]:
-    """The splits of mi into Lam + Sigma, one per Lam of _sub_multiindices
-    in its order, each as (Lam, Sigma's entries, (-1)^|mi| * w(Sigma, Lam)).
-
-    They are built once per multi-index and kept for the life of the
-    process in _SPLITS, keyed by mi's entries: one entry per distinct
-    multi-index met, each within the jet-order bound in force when it was
-    met, so at most C(n + k, k) entries over n directions under bound k.
-    The bound is checked on every call: a multi-index past it raises the
-    JetOrderError that building its splits raises, naming the order of the
-    first Lam past the bound.
-    """
-    known = _SPLITS.get(mi.entries)
-    if known is None:
-        sign = -1 if mi.order & 1 else 1
-        splits = []
-        for lam in _sub_multiindices(mi):
-            sigma_entries = list(mi.entries)
-            for e in lam.entries:
-                sigma_entries.remove(e)
-            sigma = MultiIndex(tuple(sigma_entries))
-            splits.append((lam, sigma.entries, sign * split_weight(sigma, lam)))
-        known = _SPLITS[mi.entries] = tuple(splits)
-    elif mi.order > max_jet_order():
-        for lam, _, _ in known:
-            check_jet_order(lam.order)
-    return known
+        return hash((self.dim, self.role, self.stage, frozenset(self.coeffs)))
 
 
 def eta_family(
@@ -186,8 +134,10 @@ def eta_family(
     """
     parts: dict[CoeffKey, list[tuple[GradedPolynomial, tuple[int, ...], int]]] = {}
     for (param, target, total_mi), poly in coeffs.items():
-        for lam, sigma, weight in _splits(total_mi):
-            parts.setdefault((param, target, lam), []).append((poly, sigma, weight))
+        sign = -1 if total_mi.order & 1 else 1
+        for lam, sigma, weight in total_mi.splits():
+            item = (poly, sigma, sign * weight)
+            parts.setdefault((param, target, lam), []).append(item)
     return _sum_nonzero(gp_sum_of_derivatives, parts)
 
 

@@ -53,7 +53,7 @@ from fractions import Fraction
 from itertools import permutations, product as iter_product
 from math import comb, prod
 from operator import mul
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .derivations import GeneralizedVectorField
 from .errors import (
@@ -131,15 +131,20 @@ class ConstantTensor(Record):
     entries: dict[tuple[int, ...], Fraction]
     builder: str | None = None
 
-    def entry(self, idx: tuple[int, ...]) -> Fraction:
-        if len(idx) != len(self.ranges):
-            raise SemanticError(
-                f"{self.name} takes {len(self.ranges)} indices, got {len(idx)}"
-            )
-        for c, (lo, hi) in zip(idx, self.ranges):
-            if not lo <= c <= hi:
-                raise SemanticError(f"index {c} of {self.name} is outside {lo}..{hi}")
+    def entry(self, idx: tuple[int, ...], span: SourceSpan | None = None) -> Fraction:
+        """The entry at idx, refused at span when idx is outside the ranges."""
+        _check_index(self.name, self.ranges, idx, span)
         return self.entries.get(idx, Fraction(0))
+
+
+def _check_index(name: str, ranges: Sequence[tuple[int, int]], idx: tuple[int, ...],
+                 span: SourceSpan | None) -> None:
+    """Refuse an index of constant name that its ranges do not hold."""
+    if len(idx) != len(ranges):
+        raise SemanticError(f"{name} takes {len(ranges)} indices, got {len(idx)}", span)
+    for c, (lo, hi) in zip(idx, ranges):
+        if not lo <= c <= hi:
+            raise SemanticError(f"index {c} of {name} is outside {lo}..{hi}", span)
 
 
 def _perm_sign(tup: tuple[int, ...]) -> int:
@@ -532,6 +537,11 @@ class _Stmt:
         self.expect("..")
         return lo, self.expect_int()
 
+    def span_since(self, first: int) -> SourceSpan:
+        """The span from token first to the last token taken."""
+        head, last = _span(self.tokens[first]), _span(self.tokens[self.pos - 1])
+        return SourceSpan(head.line, head.column, head.start, last.end)
+
     def expect_end(self) -> None:
         tok = self.peek()
         if tok is not None:
@@ -819,10 +829,7 @@ def _leaf(env: _Env, node: object) -> "GradedPolynomial | Fraction | int":
     if not node.anti and node.name in env.constants:
         const = env.constants[node.name]
         idx = tuple(_resolve_index(env, a, node.span) for a in node.args)
-        try:
-            return const.entry(idx)
-        except SemanticError as exc:
-            raise SemanticError(str(exc), node.span) from None
+        return const.entry(idx, node.span)
     if node.name in env.variables:
         return GradedPolynomial.variable(_jet_of(env, node))
     raise SemanticError(f"unknown name {node.name!r}", node.span)
@@ -1365,11 +1372,13 @@ def _parse_key_ref(st: _Stmt) -> tuple[_Ref, tuple[tuple[str, int, int], ...]]:
     return ref, tuple(binders)
 
 
-def _parse_index_range(st: _Stmt) -> tuple[str, int, int]:
-    """A declared index range, e.g. mu=0..3."""
-    label = st.expect_name("an index name")[1]
-    st.expect("=")
-    return (label, *st.expect_range())
+def _declared_range(st: _Stmt, what: str, owner: str) -> tuple[int, int]:
+    """A declared range lo..hi, refused at its span when it is empty."""
+    first = st.pos
+    lo, hi = st.expect_range()
+    if lo > hi:
+        raise SemanticError(f"empty {what} {lo}..{hi} on {owner}", st.span_since(first))
+    return lo, hi
 
 
 def _parse_mi_literal(st: _Stmt) -> tuple[tuple["int | str", ...], SourceSpan]:
@@ -1512,9 +1521,15 @@ class _TheoryParser:
     def _parse_variable(self, st: _Stmt, head: tuple) -> None:
         name_tok = st.expect_name("a variable name")
         name = self._fresh_name(name_tok, self.variables)
+
+        def index_range(st: _Stmt) -> tuple[str, int, int]:  # e.g. mu=0..3
+            label = st.expect_name("an index name")[1]
+            st.expect("=")
+            return (label, *_declared_range(st, "index range", name))
+
         indices: list[tuple[str, int, int]] = []
         if st.accept("["):
-            indices = _comma_list(st, _parse_index_range)
+            indices = _comma_list(st, index_range)
             st.expect("]")
             ranges = [(lo, hi) for _, lo, hi in indices]
             _check_size(name, "components", ranges, _span(name_tok))
@@ -1537,7 +1552,9 @@ class _TheoryParser:
         name = self._fresh_name(name_tok, self.constants)
         declared_ranges: list[tuple[int, int]] | None = None
         if st.accept("["):
-            declared_ranges = _comma_list(st, _Stmt.expect_range)
+            declared_ranges = _comma_list(
+                st, lambda st: _declared_range(st, "range", f"constant {name}")
+            )
             st.expect("]")
             _check_size(f"constant {name}", "entries", declared_ranges, _span(name_tok))
         st.expect("=")
@@ -1566,7 +1583,7 @@ class _TheoryParser:
             made = builder(size)
             const = ConstantTensor(name, made.ranges, made.entries, made.builder)
         else:
-            entries = self._parse_constant_table(st, head)
+            entries = self._parse_constant_table(st, head, name, declared_ranges)
             if declared_ranges is None:
                 raise SemanticError(
                     f"constant {name} needs declared index ranges", _span(head)
@@ -1579,8 +1596,10 @@ class _TheoryParser:
         self.constants[name] = const
 
     def _parse_constant_table(
-        self, st: _Stmt, head: tuple
+        self, st: _Stmt, head: tuple, name: str, ranges: list[tuple[int, int]] | None
     ) -> dict[tuple[int, ...], Fraction]:
+        """The entries of constant name; each index is checked against the
+        declared ranges, when there are any, at the span of its (...)."""
         st.expect("{")
         entries: dict[tuple[int, ...], Fraction] = {}
 
@@ -1593,9 +1612,12 @@ class _TheoryParser:
                     stmt.take()
                     stmt.expect_end()
                     return True
+                first = stmt.pos
                 stmt.expect("(")
                 key = tuple(_comma_list(stmt, _Stmt.expect_int))
                 stmt.expect(")")
+                if ranges is not None:
+                    _check_index(name, ranges, key, stmt.span_since(first))
                 stmt.expect(":")
                 value = stmt.expect_fraction()
                 if key in entries:

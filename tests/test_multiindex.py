@@ -42,7 +42,12 @@ def test_enumerate_is_sorted_canonically() -> None:
 
 def test_entries_are_sorted_on_construction() -> None:
     assert MultiIndex((2, 0, 1)).entries == (0, 1, 2)
-    assert MultiIndex((1, 1, 0)) == MultiIndex((0, 1, 1))
+    assert MultiIndex((1, 1, 0)) is MultiIndex((0, 1, 1))
+    assert MultiIndex([2, 0]) is MultiIndex((0, 2)) is MultiIndex((2,)) + 0
+    assert MultiIndex() is EMPTY
+    assert MultiIndex((0, 1)) is not MultiIndex((0, 0))
+    with pytest.raises(ValueError, match=r"^negative base direction -2$"):
+        MultiIndex((1, -1, -2))
 
 
 def test_add_merges_multisets() -> None:
@@ -106,6 +111,23 @@ def test_order_cap_env_override(monkeypatch: pytest.MonkeyPatch) -> None:
     config.reload()
     with pytest.raises(JetOrderError):
         MultiIndex((0,) * 9)
+
+
+def test_the_bound_refuses_a_multi_index_built_under_a_higher_one(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    built = MultiIndex((1, 0, 1, 0))
+    monkeypatch.setenv("NKT_MAX_JET_ORDER", "3")
+    config.reload()
+    for build in (lambda: MultiIndex((0, 0, 1, 1)), lambda: MultiIndex((0, 1, 1)) + 0):
+        with pytest.raises(
+            JetOrderError,
+            match=r"^jet order 4 exceeds the bound 3 \(raise NKT_MAX_JET_ORDER to override\)$",
+        ):
+            build()
+    monkeypatch.delenv("NKT_MAX_JET_ORDER")
+    config.reload()
+    assert MultiIndex((0, 0, 1, 1)) is built
 
 
 def test_the_bound_is_read_once_until_reloaded(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -134,11 +134,12 @@ class TestEtaTransform:
                 monkeypatch.delenv("NKT_MAX_JET_ORDER")
                 config.reload()
 
-        monkeypatch.setattr(noether, "_SPLITS", {})
+        mi = MultiIndex(entries)
+        object.__setattr__(mi, "_splits", None)  # cold: its splits forgotten
         cold = outcome(noether.eta_family)
-        assert entries not in noether._SPLITS
+        assert mi._splits is None
         want = eta(op)  # under the default bound: the splits are kept
-        assert entries in noether._SPLITS
+        assert mi._splits is not None
         warm = outcome(noether.eta_family)
         message = (
             f"jet order {named} exceeds the bound {bound}"
@@ -163,22 +164,36 @@ def sub_multiindices(mi):
     return out
 
 
+def splits_by_definition(mi):
+    """(Lam, Sigma's entries, split_weight(Sigma, Lam)) for each Lam of
+    sub_multiindices(mi), Sigma being what Lam leaves of mi."""
+    out = []
+    for lam in sub_multiindices(mi):
+        sigma_entries = list(mi.entries)
+        for e in lam.entries:
+            sigma_entries.remove(e)
+        sigma = MultiIndex(tuple(sigma_entries))
+        out.append((lam, sigma.entries, split_weight(sigma, lam)))
+    return out
+
+
 def eta_by_definition(coeffs):
     """eta_family from its definition: every coefficient's multi-index is
     split afresh, its Lam in the order of sub_multiindices."""
     parts = {}
     for (param, target, total_mi), poly in coeffs.items():
-        for lam in sub_multiindices(total_mi):
-            sigma_entries = list(total_mi.entries)
-            for e in lam.entries:
-                sigma_entries.remove(e)
-            sigma = MultiIndex(tuple(sigma_entries))
-            weight = split_weight(sigma, lam)
+        for lam, sigma, weight in splits_by_definition(total_mi):
             if total_mi.order & 1:
                 weight = -weight
-            parts.setdefault((param, target, lam), []).append((poly, sigma.entries, weight))
+            parts.setdefault((param, target, lam), []).append((poly, sigma, weight))
     sums = {key: gp_sum_of_derivatives(items) for key, items in parts.items()}
     return {key: p for key, p in sums.items() if not p.is_zero()}
+
+
+def test_splits_match_their_definition_in_order_and_weight():
+    for mi in mi_enumerate(3, 4):
+        assert list(mi.splits()) == splits_by_definition(mi), mi
+        assert mi.splits() is mi.splits()  # kept on the instance
 
 class TestComposition:
     def test_hand_expanded_scalar_composition(self):

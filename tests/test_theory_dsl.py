@@ -575,6 +575,44 @@ class TestValidation:
                 validate_theory(replace(base, **changes))
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("decl, message, where", [
+        # where: (line, column) of the range or of the entry's (...), and
+        # the text the span covers
+        ("field y[i=3..1] parity even\nlagrangian y",
+         "empty index range 3..1 on y", (3, 11, "3..1")),
+        ("field y[i=3..1] parity even", "empty index range 3..1 on y", (3, 11, "3..1")),
+        ("field y[i=0..1, j=-1..-3] parity even",
+         "empty index range -1..-3 on y", (3, 19, "-1..-3")),
+        ("constant k[2..1] = {(1): 1}", "empty range 2..1 on constant k", (3, 12, "2..1")),
+        ("constant k[1..2] = {\n  (1): 1\n  (3): 1\n}",
+         "index 3 of k is outside 1..2", (5, 3, "(3)")),
+        ("constant k[1..2] = {(1,1): 1}", "k takes 1 indices, got 2", (3, 21, "(1,1)")),
+    ])
+    def test_declarations_are_refused_where_they_are_read(self, decl, message, where):
+        text = "theory t\ndim 1\n" + decl + "\nfield z parity even\n"
+        with pytest.raises(SemanticError) as exc:
+            parse_theory(text)
+        span = exc.value.span
+        assert str(exc.value) == f"{message} ({span})"
+        assert (span.line, span.column, text[span.start:span.end]) == where
+
+    def test_validation_refuses_empty_ranges_and_stray_entries(self):
+        base = parse_theory("theory t\ndim 1\n")
+        cases = [
+            ({"variables": {"y": VarDecl("y", Kind.FIELD, Parity.EVEN, (("i", 3, 1),))}},
+             "empty index range 3..1 on y"),
+            ({"constants": {"k": ConstantTensor("k", ((2, 1),), {})}},
+             "empty range 2..1 on constant k"),
+            ({"constants": {"k": ConstantTensor("k", ((1, 2),), {(3,): Fraction(1)})}},
+             "index 3 of k is outside 1..2"),
+            ({"constants": {"k": ConstantTensor("k", ((1, 2),), {(1, 1): Fraction(1)})}},
+             "k takes 1 indices, got 2"),
+        ]
+        for changes, message in cases:
+            with pytest.raises(SemanticError) as exc:
+                validate_theory(replace(base, **changes))
+            assert str(exc.value) == message and exc.value.span is None
+
     def test_binder_sugar_expansion(self):
         t = parse_theory(
             """
