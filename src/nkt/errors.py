@@ -117,9 +117,16 @@ class JetOrderError(NktError):
 
 
 class _SpannedError(NktError):
-    """An error that may name its source span, at the end of its message."""
+    """An error that may name its source span, at the end of its message.
 
-    def __init__(self, message: str, span: SourceSpan | None = None):
+    span is a SourceSpan or a location, a tuple (cursor, *where) that the
+    cursor turns into one with cursor.span_of(*where): a parser keeps
+    locations, and a span is computed only for an error made.
+    """
+
+    def __init__(self, message: str, span: SourceSpan | tuple | None = None):
+        if type(span) is tuple:
+            span = span[0].span_of(*span[1:])
         self.span = span
         if span is not None:
             message = f"{message} ({span})"

@@ -147,10 +147,12 @@ class JetVariable:
     the identity hash.  The intern table holds its instances for the life of
     the process; it grows to at most the declared variable components times
     the multi-indices up to the jet-order bound, per theory.  `key` orders
-    variables canonically and `odd` is the parity as a plain flag.
+    variables canonically and `odd` is the parity as a plain flag.  Its
+    rendered text is kept on first use (render_jet_variable): `_text1` in
+    dimension 1, `_text2` in dimension 2 and up.
     """
 
-    __slots__ = ("var", "mi", "key", "odd", "_raised")
+    __slots__ = ("var", "mi", "key", "odd", "_raised", "_text1", "_text2")
 
     def __new__(cls, var: VariableId, mi: MultiIndex = EMPTY) -> "JetVariable":
         ident = (var, mi)
@@ -171,6 +173,7 @@ class JetVariable:
             )
             self.odd = var.parity is Parity.ODD
             self._raised = {}
+            self._text1 = self._text2 = None
         return self
 
     @property
@@ -899,14 +902,24 @@ def coordinate_token(k: int, dim: int) -> str:
 
 
 def render_jet_variable(jv: JetVariable, dim: int) -> str:
+    """jv's text in dimension dim, kept on jv once made."""
+    text = jv._text1 if dim == 1 else jv._text2
+    if text is not None:
+        return text
     prefix = "~" if jv.var.kind in (Kind.ANTIFIELD, Kind.ANTIGHOST) else ""
     comps = ",".join(str(c) for c in jv.var.components)
     dirs = ",".join(coordinate_token(d, dim) for d in jv.mi.entries)
     if jv.mi.order:
-        return f"{prefix}{jv.var.name}[{comps};{dirs}]"
-    if comps:
-        return f"{prefix}{jv.var.name}[{comps}]"
-    return prefix + jv.var.name
+        text = f"{prefix}{jv.var.name}[{comps};{dirs}]"
+    elif comps:
+        text = f"{prefix}{jv.var.name}[{comps}]"
+    else:
+        text = prefix + jv.var.name
+    if dim == 1:
+        jv._text1 = text
+    else:
+        jv._text2 = text
+    return text
 
 
 def _power(token: str, exp: int) -> str:
@@ -924,50 +937,56 @@ def _join_signed(signed: Iterable[tuple[int, str]]) -> str:
 
 
 def _coordinate_monomial_parts(
-    coords: _Flat, q: Fraction, dim: int
+    coords: _Flat, n: int, den: int, dim: int
 ) -> tuple[int, list[str]]:
-    """Sign and factor strings for one coordinate monomial (abs value)."""
-    mag = abs(q)
+    """Sign and factor strings for one coordinate monomial, of coefficient
+    n / den (abs value, reduced)."""
+    mag = abs(n)
     parts: list[str] = []
-    if mag != 1 or not coords:
+    if mag != den or not coords:
+        g = gcd(mag, den)
         try:
-            parts.append(str(mag))
+            parts.append(str(mag // g) if g == den else f"{mag // g}/{den // g}")
         except ValueError:
             raise NktError(too_many_digits("a coefficient")) from None
     for c, exp in _runs(coords):
         parts.append(_power(coordinate_token(c.k, dim), exp))
-    return (-1 if q < 0 else 1), parts
+    return (-1 if n < 0 else 1), parts
 
 
 def _term_signed_body(
-    jets: _Flat, coefficient: list[tuple[_Flat, Fraction]], dim: int
+    jets: _Flat, coefficient: list[tuple[_Flat, int]], den: int, dim: int
 ) -> tuple[int, str]:
     factor_parts = [_power(render_jet_variable(jv, dim), e) for jv, e in _runs(jets)]
     if len(coefficient) == 1:
-        ((coords, q),) = coefficient
-        sign, coeff_parts = _coordinate_monomial_parts(coords, q, dim)
+        ((coords, n),) = coefficient
+        sign, coeff_parts = _coordinate_monomial_parts(coords, n, den, dim)
         if factor_parts and coeff_parts == ["1"]:
             coeff_parts = []
         return sign, "*".join(coeff_parts + factor_parts)
     inner = _join_signed(
         (sign, "*".join(parts))
         for sign, parts in (
-            _coordinate_monomial_parts(coords, q, dim) for coords, q in coefficient
+            _coordinate_monomial_parts(coords, n, den, dim) for coords, n in coefficient
         )
     )
     return 1, "*".join([f"({inner})"] + factor_parts)
 
 
 def render_polynomial(p: GradedPolynomial, dim: int) -> str:
+    """p's canonical text: its terms in raw_terms() order, each coefficient
+    written from its int numerator over p's denominator."""
     if p.is_zero():
         return "0"
-    groups: list[tuple[_Flat, list[tuple[_Flat, Fraction]]]] = []
-    for flat, q in p.raw_terms():
-        coords, jets = _split(flat)
-        if groups and groups[-1][0] == jets:
-            groups[-1][1].append((coords, q))
+    groups: list[tuple[_Flat, list[tuple[_Flat, int]]]] = []
+    terms = p._terms.items()
+    for m, n in sorted(terms, key=_term_order) if len(terms) > 1 else terms:
+        term = (m.factors[: len(m.factors) - len(m.jets)], n)
+        if groups and groups[-1][0] == m.jets:
+            groups[-1][1].append(term)
         else:
-            groups.append((jets, [(coords, q)]))
+            groups.append((m.jets, [term]))
+    den = p._den
     return _join_signed(
-        _term_signed_body(jets, coefficient, dim) for jets, coefficient in groups
+        _term_signed_body(jets, coefficient, den, dim) for jets, coefficient in groups
     )

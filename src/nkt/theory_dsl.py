@@ -26,6 +26,11 @@ Binder sugar in block entry keys, e.g. (C[q=1..3], a[mu=0..3,r=1..3], [mu]),
 expands one declared line into one line per index combination; the bound
 names are visible in the entry's expression.
 
+The tokenizer splits the text into statements of token strings with one
+findall and refuses a bad character first.  A node or an error keeps a
+location, (statement cursor, token index), which the error turns into a
+SourceSpan: spans are scanned from the text only for an error.
+
 Each statement's expression (the Lagrangian, a witness, a block entry under
 all its bindings) is charged its work before any of it is evaluated: bounds
 on each node's term count and expansion steps, from the sum and binder
@@ -50,7 +55,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import permutations, product as iter_product
+from itertools import accumulate, permutations, product as iter_product
 from math import comb, prod
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -131,14 +136,14 @@ class ConstantTensor(Record):
     entries: dict[tuple[int, ...], Fraction]
     builder: str | None = None
 
-    def entry(self, idx: tuple[int, ...], span: SourceSpan | None = None) -> Fraction:
+    def entry(self, idx: tuple[int, ...], span: SourceSpan | tuple | None = None) -> Fraction:
         """The entry at idx, refused at span when idx is outside the ranges."""
         _check_index(self.name, self.ranges, idx, span)
         return self.entries.get(idx, Fraction(0))
 
 
 def _check_index(name: str, ranges: Sequence[tuple[int, int]], idx: tuple[int, ...],
-                 span: SourceSpan | None) -> None:
+                 span: tuple | None) -> None:
     """Refuse an index of constant name that its ranges do not hold."""
     if len(idx) != len(ranges):
         raise SemanticError(f"{name} takes {len(ranges)} indices, got {len(idx)}", span)
@@ -244,6 +249,7 @@ def _check_vars(
     poly: GradedPolynomial,
     where: str,
     kinds: tuple[Kind, ...],
+    at: tuple | None,
 ) -> None:
     bad = [
         jv for jv in poly.variables()
@@ -254,9 +260,9 @@ def _check_vars(
     # name the first in canonical order, not in the set's hash order
     jv = min(bad)
     if not declared[jv.var]:
-        raise SemanticError(f"{where} uses undeclared variable {jv.var.render()}")
+        raise SemanticError(f"{where} uses undeclared variable {jv.var.render()}", at)
     raise SemanticError(
-        f"{where} may not depend on {jv.var.render()} ({jv.var.kind.name.lower()})"
+        f"{where} may not depend on {jv.var.render()} ({jv.var.kind.name.lower()})", at
     )
 
 
@@ -264,8 +270,13 @@ _BASE_SECTOR = (Kind.FIELD, Kind.GHOST)
 _ALL_KINDS = (Kind.FIELD, Kind.GHOST, Kind.ANTIFIELD, Kind.ANTIGHOST)
 
 
-def validate_theory(theory: Theory) -> None:
-    """Typing and declaration checks shared by the parser and programmatic use."""
+def validate_theory(theory: Theory, heads: dict[str, tuple] | None = None) -> None:
+    """Typing and declaration checks shared by the parser and programmatic use.
+
+    A refused declaration is named at its head token, whose location the
+    parser passes in heads under "keyword name" ("ghost C", "lagrangian").
+    """
+    at = (heads or {}).get
     if not _NAME_RE.match(theory.name):
         raise SemanticError(f"theory name {theory.name!r} is not an identifier")
     if not 1 <= theory.dim <= MAX_DIM:
@@ -304,7 +315,7 @@ def validate_theory(theory: Theory) -> None:
         for idx in const.entries:
             const.entry(idx)  # bounds check
 
-    _check_stage_parities(theory)
+    _check_stage_parities(theory, at)
 
     declared = _Declared(theory)
     if theory.lagrangian is not None:
@@ -313,43 +324,47 @@ def validate_theory(theory: Theory) -> None:
                 "the lagrangian must be a GradedPolynomial, not"
                 f" {type(theory.lagrangian).__name__}"
             )
-        _check_vars(declared, theory.lagrangian, "the lagrangian", (Kind.FIELD,))
+        head = at("lagrangian")
+        _check_vars(declared, theory.lagrangian, "the lagrangian", (Kind.FIELD,), head)
         if theory.lagrangian.parity() is not Parity.EVEN:
-            raise SemanticError("the lagrangian must be even")
+            raise SemanticError("the lagrangian must be even", head)
 
     for name, op in theory.operators.items():
-        _check_operator(theory, declared, name, op)
+        _check_operator(theory, declared, name, op, at(f"operator {name}"))
 
     for name, vf in theory.derivations.items():
+        head = at(f"derivation {name}")
         for var, comp in vf.components.items():
             if not declared[var] or var.kind not in _BASE_SECTOR:
                 raise SemanticError(
-                    f"derivation {name} targets undeclared variable {var.render()}"
+                    f"derivation {name} targets undeclared variable {var.render()}", head
                 )
-            _check_vars(declared, comp, f"derivation {name}", _BASE_SECTOR)
+            _check_vars(declared, comp, f"derivation {name}", _BASE_SECTOR, head)
 
     for label, cert in theory.certificates.items():
+        head = at(f"certificate {label}")
         try:
             labelled = resolve_component(theory, label)
         except (ParseError, SemanticError):
-            raise SemanticError(f"certificate label {label!r} is not a declared component")
+            message = f"certificate label {label!r} is not a declared component"
+            raise SemanticError(message, head)
         if labelled.kind is not Kind.GHOST or labelled.stage is None:
             raise SemanticError(
-                f"certificate {label} must be labelled by a stage ghost"
+                f"certificate {label} must be labelled by a stage ghost", head
             )
         if cert.m_coeffs:
             for (var, _), poly in cert.m_coeffs.items():
                 if not declared[var] or var.kind not in _BASE_SECTOR:
                     raise SemanticError(
-                        f"certificate {label} references undeclared {var.render()}"
+                        f"certificate {label} references undeclared {var.render()}", head
                     )
-                _check_vars(declared, poly, f"certificate {label}", _BASE_SECTOR)
+                _check_vars(declared, poly, f"certificate {label}", _BASE_SECTOR, head)
         if cert.witness is not None:
-            _check_vars(declared, cert.witness, f"certificate {label}", _ALL_KINDS)
+            _check_vars(declared, cert.witness, f"certificate {label}", _ALL_KINDS, head)
 
 
 def _check_size(
-    name: str, unit: str, ranges: Iterable[tuple[int, int]], span: SourceSpan | None
+    name: str, unit: str, ranges: Iterable[tuple[int, int]], span: tuple | None
 ) -> None:
     """Refuse over MAX_COMPONENTS cells in the ranges; an empty range holds none."""
     if prod(max(hi - lo + 1, 0) for lo, hi in ranges) > MAX_COMPONENTS:
@@ -357,62 +372,67 @@ def _check_size(
         raise SemanticError(message, span)
 
 
-def _check_stage_parities(theory: Theory) -> None:
+def _check_stage_parities(theory: Theory, at: Callable) -> None:
     plain = [d for d in theory.variables.values() if d.kind is Kind.GHOST and d.stage is None]
     staged = [d for d in theory.variables.values() if d.stage is not None]
     if not staged:
         return
     if not plain:
-        raise SemanticError("stage ghosts require plain ghosts below them")
-    parities = {d.parity for d in plain}
-    if len(parities) > 1:
-        raise SemanticError(
-            "plain ghosts must share one parity when stage ghosts are declared"
-        )
-    base = parities.pop()
+        message = "stage ghosts require plain ghosts below them"
+        raise SemanticError(message, at(f"ghost {staged[0].name}"))
+    base = plain[0].parity
+    for decl in plain:
+        if decl.parity is not base:
+            raise SemanticError(
+                "plain ghosts must share one parity when stage ghosts are declared",
+                at(f"ghost {decl.name}"),
+            )
     for decl in staged:
         expected = Parity((int(base) + decl.stage + 1) % 2)
         if decl.parity is not expected:
             raise SemanticError(
                 f"stage {decl.stage} ghost {decl.name} must be"
-                f" {expected.name.lower()} over {base.name.lower()} plain ghosts"
+                f" {expected.name.lower()} over {base.name.lower()} plain ghosts",
+                at(f"ghost {decl.name}"),
             )
 
 
 def _check_operator(
-    theory: Theory, declared: _Declared, name: str, op: LinearJetOperator
+    theory: Theory, declared: _Declared, name: str, op: LinearJetOperator,
+    at: tuple | None,
 ) -> None:
     if op.dim != theory.dim:
-        raise SemanticError(f"operator {name} has dim {op.dim}, theory has {theory.dim}")
+        raise SemanticError(f"operator {name} has dim {op.dim}, theory has {theory.dim}", at)
     for (param, target, _), poly in op.coeffs.items():
         for var in (param, target):
             if not declared[var]:
                 raise SemanticError(
-                    f"operator {name} references undeclared {var.render()}"
+                    f"operator {name} references undeclared {var.render()}", at
                 )
         # declarations only: LinearJetOperator keeps coefficients to field jets
-        _check_vars(declared, poly, f"operator {name}", _ALL_KINDS)
+        _check_vars(declared, poly, f"operator {name}", _ALL_KINDS, at)
         if op.role in (ROLE_GAUGE, ROLE_NOETHER):
             if param.kind is not Kind.GHOST or param.stage is not None:
                 raise SemanticError(
-                    f"operator {name}: parameter {param.render()} must be a plain ghost"
+                    f"operator {name}: parameter {param.render()} must be a plain ghost",
+                    at,
                 )
             if target.kind is not Kind.FIELD:
                 raise SemanticError(
-                    f"operator {name}: target {target.render()} must be a field"
+                    f"operator {name}: target {target.render()} must be a field", at
                 )
         else:
             k = op.stage or 0
             if param.kind is not Kind.GHOST or param.stage != k:
                 raise SemanticError(
                     f"operator {name}: parameter {param.render()} must be a"
-                    f" stage {k} ghost"
+                    f" stage {k} ghost", at
                 )
             want = None if k == 0 else k - 1
             if target.kind is not Kind.GHOST or target.stage != want:
                 raise SemanticError(
                     f"operator {name}: target {target.render()} must be a ghost"
-                    f" one stage below"
+                    f" one stage below", at
                 )
 
 
@@ -420,102 +440,108 @@ def _check_operator(
 # tokens
 
 
-# Blanks and comments before a token are consumed with it, `bad` catches any
-# other character and `end` the end of the text: every match succeeds
-# without backtracking, and every character is matched in order.
+# Blanks and comments before a token are consumed with it.  The group takes
+# a newline, a name, an integer, '..' or a punctuation mark; the catch-all
+# `.` outside it takes any other character, which the group then misses.  On
+# a text that ends in a newline, every match succeeds without backtracking,
+# and every character is matched in order.
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r]|#[^\n]*)*(?:"
-    r"(?P<newline>\n)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<int>\d+)"
-    r"|(?P<dotdot>\.\.)"
-    r"|(?P<punct>[()\[\]{},;:=~*+\-^/])"
-    r"|(?P<bad>.)"
-    r"|(?P<end>\Z))"
+    r"(?:[ \t\r]|#[^\n]*)*"
+    r"(?:(\n|[A-Za-z_][A-Za-z0-9_]*|\d+|\.\.|[()\[\]{},;:=~*+\-^/])|.)"
 )
 
 
-def _statements(text: str) -> list[list[tuple]]:
+def _statements(text: str) -> list[list[str | None]]:
     """Tokenize text into statements; newlines inside (..) or [..] continue.
 
-    A token is the tuple (kind, text, line, column, start), kind one of
-    name, int, dotdot and punct; _span makes its SourceSpan when a node or
-    an error needs one.
+    Each statement is a list of token strings ended by the sentinel None; a
+    name is an identifier and an integer is decimal.  A character no token
+    takes is refused here, before any statement is parsed.
     """
-    out: list[list[tuple]] = []
-    current: list[tuple] = []
-    depth = 0
-    line = 1
-    line_start = 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "end":
-            break
-        start = m.start(kind)
-        if kind == "newline":
-            if depth == 0 and current:
+    tokens = _TOKEN_RE.findall(text + "\n")
+    if "" in tokens:  # a character that the catch-all took
+        at = next(m.end() - 1 for m in _TOKEN_RE.finditer(text + "\n") if not m.group(1))
+        raise ParseError(f"unexpected character {text[at]!r}", _text_span(text, at, at + 1))
+    out, current, depth = [], [], 0
+    for tok in tokens:
+        if tok == "\n":
+            if not depth and current:
+                current.append(None)
                 out.append(current)
                 current = []
-            line += 1
-            line_start = start + 1
             continue
-        if kind == "bad":
-            span = SourceSpan(line, start - line_start + 1, start, start + 1)
-            raise ParseError(f"unexpected character {text[start]!r}", span)
-        tok_text = m.group(kind)
-        if kind == "punct":
-            if tok_text in "([":
-                depth += 1
-            elif tok_text in ")]":
-                depth = max(0, depth - 1)
-        current.append((kind, tok_text, line, start - line_start + 1, start))
+        if tok in "([":
+            depth += 1
+        elif depth and tok in ")]":
+            depth -= 1
+        current.append(tok)
     if current:
+        current.append(None)
         out.append(current)
     return out
 
 
-def _span(tok: tuple) -> SourceSpan:
-    _, text, line, column, start = tok
-    return SourceSpan(line, column, start, start + len(text))
+def _text_span(text: str, start: int, end: int) -> SourceSpan:
+    """The span of text[start:end]; lines and columns count from 1."""
+    return SourceSpan(text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start),
+                      start, end)
 
 
 class _Stmt:
-    """Cursor over one statement's tokens."""
+    """Cursor over one statement's tokens, up to the sentinel None.
 
-    def __init__(self, tokens: list[tuple]):
-        self.tokens = tokens
-        self.pos = 0
+    A location is (cursor, token) or (cursor, first, last token); the error
+    given one calls span_of.  The parser's statements hold its text's
+    tokens in order, newlines aside, so a token's span is found by scanning
+    the text again, once per parser: source.scan keeps each token's
+    (start, end) and the count of tokens before each statement.
+    """
 
-    def peek(self) -> tuple | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    __slots__ = ("source", "index", "tokens", "pos")
 
-    def peek_text(self) -> str | None:
-        return self.tokens[self.pos][1] if self.pos < len(self.tokens) else None
+    def __init__(self, source: "_TheoryParser", index: int):
+        self.source, self.index = source, index
+        self.tokens, self.pos = source.statements[index], 0
 
-    def span(self) -> SourceSpan:
-        return _span(self.peek() or self.tokens[-1])
+    def span_of(self, first: int, last: int | None = None) -> SourceSpan:
+        source = self.source
+        if source.scan is None:
+            spans = [m.span(1) for m in _TOKEN_RE.finditer(source.text + "\n")
+                     if m.group(1) != "\n"]
+            source.scan = spans, [0, *accumulate(len(t) - 1 for t in source.statements)]
+        spans, skips = source.scan
+        head = skips[self.index] + first
+        tail = head if last is None else head - first + last
+        return _text_span(source.text, spans[head][0], spans[tail][1])
 
-    def take(self) -> tuple:
-        tok = self.peek()
+    def here(self) -> tuple:
+        """The location of the next token, or of the last at the end."""
+        return self, min(self.pos, len(self.tokens) - 2)
+
+    def last(self) -> tuple:
+        """The location of the token just taken."""
+        return self, self.pos - 1
+
+    def take(self) -> str:
+        tok = self.tokens[self.pos]
         if tok is None:
-            raise ParseError("unexpected end of line", _span(self.tokens[-1]))
+            raise ParseError("unexpected end of line", (self, self.pos - 1))
         self.pos += 1
         return tok
 
-    def expect_name(self, what: str = "a name") -> tuple:
+    def expect_name(self, what: str = "a name") -> str:
         tok = self.take()
-        if tok[0] != "name":
-            raise ParseError(f"expected {what}, got {tok[1]!r}", _span(tok))
+        if not tok.isidentifier():
+            raise ParseError(f"expected {what}, got {tok!r}", (self, self.pos - 1))
         return tok
 
-    def expect(self, text: str) -> tuple:
+    def expect(self, text: str) -> None:
         tok = self.take()
-        if tok[1] != text:
-            raise ParseError(f"expected {text!r}, got {tok[1]!r}", _span(tok))
-        return tok
+        if tok != text:
+            raise ParseError(f"expected {text!r}, got {tok!r}", (self, self.pos - 1))
 
     def accept(self, text: str) -> bool:
-        if self.peek_text() == text:
+        if self.tokens[self.pos] == text:
             self.pos += 1
             return True
         return False
@@ -523,13 +549,13 @@ class _Stmt:
     def expect_int(self) -> int:
         neg = self.accept("-")
         tok = self.take()
-        if tok[0] != "int":
-            raise ParseError(f"expected an integer, got {tok[1]!r}", _span(tok))
+        if not tok.isdecimal():
+            raise ParseError(f"expected an integer, got {tok!r}", (self, self.pos - 1))
         try:
-            value = int(tok[1])
+            value = int(tok)
         except ValueError:
-            message = too_many_digits(f"integer of {len(tok[1])} digits")
-            raise ParseError(message, _span(tok)) from None
+            message = too_many_digits(f"integer of {len(tok)} digits")
+            raise ParseError(message, (self, self.pos - 1)) from None
         return -value if neg else value
 
     def expect_range(self) -> tuple[int, int]:
@@ -537,76 +563,83 @@ class _Stmt:
         self.expect("..")
         return lo, self.expect_int()
 
-    def span_since(self, first: int) -> SourceSpan:
-        """The span from token first to the last token taken."""
-        head, last = _span(self.tokens[first]), _span(self.tokens[self.pos - 1])
-        return SourceSpan(head.line, head.column, head.start, last.end)
-
     def expect_end(self) -> None:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is not None:
-            raise ParseError(f"unexpected trailing {tok[1]!r}", _span(tok))
+            raise ParseError(f"unexpected trailing {tok!r}", (self, self.pos))
 
     def expect_fraction(self) -> Fraction:
         num = self.expect_int()
         if self.accept("/"):
             den = self.expect_int()
             if den == 0:  # at the 0 just taken, not at the token after it
-                raise ParseError("zero denominator", _span(self.tokens[self.pos - 1]))
+                raise ParseError("zero denominator", (self, self.pos - 1))
             return Fraction(num, den)
         return Fraction(num)
 
 
 # ---------------------------------------------------------------------------
-# expression AST: plain slotted classes, compared by identity
+# expression AST: plain slotted classes, compared by identity; span is the
+# node's location (see _Stmt)
 
 
-class _Node:
-    """Base of the AST nodes and _Env: the positional arguments fill
-    __slots__, in order, one each."""
-
-    __slots__ = ()
-
-    def __init__(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            setattr(self, name, value)
-
-
-class _Num(_Node):
+class _Num:
     __slots__ = ("value", "span")
 
+    def __init__(self, value, span):
+        self.value, self.span = value, span
 
-class _Ref(_Node):
+
+class _Ref:
     __slots__ = ("name", "args", "anti", "span", "explicit_args")
 
+    def __init__(self, name, args, anti, span, explicit_args):
+        self.name, self.args, self.anti = name, args, anti
+        self.span, self.explicit_args = span, explicit_args
 
-class _D(_Node):
+
+class _D:
     __slots__ = ("base", "dirs", "span")
 
+    def __init__(self, base, dirs, span):
+        self.base, self.dirs, self.span = base, dirs, span
 
-class _Sum(_Node):
+
+class _Sum:
     __slots__ = ("index", "lo", "hi", "body", "span")
 
+    def __init__(self, index, lo, hi, body, span):
+        self.index, self.lo, self.hi, self.body, self.span = index, lo, hi, body, span
 
-class _Unary(_Node):
+
+class _Unary:
     __slots__ = ("op", "operand", "span")
 
+    def __init__(self, op, operand, span):
+        self.op, self.operand, self.span = op, operand, span
 
-class _Binary(_Node):
+
+class _Binary:
     __slots__ = ("op", "left", "right", "span")
 
+    def __init__(self, op, left, right, span):
+        self.op, self.left, self.right, self.span = op, left, right, span
 
-class _Pow(_Node):
+
+class _Pow:
     __slots__ = ("base", "exponent", "span")
+
+    def __init__(self, base, exponent, span):
+        self.base, self.exponent, self.span = base, exponent, span
 
 
 def _parse_index_arg(st: _Stmt) -> "int | str":
-    tok = st.peek()
+    tok = st.tokens[st.pos]
     if tok is None:
-        raise ParseError("unexpected end of index list", st.span())
-    if tok[0] == "name":
-        st.take()
-        return tok[1]
+        raise ParseError("unexpected end of index list", st.here())
+    if tok.isidentifier():
+        st.pos += 1
+        return tok
     return st.expect_int()
 
 
@@ -620,130 +653,136 @@ def _comma_list(st: _Stmt, read: Callable[[_Stmt], object]) -> list:
 
 def _parse_index_list(st: _Stmt, *closers: str) -> list["int | str"]:
     """Comma separated index arguments, none if a closer comes first."""
-    if st.peek_text() in (*closers, None):
+    if st.tokens[st.pos] in (*closers, None):
         return []
     return _comma_list(st, _parse_index_arg)
 
 
 def _parse_expr(st: _Stmt, depth: int = 0) -> object:
     if depth > _MAX_DEPTH:
-        raise ParseError("expression nested too deeply", st.span())
+        raise ParseError("expression nested too deeply", st.here())
     node = _parse_term(st, depth + 1)
-    while st.peek_text() in ("+", "-"):
-        tok = st.take()
-        right = _parse_term(st, depth + 1)
-        node = _Binary(tok[1], node, right, _span(tok))
+    while (op := st.tokens[st.pos]) == "+" or op == "-":
+        at = (st, st.pos)
+        st.pos += 1
+        node = _Binary(op, node, _parse_term(st, depth + 1), at)
     return node
 
 
 def _parse_term(st: _Stmt, depth: int) -> object:
     if depth > _MAX_DEPTH:
-        raise ParseError("expression nested too deeply", st.span())
+        raise ParseError("expression nested too deeply", st.here())
     node = _parse_unary(st, depth + 1)
-    while st.peek_text() == "*":
-        tok = st.take()
-        node = _Binary("*", node, _parse_unary(st, depth + 1), _span(tok))
+    while st.tokens[st.pos] == "*":
+        at = (st, st.pos)
+        st.pos += 1
+        node = _Binary("*", node, _parse_unary(st, depth + 1), at)
     return node
 
 
 def _parse_unary(st: _Stmt, depth: int) -> object:
     if depth > _MAX_DEPTH:
-        raise ParseError("expression nested too deeply", st.span())
-    if st.peek_text() == "-":
-        tok = st.take()
-        return _Unary("-", _parse_unary(st, depth + 1), _span(tok))
+        raise ParseError("expression nested too deeply", st.here())
+    if st.tokens[st.pos] == "-":
+        at = (st, st.pos)
+        st.pos += 1
+        return _Unary("-", _parse_unary(st, depth + 1), at)
     return _parse_power(st, depth + 1)
 
 
 def _parse_power(st: _Stmt, depth: int) -> object:
     node = _parse_atom(st, depth + 1)
-    if st.peek_text() == "^":
-        tok = st.take()
+    if st.tokens[st.pos] == "^":
+        at = (st, st.pos)
+        st.pos += 1
         exp = st.expect_int()
         if exp < 0 or exp > MAX_EXPONENT:
-            raise ParseError(
-                f"exponent must be between 0 and {MAX_EXPONENT}", _span(tok)
-            )
-        return _Pow(node, exp, _span(tok))
+            raise ParseError(f"exponent must be between 0 and {MAX_EXPONENT}", at)
+        return _Pow(node, exp, at)
     return node
 
 
 def _parse_atom(st: _Stmt, depth: int) -> object:
     if depth > _MAX_DEPTH:
-        raise ParseError("expression nested too deeply", st.span())
-    tok = st.peek()
+        raise ParseError("expression nested too deeply", st.here())
+    tok = st.tokens[st.pos]
     if tok is None:
-        raise ParseError("expected an expression", st.span())
-    kind, text = tok[0], tok[1]
-    if kind == "int":
-        return _Num(st.expect_fraction(), _span(tok))
-    if text == "(":
-        st.take()
+        raise ParseError("expected an expression", st.here())
+    at = (st, st.pos)
+    if tok.isdecimal():
+        return _Num(st.expect_fraction(), at)
+    if tok == "(":
+        st.pos += 1
         node = _parse_expr(st, depth + 1)
         st.expect(")")
         return node
-    if text == "~":
-        st.take()
-        name = st.expect_name("a variable name")
-        return _parse_ref_tail(st, name, anti=True)
-    if kind == "name":
-        st.take()
-        if text == "d" and st.peek_text() == "(":
-            return _parse_d(st, _span(tok), depth + 1)
-        if text == "sum" and st.peek_text() == "(":
-            return _parse_sum(st, _span(tok), depth + 1)
-        return _parse_ref_tail(st, tok, anti=False)
-    raise ParseError(f"unexpected {text!r} in expression", _span(tok))
+    if tok == "~":
+        st.pos += 1
+        st.expect_name("a variable name")
+        return _parse_ref_tail(st, True)
+    if tok.isidentifier():
+        st.pos += 1
+        if tok == "d" and st.tokens[st.pos] == "(":
+            return _parse_d(st, at, depth + 1)
+        if tok == "sum" and st.tokens[st.pos] == "(":
+            return _parse_sum(st, at, depth + 1)
+        return _parse_ref_tail(st, False)
+    raise ParseError(f"unexpected {tok!r} in expression", at)
 
 
-def _parse_ref_tail(st: _Stmt, name_tok: tuple, anti: bool) -> object:
-    name, span = name_tok[1], _span(name_tok)
+def _parse_ref_tail(st: _Stmt, anti: bool) -> object:
+    """A reference whose name is the token just taken."""
+    name, at = st.tokens[st.pos - 1], (st, st.pos - 1)
     if not st.accept("["):
-        return _Ref(name, (), anti, span, False)
+        return _Ref(name, (), anti, at, False)
     comps = _parse_index_list(st, ";", "]")
-    ref = _Ref(name, tuple(comps), anti, span, True)
+    ref = _Ref(name, tuple(comps), anti, at, True)
     if st.accept(";"):  # the rendered jet y[c;x,x], read as d(y[c];x,x)
         dirs = _parse_index_list(st, "]")
         st.expect("]")
-        return _D(ref, tuple(dirs), span)
+        return _D(ref, tuple(dirs), at)
     st.expect("]")
     return ref
 
 
-def _parse_d(st: _Stmt, span: SourceSpan, depth: int) -> object:
+def _parse_d(st: _Stmt, at: tuple, depth: int) -> object:
     st.expect("(")
     base = _parse_atom(st, depth + 1)
     if not isinstance(base, (_Ref, _D)):
-        raise ParseError("d(...) applies to a single variable reference", span)
+        raise ParseError("d(...) applies to a single variable reference", at)
     dirs = _comma_list(st, _parse_index_arg) if st.accept(";") else []
     st.expect(")")
-    return _D(base, tuple(dirs), span)
+    return _D(base, tuple(dirs), at)
 
 
-def _parse_sum(st: _Stmt, span: SourceSpan, depth: int) -> object:
+def _parse_sum(st: _Stmt, at: tuple, depth: int) -> object:
     st.expect("(")
-    index = st.expect_name("an index name")[1]
+    index = st.expect_name("an index name")
     st.expect(",")
     lo, hi = st.expect_range()
     st.expect(",")
     body = _parse_expr(st, depth + 1)
     st.expect(")")
     if hi - lo + 1 > MAX_SUM_SPAN:
-        raise ParseError(f"sum range wider than {MAX_SUM_SPAN}", span)
-    return _Sum(index, lo, hi, body, span)
+        raise ParseError(f"sum range wider than {MAX_SUM_SPAN}", at)
+    return _Sum(index, lo, hi, body, at)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-class _Env(_Node):
+class _Env:
     """What references resolve against: declarations and index bindings."""
 
     __slots__ = ("dim", "variables", "constants", "bindings")
 
+    def __init__(self, dim, variables, constants, bindings):
+        self.dim, self.variables, self.constants = dim, variables, constants
+        self.bindings = bindings
 
-def _resolve_index(env: _Env, arg: "int | str", span: SourceSpan) -> int:
+
+def _resolve_index(env: _Env, arg: "int | str", span: tuple) -> int:
     if isinstance(arg, int):
         return arg
     if arg in env.bindings:
@@ -751,7 +790,7 @@ def _resolve_index(env: _Env, arg: "int | str", span: SourceSpan) -> int:
     raise SemanticError(f"unbound index {arg!r}", span)
 
 
-def _resolve_direction(env: _Env, arg: "int | str", span: SourceSpan) -> int:
+def _resolve_direction(env: _Env, arg: "int | str", span: tuple) -> int:
     if isinstance(arg, str):
         if arg in env.bindings:
             value = env.bindings[arg]
@@ -766,7 +805,7 @@ def _resolve_direction(env: _Env, arg: "int | str", span: SourceSpan) -> int:
     return value
 
 
-def _coordinate_of(env: _Env, name: str, span: SourceSpan) -> int:
+def _coordinate_of(env: _Env, name: str, span: tuple) -> int:
     if name == "x":
         if env.dim != 1:
             raise SemanticError(
@@ -807,7 +846,7 @@ def _jet_of(env: _Env, node: object) -> JetVariable:
     raise SemanticError("expected a variable reference", getattr(node, "span", None))
 
 
-def _multi_index(entries: tuple[int, ...], span: SourceSpan) -> MultiIndex:
+def _multi_index(entries: tuple[int, ...], span: tuple) -> MultiIndex:
     try:
         return MultiIndex(entries)
     except JetOrderError as exc:
@@ -1348,28 +1387,29 @@ def _sum_run(
 def _parse_key_ref(st: _Stmt) -> tuple[_Ref, tuple[tuple[str, int, int], ...]]:
     """A block-entry reference and the binders it defines, e.g. a[mu=0..3,2]."""
     name = st.expect_name("a variable name")
+    at = st.last()
     binders: list[tuple[str, int, int]] = []
 
     def index_or_binder(st: _Stmt) -> "int | str":
-        tok = st.peek()
-        if tok is None or tok[0] != "name":
+        tok = st.tokens[st.pos]
+        if tok is None or not tok.isidentifier():
             return st.expect_int()
-        st.take()
+        at = st.here()
+        st.pos += 1
         if st.accept("="):
             lo, hi = st.expect_range()
             if hi - lo + 1 > MAX_SUM_SPAN or lo > hi:
-                raise ParseError(f"bad binder range {lo}..{hi}", _span(tok))
-            binders.append((tok[1], lo, hi))
-        return tok[1]
+                raise ParseError(f"bad binder range {lo}..{hi}", at)
+            binders.append((tok, lo, hi))
+        return tok
 
     args: list[int | str] = []
     explicit = st.accept("[")
     if explicit:
-        if st.peek_text() not in ("]", None):
+        if st.tokens[st.pos] not in ("]", None):
             args = _comma_list(st, index_or_binder)
         st.expect("]")
-    ref = _Ref(name[1], tuple(args), False, _span(name), explicit)
-    return ref, tuple(binders)
+    return _Ref(name, tuple(args), False, at, explicit), tuple(binders)
 
 
 def _declared_range(st: _Stmt, what: str, owner: str) -> tuple[int, int]:
@@ -1377,21 +1417,24 @@ def _declared_range(st: _Stmt, what: str, owner: str) -> tuple[int, int]:
     first = st.pos
     lo, hi = st.expect_range()
     if lo > hi:
-        raise SemanticError(f"empty {what} {lo}..{hi} on {owner}", st.span_since(first))
+        raise SemanticError(f"empty {what} {lo}..{hi} on {owner}", (st, first, st.pos - 1))
     return lo, hi
 
 
-def _parse_mi_literal(st: _Stmt) -> tuple[tuple["int | str", ...], SourceSpan]:
-    span = _span(st.expect("["))
+def _parse_mi_literal(st: _Stmt) -> tuple[tuple["int | str", ...], tuple]:
+    st.expect("[")
+    at = st.last()
     entries = _parse_index_list(st, "]")
     st.expect("]")
-    return tuple(entries), span
+    return tuple(entries), at
 
 
 class _TheoryParser:
     def __init__(self, text: str):
-        self.statements = _statements(text)
+        self.text, self.statements, self.scan = text, _statements(text), None
         self.index = 0
+        # the location of each declaration's head token, for validate_theory
+        self.heads: dict[str, tuple] = {}
         self.theory_name: str | None = None
         self.dim: int | None = None
         self.variables: dict[str, VarDecl] = {}
@@ -1409,34 +1452,38 @@ class _TheoryParser:
     def _next(self) -> _Stmt | None:
         if self.index >= len(self.statements):
             return None
-        st = _Stmt(self.statements[self.index])
+        st = _Stmt(self, self.index)
         self.index += 1
         return st
 
-    def _fresh_name(self, tok: tuple, table: dict) -> str:
+    def _fresh_name(self, st: _Stmt, what: str, table: dict) -> str:
+        """The name that st declares next in table, which holds none yet;
+        heads keeps the location of st's head token under "keyword name"."""
+        name = st.expect_name(what)
         if table is self.variables or table is self.constants:
-            if tok[1] in self.variables or tok[1] in self.constants:
-                raise SemanticError(f"duplicate declaration of {tok[1]}", _span(tok))
-            if _is_reserved(tok[1]):
-                raise SemanticError(f"{tok[1]!r} is reserved", _span(tok))
-        elif tok[1] in table:
-            raise SemanticError(f"duplicate declaration of {tok[1]}", _span(tok))
-        return tok[1]
+            if name in self.variables or name in self.constants:
+                raise SemanticError(f"duplicate declaration of {name}", st.last())
+            if _is_reserved(name):
+                raise SemanticError(f"{name!r} is reserved", st.last())
+        elif name in table:
+            raise SemanticError(f"duplicate declaration of {name}", st.last())
+        self.heads[f"{st.tokens[0]} {name}"] = (st, 0)
+        return name
 
     def _expand_entry(
         self,
         acc: dict[tuple, GradedPolynomial],
         keys: tuple[tuple[_Ref, tuple[tuple[str, int, int], ...]], ...],
-        mi: tuple[tuple["int | str", ...], SourceSpan] | None,
+        mi: tuple[tuple["int | str", ...], tuple] | None,
         st: _Stmt,
-        binder_span: SourceSpan,
+        binder_span: tuple,
     ) -> None:
         """Parse the rest of a block entry, ": expr", from st, and add it
         into acc at every binding of its binders.
 
         The key is the resolved components of keys, followed by the resolved
-        multi-index when mi (entries and span) is given; entries that land
-        on the same key sum.  Binder errors are reported at binder_span.
+        multi-index when mi (entries and location) is given; entries that
+        land on the same key sum.  Binder errors are reported at binder_span.
         """
         st.expect(":")
         ast = _parse_expr(st)
@@ -1473,35 +1520,35 @@ class _TheoryParser:
         if st is None:
             raise ParseError("empty theory file")
         st.expect("theory")
-        self.theory_name = st.expect_name("the theory name")[1]
+        self.theory_name = st.expect_name("the theory name")
         st.expect_end()
 
         st = self._next()
         if st is None:
             raise ParseError("missing dim declaration")
         st.expect("dim")
-        dim_span = st.span()
+        dim_at = st.here()
         self.dim = st.expect_int()
         if not 1 <= self.dim <= MAX_DIM:
-            raise SemanticError(f"dim must be between 1 and {MAX_DIM}", dim_span)
+            raise SemanticError(f"dim must be between 1 and {MAX_DIM}", dim_at)
         st.expect_end()
 
         while (st := self._next()) is not None:
             head = st.expect_name("a declaration keyword")
-            if head[1] in ("field", "ghost"):
+            if head in ("field", "ghost"):
                 self._parse_variable(st, head)
-            elif head[1] == "constant":
-                self._parse_constant(st, head)
-            elif head[1] == "lagrangian":
-                self._parse_lagrangian(st, head)
-            elif head[1] == "operator":
+            elif head == "constant":
+                self._parse_constant(st)
+            elif head == "lagrangian":
+                self._parse_lagrangian(st)
+            elif head == "operator":
                 self._parse_operator(st)
-            elif head[1] == "derivation":
+            elif head == "derivation":
                 self._parse_derivation(st)
-            elif head[1] == "certificate":
+            elif head == "certificate":
                 self._parse_certificate(st)
             else:
-                raise ParseError(f"unknown declaration {head[1]!r}", _span(head))
+                raise ParseError(f"unknown declaration {head!r}", st.last())
 
         theory = Theory(
             self.theory_name,
@@ -1513,17 +1560,17 @@ class _TheoryParser:
             self.derivations,
             self.certificates,
         )
-        validate_theory(theory)
+        validate_theory(theory, self.heads)
         return theory
 
     # -- declarations
 
-    def _parse_variable(self, st: _Stmt, head: tuple) -> None:
-        name_tok = st.expect_name("a variable name")
-        name = self._fresh_name(name_tok, self.variables)
+    def _parse_variable(self, st: _Stmt, head: str) -> None:
+        name = self._fresh_name(st, "a variable name", self.variables)
+        name_at = st.last()
 
         def index_range(st: _Stmt) -> tuple[str, int, int]:  # e.g. mu=0..3
-            label = st.expect_name("an index name")[1]
+            label = st.expect_name("an index name")
             st.expect("=")
             return (label, *_declared_range(st, "index range", name))
 
@@ -1532,84 +1579,83 @@ class _TheoryParser:
             indices = _comma_list(st, index_range)
             st.expect("]")
             ranges = [(lo, hi) for _, lo, hi in indices]
-            _check_size(name, "components", ranges, _span(name_tok))
+            _check_size(name, "components", ranges, name_at)
         st.expect("parity")
-        parity_tok = st.expect_name("even or odd")
-        if parity_tok[1] not in ("even", "odd"):
-            raise ParseError("parity must be even or odd", _span(parity_tok))
-        parity = Parity.EVEN if parity_tok[1] == "even" else Parity.ODD
+        parity = st.expect_name("even or odd")
+        if parity not in ("even", "odd"):
+            raise ParseError("parity must be even or odd", st.last())
         stage: int | None = None
         if st.accept("stage"):
             stage = st.expect_int()
         st.expect_end()
-        kind = Kind.FIELD if head[1] == "field" else Kind.GHOST
+        kind = Kind.FIELD if head == "field" else Kind.GHOST
         if stage is not None and kind is not Kind.GHOST:
-            raise SemanticError("only ghosts carry a stage", _span(head))
+            raise SemanticError("only ghosts carry a stage", (st, 0))
+        parity = Parity.EVEN if parity == "even" else Parity.ODD
         self.variables[name] = VarDecl(name, kind, parity, tuple(indices), stage)
 
-    def _parse_constant(self, st: _Stmt, head: tuple) -> None:
-        name_tok = st.expect_name("a constant name")
-        name = self._fresh_name(name_tok, self.constants)
+    def _parse_constant(self, st: _Stmt) -> None:
+        name = self._fresh_name(st, "a constant name", self.constants)
+        name_at = st.last()
         declared_ranges: list[tuple[int, int]] | None = None
         if st.accept("["):
             declared_ranges = _comma_list(
                 st, lambda st: _declared_range(st, "range", f"constant {name}")
             )
             st.expect("]")
-            _check_size(f"constant {name}", "entries", declared_ranges, _span(name_tok))
+            _check_size(f"constant {name}", "entries", declared_ranges, name_at)
         st.expect("=")
-        tok = st.peek()
+        tok = st.tokens[st.pos]
         if tok is None:
-            raise ParseError("expected a constant value", st.span())
-        if tok[0] == "name":
-            builder_tok = st.take()
-            if builder_tok[1] not in _BUILDERS:
-                raise ParseError(
-                    f"unknown constant builder {builder_tok[1]!r}", _span(builder_tok)
-                )
-            builder, arity = _BUILDERS[builder_tok[1]]
+            raise ParseError("expected a constant value", st.here())
+        if tok.isidentifier():
+            builder_at = st.here()
+            st.pos += 1
+            if tok not in _BUILDERS:
+                raise ParseError(f"unknown constant builder {tok!r}", builder_at)
+            builder, arity = _BUILDERS[tok]
             st.expect("(")
             size = st.expect_int()
             st.expect(")")
             st.expect_end()
             if not 1 <= size <= MAX_DIM + 1:
                 raise SemanticError(
-                    f"builder size must be between 1 and {MAX_DIM + 1}",
-                    _span(builder_tok),
+                    f"builder size must be between 1 and {MAX_DIM + 1}", builder_at
                 )
             # each of a builder's arity(size) axes takes size values
             ranges = [(1, size)] * arity(size)
-            _check_size(f"constant {name}", "entries", ranges, _span(builder_tok))
+            _check_size(f"constant {name}", "entries", ranges, builder_at)
             made = builder(size)
             const = ConstantTensor(name, made.ranges, made.entries, made.builder)
         else:
-            entries = self._parse_constant_table(st, head, name, declared_ranges)
+            entries = self._parse_constant_table(st, name, declared_ranges)
             if declared_ranges is None:
                 raise SemanticError(
-                    f"constant {name} needs declared index ranges", _span(head)
+                    f"constant {name} needs declared index ranges", (st, 0)
                 )
             const = ConstantTensor(name, tuple(declared_ranges), entries)
         if declared_ranges is not None and const.ranges != tuple(declared_ranges):
             raise SemanticError(
-                f"declared ranges of {name} do not match its builder", _span(head)
+                f"declared ranges of {name} do not match its builder", (st, 0)
             )
         self.constants[name] = const
 
     def _parse_constant_table(
-        self, st: _Stmt, head: tuple, name: str, ranges: list[tuple[int, int]] | None
+        self, st: _Stmt, name: str, ranges: list[tuple[int, int]] | None
     ) -> dict[tuple[int, ...], Fraction]:
         """The entries of constant name; each index is checked against the
         declared ranges, when there are any, at the span of its (...)."""
+        head = (st, 0)
         st.expect("{")
         entries: dict[tuple[int, ...], Fraction] = {}
 
         def parse_entries(stmt: _Stmt) -> bool:
             while True:
-                tok = stmt.peek()
+                tok = stmt.tokens[stmt.pos]
                 if tok is None:
                     return False
-                if tok[1] == "}":
-                    stmt.take()
+                if tok == "}":
+                    stmt.pos += 1
                     stmt.expect_end()
                     return True
                 first = stmt.pos
@@ -1617,11 +1663,11 @@ class _TheoryParser:
                 key = tuple(_comma_list(stmt, _Stmt.expect_int))
                 stmt.expect(")")
                 if ranges is not None:
-                    _check_index(name, ranges, key, stmt.span_since(first))
+                    _check_index(name, ranges, key, (stmt, first, stmt.pos - 1))
                 stmt.expect(":")
                 value = stmt.expect_fraction()
                 if key in entries:
-                    raise SemanticError(f"duplicate entry {key}", _span(tok))
+                    raise SemanticError(f"duplicate entry {key}", (stmt, first))
                 entries[key] = value
                 stmt.accept(",")
 
@@ -1629,13 +1675,14 @@ class _TheoryParser:
         while not closed:
             nxt = self._next()
             if nxt is None:
-                raise ParseError("unterminated constant table", _span(head))
+                raise ParseError("unterminated constant table", head)
             closed = parse_entries(nxt)
         return entries
 
-    def _parse_lagrangian(self, st: _Stmt, head: tuple) -> None:
+    def _parse_lagrangian(self, st: _Stmt) -> None:
         if self.lagrangian is not None:
-            raise SemanticError("duplicate lagrangian", _span(head))
+            raise SemanticError("duplicate lagrangian", (st, 0))
+        self.heads["lagrangian"] = (st, 0)
         ast = _parse_expr(st)
         st.expect_end()
         self.lagrangian = self._statement(ast)({})
@@ -1647,92 +1694,84 @@ class _TheoryParser:
         while True:
             st = self._next()
             if st is None:
-                raise ParseError("unterminated block", _span(opener))
-            if st.peek_text() == "}":
-                st.take()
+                raise ParseError("unterminated block", opener)
+            if st.tokens[st.pos] == "}":
+                st.pos += 1
                 st.expect_end()
                 return entries
             entries.append(st)
 
     def _parse_operator(self, head_st: _Stmt) -> None:
-        name_tok = head_st.expect_name("an operator name")
-        name = self._fresh_name(name_tok, self.operators)
+        name = self._fresh_name(head_st, "an operator name", self.operators)
+        name_at = head_st.last()
         head_st.expect("role")
-        role_tok = head_st.expect_name("gauge, noether, or stage")
+        role = head_st.expect_name("gauge, noether, or stage")
         stage: int | None = None
-        if role_tok[1] == "gauge":
-            role = ROLE_GAUGE
-        elif role_tok[1] == "noether":
-            role = ROLE_NOETHER
-        elif role_tok[1] == "stage":
-            role = ROLE_STAGE
+        if role == "stage":
             stage = head_st.expect_int()
-        else:
-            raise ParseError("role must be gauge, noether, or stage K", _span(role_tok))
+        elif role not in (ROLE_GAUGE, ROLE_NOETHER):
+            raise ParseError("role must be gauge, noether, or stage K", head_st.last())
         head_st.expect("{")
         head_st.expect_end()
 
         coeffs: dict[tuple[VariableId, VariableId, MultiIndex], GradedPolynomial] = {}
-        for st in self._block_entries(name_tok):
-            open_tok = st.expect("(")
+        for st in self._block_entries(name_at):
+            st.expect("(")
             param_key = _parse_key_ref(st)
             st.expect(",")
             target_key = _parse_key_ref(st)
             st.expect(",")
             mi = _parse_mi_literal(st)
             st.expect(")")
-            self._expand_entry(coeffs, (param_key, target_key), mi, st, _span(open_tok))
+            self._expand_entry(coeffs, (param_key, target_key), mi, st, (st, 0))
         try:
             self.operators[name] = LinearJetOperator(self.dim, role, coeffs, stage=stage)
         except SemanticError as exc:
-            raise SemanticError(f"operator {name}: {exc}", _span(name_tok)) from None
+            raise SemanticError(f"operator {name}: {exc}", name_at) from None
 
     def _parse_derivation(self, head_st: _Stmt) -> None:
-        name_tok = head_st.expect_name("a derivation name")
-        name = self._fresh_name(name_tok, self.derivations)
+        name = self._fresh_name(head_st, "a derivation name", self.derivations)
+        name_at = head_st.last()
         head_st.expect("{")
         head_st.expect_end()
 
         components: dict[tuple[VariableId], GradedPolynomial] = {}
-        for st in self._block_entries(name_tok):
+        for st in self._block_entries(name_at):
             target_key = _parse_key_ref(st)
-            self._expand_entry(components, (target_key,), None, st, _span(name_tok))
+            self._expand_entry(components, (target_key,), None, st, name_at)
         self.derivations[name] = GeneralizedVectorField(
             {target: poly for (target,), poly in components.items()}
         )
 
     def _parse_certificate(self, head_st: _Stmt) -> None:
-        name_tok = head_st.expect_name("a certificate label")
-        label_args: list[int] = []
+        label = head_st.expect_name("a certificate label")
+        name_at = head_st.last()
         if head_st.accept("["):
             label_args = _comma_list(head_st, _Stmt.expect_int)
             head_st.expect("]")
-        label = name_tok[1]
-        if label_args:
             label += "[" + ",".join(map(str, label_args)) + "]"
         if label in self.certificates:
-            raise SemanticError(f"duplicate certificate {label}", _span(name_tok))
+            raise SemanticError(f"duplicate certificate {label}", name_at)
+        self.heads[f"certificate {label}"] = (head_st, 0)
         head_st.expect("{")
         head_st.expect_end()
 
         m_coeffs: dict[tuple[VariableId, MultiIndex], GradedPolynomial] = {}
         witness: GradedPolynomial | None = None
-        for st in self._block_entries(name_tok):
-            tok = st.peek()
-            if tok is not None and tok[1] == "witness":
-                st.take()
+        for st in self._block_entries(name_at):
+            if st.accept("witness"):
                 st.expect(":")
                 ast = _parse_expr(st)
                 st.expect_end()
                 poly = self._statement(ast)({})
                 witness = poly if witness is None else witness + poly
                 continue
-            open_tok = st.expect("(")
+            st.expect("(")
             target_key = _parse_key_ref(st)
             st.expect(",")
             mi = _parse_mi_literal(st)
             st.expect(")")
-            self._expand_entry(m_coeffs, (target_key,), mi, st, _span(open_tok))
+            self._expand_entry(m_coeffs, (target_key,), mi, st, (st, 0))
         m_coeffs = {k: p for k, p in m_coeffs.items() if not p.is_zero()}
         self.certificates[label] = ReductionCertificate(
             m_coeffs or None, witness
@@ -1746,10 +1785,10 @@ def parse_theory(text: str) -> Theory:
 
 def parse_expression(text: str, theory: Theory) -> GradedPolynomial:
     """Parse one expression against a theory's declarations."""
-    statements = _statements(text)
-    if len(statements) != 1:
+    parser = _TheoryParser(text)
+    if len(parser.statements) != 1:
         raise ParseError("expected exactly one expression")
-    st = _Stmt(statements[0])
+    st = parser._next()
     ast = _parse_expr(st)
     st.expect_end()
     return _Statement(ast, theory.dim, theory.variables, theory.constants)({})
@@ -1852,13 +1891,13 @@ def render_theory(theory: Theory) -> str:
 
 def resolve_component(theory: Theory, text: str) -> VariableId:
     """Resolve a rendered component name like C[1] or ~y against a theory."""
-    statements = _statements(text)
-    if len(statements) != 1:
+    parser = _TheoryParser(text)
+    if len(parser.statements) != 1:
         raise ParseError(f"bad component reference {text!r}")
-    st = _Stmt(statements[0])
+    st = parser._next()
     anti = st.accept("~")
-    name_tok = st.expect_name("a variable name")
-    ref = _parse_ref_tail(st, name_tok, anti)
+    st.expect_name("a variable name")
+    ref = _parse_ref_tail(st, anti)
     st.expect_end()
     if not isinstance(ref, _Ref):
         raise ParseError(f"bad component reference {text!r}")

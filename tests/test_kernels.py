@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 
 from nkt import config, graded_poly, theory_dsl
 from nkt.derivations import GeneralizedVectorField, prolong_apply
-from nkt.errors import JetOrderError, NktError, SemanticError
+from nkt.errors import JetOrderError, NktError, SemanticError, too_many_digits
 from nkt.graded_poly import (
     Coordinate,
     GradedPolynomial,
@@ -1091,6 +1091,124 @@ def test_clear_memos_keeps_the_monomials() -> None:
     assert p * p == square and hash(p * p) == hash(square)
 
 
+# -- rendering against the renderer that reads raw_terms() ---------------------------
+
+
+def reference_render_jet_variable(jv: JetVariable, dim: int) -> str:
+    """A jet variable's text, made afresh on every call."""
+    prefix = "~" if jv.var.kind in (Kind.ANTIFIELD, Kind.ANTIGHOST) else ""
+    comps = ",".join(str(c) for c in jv.var.components)
+    dirs = ",".join("x" if dim == 1 else f"x{d}" for d in jv.mi.entries)
+    if jv.mi.order:
+        return f"{prefix}{jv.var.name}[{comps};{dirs}]"
+    if comps:
+        return f"{prefix}{jv.var.name}[{comps}]"
+    return prefix + jv.var.name
+
+
+def reference_render(p: GradedPolynomial, dim: int) -> str:
+    """render_polynomial as it was written on raw_terms(): one reduced
+    Fraction per term, and each jet's text made afresh."""
+
+    def power(token: str, exp: int) -> str:
+        return token if exp == 1 else f"{token}^{exp}"
+
+    def runs(factors: tuple) -> list:
+        out: list = []
+        for f in factors:
+            if out and out[-1][0] is f:
+                out[-1] = (f, out[-1][1] + 1)
+            else:
+                out.append((f, 1))
+        return out
+
+    def join_signed(signed) -> str:
+        return " ".join(
+            (("-" if sign < 0 else "") if i == 0 else ("- " if sign < 0 else "+ ")) + body
+            for i, (sign, body) in enumerate(signed)
+        )
+
+    def coefficient_parts(coords: tuple, q: Fraction) -> tuple[int, list[str]]:
+        mag, parts = abs(q), []
+        if mag != 1 or not coords:
+            try:
+                parts.append(str(mag))
+            except ValueError:
+                raise NktError(too_many_digits("a coefficient")) from None
+        for c, exp in runs(coords):
+            parts.append(power("x" if dim == 1 else f"x{c.k}", exp))
+        return (-1 if q < 0 else 1), parts
+
+    def body(jets: tuple, coefficient: list) -> tuple[int, str]:
+        factors = [power(reference_render_jet_variable(jv, dim), e) for jv, e in runs(jets)]
+        if len(coefficient) == 1:
+            sign, parts = coefficient_parts(*coefficient[0])
+            if factors and parts == ["1"]:
+                parts = []
+            return sign, "*".join(parts + factors)
+        inner = join_signed(
+            (sign, "*".join(parts))
+            for sign, parts in (coefficient_parts(c, q) for c, q in coefficient)
+        )
+        return 1, "*".join([f"({inner})"] + factors)
+
+    if p.is_zero():
+        return "0"
+    groups: list = []
+    for flat, q in p.raw_terms():
+        n = sum(1 for f in flat if type(f) is Coordinate)
+        coords, jets = flat[:n], flat[n:]
+        if groups and groups[-1][0] == jets:
+            groups[-1][1].append((coords, q))
+        else:
+            groups.append((jets, [(coords, q)]))
+    return join_signed(body(jets, coefficient) for jets, coefficient in groups)
+
+
+@KERNEL_SETTINGS
+@given(graded_polynomials(), st.integers(1, 3), st.booleans())
+def test_rendering_matches_the_fraction_renderer(p, dim, other_first) -> None:
+    # every jet keeps its text in dimension 1 and in dimension 2 and up: ask
+    # for both, in either order, and once more after both are kept
+    other = 2 if dim == 1 else 1
+    for d in (other, dim, other, dim) if other_first else (dim, other, dim, other):
+        assert render_polynomial(p, d) == reference_render(p, d)
+
+
+def test_a_jet_keeps_its_text_in_both_dimension_forms() -> None:
+    fresh = VariableId(Kind.FIELD, "rendered_once", (1, 2), Parity.EVEN)
+    jv = JetVariable(fresh, MultiIndex((0, 1)))
+    anti = GradedPolynomial.variable(JetVariable(antifield_of(fresh), MultiIndex((1,))))
+    x0, x1 = GradedPolynomial.coordinate(0), GradedPolynomial.coordinate(1)
+    # (2 + x0)*jv - 3/4*x1*jv^2*~jv: a coordinate group, a negative
+    # non-integer coefficient, a power and an antifield
+    p = (GradedPolynomial.scalar(2) + x0) * GradedPolynomial.variable(jv)
+    p = p - x1.scaled(Fraction(3, 4)) * GradedPolynomial.variable(jv) ** 2 * anti
+    want = {
+        1: "(2 + x)*rendered_once[1,2;x,x] - 3/4*x*rendered_once[1,2;x,x]^2"
+           "*~rendered_once[1,2;x]",
+        2: "(2 + x0)*rendered_once[1,2;x0,x1] - 3/4*x1*rendered_once[1,2;x0,x1]^2"
+           "*~rendered_once[1,2;x1]",
+    }
+    for dim in (1, 2, 3, 1):
+        assert render_polynomial(p, dim) == want[min(dim, 2)] == reference_render(p, dim)
+
+
+@pytest.mark.parametrize("q", [
+    Fraction(10**5000, 3), Fraction(-3, 10**5000), Fraction(10**5000 + 1, 2 * 10**4400)
+])
+def test_a_coefficient_past_the_digit_limit_is_refused_alike(q) -> None:
+    y = GradedPolynomial.variable(VariableId(Kind.FIELD, "y", (), Parity.EVEN))
+    p = y.scaled(q) + GradedPolynomial.coordinate(0).scaled(q) * y
+    for subject in (p, y.scaled(q), GradedPolynomial.scalar(q)):
+        with pytest.raises(NktError) as want:
+            reference_render(subject, 1)
+        with pytest.raises(NktError) as got:
+            render_polynomial(subject, 1)
+        assert str(got.value) == str(want.value)
+        assert "a coefficient exceeds the limit" in str(got.value)
+
+
 # -- expression evaluation against the oracle ---------------------------------------
 
 MEMO_THEORY_TEXT = """\
@@ -1275,7 +1393,11 @@ def products_evaluated(monkeypatch, parse, text: str, start: int, *args) -> int:
     def counted(stmt, facts, *args):
         run = compile_node(stmt, facts, *args)
         node = facts.node
-        if not (isinstance(node, _Binary) and node.span.start == start):
+        # a node keeps its location, (cursor, token index), not its span
+        if not isinstance(node, _Binary):
+            return run
+        cursor, token = node.span
+        if cursor.span_of(token).start != start:
             return run
 
         def counting():
@@ -1471,7 +1593,7 @@ def direct_outcome(text: str, theory: Theory = DIRECT_THEORY) -> tuple:
 def compiled_outcome(text: str, theory: Theory = DIRECT_THEORY) -> tuple:
     """parse_expression's outcome with the statement analysed and compiled:
     a binder of one value, which the expression does not read, forces it."""
-    cursor = theory_dsl._Stmt(theory_dsl._statements(text)[0])
+    cursor = theory_dsl._TheoryParser(text)._next()
     ast = theory_dsl._parse_expr(cursor)
     cursor.expect_end()
 

@@ -596,6 +596,64 @@ class TestValidation:
         assert str(exc.value) == f"{message} ({span})"
         assert (span.line, span.column, text[span.start:span.end]) == where
 
+    @pytest.mark.parametrize("decls, message, where", [
+        # where: (line, column) of the refused declaration's head token
+        ("ghost e parity even stage 0",
+         "stage ghosts require plain ghosts below them", (4, 1)),
+        ("ghost c parity odd\n  ghost k parity even\nghost e parity even stage 0",
+         "plain ghosts must share one parity when stage ghosts are declared", (5, 3)),
+        ("ghost c parity odd\nghost e parity odd stage 0",
+         "stage 0 ghost e must be even over odd plain ghosts", (5, 1)),
+        ("ghost c parity odd\nghost e parity even stage 0\n"
+         "operator o role gauge {\n  (e, y, []) : 1\n}",
+         "operator o: parameter e must be a plain ghost", (6, 1)),
+        ("ghost c parity odd\nghost k parity odd\n"
+         "operator o role gauge {\n  (c, k, []) : 1\n}",
+         "operator o: target k must be a field", (6, 1)),
+        ("ghost c parity odd\nghost e parity even stage 0\n"
+         "operator z role stage 0 {\n  (c, c, []) : 1\n}",
+         "operator z: parameter c must be a stage 0 ghost", (6, 1)),
+        ("ghost c parity odd\nghost e parity even stage 0\n"
+         "\toperator z role stage 0 {\n  (e, y, []) : 1\n}",
+         "operator z: target y must be a ghost one stage below", (6, 2)),
+        ("derivation s {\n  y : ~y\n}",
+         "derivation s may not depend on ~y (antifield)", (4, 1)),
+        ("certificate q {\n  witness : y\n}",
+         "certificate label 'q' is not a declared component", (4, 1)),
+        ("ghost c parity odd\ncertificate c {\n  witness : y\n}",
+         "certificate c must be labelled by a stage ghost", (5, 1)),
+        ("ghost c parity odd\nghost e parity even stage 0\n"
+         "# the entry's coefficient reads an antifield\n"
+         "certificate e {\n  (y, []) : ~y\n}",
+         "certificate e may not depend on ~y (antifield)", (7, 1)),
+        ("ghost c parity even\n   lagrangian y*c",
+         "the lagrangian may not depend on c (ghost)", (5, 4)),
+        ("field p parity odd\nlagrangian (y\n  * p)",
+         "the lagrangian must be even", (5, 1)),
+    ])
+    def test_whole_theory_refusals_name_the_declaration(self, decls, message, where):
+        text = "theory t\ndim 1\nfield y parity even\n" + decls + "\n"
+        with pytest.raises(SemanticError) as exc:
+            parse_theory(text)
+        span = exc.value.span
+        assert str(exc.value) == f"{message} ({span})"
+        assert (span.line, span.column) == where
+        head = text[span.start:span.end]
+        assert head in ("ghost", "operator", "derivation", "certificate", "lagrangian")
+
+    def test_whole_theory_refusals_of_theories_built_in_code_name_no_span(self):
+        base = parse_theory("theory t\ndim 1\nfield p parity odd\n")
+        lonely = VarDecl("e", Kind.GHOST, Parity.EVEN, (), 0)
+        cases = [
+            ({"lagrangian": jet(base, "p")}, "the lagrangian must be even"),
+            ({"variables": {**base.variables, "e": lonely}},
+             "stage ghosts require plain ghosts below them"),
+        ]
+        for changes, message in cases:
+            with pytest.raises(SemanticError) as exc:
+                validate_theory(replace(base, **changes))
+            assert str(exc.value) == message and exc.value.span is None
+
     def test_validation_refuses_empty_ranges_and_stray_entries(self):
         base = parse_theory("theory t\ndim 1\n")
         cases = [
