@@ -164,11 +164,10 @@ def random_theory(rng: random.Random, name: str = "fuzz") -> "Theory":
 
     constants: dict[str, ConstantTensor] = {}
     if rng.random() < 0.5:
-        made = rng.choice(
-            [levi_civita(rng.randint(2, 3)), kronecker(rng.randint(2, 3)),
-             minkowski(dim)]
+        constants["g"] = rng.choice(
+            [levi_civita("g", rng.randint(2, 3)), kronecker("g", rng.randint(2, 3)),
+             minkowski("g", dim)]
         )
-        constants["g"] = ConstantTensor("g", made.ranges, made.entries, made.builder)
     if rng.random() < 0.3:
         size = rng.randint(2, 3)
         entries = {

@@ -90,20 +90,53 @@ MAX_STAGE = 32
 _MAX_DEPTH = 64
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_COORD_RE = re.compile(r"x\d*\Z")
+_COORD_RE = re.compile(r"x[0-9]*\Z")
 _RESERVED = frozenset({"d", "sum", "witness"})
-
-
-def _is_reserved(name: str) -> bool:
-    return name in _RESERVED or _COORD_RE.match(name) is not None
 
 
 # ---------------------------------------------------------------------------
 # model
 
 
+def _check_name(name: str, what: str, span: tuple | None) -> None:
+    """Refuse a declared name that is no identifier or is reserved."""
+    if not _NAME_RE.match(name):
+        raise SemanticError(f"bad {what} name {name!r}", span)
+    if name in _RESERVED or _COORD_RE.match(name):
+        raise SemanticError(f"{name!r} is reserved", span)
+
+
+def _check_size(
+    name: str, unit: str, ranges: Iterable[tuple[int, int]], span: tuple | None
+) -> None:
+    """Refuse over MAX_COMPONENTS cells in the ranges; an empty range holds none."""
+    if prod(max(hi - lo + 1, 0) for lo, hi in ranges) > MAX_COMPONENTS:
+        message = f"{name} declares too many {unit}; the limit is {MAX_COMPONENTS}"
+        raise SemanticError(message, span)
+
+
+def _check_index(name: str, ranges: Sequence[tuple], idx: tuple[int, ...],
+                 span: SourceSpan | tuple | None) -> None:
+    """Refuse an index of name that its ranges do not hold; a range is
+    (lo, hi), or (label, lo, hi) for a variable, whose label is named."""
+    if len(idx) != len(ranges):
+        raise SemanticError(f"{name} takes {len(ranges)} indices, got {len(idx)}", span)
+    for c, bounds in zip(idx, ranges):
+        if not bounds[-2] <= c <= bounds[-1]:
+            *label, lo, hi = bounds
+            which = f"{label[0]}={c}" if label else c
+            raise SemanticError(f"index {which} of {name} is outside {lo}..{hi}", span)
+
+
 class VarDecl(Record):
-    """A declared field or ghost family with its index ranges."""
+    """A declared field or ghost family with its index ranges.
+
+    The constructor refuses a bad or reserved name, a kind other than field
+    or ghost, a stage on a field or outside 0..MAX_STAGE, a bad index label,
+    an empty range and over MAX_COMPONENTS components.  at maps "kind",
+    "name", "stage" and each range's position to the location where the
+    parser read it, which a refusal names; a record built in code has none.
+    """
 
     name: str
     kind: Kind
@@ -111,16 +144,28 @@ class VarDecl(Record):
     indices: tuple[tuple[str, int, int], ...] = ()
     stage: int | None = None
 
-    def variable(self, comps: tuple[int, ...]) -> VariableId:
-        if len(comps) != len(self.indices):
-            raise SemanticError(
-                f"{self.name} takes {len(self.indices)} indices, got {len(comps)}"
-            )
-        for c, (label, lo, hi) in zip(comps, self.indices):
-            if not lo <= c <= hi:
-                raise SemanticError(
-                    f"index {label}={c} of {self.name} is outside {lo}..{hi}"
-                )
+    def __init__(self, name, kind, parity, indices=(), stage=None, *, at=None) -> None:
+        where = (at or {}).get
+        _check_name(name, "variable", where("name"))
+        if kind not in (Kind.FIELD, Kind.GHOST):
+            raise SemanticError(f"{name} must be declared as a field or a ghost")
+        if stage is not None and kind is not Kind.GHOST:
+            raise SemanticError("only ghosts carry a stage", where("kind"))
+        if stage is not None and not 0 <= stage <= MAX_STAGE:
+            message = f"stage of {name} must be between 0 and {MAX_STAGE}"
+            raise SemanticError(message, where("stage"))
+        for i, (label, lo, hi) in enumerate(indices):
+            if not _NAME_RE.match(label):
+                raise SemanticError(f"bad index name {label!r} on {name}", where(i))
+            if lo > hi:
+                raise SemanticError(f"empty index range {lo}..{hi} on {name}", where(i))
+        _check_size(name, "components", [r[1:] for r in indices], where("name"))
+        super().__init__(name, kind, parity, indices, stage)
+
+    def variable(self, comps: tuple[int, ...],
+                 span: SourceSpan | tuple | None = None) -> VariableId:
+        """The component at comps, refused at span when the ranges miss it."""
+        _check_index(self.name, self.indices, comps, span)
         return VariableId(self.kind, self.name, comps, self.parity, self.stage)
 
     def components(self) -> list[VariableId]:
@@ -129,12 +174,29 @@ class VarDecl(Record):
 
 
 class ConstantTensor(Record):
-    """A rational constant tensor, kept sparse."""
+    """A rational constant tensor, kept sparse.
+
+    The constructor refuses a bad or reserved name, an empty range, over
+    MAX_COMPONENTS cells and an entry outside the ranges.  at maps "name",
+    each range's position and each entry's index to the location where the
+    parser read it, which a refusal names; a record built in code has none.
+    """
 
     name: str
     ranges: tuple[tuple[int, int], ...]
     entries: dict[tuple[int, ...], Fraction]
     builder: str | None = None
+
+    def __init__(self, name, ranges, entries, builder=None, *, at=None) -> None:
+        where = (at or {}).get
+        _check_name(name, "constant", where("name"))
+        for i, (lo, hi) in enumerate(ranges):
+            if lo > hi:
+                raise SemanticError(f"empty range {lo}..{hi} on constant {name}", where(i))
+        _check_size(f"constant {name}", "entries", ranges, where("name"))
+        super().__init__(name, ranges, entries, builder)
+        for idx in entries:
+            self.entry(idx, where(idx))
 
     def entry(self, idx: tuple[int, ...], span: SourceSpan | tuple | None = None) -> Fraction:
         """The entry at idx, refused at span when idx is outside the ranges."""
@@ -142,46 +204,36 @@ class ConstantTensor(Record):
         return self.entries.get(idx, Fraction(0))
 
 
-def _check_index(name: str, ranges: Sequence[tuple[int, int]], idx: tuple[int, ...],
-                 span: tuple | None) -> None:
-    """Refuse an index of constant name that its ranges do not hold."""
-    if len(idx) != len(ranges):
-        raise SemanticError(f"{name} takes {len(ranges)} indices, got {len(idx)}", span)
-    for c, (lo, hi) in zip(idx, ranges):
-        if not lo <= c <= hi:
-            raise SemanticError(f"index {c} of {name} is outside {lo}..{hi}", span)
-
-
-def _perm_sign(tup: tuple[int, ...]) -> int:
+def _perm_sign(tup: tuple[int, ...]) -> Fraction:
     inversions = sum(
         1
         for i in range(len(tup))
         for j in range(i + 1, len(tup))
         if tup[i] > tup[j]
     )
-    return -1 if inversions % 2 else 1
+    return Fraction(-1 if inversions % 2 else 1)
 
 
-def levi_civita(k: int) -> ConstantTensor:
-    """Totally antisymmetric symbol on k letters, indices 1..k per axis."""
-    entries = {p: Fraction(_perm_sign(p)) for p in permutations(range(1, k + 1))}
-    return ConstantTensor("", ((1, k),) * k, entries, builder=f"levi_civita({k})")
+def levi_civita(name: str, k: int, *, at: dict | None = None) -> ConstantTensor:
+    """Constant name, the antisymmetric symbol on k letters, indices 1..k per
+    axis.  Each builder passes at on and makes its entries after the size check."""
+    const = ConstantTensor(name, ((1, k),) * k, {}, f"levi_civita({k})", at=at)
+    const.entries.update((p, _perm_sign(p)) for p in permutations(range(1, k + 1)))
+    return const
 
 
-def kronecker(k: int) -> ConstantTensor:
-    """Identity matrix with indices 1..k."""
-    entries = {(i, i): Fraction(1) for i in range(1, k + 1)}
-    return ConstantTensor("", ((1, k), (1, k)), entries, builder=f"kronecker({k})")
+def kronecker(name: str, k: int, *, at: dict | None = None) -> ConstantTensor:
+    """Constant name, the identity matrix with indices 1..k."""
+    const = ConstantTensor(name, ((1, k), (1, k)), {}, f"kronecker({k})", at=at)
+    const.entries.update(((i, i), Fraction(1)) for i in range(1, k + 1))
+    return const
 
 
-def minkowski(n: int) -> ConstantTensor:
-    """diag(1, -1, ..., -1) with indices 0..n-1."""
-    entries = {(0, 0): Fraction(1)}
-    for i in range(1, n):
-        entries[(i, i)] = Fraction(-1)
-    return ConstantTensor(
-        "", ((0, n - 1), (0, n - 1)), entries, builder=f"minkowski({n})"
-    )
+def minkowski(name: str, n: int, *, at: dict | None = None) -> ConstantTensor:
+    """Constant name, diag(1, -1, ..., -1) with indices 0..n-1."""
+    const = ConstantTensor(name, ((0, n - 1),) * 2, {}, f"minkowski({n})", at=at)
+    const.entries.update(((i, i), Fraction(-1 if i else 1)) for i in range(n))
+    return const
 
 
 # Each builder with its number of indices at a given size.
@@ -271,49 +323,26 @@ _ALL_KINDS = (Kind.FIELD, Kind.GHOST, Kind.ANTIFIELD, Kind.ANTIGHOST)
 
 
 def validate_theory(theory: Theory, heads: dict[str, tuple] | None = None) -> None:
-    """Typing and declaration checks shared by the parser and programmatic use.
+    """Checks across declarations, shared by the parser and programmatic use.
 
-    A refused declaration is named at its head token, whose location the
-    parser passes in heads under "keyword name" ("ghost C", "lagrangian").
+    Each VarDecl and ConstantTensor refused its own faults when it was made;
+    this refuses a bad theory name or dim, a table key that is not its
+    record's name, a constant named as a variable, wrong stage-ghost
+    parities and a polynomial that reads what it may not.  A refused
+    declaration is named at its head token, whose location the parser
+    passes in heads under "keyword name" ("ghost C", "lagrangian").
     """
     at = (heads or {}).get
     if not _NAME_RE.match(theory.name):
         raise SemanticError(f"theory name {theory.name!r} is not an identifier")
     if not 1 <= theory.dim <= MAX_DIM:
         raise SemanticError(f"dim must be between 1 and {MAX_DIM}")
-
-    seen: set[str] = set()
-    for name, decl in theory.variables.items():
-        if name != decl.name or not _NAME_RE.match(name):
-            raise SemanticError(f"bad variable name {name!r}")
-        if _is_reserved(name):
-            raise SemanticError(f"{name!r} is reserved")
-        seen.add(name)
-        if decl.kind not in (Kind.FIELD, Kind.GHOST):
-            raise SemanticError(f"{name} must be declared as a field or a ghost")
-        if decl.stage is not None and decl.kind is not Kind.GHOST:
-            raise SemanticError(f"only ghosts carry a stage ({name})")
-        if decl.stage is not None and not 0 <= decl.stage <= MAX_STAGE:
-            raise SemanticError(f"stage of {name} must be between 0 and {MAX_STAGE}")
-        for label, lo, hi in decl.indices:
-            if not _NAME_RE.match(label):
-                raise SemanticError(f"bad index name {label!r} on {name}")
-            if lo > hi:
-                raise SemanticError(f"empty index range {lo}..{hi} on {name}")
-        _check_size(name, "components", [(lo, hi) for _, lo, hi in decl.indices], None)
-
-    for name, const in theory.constants.items():
-        if name != const.name or not _NAME_RE.match(name):
-            raise SemanticError(f"bad constant name {name!r}")
-        if _is_reserved(name) or name in seen:
-            raise SemanticError(f"constant {name!r} clashes with another name")
-        seen.add(name)
-        for lo, hi in const.ranges:
-            if lo > hi:
-                raise SemanticError(f"empty range {lo}..{hi} on constant {name}")
-        _check_size(f"constant {name}", "entries", const.ranges, None)
-        for idx in const.entries:
-            const.entry(idx)  # bounds check
+    for what, table in (("variable", theory.variables), ("constant", theory.constants)):
+        for key, record in table.items():
+            if key != record.name:
+                raise SemanticError(f"{what} {record.name} is filed under {key!r}")
+            if what == "constant" and key in theory.variables:
+                raise SemanticError(f"constant {key!r} clashes with another name")
 
     _check_stage_parities(theory, at)
 
@@ -361,15 +390,6 @@ def validate_theory(theory: Theory, heads: dict[str, tuple] | None = None) -> No
                 _check_vars(declared, poly, f"certificate {label}", _BASE_SECTOR, head)
         if cert.witness is not None:
             _check_vars(declared, cert.witness, f"certificate {label}", _ALL_KINDS, head)
-
-
-def _check_size(
-    name: str, unit: str, ranges: Iterable[tuple[int, int]], span: tuple | None
-) -> None:
-    """Refuse over MAX_COMPONENTS cells in the ranges; an empty range holds none."""
-    if prod(max(hi - lo + 1, 0) for lo, hi in ranges) > MAX_COMPONENTS:
-        message = f"{name} declares too many {unit}; the limit is {MAX_COMPONENTS}"
-        raise SemanticError(message, span)
 
 
 def _check_stage_parities(theory: Theory, at: Callable) -> None:
@@ -447,7 +467,7 @@ def _check_operator(
 # and every character is matched in order.
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r]|#[^\n]*)*"
-    r"(?:(\n|[A-Za-z_][A-Za-z0-9_]*|\d+|\.\.|[()\[\]{},;:=~*+\-^/])|.)"
+    r"(?:(\n|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\.\.|[()\[\]{},;:=~*+\-^/])|.)"
 )
 
 
@@ -455,7 +475,7 @@ def _statements(text: str) -> list[list[str | None]]:
     """Tokenize text into statements; newlines inside (..) or [..] continue.
 
     Each statement is a list of token strings ended by the sentinel None; a
-    name is an identifier and an integer is decimal.  A character no token
+    name is an ASCII identifier and an integer is ASCII decimal digits.  A character no token
     takes is refused here, before any statement is parsed.
     """
     tokens = _TOKEN_RE.findall(text + "\n")
@@ -827,10 +847,7 @@ def _resolve_component(env: _Env, node: _Ref) -> VariableId:
     if decl is None:
         raise SemanticError(f"unknown variable {node.name!r}", node.span)
     comps = tuple(_resolve_index(env, a, node.span) for a in node.args)
-    try:
-        var = decl.variable(comps)
-    except SemanticError as exc:
-        raise SemanticError(str(exc), node.span) from None
+    var = decl.variable(comps, node.span)
     return antifield_of(var) if node.anti else var
 
 
@@ -1412,13 +1429,21 @@ def _parse_key_ref(st: _Stmt) -> tuple[_Ref, tuple[tuple[str, int, int], ...]]:
     return _Ref(name, tuple(args), False, at, explicit), tuple(binders)
 
 
-def _declared_range(st: _Stmt, what: str, owner: str) -> tuple[int, int]:
-    """A declared range lo..hi, refused at its span when it is empty."""
-    first = st.pos
-    lo, hi = st.expect_range()
-    if lo > hi:
-        raise SemanticError(f"empty {what} {lo}..{hi} on {owner}", (st, first, st.pos - 1))
-    return lo, hi
+def _declared_ranges(st: _Stmt, at: dict, labelled: bool) -> tuple[tuple, ...]:
+    """A declaration's ranges after its '[' and up to its ']': lo..hi, or
+    i=lo..hi when labelled; at keeps each lo..hi's location by position."""
+    def read(st: _Stmt) -> tuple[tuple, tuple]:
+        label = ()
+        if labelled:
+            label = (st.expect_name("an index name"),)
+            st.expect("=")
+        first = st.pos
+        return (*label, *st.expect_range()), (st, first, st.pos - 1)
+
+    ranges, wheres = zip(*_comma_list(st, read))
+    st.expect("]")
+    at.update(enumerate(wheres))
+    return ranges
 
 
 def _parse_mi_literal(st: _Stmt) -> tuple[tuple["int | str", ...], tuple]:
@@ -1456,16 +1481,11 @@ class _TheoryParser:
         self.index += 1
         return st
 
-    def _fresh_name(self, st: _Stmt, what: str, table: dict) -> str:
-        """The name that st declares next in table, which holds none yet;
+    def _fresh_name(self, st: _Stmt, what: str, *tables: dict) -> str:
+        """The name that st declares next, which none of tables holds yet;
         heads keeps the location of st's head token under "keyword name"."""
         name = st.expect_name(what)
-        if table is self.variables or table is self.constants:
-            if name in self.variables or name in self.constants:
-                raise SemanticError(f"duplicate declaration of {name}", st.last())
-            if _is_reserved(name):
-                raise SemanticError(f"{name!r} is reserved", st.last())
-        elif name in table:
+        if any(name in table for table in tables):
             raise SemanticError(f"duplicate declaration of {name}", st.last())
         self.heads[f"{st.tokens[0]} {name}"] = (st, 0)
         return name
@@ -1566,44 +1586,29 @@ class _TheoryParser:
     # -- declarations
 
     def _parse_variable(self, st: _Stmt, head: str) -> None:
-        name = self._fresh_name(st, "a variable name", self.variables)
-        name_at = st.last()
-
-        def index_range(st: _Stmt) -> tuple[str, int, int]:  # e.g. mu=0..3
-            label = st.expect_name("an index name")
-            st.expect("=")
-            return (label, *_declared_range(st, "index range", name))
-
-        indices: list[tuple[str, int, int]] = []
-        if st.accept("["):
-            indices = _comma_list(st, index_range)
-            st.expect("]")
-            ranges = [(lo, hi) for _, lo, hi in indices]
-            _check_size(name, "components", ranges, name_at)
+        name = self._fresh_name(st, "a variable name", self.variables, self.constants)
+        at = {"kind": (st, 0), "name": st.last()}
+        indices = _declared_ranges(st, at, True) if st.accept("[") else ()
         st.expect("parity")
         parity = st.expect_name("even or odd")
         if parity not in ("even", "odd"):
             raise ParseError("parity must be even or odd", st.last())
         stage: int | None = None
         if st.accept("stage"):
+            first = st.pos
             stage = st.expect_int()
+            at["stage"] = (st, first, st.pos - 1)
         st.expect_end()
         kind = Kind.FIELD if head == "field" else Kind.GHOST
-        if stage is not None and kind is not Kind.GHOST:
-            raise SemanticError("only ghosts carry a stage", (st, 0))
         parity = Parity.EVEN if parity == "even" else Parity.ODD
-        self.variables[name] = VarDecl(name, kind, parity, tuple(indices), stage)
+        self.variables[name] = VarDecl(name, kind, parity, indices, stage, at=at)
 
     def _parse_constant(self, st: _Stmt) -> None:
-        name = self._fresh_name(st, "a constant name", self.constants)
-        name_at = st.last()
-        declared_ranges: list[tuple[int, int]] | None = None
-        if st.accept("["):
-            declared_ranges = _comma_list(
-                st, lambda st: _declared_range(st, "range", f"constant {name}")
-            )
-            st.expect("]")
-            _check_size(f"constant {name}", "entries", declared_ranges, name_at)
+        name = self._fresh_name(st, "a constant name", self.variables, self.constants)
+        at = {"name": st.last()}
+        declared: ConstantTensor | None = None
+        if st.accept("["):  # refused, if need be, before a table's body is read
+            declared = ConstantTensor(name, _declared_ranges(st, at, False), {}, at=at)
         st.expect("=")
         tok = st.tokens[st.pos]
         if tok is None:
@@ -1619,35 +1624,30 @@ class _TheoryParser:
             st.expect(")")
             st.expect_end()
             if not 1 <= size <= MAX_DIM + 1:
-                raise SemanticError(
-                    f"builder size must be between 1 and {MAX_DIM + 1}", builder_at
-                )
+                message = f"builder size must be between 1 and {MAX_DIM + 1}"
+                raise SemanticError(message, builder_at)
             # each of a builder's arity(size) axes takes size values
             ranges = [(1, size)] * arity(size)
             _check_size(f"constant {name}", "entries", ranges, builder_at)
-            made = builder(size)
-            const = ConstantTensor(name, made.ranges, made.entries, made.builder)
+            const = builder(name, size, at=at)
+            if declared is not None and const.ranges != declared.ranges:
+                message = f"declared ranges of {name} do not match its builder"
+                raise SemanticError(message, (st, 0))
         else:
-            entries = self._parse_constant_table(st, name, declared_ranges)
-            if declared_ranges is None:
+            self._parse_constant_table(st, declared)
+            if declared is None:
                 raise SemanticError(
                     f"constant {name} needs declared index ranges", (st, 0)
                 )
-            const = ConstantTensor(name, tuple(declared_ranges), entries)
-        if declared_ranges is not None and const.ranges != tuple(declared_ranges):
-            raise SemanticError(
-                f"declared ranges of {name} do not match its builder", (st, 0)
-            )
+            const = declared
         self.constants[name] = const
 
-    def _parse_constant_table(
-        self, st: _Stmt, name: str, ranges: list[tuple[int, int]] | None
-    ) -> dict[tuple[int, ...], Fraction]:
-        """The entries of constant name; each index is checked against the
-        declared ranges, when there are any, at the span of its (...)."""
+    def _parse_constant_table(self, st: _Stmt, const: ConstantTensor | None) -> None:
+        """Read a constant table into const.entries, each index checked at
+        the span of its (...); with no const, the table is read and dropped."""
         head = (st, 0)
         st.expect("{")
-        entries: dict[tuple[int, ...], Fraction] = {}
+        entries = {} if const is None else const.entries
 
         def parse_entries(stmt: _Stmt) -> bool:
             while True:
@@ -1662,8 +1662,8 @@ class _TheoryParser:
                 stmt.expect("(")
                 key = tuple(_comma_list(stmt, _Stmt.expect_int))
                 stmt.expect(")")
-                if ranges is not None:
-                    _check_index(name, ranges, key, (stmt, first, stmt.pos - 1))
+                if const is not None:
+                    const.entry(key, (stmt, first, stmt.pos - 1))
                 stmt.expect(":")
                 value = stmt.expect_fraction()
                 if key in entries:
@@ -1677,7 +1677,6 @@ class _TheoryParser:
             if nxt is None:
                 raise ParseError("unterminated constant table", head)
             closed = parse_entries(nxt)
-        return entries
 
     def _parse_lagrangian(self, st: _Stmt) -> None:
         if self.lagrangian is not None:

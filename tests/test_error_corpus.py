@@ -34,8 +34,8 @@ DIGESTS = Path(__file__).resolve().parent / "error_digests.json"
 MUTATIONS_PER_THEORY = 40
 
 # characters a mutation inserts or substitutes: the grammar's punctuation,
-# comment and line marks, and characters the tokenizer must refuse or read
-# as digits ('\u0663' is the Arabic-Indic digit three)
+# comment and line marks, and characters the tokenizer must refuse, digits
+# other than ASCII among them ('\u0663' is the Arabic-Indic digit three)
 POOL = (
     "()[]{},;:=~*+-^/#\n\t\r .0129xy_"
     "@$!?'\"\\\u0663\u00b2\u00e9\ufeff\u00a0"

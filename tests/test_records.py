@@ -72,7 +72,7 @@ def _samples() -> list[Record]:
         gauge,
         check_noether_identity(eta(gauge), lag),
         theory.variables["y1"],
-        kronecker(2),
+        kronecker("delta", 2),
         theory,
         VerificationReport("el", theory.name, "", True, [("y1", "y1")], ["note"]),
     ]

@@ -9,7 +9,7 @@ import pytest
 
 from nkt import config, graded_poly
 from nkt.derivations import GeneralizedVectorField
-from nkt.errors import ParseError, SemanticError
+from nkt.errors import ParseError, SemanticError, SourceSpan
 from nkt.graded_poly import (
     Coordinate,
     Density,
@@ -99,6 +99,21 @@ class TestDeclarations:
             with pytest.raises(SemanticError) as exc:
                 parse_theory(f"theory t\ndim {value}")
             assert str(exc.value) == "dim must be between 1 and 9 (line 2, column 5)"
+
+    @pytest.mark.parametrize("text, digit, where", [
+        # '\u0663' is the Arabic-Indic digit three; integers are ASCII only
+        ("theory t\ndim \u0663\n", "\u0663", "line 2, column 5"),
+        ("theory t\ndim 1\nfield a[i=0..2] parity even\nlagrangian a[\u0663]\n",
+         "\u0663", "line 4, column 14"),
+        ("theory t\ndim 1\nfield y parity even\nlagrangian \u0662*y\n",
+         "\u0662", "line 4, column 12"),
+        ("theory t\ndim 2\nfield y parity even\nlagrangian d(y;x\u0661)\n",
+         "\u0661", "line 4, column 17"),
+    ], ids=["dim", "index", "coefficient", "direction"])
+    def test_integers_are_ascii_digits(self, text, digit, where):
+        with pytest.raises(ParseError) as exc:
+            parse_theory(text)
+        assert str(exc.value) == f"unexpected character {digit!r} ({where})"
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(SemanticError):
@@ -403,15 +418,15 @@ class TestExpressions:
 
 class TestConstants:
     def test_levi_civita_signs(self):
-        eps = levi_civita(3)
+        eps = levi_civita("eps", 3)
         assert eps.entry((1, 2, 3)) == 1
         assert eps.entry((2, 1, 3)) == -1
         assert eps.entry((1, 1, 3)) == 0
 
     def test_kronecker_and_minkowski(self):
-        assert kronecker(3).entry((2, 2)) == 1
-        assert kronecker(3).entry((1, 2)) == 0
-        g = minkowski(4)
+        assert kronecker("k", 3).entry((2, 2)) == 1
+        assert kronecker("k", 3).entry((1, 2)) == 0
+        g = minkowski("g", 4)
         assert g.entry((0, 0)) == 1
         assert g.entry((3, 3)) == -1
 
@@ -558,22 +573,24 @@ class TestValidation:
         assert str(exc.value) == "derivation s uses undeclared variable ~a[2]"
 
     def test_validation_names_the_size_limit(self):
-        base = parse_theory("theory t\ndim 1\n")
-        wide = VarDecl("a", Kind.FIELD, Parity.EVEN, (("i", 1, 30), ("j", 1, 30)))
-        table = ConstantTensor("e", ((1, 30), (1, 30)), {})
+        def wide():
+            return VarDecl("a", Kind.FIELD, Parity.EVEN, (("i", 1, 30), ("j", 1, 30)))
+
+        def table():
+            return ConstantTensor("e", ((1, 30), (1, 30)), {})
+
         cases = [
-            ({"variables": {"a": wide}},
-             "a declares too many components; the limit is 512"),
-            ({"constants": {"e": table}},
-             "constant e declares too many entries; the limit is 512"),
-            # variables are checked before constants
-            ({"constants": {"e": table}, "variables": {"a": wide}},
+            (wide, "a declares too many components; the limit is 512"),
+            (table, "constant e declares too many entries; the limit is 512"),
+            # a theory's variables are built before its constants, so the
+            # variable refuses first
+            (lambda: Theory("t", 1, {"a": wide()}, {"e": table()}),
              "a declares too many components; the limit is 512"),
         ]
-        for changes, message in cases:
+        for build, message in cases:
             with pytest.raises(SemanticError) as exc:
-                validate_theory(replace(base, **changes))
-            assert str(exc.value) == message
+                build()
+            assert str(exc.value) == message and exc.value.span is None
 
     @pytest.mark.parametrize("decl, message, where", [
         # where: (line, column) of the range or of the entry's (...), and
@@ -587,6 +604,13 @@ class TestValidation:
         ("constant k[1..2] = {\n  (1): 1\n  (3): 1\n}",
          "index 3 of k is outside 1..2", (5, 3, "(3)")),
         ("constant k[1..2] = {(1,1): 1}", "k takes 1 indices, got 2", (3, 21, "(1,1)")),
+        ("ghost e parity even stage 99",
+         "stage of e must be between 0 and 32", (3, 27, "99")),
+        ("ghost e parity even stage -1",
+         "stage of e must be between 0 and 32", (3, 27, "-1")),
+        ("field y parity even stage 0", "only ghosts carry a stage", (3, 1, "field")),
+        ("field x2[i=0..1] parity even", "'x2' is reserved", (3, 7, "x2")),
+        ("constant sum = kronecker(2)", "'sum' is reserved", (3, 10, "sum")),
     ])
     def test_declarations_are_refused_where_they_are_read(self, decl, message, where):
         text = "theory t\ndim 1\n" + decl + "\nfield z parity even\n"
@@ -655,16 +679,70 @@ class TestValidation:
             assert str(exc.value) == message and exc.value.span is None
 
     def test_validation_refuses_empty_ranges_and_stray_entries(self):
-        base = parse_theory("theory t\ndim 1\n")
         cases = [
-            ({"variables": {"y": VarDecl("y", Kind.FIELD, Parity.EVEN, (("i", 3, 1),))}},
+            (lambda: VarDecl("y", Kind.FIELD, Parity.EVEN, (("i", 3, 1),)),
              "empty index range 3..1 on y"),
-            ({"constants": {"k": ConstantTensor("k", ((2, 1),), {})}},
+            (lambda: ConstantTensor("k", ((2, 1),), {}),
              "empty range 2..1 on constant k"),
-            ({"constants": {"k": ConstantTensor("k", ((1, 2),), {(3,): Fraction(1)})}},
+            (lambda: ConstantTensor("k", ((1, 2),), {(3,): Fraction(1)}),
              "index 3 of k is outside 1..2"),
-            ({"constants": {"k": ConstantTensor("k", ((1, 2),), {(1, 1): Fraction(1)})}},
+            (lambda: ConstantTensor("k", ((1, 2),), {(1, 1): Fraction(1)}),
              "k takes 1 indices, got 2"),
+        ]
+        for build, message in cases:
+            with pytest.raises(SemanticError) as exc:
+                build()
+            assert str(exc.value) == message and exc.value.span is None
+
+    def test_declarations_built_in_code_refuse_their_faults(self):
+        field, ghost, even = Kind.FIELD, Kind.GHOST, Parity.EVEN
+        cases = [
+            (lambda: VarDecl("2y", field, even), "bad variable name '2y'"),
+            (lambda: VarDecl("witness", field, even), "'witness' is reserved"),
+            (lambda: VarDecl("x3", ghost, even), "'x3' is reserved"),
+            (lambda: VarDecl("y", Kind.ANTIFIELD, even),
+             "y must be declared as a field or a ghost"),
+            (lambda: VarDecl("y", field, even, (), 0), "only ghosts carry a stage"),
+            (lambda: VarDecl("e", ghost, even, (), 33),
+             "stage of e must be between 0 and 32"),
+            (lambda: VarDecl("e", ghost, even, (), -1),
+             "stage of e must be between 0 and 32"),
+            (lambda: VarDecl("a", field, even, (("mu nu", 0, 1),)),
+             "bad index name 'mu nu' on a"),
+            (lambda: ConstantTensor("", ((1, 2),), {}), "bad constant name ''"),
+            (lambda: ConstantTensor("d", ((1, 2),), {}), "'d' is reserved"),
+            (lambda: kronecker("x", 2), "'x' is reserved"),
+            (lambda: levi_civita("eps", 5),
+             "constant eps declares too many entries; the limit is 512"),
+        ]
+        for build, message in cases:
+            with pytest.raises(SemanticError) as exc:
+                build()
+            assert str(exc.value) == message and exc.value.span is None
+        # a location given in at is named
+        span = SourceSpan(4, 2, 30, 31)
+        with pytest.raises(SemanticError) as exc:
+            VarDecl("e", ghost, even, (), 40, at={"stage": span})
+        assert exc.value.span is span
+        with pytest.raises(SemanticError) as exc:
+            ConstantTensor("k", ((1, 2),), {(3,): Fraction(1)}, at={(3,): span})
+        assert str(exc.value) == f"index 3 of k is outside 1..2 ({span})"
+        # the index of a component is checked alike, naming its label
+        a = VarDecl("a", field, even, (("mu", 0, 1),))
+        for comps, message in [((2,), "index mu=2 of a is outside 0..1"),
+                               ((0, 1), "a takes 1 indices, got 2")]:
+            with pytest.raises(SemanticError) as exc:
+                a.variable(comps)
+            assert str(exc.value) == message
+
+    def test_validation_keeps_what_spans_declarations(self):
+        base = parse_theory("theory t\ndim 1\nfield y parity even\n")
+        k = ConstantTensor("k", ((1, 2),), {})
+        cases = [
+            ({"variables": {"z": base.variables["y"]}}, "variable y is filed under 'z'"),
+            ({"constants": {"q": k}}, "constant k is filed under 'q'"),
+            ({"constants": {"y": ConstantTensor("y", ((1, 2),), {})}},
+             "constant 'y' clashes with another name"),
         ]
         for changes, message in cases:
             with pytest.raises(SemanticError) as exc:
