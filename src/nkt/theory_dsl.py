@@ -46,9 +46,12 @@ shares values between nodes equal up to a renaming of bound names.  A sum
 whose body cannot raise binds only the index values where a constant factor
 reading the index, such as g[m,al] in sum(al, 0..3, g[m,al]*...), has a
 nonzero entry; every other sum binds every value in order, so each error
-keeps its message and span.  In both evaluators a run of + and - is added
-up at once, and a run of * scales by its constants and multiplies its
-polynomials in balanced pairs.
+keeps its message and span.  The parser makes each run of + and -, and
+each run of *, one node holding its operands, their signs and its
+operators' locations; a leading -x is a run of one negated operand.  Both
+evaluators, and the pricing, read a run's operands directly: a run of + and
+- is added up at once, and a run of * scales by its constants and
+multiplies its polynomials in balanced pairs.
 """
 
 from __future__ import annotations
@@ -632,18 +635,18 @@ class _Sum:
         self.index, self.lo, self.hi, self.body, self.span = index, lo, hi, body, span
 
 
-class _Unary:
-    __slots__ = ("op", "operand", "span")
+class _Run:
+    """A run of + and - (op "+") or of * (op "*"), left to right: signs[i]
+    is the sign of operands[i] in a run of +, and ats[i] the location of
+    the operator before it, None for the first.  A leading -x is a run of +
+    of the one operand x, signed - and located at the -.  The run's span is
+    its last operator's location."""
 
-    def __init__(self, op, operand, span):
-        self.op, self.operand, self.span = op, operand, span
+    __slots__ = ("op", "operands", "signs", "ats", "span")
 
-
-class _Binary:
-    __slots__ = ("op", "left", "right", "span")
-
-    def __init__(self, op, left, right, span):
-        self.op, self.left, self.right, self.span = op, left, right, span
+    def __init__(self, op, operands, signs, ats):
+        self.op, self.operands, self.signs, self.ats = op, operands, signs, ats
+        self.span = ats[-1]
 
 
 class _Pow:
@@ -679,25 +682,37 @@ def _parse_index_list(st: _Stmt, *closers: str) -> list["int | str"]:
 
 
 def _parse_expr(st: _Stmt, depth: int = 0) -> object:
-    if depth > _MAX_DEPTH:
-        raise ParseError("expression nested too deeply", st.here())
-    node = _parse_term(st, depth + 1)
-    while (op := st.tokens[st.pos]) == "+" or op == "-":
-        at = (st, st.pos)
-        st.pos += 1
-        node = _Binary(op, node, _parse_term(st, depth + 1), at)
-    return node
+    return _parse_run(st, depth, ("+", "-"), _parse_term)
 
 
 def _parse_term(st: _Stmt, depth: int) -> object:
+    return _parse_run(st, depth, ("*",), _parse_unary)
+
+
+def _parse_run(
+    st: _Stmt, depth: int, ops: tuple[str, ...], read: Callable[[_Stmt, int], object]
+) -> object:
+    """The operands read, joined by the operators ops, as one run node.
+
+    A parenthesized run of the same operators that stands first is absorbed,
+    as a left to right reading takes it; a later one, or a negated one,
+    stays one operand."""
     if depth > _MAX_DEPTH:
         raise ParseError("expression nested too deeply", st.here())
-    node = _parse_unary(st, depth + 1)
-    while st.tokens[st.pos] == "*":
-        at = (st, st.pos)
+    node = read(st, depth + 1)
+    if st.tokens[st.pos] not in ops:
+        return node
+    op = ops[0]
+    if type(node) is _Run and node.op == op and len(node.operands) > 1:
+        operands, signs, ats = [*node.operands], [*node.signs], [*node.ats]
+    else:
+        operands, signs, ats = [node], ["+"], [None]
+    while (tok := st.tokens[st.pos]) in ops:
+        signs.append(tok)
+        ats.append((st, st.pos))
         st.pos += 1
-        node = _Binary("*", node, _parse_unary(st, depth + 1), at)
-    return node
+        operands.append(read(st, depth + 1))
+    return _Run(op, operands, signs if op == "+" else (), ats)
 
 
 def _parse_unary(st: _Stmt, depth: int) -> object:
@@ -706,7 +721,7 @@ def _parse_unary(st: _Stmt, depth: int) -> object:
     if st.tokens[st.pos] == "-":
         at = (st, st.pos)
         st.pos += 1
-        return _Unary("-", _parse_unary(st, depth + 1), at)
+        return _Run("+", [_parse_unary(st, depth + 1)], ["-"], [at])
     return _parse_power(st, depth + 1)
 
 
@@ -909,8 +924,12 @@ class _Facts(NamedTuple):
     # [number, nodes] of the shape up to renaming bound names, and the free
     # names in memo key order
     key: tuple[list, list[str]] | None = None
-    factors: tuple[_Ref, ...] = ()  # constant entries of the node's * chain
-    plan: tuple = ()  # a sum's zeroing factors, see _sum_run; a run's signs
+    # constant entries whose zero zeroes the value: a constant leaf's own,
+    # those of a run of *'s factors (the parser makes a run one node, split
+    # here into stretches), and those of a sum's body not reading its index
+    factors: tuple[_Ref, ...] = ()
+    # a sum's zeroing factors, see _sum_run; a run node holds its own signs
+    plan: tuple = ()
 
 
 class _Statement:
@@ -960,60 +979,54 @@ def _spend(stmt: _Statement, steps: int, node: object) -> None:
         )
 
 
-def _power_cost(t: int, k: int) -> tuple[int, int]:
-    """(terms, own) of the power k of a value of t terms, or of its
-    negation for k = -1."""
-    if k > 0:
-        # (t terms)^k has at most C(t+k-1, k) terms; building it by k
-        # products takes t times the terms of the powers below k
-        terms, own = comb(t + k - 1, k), t * comb(t + k - 1, k - 1)
+def _cost(node: "_Run | _Pow", kid_terms: list[int]) -> tuple[int, int]:
+    """(terms, own) of a run or a power whose kids have kid_terms terms.
+
+    One evaluation of a run of + and - adds its operands up at once, so it
+    is charged their terms once; a run of * is charged the terms of each
+    partial product, left to right, as a chain of binary products would
+    build them.  The power k of t terms has at most C(t+k-1, k) terms, and
+    building it by k products takes t times the terms of the powers below k.
+    """
+    if type(node) is _Pow:
+        (t,), k = kid_terms, node.exponent
+        terms, own = (comb(t + k - 1, k), t * comb(t + k - 1, k - 1)) if k else (1, 1)
+    elif node.op == "*":
+        terms, own = kid_terms[0], 0
+        for t in kid_terms[1:]:
+            terms = min(terms * t, _CAP)
+            own = min(own + terms, _CAP)
     else:
-        terms = own = 1 if k == 0 else t
+        terms = own = sum(kid_terms)
     return min(terms, _CAP), min(own, _CAP)
 
 
-def _terms_cost(kid_terms: list[int]) -> int:
-    """The terms, and the own steps, of a run of + and - over operands of
-    kid_terms terms: one evaluation adds them up at once."""
-    return min(sum(kid_terms), _CAP)
+def _run_value(node: _Run, values: list) -> object:
+    """The value of a run from its operands' values, in reading order.
 
+    A run of + and - of one operand negates it.  A longer one adds numbers
+    up as numbers; once a polynomial is among the values, each number is
+    lifted to a polynomial and all are added at once.
 
-def _product_cost(kid_terms: list[int]) -> tuple[int, int]:
-    """(terms, own) of a product of operands of kid_terms terms: one
-    evaluation is charged the terms of each partial product, left to right,
-    as a chain of binary products would build them."""
-    terms, own = kid_terms[0], 0
-    for t in kid_terms[1:]:
-        terms = min(terms * t, _CAP)
-        own = min(own + terms, _CAP)
-    return terms, own
-
-
-def _add_run(values: list, plan: tuple[str, ...]) -> object:
-    """The sum of a run of + and -, values[i] taken with the sign plan[i].
-
-    Numbers add up as numbers; once a polynomial is among the values, each
-    number is lifted to a polynomial and all are added at once."""
-    if GradedPolynomial not in map(type, values):
-        return sum([v if op == "+" else -v for v, op in zip(values, plan)])
-    lift = GradedPolynomial.scalar
-    plus, minus = [], []
-    for v, op in zip(values, plan):
-        (plus if op == "+" else minus).append(
-            v if type(v) is GradedPolynomial else lift(v)
-        )
-    return gp_sum(plus, minus)
-
-
-def _multiply_run(values: list) -> object:
-    """The product of a run of *, values in reading order.
-
-    The numbers multiply into one scale, which scales the product of the
-    polynomials.  Those are multiplied by balanced pairing of adjacent
-    operands, order kept, which associativity makes equal to the product
-    left to right: y*y*...*y with n factors builds O(log n) distinct
-    monomials and merges O(n log n) factors, where the left-to-right
-    product builds n and merges O(n^2)."""
+    A run of * multiplies its numbers into one scale, which scales the
+    product of its polynomials.  Those are multiplied by balanced pairing of
+    adjacent operands, order kept, which associativity makes equal to the
+    product left to right: y*y*...*y with n factors builds O(log n) distinct
+    monomials and merges O(n log n) factors, where the left-to-right product
+    builds n and merges O(n^2)."""
+    if node.op == "+":
+        if len(values) == 1:
+            return -values[0]
+        signs = node.signs
+        if GradedPolynomial not in map(type, values):
+            return sum([v if s == "+" else -v for v, s in zip(values, signs)])
+        lift = GradedPolynomial.scalar
+        plus, minus = [], []
+        for v, s in zip(values, signs):
+            (plus if s == "+" else minus).append(
+                v if type(v) is GradedPolynomial else lift(v)
+            )
+        return gp_sum(plus, minus)
     scale, polys = None, []
     for v in values:
         if type(v) is GradedPolynomial:
@@ -1036,19 +1049,12 @@ def _charge(node: object, charges: list[tuple[int, object]]) -> int | None:
     at = len(charges)
     charges.append((0, node))
     kind = type(node)
-    if kind is _Binary:
-        kid_terms = [_charge(operand, charges) for operand in _chain(node)[0]]
+    if kind is _Run or kind is _Pow:
+        kids = node.operands if kind is _Run else (node.base,)
+        kid_terms = [_charge(kid, charges) for kid in kids]
         if None in kid_terms:
             return None
-        if node.op == "*":
-            terms, own = _product_cost(kid_terms)
-        else:
-            terms = own = _terms_cost(kid_terms)
-    elif kind is _Unary or kind is _Pow:
-        t = _charge(node.operand if kind is _Unary else node.base, charges)
-        if t is None:
-            return None
-        terms, own = _power_cost(t, node.exponent if kind is _Pow else -1)
+        terms, own = _cost(node, kid_terms)
     elif kind is _Sum:
         return None
     else:
@@ -1061,14 +1067,8 @@ def _walk(env: _Env, node: object) -> "GradedPolynomial | Fraction | int":
     """The value of a sum-free node, its operands read left to right; every
     error is a leaf's, raised by _leaf."""
     kind = type(node)
-    if kind is _Binary:
-        operands, links = _chain(node)
-        values = [_walk(env, operand) for operand in operands]
-        if node.op == "*":
-            return _multiply_run(values)
-        return _add_run(values, ("+", *[link.op for link in links]))
-    if kind is _Unary:
-        return -_walk(env, node.operand)
+    if kind is _Run:
+        return _run_value(node, [_walk(env, operand) for operand in node.operands])
     if kind is _Pow:
         return _walk(env, node.base) ** node.exponent
     if kind is _Num:
@@ -1086,21 +1086,18 @@ def _analyse(
         value = node.value
         shape = ("n", value.numerator, value.denominator)
         return _Facts(node, True, True, run=lambda: value, cheap=True, shape=shape)
+    if kind is _Run:
+        return _analyse_run(stmt, node, scope)
     if kind is _Ref or kind is _D:
         facts = _analyse_leaf(stmt, node, scope)
     elif kind is _Sum:
         facts = _analyse_sum(stmt, node, scope)
-    elif kind is _Binary and node.op == "*":
-        return _analyse_factors(stmt, node, scope)
-    elif kind is _Binary:
-        facts = _analyse_terms(stmt, node, scope)
-    elif kind is _Unary or kind is _Pow:
-        arg = _analyse(stmt, node.operand if kind is _Unary else node.base, scope)
-        k = node.exponent if kind is _Pow else -1  # -1: negation
-        terms, own = _power_cost(arg.terms, k)
+    elif kind is _Pow:
+        arg = _analyse(stmt, node.base, scope)
+        terms, own = _cost(node, [arg.terms])
         facts = _Facts(
             node, arg.const, arg.safe, arg.free, (arg,), terms=terms, own=own,
-            shape=("^", k) + arg.shape if scope else (),
+            shape=("^", node.exponent) + arg.shape if scope else (),
         )
     else:
         raise SemanticError("malformed expression", getattr(node, "span", None))
@@ -1128,81 +1125,38 @@ def _keyed(
     return facts._replace(values=values, key=(entry, names))
 
 
-def _chain(node: _Binary) -> tuple[list, list[_Binary]]:
-    """The operands, left to right, of the run of * or of + and - whose top
-    is node, and the run's binary nodes, innermost first.  The parser leaves
-    a run a left-deep chain, walked here by a loop."""
-    product, operands, links = node.op == "*", [], []
-    while type(node) is _Binary and (node.op == "*") is product:
-        links.append(node)
-        operands.append(node.right)
-        node = node.left
-    operands.append(node)
-    operands.reverse()
-    links.reverse()
-    return operands, links
-
-
-def _analyse_terms(
-    stmt: _Statement, node: _Binary, scope: dict[str, tuple[int, int]]
+def _analyse_run(
+    stmt: _Statement, node: _Run, scope: dict[str, tuple[int, int]],
+    kids: list[_Facts] | None = None,
 ) -> _Facts:
-    """A run of one or more + and -, such as y+y+...+y, is one node whose
-    kids are its operands, left to right.  One evaluation sums the operands
-    at once, so it is charged their terms once."""
-    operands, links = _chain(node)
-    kids = tuple([_analyse(stmt, operand, scope) for operand in operands])
-    const = safe = True
-    free = frozenset()
-    for kid in kids:
-        const, safe = const and kid.const, safe and kid.safe
-        free = free | kid.free
-    terms = _terms_cost([kid.terms for kid in kids])
-    plan = ("+", *[link.op for link in links])
-    return _Facts(
-        node, const, safe, free, kids, terms=terms, own=terms,
-        shape=("+", len(kids), *plan) + tuple(t for kid in kids for t in kid.shape)
-        if scope else (),
-        plan=plan,
-    )
+    """A run is one node whose kids are its operands, left to right.
 
-
-def _analyse_factors(
-    stmt: _Statement, node: _Binary, scope: dict[str, tuple[int, int]]
-) -> _Facts:
-    """A run of one or more *, such as y*y*...*y, multiplied left to right.
-
-    Each stretch of the run whose partial products read the same bound
-    names is one node; its kids are the node of the stretch before it, if
-    any, and its own operands.  So each partial product is built once per
-    value of the names it reads and charged its terms each time, as in a
-    chain of binary products, and the nodes nest at most once per bound
-    name however long the run."""
-    operands, links = _chain(node)
-    kids = [_analyse(stmt, operand, scope) for operand in operands]
-    stretch, free = kids[:1], kids[0].free
-    for k in range(1, len(kids)):
-        if len(stretch) > 1 and not kids[k].free <= free:
-            # links[k - 2] is the product of the first k operands
-            stretch = [_product_facts(stmt, links[k - 2], stretch, scope)]
-        stretch.append(kids[k])
-        free = free | kids[k].free
-    return _product_facts(stmt, node, stretch, scope)
-
-
-def _product_facts(
-    stmt: _Statement, node: _Binary, kids: list[_Facts],
-    scope: dict[str, tuple[int, int]],
-) -> _Facts:
-    """The facts of a stretch of a run of *: one evaluation builds each
-    partial product of kids, left to right, and is charged their terms."""
-    terms, own = _product_cost([kid.terms for kid in kids])
+    In a run of *, each stretch whose partial products read the same bound
+    names is one node: a run of the operands it covers, so located at the *
+    before the last of them, whose kids, passed in, are the node of the
+    stretch before it, if any, and its own operands.  So each partial
+    product is built once per value of the names it reads and charged its
+    terms each time, as in a chain of binary products, and the nodes nest
+    at most once per bound name however long the run."""
+    if kids is None:
+        kids = [_analyse(stmt, operand, scope) for operand in node.operands]
+        if node.op == "*":
+            stretch, free = kids[:1], kids[0].free
+            for k in range(1, len(kids)):
+                if len(stretch) > 1 and not kids[k].free <= free:
+                    head = _Run("*", node.operands[:k], (), node.ats[:k])
+                    stretch = [_analyse_run(stmt, head, scope, stretch)]
+                stretch.append(kids[k])
+                free = free | kids[k].free
+            kids = stretch
+    terms, own = _cost(node, [kid.terms for kid in kids])
     facts = _Facts(
         node, all(kid.const for kid in kids), all(kid.safe for kid in kids),
         frozenset().union(*[kid.free for kid in kids]), tuple(kids), terms=terms,
         own=own,
-        shape=("*", len(kids)) + tuple(t for kid in kids for t in kid.shape)
+        shape=(node.op, len(kids), *node.signs, *[t for kid in kids for t in kid.shape])
         if scope else (),
-        factors=tuple(f for kid in kids for f in kid.factors),
+        factors=tuple(f for kid in kids for f in kid.factors) if node.op == "*" else (),
     )
     return _keyed(stmt, facts, scope)
 
@@ -1327,13 +1281,8 @@ def _compile(
         run = facts.run
     elif type(node) is _Sum:
         run = _sum_run(stmt, facts, *runs)
-    elif type(node) is _Binary and node.op == "*":
-        run = lambda: _multiply_run([f() for f in runs])
-    elif type(node) is _Binary:
-        run = _run_of_terms(facts, runs)
-    elif type(node) is _Unary:
-        (f,) = runs
-        run = lambda: -f()
+    elif type(node) is _Run:
+        run = lambda: _run_value(node, [f() for f in runs])
     else:
         (f,), k = runs, node.exponent
         run = lambda: f() ** k
@@ -1350,15 +1299,6 @@ def _compile(
         return value
 
     return memoized
-
-
-def _run_of_terms(
-    facts: _Facts, runs: list[Callable[[], object]]
-) -> Callable[[], object]:
-    """Evaluate the operands of a run of + and -, left first, and add them
-    up at once (see _add_run)."""
-    plan = facts.plan
-    return lambda: _add_run([f() for f in runs], plan)
 
 
 def _sum_run(

@@ -66,7 +66,6 @@ from nkt.multiindex import EMPTY, MultiIndex, check_jet_order
 from nkt.randgen import jet_pool, random_polynomial, random_scalar, random_theory
 from nkt.theory_dsl import (
     _COORD_RE,
-    _Binary,
     _coordinate_of,
     _D,
     _Env,
@@ -75,8 +74,8 @@ from nkt.theory_dsl import (
     _Pow,
     _Ref,
     _resolve_index,
+    _Run,
     _Sum,
-    _Unary,
     Theory,
     parse_expression,
     parse_theory,
@@ -461,16 +460,22 @@ def oracle_total_derivative_multi(p: GradedPolynomial, mi: MultiIndex) -> Graded
 def oracle_eval(env: _Env, node: object) -> GradedPolynomial:
     if isinstance(node, _Num):
         return GradedPolynomial.scalar(node.value)
-    if isinstance(node, _Unary):
-        return -oracle_eval(env, node.operand)
-    if isinstance(node, _Binary):
-        left = oracle_eval(env, node.left)
-        right = oracle_eval(env, node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
+    if isinstance(node, _Run):
+        # the binary chain the run stands for, a left fold of its
+        # operators; a run of one operand negates it
+        values = [oracle_eval(env, operand) for operand in node.operands]
+        if len(values) == 1:
+            return -values[0]
+        ops = node.signs if node.op == "+" else ["*"] * len(values)
+        out = values[0]
+        for op, value in zip(ops[1:], values[1:]):
+            if op == "+":
+                out = out + value
+            elif op == "-":
+                out = out - value
+            else:
+                out = out * value
+        return out
     if isinstance(node, _Pow):
         base = oracle_eval(env, node.base)
         out = GradedPolynomial.one()
@@ -1394,7 +1399,7 @@ def products_evaluated(monkeypatch, parse, text: str, start: int, *args) -> int:
         run = compile_node(stmt, facts, *args)
         node = facts.node
         # a node keeps its location, (cursor, token index), not its span
-        if not isinstance(node, _Binary):
+        if not isinstance(node, _Run) or node.op != "*":
             return run
         cursor, token = node.span
         if cursor.span_of(token).start != start:
@@ -1480,13 +1485,14 @@ def test_a_run_of_terms_is_added_up_at_once(monkeypatch) -> None:
         monkeypatch.setattr(
             GradedPolynomial, name, lambda p, q, op=op: binary.append(1) or op(p, q)
         )
-    make = theory_dsl._run_of_terms
+    value_of = theory_dsl._run_value
 
-    def counted(facts, runs):
-        run = make(facts, runs)
-        return lambda: sums.append(1) or run()
+    def counted(node, values):
+        if node.op == "+":
+            sums.append(1)
+        return value_of(node, values)
 
-    monkeypatch.setattr(theory_dsl, "_run_of_terms", counted)
+    monkeypatch.setattr(theory_dsl, "_run_value", counted)
     assert outcome(parse_expression, text, MEMO_THEORY) == want
     assert (len(sums), len(binary)) == (2, 0)
 

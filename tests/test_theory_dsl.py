@@ -259,6 +259,26 @@ class TestExpressions:
         with pytest.raises(SemanticError, match="expansion work budget"):
             parse_expression(f"sum(i,1..500, {run})", t)
 
+    def test_a_leading_run_is_absorbed_and_a_later_or_negated_one_is_not(self):
+        t = parse_theory(SCALAR)
+        # a parenthesized run that stands first belongs to the run it
+        # starts, as (a+b)+c reads a+b+c: 601 terms charged as one run pass
+        # the budget, as 600 do above
+        run = "+".join(["i*y"] * 600)
+        for op, k in (("+", 601), ("-", 599)):
+            got = parse_expression(f"sum(i,1..500, ({run}) {op} i*y)", t)
+            assert got == v_y().scaled(k * 500 * 501 // 2)
+        # a later run, or a negated one, is one operand, a run charged on
+        # its own: the work passes the budget at a product inside it, or at
+        # the run itself, located at its last +
+        for text, column in (
+            (f"sum(i,1..500, i*y + ({run}))", 807),
+            (f"sum(i,1..500, -({run}) + i*y)", 2412),
+        ):
+            with pytest.raises(SemanticError, match="expansion work budget") as info:
+                parse_expression(text, t)
+            assert (info.value.span.line, info.value.span.column) == (1, column)
+
     def test_sum_binder_may_not_shadow_declarations(self):
         t = parse_theory(SCALAR)
         with pytest.raises(SemanticError):
