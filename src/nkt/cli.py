@@ -539,9 +539,9 @@ def main(argv: list[str] | None = None) -> int:
     # an unknown command) gets the full one, which lists every command
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
-    config.reload()
     started = time.monotonic()
     try:
+        config.reload()
         if args.command == "selftest":
             report = _selftest()
         else:

@@ -285,20 +285,26 @@ class Monomial:
     def __new__(cls, factors: _Flat) -> "Monomial":
         self = _MONOMIALS.get(factors)
         if self is None:
-            self = _MONOMIALS[factors] = object.__new__(cls)
-            self.factors = factors
-            self.odd = sum([f.odd for f in factors])
-            _, self.jets = _split(factors)
-            self.top = max([len(f.mi.entries) for f in self.jets], default=-1)
-            self._memo = _NO_MEMO
+            coords, jets = _split(factors)
+            odd = sum([f.odd for f in factors])
+            self = _interned(factors, odd, _top(jets), len(coords))
         return self
 
     def times(self, other: "Monomial") -> tuple[int, "Monomial | None"]:
         """(sign, self * other), or (0, None) when an odd factor repeats."""
         hit = self._memo.get(other)
         if hit is None:
-            sign, flat = _merge_flat(self.factors, other.factors, self.odd)
-            hit = (0, None) if flat is None else (sign, Monomial(flat))
+            a, b = self.factors, other.factors
+            sign, flat = _merge_flat(a, b, self.odd, other.odd)
+            if flat is None:
+                hit = (0, None)
+            else:
+                got = _MONOMIALS.get(flat)
+                if got is None:
+                    ncoords = len(a) - len(self.jets) + len(b) - len(other.jets)
+                    top = max(self.top, other.top)
+                    got = _interned(flat, self.odd + other.odd, top, ncoords)
+                hit = (sign, got)
             _remember(self, other, hit)
         return hit
 
@@ -310,7 +316,7 @@ class Monomial:
         """
         hit = self._memo.get(direction)
         if hit is None:
-            hit = _derive_flat(self.factors, direction)
+            hit = _derive_flat(self, direction)
             _remember(self, direction, hit)
         return hit
 
@@ -318,7 +324,7 @@ class Monomial:
         """The jet factors with what dropping them leaves; see _drop_flat."""
         hit = self._memo.get(None)
         if hit is None:
-            hit = _drop_flat(self.factors)
+            hit = _drop_flat(self)
             _remember(self, None, hit)
         return hit
 
@@ -327,6 +333,27 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial({self.factors!r})"
+
+
+def _interned(flat: _Flat, odd: int, top: int, ncoords: int) -> Monomial:
+    """Intern the monomial of a canonical factor tuple not interned yet.
+
+    odd, top and ncoords (the number of leading coordinates) are what
+    Monomial(flat) would scan from flat; a kernel takes them from its
+    operands, and only on a miss of the intern table.
+    """
+    self = _MONOMIALS[flat] = object.__new__(Monomial)
+    self.factors = flat
+    self.odd = odd
+    self.jets = flat[ncoords:]
+    self.top = top
+    self._memo = _NO_MEMO
+    return self
+
+
+def _top(jets: _Flat) -> int:
+    """The highest jet order among jet factors, -1 without any."""
+    return max([len(f.mi.entries) for f in jets], default=-1)
 
 
 def _remember(m: Monomial, key: "Monomial | int | None", value: tuple) -> None:
@@ -357,22 +384,31 @@ def memo_sizes() -> dict[str, int]:
     }
 
 
-def _merge_flat(a: _Flat, b: _Flat, odd_left: int) -> tuple[int, _Flat | None]:
+def _merge_flat(a: _Flat, b: _Flat, odd_a: int, odd_b: int) -> tuple[int, _Flat | None]:
     """Merge two canonical factor tuples, tracking the Koszul sign.
 
-    odd_left is the number of odd factors in a.
+    odd_a and odd_b are the numbers of odd factors in a and b.  When one
+    tuple sorts wholly before the other, the result is their concatenation:
+    a + b keeps the sign and vanishes only if an odd factor ends a and
+    starts b, and b + a moves each odd factor of b past each one of a.
     """
+    if not a or not b:
+        return 1, a + b
+    if a[-1].key <= b[0].key:
+        return (0, None) if a[-1] is b[0] and b[0].odd else (1, a + b)
+    if b[-1].key < a[0].key:
+        return (-1 if odd_a & odd_b & 1 else 1), b + a
     out: list[_Factor] = []
     sign = 1
-    i = j = 0
+    i = j = 0  # from here on, odd_a counts the odd factors in a[i:]
     while i < len(a) and j < len(b):
         if a[i].key <= b[j].key:
             if a[i].odd:
-                odd_left -= 1
+                odd_a -= 1
             out.append(a[i])
             i += 1
         else:
-            if b[j].odd and (odd_left & 1):
+            if b[j].odd and (odd_a & 1):
                 sign = -sign
             out.append(b[j])
             j += 1
@@ -384,29 +420,35 @@ def _merge_flat(a: _Flat, b: _Flat, odd_left: int) -> tuple[int, _Flat | None]:
     return sign, tuple(out)
 
 
-def _derive_flat(flat: _Flat, direction: int) -> tuple[tuple[int, Monomial], ...]:
+def _derive_flat(m: Monomial, direction: int) -> tuple[tuple[int, Monomial], ...]:
     """The total derivative of one canonical term, as (multiplier, monomial).
 
     Each factor x^direction is dropped once; other coordinates stay.
     Raising jet factor i keeps the others in place: the raised factor only
     moves right past the factors of its own variable with a smaller key,
     picking up the sign of the odd factors it passes, and the term vanishes
-    if an odd raised factor lands on an equal one.  Equal results (from a
-    repeated even factor) are merged at the first one.
+    if an odd raised factor lands on an equal one.  A run of equal factors
+    (only even ones repeat) gives one result, with its power as multiplier.
+    Each result has m's number of odd factors; a raise may lift its top order.
     """
-    acc: dict[_Flat, int] = {}
+    flat, odd, top = m.factors, m.odd, m.top
     n = len(flat)
-    for i, f in enumerate(flat):
-        if f.__class__ is not JetVariable:
+    ncoords = n - len(m.jets)
+    out: list[tuple[int, Monomial]] = []
+    end = 0
+    for f, power in _runs(flat):
+        i, end = end, end + power
+        if i < ncoords:
             if f.k == direction:
-                dropped = flat[:i] + flat[i + 1 :]
-                acc[dropped] = acc.get(dropped, 0) + 1
+                rest = flat[:i] + flat[i + 1 :]
+                got = _MONOMIALS.get(rest) or _interned(rest, odd, top, ncoords - 1)
+                out.append((power, got))
             continue
         up = f._raised.get(direction)
         if up is None:
             up = f.raised(direction)
         key = up.key
-        j = i + 1
+        j = end
         passed = 0
         while j < n and flat[j].key < key:
             passed += flat[j].odd
@@ -414,15 +456,16 @@ def _derive_flat(flat: _Flat, direction: int) -> tuple[tuple[int, Monomial], ...
         if up.odd:
             if j < n and flat[j] is up:
                 continue
-            step = -1 if passed & 1 else 1
-        else:
-            step = 1
+            if passed & 1:
+                power = -1
         raised = flat[:i] + flat[i + 1 : j] + (up,) + flat[j:]
-        acc[raised] = acc.get(raised, 0) + step
-    return tuple([(c, Monomial(t)) for t, c in acc.items() if c])
+        order = len(up.mi.entries)
+        got = _MONOMIALS.get(raised) or _interned(raised, odd, max(order, top), ncoords)
+        out.append((power, got))
+    return tuple(out)
 
 
-def _drop_flat(flat: _Flat) -> tuple[tuple[JetVariable, Monomial, int, int], ...]:
+def _drop_flat(m: Monomial) -> tuple[tuple[JetVariable, Monomial, int, int], ...]:
     """Each jet factor of a canonical term with the term it leaves, and signs.
 
     Dropping one factor from a canonical term leaves a canonical term, so
@@ -430,28 +473,29 @@ def _drop_flat(flat: _Flat) -> tuple[tuple[JetVariable, Monomial, int, int], ...
     the odd factors on its left (left partial) or on its right (right
     partial).  Entries are (jet, rest, left multiplier, right multiplier); a
     repeated even factor appears once, with its power as both multipliers.
+    The rest is rescanned for its top order only when the jet held m's top.
     """
-    acc: dict[JetVariable, list] = {}
+    flat, odd, top = m.factors, m.odd, m.top
+    ncoords = len(flat) - len(m.jets)
+    out = []
     odd_before = 0
-    odd_after = sum([f.odd for f in flat])
-    for i, f in enumerate(flat):
-        left = right = 1
+    end = ncoords
+    for f, power in _runs(m.jets):
+        i, end = end, end + power
+        left = right = power
         if f.odd:
-            odd_after -= 1
             if odd_before & 1:
                 left = -1
-            if odd_after & 1:
+            if (odd - odd_before - 1) & 1:
                 right = -1
             odd_before += 1
-        if f.__class__ is not JetVariable:
-            continue
-        entry = acc.get(f)
-        if entry is None:
-            acc[f] = [flat[:i] + flat[i + 1 :], left, right]
-        else:
-            entry[1] += left
-            entry[2] += right
-    return tuple([(f, Monomial(rest), l, r) for f, (rest, l, r) in acc.items()])
+        rest = flat[:i] + flat[i + 1 :]
+        got = _MONOMIALS.get(rest)
+        if got is None:
+            rest_top = top if len(f.mi.entries) < top else _top(rest[ncoords:])
+            got = _interned(rest, odd - f.odd, rest_top, ncoords)
+        out.append((f, got, left, right))
+    return tuple(out)
 
 
 def _all_partials(

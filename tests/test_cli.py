@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from nkt import cli, graded_poly, noether, theory_dsl
+from nkt import cli, config, graded_poly, noether, theory_dsl
 from nkt.cli import main
+from nkt.errors import NktError
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 
@@ -436,6 +437,26 @@ class TestExitCodes:
         monkeypatch.setenv("NKT_MAX_JET_ORDER", "2")
         code, _, err = run(capsys, "el", str(f))
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_a_malformed_jet_order_bound_is_refused(self, capsys, monkeypatch, value):
+        # a refusal that says "raise NKT_MAX_JET_ORDER" must never follow a
+        # value that was silently replaced by the default
+        refusal = f"NKT_MAX_JET_ORDER must be a positive integer, not {value!r}"
+        monkeypatch.setenv("NKT_MAX_JET_ORDER", value)
+        with pytest.raises(NktError) as info:
+            config.reload()
+        assert str(info.value) == refusal
+        assert config.max_jet_order() == config.DEFAULT_MAX_JET_ORDER
+        assert run(capsys, "el", SCALAR) == (2, "", f"error: {refusal}\n")
+        # importing nkt still works: the read at import falls back to the default
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", "import nkt; print(nkt.max_jet_order())"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "8\n", "")
 
 
 def outcome(argv: list[str]) -> tuple:

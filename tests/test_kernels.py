@@ -13,7 +13,11 @@ The reference total derivative is the one used before factors were raised
 in place: it rebuilds every raised term and re-sorts it from scratch.
 The per-call merge and raise loop below are the product and total-derivative
 kernels used before monomials were interned and their products and images
-memoized: they merge and raise every term of every call afresh.
+memoized: they merge and raise every term of every call afresh.  The merge
+loop is also the reference for the merge's block paths, which concatenate
+two factor tuples when one sorts wholly before the other, and
+scanned_counts, a scan of a monomial's factors, is the reference for the
+counts that the kernels take from their operands.
 The reference evaluator is the theory-file expression evaluator the package
 used before evaluation was memoized and analysed: it evaluates every node
 afresh for every index binding, and OracleStatement puts it in the place of
@@ -23,7 +27,11 @@ match exactly.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -34,10 +42,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import even_field, odd_field, odd_ghost
 from nkt import config, graded_poly, theory_dsl
 from nkt.derivations import GeneralizedVectorField, prolong_apply
 from nkt.errors import JetOrderError, NktError, SemanticError, too_many_digits
 from nkt.graded_poly import (
+    _ONE,
     Coordinate,
     GradedPolynomial,
     JetVariable,
@@ -1094,6 +1104,99 @@ def test_clear_memos_keeps_the_monomials() -> None:
     assert memo_entries() == 0
     assert Monomial((y, y)) is m
     assert p * p == square and hash(p * p) == hash(square)
+
+
+# -- monomial counts taken from the operands against the scan of the factors ----------
+
+
+def scanned_counts(flat: tuple) -> tuple:
+    """(odd, jets, top) of a canonical factor tuple, read from its factors."""
+    jets = tuple(f for f in flat if isinstance(f, JetVariable))
+    odd = sum(1 for f in jets if f.var.parity is Parity.ODD)
+    return odd, jets, max((f.mi.order for f in jets), default=-1)
+
+
+def reached_monomials(ms: list, direction: int) -> list:
+    """The products of ms, two rounds of images of those and of ms along
+    direction, and the partials of all of them."""
+    out = {r: None for a in ms for b in ms for _, r in [a.times(b)] if r is not None}
+    step = [*ms, *out]
+    for _ in range(2):
+        step = list({r: None for m in step for _, r in m.image(direction)})
+        out.update(dict.fromkeys(step))
+    out.update({rest: None for m in [*ms, *out] for _, rest, _, _ in m.partials()})
+    return list(out)
+
+
+@KERNEL_SETTINGS
+@given(st.lists(graded_polynomials(), min_size=1, max_size=2), st.integers(0, 2))
+def test_kernels_intern_monomials_with_the_counts_of_their_factors(ps, direction) -> None:
+    ms = list({m: None for p in ps for m in p._terms})
+    for cap in (graded_poly.MEMO_CAP, 5):
+        with pytest.MonkeyPatch.context() as mp:
+            # an intern table holding only the operands, so that every other
+            # monomial reached is built by a kernel from its operands' counts;
+            # a cap of 5 clears every memo many times within one pass
+            mp.setattr(graded_poly, "_MONOMIALS", {m.factors: m for m in [_ONE, *ms]})
+            mp.setattr(graded_poly, "MEMO_CAP", cap)
+            clear_memos()
+            try:
+                reached = reached_monomials(ms, direction)
+                assert set(graded_poly._MONOMIALS.values()) <= {_ONE, *ms, *reached}
+                for m in reached:
+                    assert (m.odd, m.jets, m.top) == scanned_counts(m.factors)
+            finally:
+                clear_memos()
+
+
+def test_the_merge_matches_the_merge_loop() -> None:
+    y, c = JetVariable(even_field("y")), JetVariable(odd_ghost("c"))
+    psi, chi = JetVariable(odd_field("psi")), JetVariable(odd_field("chi"))
+    x0, x1 = Coordinate(0), Coordinate(1)
+    cases = [
+        ((), ()), ((), (y, c)), ((x0, c), ()),
+        ((x0,), (x0, x1)), ((x1,), (x0, y)), ((x0, y), (x1,)),
+        # an odd factor repeated across the block boundary, and an even one
+        ((psi, c), (c,)), ((c,), (c, jet(odd_ghost("c"), 0))), ((y,), (y,)),
+        # b sorts wholly before a, with odd factors on both sides
+        ((c,), (chi, psi)), ((c, jet(odd_ghost("c"), 0)), (psi,)), ((c,), (psi,)),
+        ((c,), (y, psi)), ((chi, c), (psi, y)), ((y, c), (x0, psi)),
+    ]
+    for a, b in cases:
+        got = graded_poly._merge_flat(a, b, scanned_counts(a)[0], scanned_counts(b)[0])
+        assert got == oracle_merge_interned(a, b), (a, b)
+
+
+@KERNEL_SETTINGS
+@given(graded_polynomials(), graded_polynomials())
+def test_the_merge_of_drawn_monomials_matches_the_merge_loop(p, q) -> None:
+    ms = [m.factors for m in (*p._terms, *q._terms)]
+    for a in ms:
+        for b in ms:
+            got = graded_poly._merge_flat(a, b, scanned_counts(a)[0], scanned_counts(b)[0])
+            assert got == oracle_merge_interned(a, b)
+
+
+def test_a_one_shot_verdict_makes_as_many_monomials_and_memo_entries() -> None:
+    # the counts of derive-noether --sym brst on ym_su2 in a fresh process:
+    # a cheaper miss must not change how many misses there are
+    program = (
+        "import contextlib, io, json, sys\n"
+        "from nkt import cli, graded_poly\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(code, json.dumps(graded_poly.memo_sizes(), sort_keys=True))\n"
+    )
+    argv = ["derive-noether", str(THEORY_DIR / "ym_su2.nkt"), "--sym", "brst", "--json"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    want = {"monomials": 2509, "products": 3438, "images": 700, "partials": 216}
+    for seed in ("1", "2718"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", program, *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.stdout == f"0 {json.dumps(want, sort_keys=True)}\n", done.stderr
 
 
 # -- rendering against the renderer that reads raw_terms() ---------------------------

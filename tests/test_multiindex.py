@@ -8,7 +8,7 @@ import math
 import pytest
 
 from nkt import config
-from nkt.errors import JetOrderError
+from nkt.errors import JetOrderError, NktError
 from nkt.multiindex import EMPTY, MultiIndex, mi_enumerate, split_weight
 
 
@@ -107,10 +107,14 @@ def test_order_cap_env_override(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.setenv("NKT_MAX_JET_ORDER", "10")
     config.reload()
     assert MultiIndex((0,) * 10).order == 10
+    # a value that is not a positive integer is refused, not replaced by the
+    # default, and the bound in force stays as it was
     monkeypatch.setenv("NKT_MAX_JET_ORDER", "not-a-number")
-    config.reload()
+    with pytest.raises(NktError, match="^NKT_MAX_JET_ORDER must be a positive integer"):
+        config.reload()
+    assert MultiIndex((0,) * 10).order == 10
     with pytest.raises(JetOrderError):
-        MultiIndex((0,) * 9)
+        MultiIndex((0,) * 11)
 
 
 def test_the_bound_refuses_a_multi_index_built_under_a_higher_one(
