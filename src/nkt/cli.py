@@ -15,17 +15,19 @@ complete), 1 when the check ran and failed, 2 on usage, parse, or typing
 errors.  Output is deterministic: identical inputs give byte-identical
 reports apart from elapsed_ms.
 
-The subcommands are described once, in COMMANDS.  Each main() call builds
-a parser afresh, with only the invoked command's subparser when argv starts
-with a command name and with all of them otherwise, so a call pays for
-parsing its own options only; the output is the same either way (see
-build_parser).
+The subcommands are described once, in COMMANDS.  A main() call asks for
+the parser with only the invoked command's subparser when argv starts with
+a command name and for the one with all of them otherwise; the output is
+the same either way (see build_parser).  Each parser is built once per
+process and shared by every later call, which parses into a fresh
+namespace, so no option carries over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import codecs
+import functools
 import json
 import sys
 import time
@@ -489,6 +491,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The nkt parser with every subcommand, or with the named one only.
 
@@ -496,6 +499,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     COMMAND in its usage, and a subparser's prog, usage, help and errors do
     not depend on its siblings; so an argv whose first word is a command
     parses, prints and exits alike with either parser.
+
+    The returned parser is shared for the process: it is built on the first
+    call and every later call with the same argument returns that object, so
+    main() builds one per command name and one full parser.  Callers must not
+    modify it.
     """
     parser = argparse.ArgumentParser(
         prog="nkt",
@@ -535,8 +543,8 @@ def _read_text(file: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # only the invoked command's parser is built; any other argv (none, -h,
-    # an unknown command) gets the full one, which lists every command
+    # only the invoked command's parser is asked for; any other argv (none,
+    # -h, an unknown command) gets the full one, which lists every command
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
     started = time.monotonic()

@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, JSON schema, determinism."""
 
+import argparse
 import codecs
 import hashlib
 import io
@@ -144,8 +145,12 @@ class TestComputationCommands:
         code, out, _ = run(capsys, "kt", ON_SHELL, "--expr", "~xi", "--stages")
         assert code == 0
         assert out == "-y1*~y2 + y2*~y1\n"
-        code, _, err = run(capsys, "kt", ON_SHELL, "--expr", "~e2")
-        assert code == 0  # without --stages, ~e2 has no boundary: result is 0
+        # with --stages, ~e2 has the boundary y1*~xi; without it, none. A
+        # --stages left over from the call above would give y1*~xi here
+        assert run(capsys, "kt", ON_SHELL, "--expr", "~e2", "--stages") == (
+            0, "y1*~xi\n", ""
+        )
+        assert run(capsys, "kt", ON_SHELL, "--expr", "~e2") == (0, "0\n", "")
 
     def test_kt_rejects_conflicting_boundaries(self, capsys, tmp_path):
         f = tmp_path / "dup.nkt"
@@ -459,6 +464,11 @@ class TestExitCodes:
         assert (done.returncode, done.stdout, done.stderr) == (0, "8\n", "")
 
 
+def mask_elapsed(outcome: tuple) -> tuple:
+    code, out, err = outcome
+    return code, re.sub(r'"elapsed_ms": \d+', "", out), err
+
+
 def outcome(argv: list[str]) -> tuple:
     """Exit code (returned or raised), stdout and stderr of one main() call."""
     out, err = io.StringIO(), io.StringIO()
@@ -508,25 +518,83 @@ class TestParser:
         Path(a).name if a.endswith(".nkt") else a for a in argv
     ) or "(none)")
     def test_one_command_parser_matches_the_full_one(self, argv, monkeypatch):
-        build, built = cli.build_parser, []
+        # parsers are shared for the process, so this records which parser
+        # main asks for, not which one it builds
+        build, asked, given = cli.build_parser, [], []
 
         def recorded(command=None):
-            built.append(command)
-            return build(command)
+            asked.append(command)
+            given.append(build(command))
+            return given[-1]
+
+        def full(command=None):
+            given.append(build(None))
+            return given[-1]
 
         monkeypatch.setattr(cli, "build_parser", recorded)
         got = outcome(list(argv))
-        assert built == [argv[0] if argv and argv[0] in VALID_CALLS else None]
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+        command = argv[0] if argv and argv[0] in VALID_CALLS else None
+        assert asked == [command]
+        monkeypatch.setattr(cli, "build_parser", full)
         want = outcome(list(argv))
-        mask = lambda o: (o[0], re.sub(r'"elapsed_ms": \d+', "", o[1]), o[2])
-        assert mask(got) == mask(want)
+        # the comparison call really parses with the full parser, which is
+        # another object than the command's own
+        assert len(given) == 2 and given[1] is build(None)
+        assert (given[0] is given[1]) == (command is None)
+        assert mask_elapsed(got) == mask_elapsed(want)
 
     def test_help_lists_every_command(self):
         code, out, err = outcome(["--help"])
         assert (code, err) == (0, "")
         listed = re.findall(r"^    (\S+)", out, re.MULTILINE)
         assert listed == list(VALID_CALLS)
+
+
+class TestSharedParsers:
+    # each call with its environment and its exit code: a usage error, help,
+    # a valid call, a missing required option, a flag given then left out,
+    # an unknown command and a refused environment, so that a later call
+    # would show anything an earlier one left on a shared parser
+    CALLS = [
+        (["el", SCALAR, "--bogus"], {}, 2),
+        (["el", "-h"], {}, 0),
+        (["el", SCALAR, "--json"], {}, 0),
+        (["kt", ON_SHELL], {}, 2),
+        (["kt", ON_SHELL, "--expr", "~e2", "--stages"], {}, 0),
+        (["kt", ON_SHELL, "--expr", "~e2"], {}, 0),
+        (["--help"], {}, 0),
+        (["bogus"], {}, 2),
+        (["el", SCALAR], {"NKT_MAX_JET_ORDER": "abc"}, 2),
+        (["el", SCALAR, "--json"], {}, 0),
+    ]
+
+    def test_calls_in_one_process_read_as_on_fresh_parsers(self, monkeypatch):
+        fresh = cli.build_parser.__wrapped__
+        cli.build_parser.cache_clear()
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        seen = set()
+        for argv, env, code in self.CALLS:
+            with monkeypatch.context() as m:
+                for name, value in env.items():
+                    m.setenv(name, value)
+                m.setattr(argparse.ArgumentParser, "__init__", counted)
+                built.clear()
+                got = outcome(argv)
+                key = argv[0] if argv[0] in VALID_CALLS else None
+                # a command's first call builds its parser, a later one none
+                assert bool(built) == (key not in seen), argv
+                seen.add(key)
+                m.setattr(cli, "build_parser", fresh)
+                want = outcome(argv)
+            assert got[0] == code, argv
+            assert mask_elapsed(got) == mask_elapsed(want), argv
+        assert cli.build_parser("el") is cli.build_parser("el")
+        assert cli.build_parser("el") is not fresh("el")
 
 
 class TestJsonReports:
