@@ -491,7 +491,6 @@ COMMANDS = {
 }
 
 
-@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The nkt parser with every subcommand, or with the named one only.
 
@@ -501,10 +500,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parses, prints and exits alike with either parser.
 
     The returned parser is shared for the process: it is built on the first
-    call and every later call with the same argument returns that object, so
-    main() builds one per command name and one full parser.  Callers must not
-    modify it.
+    call and every later call for the same command returns that object,
+    however the argument is spelled, so main() builds one per command name
+    and one full parser.  Callers must not modify it.
     """
+    return _build_parser(command)
+
+
+@functools.cache
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    # cached on the one positional argument, so that build_parser(),
+    # build_parser(None) and build_parser(command=None) share one key
     parser = argparse.ArgumentParser(
         prog="nkt",
         description="Variational calculus and symmetry checks for theory files.",

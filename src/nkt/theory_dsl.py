@@ -46,12 +46,14 @@ shares values between nodes equal up to a renaming of bound names.  A sum
 whose body cannot raise binds only the index values where a constant factor
 reading the index, such as g[m,al] in sum(al, 0..3, g[m,al]*...), has a
 nonzero entry; every other sum binds every value in order, so each error
-keeps its message and span.  The parser makes each run of + and -, and
-each run of *, one node holding its operands, their signs and its
-operators' locations; a leading -x is a run of one negated operand.  Both
-evaluators, and the pricing, read a run's operands directly: a run of + and
-- is added up at once, and a run of * scales by its constants and
-multiplies its polynomials in balanced pairs.
+keeps its message and span.  A nest of sums is added up once.  References
+resolve through one table per parse (see _Env), so each component is
+checked, and each jet variable made a polynomial, once.  The parser makes
+each run of + and -, and each run of *, one node holding its operands,
+their signs and its operators' locations; a leading -x is a run of one
+negated operand.  Both evaluators, and the pricing, read a run's operands
+directly: a run of + and - is added up at once, and a run of * scales by
+its constants and multiplies its polynomials in balanced pairs.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import re
 from fractions import Fraction
 from itertools import accumulate, permutations, product as iter_product
 from math import comb, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .derivations import GeneralizedVectorField
@@ -808,13 +810,18 @@ def _parse_sum(st: _Stmt, at: tuple, depth: int) -> object:
 
 
 class _Env:
-    """What references resolve against: declarations and index bindings."""
+    """What references resolve against: declarations, index bindings, and
+    the table of one parse, shared by its statements, which maps (name,
+    component values, anti) to the VariableId that VarDecl.variable
+    accepted, and each JetVariable to its one-term polynomial.  A parse
+    never withdraws or redefines a declaration, so a hit skips only checks
+    that would pass again."""
 
-    __slots__ = ("dim", "variables", "constants", "bindings")
+    __slots__ = ("dim", "variables", "constants", "bindings", "table")
 
-    def __init__(self, dim, variables, constants, bindings):
+    def __init__(self, dim, variables, constants, bindings, table):
         self.dim, self.variables, self.constants = dim, variables, constants
-        self.bindings = bindings
+        self.bindings, self.table = bindings, table
 
 
 def _resolve_index(env: _Env, arg: "int | str", span: tuple) -> int:
@@ -861,9 +868,13 @@ def _resolve_component(env: _Env, node: _Ref) -> VariableId:
     decl = env.variables.get(node.name)
     if decl is None:
         raise SemanticError(f"unknown variable {node.name!r}", node.span)
-    comps = tuple(_resolve_index(env, a, node.span) for a in node.args)
-    var = decl.variable(comps, node.span)
-    return antifield_of(var) if node.anti else var
+    comps = tuple([_resolve_index(env, a, node.span) for a in node.args])
+    key = (node.name, comps, node.anti)
+    var = env.table.get(key)
+    if var is None:
+        var = decl.variable(comps, node.span)
+        var = env.table[key] = antifield_of(var) if node.anti else var
+    return var
 
 
 def _jet_of(env: _Env, node: object) -> JetVariable:
@@ -888,22 +899,25 @@ def _multi_index(entries: tuple[int, ...], span: tuple) -> MultiIndex:
 def _leaf(env: _Env, node: object) -> "GradedPolynomial | Fraction | int":
     """The value of a reference or jet leaf; index values and constant
     entries stay numbers.  Every leaf error is raised here."""
-    if not isinstance(node, _Ref):
-        return GradedPolynomial.variable(_jet_of(env, node))
-    if not node.anti and not node.explicit_args:
-        if node.name in env.bindings:
-            return env.bindings[node.name]
-        if _COORD_RE.match(node.name):
-            return GradedPolynomial.coordinate(
-                _coordinate_of(env, node.name, node.span)
-            )
-    if not node.anti and node.name in env.constants:
-        const = env.constants[node.name]
-        idx = tuple(_resolve_index(env, a, node.span) for a in node.args)
-        return const.entry(idx, node.span)
-    if node.name in env.variables:
-        return GradedPolynomial.variable(_jet_of(env, node))
-    raise SemanticError(f"unknown name {node.name!r}", node.span)
+    if isinstance(node, _Ref):
+        if not node.anti and not node.explicit_args:
+            if node.name in env.bindings:
+                return env.bindings[node.name]
+            if _COORD_RE.match(node.name):
+                return GradedPolynomial.coordinate(
+                    _coordinate_of(env, node.name, node.span)
+                )
+        if not node.anti and node.name in env.constants:
+            const = env.constants[node.name]
+            idx = tuple(_resolve_index(env, a, node.span) for a in node.args)
+            return const.entry(idx, node.span)
+        if node.name not in env.variables:
+            raise SemanticError(f"unknown name {node.name!r}", node.span)
+    jv = _jet_of(env, node)
+    poly = env.table.get(jv)
+    if poly is None:
+        poly = env.table[jv] = GradedPolynomial.variable(jv)
+    return poly
 
 
 class _Facts(NamedTuple):
@@ -920,15 +934,15 @@ class _Facts(NamedTuple):
     terms: int = 1  # bound on the value's term count
     own: int = 1  # bound on the expansion steps of one evaluation, kids aside
     fanout: int = 1  # evaluations of each kid per evaluation
-    shape: tuple = ()  # prefix form, bound names as 1-tuples; inside sums only
-    # [number, nodes] of the shape up to renaming bound names, and the free
-    # names in memo key order
+    shape: tuple = ()  # see _shape; inside sums only
+    # [nodes, memo] of the shape, and the free names in memo key order
     key: tuple[list, list[str]] | None = None
     # constant entries whose zero zeroes the value: a constant leaf's own,
     # those of a run of *'s factors (the parser makes a run one node, split
     # here into stretches), and those of a sum's body not reading its index
     factors: tuple[_Ref, ...] = ()
-    # a sum's zeroing factors, see _sum_run; a run node holds its own signs
+    # a sum's index values and zeroing factors, see _sum_run; a run node
+    # holds its own signs
     plan: tuple = ()
 
 
@@ -939,12 +953,13 @@ class _Statement:
     and evaluated by _walk, one direct walk.  Any other is analysed:
     _analyse visits each node once and records its facts; _compile builds
     the evaluator from them, top down, knowing how often each node is
-    reached.  Memo entries live as long as this object.
+    reached.  Memo entries live as long as this object; table is the
+    parse's resolution table (see _Env).
     """
 
     def __init__(self, ast: object, dim: int, variables: dict[str, VarDecl],
-                 constants: dict[str, ConstantTensor], binders: tuple = ()):
-        self.env = _Env(dim, variables, constants, {})
+                 constants: dict[str, ConstantTensor], table: dict, binders: tuple = ()):
+        self.env = _Env(dim, variables, constants, {}, table)
         # the root is reached once per binding
         self.work = visits = prod(hi - lo + 1 for _, lo, hi in binders)
         charges: list[tuple[int, object]] = []
@@ -954,8 +969,9 @@ class _Statement:
             env = self.env
             self.run = lambda: _walk(env, ast)
             return
-        self.memo: dict[tuple, object] = {}
-        self.shapes: dict[tuple, list] = {}
+        self.shapes: dict[tuple, int] = {}
+        self.memos: dict[object, list] = {}
+        self.probes: dict[tuple, bool] = {}
         facts = _analyse(self, ast, {name: (lo, hi) for name, lo, hi in binders})
         self.run = _compile(self, facts, visits)
 
@@ -1084,7 +1100,7 @@ def _analyse(
     kind = type(node)
     if kind is _Num:
         value = node.value
-        shape = ("n", value.numerator, value.denominator)
+        shape = _shape(stmt, ("n", value.numerator, value.denominator)) if scope else ()
         return _Facts(node, True, True, run=lambda: value, cheap=True, shape=shape)
     if kind is _Run:
         return _analyse_run(stmt, node, scope)
@@ -1097,7 +1113,7 @@ def _analyse(
         terms, own = _cost(node, [arg.terms])
         facts = _Facts(
             node, arg.const, arg.safe, arg.free, (arg,), terms=terms, own=own,
-            shape=("^", node.exponent) + arg.shape if scope else (),
+            shape=_shape(stmt, ("^", node.exponent), [arg]) if scope else (),
         )
     else:
         raise SemanticError("malformed expression", getattr(node, "span", None))
@@ -1111,18 +1127,33 @@ def _keyed(
     if not scope or facts.cheap:
         return facts
     values = prod(max(0, scope[n][1] - scope[n][0] + 1) for n in facts.free)
-    # bound names are numbered by first occurrence: the free ones, in that
-    # order, line up in the memo keys of nodes of one shape; a closed node
-    # has one value, so its own number keys it
+    # the free names, in the order of the shape's numbering, line up in the
+    # memo keys of nodes of one shape; a closed node has one value, so it
+    # keys its own memo
+    number, names = facts.shape
+    ident = number if facts.free else facts.node
+    entry = stmt.memos.get(ident)
+    if entry is None:
+        entry = stmt.memos[ident] = [0, {}]
+    entry[0] += 1
+    return facts._replace(values=values, key=(entry, [n for n in names if n in facts.free]))
+
+
+def _shape(
+    stmt: _Statement, tokens: tuple, kids: Sequence[_Facts] = ()
+) -> tuple[int, tuple[str, ...]]:
+    """(number, bound names) of a node whose prefix form is its tokens, bound
+    names as 1-tuples, then its kids' forms: the number is equal for the
+    nodes of equal forms up to renaming bound names, which are listed in
+    order of first occurrence.  A kid enters as its number and its names'
+    renaming, so a node costs its own tokens, not its whole form."""
     numbers: dict[str, int] = {}
-    canon = tuple([
-        (numbers.setdefault(t[0], len(numbers)),) if type(t) is tuple else t
-        for t in facts.shape
-    ]) if facts.free else ("closed", id(facts.node))
-    entry = stmt.shapes.setdefault(canon, [len(stmt.shapes), 0])
-    entry[1] += 1
-    names = [n for n in numbers if n in facts.free]
-    return facts._replace(values=values, key=(entry, names))
+    canon = [(numbers.setdefault(t[0], len(numbers)),) if type(t) is tuple else t
+             for t in tokens]
+    for kid in kids:
+        number, names = kid.shape
+        canon += (number, tuple([numbers.setdefault(n, len(numbers)) for n in names]))
+    return stmt.shapes.setdefault(tuple(canon), len(stmt.shapes)), tuple(numbers)
 
 
 def _analyse_run(
@@ -1154,8 +1185,7 @@ def _analyse_run(
         node, all(kid.const for kid in kids), all(kid.safe for kid in kids),
         frozenset().union(*[kid.free for kid in kids]), tuple(kids), terms=terms,
         own=own,
-        shape=(node.op, len(kids), *node.signs, *[t for kid in kids for t in kid.shape])
-        if scope else (),
+        shape=_shape(stmt, (node.op, len(kids), *node.signs), kids) if scope else (),
         factors=tuple(f for kid in kids for f in kid.factors) if node.op == "*" else (),
     )
     return _keyed(stmt, facts, scope)
@@ -1165,12 +1195,13 @@ def _analyse_sum(
     stmt: _Statement, node: _Sum, scope: dict[str, tuple[int, int]]
 ) -> _Facts:
     """A sum whose body cannot raise gets a plan: for each constant factor
-    reading the index, a map from its other arguments' values to the index
-    values with a nonzero stored entry."""
+    reading the index, the getter of its other names' values and a map from
+    those to the index values, in order, with a nonzero stored entry."""
     index, env = node.index, stmt.env
     body = _analyse(stmt, node.body, {**scope, index: (node.lo, node.hi)})
     safe = body.safe and index not in env.variables and index not in env.constants
-    plan = []
+    fanout = max(0, node.hi - node.lo + 1)
+    values, lookups = tuple(range(node.lo, node.hi + 1)), []
     for ref in body.factors if safe else ():
         args = ref.args
         if index not in args:
@@ -1183,19 +1214,18 @@ def _analyse_sum(
             if len(hits) == 1:
                 rest = tuple(k for k, a in zip(key, args) if a != index)
                 nonzero.setdefault(rest, set()).update(hits)
-        plan.append((nonzero, [(a, isinstance(a, str)) for a in args if a != index]))
-    # a plan factor binds at most its most entries for any other arguments
-    fanout = min(
-        [max(0, node.hi - node.lo + 1)]
-        + [max(map(len, nonzero.values()), default=0) for nonzero, _ in plan]
-    )
+        # a plan factor binds at most its most entries for any other arguments
+        fanout = min(fanout, max(map(len, nonzero.values()), default=0))
+        get, hits = _by_names([a for a in args if a != index], nonzero)
+        ordered = {key: tuple([v for v in values if v in hits[key]]) for key in hits}
+        lookups.append((get, ordered))
     return _Facts(
         node, body.const, safe, body.free - {index}, (body,),
         terms=min((fanout if index in body.free else 1) * body.terms, _CAP),
         own=min(fanout * body.terms, _CAP), fanout=fanout,
-        shape=("s", (index,), node.lo, node.hi) + body.shape if scope else (),
+        shape=_shape(stmt, ("s", (index,), node.lo, node.hi), [body]) if scope else (),
         factors=tuple(f for f in body.factors if index not in f.args),
-        plan=tuple(plan),
+        plan=(values, lookups),
     )
 
 
@@ -1207,8 +1237,8 @@ def _analyse_leaf(
     error raised again each time it is evaluated."""
     env = stmt.env
     b = env.bindings  # empty until the statement is evaluated
-    shape = _leaf_shape(node, scope) if scope else ()
-    free = frozenset(t[0] for t in shape if type(t) is tuple)
+    shape = _shape(stmt, _leaf_shape(node, scope)) if scope else ()
+    free = frozenset(shape[1] if scope else ())  # a leaf binds no name itself
     by_leaf = lambda: _leaf(env, node)
     if not free:
         try:
@@ -1226,25 +1256,49 @@ def _analyse_leaf(
     # ends of their ranges, and with each in turn at its high end, passes at
     # every binding between
     const = env.constants.get(node.name) if plain else None
-    low = {n: scope[n][0] for n in free}
-    highs = [{**low, n: scope[n][1]} for n in free if scope[n][1] != low[n]]
-    safe = True
-    for point in [low, *highs]:
-        b.update(point)
-        try:
-            (_jet_of if const is None else _leaf)(env, node)
-        except SemanticError:
-            safe = False
-            break
-        finally:
-            b.clear()
+    # leaves of one shape whose names run over the same ranges probe alike
+    probe = (shape[0], *[scope[n] for n in shape[1]])
+    safe = stmt.probes.get(probe)
+    if safe is None:
+        low = {n: scope[n][0] for n in free}
+        highs = [{**low, n: scope[n][1]} for n in free if scope[n][1] != low[n]]
+        safe = True
+        for point in [low, *highs]:
+            b.update(point)
+            try:
+                (_jet_of if const is None else _leaf)(env, node)
+            except SemanticError:
+                safe = False
+                break
+            finally:
+                b.clear()
+        stmt.probes[probe] = safe
     if const is None:
         return _Facts(node, False, safe, free, run=by_leaf, shape=shape)
-    entries, keys = const.entries, [(a, isinstance(a, str)) for a in node.args]
     if safe:
-        by_leaf = lambda: entries.get(tuple([b[a] if k else a for a, k in keys]), 0)
+        get, entries = _by_names(node.args, const.entries)
+        by_leaf = lambda: entries.get(get(b), 0)
     return _Facts(node, True, safe, free, run=by_leaf, cheap=True, shape=shape,
                   factors=(node,))
+
+
+def _by_names(args: Sequence["int | str"], table: dict) -> tuple[Callable, dict]:
+    """table, whose keys are index tuples lined up with args, keyed instead
+    by what the getter returned reads from the bindings, the values of
+    args' names; keys whose literals differ from args' are dropped."""
+    named = [i for i, a in enumerate(args) if isinstance(a, str)]
+    if len(named) == len(args) > 1:  # the getter reads whole keys
+        return itemgetter(*args), table
+    pick = _getter(named)
+    return _getter([args[i] for i in named]), {
+        pick(key): value for key, value in table.items()
+        if all(k == a for k, a in zip(key, args) if not isinstance(a, str))
+    }
+
+
+def _getter(keys: Sequence) -> Callable:
+    """itemgetter(*keys), which gives () for no keys."""
+    return itemgetter(*keys) if keys else lambda _: ()
 
 
 def _leaf_shape(node: object, scope: dict[str, tuple[int, int]]) -> tuple:
@@ -1273,7 +1327,7 @@ def _compile(
     node = facts.node
     evals = min(visits, facts.values)
     _spend(stmt, evals * facts.own, node)
-    twin = facts.key is not None and facts.key[0][1] > 1
+    twin = facts.key is not None and facts.key[0][0] > 1
     runs = [
         _compile(stmt, kid, evals * facts.fanout, shared or twin) for kid in facts.kids
     ]
@@ -1288,11 +1342,12 @@ def _compile(
         run = lambda: f() ** k
     if facts.key is None or (facts.values >= visits and (shared or not twin)):
         return run
-    (number, _), names = facts.key
-    memo, b = stmt.memo, stmt.env.bindings
+    (_, memo), names = facts.key
+    # nodes of one shape share a memo, keyed by their free names' values
+    get, b = _getter(names), stmt.env.bindings
 
     def memoized() -> object:
-        key = (number, *[b[name] for name in names])
+        key = get(b)
         value = memo.get(key)
         if value is None:
             value = memo[key] = run()
@@ -1307,33 +1362,41 @@ def _sum_run(
     """Evaluate the body of a sum at each value of its index, in order,
     skipping those where a factor of the plan has no nonzero stored entry:
     the body cannot raise, so they would add exactly zero and nothing else.
+
+    The evaluator's fill appends the body's values to a list of parts, and
+    an unmemoized sum as the body (a number exactly when its own body is)
+    fills the same list, so a nest of sums is added up once.
     """
     node, b = facts.node, stmt.env.bindings
-    index, span, plan = node.index, node.span, facts.plan
+    index, span, (values, lookups) = node.index, node.span, facts.plan
     if index in stmt.env.variables or index in stmt.env.constants:
         def shadowing() -> object:
             raise SemanticError(f"sum index {index!r} shadows a declaration", span)
 
         return shadowing
-    values = range(node.lo, node.hi + 1)
     total = sum if facts.const else gp_sum
+    add = getattr(evaluate, "fill", None) or (lambda parts: parts.append(evaluate()))
 
-    def run() -> object:
+    def fill(parts: list) -> None:
         saved = b.get(index)
         todo = values
-        for nonzero, rest in plan:
-            hits = nonzero.get(tuple([b[a] if named else a for a, named in rest]), ())
-            todo = [v for v in todo if v in hits]
-        parts = []
+        for get, hits in lookups:
+            found = hits.get(get(b), ())  # some of values, in order
+            todo = found if todo is values else [v for v in todo if v in found]
         for value in todo:
             b[index] = value
-            parts.append(evaluate())
+            add(parts)
         if saved is None:
             b.pop(index, None)
         else:
             b[index] = saved
+
+    def run() -> object:
+        parts: list = []
+        fill(parts)
         return parts[0] if len(parts) == 1 else total(parts)
 
+    run.fill = fill
     return run
 
 
@@ -1408,11 +1471,12 @@ class _TheoryParser:
         self.operators: dict[str, LinearJetOperator] = {}
         self.derivations: dict[str, GeneralizedVectorField] = {}
         self.certificates: dict[str, ReductionCertificate] = {}
+        self.table: dict = {}  # the resolution table of this parse, see _Env
 
     # -- helpers
 
     def _statement(self, ast: object, binders: tuple = ()) -> _Statement:
-        return _Statement(ast, self.dim, self.variables, self.constants, binders)
+        return _Statement(ast, self.dim, self.variables, self.constants, self.table, binders)
 
     def _next(self) -> _Stmt | None:
         if self.index >= len(self.statements):
@@ -1459,14 +1523,13 @@ class _TheoryParser:
             raise SemanticError("repeated binder name", binder_span)
         stmt = self._statement(ast, binders)
         env = stmt.env
-        ranges = [range(lo, hi + 1) for _, lo, hi in binders]
-        for values in iter_product(*ranges):
-            bindings = dict(zip(names, values))
-            env.bindings.update(bindings)  # the keys resolve before the entry
-            key = tuple(_resolve_component(env, ref) for ref, _ in keys)
+        bindings, refs = env.bindings, [ref for ref, _ in keys]
+        for values in iter_product(*[range(lo, hi + 1) for _, lo, hi in binders]):
+            bindings.update(zip(names, values))  # the keys resolve before the entry
+            key = tuple([_resolve_component(env, ref) for ref in refs])
             if mi is not None:
                 entries, mi_span = mi
-                dirs = tuple(_resolve_direction(env, e, mi_span) for e in entries)
+                dirs = tuple([_resolve_direction(env, e, mi_span) for e in entries])
                 key += (_multi_index(dirs, mi_span),)
             poly = stmt(bindings)
             if key in acc:
@@ -1730,7 +1793,7 @@ def parse_expression(text: str, theory: Theory) -> GradedPolynomial:
     st = parser._next()
     ast = _parse_expr(st)
     st.expect_end()
-    return _Statement(ast, theory.dim, theory.variables, theory.constants)({})
+    return _Statement(ast, theory.dim, theory.variables, theory.constants, {})({})
 
 
 # ---------------------------------------------------------------------------
@@ -1840,5 +1903,5 @@ def resolve_component(theory: Theory, text: str) -> VariableId:
     st.expect_end()
     if not isinstance(ref, _Ref):
         raise ParseError(f"bad component reference {text!r}")
-    env = _Env(theory.dim, theory.variables, theory.constants, {})
+    env = _Env(theory.dim, theory.variables, theory.constants, {}, {})
     return _resolve_component(env, ref)

@@ -569,8 +569,8 @@ class TestSharedParsers:
     ]
 
     def test_calls_in_one_process_read_as_on_fresh_parsers(self, monkeypatch):
-        fresh = cli.build_parser.__wrapped__
-        cli.build_parser.cache_clear()
+        fresh = cli._build_parser.__wrapped__
+        cli._build_parser.cache_clear()
         built, init = [], argparse.ArgumentParser.__init__
 
         def counted(parser, *args, **kwargs):
@@ -595,6 +595,23 @@ class TestSharedParsers:
             assert mask_elapsed(got) == mask_elapsed(want), argv
         assert cli.build_parser("el") is cli.build_parser("el")
         assert cli.build_parser("el") is not fresh("el")
+
+    def test_every_spelling_of_a_command_shares_one_parser(self, monkeypatch):
+        cli._build_parser.cache_clear()
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        full, el = cli.build_parser(), cli.build_parser("el")
+        assert built  # the first calls build the parsers
+        built.clear()
+        assert cli.build_parser(None) is full
+        assert cli.build_parser(command=None) is full
+        assert cli.build_parser(command="el") is el
+        assert built == []
 
 
 class TestJsonReports:

@@ -515,16 +515,26 @@ def oracle_eval(env: _Env, node: object) -> GradedPolynomial:
     raise SemanticError("malformed expression")
 
 
-class OracleStatement:
-    """Stands in for theory_dsl._Statement: no analysis, no memo."""
+class Unremembered(dict):
+    """A resolution table that keeps nothing: every reference is checked afresh."""
 
-    def __init__(self, ast, dim, variables, constants, binders=()) -> None:
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+class OracleStatement:
+    """Stands in for theory_dsl._Statement: no analysis, no memo, and the
+    parse's resolution table left unused."""
+
+    def __init__(self, ast, dim, variables, constants, table, binders=()) -> None:
         self.ast = ast
         self.declarations = (dim, variables, constants)
-        self.env = _Env(dim, variables, constants, {})  # block keys resolve here
+        # block keys resolve here
+        self.env = _Env(dim, variables, constants, {}, Unremembered())
 
     def __call__(self, bindings: dict) -> GradedPolynomial:
-        return oracle_eval(_Env(*self.declarations, dict(bindings)), self.ast)
+        env = _Env(*self.declarations, dict(bindings), Unremembered())
+        return oracle_eval(env, self.ast)
 
 
 def oracle_eval_ref(env: _Env, node: _Ref) -> GradedPolynomial:
@@ -1572,6 +1582,27 @@ def test_alpha_equivalent_subterms_are_evaluated_once_per_value(monkeypatch) -> 
     assert got[1] == parse_expression("2*d(a[1,1];0) - 2*d(a[0,1];1)", MEMO_THEORY)
 
 
+def test_subterms_with_other_name_patterns_share_no_values() -> None:
+    # the two products differ only in which index the last factor reads, so
+    # they are not renamings of each other, though each has the factors and
+    # the names of the other
+    text = "sum(i,0..1, sum(j,0..0, a[i,1]*a[j,1]*a[i,2] + a[i,1]*a[j,1]*a[j,2]))"
+    got = outcome(parse_expression, text, MEMO_THEORY)
+    assert got == oracle_outcome(parse_expression, text, MEMO_THEORY)
+    want = (
+        "a[0,1]*(a[0,1]*a[0,2] + a[1,1]*a[1,2]) + a[0,1]*a[0,2]*(a[0,1] + a[1,1])"
+    )
+    assert got[1] == parse_expression(want, MEMO_THEORY)
+
+
+def test_sums_skip_the_entries_outside_their_range() -> None:
+    # k[1,2] is nonzero, but j runs over 1..1: only k[0,1] = 1 is summed
+    text = "sum(i,0..1, sum(j,1..1, k[i,j]*y))"
+    got = outcome(parse_expression, text, MEMO_THEORY)
+    assert got == oracle_outcome(parse_expression, text, MEMO_THEORY)
+    assert got[1] == parse_expression("y", MEMO_THEORY)
+
+
 def test_a_run_of_terms_is_added_up_at_once(monkeypatch) -> None:
     # kd[i,j] leaves j = i only; each run mixes polynomials and scalars, and
     # the second is the first with i and j swapped, so it finds the first's
@@ -1708,7 +1739,7 @@ def compiled_outcome(text: str, theory: Theory = DIRECT_THEORY) -> tuple:
 
     def evaluate() -> GradedPolynomial:
         declared = (theory.dim, theory.variables, theory.constants)
-        return theory_dsl._Statement(ast, *declared, (("unused", 1, 1),))({"unused": 1})
+        return theory_dsl._Statement(ast, *declared, {}, (("unused", 1, 1),))({"unused": 1})
 
     return outcome(evaluate)
 

@@ -916,6 +916,42 @@ class TestRoundtrip:
             assert (span.line, span.column) == (line, column + offset)
 
 
+class TestResolutionTable:
+    def test_a_parse_checks_each_component_and_jet_once(self, monkeypatch):
+        # ym_su2 reads 15 components and 75 jet variables; validation checks
+        # each component once more
+        checked, lifted = [], []
+        variable, poly = VarDecl.variable, GradedPolynomial.variable.__func__
+
+        def checking(decl, *args):
+            checked.append(decl.name)
+            return variable(decl, *args)
+
+        def lifting(cls, v):
+            lifted.append(v)
+            return poly(cls, v)
+
+        monkeypatch.setattr(VarDecl, "variable", checking)
+        monkeypatch.setattr(GradedPolynomial, "variable", classmethod(lifting))
+        parse_theory((THEORY_DIR / "ym_su2.nkt").read_text())
+        assert len(checked) <= 30
+        assert len(lifted) <= 75
+
+    def test_no_table_outlives_its_parse(self):
+        wide = "theory t\ndim 1\nfield y[i=0..1] parity even\n"
+        narrow = "theory t\ndim 1\nfield y[i=0..0] parity even\n"
+        parse_theory(wide + "lagrangian y[1]^2\n")
+        message = "index i=1 of y is outside 0..0"
+        with pytest.raises(SemanticError) as info:
+            parse_theory(narrow + "lagrangian y[1]^2\n")
+        assert str(info.value) == f"{message} (line 4, column 12)"
+        theory = parse_theory(narrow)
+        for resolve in (parse_expression, lambda text, t: resolve_component(t, text)):
+            with pytest.raises(SemanticError) as info:
+                resolve("y[1]", theory)
+            assert str(info.value) == f"{message} (line 1, column 1)"
+
+
 class TestResolveComponent:
     def test_plain_indexed_and_antifield(self):
         t = parse_theory(
