@@ -808,6 +808,42 @@ def gp_sum_of_products(
     return GradedPolynomial._from_terms(acc, den)
 
 
+def gp_sum_of_weighted_products(
+    products: Iterable[tuple[Sequence[GradedPolynomial], Fraction | int]],
+) -> GradedPolynomial:
+    """The sum of weight * f1 * ... * fn over products (factors, weight),
+    canonicalized once; the theory evaluator adds up each sum and run here.
+
+    Factors keep their order, so Koszul signs are those of f1 * ... * fn.
+    Leading factors are multiplied by balanced pairing of adjacent ones, so
+    n factors merge O(n log n) factors, not O(n^2), down to a last pair whose
+    term products, as in gp_sum_of_products, go straight into one numerator
+    map over the lcm of the products' denominators.  A lone factor is added
+    term by term, and a product of none adds its weight to the constant term.
+    """
+    todo, dens = [], []
+    for factors, weight in products:
+        while len(factors) > 2:
+            pairs = iter(factors)
+            factors = [*map(GradedPolynomial.__mul__, pairs, pairs),
+                       *factors[len(factors) & -2:]]
+        den = weight.denominator
+        for f in factors:
+            den *= f._den
+        dens.append(den)
+        todo.append((factors, weight.numerator, den))
+    den = lcm(*dens)
+    acc: dict[Monomial, int] = {}
+    for factors, n, d in todo:
+        if len(factors) == 2:
+            _multiply_into(acc, *factors, n * (den // d))
+        elif factors:
+            _add_into(acc, factors[0]._terms, n * (den // d))
+        else:
+            acc[_ONE] = acc.get(_ONE, 0) + n * (den // d)
+    return GradedPolynomial._from_terms(acc, den)
+
+
 def _multiply_into(
     acc: dict[Monomial, int], a: GradedPolynomial, b: GradedPolynomial, k: int
 ) -> None:

@@ -76,10 +76,11 @@ class MultiIndex:
         """The splits into Lam + Sigma as (Lam, Sigma's entries, weight).
 
         Lam runs over the sub-multisets, the last direction's count fastest;
-        the weight, split_weight(Sigma, Lam), is the product over directions
-        of C(m_d, c_d), for the counts of d here and in Lam.  The splits are
-        kept on the instance, but past a bound lowered since then they raise
-        the JetOrderError that building them raises: the first Lam past it.
+        the weight, the number of ways this multiset splits into (Sigma, Lam),
+        is the product over directions of C(m_d, c_d), for the counts of d
+        here and in Lam.  The splits are kept on the instance, but past a
+        bound lowered since then they raise the JetOrderError that building
+        them raises: the first Lam past it.
         """
         known = self._splits
         if known is None:
@@ -131,20 +132,3 @@ def mi_enumerate(n: int, up_to_order: int) -> list[MultiIndex]:
             for combo in combinations_with_replacement(range(n), k)
         )
     return list(known)
-
-
-def split_weight(sigma: MultiIndex, lam: MultiIndex) -> int:
-    """Number of distinct ways the multiset sigma+lam splits into (sigma, lam).
-
-    Per direction d this is C(m_d(sigma)+m_d(lam), m_d(sigma)), which is 1
-    where sigma lacks d; the total is the product.  For one base direction
-    it reduces to C(|sigma+lam|, |sigma|).  This is the weight with which a
-    symmetric coefficient family's ordered-tuple sums collapse onto
-    canonical representatives, and it is exactly the multivariate Leibniz
-    count for d_(sigma+lam)(f g).
-    """
-    w = 1
-    for d in set(sigma.entries):
-        ms = sigma.entries.count(d)
-        w *= math.comb(ms + lam.entries.count(d), ms)
-    return w

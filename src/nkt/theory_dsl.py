@@ -39,30 +39,29 @@ passes MAX_EXPANSION_WORK is refused at the node where it does.  A
 statement with no binders and no sum is then evaluated by one direct walk.
 Any other is analysed once: one pass records for each node the index names
 it reads, whether a range proof over the sum and binder ranges shows it
-cannot raise, whether it is a rational constant, the constant factors that
-can zero a sum over it, and its bounds.  The evaluator built from these
-facts evaluates each node once per binding of the names it reads, and
-shares values between nodes equal up to a renaming of bound names.  A sum
-whose body cannot raise binds only the index values where a constant factor
-reading the index, such as g[m,al] in sum(al, 0..3, g[m,al]*...), has a
-nonzero entry; every other sum binds every value in order, so each error
-keeps its message and span.  A nest of sums is added up once.  References
+cannot raise, the constant factors that can zero a sum over it, and its
+bounds.  The evaluator built from these facts evaluates each node once per
+binding of the names it reads, and shares values between nodes equal up to
+a renaming of bound names.  A sum whose body cannot raise binds only the
+index values where a constant factor reading the index, such as g[m,al] in
+sum(al, 0..3, g[m,al]*...), has a nonzero entry; every other sum binds
+every value in order, so each error keeps its message and span.  References
 resolve through one table per parse (see _Env), so each component is
 checked, and each jet variable made a polynomial, once.  The parser makes
-each run of + and -, and each run of *, one node holding its operands,
-their signs and its operators' locations; a leading -x is a run of one
-negated operand.  Both evaluators, and the pricing, read a run's operands
-directly: a run of + and - is added up at once, and a run of * scales by
-its constants and multiplies its polynomials in balanced pairs.
+each run of + and -, and each run of *, one node; a leading -x is a run of
+one negated operand.  Sums and runs add weighted products to one list, an
+unmemoized one inside passing its own into the same list, so a polynomial
+is added up only where a memo stores it or a factor needs it, and at once.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, permutations, product as iter_product
 from math import comb, prod
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .derivations import GeneralizedVectorField
@@ -76,8 +75,7 @@ from .graded_poly import (
     Parity,
     VariableId,
     antifield_of,
-    base_of_antifield,
-    gp_sum,
+    gp_sum_of_weighted_products,
     render_polynomial,
 )
 from .koszul_tate import ReductionCertificate
@@ -289,15 +287,15 @@ class _Declared(dict):
         self.theory = theory
 
     def __missing__(self, var: VariableId) -> bool:
-        base = var
-        if var.kind in (Kind.ANTIFIELD, Kind.ANTIGHOST):
-            base = base_of_antifield(var)
-        decl = self.theory.variables.get(base.name)
-        try:
-            found = decl is not None and decl.variable(base.components) == base
-        except SemanticError:  # wrong arity or an index out of range
-            found = False
-        self[var] = found
+        decl, kind, parity = self.theory.variables.get(var.name), var.kind, var.parity
+        if kind in (Kind.ANTIFIELD, Kind.ANTIGHOST):  # declared as its base
+            kind, parity = Kind(kind - 2), parity.flipped()
+        comps = var.components
+        self[var] = found = (
+            decl is not None and (decl.kind, decl.parity, decl.stage) == (kind, parity, var.stage)
+            and len(comps) == len(decl.indices)
+            and all(lo <= c <= hi for c, (_, lo, hi) in zip(comps, decl.indices))
+        )
         return found
 
 
@@ -516,10 +514,7 @@ class _Stmt:
     """Cursor over one statement's tokens, up to the sentinel None.
 
     A location is (cursor, token) or (cursor, first, last token); the error
-    given one calls span_of.  The parser's statements hold its text's
-    tokens in order, newlines aside, so a token's span is found by scanning
-    the text again, once per parser: source.scan keeps each token's
-    (start, end) and the count of tokens before each statement.
+    given one calls span_of, and the parser's span_of finds the span.
     """
 
     __slots__ = ("source", "index", "tokens", "pos")
@@ -529,15 +524,7 @@ class _Stmt:
         self.tokens, self.pos = source.statements[index], 0
 
     def span_of(self, first: int, last: int | None = None) -> SourceSpan:
-        source = self.source
-        if source.scan is None:
-            spans = [m.span(1) for m in _TOKEN_RE.finditer(source.text + "\n")
-                     if m.group(1) != "\n"]
-            source.scan = spans, [0, *accumulate(len(t) - 1 for t in source.statements)]
-        spans, skips = source.scan
-        head = skips[self.index] + first
-        tail = head if last is None else head - first + last
-        return _text_span(source.text, spans[head][0], spans[tail][1])
+        return self.source.span_of(self.index, first, last)
 
     def here(self) -> tuple:
         """The location of the next token, or of the last at the end."""
@@ -593,14 +580,15 @@ class _Stmt:
         if tok is not None:
             raise ParseError(f"unexpected trailing {tok!r}", (self, self.pos))
 
-    def expect_fraction(self) -> Fraction:
+    def expect_fraction(self) -> "Fraction | int":
+        """A rational literal: an int, or a Fraction num/den."""
         num = self.expect_int()
         if self.accept("/"):
             den = self.expect_int()
             if den == 0:  # at the 0 just taken, not at the token after it
                 raise ParseError("zero denominator", (self, self.pos - 1))
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
 
 # ---------------------------------------------------------------------------
@@ -910,7 +898,7 @@ def _leaf(env: _Env, node: object) -> "GradedPolynomial | Fraction | int":
         if not node.anti and node.name in env.constants:
             const = env.constants[node.name]
             idx = tuple(_resolve_index(env, a, node.span) for a in node.args)
-            return const.entry(idx, node.span)
+            return _integral(const.entry(idx, node.span))
         if node.name not in env.variables:
             raise SemanticError(f"unknown name {node.name!r}", node.span)
     jv = _jet_of(env, node)
@@ -920,11 +908,15 @@ def _leaf(env: _Env, node: object) -> "GradedPolynomial | Fraction | int":
     return poly
 
 
+def _integral(q: Fraction) -> "Fraction | int":
+    """q, as an int when it is one: products' weights multiply faster."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class _Facts(NamedTuple):
     """What _analyse records about one node of a statement's expression."""
 
     node: object
-    const: bool  # the value is a rational number, not a polynomial
     safe: bool  # evaluating the node provably cannot raise
     free: frozenset[str] = frozenset()  # the bound names the value depends on
     kids: tuple["_Facts", ...] = ()
@@ -953,8 +945,10 @@ class _Statement:
     and evaluated by _walk, one direct walk.  Any other is analysed:
     _analyse visits each node once and records its facts; _compile builds
     the evaluator from them, top down, knowing how often each node is
-    reached.  Memo entries live as long as this object; table is the
-    parse's resolution table (see _Env).
+    reached.  On both paths a sum or run is accumulated in the numerator map
+    of the nearest memoized node, factor or root above it (see _run_value).
+    Memo entries live as long as this object; table is the parse's
+    resolution table (see _Env).
     """
 
     def __init__(self, ast: object, dim: int, variables: dict[str, VarDecl],
@@ -1017,44 +1011,31 @@ def _cost(node: "_Run | _Pow", kid_terms: list[int]) -> tuple[int, int]:
     return min(terms, _CAP), min(own, _CAP)
 
 
-def _run_value(node: _Run, values: list) -> object:
-    """The value of a run from its operands' values, in reading order.
+def _run_value(into: Callable[[list, object], None]) -> object:
+    """The value of a run or a sum, which into adds to a list of weighted
+    products (see _product): a number when no product has a factor, else
+    their sum, accumulated in one numerator map by gp_sum_of_weighted_products."""
+    parts: list = []
+    into(parts, 1)
+    if len(parts) == 1 and parts[0][1] == 1 and len(parts[0][0]) == 1:
+        return parts[0][0][0]  # one polynomial, as it is
+    for factors, _ in parts:
+        if factors:
+            return gp_sum_of_weighted_products(parts)
+    return sum([w for _, w in parts])
 
-    A run of + and - of one operand negates it.  A longer one adds numbers
-    up as numbers; once a polynomial is among the values, each number is
-    lifted to a polynomial and all are added at once.
 
-    A run of * multiplies its numbers into one scale, which scales the
-    product of its polynomials.  Those are multiplied by balanced pairing of
-    adjacent operands, order kept, which associativity makes equal to the
-    product left to right: y*y*...*y with n factors builds O(log n) distinct
-    monomials and merges O(n log n) factors, where the left-to-right product
-    builds n and merges O(n^2)."""
-    if node.op == "+":
-        if len(values) == 1:
-            return -values[0]
-        signs = node.signs
-        if GradedPolynomial not in map(type, values):
-            return sum([v if s == "+" else -v for v, s in zip(values, signs)])
-        lift = GradedPolynomial.scalar
-        plus, minus = [], []
-        for v, s in zip(values, signs):
-            (plus if s == "+" else minus).append(
-                v if type(v) is GradedPolynomial else lift(v)
-            )
-        return gp_sum(plus, minus)
-    scale, polys = None, []
+def _product(parts: list, w: object, values: Sequence) -> None:
+    """Add w times the product of values, in order, to parts: numbers scale
+    the weight, polynomials are the factors; a product of weight 0 is left out."""
+    factors = []
     for v in values:
         if type(v) is GradedPolynomial:
-            polys.append(v)
+            factors.append(v)
         else:
-            scale = v if scale is None else scale * v
-    if not polys:
-        return scale
-    while len(polys) > 1:
-        pairs = iter(polys)
-        polys = [*map(mul, pairs, pairs), *polys[len(polys) & -2:]]
-    return polys[0] if scale is None else polys[0].scaled(scale)
+            w = v if w == 1 else w * v  # a Fraction times 1 costs a Fraction
+    if w:
+        parts.append((factors, w))
 
 
 def _charge(node: object, charges: list[tuple[int, object]]) -> int | None:
@@ -1081,15 +1062,30 @@ def _charge(node: object, charges: list[tuple[int, object]]) -> int | None:
 
 def _walk(env: _Env, node: object) -> "GradedPolynomial | Fraction | int":
     """The value of a sum-free node, its operands read left to right; every
-    error is a leaf's, raised by _leaf."""
+    error is a leaf's, raised by _leaf.  A run adds up through _walk_into."""
     kind = type(node)
     if kind is _Run:
-        return _run_value(node, [_walk(env, operand) for operand in node.operands])
+        if len(node.operands) == 1:  # a leading -x
+            return -_walk(env, node.operands[0])
+        return _run_value(partial(_walk_into, env, node))
     if kind is _Pow:
         return _walk(env, node.base) ** node.exponent
     if kind is _Num:
         return node.value
     return _leaf(env, node)
+
+
+def _walk_into(env: _Env, node: _Run, parts: list, w: object) -> None:
+    """Add w times the value of a sum-free run to parts, as _run_into adds a
+    compiled run's."""
+    if node.op == "*":
+        _product(parts, w, [_walk(env, operand) for operand in node.operands])
+        return
+    for operand, sign in zip(node.operands, node.signs):
+        if type(operand) is _Run:
+            _walk_into(env, operand, parts, w if sign == "+" else -w)
+        else:
+            _product(parts, w if sign == "+" else -w, (_walk(env, operand),))
 
 
 def _analyse(
@@ -1101,7 +1097,7 @@ def _analyse(
     if kind is _Num:
         value = node.value
         shape = _shape(stmt, ("n", value.numerator, value.denominator)) if scope else ()
-        return _Facts(node, True, True, run=lambda: value, cheap=True, shape=shape)
+        return _Facts(node, True, run=lambda: value, cheap=True, shape=shape)
     if kind is _Run:
         return _analyse_run(stmt, node, scope)
     if kind is _Ref or kind is _D:
@@ -1112,7 +1108,7 @@ def _analyse(
         arg = _analyse(stmt, node.base, scope)
         terms, own = _cost(node, [arg.terms])
         facts = _Facts(
-            node, arg.const, arg.safe, arg.free, (arg,), terms=terms, own=own,
+            node, arg.safe, arg.free, (arg,), terms=terms, own=own,
             shape=_shape(stmt, ("^", node.exponent), [arg]) if scope else (),
         )
     else:
@@ -1182,9 +1178,8 @@ def _analyse_run(
             kids = stretch
     terms, own = _cost(node, [kid.terms for kid in kids])
     facts = _Facts(
-        node, all(kid.const for kid in kids), all(kid.safe for kid in kids),
-        frozenset().union(*[kid.free for kid in kids]), tuple(kids), terms=terms,
-        own=own,
+        node, all(kid.safe for kid in kids), frozenset().union(*[kid.free for kid in kids]),
+        tuple(kids), terms=terms, own=own,
         shape=_shape(stmt, (node.op, len(kids), *node.signs), kids) if scope else (),
         factors=tuple(f for kid in kids for f in kid.factors) if node.op == "*" else (),
     )
@@ -1220,7 +1215,7 @@ def _analyse_sum(
         ordered = {key: tuple([v for v in values if v in hits[key]]) for key in hits}
         lookups.append((get, ordered))
     return _Facts(
-        node, body.const, safe, body.free - {index}, (body,),
+        node, safe, body.free - {index}, (body,),
         terms=min((fanout if index in body.free else 1) * body.terms, _CAP),
         own=min(fanout * body.terms, _CAP), fanout=fanout,
         shape=_shape(stmt, ("s", (index,), node.lo, node.hi), [body]) if scope else (),
@@ -1244,13 +1239,11 @@ def _analyse_leaf(
         try:
             value = _leaf(env, node)
         except SemanticError:
-            return _Facts(node, False, False, run=by_leaf, cheap=True, shape=shape)
-        const = type(value) is not GradedPolynomial
-        return _Facts(node, const, True, run=lambda: value, cheap=True, shape=shape)
+            return _Facts(node, False, run=by_leaf, cheap=True, shape=shape)
+        return _Facts(node, True, run=lambda: value, cheap=True, shape=shape)
     plain = type(node) is _Ref and not node.anti
     if plain and not node.explicit_args:  # a name in scope read as a value
-        return _Facts(node, True, True, free, run=lambda: b[node.name], cheap=True,
-                      shape=shape)
+        return _Facts(node, True, free, run=lambda: b[node.name], cheap=True, shape=shape)
     # each check of _leaf (of _jet_of, for a jet) holds one index or direction
     # to an interval, so a leaf that passes them with its names at the low
     # ends of their ranges, and with each in turn at its high end, passes at
@@ -1274,12 +1267,11 @@ def _analyse_leaf(
                 b.clear()
         stmt.probes[probe] = safe
     if const is None:
-        return _Facts(node, False, safe, free, run=by_leaf, shape=shape)
+        return _Facts(node, safe, free, run=by_leaf, shape=shape)
     if safe:
-        get, entries = _by_names(node.args, const.entries)
+        get, entries = _by_names(node.args, {k: _integral(q) for k, q in const.entries.items()})
         by_leaf = lambda: entries.get(get(b), 0)
-    return _Facts(node, True, safe, free, run=by_leaf, cheap=True, shape=shape,
-                  factors=(node,))
+    return _Facts(node, safe, free, run=by_leaf, cheap=True, shape=shape, factors=(node,))
 
 
 def _by_names(args: Sequence["int | str"], table: dict) -> tuple[Callable, dict]:
@@ -1333,13 +1325,13 @@ def _compile(
     ]
     if facts.run is not None:
         run = facts.run
-    elif type(node) is _Sum:
-        run = _sum_run(stmt, facts, *runs)
-    elif type(node) is _Run:
-        run = lambda: _run_value(node, [f() for f in runs])
-    else:
+    elif type(node) is _Pow:
         (f,), k = runs, node.exponent
         run = lambda: f() ** k
+    else:
+        into = _sum_run(stmt, facts, *runs) if type(node) is _Sum else _run_into(node, runs)
+        run = lambda: _run_value(into)
+        run.into = into
     if facts.key is None or (facts.values >= visits and (shared or not twin)):
         return run
     (_, memo), names = facts.key
@@ -1356,28 +1348,43 @@ def _compile(
     return memoized
 
 
+def _adder(run: Callable[[], object]) -> Callable[[list, object], None]:
+    """What adds w times a node's value to parts: an unmemoized run's or
+    sum's own into, else one that adds the value as a product of one."""
+    return getattr(run, "into", None) or (lambda parts, w: _product(parts, w, (run(),)))
+
+
+def _run_into(node: _Run, runs: list[Callable[[], object]]) -> Callable[[list, object], None]:
+    """What adds w times a run's value to parts, its operands evaluated by
+    runs in reading order: a run of * adds one product, and a run of + and -
+    passes each operand its signed weight, so an unmemoized run or sum among
+    them adds into the same parts."""
+    if node.op == "*":
+        return lambda parts, w: _product(parts, w, [f() for f in runs])
+    adds = [(_adder(f), sign == "+") for f, sign in zip(runs, node.signs)]
+
+    def into(parts: list, w: object) -> None:
+        for add, plus in adds:
+            add(parts, w if plus else -w)
+
+    return into
+
+
 def _sum_run(
     stmt: _Statement, facts: _Facts, evaluate: Callable[[], object]
-) -> Callable[[], object]:
-    """Evaluate the body of a sum at each value of its index, in order,
-    skipping those where a factor of the plan has no nonzero stored entry:
-    the body cannot raise, so they would add exactly zero and nothing else.
-
-    The evaluator's fill appends the body's values to a list of parts, and
-    an unmemoized sum as the body (a number exactly when its own body is)
-    fills the same list, so a nest of sums is added up once.
-    """
+) -> Callable[[list, object], None]:
+    """What adds w times a sum's value to parts: the body, whose unmemoized
+    runs and sums add to the same parts, adds its value at each value of the
+    index, in order, skipping those where a factor of the plan has no nonzero
+    stored entry: the body cannot raise, so they would add exactly zero."""
     node, b = facts.node, stmt.env.bindings
     index, span, (values, lookups) = node.index, node.span, facts.plan
-    if index in stmt.env.variables or index in stmt.env.constants:
-        def shadowing() -> object:
+    shadows = index in stmt.env.variables or index in stmt.env.constants
+    add = _adder(evaluate)
+
+    def into(parts: list, w: object) -> None:
+        if shadows:
             raise SemanticError(f"sum index {index!r} shadows a declaration", span)
-
-        return shadowing
-    total = sum if facts.const else gp_sum
-    add = getattr(evaluate, "fill", None) or (lambda parts: parts.append(evaluate()))
-
-    def fill(parts: list) -> None:
         saved = b.get(index)
         todo = values
         for get, hits in lookups:
@@ -1385,19 +1392,13 @@ def _sum_run(
             todo = found if todo is values else [v for v in todo if v in found]
         for value in todo:
             b[index] = value
-            add(parts)
+            add(parts, w)
         if saved is None:
             b.pop(index, None)
         else:
             b[index] = saved
 
-    def run() -> object:
-        parts: list = []
-        fill(parts)
-        return parts[0] if len(parts) == 1 else total(parts)
-
-    run.fill = fill
-    return run
+    return into
 
 
 # ---------------------------------------------------------------------------
@@ -1461,8 +1462,9 @@ class _TheoryParser:
     def __init__(self, text: str):
         self.text, self.statements, self.scan = text, _statements(text), None
         self.index = 0
-        # the location of each declaration's head token, for validate_theory
-        self.heads: dict[str, tuple] = {}
+        # the statement of each declaration's head, for validate_theory; a
+        # location here would hold this parser in a reference cycle
+        self.heads: dict[str, int] = {}
         self.theory_name: str | None = None
         self.dim: int | None = None
         self.variables: dict[str, VarDecl] = {}
@@ -1474,6 +1476,21 @@ class _TheoryParser:
         self.table: dict = {}  # the resolution table of this parse, see _Env
 
     # -- helpers
+
+    def span_of(self, index: int, first: int, last: int | None = None) -> SourceSpan:
+        """The span that a location (parser, index, first[, last]) names.  The
+        statements hold the text's tokens in order, newlines aside, so a
+        token's span is found by scanning the text again, once per parser:
+        scan keeps each token's (start, end) and the count of tokens before
+        each statement."""
+        if self.scan is None:
+            spans = [m.span(1) for m in _TOKEN_RE.finditer(self.text + "\n")
+                     if m.group(1) != "\n"]
+            self.scan = spans, [0, *accumulate(len(t) - 1 for t in self.statements)]
+        spans, skips = self.scan
+        head = skips[index] + first
+        tail = head if last is None else head - first + last
+        return _text_span(self.text, spans[head][0], spans[tail][1])
 
     def _statement(self, ast: object, binders: tuple = ()) -> _Statement:
         return _Statement(ast, self.dim, self.variables, self.constants, self.table, binders)
@@ -1487,11 +1504,11 @@ class _TheoryParser:
 
     def _fresh_name(self, st: _Stmt, what: str, *tables: dict) -> str:
         """The name that st declares next, which none of tables holds yet;
-        heads keeps the location of st's head token under "keyword name"."""
+        heads keeps st's index under "keyword name"."""
         name = st.expect_name(what)
         if any(name in table for table in tables):
             raise SemanticError(f"duplicate declaration of {name}", st.last())
-        self.heads[f"{st.tokens[0]} {name}"] = (st, 0)
+        self.heads[f"{st.tokens[0]} {name}"] = st.index
         return name
 
     def _expand_entry(
@@ -1583,7 +1600,7 @@ class _TheoryParser:
             self.derivations,
             self.certificates,
         )
-        validate_theory(theory, self.heads)
+        validate_theory(theory, {key: (self, i, 0) for key, i in self.heads.items()})
         return theory
 
     # -- declarations
@@ -1668,7 +1685,7 @@ class _TheoryParser:
                 if const is not None:
                     const.entry(key, (stmt, first, stmt.pos - 1))
                 stmt.expect(":")
-                value = stmt.expect_fraction()
+                value = Fraction(stmt.expect_fraction())
                 if key in entries:
                     raise SemanticError(f"duplicate entry {key}", (stmt, first))
                 entries[key] = value
@@ -1684,7 +1701,7 @@ class _TheoryParser:
     def _parse_lagrangian(self, st: _Stmt) -> None:
         if self.lagrangian is not None:
             raise SemanticError("duplicate lagrangian", (st, 0))
-        self.heads["lagrangian"] = (st, 0)
+        self.heads["lagrangian"] = st.index
         ast = _parse_expr(st)
         st.expect_end()
         self.lagrangian = self._statement(ast)({})
@@ -1754,7 +1771,7 @@ class _TheoryParser:
             label += "[" + ",".join(map(str, label_args)) + "]"
         if label in self.certificates:
             raise SemanticError(f"duplicate certificate {label}", name_at)
-        self.heads[f"certificate {label}"] = (head_st, 0)
+        self.heads[f"certificate {label}"] = head_st.index
         head_st.expect("{")
         head_st.expect_end()
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -50,3 +51,20 @@ def even_ghost(name: str, *components: int) -> VariableId:
 def v(var: VariableId, *directions: int) -> GradedPolynomial:
     """The jet variable var_(directions) as a polynomial."""
     return GradedPolynomial.variable(JetVariable(var, MultiIndex(directions)))
+
+
+def split_weight(sigma: MultiIndex, lam: MultiIndex) -> int:
+    """Number of distinct ways the multiset sigma+lam splits into (sigma, lam).
+
+    Per direction d this is C(m_d(sigma)+m_d(lam), m_d(sigma)), which is 1
+    where sigma lacks d; the total is the product.  For one base direction
+    it reduces to C(|sigma+lam|, |sigma|).  This is the weight with which a
+    symmetric coefficient family's ordered-tuple sums collapse onto
+    canonical representatives, and it is exactly the multivariate Leibniz
+    count for d_(sigma+lam)(f g); MultiIndex.splits() computes it per split.
+    """
+    w = 1
+    for d in set(sigma.entries):
+        ms = sigma.entries.count(d)
+        w *= math.comb(ms + lam.entries.count(d), ms)
+    return w

@@ -16,16 +16,19 @@ Re-record only when the corpus itself changes:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
 import sys
 import traceback
+import weakref
 from functools import cache
 from pathlib import Path
 
 import pytest
 
+from nkt import theory_dsl
 from nkt.errors import NktError
 from nkt.theory_dsl import parse_theory, render_theory
 
@@ -196,6 +199,33 @@ def test_parse_outcome_is_pinned(key: str) -> None:
 
 def test_the_corpus_is_the_pinned_one() -> None:
     assert sorted(CORPUS) == sorted(_pinned()["digests"])
+
+
+def test_no_parser_outlives_its_parse(monkeypatch) -> None:
+    # with the cyclic collector off, reference counting alone frees each
+    # parser once parse_theory returns or raises (a bad character is refused
+    # before one is made): nothing it holds, such as the locations of its
+    # declarations' heads, refers back to it
+    parsers = []
+
+    class Tracked(theory_dsl._TheoryParser):
+        def __init__(self, text: str) -> None:
+            super().__init__(text)
+            parsers.append(weakref.ref(self))
+
+    monkeypatch.setattr(theory_dsl, "_TheoryParser", Tracked)
+    bundled = [path.read_text() for path in sorted((ROOT / "theories").glob("*.nkt"))]
+    gc.collect()
+    gc.disable()
+    try:
+        for key, text in [*CORPUS.items(), *enumerate(bundled)]:
+            try:
+                parse_theory(text)
+            except NktError:
+                pass
+            assert [ref for ref in parsers if ref() is not None] == [], key
+    finally:
+        gc.enable()
 
 
 def _record() -> None:

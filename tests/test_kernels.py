@@ -62,6 +62,7 @@ from nkt.graded_poly import (
     gp_sum,
     gp_sum_of_derivatives,
     gp_sum_of_products,
+    gp_sum_of_weighted_products,
     jet,
     memo_sizes,
     render_polynomial,
@@ -924,18 +925,28 @@ def summed_products(pairs: list) -> GradedPolynomial:
     return gp_sum([a * b for a, b in pairs])
 
 
+def summed_weighted_products(products: list) -> GradedPolynomial:
+    """Each product built alone by * from the left and scaled, then summed."""
+    one = GradedPolynomial.one()
+    return gp_sum([reduce(mul, factors, one).scaled(w) for factors, w in products])
+
+
 def summed_derivatives(items: list) -> GradedPolynomial:
     """Each derivative built by repeated total_derivative and scaled, then summed."""
     return gp_sum([reduce(total_derivative, lam, p).scaled(w) for p, lam, w in items])
 
 
 @st.composite
-def fused_inputs(draw) -> tuple[list, list]:
-    """Product pairs and derivative items over drawn polynomials.
+def fused_inputs(draw) -> tuple[list, list, list]:
+    """Product pairs, derivative items and weighted products over drawn
+    polynomials.
 
     The pairs reuse their few polynomials, so odd factors meet their equals;
     some pairs have one operand negated, and copies of some pairs and items
-    with the other sign cancel part of each sum; either list may be empty.
+    with the other sign cancel part of each sum; any list may be empty.  The
+    weighted products have up to five factors, so the leading ones pair up
+    before the last pair, and weights of 0 too; copies of some with the
+    other sign cancel them, and the pairs join them with drawn weights.
     """
     ps = draw(st.lists(graded_polynomials(), min_size=1, max_size=3))
     pick = st.sampled_from(ps)
@@ -945,17 +956,24 @@ def fused_inputs(draw) -> tuple[list, list]:
     lams = st.lists(st.integers(0, 2), max_size=3).map(lambda e: tuple(sorted(e)))
     items = draw(st.lists(st.tuples(pick, lams, st.sampled_from(WEIGHTS)), max_size=4))
     items += [(p, lam, -w) for p, lam, w in items[: draw(st.integers(0, len(items)))]]
-    return pairs, items
+    weights = st.sampled_from([*WEIGHTS, 0])
+    products = draw(st.lists(st.tuples(st.lists(pick, max_size=5), weights), max_size=4))
+    products += [(fs, -w) for fs, w in products[: draw(st.integers(0, len(products)))]]
+    products += [((a, b), draw(weights)) for a, b in pairs]
+    return pairs, items, products
 
 
 @KERNEL_SETTINGS
 @given(fused_inputs())
 def test_fused_sums_match_their_definitions(inputs) -> None:
-    pairs, items = inputs
-    want = [summed_products(pairs), summed_derivatives(items)]
+    pairs, items, products = inputs
+    want = [
+        summed_products(pairs), summed_derivatives(items), summed_weighted_products(products)
+    ]
 
     def fused() -> list:
-        got = [gp_sum_of_products(iter(pairs)), gp_sum_of_derivatives(iter(items))]
+        got = [gp_sum_of_products(iter(pairs)), gp_sum_of_derivatives(iter(items)),
+               gp_sum_of_weighted_products(iter(products))]
         for r in got:
             assert_canonical(r)
         return [(r, r.raw_terms()) for r in got]
@@ -969,6 +987,7 @@ def test_fused_sums_match_their_definitions(inputs) -> None:
         mp.setattr(graded_poly, "MEMO_CAP", 5)
         assert fused() == expected
     assert gp_sum_of_products([]).is_zero() and gp_sum_of_derivatives([]).is_zero()
+    assert gp_sum_of_weighted_products([]).is_zero()
 
 
 def derivative_outcome(kernel, items: list) -> tuple | str:
@@ -1552,28 +1571,31 @@ def test_random_theories_match_the_fresh_evaluator() -> None:
         assert render_theory(got[1]) == render_theory(want[1]) == text
 
 
+def sums_made(monkeypatch) -> list[list]:
+    """The lists of weighted products that the evaluator adds up, one per
+    polynomial it accumulates, as parses made after this call pass them."""
+    sums, kernel = [], theory_dsl.gp_sum_of_weighted_products
+    monkeypatch.setattr(
+        theory_dsl, "gp_sum_of_weighted_products",
+        lambda parts: sums.append(parts) or kernel(parts),
+    )
+    return sums
+
+
 def test_alpha_equivalent_subterms_are_evaluated_once_per_value(monkeypatch) -> None:
     # kd[i,j] leaves j = i only, so each factor is reached once per value of
     # its index; the second is the first with i, p renamed to j, q and finds
-    # each of its values there: the two + nodes add twice, not four times.
-    # A run of + and - adds through gp_sum(plus, minus); a sum's body values
-    # go through gp_sum(values) alone
+    # each of its values there: the two + nodes are added up twice, not four
+    # times, each from y and its sum's two terms.  The statement adds up the
+    # two products once
     text = (
         "sum(i,1..2, sum(j,1..2,"
         " kd[i,j] * (y + sum(p,0..1, a[p,i])) * (y + sum(q,0..1, a[q,j]))))"
     )
     want = oracle_outcome(parse_expression, text, MEMO_THEORY)
-    adds = []
-    total = theory_dsl.gp_sum
-
-    def counted(*parts):
-        if len(parts) == 2:
-            adds.append(1)
-        return total(*parts)
-
-    monkeypatch.setattr(theory_dsl, "gp_sum", counted)
+    sums = sums_made(monkeypatch)
     assert outcome(parse_expression, text, MEMO_THEORY) == want
-    assert len(adds) == 2
+    assert [len(parts) for parts in sums] == [3, 3, 2]
     # the renaming swaps i and j: d(a[j,1];i) shares values with d(a[i,1];j)
     # at swapped bindings, and the sum keeps 2*(d(a[1,1];0) - d(a[0,1];1))
     text = "sum(m,1..2, sum(i,0..1, sum(j,0..1, i*(d(a[i,1];j) - d(a[j,1];i)))))"
@@ -1606,43 +1628,37 @@ def test_sums_skip_the_entries_outside_their_range() -> None:
 def test_a_run_of_terms_is_added_up_at_once(monkeypatch) -> None:
     # kd[i,j] leaves j = i only; each run mixes polynomials and scalars, and
     # the second is the first with i and j swapped, so it finds the first's
-    # value: two sums in all, and no partial sum is built by a binary + or -
+    # value: each run is added up once per value, from its four nonzero terms
+    # (e[i,i] = 0 adds nothing), and no partial sum is built by a binary + or -
     text = (
         "sum(i,1..2, sum(j,1..2, kd[i,j]"
         " * (i*y - 1/2 + e[i,j] + y - j) * (j*y - 1/2 + e[j,i] + y - i)))"
     )
     want = oracle_outcome(parse_expression, text, MEMO_THEORY)
     assert want[1] == parse_expression("(2*y - 3/2)^2 + (3*y - 5/2)^2", MEMO_THEORY)
-    binary, sums = [], []
+    binary = []
     for name in ("__add__", "__sub__"):
         op = getattr(GradedPolynomial, name)
         monkeypatch.setattr(
             GradedPolynomial, name, lambda p, q, op=op: binary.append(1) or op(p, q)
         )
-    value_of = theory_dsl._run_value
-
-    def counted(node, values):
-        if node.op == "+":
-            sums.append(1)
-        return value_of(node, values)
-
-    monkeypatch.setattr(theory_dsl, "_run_value", counted)
+    sums = sums_made(monkeypatch)
     assert outcome(parse_expression, text, MEMO_THEORY) == want
-    assert (len(sums), len(binary)) == (2, 0)
+    assert ([len(parts) for parts in sums], len(binary)) == ([4, 4, 2], 0)
 
 
 def test_a_prefix_of_a_product_is_built_once_per_value_of_its_names(monkeypatch) -> None:
     # (y+i)*(y+1) reads only i: it is built once per i, not once per (i, j),
-    # and the whole product once per (i, j), 3 + 3*4 products in all
+    # and the whole product multiplied into the sum once per (i, j), 3 + 3*4
+    # pair products in all, each by the kernel's one loop
     text = "sum(i,1..3, sum(j,1..4, (y+i)*(y+1)*(y+j)))"
     want = oracle_outcome(parse_expression, text, MEMO_THEORY)
-    products = []
-    mul = GradedPolynomial.__mul__
+    pairs, multiply = [], graded_poly._multiply_into
     monkeypatch.setattr(
-        GradedPolynomial, "__mul__", lambda p, q: products.append(1) or mul(p, q)
+        graded_poly, "_multiply_into", lambda *args: pairs.append(1) or multiply(*args)
     )
     assert outcome(parse_expression, text, MEMO_THEORY) == want
-    assert len(products) == 3 + 3 * 4
+    assert len(pairs) == 3 + 3 * 4
 
 
 @pytest.mark.parametrize("text, want", [
@@ -1667,6 +1683,38 @@ def test_runs_keep_their_signs_and_reading_order(text, want) -> None:
         assert got[1] == parse_expression(want, MEMO_THEORY)
     else:
         assert got[0] == "error" and got[3].column == text.index("a[") + 1
+
+
+@pytest.mark.parametrize("text", [
+    # nested sums, streamed into one accumulator, beside a memoized factor
+    "sum(i,1..2, sum(j,0..1, i*a[j,i] - sum(r,1..2, e[i,r]*C[r]*y)))",
+    "sum(i,1..2, (y + sum(j,0..1, a[j,i])) * sum(j,0..1, j*a[j,i] - 1/3))",
+    # negated runs, nested in runs and sums
+    "-(y - 2*a[0,1]) - -(x0 + y)*y",
+    "-sum(i,1..2, -(C[i] - y) - -(3/2 - i))",
+    "-(-(-y))",
+    "x0*y - y - 3/4 + a[1,2] - 1 - -C[1]*C[2]",
+    # fraction scales before, between and after the factors, and of a sum
+    "3/4 * sum(i,1..2, 1/2 * k[0,i] * y * 2/3) - 5/6*(y + 1/3)*7/5",
+    "-1/4 * sum(i,1..2, sum(j,1..2, kd[i,j]*(a[0,i] - 1/2*y)*(a[1,j] + 2/3)))",
+    # odd factors out of canonical order, in products and under sums
+    "C[2]*y*C[1] - 1/2*C[1]*C[2]*y + C[2]*C[2]",
+    "sum(i,1..2, sum(j,1..2, e[i,j]*C[j]*C[i]*1/2))",
+    "sum(i,1..2, sum(j,1..2, C[i]*d(y;0)*C[j]*e[j,i]))",
+    # zero entries in a sum plan: z[1,0] is stored as 0, z[2,1] is not stored
+    "sum(i,1..2, sum(j,0..1, z[i,j]*C[i]*a[j,1]))",
+    "sum(i,1..2, sum(j,0..1, z[i,j] * (C[i] + sum(r,1..2, z[r,j]*a[j,r]))))",
+    # errors: the first bad operand read raises, under a sum too
+    "sum(i,1..2, sum(j,0..2, z[i,j]*a[j,1]))",
+    "-(y - a[5,1]) * -C[7]",
+    "sum(i,1..2, 1/2 * (y - C[i]) * -(a[i,1] + y))",
+])
+def test_accumulated_runs_and_sums_match_the_fresh_evaluator(text) -> None:
+    # parse_expression walks a sum-free text directly and compiles any
+    # other; compiled_outcome compiles every text
+    want = oracle_outcome(parse_expression, text, MEMO_THEORY)
+    assert outcome(parse_expression, text, MEMO_THEORY) == want
+    assert compiled_outcome(text, MEMO_THEORY) == want
 
 
 # -- the direct walk against the analysed evaluator ------------------------------

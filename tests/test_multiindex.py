@@ -6,10 +6,11 @@ import itertools
 import math
 
 import pytest
+from conftest import split_weight
 
 from nkt import config
 from nkt.errors import JetOrderError, NktError
-from nkt.multiindex import EMPTY, MultiIndex, mi_enumerate, split_weight
+from nkt.multiindex import EMPTY, MultiIndex, mi_enumerate
 
 
 def _brute_force_multisets(n: int, up_to: int) -> set[tuple[int, ...]]:

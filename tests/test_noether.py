@@ -6,13 +6,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import even_field, even_ghost, odd_ghost, v
+from conftest import even_field, even_ghost, odd_ghost, split_weight, v
 
 from nkt import cli, config, derivations, jet_calculus, noether
 from nkt.derivations import GeneralizedVectorField, check_variational, contract_with_EL
 from nkt.graded_poly import Density, GradedPolynomial, gp_sum_of_derivatives
 from nkt.jet_calculus import euler_lagrange, total_derivative, total_derivative_multi
-from nkt.multiindex import EMPTY, MultiIndex, mi_enumerate, split_weight
+from nkt.multiindex import EMPTY, MultiIndex, mi_enumerate
 from nkt.noether import (
     LinearJetOperator,
     NoetherIdentityError,

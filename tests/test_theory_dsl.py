@@ -578,6 +578,7 @@ class TestValidation:
             VariableId(Kind.FIELD, "a", (), Parity.EVEN),  # wrong arity
             VariableId(Kind.FIELD, "a", (0,), Parity.ODD),  # wrong parity
             VariableId(Kind.GHOST, "a", (0,), Parity.EVEN),  # wrong kind
+            VariableId(Kind.GHOST, "xi", (), Parity.ODD, 0),  # wrong stage
         ]
         for stray in strays:
             op = LinearJetOperator(1, ROLE_GAUGE, {(xi, stray, EMPTY): one})
