@@ -32,26 +32,30 @@ location, (statement cursor, token index), which the error turns into a
 SourceSpan: spans are scanned from the text only for an error.
 
 Each statement's expression (the Lagrangian, a witness, a block entry under
-all its bindings) is charged its work before any of it is evaluated: bounds
-on each node's term count and expansion steps, from the sum and binder
-ranges, the term counts and the exponents.  A statement whose bounded work
-passes MAX_EXPANSION_WORK is refused at the node where it does.  A
-statement with no binders and no sum is then evaluated by one direct walk.
-Any other is analysed once: one pass records for each node the index names
-it reads, whether a range proof over the sum and binder ranges shows it
-cannot raise, the constant factors that can zero a sum over it, and its
-bounds.  The evaluator built from these facts evaluates each node once per
-binding of the names it reads, and shares values between nodes equal up to
-a renaming of bound names.  A sum whose body cannot raise binds only the
-index values where a constant factor reading the index, such as g[m,al] in
-sum(al, 0..3, g[m,al]*...), has a nonzero entry; every other sum binds
-every value in order, so each error keeps its message and span.  References
-resolve through one table per parse (see _Env), so each component is
-checked, and each jet variable made a polynomial, once.  The parser makes
-each run of + and -, and each run of *, one node; a leading -x is a run of
-one negated operand.  Sums and runs add weighted products to one list, an
-unmemoized one inside passing its own into the same list, so a polynomial
-is added up only where a memo stores it or a factor needs it, and at once.
+all its bindings) is charged its work while it is evaluated, from the real
+sizes of the values built: a sum the index values it binds, each time it is
+evaluated; a product, as it is added to a sum's or run's list, its factor
+count and, with two factors or more, the product of their term counts; a
+power of a base of t terms to k, before it is built, t * C(t+k-1, k-1).  A
+value read from a memo costs nothing more.  Once a statement's work passes
+MAX_EXPANSION_WORK it is refused at the node whose charge passed it, so a
+refusal, like an error, comes in the order of evaluation.  A statement with
+no binders and no sum is evaluated by one direct walk.  Any other is
+analysed once: one pass records for each node the index names it reads,
+whether a range proof over the sum and binder ranges shows it cannot raise,
+and the constant factors that can zero a sum over it.  The evaluator built
+from these facts evaluates each node once per binding of the names it
+reads, and shares values between nodes equal up to a renaming of bound
+names.  A sum whose body cannot raise binds only the index values where a
+constant factor reading the index, such as g[m,al] in sum(al, 0..3,
+g[m,al]*...), has a nonzero entry; every other sum binds every value in
+order, so each error keeps its message and span.  References resolve
+through one table per parse (see _Env), so each component is checked, and
+each jet variable made a polynomial, once.  The parser makes each run of +
+and -, and each run of *, one node; a leading -x is a run of one negated
+operand.  Sums and runs add weighted products to one list, an unmemoized
+one inside passing its own into the same list, so a polynomial is added up
+only where a memo stores it or a factor needs it, and at once.
 """
 
 from __future__ import annotations
@@ -86,8 +90,8 @@ MAX_DIM = 9
 MAX_COMPONENTS = 512
 MAX_EXPONENT = 64
 MAX_SUM_SPAN = 512
-# bound on one statement's expansion steps, from its sum spans, binder
-# ranges, term counts and exponents, checked before it is evaluated
+# bound on one statement's expansion steps, charged while it is evaluated:
+# index values bound, products added and powers built (see _spend)
 MAX_EXPANSION_WORK = 1_000_000
 MAX_STAGE = 32
 _MAX_DEPTH = 64
@@ -803,13 +807,14 @@ class _Env:
     component values, anti) to the VariableId that VarDecl.variable
     accepted, and each JetVariable to its one-term polynomial.  A parse
     never withdraws or redefines a declaration, so a hit skips only checks
-    that would pass again."""
+    that would pass again.  work counts the expansion steps charged so far
+    (see _spend)."""
 
-    __slots__ = ("dim", "variables", "constants", "bindings", "table")
+    __slots__ = ("dim", "variables", "constants", "bindings", "table", "work")
 
     def __init__(self, dim, variables, constants, bindings, table):
         self.dim, self.variables, self.constants = dim, variables, constants
-        self.bindings, self.table = bindings, table
+        self.bindings, self.table, self.work = bindings, table, 0
 
 
 def _resolve_index(env: _Env, arg: "int | str", span: tuple) -> int:
@@ -856,7 +861,11 @@ def _resolve_component(env: _Env, node: _Ref) -> VariableId:
     decl = env.variables.get(node.name)
     if decl is None:
         raise SemanticError(f"unknown variable {node.name!r}", node.span)
-    comps = tuple([_resolve_index(env, a, node.span) for a in node.args])
+    b = env.bindings
+    try:
+        comps = tuple([b[a] if type(a) is str else a for a in node.args])
+    except KeyError:
+        comps = tuple([_resolve_index(env, a, node.span) for a in node.args])
     key = (node.name, comps, node.anti)
     var = env.table.get(key)
     if var is None:
@@ -923,8 +932,6 @@ class _Facts(NamedTuple):
     run: Callable[[], object] | None = None  # a leaf's evaluator
     cheap: bool = False  # a leaf no dearer than a memo lookup
     values: int = 1  # how many values the free names take together
-    terms: int = 1  # bound on the value's term count
-    own: int = 1  # bound on the expansion steps of one evaluation, kids aside
     fanout: int = 1  # evaluations of each kid per evaluation
     shape: tuple = ()  # see _shape; inside sums only
     # [nodes, memo] of the shape, and the free names in memo key order
@@ -941,33 +948,29 @@ class _Facts(NamedTuple):
 class _Statement:
     """One statement's expression, evaluated at each binding of its binders.
 
-    A statement with no binders and no sum is charged its work by _charge
-    and evaluated by _walk, one direct walk.  Any other is analysed:
+    A statement with no binders and no sum is evaluated by _walk, one
+    direct walk.  Any other is analysed:
     _analyse visits each node once and records its facts; _compile builds
     the evaluator from them, top down, knowing how often each node is
     reached.  On both paths a sum or run is accumulated in the numerator map
-    of the nearest memoized node, factor or root above it (see _run_value).
-    Memo entries live as long as this object; table is the parse's
-    resolution table (see _Env).
+    of the nearest memoized node, factor or root above it (see _run_value),
+    and the work is charged to env as it is done, over all bindings.  Memo
+    entries live as long as this object; table is the parse's resolution
+    table (see _Env).
     """
 
     def __init__(self, ast: object, dim: int, variables: dict[str, VarDecl],
                  constants: dict[str, ConstantTensor], table: dict, binders: tuple = ()):
-        self.env = _Env(dim, variables, constants, {}, table)
-        # the root is reached once per binding
-        self.work = visits = prod(hi - lo + 1 for _, lo, hi in binders)
-        charges: list[tuple[int, object]] = []
-        if not binders and _charge(ast, charges) is not None:
-            for steps, node in charges:
-                _spend(self, steps, node)
-            env = self.env
+        self.env = env = _Env(dim, variables, constants, {}, table)
+        if not binders and _sum_free(ast):
             self.run = lambda: _walk(env, ast)
             return
         self.shapes: dict[tuple, int] = {}
         self.memos: dict[object, list] = {}
         self.probes: dict[tuple, bool] = {}
         facts = _analyse(self, ast, {name: (lo, hi) for name, lo, hi in binders})
-        self.run = _compile(self, facts, visits)
+        # the root is reached once per binding
+        self.run = _compile(self, facts, prod(hi - lo + 1 for _, lo, hi in binders))
 
     def __call__(self, bindings: dict[str, int]) -> GradedPolynomial:
         # every call binds the same names, and sums unbind their own
@@ -976,39 +979,15 @@ class _Statement:
         return value if type(value) is GradedPolynomial else GradedPolynomial.scalar(value)
 
 
-_CAP = MAX_EXPANSION_WORK + 1  # bounds past the budget are all alike
-
-
-def _spend(stmt: _Statement, steps: int, node: object) -> None:
+def _spend(env: _Env, steps: int, node: object) -> None:
     """Charge steps to the statement's work, refusing it at node once the
-    work passes MAX_EXPANSION_WORK."""
-    stmt.work += steps
-    if stmt.work > MAX_EXPANSION_WORK:
+    work passes MAX_EXPANSION_WORK.  Every charge comes through here: a
+    sum's in _sum_run, a product's in _product and a power's in _power."""
+    work = env.work = env.work + steps
+    if work > MAX_EXPANSION_WORK:
         raise SemanticError(
             f"expansion work budget of {MAX_EXPANSION_WORK} steps exceeded", node.span
         )
-
-
-def _cost(node: "_Run | _Pow", kid_terms: list[int]) -> tuple[int, int]:
-    """(terms, own) of a run or a power whose kids have kid_terms terms.
-
-    One evaluation of a run of + and - adds its operands up at once, so it
-    is charged their terms once; a run of * is charged the terms of each
-    partial product, left to right, as a chain of binary products would
-    build them.  The power k of t terms has at most C(t+k-1, k) terms, and
-    building it by k products takes t times the terms of the powers below k.
-    """
-    if type(node) is _Pow:
-        (t,), k = kid_terms, node.exponent
-        terms, own = (comb(t + k - 1, k), t * comb(t + k - 1, k - 1)) if k else (1, 1)
-    elif node.op == "*":
-        terms, own = kid_terms[0], 0
-        for t in kid_terms[1:]:
-            terms = min(terms * t, _CAP)
-            own = min(own + terms, _CAP)
-    else:
-        terms = own = sum(kid_terms)
-    return min(terms, _CAP), min(own, _CAP)
 
 
 def _run_value(into: Callable[[list, object], None]) -> object:
@@ -1025,39 +1004,42 @@ def _run_value(into: Callable[[list, object], None]) -> object:
     return sum([w for _, w in parts])
 
 
-def _product(parts: list, w: object, values: Sequence) -> None:
+def _product(env: _Env, parts: list, w: object, values: Sequence, node: object) -> None:
     """Add w times the product of values, in order, to parts: numbers scale
-    the weight, polynomials are the factors; a product of weight 0 is left out."""
-    factors = []
+    the weight, polynomials are the factors; a product of weight 0 is left out.
+    An added product is charged at node its factor count and, with two
+    factors or more, the product of their term counts."""
+    factors, steps = [], 1
     for v in values:
         if type(v) is GradedPolynomial:
             factors.append(v)
+            steps *= len(v._terms)
         else:
             w = v if w == 1 else w * v  # a Fraction times 1 costs a Fraction
     if w:
+        if n := len(factors):
+            _spend(env, n + steps if n > 1 else 1, node)
         parts.append((factors, w))
 
 
-def _charge(node: object, charges: list[tuple[int, object]]) -> int | None:
-    """The bound on the term count of a sum-free node, as _analyse bounds
-    it; the steps of one evaluation of node and of each node below it go
-    onto charges as (steps, node), in the order _compile charges them.
-    None when node holds a sum."""
-    at = len(charges)
-    charges.append((0, node))
+def _power(env: _Env, base: object, node: _Pow) -> object:
+    """base to node's exponent k.  A polynomial base of t terms is charged
+    at node, before the power is built, t * C(t+k-1, k-1) steps: building
+    the power j multiplies the power j-1, of at most C(t+j-2, j-1) terms,
+    by t terms, and these add up to that over j = 1..k."""
+    k = node.exponent
+    if k and type(base) is GradedPolynomial:
+        t = len(base._terms)
+        _spend(env, t * comb(t + k - 1, k - 1), node)
+    return base ** k
+
+
+def _sum_free(node: object) -> bool:
+    """Whether node holds no sum, so that _walk can evaluate it."""
     kind = type(node)
-    if kind is _Run or kind is _Pow:
-        kids = node.operands if kind is _Run else (node.base,)
-        kid_terms = [_charge(kid, charges) for kid in kids]
-        if None in kid_terms:
-            return None
-        terms, own = _cost(node, kid_terms)
-    elif kind is _Sum:
-        return None
-    else:
-        terms = own = 1
-    charges[at] = (own, node)
-    return terms
+    if kind is _Run:
+        return all(map(_sum_free, node.operands))
+    return _sum_free(node.base) if kind is _Pow else kind is not _Sum
 
 
 def _walk(env: _Env, node: object) -> "GradedPolynomial | Fraction | int":
@@ -1065,11 +1047,9 @@ def _walk(env: _Env, node: object) -> "GradedPolynomial | Fraction | int":
     error is a leaf's, raised by _leaf.  A run adds up through _walk_into."""
     kind = type(node)
     if kind is _Run:
-        if len(node.operands) == 1:  # a leading -x
-            return -_walk(env, node.operands[0])
         return _run_value(partial(_walk_into, env, node))
     if kind is _Pow:
-        return _walk(env, node.base) ** node.exponent
+        return _power(env, _walk(env, node.base), node)
     if kind is _Num:
         return node.value
     return _leaf(env, node)
@@ -1079,13 +1059,13 @@ def _walk_into(env: _Env, node: _Run, parts: list, w: object) -> None:
     """Add w times the value of a sum-free run to parts, as _run_into adds a
     compiled run's."""
     if node.op == "*":
-        _product(parts, w, [_walk(env, operand) for operand in node.operands])
+        _product(env, parts, w, [_walk(env, operand) for operand in node.operands], node)
         return
     for operand, sign in zip(node.operands, node.signs):
         if type(operand) is _Run:
             _walk_into(env, operand, parts, w if sign == "+" else -w)
         else:
-            _product(parts, w if sign == "+" else -w, (_walk(env, operand),))
+            _product(env, parts, w if sign == "+" else -w, (_walk(env, operand),), operand)
 
 
 def _analyse(
@@ -1106,9 +1086,8 @@ def _analyse(
         facts = _analyse_sum(stmt, node, scope)
     elif kind is _Pow:
         arg = _analyse(stmt, node.base, scope)
-        terms, own = _cost(node, [arg.terms])
         facts = _Facts(
-            node, arg.safe, arg.free, (arg,), terms=terms, own=own,
+            node, arg.safe, arg.free, (arg,),
             shape=_shape(stmt, ("^", node.exponent), [arg]) if scope else (),
         )
     else:
@@ -1162,9 +1141,8 @@ def _analyse_run(
     names is one node: a run of the operands it covers, so located at the *
     before the last of them, whose kids, passed in, are the node of the
     stretch before it, if any, and its own operands.  So each partial
-    product is built once per value of the names it reads and charged its
-    terms each time, as in a chain of binary products, and the nodes nest
-    at most once per bound name however long the run."""
+    product is built once per value of the names it reads, and the nodes
+    nest at most once per bound name however long the run."""
     if kids is None:
         kids = [_analyse(stmt, operand, scope) for operand in node.operands]
         if node.op == "*":
@@ -1176,10 +1154,9 @@ def _analyse_run(
                 stretch.append(kids[k])
                 free = free | kids[k].free
             kids = stretch
-    terms, own = _cost(node, [kid.terms for kid in kids])
     facts = _Facts(
         node, all(kid.safe for kid in kids), frozenset().union(*[kid.free for kid in kids]),
-        tuple(kids), terms=terms, own=own,
+        tuple(kids),
         shape=_shape(stmt, (node.op, len(kids), *node.signs), kids) if scope else (),
         factors=tuple(f for kid in kids for f in kid.factors) if node.op == "*" else (),
     )
@@ -1215,9 +1192,7 @@ def _analyse_sum(
         ordered = {key: tuple([v for v in values if v in hits[key]]) for key in hits}
         lookups.append((get, ordered))
     return _Facts(
-        node, safe, body.free - {index}, (body,),
-        terms=min((fanout if index in body.free else 1) * body.terms, _CAP),
-        own=min(fanout * body.terms, _CAP), fanout=fanout,
+        node, safe, body.free - {index}, (body,), fanout=fanout,
         shape=_shape(stmt, ("s", (index,), node.lo, node.hi), [body]) if scope else (),
         factors=tuple(f for f in body.factors if index not in f.args),
         plan=(values, lookups),
@@ -1313,12 +1288,10 @@ def _compile(
     The node is memoized, unless it is a leaf no dearer than a lookup, when
     its free names take fewer values than visits, or when another node has
     its shape and no ancestor, shared, does; so it is evaluated at most
-    min(visits, facts.values) times, and those evaluations' steps count
-    towards the statement's expansion work.  A raise is not remembered.
+    min(visits, facts.values) times.  A raise is not remembered.
     """
-    node = facts.node
+    node, env = facts.node, stmt.env
     evals = min(visits, facts.values)
-    _spend(stmt, evals * facts.own, node)
     twin = facts.key is not None and facts.key[0][0] > 1
     runs = [
         _compile(stmt, kid, evals * facts.fanout, shared or twin) for kid in facts.kids
@@ -1326,17 +1299,17 @@ def _compile(
     if facts.run is not None:
         run = facts.run
     elif type(node) is _Pow:
-        (f,), k = runs, node.exponent
-        run = lambda: f() ** k
+        (f,) = runs
+        run = lambda: _power(env, f(), node)
     else:
-        into = _sum_run(stmt, facts, *runs) if type(node) is _Sum else _run_into(node, runs)
+        into = (_sum_run if type(node) is _Sum else _run_into)(env, facts, runs)
         run = lambda: _run_value(into)
         run.into = into
     if facts.key is None or (facts.values >= visits and (shared or not twin)):
         return run
     (_, memo), names = facts.key
     # nodes of one shape share a memo, keyed by their free names' values
-    get, b = _getter(names), stmt.env.bindings
+    get, b = _getter(names), env.bindings
 
     def memoized() -> object:
         key = get(b)
@@ -1348,20 +1321,29 @@ def _compile(
     return memoized
 
 
-def _adder(run: Callable[[], object]) -> Callable[[list, object], None]:
-    """What adds w times a node's value to parts: an unmemoized run's or
-    sum's own into, else one that adds the value as a product of one."""
-    return getattr(run, "into", None) or (lambda parts, w: _product(parts, w, (run(),)))
+def _adder(
+    env: _Env, run: Callable[[], object], node: object
+) -> Callable[[list, object], None]:
+    """What adds w times node's value, evaluated by run, to parts: an
+    unmemoized run's or sum's own into, else one that adds the value as a
+    product of one."""
+    return getattr(run, "into", None) or (
+        lambda parts, w: _product(env, parts, w, (run(),), node)
+    )
 
 
-def _run_into(node: _Run, runs: list[Callable[[], object]]) -> Callable[[list, object], None]:
-    """What adds w times a run's value to parts, its operands evaluated by
-    runs in reading order: a run of * adds one product, and a run of + and -
+def _run_into(
+    env: _Env, facts: _Facts, runs: list[Callable[[], object]]
+) -> Callable[[list, object], None]:
+    """What adds w times a run's value to parts, its kids evaluated by runs
+    in reading order: a run of * adds one product, and a run of + and -
     passes each operand its signed weight, so an unmemoized run or sum among
     them adds into the same parts."""
+    node = facts.node
     if node.op == "*":
-        return lambda parts, w: _product(parts, w, [f() for f in runs])
-    adds = [(_adder(f), sign == "+") for f, sign in zip(runs, node.signs)]
+        return lambda parts, w: _product(env, parts, w, [f() for f in runs], node)
+    adds = [(_adder(env, f, kid.node), sign == "+")
+            for f, kid, sign in zip(runs, facts.kids, node.signs)]
 
     def into(parts: list, w: object) -> None:
         for add, plus in adds:
@@ -1371,25 +1353,29 @@ def _run_into(node: _Run, runs: list[Callable[[], object]]) -> Callable[[list, o
 
 
 def _sum_run(
-    stmt: _Statement, facts: _Facts, evaluate: Callable[[], object]
+    env: _Env, facts: _Facts, runs: list[Callable[[], object]]
 ) -> Callable[[list, object], None]:
     """What adds w times a sum's value to parts: the body, whose unmemoized
     runs and sums add to the same parts, adds its value at each value of the
     index, in order, skipping those where a factor of the plan has no nonzero
-    stored entry: the body cannot raise, so they would add exactly zero."""
-    node, b = facts.node, stmt.env.bindings
+    stored entry: the body cannot raise, so they would add exactly zero.
+    The sum is charged the index values it binds, once per evaluation."""
+    node, b = facts.node, env.bindings
     index, span, (values, lookups) = node.index, node.span, facts.plan
-    shadows = index in stmt.env.variables or index in stmt.env.constants
-    add = _adder(evaluate)
+    shadows = index in env.variables or index in env.constants
+    add = _adder(env, *runs, facts.kids[0].node)
 
     def into(parts: list, w: object) -> None:
         if shadows:
             raise SemanticError(f"sum index {index!r} shadows a declaration", span)
-        saved = b.get(index)
         todo = values
         for get, hits in lookups:
             found = hits.get(get(b), ())  # some of values, in order
             todo = found if todo is values else [v for v in todo if v in found]
+        if not todo:
+            return
+        _spend(env, len(todo), node)
+        saved = b.get(index)
         for value in todo:
             b[index] = value
             add(parts, w)

@@ -353,8 +353,10 @@ class TestExitCodes:
         assert run(capsys, "el", str(f)) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("dim, lagrangian, column", [
-        # each of the 500^3 bindings builds a distinct product
-        (1, "sum(i,1..500, sum(j,1..500, sum(k,1..500, i*j*k*y)))", 12),
+        # each of the 500^3 bindings builds a distinct product: the inner
+        # sums' charges for their values and the products' for their factor
+        # y pass the budget at a product, located at its last *
+        (1, "sum(i,1..500, sum(j,1..500, sum(k,1..500, i*j*k*y)))", 59),
         # about 1.2 million terms, built by 40 products
         (2, "(y + d(y;x0) + d(y;x1) + d(y;x0,x1) + x0 + x1)^40", 58),
     ])

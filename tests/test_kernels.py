@@ -1714,7 +1714,7 @@ def test_accumulated_runs_and_sums_match_the_fresh_evaluator(text) -> None:
     # other; compiled_outcome compiles every text
     want = oracle_outcome(parse_expression, text, MEMO_THEORY)
     assert outcome(parse_expression, text, MEMO_THEORY) == want
-    assert compiled_outcome(text, MEMO_THEORY) == want
+    assert compiled_outcome(text, MEMO_THEORY)[0] == want
 
 
 # -- the direct walk against the analysed evaluator ------------------------------
@@ -1754,8 +1754,8 @@ def sum_free_expressions(draw, depth: int = 0) -> str:
     if kind == "pow":
         return f"({draw(sum_free_expressions(depth + 1))})^{draw(st.integers(0, 4))}"
     if kind == "long":
-        # few distinct values, so a power of a long run of + is cheap to
-        # build, while its bound passes the budget from about 50 operands
+        # few distinct values, so a long run of + adds up to few terms and
+        # its power is cheap to build, and charged as such
         leaves = draw(st.lists(st.sampled_from(DIRECT_LEAVES[:6]), min_size=20, max_size=80))
         if draw(st.booleans()):
             return "*".join(leaves)
@@ -1767,36 +1767,43 @@ def sum_free_expressions(draw, depth: int = 0) -> str:
     return text
 
 
-def direct_outcome(text: str, theory: Theory = DIRECT_THEORY) -> tuple:
-    """parse_expression's outcome, with _analyse out of reach."""
+def statement_outcome(text: str, theory: Theory, binders: tuple) -> tuple[tuple, int]:
+    """The outcome of text evaluated as one statement with binders, each
+    bound to its low end, as parse_expression evaluates it without any; and
+    the expansion work the evaluation charged."""
+    cursor = theory_dsl._TheoryParser(text)._next()
+    ast = theory_dsl._parse_expr(cursor)
+    cursor.expect_end()
+    declared = (theory.dim, theory.variables, theory.constants)
+    stmt = theory_dsl._Statement(ast, *declared, {}, binders)
+    return outcome(stmt, {name: lo for name, lo, _ in binders}), stmt.env.work
+
+
+def direct_outcome(text: str, theory: Theory = DIRECT_THEORY) -> tuple[tuple, int]:
+    """statement_outcome without binders, with _analyse out of reach."""
 
     def analysed(*args):
         raise AssertionError("a sum-free statement without binders was analysed")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(theory_dsl, "_analyse", analysed)
-        return outcome(parse_expression, text, theory)
+        return statement_outcome(text, theory, ())
 
 
-def compiled_outcome(text: str, theory: Theory = DIRECT_THEORY) -> tuple:
-    """parse_expression's outcome with the statement analysed and compiled:
-    a binder of one value, which the expression does not read, forces it."""
-    cursor = theory_dsl._TheoryParser(text)._next()
-    ast = theory_dsl._parse_expr(cursor)
-    cursor.expect_end()
-
-    def evaluate() -> GradedPolynomial:
-        declared = (theory.dim, theory.variables, theory.constants)
-        return theory_dsl._Statement(ast, *declared, {}, (("unused", 1, 1),))({"unused": 1})
-
-    return outcome(evaluate)
+def compiled_outcome(text: str, theory: Theory = DIRECT_THEORY) -> tuple[tuple, int]:
+    """statement_outcome with the statement analysed and compiled: a binder
+    of one value, which the expression does not read, forces it."""
+    return statement_outcome(text, theory, (("unused", 1, 1),))
 
 
 @KERNEL_SETTINGS
 @given(sum_free_expressions())
 def test_the_direct_walk_matches_the_analysed_evaluator(text) -> None:
-    got = direct_outcome(text)
-    assert got == compiled_outcome(text)
+    (got, work), (compiled, compiled_work) = direct_outcome(text), compiled_outcome(text)
+    assert got == compiled
+    # both charge each product and power as they build it, the analysed
+    # path less what a memo hit saves
+    assert compiled_work <= work
     if got[0] == "value" or "budget" not in got[2]:
         assert got == oracle_outcome(parse_expression, text, DIRECT_THEORY)
 
@@ -1810,30 +1817,36 @@ def test_the_direct_walk_matches_the_analysed_evaluator(text) -> None:
     ("C*k[2,1]", "index 2 of k is outside 0..1", 3),
     # the first of two bad leaves read raises, the later power too
     ("(x2*y + w)^3", "coordinate x2 outside base dimension", 2),
-    # 50 terms to the 4th: 50 * C(53, 3) steps pass the budget at the ^,
-    # before the unknown w is read
-    (f"w*({'+'.join(['y'] * 50)})^4", "expansion work budget of"
-     f" {theory_dsl.MAX_EXPANSION_WORK} steps exceeded", 104),
-    # a node is charged before the nodes below it: the outer power passes
-    # the budget before the inner one would
-    (f"(({'+'.join(['y'] * 50)})^4)^2", "expansion work budget of"
-     f" {theory_dsl.MAX_EXPANSION_WORK} steps exceeded", 106),
-    # the run's own steps, 2^2 + ... + 2^20, pass it at the run's last *
-    ("*".join(["(y+1)"] * 19) + "*w", "expansion work budget of"
-     f" {theory_dsl.MAX_EXPANSION_WORK} steps exceeded", 114),
+    # 50 y's add up to one term, whose 4th power is cheap: the unknown w,
+    # read first, raises
+    (f"w*({'+'.join(['y'] * 50)})^4", "unknown name 'w'", 1),
+    # 6 terms to the 40th: 6 * C(45, 39) steps pass the budget at the ^,
+    # before the power is built and before the unknown w is read
+    ("(y + x0 + x1 + d(y;x0) + d(y;x1) + d(y;x0,x1))^40*w", "expansion work"
+     f" budget of {theory_dsl.MAX_EXPANSION_WORK} steps exceeded", 47),
+    # a run of * is charged once its factors are read: 2^19 steps would
+    # not pass the budget, and the unknown w raises first
+    ("*".join(["(y+1)"] * 19) + "*w", "unknown name 'w'", 115),
 ])
 def test_the_direct_walk_raises_what_the_analysed_evaluator_raises(
     text, message, column
 ) -> None:
-    got = direct_outcome(text)
-    assert got == compiled_outcome(text)
+    (got, work), (compiled, compiled_work) = direct_outcome(text), compiled_outcome(text)
+    assert (got, work) == (compiled, compiled_work)
     assert got[:3] == ("error", SemanticError, f"{message} (line 1, column {column})")
 
 
-def test_a_budget_refusal_comes_before_a_leaf_error() -> None:
-    # the unknown w is read first, but the power's bound is refused first
-    text = "theory t\ndim 1\nfield y parity even\nlagrangian w*(y+d(y;x)+x+1)^64\n"
+@pytest.mark.parametrize("lagrangian, message, column", [
+    # the unknown w is read before the power's charge would refuse it
+    ("w*(y+d(y;x)+x+1)^64", "unknown name 'w'", 12),
+    # 4 * C(67, 63) steps are refused at the ^ before w is read
+    ("(y+d(y;x)+x+1)^64*w", "expansion work budget of"
+     f" {theory_dsl.MAX_EXPANSION_WORK} steps exceeded", 26),
+])
+def test_a_budget_refusal_and_a_leaf_error_come_in_reading_order(
+    lagrangian, message, column
+) -> None:
+    text = f"theory t\ndim 1\nfield y parity even\nlagrangian {lagrangian}\n"
     got = outcome(parse_theory, text)
-    budget = f"expansion work budget of {theory_dsl.MAX_EXPANSION_WORK} steps exceeded"
-    assert got[:3] == ("error", SemanticError, f"{budget} (line 4, column 28)")
-    assert (got[3].line, got[3].column) == (4, 28)
+    assert got[:3] == ("error", SemanticError, f"{message} (line 4, column {column})")
+    assert (got[3].line, got[3].column) == (4, column)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nkt import config, graded_poly
+from nkt import config, graded_poly, theory_dsl
 from nkt.derivations import GeneralizedVectorField
 from nkt.errors import ParseError, SemanticError, SourceSpan
 from nkt.graded_poly import (
@@ -39,6 +39,8 @@ from nkt.theory_dsl import (
 )
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
+BUDGET = f"expansion work budget of {theory_dsl.MAX_EXPANSION_WORK} steps exceeded"
+BUDGET_5000 = "expansion work budget of 5000 steps exceeded"
 
 SCALAR = """
 theory scalar
@@ -191,14 +193,17 @@ class TestExpressions:
         # outer sums add up copies of it
         text = "sum(i,1..500, sum(j,1..500, sum(k,1..500, y)))"
         assert parse_expression(text, t) == parse_expression("125000000*y", t)
-        # y*i*j*k differs at each of the 500^3 bindings
-        with pytest.raises(SemanticError, match="expansion work budget") as exc:
+        # y*i*j*k differs at each of the 500^3 bindings: each inner sum is
+        # charged its 500 values, and each product its one factor y, until
+        # a product passes the budget, located at its last *
+        with pytest.raises(SemanticError) as exc:
             parse_expression(text.replace("y)", "y*i*j*k)"), t)
-        assert exc.value.span.column == 1
+        assert str(exc.value) == BUDGET + " (line 1, column 48)"
 
     @pytest.mark.parametrize("count", [600, 2000, 20000])
     def test_flat_sums_are_walked_without_recursion(self, count):
-        # a run of + and - is one node, its sum charged once: count steps
+        # a run of + and - is one node, added up once: each operand is
+        # charged one step, as a product of one factor
         signs = ["+" if k % 3 else "-" for k in range(1, count)]
         text = SCALAR.replace("1/2 * d(y;x)^2", "y" + "".join(s + "y" for s in signs))
         want = 1 + signs.count("+") - signs.count("-")
@@ -229,55 +234,95 @@ class TestExpressions:
         assert {f.var.name for f in factors} == {name}
         assert built <= 2 * count.bit_length()
 
-    def test_a_run_of_factors_is_charged_its_partial_products(self):
+    def test_a_run_of_factors_is_charged_the_product_of_their_terms(self):
         t = parse_theory(SCALAR)
-        # k factors of two terms: the partial products are charged 2^2 + ...
-        # + 2^k = 2^(k+1) - 4 steps, as a chain of binary products would
-        # be; that passes the budget for k = 18 but not for k = 19, where
-        # 2^k alone would pass
-        assert not parse_expression("*".join(["(y+1)"] * 18), t).is_zero()
-        with pytest.raises(SemanticError, match="expansion work budget"):
-            parse_expression("*".join(["(y+1)"] * 19), t)
+        # k factors of two terms: each factor is charged its one product y,
+        # and the run k + 2^k steps, which stay within the budget for
+        # k = 19 and pass it for k = 20
+        assert not parse_expression("*".join(["(y+1)"] * 19), t).is_zero()
+        with pytest.raises(SemanticError) as exc:
+            parse_expression("*".join(["(y+1)"] * 20), t)
+        assert str(exc.value) == BUDGET + " (line 1, column 114)"
 
-    def test_a_prefix_of_a_product_is_charged_per_value_of_its_names(self):
+    def test_a_prefix_of_a_product_is_built_per_value_of_its_names(self):
         t = parse_theory(SCALAR)
-        # i*i and i*i*i read only i: they are charged once per i, and the
-        # whole product once per (i, j), 751,005 steps in all; charging
-        # every partial product per (i, j) would take 1,250,005
+        # i*i*i reads only i: it is built once per i, and the whole product
+        # once per (i, j); numbers are no expansion work, so only the sums
+        # are charged, their 500 + 500 * 500 index values
         text = "sum(i,1..500, sum(j,1..500, i*i*i*j))"
         assert parse_expression(text, t) == GradedPolynomial.scalar(125250**3)
 
-    def test_a_run_of_terms_is_charged_its_terms(self):
+    def test_a_run_of_terms_is_charged_its_terms(self, monkeypatch):
         t = parse_theory(SCALAR)
-        # the sum, the run and the k products are charged 500 k steps each,
-        # and the leaves 2k: 1 + 1502 k is within the budget for k = 600, not
-        # for k = 700; charging each partial sum would take 500 k^2 / 2
-        run = "+".join(["i*y"] * 600)
-        got = parse_expression(f"sum(i,1..500, {run})", t)
-        assert got == v_y().scaled(600 * 500 * 501 // 2)
-        run = "+".join(["i*y"] * 700)
-        with pytest.raises(SemanticError, match="expansion work budget"):
-            parse_expression(f"sum(i,1..500, {run})", t)
+        monkeypatch.setattr(theory_dsl, "MAX_EXPANSION_WORK", 5000)
+        # the sum is charged its 50 values, and at each value each operand
+        # of the run adds one product of one factor: 50 + 50 (k + 1) steps
+        # for k more operands y, the whole budget for k = 98; adding up each
+        # partial sum would take about 50 k^2 / 2
+        text = "sum(i,1..50, i*y" + "+y" * 98 + ")"
+        assert parse_expression(text, t) == v_y().scaled(50 * 51 // 2 + 50 * 98)
+        # one more operand passes the budget at i = 50, at its 51st
+        # product: the 50th y after i*y
+        with pytest.raises(SemanticError) as exc:
+            parse_expression(text.replace(")", "+y)"), t)
+        column = len("sum(i,1..50, i*y") + 2 * 50
+        assert str(exc.value) == f"{BUDGET_5000} (line 1, column {column})"
 
-    def test_a_leading_run_is_absorbed_and_a_later_or_negated_one_is_not(self):
+    def test_a_leading_run_is_absorbed_and_a_later_or_negated_one_is_not(self, monkeypatch):
         t = parse_theory(SCALAR)
         # a parenthesized run that stands first belongs to the run it
-        # starts, as (a+b)+c reads a+b+c: 601 terms charged as one run pass
-        # the budget, as 600 do above
+        # starts, as (a+b)+c reads a+b+c
         run = "+".join(["i*y"] * 600)
         for op, k in (("+", 601), ("-", 599)):
             got = parse_expression(f"sum(i,1..500, ({run}) {op} i*y)", t)
             assert got == v_y().scaled(k * 500 * 501 // 2)
-        # a later run, or a negated one, is one operand, a run charged on
-        # its own: the work passes the budget at a product inside it, or at
-        # the run itself, located at its last +
-        for text, column in (
-            (f"sum(i,1..500, i*y + ({run}))", 807),
-            (f"sum(i,1..500, -({run}) + i*y)", 2412),
+        # a later run, or a negated one, is one operand; either way each
+        # operand adds its product to the sum's list, and a run is charged
+        # nothing of its own: 100 operands pass the budget at i = 50, at the
+        # 51st product in reading order, the 51st y of the text
+        monkeypatch.setattr(theory_dsl, "MAX_EXPANSION_WORK", 5000)
+        run = "i*y" + "+y" * 98
+        for text in (
+            f"sum(i,1..50, ({run}) + y)",
+            f"sum(i,1..50, y + ({run}))",
+            f"sum(i,1..50, -({run}) + y)",
         ):
-            with pytest.raises(SemanticError, match="expansion work budget") as info:
+            with pytest.raises(SemanticError) as exc:
                 parse_expression(text, t)
-            assert (info.value.span.line, info.value.span.column) == (1, column)
+            column = [k for k, c in enumerate(text, 1) if c == "y"][50]
+            assert str(exc.value) == f"{BUDGET_5000} (line 1, column {column})"
+
+    @pytest.mark.parametrize("text, work, column", [
+        # 3 products of one factor, then 3 * C(3+3-1, 3-1) steps at the ^,
+        # charged before the power is built
+        ("(y + x + d(y;x))^3", 3 + 30, 17),
+        # the factors' 1 + 2 + 1 products of one factor, then 3 factors
+        # and 2 * 2 * 2 term pairs at the run's last *
+        ("(y+1)*(y+x)*(x+1)", 4 + 3 + 8, 12),
+        # a run of + is charged its products, nothing of its own
+        ("y + x - d(y;x)", 3, 9),
+        # e[i] has two nonzero entries: the sum is charged the 2 values it
+        # binds, not its 4, and each product x*y its 2 factors and 1 * 1 pair
+        ("sum(i,1..4, e[i]*x*y)", 2 + 2 * 3, 19),
+    ])
+    def test_the_budget_is_charged_exactly(self, monkeypatch, text, work, column):
+        t = parse_theory(SCALAR + "constant e[1..4] = {\n  (2): 1/2\n  (4): 3\n}\n")
+        want = parse_expression(text, t)
+        monkeypatch.setattr(theory_dsl, "MAX_EXPANSION_WORK", work)
+        assert parse_expression(text, t) == want
+        monkeypatch.setattr(theory_dsl, "MAX_EXPANSION_WORK", work - 1)
+        with pytest.raises(SemanticError) as exc:
+            parse_expression(text, t)
+        assert str(exc.value) == (
+            f"expansion work budget of {work - 1} steps exceeded (line 1, column {column})"
+        )
+
+    def test_work_is_charged_as_it_is_done(self):
+        t = parse_theory(SCALAR)
+        # the sums are charged 60 + 60^2 + 60^3 index values and the 60^3
+        # products their one factor y: 435,660 steps, within the budget
+        text = "sum(i,1..60, sum(j,1..60, sum(k,1..60, i*j*k*y)))"
+        assert parse_expression(text, t) == v_y().scaled(1830**3)
 
     def test_sum_binder_may_not_shadow_declarations(self):
         t = parse_theory(SCALAR)
