@@ -32,22 +32,15 @@ location, (statement cursor, token index), which the error turns into a
 SourceSpan: spans are scanned from the text only for an error.
 
 Each statement's expression (the Lagrangian, a witness, a block entry under
-all its bindings) is charged its work while it is evaluated, from the real
-sizes of the values built: a sum the index values it binds, each time it is
-evaluated; a product, as it is added to a sum's or run's list, its factor
-count and, with two factors or more, the product of their term counts; a
-power of a base of t terms to k, before it is built, t * C(t+k-1, k-1).  A
-value read from a memo costs nothing more.  Once a statement's work passes
-MAX_EXPANSION_WORK it is refused at the node whose charge passed it, so a
-refusal, like an error, comes in the order of evaluation.  A statement with
-no binders and no sum is evaluated by one direct walk.  Any other is
-analysed once: one pass records for each node the index names it reads,
-whether a range proof over the sum and binder ranges shows it cannot raise,
-and the constant factors that can zero a sum over it.  The evaluator built
-from these facts evaluates each node once per binding of the names it
-reads, and shares values between nodes equal up to a renaming of bound
-names.  A sum whose body cannot raise binds only the index values where a
-constant factor reading the index, such as g[m,al] in sum(al, 0..3,
+all its bindings) is charged its work while it is evaluated (see _spend).
+A statement with no binders and no sum is evaluated by one direct walk.
+Any other is analysed once: one pass records for each node the index names
+it reads, whether a range proof over the sum and binder ranges shows it
+cannot raise, and the constant factors that can zero a sum over it.  The
+evaluator built from these facts evaluates each node once per binding of
+the names it reads, and shares values between nodes equal up to a renaming
+of bound names.  A sum whose body cannot raise binds only the index values
+where a constant factor reading the index, such as g[m,al] in sum(al, 0..3,
 g[m,al]*...), has a nonzero entry; every other sum binds every value in
 order, so each error keeps its message and span.  References resolve
 through one table per parse (see _Env), so each component is checked, and
@@ -90,8 +83,7 @@ MAX_DIM = 9
 MAX_COMPONENTS = 512
 MAX_EXPONENT = 64
 MAX_SUM_SPAN = 512
-# bound on one statement's expansion steps, charged while it is evaluated:
-# index values bound, products added and powers built (see _spend)
+# bound on one statement's expansion steps, see _spend
 MAX_EXPANSION_WORK = 1_000_000
 MAX_STAGE = 32
 _MAX_DEPTH = 64
@@ -807,8 +799,7 @@ class _Env:
     component values, anti) to the VariableId that VarDecl.variable
     accepted, and each JetVariable to its one-term polynomial.  A parse
     never withdraws or redefines a declaration, so a hit skips only checks
-    that would pass again.  work counts the expansion steps charged so far
-    (see _spend)."""
+    that would pass again.  work is the statement's work so far, see _spend."""
 
     __slots__ = ("dim", "variables", "constants", "bindings", "table", "work")
 
@@ -864,8 +855,8 @@ def _resolve_component(env: _Env, node: _Ref) -> VariableId:
     b = env.bindings
     try:
         comps = tuple([b[a] if type(a) is str else a for a in node.args])
-    except KeyError:
-        comps = tuple([_resolve_index(env, a, node.span) for a in node.args])
+    except KeyError as exc:
+        raise SemanticError(f"unbound index {exc.args[0]!r}", node.span) from None
     key = (node.name, comps, node.anti)
     var = env.table.get(key)
     if var is None:
@@ -949,14 +940,12 @@ class _Statement:
     """One statement's expression, evaluated at each binding of its binders.
 
     A statement with no binders and no sum is evaluated by _walk, one
-    direct walk.  Any other is analysed:
-    _analyse visits each node once and records its facts; _compile builds
-    the evaluator from them, top down, knowing how often each node is
-    reached.  On both paths a sum or run is accumulated in the numerator map
-    of the nearest memoized node, factor or root above it (see _run_value),
-    and the work is charged to env as it is done, over all bindings.  Memo
-    entries live as long as this object; table is the parse's resolution
-    table (see _Env).
+    direct walk.  Any other is analysed: _analyse visits each node once and
+    records its facts; _compile builds the evaluator from them, top down,
+    knowing how often each node is reached.  On both paths a sum or run is
+    accumulated in the numerator map of the nearest memoized node, factor or
+    root above it (see _run_value).  Memo entries live as long as this
+    object; table is the parse's resolution table (see _Env).
     """
 
     def __init__(self, ast: object, dim: int, variables: dict[str, VarDecl],
@@ -980,9 +969,15 @@ class _Statement:
 
 
 def _spend(env: _Env, steps: int, node: object) -> None:
-    """Charge steps to the statement's work, refusing it at node once the
-    work passes MAX_EXPANSION_WORK.  Every charge comes through here: a
-    sum's in _sum_run, a product's in _product and a power's in _power."""
+    """Charge steps to the statement's work, over all its bindings, and
+    refuse it at node once the work passes MAX_EXPANSION_WORK, so a refusal,
+    like an error, comes in the order of evaluation.  The work is charged
+    as it is done, from the sizes of the values built: a sum, each time it
+    is evaluated, the index values it binds (_sum_run); a product, as it is
+    added to a list, the terms of its one factor, or its factor count plus
+    the product of its factors' term counts (_product); a power of a base of
+    t terms to k, before it is built, t * C(t+k-1, k-1), the term pairs its
+    k products take at most (_power)."""
     work = env.work = env.work + steps
     if work > MAX_EXPANSION_WORK:
         raise SemanticError(
@@ -1006,9 +1001,8 @@ def _run_value(into: Callable[[list, object], None]) -> object:
 
 def _product(env: _Env, parts: list, w: object, values: Sequence, node: object) -> None:
     """Add w times the product of values, in order, to parts: numbers scale
-    the weight, polynomials are the factors; a product of weight 0 is left out.
-    An added product is charged at node its factor count and, with two
-    factors or more, the product of their term counts."""
+    the weight, polynomials are the factors; a product of weight 0 is left
+    out, and an added one is charged at node."""
     factors, steps = [], 1
     for v in values:
         if type(v) is GradedPolynomial:
@@ -1018,15 +1012,12 @@ def _product(env: _Env, parts: list, w: object, values: Sequence, node: object) 
             w = v if w == 1 else w * v  # a Fraction times 1 costs a Fraction
     if w:
         if n := len(factors):
-            _spend(env, n + steps if n > 1 else 1, node)
+            _spend(env, n + steps if n > 1 else steps, node)
         parts.append((factors, w))
 
 
 def _power(env: _Env, base: object, node: _Pow) -> object:
-    """base to node's exponent k.  A polynomial base of t terms is charged
-    at node, before the power is built, t * C(t+k-1, k-1) steps: building
-    the power j multiplies the power j-1, of at most C(t+j-2, j-1) terms,
-    by t terms, and these add up to that over j = 1..k."""
+    """base to node's exponent; a polynomial base is charged at node first."""
     k = node.exponent
     if k and type(base) is GradedPolynomial:
         t = len(base._terms)
@@ -1358,8 +1349,7 @@ def _sum_run(
     """What adds w times a sum's value to parts: the body, whose unmemoized
     runs and sums add to the same parts, adds its value at each value of the
     index, in order, skipping those where a factor of the plan has no nonzero
-    stored entry: the body cannot raise, so they would add exactly zero.
-    The sum is charged the index values it binds, once per evaluation."""
+    stored entry: the body cannot raise, so they would add exactly zero."""
     node, b = facts.node, env.bindings
     index, span, (values, lookups) = node.index, node.span, facts.plan
     shadows = index in env.variables or index in env.constants

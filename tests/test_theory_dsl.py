@@ -304,6 +304,10 @@ class TestExpressions:
         # e[i] has two nonzero entries: the sum is charged the 2 values it
         # binds, not its 4, and each product x*y its 2 factors and 1 * 1 pair
         ("sum(i,1..4, e[i]*x*y)", 2 + 2 * 3, 19),
+        # y+x reads no index: it is built once, charged its 2 products, and
+        # each of the 3 products i*(y+x) is charged the 2 terms of its one
+        # factor, which it adds to the sum term by term
+        ("sum(i,1..3, i*(y+x))", 3 + 2 + 3 * 2, 14),
     ])
     def test_the_budget_is_charged_exactly(self, monkeypatch, text, work, column):
         t = parse_theory(SCALAR + "constant e[1..4] = {\n  (2): 1/2\n  (4): 3\n}\n")
@@ -316,6 +320,17 @@ class TestExpressions:
         assert str(exc.value) == (
             f"expansion work budget of {work - 1} steps exceeded (line 1, column {column})"
         )
+
+    def test_a_value_built_once_is_charged_its_terms_each_time_it_is_added(self):
+        t = parse_theory("theory t\ndim 2\nfield y parity even")
+        # the power reads no index, so it is built once, for 6 C(17, 11)
+        # steps, but each product adds its 6188 terms to the sum: the
+        # products pass the budget long before the 512^2 bindings are done
+        base = "(y + x0 + x1 + d(y;x0) + d(y;x1) + d(y;x0,x1))^12"
+        text = f"sum(i,1..512, sum(j,1..512, i*j*{base}))"
+        with pytest.raises(SemanticError) as exc:
+            parse_expression(text, t)
+        assert str(exc.value) == BUDGET + " (line 1, column 32)"
 
     def test_work_is_charged_as_it_is_done(self):
         t = parse_theory(SCALAR)
