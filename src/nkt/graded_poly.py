@@ -18,8 +18,17 @@ reduced Fractions are built only when coefficients are observed.
 The order of the monomials is likewise only materialized when it is
 observed, by raw_terms() and rendering; arithmetic works on an unordered
 term map.  Its keys are interned Monomials, which remember their products,
-total-derivative images and partials up to MEMO_CAP entries in all, so a
-repeated product or derivative of a monomial costs one lookup.
+total-derivative images, partials and Euler-Lagrange images up to MEMO_CAP
+entries in all, so a repeated product or derivative of a monomial costs one
+lookup.  A monomial's Euler-Lagrange image is, for each variable A of its
+jet factors, the sum over its factors f = A_Lam of (-1)^|Lam| d_Lam(dm/df),
+as (int multiplier, monomial) pairs, with the highest jet order its raises
+reach (see _vary_flat); a polynomial adds its monomials' images up once,
+into the _el map that euler_lagrange_map keeps, so E_A of one polynomial
+is computed once however often it is asked for.  An image is not built
+past the jet-order bound in force, and jet_calculus.euler_lagrange reads a
+kept map only while the orders it reached are within the bound then in
+force.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+from .config import max_jet_order
 from .errors import NktError, Record, too_many_digits
 from .multiindex import EMPTY, MultiIndex, check_jet_order
 
@@ -249,12 +259,17 @@ MEMO_CAP = 1 << 16
 """Most memo entries that all monomials together hold.
 
 An entry is one remembered product (left, right), one total-derivative
-image (monomial, direction) or one monomial's partials.  Entries live until
-the count reaches MEMO_CAP; the next entry first clears every memo at once
-(clear_memos), so the memos never hold more than MEMO_CAP entries.  A
-workload whose distinct products, images and partials fit under the cap
-computes each of them once for the life of the process.
+image (monomial, direction), one monomial's partials or one monomial's
+Euler-Lagrange image; building an Euler-Lagrange image also makes the
+partials and total-derivative images it is built from, each an entry of its
+own.  Entries live until the count reaches MEMO_CAP; the next entry first
+clears every memo at once (clear_memos), so the memos never hold more than
+MEMO_CAP entries.  A workload whose distinct products, images and partials
+fit under the cap computes each of them once for the life of the process.
 """
+
+# the memo key of a monomial's Euler-Lagrange image
+_EL = "el"
 
 _MONOMIALS: dict[_Flat, "Monomial"] = {}
 # the memo of a monomial that has none: read-only and shared
@@ -276,8 +291,9 @@ class Monomial:
     them, -1 without jets), and one memo dict, bounded by MEMO_CAP.  It
     maps each right monomial met to the product (sign, product), or
     (0, None) when an odd factor repeats; each direction to the
-    total-derivative image, as (multiplier, monomial) pairs; and None to
-    the partials (see _drop_flat).
+    total-derivative image, as (multiplier, monomial) pairs; None to the
+    partials (see _drop_flat); and _EL to the Euler-Lagrange image (see
+    _vary_flat).
     """
 
     __slots__ = ("factors", "odd", "jets", "top", "_memo")
@@ -356,7 +372,7 @@ def _top(jets: _Flat) -> int:
     return max([len(f.mi.entries) for f in jets], default=-1)
 
 
-def _remember(m: Monomial, key: "Monomial | int | None", value: tuple) -> None:
+def _remember(m: Monomial, key: "Monomial | int | str | None", value: tuple) -> None:
     """Store one memo entry of m, first clearing every memo at MEMO_CAP."""
     if len(_MEMOIZED) >= MEMO_CAP:
         clear_memos()
@@ -381,6 +397,7 @@ def memo_sizes() -> dict[str, int]:
         "products": keys.count(Monomial),
         "images": keys.count(int),
         "partials": keys.count(type(None)),
+        "el_images": keys.count(str),
     }
 
 
@@ -498,6 +515,85 @@ def _drop_flat(m: Monomial) -> tuple[tuple[JetVariable, Monomial, int, int], ...
     return tuple(out)
 
 
+_Image = tuple[tuple[JetVariable, int, tuple[tuple[int, Monomial], ...]], ...]
+
+
+def _vary_flat(m: Monomial) -> "_Image | None":
+    """m's Euler-Lagrange image, as (base, reach, pairs) per variable of its
+    jet factors, in order of first occurrence; base is the variable's jet of
+    order zero, which hashes faster than the variable.
+
+    pairs are the (int multiplier, monomial) pairs of the sum over m's jet
+    factors f = A_Lam of (-1)^|Lam| d_Lam of f's left partial, each d_Lam
+    applied one direction after another through the monomials'
+    total-derivative images, zero multipliers dropped.  reach is the highest
+    order that a d_Lam with Lam nonempty raises a jet to, rest.top + |Lam|
+    over the partials whose rest has jets, and 0 without any: raising a
+    polynomial's partial step by step passes the bound exactly when one of
+    its rests reaches past it, since a raise step never cancels the terms
+    of the highest order.  None when a reach passes the bound in force, so
+    that no image is built past it.
+    """
+    drops = m.partials()
+    bases = [JetVariable(f.var) for f, _, _, _ in drops]
+    reach: dict[JetVariable, int] = {}
+    for base, (f, rest, _, _) in zip(bases, drops):
+        lam = f.mi.entries
+        order = len(lam) + rest.top if lam and rest.top >= 0 else 0
+        reach[base] = max(order, reach.get(base, 0))
+    if max(reach.values(), default=0) > max_jet_order():
+        return None
+    acc: dict[JetVariable, dict[Monomial, int]] = {base: {} for base in reach}
+    for base, (f, rest, on_left, _) in zip(bases, drops):
+        lam = f.mi.entries
+        terms = {rest: -on_left if len(lam) & 1 else on_left}
+        for direction in lam:
+            step: dict[Monomial, int] = {}
+            for r, s in terms.items():
+                if s:
+                    for c, up in r.image(direction):
+                        cur = step.get(up)
+                        step[up] = c * s if cur is None else cur + c * s
+            terms = step
+        _add_into(acc[base], terms, 1)
+    return tuple([
+        (base, reach[base], tuple([(n, r) for r, n in terms.items() if n]))
+        for base, terms in acc.items()
+    ])
+
+
+def _all_variational(
+    terms: Mapping[Monomial, int], den: int
+) -> "Mapping[VariableId, tuple[int, GradedPolynomial]] | None":
+    """E_A of a numerator map over den for every variable A of its jet
+    factors, with the highest order its raises reach, in one pass: each
+    monomial adds its memoized Euler-Lagrange image.  None when an image
+    cannot be built within the bound in force (see _vary_flat)."""
+    acc: dict[JetVariable, list] = {}  # base -> [reach, numerator map]
+    for m, s in terms.items():
+        image = m._memo.get(_EL)
+        if image is None:
+            image = _vary_flat(m)
+            if image is None:
+                return None
+            _remember(m, _EL, image)
+        for base, top, pairs in image:
+            entry = acc.get(base)
+            if entry is None:
+                entry = acc[base] = [top, {}]
+            elif top > entry[0]:
+                entry[0] = top
+            bucket = entry[1]
+            for c, r in pairs:
+                n = c * s
+                cur = bucket.get(r)
+                bucket[r] = n if cur is None else cur + n
+    return MappingProxyType({
+        base.var: (top, GradedPolynomial._from_terms(b, den))
+        for base, (top, b) in acc.items()
+    })
+
+
 def _all_partials(
     terms: Mapping[Monomial, int], den: int, right: bool
 ) -> Mapping[JetVariable, "GradedPolynomial"]:
@@ -562,12 +658,12 @@ class GradedPolynomial:
     Equality compares (_den, map) and the hash is independent of the order
     the map was filled in.  The canonical term order is built only when it
     is observed (raw_terms and rendering), afresh on each observation, and
-    is not stored.  The partial-derivative maps are filled on first use
-    only; they are derived from (_den, map), so equality and hashing never
-    look at them.
+    is not stored.  The partial-derivative maps and the Euler-Lagrange map
+    _el are filled on first use only; they are derived from (_den, map), so
+    equality, hashing and pickling never look at them.
     """
 
-    __slots__ = ("_terms", "_den", "_left", "_right")
+    __slots__ = ("_terms", "_den", "_left", "_right", "_el")
 
     def __init__(self, terms: Mapping[_Flat, Fraction | int] | None = None):
         # factors in any order, canonicalized as gp_normalize does
@@ -577,7 +673,7 @@ class GradedPolynomial:
         raise AttributeError("GradedPolynomial is immutable")
 
     def __reduce__(self) -> tuple:
-        # the partial maps are derived, so they are rebuilt on use
+        # the partial and Euler-Lagrange maps are derived, so they are rebuilt on use
         return (GradedPolynomial._from_terms, (dict(self._terms), self._den))
 
     def _take(self, acc: dict[Monomial, int], den: int) -> None:
@@ -696,6 +792,19 @@ class GradedPolynomial:
         except AttributeError:
             out = _all_partials(self._terms, self._den, right=True)
             object.__setattr__(self, "_right", out)
+            return out
+
+    def euler_lagrange_map(self) -> "Mapping[VariableId, tuple[int, GradedPolynomial]] | None":
+        """E_A for every variable A of the jet factors, keyed by A, each with
+        the highest jet order its raises reach, which the caller holds to the
+        bound in force; kept in _el.  None, and nothing kept, when a
+        monomial's image cannot be built within the bound (see _vary_flat)."""
+        try:
+            return self._el
+        except AttributeError:
+            out = _all_variational(self._terms, self._den)
+            if out is not None:
+                object.__setattr__(self, "_el", out)
             return out
 
     # -- total derivatives ---------------------------------------------------
@@ -819,10 +928,22 @@ def gp_sum_of_weighted_products(
     n factors merge O(n log n) factors, not O(n^2), down to a last pair whose
     term products, as in gp_sum_of_products, go straight into one numerator
     map over the lcm of the products' denominators.  A lone factor is added
-    term by term, and a product of none adds its weight to the constant term.
+    term by term, once, with the sum of the weights of the products where
+    it stands alone; a product of none adds its weight to the constant term.
     """
     todo, dens = [], []
+    # a lone factor's id -> [factor, summed weight]; keyed by identity, as a
+    # polynomial's own hash reads every term
+    lone: dict[int, list] = {}
     for factors, weight in products:
+        if len(factors) == 1:
+            f = factors[0]
+            hit = lone.get(id(f))
+            if hit is None:
+                lone[id(f)] = [f, weight]
+            else:
+                hit[1] += weight
+            continue
         while len(factors) > 2:
             pairs = iter(factors)
             factors = [*map(GradedPolynomial.__mul__, pairs, pairs),
@@ -832,6 +953,10 @@ def gp_sum_of_weighted_products(
             den *= f._den
         dens.append(den)
         todo.append((factors, weight.numerator, den))
+    for f, weight in lone.values():
+        den = weight.denominator * f._den
+        dens.append(den)
+        todo.append(((f,), weight.numerator, den))
     den = lcm(*dens)
     acc: dict[Monomial, int] = {}
     for factors, n, d in todo:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from .config import max_jet_order
 from .errors import Record
 from .graded_poly import (
     Density,
@@ -85,9 +86,40 @@ def euler_lagrange(
 
     With variables=None the variation runs over every base variable that
     occurs in the density; variables absent from it have E_A = 0 anyway.
+    Each E_A is read from the density's Euler-Lagrange map, one pass over
+    its monomials' images (GradedPolynomial.euler_lagrange_map), while the
+    order that E_A's raises reach is within the jet-order bound in force;
+    otherwise _stepwise raises the JetOrderError of the first variable asked
+    for that passes it.
     """
+    expr = _as_expr(density)
+    found = expr.euler_lagrange_map()
+    if found is None:
+        return _stepwise(expr, variables)
+    if variables is None:
+        variables = sorted(found, key=lambda v: v.rank)
+    bound = max_jet_order()
+    components = {}
+    for var in variables:
+        reach, e = found.get(var, _NOTHING)
+        if reach > bound:
+            return _stepwise(expr, variables)
+        components[var] = e
+    return VariationalDerivatives(components)
+
+
+_NOTHING = (0, GradedPolynomial.zero())
+
+
+def _stepwise(
+    expr: GradedPolynomial, variables: list[VariableId] | None
+) -> VariationalDerivatives:
+    """E_A as the sum over the left partials dL/dA_Lam of (-1)^|Lam| times
+    d_Lam applied one direction after another, each step checking the
+    jet-order bound (gp_sum_of_derivatives); the variables are raised in the
+    order asked for, so the first of them that passes the bound is named."""
     per_var: dict[VariableId, list[tuple[GradedPolynomial, tuple[int, ...], int]]] = {}
-    for jv, partial in _as_expr(density).left_partials().items():
+    for jv, partial in expr.left_partials().items():
         sign = -1 if jv.mi.order & 1 else 1
         per_var.setdefault(jv.var, []).append((partial, jv.mi.entries, sign))
     if variables is None:

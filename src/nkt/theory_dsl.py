@@ -48,7 +48,8 @@ each jet variable made a polynomial, once.  The parser makes each run of +
 and -, and each run of *, one node; a leading -x is a run of one negated
 operand.  Sums and runs add weighted products to one list, an unmemoized
 one inside passing its own into the same list, so a polynomial is added up
-only where a memo stores it or a factor needs it, and at once.
+only where a memo stores it or a factor needs it, and at once, or when the
+list reaches _FOLD_AT products.
 """
 
 from __future__ import annotations
@@ -87,6 +88,9 @@ MAX_SUM_SPAN = 512
 MAX_EXPANSION_WORK = 1_000_000
 MAX_STAGE = 32
 _MAX_DEPTH = 64
+# a list of weighted products this long is added up into one entry, so a
+# statement holds few products at once, even one the budget refuses
+_FOLD_AT = 4096
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _COORD_RE = re.compile(r"x[0-9]*\Z")
@@ -623,16 +627,14 @@ class _Sum:
 
 class _Run:
     """A run of + and - (op "+") or of * (op "*"), left to right: signs[i]
-    is the sign of operands[i] in a run of +, and ats[i] the location of
-    the operator before it, None for the first.  A leading -x is a run of +
-    of the one operand x, signed - and located at the -.  The run's span is
-    its last operator's location."""
+    is the sign of operands[i] in a run of +.  The run's span is its last
+    operator's location.  A leading -x is a run of + of the one operand x,
+    signed - and located at the -."""
 
-    __slots__ = ("op", "operands", "signs", "ats", "span")
+    __slots__ = ("op", "operands", "signs", "span")
 
-    def __init__(self, op, operands, signs, ats):
-        self.op, self.operands, self.signs, self.ats = op, operands, signs, ats
-        self.span = ats[-1]
+    def __init__(self, op, operands, signs, span):
+        self.op, self.operands, self.signs, self.span = op, operands, signs, span
 
 
 class _Pow:
@@ -690,15 +692,15 @@ def _parse_run(
         return node
     op = ops[0]
     if type(node) is _Run and node.op == op and len(node.operands) > 1:
-        operands, signs, ats = [*node.operands], [*node.signs], [*node.ats]
+        operands, signs = [*node.operands], [*node.signs]
     else:
-        operands, signs, ats = [node], ["+"], [None]
+        operands, signs = [node], ["+"]
     while (tok := st.tokens[st.pos]) in ops:
         signs.append(tok)
-        ats.append((st, st.pos))
+        span = (st, st.pos)
         st.pos += 1
         operands.append(read(st, depth + 1))
-    return _Run(op, operands, signs if op == "+" else (), ats)
+    return _Run(op, operands, signs if op == "+" else (), span)
 
 
 def _parse_unary(st: _Stmt, depth: int) -> object:
@@ -707,7 +709,7 @@ def _parse_unary(st: _Stmt, depth: int) -> object:
     if st.tokens[st.pos] == "-":
         at = (st, st.pos)
         st.pos += 1
-        return _Run("+", [_parse_unary(st, depth + 1)], ["-"], [at])
+        return _Run("+", [_parse_unary(st, depth + 1)], ["-"], at)
     return _parse_power(st, depth + 1)
 
 
@@ -928,8 +930,8 @@ class _Facts(NamedTuple):
     # [nodes, memo] of the shape, and the free names in memo key order
     key: tuple[list, list[str]] | None = None
     # constant entries whose zero zeroes the value: a constant leaf's own,
-    # those of a run of *'s factors (the parser makes a run one node, split
-    # here into stretches), and those of a sum's body not reading its index
+    # those of a run of *'s factors, and those of a sum's body not reading
+    # its index
     factors: tuple[_Ref, ...] = ()
     # a sum's index values and zeroing factors, see _sum_run; a run node
     # holds its own signs
@@ -987,10 +989,16 @@ def _spend(env: _Env, steps: int, node: object) -> None:
 
 def _run_value(into: Callable[[list, object], None]) -> object:
     """The value of a run or a sum, which into adds to a list of weighted
-    products (see _product): a number when no product has a factor, else
-    their sum, accumulated in one numerator map by gp_sum_of_weighted_products."""
+    products (see _product)."""
     parts: list = []
     into(parts, 1)
+    return _added(parts)
+
+
+def _added(parts: list) -> object:
+    """The sum of a list of weighted products: a number when no product has
+    a factor, else their sum, accumulated in one numerator map by
+    gp_sum_of_weighted_products."""
     if len(parts) == 1 and parts[0][1] == 1 and len(parts[0][0]) == 1:
         return parts[0][0][0]  # one polynomial, as it is
     for factors, _ in parts:
@@ -1002,7 +1010,8 @@ def _run_value(into: Callable[[list, object], None]) -> object:
 def _product(env: _Env, parts: list, w: object, values: Sequence, node: object) -> None:
     """Add w times the product of values, in order, to parts: numbers scale
     the weight, polynomials are the factors; a product of weight 0 is left
-    out, and an added one is charged at node."""
+    out, and an added one is charged at node.  A list _FOLD_AT long is
+    added up into one product, of one polynomial or of none."""
     factors, steps = [], 1
     for v in values:
         if type(v) is GradedPolynomial:
@@ -1014,6 +1023,9 @@ def _product(env: _Env, parts: list, w: object, values: Sequence, node: object) 
         if n := len(factors):
             _spend(env, n + steps if n > 1 else steps, node)
         parts.append((factors, w))
+        if len(parts) >= _FOLD_AT:
+            value = _added(parts)
+            parts[:] = [([value], 1) if type(value) is GradedPolynomial else ([], value)]
 
 
 def _power(env: _Env, base: object, node: _Pow) -> object:
@@ -1123,28 +1135,10 @@ def _shape(
 
 
 def _analyse_run(
-    stmt: _Statement, node: _Run, scope: dict[str, tuple[int, int]],
-    kids: list[_Facts] | None = None,
+    stmt: _Statement, node: _Run, scope: dict[str, tuple[int, int]]
 ) -> _Facts:
-    """A run is one node whose kids are its operands, left to right.
-
-    In a run of *, each stretch whose partial products read the same bound
-    names is one node: a run of the operands it covers, so located at the *
-    before the last of them, whose kids, passed in, are the node of the
-    stretch before it, if any, and its own operands.  So each partial
-    product is built once per value of the names it reads, and the nodes
-    nest at most once per bound name however long the run."""
-    if kids is None:
-        kids = [_analyse(stmt, operand, scope) for operand in node.operands]
-        if node.op == "*":
-            stretch, free = kids[:1], kids[0].free
-            for k in range(1, len(kids)):
-                if len(stretch) > 1 and not kids[k].free <= free:
-                    head = _Run("*", node.operands[:k], (), node.ats[:k])
-                    stretch = [_analyse_run(stmt, head, scope, stretch)]
-                stretch.append(kids[k])
-                free = free | kids[k].free
-            kids = stretch
+    """A run is one node whose kids are its operands, left to right."""
+    kids = [_analyse(stmt, operand, scope) for operand in node.operands]
     facts = _Facts(
         node, all(kid.safe for kid in kids), frozenset().union(*[kid.free for kid in kids]),
         tuple(kids),

@@ -15,7 +15,7 @@ from nkt.graded_poly import (
     Parity,
     gp_normalize,
 )
-from nkt import config, multiindex
+from nkt import config, graded_poly, multiindex
 from nkt.errors import JetOrderError
 from nkt.jet_calculus import (
     euler_lagrange,
@@ -140,21 +140,79 @@ def test_total_derivative_checks_the_jet_order_bound_once(monkeypatch) -> None:
             total_derivative(q, 0)
 
 
+def too_high(order: int, bound: int) -> str:
+    return f"jet order {order} exceeds the bound {bound} (raise NKT_MAX_JET_ORDER to override)"
+
+
+def with_bound(monkeypatch, bound: int) -> None:
+    monkeypatch.setenv("NKT_MAX_JET_ORDER", str(bound))
+    config.reload()
+
+
+def copy_of(p: GradedPolynomial) -> GradedPolynomial:
+    """p rebuilt from its terms: the same monomials, none of p's own maps."""
+    return GradedPolynomial(dict(p.items()))
+
+
 def test_euler_lagrange_checks_the_jet_order_bound_with_warm_memos(monkeypatch) -> None:
     # E_y of y_xx^2 c c_x is 2 d_x d_x (y_xx c c_x): its last raise reaches order 4
     lag = v(Y, 0, 0) * v(Y, 0, 0) * v(C) * v(C, 0)
-    first = euler_lagrange(lag)  # fills the partials and every image memo
-    partials = lag.left_partials()
+    first = euler_lagrange(lag)  # fills every monomial's image and lag's own map
     assert euler_lagrange(lag).components == first.components
-    assert lag.left_partials() is partials
-    monkeypatch.setenv("NKT_MAX_JET_ORDER", "3")
-    config.reload()
+    assert euler_lagrange(copy_of(lag)).components == first.components
+    with_bound(monkeypatch, 3)
+    # lag's own map, the warm images of a copy, then a copy with no image,
+    # which cannot be built within the bound
+    for p, clear in ((lag, False), (copy_of(lag), False), (copy_of(lag), True)):
+        if clear:
+            graded_poly.clear_memos()
+        with pytest.raises(JetOrderError) as err:
+            euler_lagrange(p)
+        assert str(err.value) == too_high(4, 3)
+    # each check reads the bound in force: back at 4, all is within it
+    with_bound(monkeypatch, 4)
+    assert euler_lagrange(lag).components == first.components
+
+
+def test_a_polynomial_built_past_a_lowered_bound_names_its_first_raise(monkeypatch) -> None:
+    # E_y of y_xxxx^2 is 2 d_x^4 y_xxxx: under a bound of 2 the first raise,
+    # to order 5, passes it, whether the images are cold or warm
+    lag = v(Y, 0, 0, 0, 0) * v(Y, 0, 0, 0, 0)
+    cold = copy_of(lag)
+    graded_poly.clear_memos()
+    with_bound(monkeypatch, 2)
     with pytest.raises(JetOrderError) as err:
-        euler_lagrange(lag)
-    assert str(err.value) == (
-        "jet order 4 exceeds the bound 3 (raise NKT_MAX_JET_ORDER to override)"
-    )
-    assert lag.left_partials() is partials
+        euler_lagrange(cold)
+    assert str(err.value) == too_high(5, 2)
+    with_bound(monkeypatch, 8)
+    assert euler_lagrange(lag)[Y] == v(Y, 0, 0, 0, 0, 0, 0, 0, 0).scaled(2)
+    with_bound(monkeypatch, 2)
+    for p in (lag, copy_of(lag), cold):
+        with pytest.raises(JetOrderError) as err:
+            euler_lagrange(p)
+        assert str(err.value) == too_high(5, 2)
+
+
+def test_euler_lagrange_checks_only_the_variables_asked_for(monkeypatch) -> None:
+    # E_u of u_xx^2 w is 2 d_x d_x (u_xx w), which reaches order 4; E_w is
+    # u_xx^2, which raises nothing.  Variables no other test raises, so that
+    # raising u_xxx to order 4 would make a multi-index past the bound
+    u, w = even_field("u_el"), even_field("w_el")
+    lag = v(u, 0, 0) * v(u, 0, 0) * v(w)
+    with_bound(monkeypatch, 3)
+    for p in (lag, copy_of(lag)):
+        # no image can be built within the bound: E_w is raised step by step
+        assert euler_lagrange(p, [w]).components == {w: v(u, 0, 0) * v(u, 0, 0)}
+    with_bound(monkeypatch, 8)
+    euler_lagrange(lag)
+    with_bound(monkeypatch, 3)
+    for p in (lag, copy_of(lag)):
+        # lag's own map, then a copy's warm images
+        assert euler_lagrange(p, [w]).components == {w: v(u, 0, 0) * v(u, 0, 0)}
+        for variables in ([w, u], None):
+            with pytest.raises(JetOrderError) as err:
+                euler_lagrange(p, variables)
+            assert str(err.value) == too_high(4, 3)
 
 
 def test_total_derivative_raises_in_place_with_the_koszul_sign() -> None:

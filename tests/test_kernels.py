@@ -760,7 +760,34 @@ def test_euler_lagrange_matches_the_oracle(p) -> None:
         if jv.mi.order & 1:
             term = -term
         expected[jv.var] = expected.get(jv.var, GradedPolynomial.zero()) + term
-    assert euler_lagrange(p).components == expected
+    clear_memos()
+    # cold, then with every monomial's image warm, then from p's own map
+    for _ in range(2):
+        assert euler_lagrange(GradedPolynomial(dict(p.items()))).components == expected
+    assert euler_lagrange(p).components == euler_lagrange(p).components == expected
+    with pytest.MonkeyPatch.context() as mp:
+        # a cap this small clears every memo many times within one pass
+        mp.setattr(graded_poly, "MEMO_CAP", 5)
+        assert euler_lagrange(GradedPolynomial(dict(p.items()))).components == expected
+    with pytest.MonkeyPatch.context() as mp:
+        clearing_part_way(mp)
+        assert euler_lagrange(GradedPolynomial(dict(p.items()))).components == expected
+    some = sorted(expected, key=lambda var: var.rank)[::2]
+    assert euler_lagrange(p, some).components == {var: expected[var] for var in some}
+
+
+def clearing_part_way(mp: pytest.MonkeyPatch) -> None:
+    """Make every other Euler-Lagrange image built clear every memo first,
+    so one pass meets images built before and after a clearing."""
+    vary, built = graded_poly._vary_flat, []
+
+    def clearing(m: Monomial) -> object:
+        built.append(m)
+        if len(built) % 2 == 0:
+            clear_memos()
+        return vary(m)
+
+    mp.setattr(graded_poly, "_vary_flat", clearing)
 
 
 @KERNEL_SETTINGS
@@ -1068,8 +1095,9 @@ def kernel_outcomes(ps: list, raw: list, direction: int) -> list:
         results.append(total_derivative(total_derivative(p, direction), direction))
         for partials in (p.left_partials(), p.right_partials()):
             results += [partials[jv] for jv in sorted(partials)]
-        el = euler_lagrange(p).components
-        results += [el[var] for var in sorted(el, key=lambda var: var.rank)]
+        # the second call reads p's Euler-Lagrange map
+        for el in (euler_lagrange(p).components, euler_lagrange(p).components):
+            results += [el[var] for var in sorted(el, key=lambda var: var.rank)]
     return [(r.raw_terms(), render_polynomial(r, 3), hash(r), r.parity()) for r in results]
 
 
@@ -1087,13 +1115,16 @@ def test_results_do_not_depend_on_the_memos(ps, raw, direction) -> None:
         # a cap this small clears every memo many times within one kernel call
         mp.setattr(graded_poly, "MEMO_CAP", 5)
         assert kernel_outcomes(ps, raw, direction) == cold
+    with pytest.MonkeyPatch.context() as mp:
+        clearing_part_way(mp)
+        assert kernel_outcomes(ps, raw, direction) == cold
     clear_memos()
     assert kernel_outcomes(ps, raw, direction) == cold
 
 
 def memo_entries() -> int:
-    sizes = memo_sizes()
-    return sizes["products"] + sizes["images"] + sizes["partials"]
+    """The entries of every kind of memo."""
+    return sum(n for kind, n in memo_sizes().items() if kind != "monomials")
 
 
 def test_memos_stay_within_their_cap(monkeypatch) -> None:
@@ -1112,7 +1143,10 @@ def test_memos_stay_within_their_cap(monkeypatch) -> None:
         # fresh products and derivatives: factors drawn from 42 jets
         x = gp_normalize([(1, rng.sample(pool, 3)), (Fraction(1, 2), rng.sample(pool, 2))])
         y = gp_normalize([(2, rng.sample(pool, 3))])
-        for _ in (x * y, total_derivative(x, rng.randint(0, 1)), *x.left_partials().values()):
+        for _ in (
+            x * y, total_derivative(x, rng.randint(0, 1)), *x.left_partials().values(),
+            *euler_lagrange(x).components.values(),
+        ):
             assert len(graded_poly._MEMOIZED) <= cap
         if i % 30 == 0:
             assert memo_entries() == len(graded_poly._MEMOIZED)
@@ -1218,7 +1252,9 @@ def test_a_one_shot_verdict_makes_as_many_monomials_and_memo_entries() -> None:
     )
     argv = ["derive-noether", str(THEORY_DIR / "ym_su2.nkt"), "--sym", "brst", "--json"]
     src = str(Path(__file__).resolve().parent.parent / "src")
-    want = {"monomials": 2509, "products": 3438, "images": 700, "partials": 216}
+    want = {
+        "monomials": 2509, "products": 3438, "images": 700, "partials": 216, "el_images": 180,
+    }
     for seed in ("1", "2718"):
         env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
         done = subprocess.run(
@@ -1647,20 +1683,6 @@ def test_a_run_of_terms_is_added_up_at_once(monkeypatch) -> None:
     assert ([len(parts) for parts in sums], len(binary)) == ([4, 4, 2], 0)
 
 
-def test_a_prefix_of_a_product_is_built_once_per_value_of_its_names(monkeypatch) -> None:
-    # (y+i)*(y+1) reads only i: it is built once per i, not once per (i, j),
-    # and the whole product multiplied into the sum once per (i, j), 3 + 3*4
-    # pair products in all, each by the kernel's one loop
-    text = "sum(i,1..3, sum(j,1..4, (y+i)*(y+1)*(y+j)))"
-    want = oracle_outcome(parse_expression, text, MEMO_THEORY)
-    pairs, multiply = [], graded_poly._multiply_into
-    monkeypatch.setattr(
-        graded_poly, "_multiply_into", lambda *args: pairs.append(1) or multiply(*args)
-    )
-    assert outcome(parse_expression, text, MEMO_THEORY) == want
-    assert len(pairs) == 3 + 3 * 4
-
-
 @pytest.mark.parametrize("text, want", [
     # a scalar run, and runs of one shape but for their signs
     ("sum(i,1..2, (i - 3 - e[i,1] + 1/2) * y)", "-y"),
@@ -1704,17 +1726,31 @@ def test_runs_keep_their_signs_and_reading_order(text, want) -> None:
     # zero entries in a sum plan: z[1,0] is stored as 0, z[2,1] is not stored
     "sum(i,1..2, sum(j,0..1, z[i,j]*C[i]*a[j,1]))",
     "sum(i,1..2, sum(j,0..1, z[i,j] * (C[i] + sum(r,1..2, z[r,j]*a[j,r]))))",
+    # a sum of numbers only, which stays a number
+    "sum(i,1..2, sum(j,0..1, i*j - 1/3)) * y",
     # errors: the first bad operand read raises, under a sum too
     "sum(i,1..2, sum(j,0..2, z[i,j]*a[j,1]))",
     "-(y - a[5,1]) * -C[7]",
     "sum(i,1..2, 1/2 * (y - C[i]) * -(a[i,1] + y))",
 ])
-def test_accumulated_runs_and_sums_match_the_fresh_evaluator(text) -> None:
+def test_accumulated_runs_and_sums_match_the_fresh_evaluator(text, monkeypatch) -> None:
     # parse_expression walks a sum-free text directly and compiles any
     # other; compiled_outcome compiles every text
     want = oracle_outcome(parse_expression, text, MEMO_THEORY)
     assert outcome(parse_expression, text, MEMO_THEORY) == want
-    assert compiled_outcome(text, MEMO_THEORY)[0] == want
+    compiled = compiled_outcome(text, MEMO_THEORY)
+    assert compiled[0] == want
+    # lists added up at every second product give the same values, errors
+    # and charges, and no list the kernel adds up is longer
+    lengths, kernel = [], theory_dsl.gp_sum_of_weighted_products
+    monkeypatch.setattr(
+        theory_dsl, "gp_sum_of_weighted_products",
+        lambda parts: lengths.append(len(parts)) or kernel(parts),
+    )
+    monkeypatch.setattr(theory_dsl, "_FOLD_AT", 2)
+    assert outcome(parse_expression, text, MEMO_THEORY) == want
+    assert compiled_outcome(text, MEMO_THEORY) == compiled
+    assert max(lengths, default=0) <= 2
 
 
 # -- the direct walk against the analysed evaluator ------------------------------

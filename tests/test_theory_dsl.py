@@ -246,9 +246,8 @@ class TestExpressions:
 
     def test_a_prefix_of_a_product_is_built_per_value_of_its_names(self):
         t = parse_theory(SCALAR)
-        # i*i*i reads only i: it is built once per i, and the whole product
-        # once per (i, j); numbers are no expansion work, so only the sums
-        # are charged, their 500 + 500 * 500 index values
+        # numbers are no expansion work, so only the sums are charged, their
+        # 500 + 500 * 500 index values, though the product is built at each
         text = "sum(i,1..500, sum(j,1..500, i*i*i*j))"
         assert parse_expression(text, t) == GradedPolynomial.scalar(125250**3)
 
