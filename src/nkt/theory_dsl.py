@@ -32,31 +32,30 @@ location, (statement cursor, token index), which the error turns into a
 SourceSpan: spans are scanned from the text only for an error.
 
 Each statement's expression (the Lagrangian, a witness, a block entry under
-all its bindings) is charged its work while it is evaluated (see _spend).
-A statement with no binders and no sum is evaluated by one direct walk.
-Any other is analysed once: one pass records for each node the index names
-it reads, whether a range proof over the sum and binder ranges shows it
-cannot raise, and the constant factors that can zero a sum over it.  The
-evaluator built from these facts evaluates each node once per binding of
-the names it reads, and shares values between nodes equal up to a renaming
-of bound names.  A sum whose body cannot raise binds only the index values
-where a constant factor reading the index, such as g[m,al] in sum(al, 0..3,
-g[m,al]*...), has a nonzero entry; every other sum binds every value in
-order, so each error keeps its message and span.  References resolve
-through one table per parse (see _Env), so each component is checked, and
-each jet variable made a polynomial, once.  The parser makes each run of +
-and -, and each run of *, one node; a leading -x is a run of one negated
-operand.  Sums and runs add weighted products to one list, an unmemoized
-one inside passing its own into the same list, so a polynomial is added up
-only where a memo stores it or a factor needs it, and at once, or when the
-list reaches _FOLD_AT products.
+all its bindings) is evaluated by one walk, _walk, and charged its work
+while it is evaluated (see _spend).  A statement with no binders and no sum
+is walked as parsed.  Any other is planned first: _analyse records for each
+node the index names it reads, whether a range proof over the sum and
+binder ranges shows it cannot raise, and the constant factors that can zero
+a sum over it; _plan then wraps nodes in memos, so that each is evaluated
+once per binding of the names it reads and shares values with the nodes
+equal to it up to a renaming of bound names.  A sum whose body cannot raise
+binds only the index values where a constant factor reading the index, such
+as g[m,al] in sum(al, 0..3, g[m,al]*...), has a nonzero entry; every other
+sum binds every value in order, so each error keeps its message and span.
+References resolve through one table per parse (see _Env), so each
+component is checked, and each jet variable made a polynomial, once.  The
+parser makes each run of + and -, and each run of *, one node; a leading -x
+is a run of one negated operand.  Sums and runs spread into one list of
+weighted products, an unmemoized one inside spreading into the same list,
+so a polynomial is added up only where a memo stores it or a factor needs
+it, and at once, or when the list reaches _FOLD_AT products.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate, permutations, product as iter_product
 from math import comb, prod
 from operator import itemgetter
@@ -619,10 +618,16 @@ class _D:
 
 
 class _Sum:
-    __slots__ = ("index", "lo", "hi", "body", "span")
+    """plan is (values, lookups): the index values, in order, and for each
+    constant factor that can zero the body, the getter of its other names'
+    values and a map from those to the values it leaves (see _spread).  A
+    sum starts with every value and no lookup."""
+
+    __slots__ = ("index", "lo", "hi", "body", "span", "plan")
 
     def __init__(self, index, lo, hi, body, span):
         self.index, self.lo, self.hi, self.body, self.span = index, lo, hi, body, span
+        self.plan = (range(lo, hi + 1), ())
 
 
 class _Run:
@@ -642,6 +647,27 @@ class _Pow:
 
     def __init__(self, base, exponent, span):
         self.base, self.exponent, self.span = base, exponent, span
+
+
+# nodes only a planned tree holds, each at the span of the node it stands for
+
+
+class _Index:
+    """A bound index name, read as a value."""
+
+    __slots__ = ("name", "span")
+
+    def __init__(self, name, span):
+        self.name, self.span = name, span
+
+
+class _Memo:
+    """node, with a table of its values keyed by what get reads from the bindings."""
+
+    __slots__ = ("node", "table", "get", "span")
+
+    def __init__(self, node, table, get):
+        self.node, self.table, self.get, self.span = node, table, get, node.span
 
 
 def _parse_index_arg(st: _Stmt) -> "int | str":
@@ -918,55 +944,49 @@ def _integral(q: Fraction) -> "Fraction | int":
 class _Facts(NamedTuple):
     """What _analyse records about one node of a statement's expression."""
 
-    node: object
+    node: object  # a leaf's is what the walk reads instead, see _analyse_leaf
     safe: bool  # evaluating the node provably cannot raise
     free: frozenset[str] = frozenset()  # the bound names the value depends on
     kids: tuple["_Facts", ...] = ()
-    run: Callable[[], object] | None = None  # a leaf's evaluator
-    cheap: bool = False  # a leaf no dearer than a memo lookup
     values: int = 1  # how many values the free names take together
     fanout: int = 1  # evaluations of each kid per evaluation
     shape: tuple = ()  # see _shape; inside sums only
-    # [nodes, memo] of the shape, and the free names in memo key order
+    # [nodes, memo] of the shape, and the free names in memo key order; none
+    # for a leaf no dearer than a memo lookup
     key: tuple[list, list[str]] | None = None
     # constant entries whose zero zeroes the value: a constant leaf's own,
     # those of a run of *'s factors, and those of a sum's body not reading
     # its index
     factors: tuple[_Ref, ...] = ()
-    # a sum's index values and zeroing factors, see _sum_run; a run node
-    # holds its own signs
-    plan: tuple = ()
 
 
 class _Statement:
-    """One statement's expression, evaluated at each binding of its binders.
+    """One statement's expression, evaluated by _walk at each binding of its
+    binders.
 
-    A statement with no binders and no sum is evaluated by _walk, one
-    direct walk.  Any other is analysed: _analyse visits each node once and
-    records its facts; _compile builds the evaluator from them, top down,
-    knowing how often each node is reached.  On both paths a sum or run is
-    accumulated in the numerator map of the nearest memoized node, factor or
-    root above it (see _run_value).  Memo entries live as long as this
-    object; table is the parse's resolution table (see _Env).
+    A statement with no binders and no sum is walked as parsed.  Any other
+    is planned first: _analyse visits each node once and records its facts,
+    and _plan rewrites the tree from them, top down, knowing how often each
+    node is reached.  Memo entries live as long as this object; table is the
+    parse's resolution table (see _Env).
     """
 
     def __init__(self, ast: object, dim: int, variables: dict[str, VarDecl],
                  constants: dict[str, ConstantTensor], table: dict, binders: tuple = ()):
-        self.env = env = _Env(dim, variables, constants, {}, table)
-        if not binders and _sum_free(ast):
-            self.run = lambda: _walk(env, ast)
-            return
-        self.shapes: dict[tuple, int] = {}
-        self.memos: dict[object, list] = {}
-        self.probes: dict[tuple, bool] = {}
-        facts = _analyse(self, ast, {name: (lo, hi) for name, lo, hi in binders})
-        # the root is reached once per binding
-        self.run = _compile(self, facts, prod(hi - lo + 1 for _, lo, hi in binders))
+        self.env = _Env(dim, variables, constants, {}, table)
+        self.ast = ast
+        if binders or not _sum_free(ast):
+            self.shapes: dict[tuple, int] = {}
+            self.memos: dict[object, list] = {}
+            self.probes: dict[tuple, bool] = {}
+            facts = _analyse(self, ast, {name: (lo, hi) for name, lo, hi in binders})
+            # the root is reached once per binding
+            self.ast = _plan(facts, prod(hi - lo + 1 for _, lo, hi in binders))
 
     def __call__(self, bindings: dict[str, int]) -> GradedPolynomial:
         # every call binds the same names, and sums unbind their own
         self.env.bindings.update(bindings)
-        value = self.run()
+        value = _walk(self.env, self.ast)
         return value if type(value) is GradedPolynomial else GradedPolynomial.scalar(value)
 
 
@@ -975,7 +995,7 @@ def _spend(env: _Env, steps: int, node: object) -> None:
     refuse it at node once the work passes MAX_EXPANSION_WORK, so a refusal,
     like an error, comes in the order of evaluation.  The work is charged
     as it is done, from the sizes of the values built: a sum, each time it
-    is evaluated, the index values it binds (_sum_run); a product, as it is
+    is evaluated, the index values it binds (_spread); a product, as it is
     added to a list, the terms of its one factor, or its factor count plus
     the product of its factors' term counts (_product); a power of a base of
     t terms to k, before it is built, t * C(t+k-1, k-1), the term pairs its
@@ -985,14 +1005,6 @@ def _spend(env: _Env, steps: int, node: object) -> None:
         raise SemanticError(
             f"expansion work budget of {MAX_EXPANSION_WORK} steps exceeded", node.span
         )
-
-
-def _run_value(into: Callable[[list, object], None]) -> object:
-    """The value of a run or a sum, which into adds to a list of weighted
-    products (see _product)."""
-    parts: list = []
-    into(parts, 1)
-    return _added(parts)
 
 
 def _added(parts: list) -> object:
@@ -1007,13 +1019,23 @@ def _added(parts: list) -> object:
     return sum([w for _, w in parts])
 
 
-def _product(env: _Env, parts: list, w: object, values: Sequence, node: object) -> None:
-    """Add w times the product of values, in order, to parts: numbers scale
-    the weight, polynomials are the factors; a product of weight 0 is left
-    out, and an added one is charged at node.  A list _FOLD_AT long is
-    added up into one product, of one polynomial or of none."""
-    factors, steps = [], 1
-    for v in values:
+def _product(env: _Env, parts: list, w: object, operands: Sequence, node: object) -> None:
+    """Add w times the product of operands' values, read in order, to parts:
+    numbers scale the weight, polynomials are the factors; a product of
+    weight 0 is left out, and an added one is charged at node.  A list
+    _FOLD_AT long is added up into one product, of one polynomial or of
+    none."""
+    factors, steps, b = [], 1, env.bindings
+    for operand in operands:
+        kind = type(operand)  # leaves are read in place, not walked
+        if kind is _Index:
+            v = b[operand.name]
+        elif kind is _Num:
+            v = operand.value
+        elif kind is _Ref or kind is _D:
+            v = _leaf(env, operand)
+        else:
+            v = _walk(env, operand)
         if type(v) is GradedPolynomial:
             factors.append(v)
             steps *= len(v._terms)
@@ -1038,7 +1060,7 @@ def _power(env: _Env, base: object, node: _Pow) -> object:
 
 
 def _sum_free(node: object) -> bool:
-    """Whether node holds no sum, so that _walk can evaluate it."""
+    """Whether node holds no sum, so that it is walked unplanned."""
     kind = type(node)
     if kind is _Run:
         return all(map(_sum_free, node.operands))
@@ -1046,29 +1068,71 @@ def _sum_free(node: object) -> bool:
 
 
 def _walk(env: _Env, node: object) -> "GradedPolynomial | Fraction | int":
-    """The value of a sum-free node, its operands read left to right; every
-    error is a leaf's, raised by _leaf.  A run adds up through _walk_into."""
+    """The value of a node, planned or not, its operands read left to right:
+    a memo's from its table, a run's or a sum's spread into one list of
+    weighted products and added up.  Every error is a leaf's, raised by
+    _leaf, the budget's, or that of a sum whose index shadows a declaration."""
     kind = type(node)
-    if kind is _Run:
-        return _run_value(partial(_walk_into, env, node))
+    if kind is _Memo:
+        key = node.get(env.bindings)
+        value = node.table.get(key)
+        if value is None:
+            value = node.table[key] = _walk(env, node.node)
+        return value
+    if kind is _Run or kind is _Sum:
+        parts: list = []
+        _spread(env, node, parts, 1)
+        return _added(parts)
     if kind is _Pow:
         return _power(env, _walk(env, node.base), node)
     if kind is _Num:
         return node.value
+    if kind is _Index:
+        return env.bindings[node.name]
     return _leaf(env, node)
 
 
-def _walk_into(env: _Env, node: _Run, parts: list, w: object) -> None:
-    """Add w times the value of a sum-free run to parts, as _run_into adds a
-    compiled run's."""
-    if node.op == "*":
-        _product(env, parts, w, [_walk(env, operand) for operand in node.operands], node)
+def _spread(env: _Env, node: "_Run | _Sum", parts: list, w: object) -> None:
+    """Add w times the value of a run or a sum to parts.  A run of * adds
+    one product; a run of + and - adds each operand at its signed weight, a
+    sum its body at each index value its plan leaves, in order, so a run or
+    a sum among them spreads into the same parts.  A plan leaves out only
+    values where a constant factor of a body that cannot raise has no
+    nonzero stored entry: they would add exactly zero."""
+    if type(node) is _Run:
+        if node.op == "*":
+            _product(env, parts, w, node.operands, node)
+            return
+        for operand, sign in zip(node.operands, node.signs):
+            kind = type(operand)
+            if kind is _Run or kind is _Sum:
+                _spread(env, operand, parts, w if sign == "+" else -w)
+            else:
+                _product(env, parts, w if sign == "+" else -w, (operand,), operand)
         return
-    for operand, sign in zip(node.operands, node.signs):
-        if type(operand) is _Run:
-            _walk_into(env, operand, parts, w if sign == "+" else -w)
+    index, b = node.index, env.bindings
+    if index in env.variables or index in env.constants:
+        raise SemanticError(f"sum index {index!r} shadows a declaration", node.span)
+    values, lookups = node.plan
+    todo = values
+    for get, hits in lookups:
+        found = hits.get(get(b), ())  # some of values, in order
+        todo = found if todo is values else [v for v in todo if v in found]
+    if not todo:
+        return
+    _spend(env, len(todo), node)
+    body, saved = node.body, b.get(index)
+    spread, alone = type(body) is _Run or type(body) is _Sum, (body,)
+    for value in todo:
+        b[index] = value
+        if spread:
+            _spread(env, body, parts, w)
         else:
-            _product(env, parts, w if sign == "+" else -w, (_walk(env, operand),), operand)
+            _product(env, parts, w, alone, body)
+    if saved is None:
+        b.pop(index, None)
+    else:
+        b[index] = saved
 
 
 def _analyse(
@@ -1080,12 +1144,12 @@ def _analyse(
     if kind is _Num:
         value = node.value
         shape = _shape(stmt, ("n", value.numerator, value.denominator)) if scope else ()
-        return _Facts(node, True, run=lambda: value, cheap=True, shape=shape)
+        return _Facts(node, True, shape=shape)
     if kind is _Run:
         return _analyse_run(stmt, node, scope)
     if kind is _Ref or kind is _D:
-        facts = _analyse_leaf(stmt, node, scope)
-    elif kind is _Sum:
+        return _analyse_leaf(stmt, node, scope)
+    if kind is _Sum:
         facts = _analyse_sum(stmt, node, scope)
     elif kind is _Pow:
         arg = _analyse(stmt, node.base, scope)
@@ -1102,7 +1166,7 @@ def _keyed(
     stmt: _Statement, facts: _Facts, scope: dict[str, tuple[int, int]]
 ) -> _Facts:
     """facts with the number of values of its free names and its memo key."""
-    if not scope or facts.cheap:
+    if not scope:
         return facts
     values = prod(max(0, scope[n][1] - scope[n][0] + 1) for n in facts.free)
     # the free names, in the order of the shape's numbering, line up in the
@@ -1151,14 +1215,15 @@ def _analyse_run(
 def _analyse_sum(
     stmt: _Statement, node: _Sum, scope: dict[str, tuple[int, int]]
 ) -> _Facts:
-    """A sum whose body cannot raise gets a plan: for each constant factor
-    reading the index, the getter of its other names' values and a map from
-    those to the index values, in order, with a nonzero stored entry."""
+    """A sum whose body cannot raise gets a plan on its node: for each
+    constant factor reading the index, the getter of its other names' values
+    and a map from those to the index values, in order, with a nonzero
+    stored entry."""
     index, env = node.index, stmt.env
     body = _analyse(stmt, node.body, {**scope, index: (node.lo, node.hi)})
     safe = body.safe and index not in env.variables and index not in env.constants
     fanout = max(0, node.hi - node.lo + 1)
-    values, lookups = tuple(range(node.lo, node.hi + 1)), []
+    values, lookups = node.plan[0], []
     for ref in body.factors if safe else ():
         args = ref.args
         if index not in args:
@@ -1176,34 +1241,36 @@ def _analyse_sum(
         get, hits = _by_names([a for a in args if a != index], nonzero)
         ordered = {key: tuple([v for v in values if v in hits[key]]) for key in hits}
         lookups.append((get, ordered))
+    node.plan = (values, lookups)
     return _Facts(
         node, safe, body.free - {index}, (body,), fanout=fanout,
         shape=_shape(stmt, ("s", (index,), node.lo, node.hi), [body]) if scope else (),
         factors=tuple(f for f in body.factors if index not in f.args),
-        plan=(values, lookups),
     )
 
 
 def _analyse_leaf(
     stmt: _Statement, node: object, scope: dict[str, tuple[int, int]]
 ) -> _Facts:
-    """Leaves are evaluated by _leaf, which raises their errors.  A leaf
-    that reads no bound name has one outcome, found here: its value, or an
-    error raised again each time it is evaluated."""
+    """Leaves are evaluated by _leaf, which raises their errors.  The facts
+    of a leaf no dearer than a memo lookup hold what the walk reads instead,
+    and no key: a leaf that reads no bound name has one outcome, found here,
+    its value as a _Num, or an error raised again each time it is read; a
+    bound name read as a value is an _Index; a constant entry that cannot
+    raise is a _Memo prefilled with the constant's nonzero entries."""
     env = stmt.env
     b = env.bindings  # empty until the statement is evaluated
     shape = _shape(stmt, _leaf_shape(node, scope)) if scope else ()
     free = frozenset(shape[1] if scope else ())  # a leaf binds no name itself
-    by_leaf = lambda: _leaf(env, node)
     if not free:
         try:
             value = _leaf(env, node)
         except SemanticError:
-            return _Facts(node, False, run=by_leaf, cheap=True, shape=shape)
-        return _Facts(node, True, run=lambda: value, cheap=True, shape=shape)
+            return _Facts(node, False, shape=shape)
+        return _Facts(_Num(value, node.span), True, shape=shape)
     plain = type(node) is _Ref and not node.anti
     if plain and not node.explicit_args:  # a name in scope read as a value
-        return _Facts(node, True, free, run=lambda: b[node.name], cheap=True, shape=shape)
+        return _Facts(_Index(node.name, node.span), True, free, shape=shape)
     # each check of _leaf (of _jet_of, for a jet) holds one index or direction
     # to an interval, so a leaf that passes them with its names at the low
     # ends of their ranges, and with each in turn at its high end, passes at
@@ -1227,11 +1294,12 @@ def _analyse_leaf(
                 b.clear()
         stmt.probes[probe] = safe
     if const is None:
-        return _Facts(node, safe, free, run=by_leaf, shape=shape)
+        return _keyed(stmt, _Facts(node, safe, free, shape=shape), scope)
     if safe:
-        get, entries = _by_names(node.args, {k: _integral(q) for k, q in const.entries.items()})
-        by_leaf = lambda: entries.get(get(b), 0)
-    return _Facts(node, safe, free, run=by_leaf, cheap=True, shape=shape, factors=(node,))
+        entries = {k: _integral(q) for k, q in const.entries.items() if q}
+        get, entries = _by_names(node.args, entries)
+        return _Facts(_Memo(node, entries, get), True, free, shape=shape, factors=(node,))
+    return _Facts(node, False, free, shape=shape, factors=(node,))
 
 
 def _by_names(args: Sequence["int | str"], table: dict) -> tuple[Callable, dict]:
@@ -1250,7 +1318,11 @@ def _by_names(args: Sequence["int | str"], table: dict) -> tuple[Callable, dict]
 
 def _getter(keys: Sequence) -> Callable:
     """itemgetter(*keys), which gives () for no keys."""
-    return itemgetter(*keys) if keys else lambda _: ()
+    return itemgetter(*keys) if keys else _no_key
+
+
+def _no_key(bindings: dict) -> tuple:
+    return ()
 
 
 def _leaf_shape(node: object, scope: dict[str, tuple[int, int]]) -> tuple:
@@ -1265,110 +1337,33 @@ def _leaf_shape(node: object, scope: dict[str, tuple[int, int]]) -> tuple:
             node.explicit_args, len(node.args), *map(token, node.args))
 
 
-def _compile(
-    stmt: _Statement, facts: _Facts, visits: int, shared: bool = False
-) -> Callable[[], object]:
-    """The evaluator of a node reached at most visits times.
+def _plan(facts: _Facts, visits: int, shared: bool = False) -> object:
+    """The node of facts, reached at most visits times, its kids planned in
+    place and itself wrapped in a _Memo where that saves evaluations.
 
-    The node is memoized, unless it is a leaf no dearer than a lookup, when
-    its free names take fewer values than visits, or when another node has
-    its shape and no ancestor, shared, does; so it is evaluated at most
-    min(visits, facts.values) times.  A raise is not remembered.
+    A node is memoized, unless it has no key, when its free names take fewer
+    values than visits, or when another node has its shape and no ancestor,
+    shared, does; so it is evaluated at most min(visits, facts.values)
+    times.  A raise is not remembered.
     """
-    node, env = facts.node, stmt.env
-    evals = min(visits, facts.values)
+    node = facts.node
     twin = facts.key is not None and facts.key[0][0] > 1
-    runs = [
-        _compile(stmt, kid, evals * facts.fanout, shared or twin) for kid in facts.kids
+    kids = [
+        _plan(kid, min(visits, facts.values) * facts.fanout, shared or twin)
+        for kid in facts.kids
     ]
-    if facts.run is not None:
-        run = facts.run
-    elif type(node) is _Pow:
-        (f,) = runs
-        run = lambda: _power(env, f(), node)
-    else:
-        into = (_sum_run if type(node) is _Sum else _run_into)(env, facts, runs)
-        run = lambda: _run_value(into)
-        run.into = into
+    kind = type(node)
+    if kind is _Run:
+        node.operands = kids
+    elif kind is _Sum:
+        (node.body,) = kids
+    elif kind is _Pow:
+        (node.base,) = kids
     if facts.key is None or (facts.values >= visits and (shared or not twin)):
-        return run
+        return node
     (_, memo), names = facts.key
     # nodes of one shape share a memo, keyed by their free names' values
-    get, b = _getter(names), env.bindings
-
-    def memoized() -> object:
-        key = get(b)
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = run()
-        return value
-
-    return memoized
-
-
-def _adder(
-    env: _Env, run: Callable[[], object], node: object
-) -> Callable[[list, object], None]:
-    """What adds w times node's value, evaluated by run, to parts: an
-    unmemoized run's or sum's own into, else one that adds the value as a
-    product of one."""
-    return getattr(run, "into", None) or (
-        lambda parts, w: _product(env, parts, w, (run(),), node)
-    )
-
-
-def _run_into(
-    env: _Env, facts: _Facts, runs: list[Callable[[], object]]
-) -> Callable[[list, object], None]:
-    """What adds w times a run's value to parts, its kids evaluated by runs
-    in reading order: a run of * adds one product, and a run of + and -
-    passes each operand its signed weight, so an unmemoized run or sum among
-    them adds into the same parts."""
-    node = facts.node
-    if node.op == "*":
-        return lambda parts, w: _product(env, parts, w, [f() for f in runs], node)
-    adds = [(_adder(env, f, kid.node), sign == "+")
-            for f, kid, sign in zip(runs, facts.kids, node.signs)]
-
-    def into(parts: list, w: object) -> None:
-        for add, plus in adds:
-            add(parts, w if plus else -w)
-
-    return into
-
-
-def _sum_run(
-    env: _Env, facts: _Facts, runs: list[Callable[[], object]]
-) -> Callable[[list, object], None]:
-    """What adds w times a sum's value to parts: the body, whose unmemoized
-    runs and sums add to the same parts, adds its value at each value of the
-    index, in order, skipping those where a factor of the plan has no nonzero
-    stored entry: the body cannot raise, so they would add exactly zero."""
-    node, b = facts.node, env.bindings
-    index, span, (values, lookups) = node.index, node.span, facts.plan
-    shadows = index in env.variables or index in env.constants
-    add = _adder(env, *runs, facts.kids[0].node)
-
-    def into(parts: list, w: object) -> None:
-        if shadows:
-            raise SemanticError(f"sum index {index!r} shadows a declaration", span)
-        todo = values
-        for get, hits in lookups:
-            found = hits.get(get(b), ())  # some of values, in order
-            todo = found if todo is values else [v for v in todo if v in found]
-        if not todo:
-            return
-        _spend(env, len(todo), node)
-        saved = b.get(index)
-        for value in todo:
-            b[index] = value
-            add(parts, w)
-        if saved is None:
-            b.pop(index, None)
-        else:
-            b[index] = saved
-
-    return into
+    return _Memo(node, memo, _getter(names))
 
 
 # ---------------------------------------------------------------------------

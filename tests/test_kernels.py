@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -1556,30 +1557,22 @@ def test_a_constant_under_a_sum_zeroes_only_a_product() -> None:
 def products_evaluated(monkeypatch, parse, text: str, start: int, *args) -> int:
     """How often parse(text, *args) evaluates the product whose * is at start.
 
-    Counts calls of the evaluator _compile builds for that node; the
-    products counted below read every name their sums bind, so they are not
-    memoized and each call evaluates them.
+    Counts the walk's spreads of that node, one per evaluation; the products
+    counted below read every name their sums bind, so they are not memoized
+    and each evaluation spreads them.
     """
     calls = []
-    compile_node = theory_dsl._compile
+    spread = theory_dsl._spread
 
-    def counted(stmt, facts, *args):
-        run = compile_node(stmt, facts, *args)
-        node = facts.node
+    def counted(env, node, *rest):
         # a node keeps its location, (cursor, token index), not its span
-        if not isinstance(node, _Run) or node.op != "*":
-            return run
-        cursor, token = node.span
-        if cursor.span_of(token).start != start:
-            return run
+        if isinstance(node, _Run) and node.op == "*":
+            cursor, token = node.span
+            if cursor.span_of(token).start == start:
+                calls.append(node)
+        return spread(env, node, *rest)
 
-        def counting():
-            calls.append(node)
-            return run()
-
-        return counting
-
-    monkeypatch.setattr(theory_dsl, "_compile", counted)
+    monkeypatch.setattr(theory_dsl, "_spread", counted)
     parse(text, *args)
     return len(calls)
 
@@ -1734,12 +1727,12 @@ def test_runs_keep_their_signs_and_reading_order(text, want) -> None:
     "sum(i,1..2, 1/2 * (y - C[i]) * -(a[i,1] + y))",
 ])
 def test_accumulated_runs_and_sums_match_the_fresh_evaluator(text, monkeypatch) -> None:
-    # parse_expression walks a sum-free text directly and compiles any
-    # other; compiled_outcome compiles every text
+    # parse_expression walks a sum-free text as parsed and plans any other;
+    # planned_outcome plans every text, and unplanned_outcome none
     want = oracle_outcome(parse_expression, text, MEMO_THEORY)
     assert outcome(parse_expression, text, MEMO_THEORY) == want
-    compiled = compiled_outcome(text, MEMO_THEORY)
-    assert compiled[0] == want
+    planned, unplanned = planned_outcome(text, MEMO_THEORY), unplanned_outcome(text, MEMO_THEORY)
+    assert planned[0] == unplanned[0] == want
     # lists added up at every second product give the same values, errors
     # and charges, and no list the kernel adds up is longer
     lengths, kernel = [], theory_dsl.gp_sum_of_weighted_products
@@ -1749,14 +1742,15 @@ def test_accumulated_runs_and_sums_match_the_fresh_evaluator(text, monkeypatch) 
     )
     monkeypatch.setattr(theory_dsl, "_FOLD_AT", 2)
     assert outcome(parse_expression, text, MEMO_THEORY) == want
-    assert compiled_outcome(text, MEMO_THEORY) == compiled
+    assert planned_outcome(text, MEMO_THEORY) == planned
+    assert unplanned_outcome(text, MEMO_THEORY) == unplanned
     assert max(lengths, default=0) <= 2
 
 
-# -- the direct walk against the analysed evaluator ------------------------------
+# -- the walk without and with the plan ------------------------------------------
 
-DIRECT_THEORY = parse_theory("""\
-theory direct
+SUM_FREE_THEORY = parse_theory("""\
+theory sum_free
 dim 2
 field y parity even
 field psi[k=1..2] parity odd
@@ -1767,23 +1761,23 @@ constant k[0..1,1..2] = {
   (1,2): -2/3
 }
 """)
-DIRECT_LEAVES = (
+SUM_FREE_LEAVES = (
     "y", "~y", "x0", "C", "2", "3/4", "psi[1]", "~psi[2]", "~C", "x1", "a[0]", "0",
     "1", "5/6", "psi[2]", "~a[1]", "d(y;x0)", "d(psi[1];0,1)", "y[;x1,x1]",
     "d(a[1];x0)", "k[0,1]", "k[1,2]", "k[1,1]",
 )
 # an unknown name, a component out of range, a direction and a coordinate
 # past dim, a jet past the order bound (8), a constant index out of range
-DIRECT_ERRORS = ("w", "psi[3]", "d(y;2)", "x2", "d(y;0,0,0,0,0,0,0,0,0)", "k[2,1]")
+SUM_FREE_ERRORS = ("w", "psi[3]", "d(y;2)", "x2", "d(y;0,0,0,0,0,0,0,0,0)", "k[2,1]")
 
 
 @st.composite
 def sum_free_expressions(draw, depth: int = 0) -> str:
-    """Expression text over DIRECT_THEORY without sums."""
+    """Expression text over SUM_FREE_THEORY without sums."""
     if depth >= 3 or draw(st.integers(0, 2)) == 0:
         if draw(st.integers(0, 19)) == 0:
-            return draw(st.sampled_from(DIRECT_ERRORS))
-        return draw(st.sampled_from(DIRECT_LEAVES))
+            return draw(st.sampled_from(SUM_FREE_ERRORS))
+        return draw(st.sampled_from(SUM_FREE_LEAVES))
     kind = draw(st.sampled_from(["+", "*", "neg", "pow", "long"]))
     if kind == "neg":
         return f"-({draw(sum_free_expressions(depth + 1))})"
@@ -1792,7 +1786,7 @@ def sum_free_expressions(draw, depth: int = 0) -> str:
     if kind == "long":
         # few distinct values, so a long run of + adds up to few terms and
         # its power is cheap to build, and charged as such
-        leaves = draw(st.lists(st.sampled_from(DIRECT_LEAVES[:6]), min_size=20, max_size=80))
+        leaves = draw(st.lists(st.sampled_from(SUM_FREE_LEAVES[:6]), min_size=20, max_size=80))
         if draw(st.booleans()):
             return "*".join(leaves)
         return f"({'+'.join(leaves)})^{draw(st.integers(1, 4))}"
@@ -1815,33 +1809,36 @@ def statement_outcome(text: str, theory: Theory, binders: tuple) -> tuple[tuple,
     return outcome(stmt, {name: lo for name, lo, _ in binders}), stmt.env.work
 
 
-def direct_outcome(text: str, theory: Theory = DIRECT_THEORY) -> tuple[tuple, int]:
-    """statement_outcome without binders, with _analyse out of reach."""
+def unplanned_outcome(text: str, theory: Theory = SUM_FREE_THEORY) -> tuple[tuple, int]:
+    """statement_outcome without binders and with _analyse out of reach: a
+    sum-free text is walked as parsed, and so here is a text with sums."""
 
     def analysed(*args):
-        raise AssertionError("a sum-free statement without binders was analysed")
+        raise AssertionError("a statement walked as parsed was analysed")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(theory_dsl, "_analyse", analysed)
+        if "sum(" in text:
+            mp.setattr(theory_dsl, "_sum_free", lambda node: True)
         return statement_outcome(text, theory, ())
 
 
-def compiled_outcome(text: str, theory: Theory = DIRECT_THEORY) -> tuple[tuple, int]:
-    """statement_outcome with the statement analysed and compiled: a binder
+def planned_outcome(text: str, theory: Theory = SUM_FREE_THEORY) -> tuple[tuple, int]:
+    """statement_outcome with the statement analysed and planned: a binder
     of one value, which the expression does not read, forces it."""
     return statement_outcome(text, theory, (("unused", 1, 1),))
 
 
 @KERNEL_SETTINGS
 @given(sum_free_expressions())
-def test_the_direct_walk_matches_the_analysed_evaluator(text) -> None:
-    (got, work), (compiled, compiled_work) = direct_outcome(text), compiled_outcome(text)
-    assert got == compiled
-    # both charge each product and power as they build it, the analysed
-    # path less what a memo hit saves
-    assert compiled_work <= work
+def test_the_unplanned_walk_matches_the_planned_walk(text) -> None:
+    (got, work), (planned, planned_work) = unplanned_outcome(text), planned_outcome(text)
+    assert got == planned
+    # both charge each product and power as they build it, the planned
+    # walk less what a memo hit saves
+    assert planned_work <= work
     if got[0] == "value" or "budget" not in got[2]:
-        assert got == oracle_outcome(parse_expression, text, DIRECT_THEORY)
+        assert got == oracle_outcome(parse_expression, text, SUM_FREE_THEORY)
 
 
 @pytest.mark.parametrize("text, message, column", [
@@ -1864,12 +1861,90 @@ def test_the_direct_walk_matches_the_analysed_evaluator(text) -> None:
     # not pass the budget, and the unknown w raises first
     ("*".join(["(y+1)"] * 19) + "*w", "unknown name 'w'", 115),
 ])
-def test_the_direct_walk_raises_what_the_analysed_evaluator_raises(
+def test_the_unplanned_walk_raises_what_the_planned_walk_raises(
     text, message, column
 ) -> None:
-    (got, work), (compiled, compiled_work) = direct_outcome(text), compiled_outcome(text)
-    assert (got, work) == (compiled, compiled_work)
+    (got, work), (planned, planned_work) = unplanned_outcome(text), planned_outcome(text)
+    assert (got, work) == (planned, planned_work)
     assert got[:3] == ("error", SemanticError, f"{message} (line 1, column {column})")
+
+
+# an unknown name, a component out of range, a direction and a coordinate
+# past dim, an unbound index, a jet past the order bound (8), a constant
+# index out of range; a sum whose index shadows a declaration is drawn too
+PLAN_ERRORS = ("w", "C[3]", "d(y;2)", "x2", "a[t,1]", "d(y;0,0,0,0,0,0,0,0,0)", "k[2,1]")
+
+
+@st.composite
+def nested_sum_expressions(draw, scope: tuple[str, ...] = (), depth: int = 0) -> str:
+    """Expression text over MEMO_THEORY with nested sums: the forms of
+    expressions, a bad leaf, and twins, an operand and its copy with a sum
+    index renamed, contracted with a constant that stores zeros or not."""
+    if depth >= 2:
+        return draw(expressions(scope, 3))
+    kind = draw(st.sampled_from(["expr", "sum", "sum", "twin", "twin", "bad", "+", "*"]))
+    if kind == "expr":
+        return draw(expressions(scope, depth + 1))
+    if kind == "bad":
+        bad = draw(st.sampled_from([*PLAN_ERRORS, "shadow"]))
+        if bad == "shadow":
+            return f"sum(y,0..1, {draw(nested_sum_expressions(scope, depth + 1))})"
+        return bad
+    if kind in ("+", "*"):
+        operands = draw(st.lists(nested_sum_expressions(scope, depth + 1), min_size=2, max_size=3))
+        return f" {kind} ".join(f"({operand})" for operand in operands)
+    name = draw(st.sampled_from(SUM_NAMES))
+    body = draw(nested_sum_expressions(tuple(sorted({*scope, name})), depth + 1))
+    if kind == "sum":
+        return f"sum({name},{draw(st.sampled_from(SUM_RANGES))}, {body})"
+    # the twin reads a name the body does not, where name is read, so the
+    # two are equal up to renaming; with no such name it is the body again
+    other = next((n for n in ("p", "q") if not re.search(rf"\b{n}\b", body)), name)
+    twin = re.sub(rf"\b{name}\b", other, body)
+    const = draw(st.sampled_from(sorted(CONSTANT_AXES)))
+    first, second = CONSTANT_AXES[const]
+    return (
+        f"sum({name},{first}, sum({other},{second},"
+        f" {const}[{name},{other}] * ({body}) * ({twin})))"
+    )
+
+
+def memo_terms_added(mp: pytest.MonkeyPatch) -> list[int]:
+    """The term counts of the memoized polynomials that walks made after
+    this call add to a list as a product of one, which charges them."""
+    added, product = [], theory_dsl._product
+
+    def spying(env, parts, w, operands, node) -> None:
+        product(env, parts, w, operands, node)
+        if w and len(operands) == 1 and type(operands[0]) is theory_dsl._Memo:
+            memo = operands[0]
+            value = memo.table[memo.get(env.bindings)]
+            if type(value) is GradedPolynomial:
+                added.append(len(value.raw_terms()))
+
+    mp.setattr(theory_dsl, "_product", spying)
+    return added
+
+
+@KERNEL_SETTINGS
+@given(nested_sum_expressions(), st.sampled_from([None, 60]))
+def test_the_plan_keeps_every_outcome_and_bounds_its_work(text, budget) -> None:
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(theory_dsl, "MAX_EXPANSION_WORK", budget)
+        got, work = unplanned_outcome(text, MEMO_THEORY)
+        added = memo_terms_added(mp)
+        planned, planned_work = planned_outcome(text, MEMO_THEORY)
+    if got[0] == "error" and "budget" in got[2]:
+        return  # the plan's memos and skipped zeros may let it finish
+    assert planned == got
+    # a memo builds its value once per value of its names, and skipped
+    # zeros add nothing; but a memoized run or sum that the unplanned walk
+    # spreads into its list, one product per term, the planned walk adds as
+    # one product of its value, charged its terms: so planned work can pass
+    # the unplanned work, by at most those terms
+    assert planned_work <= work + sum(added)
+    assert got == oracle_outcome(parse_expression, text, MEMO_THEORY)
 
 
 @pytest.mark.parametrize("lagrangian, message, column", [
