@@ -57,7 +57,7 @@ class GeneralizedVectorField(Record):
 def prolong_apply(vf: GeneralizedVectorField, p: GradedPolynomial) -> GradedPolynomial:
     """theta(p) with theta the infinite prolongation of vf."""
     return gp_sum_of_products(
-        (total_derivative_multi(vf.components[jv.var], jv.mi), partial_left(p, jv))
+        ((total_derivative_multi(vf.components[jv.var], jv.mi), partial_left(p, jv)), 1)
         for jv in p.variables()
         if jv.var in vf.components
     )
@@ -75,7 +75,7 @@ def contract_with_EL(
 ) -> GradedPolynomial:
     """The interior product with the variational one-form: sum of v^A E_A."""
     derivs = euler_lagrange(lagrangian, sorted(vf.components, key=lambda a: a.rank))
-    return gp_sum_of_products((c, derivs[var]) for var, c in vf.components.items())
+    return gp_sum_of_products(((c, derivs[var]), 1) for var, c in vf.components.items())
 
 
 def check_variational(

@@ -13,8 +13,10 @@ gcd(den, *numerators) == 1, and den == 1 for the zero polynomial.  That form
 is unique, so two expressions are equal iff their (den, numerator map) pairs
 are identical, and equality, hashing and rendering are all decidable and
 deterministic.  Arithmetic is plain int arithmetic, normalized once per
-result, and a whole sum of products or of total derivatives is one result;
-reduced Fractions are built only when coefficients are observed.
+result, and a whole sum of weighted products (gp_sum_of_products, the one
+sum kernel, whose add loop + and - run too) or of total derivatives
+(gp_sum_of_derivatives) is one result; reduced Fractions are built only
+when coefficients are observed.
 The order of the monomials is likewise only materialized when it is
 observed, by raw_terms() and rendering; arithmetic works on an unordered
 term map.  Its keys are interned Monomials, which remember their products,
@@ -133,16 +135,6 @@ def antifield_of(var: VariableId) -> VariableId:
         kind = Kind.ANTIGHOST
     else:
         raise ValueError(f"{var.render()} already lives in the antifield sector")
-    return VariableId(kind, var.name, var.components, var.parity.flipped(), var.stage)
-
-
-def base_of_antifield(var: VariableId) -> VariableId:
-    if var.kind is Kind.ANTIFIELD:
-        kind = Kind.FIELD
-    elif var.kind is Kind.ANTIGHOST:
-        kind = Kind.GHOST
-    else:
-        raise ValueError(f"{var.render()} is not an antifield")
     return VariableId(kind, var.name, var.components, var.parity.flipped(), var.stage)
 
 
@@ -525,14 +517,13 @@ def _vary_flat(m: Monomial) -> "_Image | None":
 
     pairs are the (int multiplier, monomial) pairs of the sum over m's jet
     factors f = A_Lam of (-1)^|Lam| d_Lam of f's left partial, each d_Lam
-    applied one direction after another through the monomials'
-    total-derivative images, zero multipliers dropped.  reach is the highest
-    order that a d_Lam with Lam nonempty raises a jet to, rest.top + |Lam|
-    over the partials whose rest has jets, and 0 without any: raising a
-    polynomial's partial step by step passes the bound exactly when one of
-    its rests reaches past it, since a raise step never cancels the terms
-    of the highest order.  None when a reach passes the bound in force, so
-    that no image is built past it.
+    applied as gp_sum_of_derivatives applies it (_derive_into), zero
+    multipliers dropped.  reach is the highest order that a d_Lam with Lam
+    nonempty raises a jet to, rest.top + |Lam| over the partials whose rest
+    has jets, and 0 without any: raising a polynomial's partial step by step
+    passes the bound exactly when one of its rests reaches past it, since a
+    raise step never cancels the terms of the highest order.  None when a
+    reach passes the bound in force, so that no image is built past it.
     """
     drops = m.partials()
     bases = [JetVariable(f.var) for f, _, _, _ in drops]
@@ -546,16 +537,7 @@ def _vary_flat(m: Monomial) -> "_Image | None":
     acc: dict[JetVariable, dict[Monomial, int]] = {base: {} for base in reach}
     for base, (f, rest, on_left, _) in zip(bases, drops):
         lam = f.mi.entries
-        terms = {rest: -on_left if len(lam) & 1 else on_left}
-        for direction in lam:
-            step: dict[Monomial, int] = {}
-            for r, s in terms.items():
-                if s:
-                    for c, up in r.image(direction):
-                        cur = step.get(up)
-                        step[up] = c * s if cur is None else cur + c * s
-            terms = step
-        _add_into(acc[base], terms, 1)
+        _derive_into(acc[base], {rest: on_left}, lam, -1 if len(lam) & 1 else 1)
     return tuple([
         (base, reach[base], tuple([(n, r) for r, n in terms.items() if n]))
         for base, terms in acc.items()
@@ -823,7 +805,7 @@ class GradedPolynomial:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        return gp_sum((self, other))
+        return _plus(self, other, 1)
 
     def __neg__(self) -> "GradedPolynomial":
         return GradedPolynomial._from_terms(
@@ -831,11 +813,11 @@ class GradedPolynomial:
         )
 
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        return gp_sum((self,), (other,))
+        return _plus(self, other, -1)
 
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         # the one-pair case of gp_sum_of_products, run on its loop directly:
-        # the kernel's pass over its pairs is a large share of a small product
+        # the kernel's pass over its products is a large share of a small product
         acc: dict[Monomial, int] = {}
         _multiply_into(acc, self, other, 1)
         return GradedPolynomial._from_terms(acc, self._den * other._den)
@@ -869,21 +851,14 @@ class GradedPolynomial:
         return f"GradedPolynomial<{len(self._terms)} terms>"
 
 
-def gp_sum(
-    polys: Iterable[GradedPolynomial], negated: Iterable[GradedPolynomial] = ()
-) -> GradedPolynomial:
-    """The sum of polys minus the sum of negated, canonicalized once.
-
-    The sum's denominator is the lcm of the summands' denominators; each
-    summand's numerators are scaled by one multiplier to reach it.
-    """
-    parts = [(p, 1) for p in polys]
-    if negated:
-        parts += [(p, -1) for p in negated]
-    den = lcm(*[p._den for p, _ in parts])
+def _plus(a: GradedPolynomial, b: GradedPolynomial, sign: int) -> GradedPolynomial:
+    """a + sign * b, run on gp_sum_of_products' add loop directly: each
+    summand's numerators are scaled by one multiplier to the lcm of the two
+    denominators."""
+    den = lcm(a._den, b._den)
     acc: dict[Monomial, int] = {}
-    for p, sign in parts:
-        _add_into(acc, p._terms, sign * (den // p._den))
+    _add_into(acc, a._terms, den // a._den)
+    _add_into(acc, b._terms, sign * (den // b._den))
     return GradedPolynomial._from_terms(acc, den)
 
 
@@ -899,71 +874,65 @@ def _add_into(acc: dict[Monomial, int], terms: Mapping[Monomial, int], k: int) -
 
 
 def gp_sum_of_products(
-    pairs: Iterable[tuple[GradedPolynomial, GradedPolynomial]],
-) -> GradedPolynomial:
-    """The sum of a * b over pairs, canonicalized once.
-
-    Each (a, b) keeps its operand order, so the Koszul sign of every
-    monomial product is that of a * b.  Every product of two terms is added
-    straight into one numerator map over the lcm of the products'
-    denominators (each product's den is a's times b's); one multiplier per
-    pair brings the pair to it.
-    """
-    pairs = list(pairs)
-    den = lcm(*[a._den * b._den for a, b in pairs])
-    acc: dict[Monomial, int] = {}
-    for a, b in pairs:
-        _multiply_into(acc, a, b, den // (a._den * b._den))
-    return GradedPolynomial._from_terms(acc, den)
-
-
-def gp_sum_of_weighted_products(
     products: Iterable[tuple[Sequence[GradedPolynomial], Fraction | int]],
 ) -> GradedPolynomial:
     """The sum of weight * f1 * ... * fn over products (factors, weight),
-    canonicalized once; the theory evaluator adds up each sum and run here.
+    canonicalized once: the one kernel that adds up a sum.
 
-    Factors keep their order, so Koszul signs are those of f1 * ... * fn.
-    Leading factors are multiplied by balanced pairing of adjacent ones, so
-    n factors merge O(n log n) factors, not O(n^2), down to a last pair whose
-    term products, as in gp_sum_of_products, go straight into one numerator
-    map over the lcm of the products' denominators.  A lone factor is added
-    term by term, once, with the sum of the weights of the products where
-    it stands alone; a product of none adds its weight to the constant term.
+    Factors keep their order, so Koszul signs are those of f1 * ... * fn;
+    a weight is an int or a Fraction.  Leading factors are multiplied by
+    balanced pairing of adjacent ones, so n factors merge O(n log n)
+    factors, not O(n^2), down to a last pair whose term products go
+    straight into one numerator map over the lcm of the products'
+    denominators.  A lone factor is added term by term, once, with the sum
+    of the weights of the products where it stands alone; a product of none
+    adds its weight to the constant term.
     """
+    # (a, b, weight numerator, den) per product: b is None for a lone factor
+    # a, and a and b are None for a product of none
     todo, dens = [], []
-    # a lone factor's id -> [factor, summed weight]; keyed by identity, as a
-    # polynomial's own hash reads every term
-    lone: dict[int, list] = {}
+    # a lone factor's id -> [factor, summed weight], made when one arrives;
+    # keyed by identity, as a polynomial's own hash reads every term
+    lone: dict[int, list] | None = None
     for factors, weight in products:
-        if len(factors) == 1:
-            f = factors[0]
-            hit = lone.get(id(f))
-            if hit is None:
-                lone[id(f)] = [f, weight]
-            else:
-                hit[1] += weight
-            continue
-        while len(factors) > 2:
-            pairs = iter(factors)
-            factors = [*map(GradedPolynomial.__mul__, pairs, pairs),
-                       *factors[len(factors) & -2:]]
-        den = weight.denominator
-        for f in factors:
-            den *= f._den
+        if len(factors) != 2:
+            if len(factors) == 1:
+                f = factors[0]
+                if lone is None:
+                    lone = {}
+                hit = lone.get(id(f))
+                if hit is None:
+                    lone[id(f)] = [f, weight]
+                else:
+                    hit[1] += weight
+                continue
+            while len(factors) > 2:
+                pairs = iter(factors)
+                factors = [*map(GradedPolynomial.__mul__, pairs, pairs),
+                           *factors[len(factors) & -2:]]
+            if not factors:
+                dens.append(weight.denominator)
+                todo.append((None, None, weight.numerator, weight.denominator))
+                continue
+        a, b = factors
+        den = a._den * b._den
+        if weight.__class__ is not int:  # an int is its own numerator, over 1
+            den *= weight.denominator
+            weight = weight.numerator
         dens.append(den)
-        todo.append((factors, weight.numerator, den))
-    for f, weight in lone.values():
-        den = weight.denominator * f._den
-        dens.append(den)
-        todo.append(((f,), weight.numerator, den))
+        todo.append((a, b, weight, den))
+    if lone:
+        for f, weight in lone.values():
+            den = weight.denominator * f._den
+            dens.append(den)
+            todo.append((f, None, weight.numerator, den))
     den = lcm(*dens)
     acc: dict[Monomial, int] = {}
-    for factors, n, d in todo:
-        if len(factors) == 2:
-            _multiply_into(acc, *factors, n * (den // d))
-        elif factors:
-            _add_into(acc, factors[0]._terms, n * (den // d))
+    for a, b, n, d in todo:
+        if b is not None:
+            _multiply_into(acc, a, b, n * (den // d))
+        elif a is not None:
+            _add_into(acc, a._terms, n * (den // d))
         else:
             acc[_ONE] = acc.get(_ONE, 0) + n * (den // d)
     return GradedPolynomial._from_terms(acc, den)
@@ -1009,17 +978,23 @@ def gp_sum_of_derivatives(
     den = lcm(*[p._den * w.denominator for p, _, w in items])
     acc: dict[Monomial, int] = {}
     for p, lam, w in items:
-        k = w.numerator * (den // (p._den * w.denominator))
-        terms = p._terms
-        for direction in lam[:-1]:
-            step: dict[Monomial, int] = {}
-            _raise_into(step, terms, direction, 1)
-            terms = {m: n for m, n in step.items() if n}
-        if lam:
-            _raise_into(acc, terms, lam[-1], k)
-        else:
-            _add_into(acc, terms, k)
+        _derive_into(acc, p._terms, lam, w.numerator * (den // (p._den * w.denominator)))
     return GradedPolynomial._from_terms(acc, den)
+
+
+def _derive_into(
+    acc: dict[Monomial, int], terms: Mapping[Monomial, int], lam: Sequence[int], k: int
+) -> None:
+    """Add k times d_Lam of a numerator map to acc, one _raise_into per
+    direction of Lam (see gp_sum_of_derivatives)."""
+    for direction in lam[:-1]:
+        step: dict[Monomial, int] = {}
+        _raise_into(step, terms, direction, 1)
+        terms = {m: n for m, n in step.items() if n}
+    if lam:
+        _raise_into(acc, terms, lam[-1], k)
+    else:
+        _add_into(acc, terms, k)
 
 
 def _raise_into(

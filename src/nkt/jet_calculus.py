@@ -116,10 +116,12 @@ def _stepwise(
 ) -> VariationalDerivatives:
     """E_A as the sum over the left partials dL/dA_Lam of (-1)^|Lam| times
     d_Lam applied one direction after another, each step checking the
-    jet-order bound (gp_sum_of_derivatives); the variables are raised in the
-    order asked for, so the first of them that passes the bound is named."""
+    jet-order bound (gp_sum_of_derivatives).  The variables are raised in
+    the order asked for, and each one's partials in canonical jet order, so
+    the order a JetOrderError names depends on the polynomial only, not on
+    the order its terms were made in."""
     per_var: dict[VariableId, list[tuple[GradedPolynomial, tuple[int, ...], int]]] = {}
-    for jv, partial in expr.left_partials().items():
+    for jv, partial in sorted(expr.left_partials().items(), key=lambda kv: kv[0].key):
         sign = -1 if jv.mi.order & 1 else 1
         per_var.setdefault(jv.var, []).append((partial, jv.mi.entries, sign))
     if variables is None:

@@ -58,7 +58,7 @@ def operator_boundary(
 ) -> GradedPolynomial:
     """The dual density of one parameter: sum of coeff * antifield jet."""
     return gp_sum_of_products(
-        (poly, GradedPolynomial.variable(JetVariable(antifield_of(target), mi)))
+        ((poly, GradedPolynomial.variable(JetVariable(antifield_of(target), mi))), 1)
         for (p, target, mi), poly in op.coeffs.items()
         if p == param
     )
@@ -104,7 +104,7 @@ def extend_with_operator(
 def kt_apply(ctx: KoszulTateContext, p: GradedPolynomial) -> GradedPolynomial:
     """The boundary of p: right chain rule over the antifield-sector jets."""
     return gp_sum_of_products(
-        (partial_right(p, jv), total_derivative_multi(ctx.boundaries[jv.var], jv.mi))
+        ((partial_right(p, jv), total_derivative_multi(ctx.boundaries[jv.var], jv.mi)), 1)
         for jv in p.variables()
         if jv.var in ctx.boundaries
     )
@@ -142,9 +142,9 @@ class ReductionCertificate(Record):
 def certificate_expansion(
     ctx: KoszulTateContext, cert: ReductionCertificate
 ) -> GradedPolynomial:
-    pairs: list[tuple[GradedPolynomial, GradedPolynomial]] = []
+    products: list[tuple[tuple[GradedPolynomial, ...], int]] = []
     if cert.witness is not None:
-        pairs.append((kt_apply(ctx, cert.witness), GradedPolynomial.one()))
+        products.append(((kt_apply(ctx, cert.witness),), 1))
     for (var, mi), poly in (cert.m_coeffs or {}).items():
         image = ctx.boundaries.get(antifield_of(var))
         if image is None:
@@ -152,8 +152,8 @@ def certificate_expansion(
                 f"certificate references {var.render()}, which has no"
                 " boundary in this complex"
             )
-        pairs.append((poly, total_derivative_multi(image, mi)))
-    return gp_sum_of_products(pairs)
+        products.append(((poly, total_derivative_multi(image, mi)), 1))
+    return gp_sum_of_products(products)
 
 
 class WeakZeroReport(Record):

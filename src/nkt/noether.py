@@ -39,6 +39,8 @@ ROLE_STAGE = "stage"
 CoeffKey = tuple[VariableId, VariableId, MultiIndex]  # (parameter, target, Lam)
 _Key = TypeVar("_Key")
 _Item = TypeVar("_Item")
+# a weighted product of gp_sum_of_products: (factors, weight)
+_Product = tuple[tuple[GradedPolynomial, ...], int]
 
 
 class NonVariationalError(NktError):
@@ -108,9 +110,6 @@ class LinearJetOperator(Record):
     ) -> GradedPolynomial:
         return self.coeffs.get((param, target, mi), GradedPolynomial.zero())
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def sorted_keys(self) -> list[CoeffKey]:
         return sorted(
             self.coeffs, key=lambda k: (k[0].rank, k[1].rank, k[2].order, k[2].entries)
@@ -177,12 +176,12 @@ def apply_to_sections(
     The parameter jet multiplies from the left, matching the ghost-leftmost
     density convention.
     """
-    parts: dict[VariableId, list[tuple[GradedPolynomial, GradedPolynomial]]] = {}
+    parts: dict[VariableId, list[_Product]] = {}
     for (param, target, mi), poly in op.coeffs.items():
         sec = sections.get(param)
         if sec is None or sec.is_zero():
             continue
-        parts.setdefault(target, []).append((total_derivative_multi(sec, mi), poly))
+        parts.setdefault(target, []).append(((total_derivative_multi(sec, mi), poly), 1))
     return _sum_nonzero(gp_sum_of_products, parts)
 
 
@@ -304,14 +303,12 @@ def noether_residuals(
     """Per parameter r: sum over A, Lam of Delta^{A,Lam}_r d_Lam(E_A)."""
     derivs = euler_lagrange(lagrangian, op.targets())
     cache: dict[tuple[VariableId, MultiIndex], GradedPolynomial] = {}
-    parts: dict[VariableId, list[tuple[GradedPolynomial, GradedPolynomial]]] = {
-        r: [] for r in op.parameters()
-    }
+    parts: dict[VariableId, list[_Product]] = {r: [] for r in op.parameters()}
     for (param, target, mi), poly in op.coeffs.items():
         key = (target, mi)
         if key not in cache:
             cache[key] = total_derivative_multi(derivs[target], mi)
-        parts[param].append((poly, cache[key]))
+        parts[param].append(((poly, cache[key]), 1))
     return {r: gp_sum_of_products(pairs) for r, pairs in parts.items()}
 
 
@@ -389,9 +386,9 @@ def trivial_gauge_symmetry(
             )
     sources = sorted({s[0] for (_, _, s) in table}, key=lambda v: v.rank)
     derivs = euler_lagrange(lagrangian, sources)
-    parts: dict[CoeffKey, list[tuple[GradedPolynomial, GradedPolynomial]]] = {}
+    parts: dict[CoeffKey, list[_Product]] = {}
     for (r, (i, lam), (j, sigma)), poly in table.items():
-        contrib = (poly, total_derivative_multi(derivs[j], sigma))
+        contrib = ((poly, total_derivative_multi(derivs[j], sigma)), 1)
         parts.setdefault((r, i, lam), []).append(contrib)
     coeffs = _sum_nonzero(gp_sum_of_products, parts)
     return LinearJetOperator(dim, ROLE_GAUGE, eta_family(coeffs))

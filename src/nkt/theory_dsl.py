@@ -72,7 +72,7 @@ from .graded_poly import (
     Parity,
     VariableId,
     antifield_of,
-    gp_sum_of_weighted_products,
+    gp_sum_of_products,
     render_polynomial,
 )
 from .koszul_tate import ReductionCertificate
@@ -1010,12 +1010,12 @@ def _spend(env: _Env, steps: int, node: object) -> None:
 def _added(parts: list) -> object:
     """The sum of a list of weighted products: a number when no product has
     a factor, else their sum, accumulated in one numerator map by
-    gp_sum_of_weighted_products."""
+    gp_sum_of_products."""
     if len(parts) == 1 and parts[0][1] == 1 and len(parts[0][0]) == 1:
         return parts[0][0][0]  # one polynomial, as it is
     for factors, _ in parts:
         if factors:
-            return gp_sum_of_weighted_products(parts)
+            return gp_sum_of_products(parts)
     return sum([w for _, w in parts])
 
 

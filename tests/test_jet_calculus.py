@@ -193,6 +193,23 @@ def test_a_polynomial_built_past_a_lowered_bound_names_its_first_raise(monkeypat
         assert str(err.value) == too_high(5, 2)
 
 
+def test_the_euler_lagrange_jet_order_error_does_not_depend_on_insertion_order(
+    monkeypatch,
+) -> None:
+    # E_y of y_xxx a_xxxxx + y_x b_xxxxxxx raises a_xxxxx to order 6 and
+    # b_xxxxxxx to order 8 on their first steps: one of them is named,
+    # whichever term was made first
+    a, b = even_field("a_ins"), even_field("b_ins")
+    p = v(Y, 0, 0, 0) * v(a, *[0] * 5) + v(Y, 0) * v(b, *[0] * 7)
+    q = GradedPolynomial(dict(reversed(p.raw_terms())))
+    assert q == p
+    with_bound(monkeypatch, 2)
+    for r in (p, q, copy_of(p)):
+        with pytest.raises(JetOrderError) as err:
+            euler_lagrange(r, [Y])
+        assert str(err.value) == too_high(8, 2)
+
+
 def test_euler_lagrange_checks_only_the_variables_asked_for(monkeypatch) -> None:
     # E_u of u_xx^2 w is 2 d_x d_x (u_xx w), which reaches order 4; E_w is
     # u_xx^2, which raises nothing.  Variables no other test raises, so that

@@ -60,10 +60,8 @@ from nkt.graded_poly import (
     antifield_of,
     clear_memos,
     gp_normalize,
-    gp_sum,
     gp_sum_of_derivatives,
     gp_sum_of_products,
-    gp_sum_of_weighted_products,
     jet,
     memo_sizes,
     render_polynomial,
@@ -434,6 +432,11 @@ def oracle_sum(ps) -> tuple:
     return oracle_expand(acc)
 
 
+def oracle_summed(ps) -> GradedPolynomial:
+    """The sum of ps as the oracle accumulates it, rebuilt as a polynomial."""
+    return GradedPolynomial(dict(oracle_sum(ps)))
+
+
 def oracle_normalize(raw) -> tuple:
     acc: dict = {}
     for coeff, factors in raw:
@@ -504,7 +507,7 @@ def oracle_eval(env: _Env, node: object) -> GradedPolynomial:
         for value in range(node.lo, node.hi + 1):
             env.bindings[node.index] = value
             parts.append(oracle_eval(env, node.body))
-        total = gp_sum(parts)
+        total = reduce(add, parts, GradedPolynomial.zero())
         if saved is None:
             env.bindings.pop(node.index, None)
         else:
@@ -684,11 +687,11 @@ def test_term_order_is_independent_of_insertion_order(p, rnd, k) -> None:
 
 @KERNEL_SETTINGS
 @given(st.lists(graded_polynomials(), max_size=6))
-def test_gp_sum_is_the_left_fold_of_add(ps) -> None:
-    total = gp_sum(ps)
+def test_a_sum_of_lone_factors_is_the_left_fold_of_add(ps) -> None:
+    total = gp_sum_of_products(((p,), 1) for p in ps)
     assert total == reduce(add, ps, GradedPolynomial.zero())
     assert total == gp_normalize((s, flat) for p in ps for flat, s in p.raw_terms())
-    assert gp_sum(reversed(ps)) == total
+    assert gp_sum_of_products(((p,), 1) for p in reversed(ps)) == total
 
 
 def assert_canonical(p: GradedPolynomial) -> None:
@@ -711,7 +714,8 @@ def assert_canonical(p: GradedPolynomial) -> None:
 )
 def test_every_kernel_returns_the_canonical_form(p, q, c, direction) -> None:
     results = [p * q, q * p, p * p, p + q, p - q, q - p, p - p, -p, p.scaled(c)]
-    results += [total_derivative(p, direction), gp_sum([p, q, -p, q.scaled(c)])]
+    results.append(total_derivative(p, direction))
+    results.append(gp_sum_of_products([((p,), 1), ((q,), 1), ((-p,), 1), ((q,), c)]))
     results += [*p.left_partials().values(), *p.right_partials().values()]
     results.append(
         gp_normalize((c * s, flat) for x in (p, q) for flat, s in x.raw_terms())
@@ -728,6 +732,12 @@ def test_denominators_follow_the_lcm_and_lose_common_factors() -> None:
     assert (a + b).denominator() == 1
     assert dict((a + b).numerators()) == {(x,): 1, (y,): 2}
     assert (a - a).denominator() == 1 and (a - a).is_zero()
+    # a summand met twice, at denominator 1 and at 12
+    for p in (GradedPolynomial({(x,): 2, (y,): -3}), a):
+        assert (p - p).denominator() == 1 and (p - p).is_zero()
+        assert p + p == p.scaled(2)
+        assert_canonical(p + p)
+    assert ((a + a).denominator(), dict((a + a).numerators())) == (6, {(x,): 8, (y,): 21})
     half, two_thirds = Fraction(1, 2), Fraction(2, 3)
     product = GradedPolynomial({(x,): half}) * GradedPolynomial({(y,): two_thirds})
     assert (product.denominator(), dict(product.numerators())) == (3, {(x, y): 1})
@@ -874,7 +884,8 @@ def test_products_match_the_key_comparing_kernels(p, q) -> None:
 @given(st.lists(graded_polynomials(), min_size=1, max_size=4), st.integers(0, 4))
 def test_sums_match_the_key_comparing_kernels(ps, cancelled) -> None:
     summands = ps + [-p for p in ps[:cancelled]]
-    assert gp_sum(summands).raw_terms() == oracle_sum(summands)
+    total = gp_sum_of_products(((p,), 1) for p in summands)
+    assert total.raw_terms() == oracle_sum(summands)
     assert (ps[0] + ps[-1]).raw_terms() == oracle_sum([ps[0], ps[-1]])
     assert (ps[0] - ps[-1]).raw_terms() == oracle_sum([ps[0], -ps[-1]])
     assert (ps[0] - ps[0]).raw_terms() == ()
@@ -949,19 +960,21 @@ WEIGHTS = RATIONALS + [-1, 3, Fraction(-3, 7)]
 
 
 def summed_products(pairs: list) -> GradedPolynomial:
-    """Each product built alone by *, then summed."""
-    return gp_sum([a * b for a, b in pairs])
+    """Each product built alone by *, then summed by the oracle."""
+    return oracle_summed([a * b for a, b in pairs])
 
 
 def summed_weighted_products(products: list) -> GradedPolynomial:
-    """Each product built alone by * from the left and scaled, then summed."""
+    """Each product built alone by * from the left and scaled, then summed
+    by the oracle."""
     one = GradedPolynomial.one()
-    return gp_sum([reduce(mul, factors, one).scaled(w) for factors, w in products])
+    return oracle_summed([reduce(mul, factors, one).scaled(w) for factors, w in products])
 
 
 def summed_derivatives(items: list) -> GradedPolynomial:
-    """Each derivative built by repeated total_derivative and scaled, then summed."""
-    return gp_sum([reduce(total_derivative, lam, p).scaled(w) for p, lam, w in items])
+    """Each derivative built by repeated total_derivative and scaled, then
+    summed by the oracle."""
+    return oracle_summed([reduce(total_derivative, lam, p).scaled(w) for p, lam, w in items])
 
 
 @st.composite
@@ -1000,8 +1013,8 @@ def test_fused_sums_match_their_definitions(inputs) -> None:
     ]
 
     def fused() -> list:
-        got = [gp_sum_of_products(iter(pairs)), gp_sum_of_derivatives(iter(items)),
-               gp_sum_of_weighted_products(iter(products))]
+        got = [gp_sum_of_products(((a, b), 1) for a, b in pairs),
+               gp_sum_of_derivatives(iter(items)), gp_sum_of_products(iter(products))]
         for r in got:
             assert_canonical(r)
         return [(r, r.raw_terms()) for r in got]
@@ -1015,7 +1028,6 @@ def test_fused_sums_match_their_definitions(inputs) -> None:
         mp.setattr(graded_poly, "MEMO_CAP", 5)
         assert fused() == expected
     assert gp_sum_of_products([]).is_zero() and gp_sum_of_derivatives([]).is_zero()
-    assert gp_sum_of_weighted_products([]).is_zero()
 
 
 def derivative_outcome(kernel, items: list) -> tuple | str:
@@ -1090,7 +1102,8 @@ def kernel_outcomes(ps: list, raw: list, direction: int) -> list:
     """
     ps = [GradedPolynomial(dict(p.items())) for p in ps]
     results = [x * y for x in ps for y in ps]
-    results += [gp_sum(ps), ps[0] - ps[-1], gp_normalize(raw)]
+    results.append(gp_sum_of_products(((p,), 1) for p in ps))
+    results += [ps[0] - ps[-1], gp_normalize(raw)]
     for p in ps:
         results += [total_derivative(p, d) for d in range(3)]
         results.append(total_derivative(total_derivative(p, direction), direction))
@@ -1603,9 +1616,9 @@ def test_random_theories_match_the_fresh_evaluator() -> None:
 def sums_made(monkeypatch) -> list[list]:
     """The lists of weighted products that the evaluator adds up, one per
     polynomial it accumulates, as parses made after this call pass them."""
-    sums, kernel = [], theory_dsl.gp_sum_of_weighted_products
+    sums, kernel = [], theory_dsl.gp_sum_of_products
     monkeypatch.setattr(
-        theory_dsl, "gp_sum_of_weighted_products",
+        theory_dsl, "gp_sum_of_products",
         lambda parts: sums.append(parts) or kernel(parts),
     )
     return sums
@@ -1735,9 +1748,9 @@ def test_accumulated_runs_and_sums_match_the_fresh_evaluator(text, monkeypatch) 
     assert planned[0] == unplanned[0] == want
     # lists added up at every second product give the same values, errors
     # and charges, and no list the kernel adds up is longer
-    lengths, kernel = [], theory_dsl.gp_sum_of_weighted_products
+    lengths, kernel = [], theory_dsl.gp_sum_of_products
     monkeypatch.setattr(
-        theory_dsl, "gp_sum_of_weighted_products",
+        theory_dsl, "gp_sum_of_products",
         lambda parts: lengths.append(len(parts)) or kernel(parts),
     )
     monkeypatch.setattr(theory_dsl, "_FOLD_AT", 2)
