@@ -15,12 +15,9 @@ complete), 1 when the check ran and failed, 2 on usage, parse, or typing
 errors.  Output is deterministic: identical inputs give byte-identical
 reports apart from elapsed_ms.
 
-The subcommands are described once, in COMMANDS.  A main() call asks for
-the parser with only the invoked command's subparser when argv starts with
-a command name and for the one with all of them otherwise; the output is
-the same either way (see build_parser).  Each parser is built once per
-process and shared by every later call, which parses into a fresh
-namespace, so no option carries over from one call to the next.
+The subcommands are described once, in COMMANDS.  The parser is built
+once per process and shared by every later main() call, which parses into
+a fresh namespace, so no option carries over from one call to the next.
 """
 
 from __future__ import annotations
@@ -491,33 +488,19 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The nkt parser with every subcommand, or with the named one only.
-
-    The top-level parser takes no option but -h and names the subcommands
-    COMMAND in its usage, and a subparser's prog, usage, help and errors do
-    not depend on its siblings; so an argv whose first word is a command
-    parses, prints and exits alike with either parser.
-
-    The returned parser is shared for the process: it is built on the first
-    call and every later call for the same command returns that object,
-    however the argument is spelled, so main() builds one per command name
-    and one full parser.  Callers must not modify it.
-    """
-    return _build_parser(command)
-
-
 @functools.cache
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    # cached on the one positional argument, so that build_parser(),
-    # build_parser(None) and build_parser(command=None) share one key
+def build_parser() -> argparse.ArgumentParser:
+    """The nkt parser with every subcommand.
+
+    It is built on the first call and every later call returns that object,
+    so a process builds one parser.  Callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="nkt",
         description="Variational calculus and symmetry checks for theory files.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name in COMMANDS if command is None else (command,):
-        spec = COMMANDS[name]
+    for name, spec in COMMANDS.items():
         p = sub.add_parser(name, help=spec.help)
         if spec.run is not None:
             p.add_argument("file", help="theory file to read")
@@ -549,10 +532,7 @@ def _read_text(file: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # only the invoked command's parser is asked for; any other argv (none,
-    # -h, an unknown command) gets the full one, which lists every command
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         config.reload()

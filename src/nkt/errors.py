@@ -33,7 +33,8 @@ class Record(metaclass=_RecordType):
     tuple, ``hash`` is the hash of the field tuple, ``repr`` reads
     ``Name(field=value, ...)`` and assignment raises
     ``dataclasses.FrozenInstanceError``.  ``copy`` and ``pickle`` rebuild it
-    through its constructor; ``dataclasses.replace`` does not apply.
+    through its constructor; ``dataclasses.replace`` does not apply.  An
+    interned record (VariableId) compares and hashes by identity instead.
     """
 
     def __init__(self, *args: object, **kwargs: object) -> None:

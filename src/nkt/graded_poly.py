@@ -86,11 +86,12 @@ class VariableId(Record):
     """One concrete component of a declared variable family.
 
     Variables are interned like jet variables: equal fields give the one
-    shared instance, so equality is identity, and the table holds each
-    variable for the life of the process.  `rank` orders variables
-    canonically.  It and the hash are computed once, on first construction;
-    the hash is that of the field tuple, as for the other records, so sets
-    and dicts of variables iterate in the same order.
+    shared instance, so equality is identity and the hash is the identity
+    hash, and the table holds each variable for the life of the process.
+    `rank` orders variables canonically and is computed once, on first
+    construction.  The order of a set of variables is that of their
+    addresses, so output must sort variables by `rank`, never read a set's
+    order.
     """
 
     kind: Kind
@@ -99,7 +100,7 @@ class VariableId(Record):
     parity: Parity
     stage: int | None = None
 
-    __slots__ = ("rank", "_hash")
+    __slots__ = ("rank",)
 
     def __new__(cls, kind, name, components, parity, stage=None) -> "VariableId":
         key = (kind, name, components, parity, stage)
@@ -110,15 +111,13 @@ class VariableId(Record):
             self = _VARIABLE_IDS[key] = object.__new__(cls)
             Record.__init__(self, *key)
             object.__setattr__(self, "rank", _kind_rank(kind, stage) + (name, components))
-            object.__setattr__(self, "_hash", hash(key))
         return self
 
     # __new__ returns the instance built; Record.__init__ must not run again
     __init__ = object.__init__
-    __eq__ = object.__eq__  # equal fields are the same instance
-
-    def __hash__(self) -> int:
-        return self._hash
+    # equal fields are the same instance
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def render(self) -> str:
         prefix = "~" if self.kind in (Kind.ANTIFIELD, Kind.ANTIGHOST) else ""

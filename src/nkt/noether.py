@@ -115,10 +115,6 @@ class LinearJetOperator(Record):
             self.coeffs, key=lambda k: (k[0].rank, k[1].rank, k[2].order, k[2].entries)
         )
 
-    def __hash__(self) -> int:
-        # Record's hash would hash the coeffs dict; hash its keys instead
-        return hash((self.dim, self.role, self.stage, frozenset(self.coeffs)))
-
 
 def eta_family(
     coeffs: dict[CoeffKey, GradedPolynomial],

@@ -999,7 +999,11 @@ def _spend(env: _Env, steps: int, node: object) -> None:
     added to a list, the terms of its one factor, or its factor count plus
     the product of its factors' term counts (_product); a power of a base of
     t terms to k, before it is built, t * C(t+k-1, k-1), the term pairs its
-    k products take at most (_power)."""
+    k products take at most (_power).  A memoized run or sum that a sum or
+    a run of + adds is one product of its value, so it is charged its terms
+    at each use: planned work is at most the unplanned walk's plus those
+    terms, and can pass it (10 steps against 6 on
+    sum(i,0..1, (0)^0 + (x0 + C[2])), whose memo is built but not reused)."""
     work = env.work = env.work + steps
     if work > MAX_EXPANSION_WORK:
         raise SemanticError(

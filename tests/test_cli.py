@@ -519,30 +519,11 @@ class TestParser:
     @pytest.mark.parametrize("argv", parser_cases(), ids=lambda argv: " ".join(
         Path(a).name if a.endswith(".nkt") else a for a in argv
     ) or "(none)")
-    def test_one_command_parser_matches_the_full_one(self, argv, monkeypatch):
-        # parsers are shared for the process, so this records which parser
-        # main asks for, not which one it builds
-        build, asked, given = cli.build_parser, [], []
-
-        def recorded(command=None):
-            asked.append(command)
-            given.append(build(command))
-            return given[-1]
-
-        def full(command=None):
-            given.append(build(None))
-            return given[-1]
-
-        monkeypatch.setattr(cli, "build_parser", recorded)
+    def test_the_shared_parser_reads_as_a_fresh_one(self, argv, monkeypatch):
         got = outcome(list(argv))
-        command = argv[0] if argv and argv[0] in VALID_CALLS else None
-        assert asked == [command]
-        monkeypatch.setattr(cli, "build_parser", full)
+        # the comparison call builds a parser of its own
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
         want = outcome(list(argv))
-        # the comparison call really parses with the full parser, which is
-        # another object than the command's own
-        assert len(given) == 2 and given[1] is build(None)
-        assert (given[0] is given[1]) == (command is None)
         assert mask_elapsed(got) == mask_elapsed(want)
 
     def test_help_lists_every_command(self):
@@ -571,49 +552,29 @@ class TestSharedParsers:
     ]
 
     def test_calls_in_one_process_read_as_on_fresh_parsers(self, monkeypatch):
-        fresh = cli._build_parser.__wrapped__
-        cli._build_parser.cache_clear()
+        fresh = cli.build_parser.__wrapped__
+        cli.build_parser.cache_clear()
         built, init = [], argparse.ArgumentParser.__init__
 
         def counted(parser, *args, **kwargs):
             built.append(parser)
             init(parser, *args, **kwargs)
 
-        seen = set()
-        for argv, env, code in self.CALLS:
+        for i, (argv, env, code) in enumerate(self.CALLS):
             with monkeypatch.context() as m:
                 for name, value in env.items():
                     m.setenv(name, value)
                 m.setattr(argparse.ArgumentParser, "__init__", counted)
                 built.clear()
                 got = outcome(argv)
-                key = argv[0] if argv[0] in VALID_CALLS else None
-                # a command's first call builds its parser, a later one none
-                assert bool(built) == (key not in seen), argv
-                seen.add(key)
+                # only the process's first call builds the parser
+                assert bool(built) == (i == 0), argv
                 m.setattr(cli, "build_parser", fresh)
                 want = outcome(argv)
             assert got[0] == code, argv
             assert mask_elapsed(got) == mask_elapsed(want), argv
-        assert cli.build_parser("el") is cli.build_parser("el")
-        assert cli.build_parser("el") is not fresh("el")
-
-    def test_every_spelling_of_a_command_shares_one_parser(self, monkeypatch):
-        cli._build_parser.cache_clear()
-        built, init = [], argparse.ArgumentParser.__init__
-
-        def counted(parser, *args, **kwargs):
-            built.append(parser)
-            init(parser, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-        full, el = cli.build_parser(), cli.build_parser("el")
-        assert built  # the first calls build the parsers
-        built.clear()
-        assert cli.build_parser(None) is full
-        assert cli.build_parser(command=None) is full
-        assert cli.build_parser(command="el") is el
-        assert built == []
+        assert cli.build_parser() is cli.build_parser()
+        assert cli.build_parser() is not fresh()
 
 
 class TestJsonReports:

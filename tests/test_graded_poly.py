@@ -13,6 +13,7 @@ from nkt.graded_poly import (
     GradedPolynomial,
     JetVariable,
     Kind,
+    Monomial,
     Parity,
     VariableId,
     antifield_of,
@@ -166,6 +167,15 @@ def test_jet_variables_are_interned() -> None:
     assert jv(C, 0, 2) is jv(C, 2, 0)
     assert JetVariable(Y) is jv(Y)
     assert jv(Y, 0) is not jv(Y, 1)
+
+
+def test_every_interned_type_hashes_by_identity() -> None:
+    x = Coordinate(1)
+    for value in (C1, jv(Y, 0, 1), MultiIndex((0, 1)), x, Monomial((x,))):
+        assert type(value).__hash__ is object.__hash__, type(value)
+    v = VariableId(Kind.GHOST, "c", (1, 2), Parity.ODD, 0)
+    twice = VariableId(Kind.GHOST, "c", (1, 2), Parity.ODD, stage=0)
+    assert twice is v and hash(twice) == hash(v)
 
 
 def test_kind_stage_and_parity_give_distinct_variables() -> None:
