@@ -20,17 +20,15 @@ when coefficients are observed.
 The order of the monomials is likewise only materialized when it is
 observed, by raw_terms() and rendering; arithmetic works on an unordered
 term map.  Its keys are interned Monomials, which remember their products,
-total-derivative images, partials and Euler-Lagrange images up to MEMO_CAP
-entries in all, so a repeated product or derivative of a monomial costs one
-lookup.  A monomial's Euler-Lagrange image is, for each variable A of its
-jet factors, the sum over its factors f = A_Lam of (-1)^|Lam| d_Lam(dm/df),
-as (int multiplier, monomial) pairs, with the highest jet order its raises
-reach (see _vary_flat); a polynomial adds its monomials' images up once,
-into the _el map that euler_lagrange_map keeps, so E_A of one polynomial
-is computed once however often it is asked for.  An image is not built
-past the jet-order bound in force, and jet_calculus.euler_lagrange reads a
-kept map only while the orders it reached are within the bound then in
-force.
+partials and total-derivative images d_Lam along any multi-index Lam up to
+MEMO_CAP entries in all, so a repeated product or derivative of a monomial
+costs one lookup.  Every derivative sum reads those images: the sums of
+d_Lam (gp_sum_of_derivatives), and E_A = sum (-1)^|Lam| d_Lam(dL/dA_Lam)
+for every variable A at once (_all_variational), which a polynomial keeps
+in the _el map of euler_lagrange_map, so E_A of one polynomial is computed
+once however often it is asked for.  No image is built past the jet-order
+bound in force, and jet_calculus.euler_lagrange reads a kept map only while
+the orders it reached are within the bound then in force.
 """
 
 from __future__ import annotations
@@ -250,17 +248,14 @@ MEMO_CAP = 1 << 16
 """Most memo entries that all monomials together hold.
 
 An entry is one remembered product (left, right), one total-derivative
-image (monomial, direction), one monomial's partials or one monomial's
-Euler-Lagrange image; building an Euler-Lagrange image also makes the
-partials and total-derivative images it is built from, each an entry of its
-own.  Entries live until the count reaches MEMO_CAP; the next entry first
-clears every memo at once (clear_memos), so the memos never hold more than
-MEMO_CAP entries.  A workload whose distinct products, images and partials
-fit under the cap computes each of them once for the life of the process.
+image (monomial, Lam) or one monomial's partials; an image along two or
+more directions also makes the one-direction images it is composed from,
+each an entry of its own.  Entries live until the count reaches MEMO_CAP;
+the next entry first clears every memo at once (clear_memos), so the memos
+never hold more than MEMO_CAP entries.  A workload whose distinct products,
+images and partials fit under the cap computes each of them once for the
+life of the process.
 """
-
-# the memo key of a monomial's Euler-Lagrange image
-_EL = "el"
 
 _MONOMIALS: dict[_Flat, "Monomial"] = {}
 # the memo of a monomial that has none: read-only and shared
@@ -281,10 +276,9 @@ class Monomial:
     after the leading coordinates) and top (the highest jet order among
     them, -1 without jets), and one memo dict, bounded by MEMO_CAP.  It
     maps each right monomial met to the product (sign, product), or
-    (0, None) when an odd factor repeats; each direction to the
-    total-derivative image, as (multiplier, monomial) pairs; None to the
-    partials (see _drop_flat); and _EL to the Euler-Lagrange image (see
-    _vary_flat).
+    (0, None) when an odd factor repeats; each direction, and each tuple
+    of two or more, to the total-derivative image, as (multiplier,
+    monomial) pairs; and None to the partials (see _drop_flat).
     """
 
     __slots__ = ("factors", "odd", "jets", "top", "_memo")
@@ -315,16 +309,18 @@ class Monomial:
             _remember(self, other, hit)
         return hit
 
-    def image(self, direction: int) -> tuple[tuple[int, "Monomial"], ...]:
-        """The total derivative along direction, as (multiplier, monomial) pairs.
+    def image(self, lam: "int | tuple[int, ...]") -> tuple[tuple[int, "Monomial"], ...]:
+        """The total derivative d_lam, as (multiplier, monomial) pairs.
 
-        Only jet variables already within the bound in force are raised, so
-        the caller checks the jet-order bound before asking.
+        lam is one direction, or a tuple of two or more (see _image_along);
+        the image is kept under lam.  Only jet variables already within the
+        bound in force are raised, so the caller checks the jet-order bound
+        before asking.
         """
-        hit = self._memo.get(direction)
+        hit = self._memo.get(lam)
         if hit is None:
-            hit = _derive_flat(self, direction)
-            _remember(self, direction, hit)
+            hit = _derive_flat(self, lam) if lam.__class__ is int else _image_along(self, lam)
+            _remember(self, lam, hit)
         return hit
 
     def partials(self) -> tuple[tuple[JetVariable, "Monomial", int, int], ...]:
@@ -363,7 +359,7 @@ def _top(jets: _Flat) -> int:
     return max([len(f.mi.entries) for f in jets], default=-1)
 
 
-def _remember(m: Monomial, key: "Monomial | int | str | None", value: tuple) -> None:
+def _remember(m: Monomial, key: "Monomial | int | tuple | None", value: tuple) -> None:
     """Store one memo entry of m, first clearing every memo at MEMO_CAP."""
     if len(_MEMOIZED) >= MEMO_CAP:
         clear_memos()
@@ -386,9 +382,8 @@ def memo_sizes() -> dict[str, int]:
     return {
         "monomials": len(_MONOMIALS),
         "products": keys.count(Monomial),
-        "images": keys.count(int),
+        "images": keys.count(int) + keys.count(tuple),
         "partials": keys.count(type(None)),
-        "el_images": keys.count(str),
     }
 
 
@@ -506,41 +501,18 @@ def _drop_flat(m: Monomial) -> tuple[tuple[JetVariable, Monomial, int, int], ...
     return tuple(out)
 
 
-_Image = tuple[tuple[JetVariable, int, tuple[tuple[int, Monomial], ...]], ...]
+def _image_along(m: Monomial, lam: tuple[int, ...]) -> tuple[tuple[int, Monomial], ...]:
+    """d_lam of m for two or more directions, as (multiplier, monomial) pairs.
 
-
-def _vary_flat(m: Monomial) -> "_Image | None":
-    """m's Euler-Lagrange image, as (base, reach, pairs) per variable of its
-    jet factors, in order of first occurrence; base is the variable's jet of
-    order zero, which hashes faster than the variable.
-
-    pairs are the (int multiplier, monomial) pairs of the sum over m's jet
-    factors f = A_Lam of (-1)^|Lam| d_Lam of f's left partial, each d_Lam
-    applied as gp_sum_of_derivatives applies it (_derive_into), zero
-    multipliers dropped.  reach is the highest order that a d_Lam with Lam
-    nonempty raises a jet to, rest.top + |Lam| over the partials whose rest
-    has jets, and 0 without any: raising a polynomial's partial step by step
-    passes the bound exactly when one of its rests reaches past it, since a
-    raise step never cancels the terms of the highest order.  None when a
-    reach passes the bound in force, so that no image is built past it.
+    One direction at a time: each step adds the last step's monomials'
+    one-direction images into one map (_images_into) and drops its zeros.
     """
-    drops = m.partials()
-    bases = [JetVariable(f.var) for f, _, _, _ in drops]
-    reach: dict[JetVariable, int] = {}
-    for base, (f, rest, _, _) in zip(bases, drops):
-        lam = f.mi.entries
-        order = len(lam) + rest.top if lam and rest.top >= 0 else 0
-        reach[base] = max(order, reach.get(base, 0))
-    if max(reach.values(), default=0) > max_jet_order():
-        return None
-    acc: dict[JetVariable, dict[Monomial, int]] = {base: {} for base in reach}
-    for base, (f, rest, on_left, _) in zip(bases, drops):
-        lam = f.mi.entries
-        _derive_into(acc[base], {rest: on_left}, lam, -1 if len(lam) & 1 else 1)
-    return tuple([
-        (base, reach[base], tuple([(n, r) for r, n in terms.items() if n]))
-        for base, terms in acc.items()
-    ])
+    step = {m: 1}
+    for direction in lam:
+        acc: dict[Monomial, int] = {}
+        _images_into(acc, step, (direction,), 1)
+        step = {q: n for q, n in acc.items() if n}
+    return tuple([(n, q) for q, n in step.items()])
 
 
 def _all_variational(
@@ -548,30 +520,45 @@ def _all_variational(
 ) -> "Mapping[VariableId, tuple[int, GradedPolynomial]] | None":
     """E_A of a numerator map over den for every variable A of its jet
     factors, with the highest order its raises reach, in one pass: each
-    monomial adds its memoized Euler-Lagrange image.  None when an image
-    cannot be built within the bound in force (see _vary_flat)."""
-    acc: dict[JetVariable, list] = {}  # base -> [reach, numerator map]
+    monomial's left partial by A_Lam adds (-1)^|Lam| times its rest, or the
+    rest's image along Lam, into A's map.  Such a raise reaches rest.top +
+    |Lam| (0 for a rest without jets), and a raise step never cancels the
+    terms of the highest order, so the step-by-step path passes the bound
+    exactly when a reach does: None then, before any raise past the bound.
+    """
+    bound = max_jet_order()
+    acc: dict[VariableId, list] = {}  # A -> [reach, numerator map]
     for m, s in terms.items():
-        image = m._memo.get(_EL)
-        if image is None:
-            image = _vary_flat(m)
-            if image is None:
-                return None
-            _remember(m, _EL, image)
-        for base, top, pairs in image:
-            entry = acc.get(base)
+        drops = m._memo.get(None)
+        if drops is None:
+            drops = m.partials()
+        for f, rest, on_left, _ in drops:
+            entry = acc.get(f.var)
             if entry is None:
-                entry = acc[base] = [top, {}]
-            elif top > entry[0]:
-                entry[0] = top
+                entry = acc[f.var] = [0, {}]
             bucket = entry[1]
-            for c, r in pairs:
-                n = c * s
+            lam = f.mi.entries
+            s_rest = -s * on_left if len(lam) & 1 else s * on_left
+            if not lam:
+                cur = bucket.get(rest)
+                bucket[rest] = s_rest if cur is None else cur + s_rest
+                continue
+            if rest.top >= 0:
+                reach = rest.top + len(lam)
+                if reach > bound:
+                    return None
+                if reach > entry[0]:
+                    entry[0] = reach
+            key = lam[0] if len(lam) == 1 else lam
+            image = rest._memo.get(key)
+            if image is None:
+                image = rest.image(key)
+            for c, r in image:
+                n = c * s_rest
                 cur = bucket.get(r)
                 bucket[r] = n if cur is None else cur + n
     return MappingProxyType({
-        base.var: (top, GradedPolynomial._from_terms(b, den))
-        for base, (top, b) in acc.items()
+        var: (top, GradedPolynomial._from_terms(b, den)) for var, (top, b) in acc.items()
     })
 
 
@@ -778,8 +765,8 @@ class GradedPolynomial:
     def euler_lagrange_map(self) -> "Mapping[VariableId, tuple[int, GradedPolynomial]] | None":
         """E_A for every variable A of the jet factors, keyed by A, each with
         the highest jet order its raises reach, which the caller holds to the
-        bound in force; kept in _el.  None, and nothing kept, when a
-        monomial's image cannot be built within the bound (see _vary_flat)."""
+        bound in force; kept in _el.  None, and nothing kept, when a raise
+        would pass the bound in force (see _all_variational)."""
         try:
             return self._el
         except AttributeError:
@@ -791,14 +778,10 @@ class GradedPolynomial:
     # -- total derivatives ---------------------------------------------------
 
     def derivative(self, direction: int) -> "GradedPolynomial":
-        """The total derivative d_direction of this polynomial.
-
-        The one-item case of gp_sum_of_derivatives: one run of its raise
-        loop (_raise_into), which keeps the denominator and adds only the
-        numerators.
-        """
+        """The total derivative d_direction of this polynomial: the one-item
+        case of gp_sum_of_derivatives, run on its loop directly."""
         acc: dict[Monomial, int] = {}
-        _raise_into(acc, self._terms, direction, 1)
+        _images_into(acc, self._terms, (direction,), 1)
         return GradedPolynomial._from_terms(acc, self._den)
 
     # -- arithmetic --------------------------------------------------------
@@ -966,57 +949,39 @@ def gp_sum_of_derivatives(
     """The sum of weight * d_Lam(p) over items (p, Lam, weight), canonicalized once.
 
     Lam is a sequence of directions, such as a MultiIndex's entries, and
-    weight an int or a Fraction.  Between the steps of one d_Lam the terms
-    stay a plain numerator map, with zeros dropped and no gcd taken; the
-    last step adds into one map over the lcm of the items' denominators.
-    Every step checks the jet-order bound (see _raise_into), so a
-    JetOrderError names the order that applying total_derivative step by
-    step names.
+    weight an int or a Fraction.  Each item adds its images (_images_into)
+    into one numerator map over the lcm of the items' denominators.
     """
     items = list(items)
     den = lcm(*[p._den * w.denominator for p, _, w in items])
     acc: dict[Monomial, int] = {}
     for p, lam, w in items:
-        _derive_into(acc, p._terms, lam, w.numerator * (den // (p._den * w.denominator)))
+        _images_into(acc, p._terms, lam, w.numerator * (den // (p._den * w.denominator)))
     return GradedPolynomial._from_terms(acc, den)
 
 
-def _derive_into(
+def _images_into(
     acc: dict[Monomial, int], terms: Mapping[Monomial, int], lam: Sequence[int], k: int
 ) -> None:
-    """Add k times d_Lam of a numerator map to acc, one _raise_into per
-    direction of Lam (see gp_sum_of_derivatives)."""
-    for direction in lam[:-1]:
-        step: dict[Monomial, int] = {}
-        _raise_into(step, terms, direction, 1)
-        terms = {m: n for m, n in step.items() if n}
-    if lam:
-        _raise_into(acc, terms, lam[-1], k)
-    else:
-        _add_into(acc, terms, k)
-
-
-def _raise_into(
-    acc: dict[Monomial, int], terms: Mapping[Monomial, int], direction: int, k: int
-) -> None:
-    """Add k times the total derivative of a numerator map to acc.
-
-    Each monomial contributes its memoized image along direction (see
-    _derive_flat): its x^direction factors dropped once each, and each jet
-    factor raised in place with the Koszul sign of the odd factors it
-    passes.  The jet-order bound is checked first, on the highest raised
-    order, so the error names the same order whatever order the terms come
-    in, and a remembered image never lets a raise past a bound lowered
-    since.  terms must hold no zero numerators, so that its highest order
-    is the one a canonical polynomial of the same value has.
+    """Add k times d_Lam of a numerator map without zeros to acc, from each
+    monomial's memoized image along Lam (Monomial.image).  The jet-order
+    bound is checked first, as a step-by-step d_Lam checks it: a raise step
+    never cancels the terms of the highest order, so step i from the top
+    order t reaches t + i, and the JetOrderError names max(t, bound) + 1.
+    So a remembered image never lets a raise past a bound lowered since.
     """
+    if not lam:
+        _add_into(acc, terms, k)
+        return
     top = max([m.top for m in terms], default=-1)
     if top >= 0:
-        check_jet_order(top + 1)
+        for order in range(top + 1, top + len(lam) + 1):
+            check_jet_order(order)
+    key = lam[0] if len(lam) == 1 else tuple(lam)
     for m, s in terms.items():
-        image = m._memo.get(direction)
+        image = m._memo.get(key)
         if image is None:
-            image = m.image(direction)
+            image = m.image(key)
         s *= k
         for c, r in image:
             n = c * s

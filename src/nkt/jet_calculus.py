@@ -38,7 +38,7 @@ def total_derivative(p: GradedPolynomial, direction: int) -> GradedPolynomial:
 
 
 def total_derivative_multi(p: GradedPolynomial, mi: MultiIndex) -> GradedPolynomial:
-    """Apply d_mi, one direction after another, canonicalizing once."""
+    """Apply d_mi: each monomial's memoized image along mi, canonicalized once."""
     return gp_sum_of_derivatives(((p, mi.entries, 1),)) if mi.order else p
 
 
@@ -87,7 +87,7 @@ def euler_lagrange(
     With variables=None the variation runs over every base variable that
     occurs in the density; variables absent from it have E_A = 0 anyway.
     Each E_A is read from the density's Euler-Lagrange map, one pass over
-    its monomials' images (GradedPolynomial.euler_lagrange_map), while the
+    its monomials' partials (GradedPolynomial.euler_lagrange_map), while the
     order that E_A's raises reach is within the jet-order bound in force;
     otherwise _stepwise raises the JetOrderError of the first variable asked
     for that passes it.
@@ -115,11 +115,11 @@ def _stepwise(
     expr: GradedPolynomial, variables: list[VariableId] | None
 ) -> VariationalDerivatives:
     """E_A as the sum over the left partials dL/dA_Lam of (-1)^|Lam| times
-    d_Lam applied one direction after another, each step checking the
-    jet-order bound (gp_sum_of_derivatives).  The variables are raised in
-    the order asked for, and each one's partials in canonical jet order, so
-    the order a JetOrderError names depends on the polynomial only, not on
-    the order its terms were made in."""
+    d_Lam, the jet-order bound checked as a step-by-step d_Lam checks it
+    (gp_sum_of_derivatives).  The variables are raised in the order asked
+    for, and each one's partials in canonical jet order, so the order a
+    JetOrderError names depends on the polynomial only, not on the order
+    its terms were made in."""
     per_var: dict[VariableId, list[tuple[GradedPolynomial, tuple[int, ...], int]]] = {}
     for jv, partial in sorted(expr.left_partials().items(), key=lambda kv: kv[0].key):
         sign = -1 if jv.mi.order & 1 else 1

@@ -15,7 +15,7 @@ from nkt.graded_poly import (
     Parity,
     gp_normalize,
 )
-from nkt import config, graded_poly, multiindex
+from nkt import config, graded_poly, multiindex, noether
 from nkt.errors import JetOrderError
 from nkt.jet_calculus import (
     euler_lagrange,
@@ -138,6 +138,27 @@ def test_total_derivative_checks_the_jet_order_bound_once(monkeypatch) -> None:
     for q in (p, GradedPolynomial(dict(reversed(p.raw_terms())))):
         with pytest.raises(JetOrderError, match="^jet order 3 exceeds the bound 1 "):
             total_derivative(q, 0)
+
+
+def test_a_multi_direction_derivative_names_the_first_order_past_the_bound(
+    monkeypatch,
+) -> None:
+    # d_xxx of top order 2 under a bound of 3: the second raise passes it,
+    # at order 4, not 2 + 3; top order 4, made under the default bound: the
+    # first raise passes it, at order 5
+    below = v(Y, 0, 0) * v(C) - v(Y) * v(C, 0) * v(C, 0, 0)
+    above = v(Y, 0, 0, 0, 0) * v(C, 0) + v(Y) * v(C)
+    xxx, ghost = MultiIndex((0, 0, 0)), odd_ghost("e_order")
+    with_bound(monkeypatch, 3)
+    for p, want in ((below, too_high(4, 3)), (above, too_high(5, 3))):
+        for q in (p, GradedPolynomial(dict(reversed(p.raw_terms())))):
+            assert q == p
+            # eta's first sum is d_xxx of the coefficient of order xxx
+            op = noether.LinearJetOperator(1, noether.ROLE_GAUGE, {(ghost, Y, xxx): q})
+            for call in (lambda: total_derivative_multi(q, xxx), lambda: noether.eta(op)):
+                with pytest.raises(JetOrderError) as err:
+                    call()
+                assert str(err.value) == want
 
 
 def too_high(order: int, bound: int) -> str:

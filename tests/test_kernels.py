@@ -788,17 +788,65 @@ def test_euler_lagrange_matches_the_oracle(p) -> None:
 
 
 def clearing_part_way(mp: pytest.MonkeyPatch) -> None:
-    """Make every other Euler-Lagrange image built clear every memo first,
-    so one pass meets images built before and after a clearing."""
-    vary, built = graded_poly._vary_flat, []
+    """Make every other image built clear every memo first, so one pass meets
+    images built before and after a clearing, and an image along two or more
+    directions is composed from one-direction images across clearings."""
+    built = []
 
-    def clearing(m: Monomial) -> object:
-        built.append(m)
-        if len(built) % 2 == 0:
-            clear_memos()
-        return vary(m)
+    def clearing(build):
+        def wrapped(m: Monomial, lam) -> object:
+            built.append(m)
+            if len(built) % 2 == 0:
+                clear_memos()
+            return build(m, lam)
 
-    mp.setattr(graded_poly, "_vary_flat", clearing)
+        return wrapped
+
+    for name in ("_derive_flat", "_image_along"):
+        mp.setattr(graded_poly, name, clearing(getattr(graded_poly, name)))
+
+
+def derivatives_along(p: GradedPolynomial, lams: list) -> list:
+    """d_lam of p for each lam, as one sum and as each monomial's image alone."""
+    out = []
+    for lam in lams:
+        key = lam[0] if len(lam) == 1 else tuple(lam)
+        out.append(gp_sum_of_derivatives([(p, lam, 1)]))
+        out += [
+            GradedPolynomial._from_terms({r: c for c, r in m.image(key)}, 1) for m in p._terms
+        ]
+    return [(r, r.raw_terms()) for r in out]
+
+
+@KERNEL_SETTINGS
+@given(
+    graded_polynomials(),
+    st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3), min_size=1, max_size=3),
+)
+def test_images_along_a_multi_index_match_the_oracle(p, lams) -> None:
+    # directions repeat, mix and come unsorted; each image is kept under its
+    # own tuple, and a longer one is composed from shorter ones
+    want = []
+    for lam in lams:
+        mi = MultiIndex(lam)
+        want.append(oracle_total_derivative_multi(p, mi))
+        want += [
+            oracle_total_derivative_multi(GradedPolynomial._from_terms({m: 1}, 1), mi)
+            for m in p._terms
+        ]
+    want = [(r, r.raw_terms()) for r in want]
+    clear_memos()
+    # cold, then warm
+    assert derivatives_along(p, lams) == want
+    assert derivatives_along(p, lams) == want
+    with pytest.MonkeyPatch.context() as mp:
+        # a cap this small clears every memo many times within one image
+        mp.setattr(graded_poly, "MEMO_CAP", 5)
+        assert derivatives_along(p, lams) == want
+    clear_memos()
+    with pytest.MonkeyPatch.context() as mp:
+        clearing_part_way(mp)
+        assert derivatives_along(p, lams) == want
 
 
 @KERNEL_SETTINGS
@@ -1148,6 +1196,7 @@ def test_memos_stay_within_their_cap(monkeypatch) -> None:
     flushes = []
     monkeypatch.setattr(graded_poly, "clear_memos", lambda: flushes.append(1) or clear_memos())
     rng = random.Random(7)
+    tuple_keyed = 0
     variables = _variables(2, 2, True, True)
     pool = jet_pool(variables, 2, 2)
     before = [random_polynomial(rng, variables, 2, max_order=2, max_terms=4) for _ in range(6)]
@@ -1159,11 +1208,15 @@ def test_memos_stay_within_their_cap(monkeypatch) -> None:
         y = gp_normalize([(2, rng.sample(pool, 3))])
         for _ in (
             x * y, total_derivative(x, rng.randint(0, 1)), *x.left_partials().values(),
-            *euler_lagrange(x).components.values(),
+            *euler_lagrange(x).components.values(), gp_sum_of_derivatives([(y, (0, 1), 1)]),
         ):
             assert len(graded_poly._MEMOIZED) <= cap
         if i % 30 == 0:
             assert memo_entries() == len(graded_poly._MEMOIZED)
+            keys = [k for m in graded_poly._MONOMIALS.values() for k in m._memo]
+            tuple_keyed += sum([k.__class__ is tuple for k in keys])
+    # images along two directions were made, and counted as images
+    assert tuple_keyed > 0
     assert len(flushes) > 50
     # built before all those flushes, the same polynomials rebuilt after them
     # are equal, hash the same and list the same terms
@@ -1267,7 +1320,7 @@ def test_a_one_shot_verdict_makes_as_many_monomials_and_memo_entries() -> None:
     argv = ["derive-noether", str(THEORY_DIR / "ym_su2.nkt"), "--sym", "brst", "--json"]
     src = str(Path(__file__).resolve().parent.parent / "src")
     want = {
-        "monomials": 2509, "products": 3438, "images": 700, "partials": 216, "el_images": 180,
+        "monomials": 2509, "products": 3438, "images": 700, "partials": 216,
     }
     for seed in ("1", "2718"):
         env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
