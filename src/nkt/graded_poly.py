@@ -25,10 +25,10 @@ MEMO_CAP entries in all, so a repeated product or derivative of a monomial
 costs one lookup.  Every derivative sum reads those images: the sums of
 d_Lam (gp_sum_of_derivatives), and E_A = sum (-1)^|Lam| d_Lam(dL/dA_Lam)
 for every variable A at once (_all_variational), which a polynomial keeps
-in the _el map of euler_lagrange_map, so E_A of one polynomial is computed
-once however often it is asked for.  No image is built past the jet-order
-bound in force, and jet_calculus.euler_lagrange reads a kept map only while
-the orders it reached are within the bound then in force.
+in its _el map (euler_lagrange_map), so E_A of one polynomial is computed
+once per jet-order bound however often it is asked for.  No image is built
+past the bound in force, and a kept map is valid for the bound it was made
+under: a read under another bound makes it again.
 """
 
 from __future__ import annotations
@@ -516,39 +516,33 @@ def _image_along(m: Monomial, lam: tuple[int, ...]) -> tuple[tuple[int, Monomial
 
 
 def _all_variational(
-    terms: Mapping[Monomial, int], den: int
-) -> "Mapping[VariableId, tuple[int, GradedPolynomial]] | None":
+    terms: Mapping[Monomial, int], den: int, bound: int
+) -> "Mapping[VariableId, GradedPolynomial] | None":
     """E_A of a numerator map over den for every variable A of its jet
-    factors, with the highest order its raises reach, in one pass: each
-    monomial's left partial by A_Lam adds (-1)^|Lam| times its rest, or the
-    rest's image along Lam, into A's map.  Such a raise reaches rest.top +
-    |Lam| (0 for a rest without jets), and a raise step never cancels the
-    terms of the highest order, so the step-by-step path passes the bound
-    exactly when a reach does: None then, before any raise past the bound.
+    factors, in one pass: each monomial's left partial by A_Lam adds
+    (-1)^|Lam| times its rest, or the rest's image along Lam, into A's map.
+    Such a raise reaches rest.top + |Lam| when the rest has jets, and a
+    raise step never cancels the terms of the highest order, so the
+    step-by-step path passes the bound exactly when such a raise does:
+    None then, before any image past the bound is built.
     """
-    bound = max_jet_order()
-    acc: dict[VariableId, list] = {}  # A -> [reach, numerator map]
+    acc: dict[VariableId, dict[Monomial, int]] = {}
     for m, s in terms.items():
         drops = m._memo.get(None)
         if drops is None:
             drops = m.partials()
         for f, rest, on_left, _ in drops:
-            entry = acc.get(f.var)
-            if entry is None:
-                entry = acc[f.var] = [0, {}]
-            bucket = entry[1]
+            bucket = acc.get(f.var)
+            if bucket is None:
+                bucket = acc[f.var] = {}
             lam = f.mi.entries
             s_rest = -s * on_left if len(lam) & 1 else s * on_left
             if not lam:
                 cur = bucket.get(rest)
                 bucket[rest] = s_rest if cur is None else cur + s_rest
                 continue
-            if rest.top >= 0:
-                reach = rest.top + len(lam)
-                if reach > bound:
-                    return None
-                if reach > entry[0]:
-                    entry[0] = reach
+            if rest.top >= 0 and rest.top + len(lam) > bound:
+                return None
             key = lam[0] if len(lam) == 1 else lam
             image = rest._memo.get(key)
             if image is None:
@@ -557,9 +551,7 @@ def _all_variational(
                 n = c * s_rest
                 cur = bucket.get(r)
                 bucket[r] = n if cur is None else cur + n
-    return MappingProxyType({
-        var: (top, GradedPolynomial._from_terms(b, den)) for var, (top, b) in acc.items()
-    })
+    return MappingProxyType({v: GradedPolynomial._from_terms(b, den) for v, b in acc.items()})
 
 
 def _all_partials(
@@ -627,8 +619,9 @@ class GradedPolynomial:
     the map was filled in.  The canonical term order is built only when it
     is observed (raw_terms and rendering), afresh on each observation, and
     is not stored.  The partial-derivative maps and the Euler-Lagrange map
-    _el are filled on first use only; they are derived from (_den, map), so
-    equality, hashing and pickling never look at them.
+    _el are filled on first use only, _el with the jet-order bound it is
+    valid for; they are derived from (_den, map), so equality, hashing and
+    pickling never look at them.
     """
 
     __slots__ = ("_terms", "_den", "_left", "_right", "_el")
@@ -762,27 +755,17 @@ class GradedPolynomial:
             object.__setattr__(self, "_right", out)
             return out
 
-    def euler_lagrange_map(self) -> "Mapping[VariableId, tuple[int, GradedPolynomial]] | None":
-        """E_A for every variable A of the jet factors, keyed by A, each with
-        the highest jet order its raises reach, which the caller holds to the
-        bound in force; kept in _el.  None, and nothing kept, when a raise
-        would pass the bound in force (see _all_variational)."""
-        try:
-            return self._el
-        except AttributeError:
-            out = _all_variational(self._terms, self._den)
-            if out is not None:
-                object.__setattr__(self, "_el", out)
-            return out
-
-    # -- total derivatives ---------------------------------------------------
-
-    def derivative(self, direction: int) -> "GradedPolynomial":
-        """The total derivative d_direction of this polynomial: the one-item
-        case of gp_sum_of_derivatives, run on its loop directly."""
-        acc: dict[Monomial, int] = {}
-        _images_into(acc, self._terms, (direction,), 1)
-        return GradedPolynomial._from_terms(acc, self._den)
+    def euler_lagrange_map(self) -> "Mapping[VariableId, GradedPolynomial] | None":
+        """E_A for every variable A of the jet factors, keyed by A, or None
+        when a raise would pass the jet-order bound in force (see
+        _all_variational).  Kept in _el with the bound it was made under, for
+        which alone it is valid: a read under another bound makes it again."""
+        bound = max_jet_order()
+        kept = getattr(self, "_el", None)
+        if kept is None or kept[0] != bound:
+            kept = (bound, _all_variational(self._terms, self._den, bound))
+            object.__setattr__(self, "_el", kept)
+        return kept[1]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -960,6 +943,14 @@ def gp_sum_of_derivatives(
     return GradedPolynomial._from_terms(acc, den)
 
 
+def total_derivative(p: GradedPolynomial, direction: int) -> GradedPolynomial:
+    """The total derivative d_direction of p: the one-item case of
+    gp_sum_of_derivatives, run on its loop directly."""
+    acc: dict[Monomial, int] = {}
+    _images_into(acc, p._terms, (direction,), 1)
+    return GradedPolynomial._from_terms(acc, p._den)
+
+
 def _images_into(
     acc: dict[Monomial, int], terms: Mapping[Monomial, int], lam: Sequence[int], k: int
 ) -> None:
@@ -968,7 +959,8 @@ def _images_into(
     bound is checked first, as a step-by-step d_Lam checks it: a raise step
     never cancels the terms of the highest order, so step i from the top
     order t reaches t + i, and the JetOrderError names max(t, bound) + 1.
-    So a remembered image never lets a raise past a bound lowered since.
+    So an image is read only within the bound in force, whatever the bound
+    it was kept under.
     """
     if not lam:
         _add_into(acc, terms, k)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .config import max_jet_order
 from .errors import Record
 from .graded_poly import (
     Density,
@@ -19,6 +18,7 @@ from .graded_poly import (
     JetVariable,
     VariableId,
     gp_sum_of_derivatives,
+    total_derivative,
 )
 from .multiindex import MultiIndex
 
@@ -30,11 +30,6 @@ FIELD_INDEPENDENT_NOTE = (
     "density depends on base coordinates only;"
     " accepted as a total divergence on a contractible base"
 )
-
-
-def total_derivative(p: GradedPolynomial, direction: int) -> GradedPolynomial:
-    """Apply the total derivative d_direction once (GradedPolynomial.derivative)."""
-    return p.derivative(direction)
 
 
 def total_derivative_multi(p: GradedPolynomial, mi: MultiIndex) -> GradedPolynomial:
@@ -87,10 +82,10 @@ def euler_lagrange(
     With variables=None the variation runs over every base variable that
     occurs in the density; variables absent from it have E_A = 0 anyway.
     Each E_A is read from the density's Euler-Lagrange map, one pass over
-    its monomials' partials (GradedPolynomial.euler_lagrange_map), while the
-    order that E_A's raises reach is within the jet-order bound in force;
-    otherwise _stepwise raises the JetOrderError of the first variable asked
-    for that passes it.
+    its monomials' partials (GradedPolynomial.euler_lagrange_map), when the
+    map can be made within the jet-order bound in force; otherwise _stepwise
+    raises the JetOrderError of the first variable asked for that passes it,
+    or finds every E_A asked for within it.
     """
     expr = _as_expr(density)
     found = expr.euler_lagrange_map()
@@ -98,17 +93,9 @@ def euler_lagrange(
         return _stepwise(expr, variables)
     if variables is None:
         variables = sorted(found, key=lambda v: v.rank)
-    bound = max_jet_order()
-    components = {}
-    for var in variables:
-        reach, e = found.get(var, _NOTHING)
-        if reach > bound:
-            return _stepwise(expr, variables)
-        components[var] = e
-    return VariationalDerivatives(components)
-
-
-_NOTHING = (0, GradedPolynomial.zero())
+    return VariationalDerivatives(
+        {var: found[var] if var in found else GradedPolynomial.zero() for var in variables}
+    )
 
 
 def _stepwise(

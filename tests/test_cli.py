@@ -442,8 +442,24 @@ class TestExitCodes:
         code, _, _ = run(capsys, "el", str(f))
         assert code == 0
         monkeypatch.setenv("NKT_MAX_JET_ORDER", "2")
-        code, _, err = run(capsys, "el", str(f))
-        assert code == 2
+        # d(y;x,x,x) is refused where it is parsed, at its span
+        assert run(capsys, "el", str(f)) == (2, "", (
+            "error: jet order 3 exceeds the bound 2 (raise NKT_MAX_JET_ORDER to override)"
+            " (line 4, column 12)\n"
+        ))
+
+    def test_an_euler_lagrange_refusal_names_the_default_bound(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the file parses; E_y = -2 d_x^5 y_xxxxx then raises y to order 9
+        monkeypatch.delenv("NKT_MAX_JET_ORDER", raising=False)
+        f = tmp_path / "deep_el.nkt"
+        f.write_text(
+            "theory deep_el\ndim 1\nfield y parity even\nlagrangian d(y;x,x,x,x,x)^2\n"
+        )
+        assert run(capsys, "el", str(f)) == (2, "", (
+            "error: jet order 9 exceeds the bound 8 (raise NKT_MAX_JET_ORDER to override)\n"
+        ))
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_a_malformed_jet_order_bound_is_refused(self, capsys, monkeypatch, value):

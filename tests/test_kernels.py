@@ -762,15 +762,21 @@ def test_polynomials_that_differ_only_in_their_denominator_differ() -> None:
 # -- the callers against the oracle -----------------------------------------------
 
 
-@KERNEL_SETTINGS
-@given(graded_polynomials())
-def test_euler_lagrange_matches_the_oracle(p) -> None:
+def oracle_euler_lagrange(partials: dict) -> dict[VariableId, GradedPolynomial]:
+    """E_A = sum (-1)^|Lam| d_Lam(dL/dA_Lam) from the oracle's left partials."""
     expected: dict[VariableId, GradedPolynomial] = {}
-    for jv in p.variables():
-        term = oracle_total_derivative_multi(oracle_partial_left(p, jv), jv.mi)
+    for jv, partial in partials.items():
+        term = oracle_total_derivative_multi(partial, jv.mi)
         if jv.mi.order & 1:
             term = -term
         expected[jv.var] = expected.get(jv.var, GradedPolynomial.zero()) + term
+    return expected
+
+
+@KERNEL_SETTINGS
+@given(graded_polynomials())
+def test_euler_lagrange_matches_the_oracle(p) -> None:
+    expected = oracle_euler_lagrange({jv: oracle_partial_left(p, jv) for jv in p.variables()})
     clear_memos()
     # cold, then with every monomial's image warm, then from p's own map
     for _ in range(2):
@@ -785,6 +791,58 @@ def test_euler_lagrange_matches_the_oracle(p) -> None:
         assert euler_lagrange(GradedPolynomial(dict(p.items()))).components == expected
     some = sorted(expected, key=lambda var: var.rank)[::2]
     assert euler_lagrange(p, some).components == {var: expected[var] for var in some}
+
+
+def stepwise_outcome(partials: dict, variables: list, components: dict) -> dict | str:
+    """The JetOrderError that raising each left partial dL/dA_Lam by
+    repeated total_derivative names, the variables in the order asked and
+    each one's partials in canonical jet order; the components asked for
+    when none is raised."""
+    try:
+        for var in variables:
+            for jv in sorted((jv for jv in partials if jv.var is var), key=lambda jv: jv.key):
+                reduce(total_derivative, jv.mi.entries, partials[jv])
+    except JetOrderError as err:
+        return str(err)
+    return {var: components[var] for var in variables}
+
+
+def euler_lagrange_outcome(p: GradedPolynomial, variables: list | None) -> dict | str:
+    try:
+        return euler_lagrange(p, variables).components
+    except JetOrderError as err:
+        return str(err)
+
+
+@KERNEL_SETTINGS
+@given(graded_polynomials(), st.integers(1, 4), st.booleans())
+def test_euler_lagrange_names_the_jet_order_of_the_stepwise_path(p, bound, subset) -> None:
+    # drawn polynomials reach order 2, so a bound of 1 or 2 may be passed by
+    # a first raise; p's own map is made under the default bound, then read
+    # under a lower one and a higher one, each time against a fresh copy
+    partials = {jv: oracle_partial_left(p, jv) for jv in p.variables()}
+    expected = oracle_euler_lagrange(partials)
+    in_rank = sorted(expected, key=lambda var: var.rank)
+    variables = in_rank[::-2] if subset else None
+    assert euler_lagrange_outcome(p, variables) == {
+        var: expected[var] for var in variables or in_rank
+    }
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            for b in (bound, config.DEFAULT_MAX_JET_ORDER + 1):
+                mp.setenv("NKT_MAX_JET_ORDER", str(b))
+                config.reload()
+                want = stepwise_outcome(partials, variables or in_rank, expected)
+                for q in (p, GradedPolynomial(dict(p.items()))):
+                    assert euler_lagrange_outcome(q, variables) == want
+                    kept_under, kept = q._el
+                    assert kept_under == b
+                    assert kept is None or all(
+                        type(e) is GradedPolynomial for e in kept.values()
+                    )
+    finally:
+        # a failing example must not leave the next one drawn under b
+        config.reload()
 
 
 def clearing_part_way(mp: pytest.MonkeyPatch) -> None:
