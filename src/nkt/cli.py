@@ -214,10 +214,9 @@ def _cmd_derive_noether(
             _residual_entries(err.report.residuals, theory.dim),
             list(err.report.assumptions),
         )
-    assumptions = list(report.variational.assumptions) if report.variational else []
     return _operator_report(
         "derive-noether", theory, args.sym, f"{args.sym}_noether", noether_op,
-        assumptions,
+        list(report.variational.assumptions),
     )
 
 
@@ -233,8 +232,7 @@ def _cmd_derive_gauge(
             _residual_entries(err.report.residuals, theory.dim),
             ["operator does not satisfy the identity; nothing to derive"],
         )
-    assumptions = list(report.variational.assumptions) if report.variational else []
-    assumptions += list(report.notes)
+    assumptions = list(report.variational.assumptions)
     return _operator_report(
         "derive-gauge", theory, args.op, f"{args.op}_gauge", gauge_op, assumptions
     )

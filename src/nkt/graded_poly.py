@@ -669,7 +669,7 @@ class GradedPolynomial:
 
     @classmethod
     def zero(cls) -> "GradedPolynomial":
-        return cls._from_terms({}, 1)
+        return _ZERO  # one shared instance: its partial maps stay empty
 
     @classmethod
     def one(cls) -> "GradedPolynomial":
@@ -814,6 +814,9 @@ class GradedPolynomial:
 
     def __repr__(self) -> str:
         return f"GradedPolynomial<{len(self._terms)} terms>"
+
+
+_ZERO = GradedPolynomial._from_terms({}, 1)
 
 
 def _plus(a: GradedPolynomial, b: GradedPolynomial, sign: int) -> GradedPolynomial:

@@ -39,14 +39,12 @@ def total_derivative_multi(p: GradedPolynomial, mi: MultiIndex) -> GradedPolynom
 
 def partial_left(p: GradedPolynomial, v: JetVariable) -> GradedPolynomial:
     """Left graded derivative: the sign counts odd factors left of the hit."""
-    found = p.left_partials().get(v)
-    return GradedPolynomial.zero() if found is None else found
+    return p.left_partials().get(v, GradedPolynomial.zero())
 
 
 def partial_right(p: GradedPolynomial, v: JetVariable) -> GradedPolynomial:
     """Right graded derivative: the sign counts odd factors right of the hit."""
-    found = p.right_partials().get(v)
-    return GradedPolynomial.zero() if found is None else found
+    return p.right_partials().get(v, GradedPolynomial.zero())
 
 
 class VariationalDerivatives(Record):
@@ -94,7 +92,7 @@ def euler_lagrange(
     if variables is None:
         variables = sorted(found, key=lambda v: v.rank)
     return VariationalDerivatives(
-        {var: found[var] if var in found else GradedPolynomial.zero() for var in variables}
+        {var: found.get(var, GradedPolynomial.zero()) for var in variables}
     )
 
 

@@ -9,8 +9,11 @@ with
 
     sum_Lam (-1)^|Lam| d_Lam(B^Lam f) = sum_Lam eta(B)^Lam d_Lam(f)
 
-for every f, it is an involution, and it sends variational symmetries to
-Noether operators and back.
+for every f, and it is an involution.  By this identity, theta(L) along the
+gauge field of eta(Delta) is sum_r xi^r N_r up to a divergence, N_r the
+Noether identity of Delta on E(L): Noether's second theorem.  So each
+derivation below decides its input in one pass, and the theorem gives the
+other half.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from .graded_poly import (
     gp_sum_of_derivatives,
     gp_sum_of_products,
 )
-from .jet_calculus import TrivialityReport, euler_lagrange, total_derivative_multi
+from .jet_calculus import TRIVIAL_TOPOLOGY_NOTE, TrivialityReport, _as_expr
+from .jet_calculus import euler_lagrange, total_derivative_multi
 from .multiindex import EMPTY, MultiIndex
 
 ROLE_GAUGE = "gauge"
@@ -145,19 +149,10 @@ def _sum_nonzero(
     return {key: p for key, p in sums.items() if not p.is_zero()}
 
 
-def _flip_role(role: str) -> str:
-    if role == ROLE_GAUGE:
-        return ROLE_NOETHER
-    if role == ROLE_NOETHER:
-        return ROLE_GAUGE
-    return role
-
-
 def eta(op: LinearJetOperator) -> LinearJetOperator:
     """Intertwine gauge and Noether readings; an involution."""
-    return LinearJetOperator(
-        op.dim, _flip_role(op.role), eta_family(op.coeffs), op.stage
-    )
+    role = {ROLE_GAUGE: ROLE_NOETHER, ROLE_NOETHER: ROLE_GAUGE}.get(op.role, op.role)
+    return LinearJetOperator(op.dim, role, eta_family(op.coeffs), op.stage)
 
 
 # --------------------------------------------------------------------------
@@ -287,10 +282,7 @@ class NoetherReport(Record):
 
     @property
     def holds(self) -> bool:
-        ok = all(r.is_zero() for r in self.residuals.values())
-        if self.variational is not None:
-            ok = ok and self.variational.trivial
-        return ok
+        return all(r.is_zero() for r in self.residuals.values())
 
 
 def noether_residuals(
@@ -320,39 +312,43 @@ def check_noether_identity(
 def derive_noether_from_gauge(
     op: LinearJetOperator, lagrangian: Density | GradedPolynomial
 ) -> tuple[LinearJetOperator, NoetherReport]:
-    """Variational symmetry -> Noether operator, with the identity verified.
+    """Variational symmetry -> Noether operator, decided by check_variational.
 
-    Raises NonVariationalError when the symmetry fails the variational test;
-    the error carries the offending variational derivatives.  The field
-    equations are built only for a symmetry that passes it.
+    With L and the coefficients free of the parameters (else SemanticError),
+    E_r(theta(L)) is the identity N_r of eta(op), so a PASS reports one zero
+    residual per parameter and E(L) is never built.  NonVariationalError
+    carries the variational derivatives of a symmetry that fails.
     """
     if op.role != ROLE_GAUGE:
         raise SemanticError("derive_noether_from_gauge expects a gauge-role operator")
+    polys = (_as_expr(lagrangian), *op.coeffs.values())
+    read = {jv.var for p in polys for jv in p.variables()}.intersection(op.parameters())
+    if read:
+        name = min(read, key=lambda r: r.rank).render()
+        raise SemanticError(f"the lagrangian or a coefficient reads the parameter {name}")
     variational = check_variational(gauge_vector_field(op), lagrangian)
     if not variational.trivial:
         raise NonVariationalError(variational)
     noether_op = eta(op)
-    report = NoetherReport(noether_residuals(noether_op, lagrangian), variational)
-    return noether_op, report
+    zeros = dict.fromkeys(noether_op.parameters(), GradedPolynomial.zero())
+    return noether_op, NoetherReport(zeros, variational)
 
 
 def derive_gauge_from_noether(
     op: LinearJetOperator, lagrangian: Density | GradedPolynomial
 ) -> tuple[LinearJetOperator, NoetherReport]:
-    """Noether operator -> gauge symmetry, with variationality verified.
+    """Noether operator -> gauge symmetry, decided by check_noether_identity.
 
-    Raises NoetherIdentityError, carrying check_noether_identity's report,
-    when the operator does not satisfy the identity.
+    An operator that satisfies the identity makes eta(op) variational for
+    every L.  That verdict carries the topology note alone: each term of a
+    gauge field holds a parameter jet, so its contraction is never
+    field-independent.  NoetherIdentityError carries the identity's report.
     """
     identity = check_noether_identity(op, lagrangian)
     if not identity.holds:
         raise NoetherIdentityError(identity)
-    gauge_op = eta(op)
-    variational = check_variational(gauge_vector_field(gauge_op), lagrangian)
-    notes = ()
-    if eta(gauge_op) != op:
-        notes = ("round-trip eta(eta(op)) failed to reproduce the operator",)
-    return gauge_op, NoetherReport(identity.residuals, variational, notes)
+    variational = TrivialityReport(True, {}, (TRIVIAL_TOPOLOGY_NOTE,))
+    return eta(op), NoetherReport(identity.residuals, variational)
 
 
 # --------------------------------------------------------------------------

@@ -142,6 +142,8 @@ class TestAcceptance:
         noether_op, report = derive_noether_from_gauge(op, lagr)
         assert report.holds
         assert all(r.is_zero() for r in report.residuals.values())
+        # computed on its own: derive-noether takes the identity from the theorem
+        assert check_noether_identity(noether_op, lagr).holds
 
         # the derived coefficients match the closed form
         # Delta^{a[lam,r],[]}_{C[q]} = sum_p eps[r,p,q] a[lam,p],

@@ -205,6 +205,40 @@ class TestCheckCommands:
         assert code == 0
         assert "certificate e2: verified" in out
 
+    def test_indexed_certificate_labels(self, capsys, tmp_path):
+        # a stage ghost with components takes one certificate per component,
+        # labelled by its indices, spaces inside the brackets allowed
+        text = (
+            "theory indexed_pair\ndim 1\nfield y1 parity even\nfield y2 parity even\n"
+            "ghost xi parity odd\nghost e[k=1..2] parity even stage 0\n"
+            "lagrangian 1/2*y1^2 + 1/2*y2^2\n"
+            "operator rot role gauge {\n  (xi, y1, []) : y2\n  (xi, y2, []) : -y1\n}\n"
+            "operator null_dir role stage 0 {\n"
+            "  (e[1], xi, []) : y1\n  (e[2], xi, []) : y2\n}\n"
+            "certificate e[1] {\n  witness : y1 * ~y1 * ~y2\n}\n"
+            "certificate e[ 2 ] {\n  witness : y2 * ~y1 * ~y2\n}\n"
+        )
+        f = tmp_path / "indexed_pair.nkt"
+        f.write_text(text)
+        code, out, err = run(capsys, "check-reducibility", str(f), "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["pass"] is True
+        assert doc["certificates"] == [
+            {"label": "e[1]", "verified": True}, {"label": "e[2]", "verified": True},
+        ]
+        theory = theory_dsl.parse_theory(text)
+        rendered = theory_dsl.render_theory(theory)
+        assert "certificate e[2] {\n" in rendered
+        assert theory_dsl.parse_theory(rendered) == theory
+        f.write_text(text.replace("certificate e[ 2 ]", "certificate e[3]"))
+        code, out, err = run(capsys, "check-reducibility", str(f))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: certificate label 'e[3]' is not a declared component"
+            " (line 19, column 1)\n"
+        )
+
     def test_selftest(self, capsys):
         code, out, _ = run(capsys, "selftest")
         assert code == 0
@@ -422,6 +456,25 @@ class TestExitCodes:
         assert (code, out, err) == default
         assert (code, err) == (1, "")
         assert out.startswith("derive-noether odd_pair shift: FAIL\n")
+        code, _, err = run(capsys, "el", str(f))
+        assert code == 2 and "jet order 2 exceeds the bound 1" in err
+
+    def test_a_passing_symmetry_needs_no_field_equations(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Stueckelberg: theta(L) = 0, while E_phi of L reaches jet order 2;
+        # the identity comes from the theorem, so the PASS at the default
+        # bound is given under bound 1 too
+        f = tmp_path / "stueckelberg.nkt"
+        f.write_text(
+            "theory stueckelberg\ndim 1\nfield A parity even\nfield phi parity even\n"
+            "ghost g parity odd\nlagrangian (A - d(phi;x))^2\n"
+            "derivation gauge {\n  A : d(g;x)\n  phi : g\n}\n"
+        )
+        default = run(capsys, "derive-noether", str(f), "--sym", "gauge")
+        assert default[0] == 0 and default[1].startswith("operator gauge_noether")
+        monkeypatch.setenv("NKT_MAX_JET_ORDER", "1")
+        assert run(capsys, "derive-noether", str(f), "--sym", "gauge") == default
         code, _, err = run(capsys, "el", str(f))
         assert code == 2 and "jet order 2 exceeds the bound 1" in err
 

@@ -6,11 +6,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import even_field, even_ghost, odd_ghost, split_weight, v
+from conftest import even_field, even_ghost, odd_field, odd_ghost, split_weight, v
 
 from nkt import cli, config, derivations, jet_calculus, noether
 from nkt.derivations import GeneralizedVectorField, check_variational, contract_with_EL
-from nkt.graded_poly import Density, GradedPolynomial, gp_sum_of_derivatives
+from nkt.graded_poly import Density, GradedPolynomial, Parity, gp_sum_of_derivatives
 from nkt.jet_calculus import euler_lagrange, total_derivative, total_derivative_multi
 from nkt.multiindex import EMPTY, MultiIndex, mi_enumerate
 from nkt.noether import (
@@ -322,6 +322,8 @@ class TestNoetherSecondTheorem:
         assert noe.coefficient(XI, A1, MultiIndex((1,))) == minus_one
         assert report.holds
         assert report.residuals[XI].is_zero()
+        # computed on its own: derive-noether takes the identity from the theorem
+        assert check_noether_identity(noe, _abelian_lagrangian()).holds
 
     def test_abelian_noether_to_gauge_roundtrip(self):
         noe, _ = derive_noether_from_gauge(_abelian_gauge_op(), _abelian_lagrangian())
@@ -339,8 +341,8 @@ class TestNoetherSecondTheorem:
         assert err.value.report.residuals
 
     def test_a_non_symmetry_builds_no_field_equations(self, monkeypatch):
-        # the verdict is decided on theta(L); the variational derivatives of
-        # L itself serve only the identity of a symmetry that passes
+        # the verdict is decided on theta(L), and a symmetry that passes
+        # takes its identity from the theorem: E(L) is never built
         op = op_of(1, ROLE_GAUGE, {(XI, Y, EMPTY): GradedPolynomial.one()})
         lagr = Density((v(Y) * v(Y)).scaled(Fraction(1, 2)))
         on_lagrangian = []
@@ -426,7 +428,8 @@ def test_derivations_compute_the_lagrangian_variational_derivatives_once(
     for module in (derivations, jet_calculus, noether):
         monkeypatch.setattr(module, "euler_lagrange", spy)
     noe, report = derive_noether_from_gauge(op, lagr)
-    assert len(on_lagrangian) == 1
+    # the verdict is decided on theta(L), and the theorem gives the identity
+    assert len(on_lagrangian) == 0
     assert noe == noe_expected and report == report_expected
     on_lagrangian.clear()
     back, back_report = derive_gauge_from_noether(noe, lagr)
@@ -448,6 +451,108 @@ def test_the_inverse_construction_builds_the_field_equations_once(monkeypatch):
     back, report = derive_gauge_from_noether(noe, lagr)
     assert calls == [noe.targets()]
     assert back == gauge and report.holds and report.notes == ()
+
+
+# -- Noether's second theorem: each derivation's other half ---------------------
+
+Y1, Y2 = even_field("y1"), even_field("y2")
+C, R = odd_field("c"), odd_ghost("r")
+
+
+def _rotation():
+    return op_of(1, ROLE_GAUGE, {(R, Y1, EMPTY): -v(Y2), (R, Y2, EMPTY): v(Y1)})
+
+
+def _half_norm():
+    return (v(Y1) * v(Y1) + v(Y2) * v(Y2)).scaled(Fraction(1, 2))
+
+
+def _random_gauge_operators(seed, count):
+    """Per seeded draw, on a random even Lagrangian of one even and one odd
+    field: trivial_gauge_symmetry over an antisymmetric table, then a random
+    first-order operator, which is mostly not a symmetry.  Where two odd
+    field equations meet, the table would have to be graded-antisymmetric,
+    so a few of the first kind are not symmetries either."""
+    rng = random.Random(seed)
+    fields = graded_fields(1, 1)
+    for _ in range(count):
+        dim = rng.randint(1, 2)
+        lagr = random_polynomial(rng, fields, dim, max_order=1, parity=Parity.EVEN)
+        param = rng.choice([XI, odd_ghost("chi")])
+        slots = [(f, mi) for f in fields for mi in mi_enumerate(dim, 1)]
+        table = {}
+        for _ in range(rng.randint(1, 2)):
+            u, s = rng.sample(slots, 2)
+            p = random_polynomial(rng, fields, dim, max_order=1, max_terms=2)
+            table[(param, u, s)], table[(param, s, u)] = p, -p
+        trivial = trivial_gauge_symmetry(table, lagr, dim)
+        if trivial.coeffs:
+            yield trivial, lagr
+        yield random_operator(rng, [param], fields, fields, dim, max_order=1), lagr
+
+
+def _gauge_operators():
+    """The bundled gauge operators, then seeded random ones."""
+    yield _abelian_gauge_op(), _abelian_lagrangian()
+    for name, op in (("two_form", "gauge_sym"), ("on_shell_pair", "rot"),
+                     ("ym_su2", "gauge_sym")):
+        yield _bundled_gauge_symmetry(name, op)
+    yield from _random_gauge_operators(46, 40)
+
+
+def test_derive_gauge_reports_what_check_variational_finds():
+    # theta(L) of eta(op)'s field is sum_r r * (identity of op)_r up to a
+    # divergence, so the identity decides variationality; with the last
+    # Lagrangian, which reads the parameter r, the identity still holds
+    read = (_rotation(), _half_norm() + (v(R) * v(C) * _half_norm()))
+    passed = 0
+    for gauge, lagr in [*_gauge_operators(), read]:
+        dual = eta(gauge)
+        oracle = check_variational(gauge_vector_field(eta(dual)), lagr)
+        try:
+            back, report = derive_gauge_from_noether(dual, lagr)
+        except NoetherIdentityError:
+            assert not oracle.trivial
+            continue
+        assert back == gauge and report.variational == oracle
+        passed += 1
+    assert passed >= 30
+
+
+def test_each_derive_noether_pass_satisfies_the_identity():
+    passed = 0
+    for gauge, lagr in _gauge_operators():
+        try:
+            noe, report = derive_noether_from_gauge(gauge, lagr)
+        except NonVariationalError:
+            assert not check_noether_identity(eta(gauge), lagr).holds
+            continue
+        assert report.holds and check_noether_identity(noe, lagr).holds
+        assert set(report.residuals) == set(noe.parameters())
+        passed += 1
+    assert passed >= 30
+
+
+def test_a_parameter_read_by_the_lagrangian_is_refused():
+    # the check passes, but E_r(theta(L)) is no longer the identity: the
+    # r-dependence of L adds a term, and the identity leaves c*y2*r
+    lagr = _half_norm() + v(R) * v(C) * v(Y1)
+    assert check_variational(gauge_vector_field(_rotation()), lagr).trivial
+    assert not check_noether_identity(eta(_rotation()), lagr).holds
+    with pytest.raises(SemanticError) as err:
+        derive_noether_from_gauge(_rotation(), lagr)
+    assert str(err.value) == "the lagrangian or a coefficient reads the parameter r"
+
+
+def test_a_parameter_read_by_a_coefficient_is_refused():
+    # Q^y = s*s_x on L = y: theta(L) = d_x(s^2/2) passes, yet the identity
+    # leaves s_x, since E_s(s*N_s) is no longer N_s when N_s reads s
+    op = op_of(1, ROLE_GAUGE, {(S, Y, EMPTY): v(S, 0)})
+    assert check_variational(gauge_vector_field(op), v(Y)).trivial
+    assert check_noether_identity(eta(op), v(Y)).residuals == {S: v(S, 0)}
+    with pytest.raises(SemanticError) as err:
+        derive_noether_from_gauge(op, v(Y))
+    assert str(err.value) == "the lagrangian or a coefficient reads the parameter s"
 
 
 class TestTrivialSymmetries:
