@@ -26,6 +26,7 @@ import argparse
 import codecs
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -48,7 +49,6 @@ from .graded_poly import (
 )
 from .jet_calculus import euler_lagrange, is_variationally_trivial, total_derivative
 from .koszul_tate import (
-    KoszulTateContext,
     check_reducibility_chain,
     extend_with_operator,
     kt_apply,
@@ -273,29 +273,22 @@ def _cmd_check_nilpotent(
     )
 
 
-def _build_kt_context(theory: Theory, include_stages: bool) -> KoszulTateContext:
-    """Bottom-up complex: field equations, then every declared symmetry level.
-
-    Gauge and stage operators are dualized through eta first; stage levels
-    are added only when requested.  Two operators claiming the same
-    antighost is an error.
-    """
-    ctx = kt_context(_require_lagrangian(theory), theory.dim)
-    base = [op for op in theory.operators.values() if op.role != ROLE_STAGE]
-    stages = sorted(
-        (op for op in theory.operators.values() if op.role == ROLE_STAGE),
-        key=lambda op: op.stage or 0,
-    )
-    for op in base:
-        ctx = extend_with_operator(ctx, eta(op) if op.role == ROLE_GAUGE else op)
-    if include_stages:
-        for op in stages:
-            ctx = extend_with_operator(ctx, eta(op))
-    return ctx
-
-
 def _cmd_kt(theory: Theory, args: argparse.Namespace) -> VerificationReport:
-    ctx = _build_kt_context(theory, args.stages)
+    # every declared field component has an antifield, bounding onto its E_A;
+    # then every declared operator adds a level, stage levels on request
+    fields = sorted(
+        (v for decl in theory.variables.values() if decl.kind is Kind.FIELD
+         for v in decl.components()),
+        key=lambda v: v.rank,
+    )
+    ctx = kt_context(_require_lagrangian(theory), theory.dim, fields)
+    ops = theory.operators.values()
+    levels = [op for op in ops if op.role != ROLE_STAGE]
+    if args.stages:
+        stages = [op for op in ops if op.role == ROLE_STAGE]
+        levels += sorted(stages, key=lambda op: op.stage or 0)
+    for op in levels:
+        ctx = extend_with_operator(ctx, op)
     p = parse_expression(args.expr, theory)
     out = render_polynomial(kt_apply(ctx, p), theory.dim)
     return VerificationReport(
@@ -544,9 +537,16 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     elapsed_ms = int((time.monotonic() - started) * 1000)
     if args.json:
-        print(json.dumps(report.to_json(elapsed_ms), indent=2))
+        output = json.dumps(report.to_json(elapsed_ms), indent=2)
     else:
-        print(report.text())
+        output = report.text()
+    try:
+        print(output, flush=True)
+    except BrokenPipeError:
+        # the reader left; point stdout at the null device, so that the
+        # flush at shutdown cannot raise again, and keep the verdict's code
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
     return 0 if report.ok else 1
 
 

@@ -69,14 +69,14 @@ def extend_with_operator(
 ) -> KoszulTateContext:
     """Add one antighost level: each parameter's antighost bounds onto its density.
 
-    The operator targets must already carry boundaries (the tower is built
-    bottom-up), and the new boundary must shift parity the way an odd
-    derivation does.
+    The operator is taken in the reading a theory file holds: a gauge or
+    stage operator is a symmetry and enters through its dual eta(op), a
+    noether operator is the dual already.  The operator targets must already
+    carry boundaries (the tower is built bottom-up), and the new boundary
+    must shift parity the way an odd derivation does.
     """
-    if op.role not in (ROLE_NOETHER, ROLE_STAGE):
-        raise SemanticError(
-            "only dual-reading (noether or stage) operators extend the complex"
-        )
+    if op.role != ROLE_NOETHER:
+        op = eta(op)
     boundaries = dict(ctx.boundaries)
     for target in op.targets():
         if antifield_of(target) not in boundaries:
@@ -205,51 +205,43 @@ def check_reducibility_chain(
     """Verify the whole identity tower.
 
     The gauge operator and the stage operators are given in the symmetry
-    reading (each maps its parameters one level down); their duals are taken
-    internally.  The plain antighosts must bound to zero twice (the Noether
+    reading (each maps its parameters one level down); the tower is built
+    from all of them first, and every level's squared boundary is read off
+    it.  The plain antighosts must bound to zero twice (the Noether
     identity); every stage antighost's squared boundary must vanish weakly,
-    i.e. be zero or be certified by a declared certificate.
+    i.e. be zero or be certified by a declared certificate, whose witness is
+    expanded over the whole tower.
     """
     if gauge_op.role != ROLE_GAUGE:
         raise SemanticError("the base of the tower must be a gauge-role operator")
     certificates = certificates or {}
-    ordered = sorted(stage_ops, key=lambda o: o.stage or 0)
-    for i, op in enumerate(ordered):
+    tower = [gauge_op, *sorted(stage_ops, key=lambda o: o.stage or 0)]
+    for i, (below, op) in enumerate(zip(tower, tower[1:])):
         if op.role != ROLE_STAGE or op.stage != i:
             raise SemanticError(
                 f"stage operators must be consecutive from stage 0; got"
                 f" {op.role} at position {i}"
             )
-        below = gauge_op if i == 0 else ordered[i - 1]
         if set(op.targets()) != set(below.parameters()):
             raise SemanticError(
                 f"stage {i} targets must be the parameters one level below"
             )
 
-    noether_op = eta(gauge_op)
     ctx = kt_context(lagrangian, gauge_op.dim, gauge_op.targets())
-    ctx = extend_with_operator(ctx, noether_op)
-    identity_residuals = {
-        r: kt_apply(ctx, ctx.boundaries[antifield_of(r)])
-        for r in noether_op.parameters()
+    for op in tower:
+        ctx = extend_with_operator(ctx, op)
+    squares = kt_nilpotency_residuals(ctx)
+    square = {
+        r: squares.get(antifield_of(r), GradedPolynomial.zero())
+        for op in tower for r in op.parameters()
     }
-
-    stage_results: dict[VariableId, WeakZeroReport] = {}
-    notes: list[str] = []
-    for op in ordered:
-        ctx = extend_with_operator(ctx, eta(op))
-        for r in op.parameters():
-            obstruction = kt_apply(ctx, ctx.boundaries[antifield_of(r)])
-            cert = certificates.get(r)
-            result = check_weakly_zero(ctx, obstruction, cert)
-            stage_results[r] = result
-            if cert is not None:
-                notes.append(f"stage certificate used for {r.render()}")
-    stages = -1 if not ordered else (ordered[-1].stage or 0)
+    identity_residuals = {r: square[r] for r in gauge_op.parameters()}
+    stage_params = [r for op in tower[1:] for r in op.parameters()]
+    stage_results = {
+        r: check_weakly_zero(ctx, square[r], certificates.get(r)) for r in stage_params
+    }
+    certified = [r for r in stage_params if r in certificates]
+    notes = tuple(f"stage certificate used for {r.render()}" for r in certified)
     return ReducibilityReport(
-        stages,
-        identity_residuals,
-        stage_results,
-        (DECLARED_NOT_PROVEN,),
-        tuple(notes),
+        len(tower) - 2, identity_residuals, stage_results, (DECLARED_NOT_PROVEN,), notes
     )

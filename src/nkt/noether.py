@@ -352,7 +352,7 @@ def derive_gauge_from_noether(
 
 
 # --------------------------------------------------------------------------
-# Trivial gauge symmetries from antisymmetric tables.
+# Trivial gauge symmetries from graded-antisymmetric tables.
 
 Slot = tuple[VariableId, MultiIndex]
 
@@ -362,18 +362,21 @@ def trivial_gauge_symmetry(
     lagrangian: Density | GradedPolynomial,
     dim: int,
 ) -> LinearJetOperator:
-    """Build the gauge symmetry generated by an antisymmetric table.
+    """Build the gauge symmetry generated by a graded-antisymmetric table.
 
     table[(r, (i, Lam), (j, Sigma))] is the coefficient with which d_Sigma E_j
-    enters M^{i,Lam}_r; antisymmetry under swapping the two slots is required
-    and makes the resulting symmetry vanish on shell.
+    enters M^{i,Lam}_r.  Swapping the two slots must give the entry times
+    -(-1)^{|i||j|}, the parities of the two fields: the field equations of
+    odd fields anticommute, so two odd slots need a symmetric pair and an
+    odd slot's diagonal entry is free.  That makes the resulting symmetry
+    vanish on shell.
     """
     for (r, u, s), poly in table.items():
-        mirror = table.get((r, s, u))
-        mirror = GradedPolynomial.zero() if mirror is None else mirror
-        if mirror != -poly:
+        mirror = table.get((r, s, u), GradedPolynomial.zero())
+        odd = u[0].parity is Parity.ODD and s[0].parity is Parity.ODD
+        if mirror != (poly if odd else -poly):
             raise SemanticError(
-                "trivial-symmetry table is not antisymmetric in its"
+                "trivial-symmetry table is not graded-antisymmetric in its"
                 f" (target, multi-index) slots near parameter {r.render()}"
             )
     sources = sorted({s[0] for (_, _, s) in table}, key=lambda v: v.rank)

@@ -173,6 +173,23 @@ class TestComputationCommands:
         assert code == 2
         assert "already carries a boundary" in err
 
+    def test_kt_gives_every_declared_field_an_antifield(self, capsys, tmp_path):
+        # the lagrangian does not read z, so ~z bounds onto E_z = 0; the
+        # gauge level still finds the boundary it targets, as the
+        # reducibility chain does
+        f = tmp_path / "shift.nkt"
+        f.write_text(
+            "theory shift\ndim 1\nfield y parity even\nfield z parity even\n"
+            "ghost xi parity odd\nlagrangian 1/2 * d(y;x)^2\n"
+            "operator shift role gauge {\n  (xi, z, []) : 1\n}\n"
+        )
+        assert run(capsys, "kt", str(f), "--expr", "~xi", "--stages") == (0, "~z\n", "")
+        assert run(capsys, "kt", str(f), "--expr", "~y") == (0, "-y[;x,x]\n", "")
+        assert run(capsys, "kt", str(f), "--expr", "~z") == (0, "0\n", "")
+        code, out, _ = run(capsys, "check-reducibility", str(f))
+        assert code == 0
+        assert "PASS" in out
+
 
 class TestCheckCommands:
     def test_check_noether_failure_reports_the_equation(self, capsys):
@@ -277,6 +294,22 @@ class TestCheckCommands:
 
 
 class TestExitCodes:
+    def test_a_closed_pipe_keeps_the_verdict_and_prints_no_traceback(self):
+        # the pipe's read end is closed before the process starts, so its
+        # report's write fails with EPIPE whatever the timing
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "nkt", "el", YM, "--json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, b"")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "el", "no_such_file.nkt")
         assert code == 2
@@ -744,9 +777,10 @@ class TestJsonReports:
 
 
 # --------------------------------------------------------------------------
-# Pinned reports: every benchmark CLI call and the selftest, in text and JSON
-# form, must print byte-identical output (elapsed_ms masked) to the digests
-# in cli_digests.json.  Re-record them with
+# Pinned reports: every benchmark CLI call, the calls on the other bundled
+# theories and the selftest, in text and JSON form, must print
+# byte-identical output (elapsed_ms masked) to the digests in
+# cli_digests.json.  Re-record them with
 # `PYTHONPATH=src python tests/test_cli.py` only when a report is meant to
 # change.
 
@@ -791,10 +825,23 @@ CLI_PAIRS = {
 }
 
 
+# Calls on bundled theories the benchmark does not run, in the same form.
+THEORY_PAIRS = {
+    ("el", "tensor_gauge"): None,
+    ("eta", "tensor_gauge"): ("--op", ("gauge_sym",)),
+    ("derive-noether", "tensor_gauge"): ("--sym", ("gauge",)),
+    ("check-variational", "tensor_gauge"): ("--sym", ("gauge",)),
+    ("check-nilpotent", "tensor_gauge"): ("--sym", ("gauge",)),
+    ("kt", "tensor_gauge"): ("--expr", ("~A[0,1]", "~C")),
+    ("check-reducibility", "tensor_gauge"): None,
+}
+
+
 def pinned_calls() -> list[list[str]]:
-    """Every benchmark call and the selftest, each without and with --json."""
+    """Every benchmark call, every call of THEORY_PAIRS and the selftest,
+    each without and with --json."""
     calls = [["selftest"]]
-    for (sub, theory), spec in CLI_PAIRS.items():
+    for (sub, theory), spec in {**CLI_PAIRS, **THEORY_PAIRS}.items():
         for value in spec[1] if spec is not None else (None,):
             argv = [sub, f"{theory}.nkt"]
             if value is not None:

@@ -123,13 +123,25 @@ class TestAntighostExtension:
             second = kt_apply(ctx, ctx.boundaries[CBAR])
             assert second == noether_residuals(op, lagr)[C]
 
-    def test_gauge_reading_cannot_extend(self):
-        op = LinearJetOperator(
-            1, ROLE_GAUGE, {(C, Y, EMPTY): GradedPolynomial.one()}
+    def test_each_operator_enters_in_the_reading_a_theory_file_holds(self):
+        base = kt_context(_abelian_lagrangian(), 2, [A0, A1])
+        noether_op = _abelian_noether_op()
+        gauge_op = eta(noether_op)
+        assert gauge_op.role == ROLE_GAUGE and gauge_op != noether_op
+        # a gauge operator enters through its dual: the same boundaries as
+        # extending with that dual, a noether operator, as it is
+        ctx = extend_with_operator(base, gauge_op)
+        assert ctx == extend_with_operator(base, noether_op)
+        assert ctx.boundaries[CBAR] == operator_boundary(noether_op, C)
+        assert ctx.boundaries[CBAR] != operator_boundary(gauge_op, C)
+        # a stage operator is a symmetry too, and enters through its dual
+        stage_op = LinearJetOperator(
+            2, ROLE_STAGE, {(E_STAGE, C, MultiIndex((0,))): v(A0)}, stage=0
         )
-        ctx = kt_context(half(v(Y) * v(Y)), 1, [Y])
-        with pytest.raises(SemanticError):
-            extend_with_operator(ctx, op)
+        top = extend_with_operator(ctx, stage_op)
+        expected = operator_boundary(eta(stage_op), E_STAGE)
+        assert top.boundaries[antifield_of(E_STAGE)] == expected
+        assert expected != operator_boundary(stage_op, E_STAGE)
 
     def test_missing_target_boundary_is_caught(self):
         op = _abelian_noether_op()

@@ -10,7 +10,9 @@ from conftest import even_field, even_ghost, odd_field, odd_ghost, split_weight,
 
 from nkt import cli, config, derivations, jet_calculus, noether
 from nkt.derivations import GeneralizedVectorField, check_variational, contract_with_EL
-from nkt.graded_poly import Density, GradedPolynomial, Parity, gp_sum_of_derivatives
+from nkt.graded_poly import (
+    Density, GradedPolynomial, Kind, Parity, gp_sum_of_derivatives,
+)
 from nkt.jet_calculus import euler_lagrange, total_derivative, total_derivative_multi
 from nkt.multiindex import EMPTY, MultiIndex, mi_enumerate
 from nkt.noether import (
@@ -467,12 +469,10 @@ def _half_norm():
     return (v(Y1) * v(Y1) + v(Y2) * v(Y2)).scaled(Fraction(1, 2))
 
 
-def _random_gauge_operators(seed, count):
+def _random_draws(seed, count):
     """Per seeded draw, on a random even Lagrangian of one even and one odd
-    field: trivial_gauge_symmetry over an antisymmetric table, then a random
-    first-order operator, which is mostly not a symmetry.  Where two odd
-    field equations meet, the table would have to be graded-antisymmetric,
-    so a few of the first kind are not symmetries either."""
+    field: trivial_gauge_symmetry over a graded-antisymmetric table, then a
+    random first-order operator, which is mostly not a symmetry."""
     rng = random.Random(seed)
     fields = graded_fields(1, 1)
     for _ in range(count):
@@ -484,11 +484,19 @@ def _random_gauge_operators(seed, count):
         for _ in range(rng.randint(1, 2)):
             u, s = rng.sample(slots, 2)
             p = random_polynomial(rng, fields, dim, max_order=1, max_terms=2)
-            table[(param, u, s)], table[(param, s, u)] = p, -p
+            odd = u[0].parity is s[0].parity is Parity.ODD
+            table[(param, u, s)], table[(param, s, u)] = p, p if odd else -p
         trivial = trivial_gauge_symmetry(table, lagr, dim)
+        other = random_operator(rng, [param], fields, fields, dim, max_order=1)
+        yield trivial, other, lagr
+
+
+def _random_gauge_operators(seed, count):
+    """Each draw's table operator, where it is not zero, then its random one."""
+    for trivial, other, lagr in _random_draws(seed, count):
         if trivial.coeffs:
             yield trivial, lagr
-        yield random_operator(rng, [param], fields, fields, dim, max_order=1), lagr
+        yield other, lagr
 
 
 def _gauge_operators():
@@ -555,6 +563,42 @@ def test_a_parameter_read_by_a_coefficient_is_refused():
     assert str(err.value) == "the lagrangian or a coefficient reads the parameter s"
 
 
+def _ghost_linear_cases():
+    """(vf, L, dim): the field part of every bundled derivation, then 200
+    seeded gauge fields of random operators on even Lagrangians."""
+    theory_dir = Path(__file__).resolve().parent.parent / "theories"
+    for path in sorted(theory_dir.glob("*.nkt")):
+        theory = parse_theory(path.read_text())
+        for vf in theory.derivations.values():
+            part = {t: p for t, p in vf.components.items() if t.kind is Kind.FIELD}
+            yield GeneralizedVectorField(part), theory.lagrangian, theory.dim
+    rng = random.Random(2023)
+    ghosts = [odd_ghost("g0"), even_ghost("g1")]
+    fields = graded_fields(2, 1)
+    for _ in range(200):
+        dim = rng.randint(1, 2)
+        lagr = random_polynomial(rng, fields, dim, max_order=1, parity=Parity.EVEN)
+        op = random_operator(rng, ghosts, fields, fields, dim, max_order=1)
+        yield gauge_vector_field(op), lagr, dim
+
+
+def test_noether_second_theorem_holds_term_by_term():
+    # for a ghost-linear field, the ghost components of E(theta(L)) are the
+    # Noether identities of eta of its operator, exactly
+    checked = nonzero = 0
+    for vf, lagr, dim in _ghost_linear_cases():
+        try:
+            op = linearize_in_ghosts(vf, dim)
+        except SemanticError:  # a derivation that is not ghost-linear
+            continue
+        identities = noether_residuals(eta(op), lagr)
+        theta = derivations.prolong_apply(vf, lagr)
+        assert euler_lagrange(theta, op.parameters()).components == identities
+        checked += 1
+        nonzero += any(not n.is_zero() for n in identities.values())
+    assert checked == 202 and nonzero > 100
+
+
 class TestTrivialSymmetries:
     def test_antisymmetric_table_gives_exact_divergence(self):
         lagr = Density((v(Y, 0) * v(Y, 0)).scaled(Fraction(1, 2)))
@@ -568,6 +612,14 @@ class TestTrivialSymmetries:
         el_sq = v(Y, 0, 0) * v(Y, 0, 0)
         assert contraction == total_derivative(v(XI) * el_sq, 0)
 
+    def test_every_random_table_gives_a_variational_symmetry(self):
+        tables = 0
+        for trivial, _, lagr in _random_draws(46, 40):
+            if trivial.coeffs:
+                assert check_variational(gauge_vector_field(trivial), lagr).trivial
+                tables += 1
+        assert tables >= 15
+
     def test_symmetric_table_is_rejected(self):
         one = GradedPolynomial.one()
         slot_a = (Y, EMPTY)
@@ -576,6 +628,41 @@ class TestTrivialSymmetries:
         lagr = Density((v(Y, 0) * v(Y, 0)).scaled(Fraction(1, 2)))
         with pytest.raises(SemanticError):
             trivial_gauge_symmetry(table, lagr, 1)
+
+    @pytest.mark.parametrize("name, mirror_sign, accepted", [
+        ("odd-odd pair", 1, True),
+        ("odd-odd pair", -1, False),
+        ("odd diagonal", None, True),
+        ("even-odd pair with an odd entry", -1, True),
+        ("even-odd pair with an odd entry", 1, False),
+    ])
+    def test_tables_are_graded_antisymmetric(self, name, mirror_sign, accepted):
+        # L = c c_x y + y^2 with c odd: the field equations of odd fields
+        # anticommute, so a table is accepted exactly when the symmetry its
+        # entries make, built without the check, is variational
+        c, r = odd_field("c"), odd_ghost("r")
+        lagr = v(c) * v(c, 0) * v(Y) + v(Y) * v(Y)
+        u, s, entry = {
+            "odd-odd pair": ((c, EMPTY), (c, MX), GradedPolynomial.one()),
+            "odd diagonal": ((c, EMPTY), (c, EMPTY), v(Y)),
+            "even-odd pair with an odd entry": ((Y, EMPTY), (c, EMPTY), v(c)),
+        }[name]
+        table = {(r, u, s): entry}
+        if mirror_sign is not None:
+            table[(r, s, u)] = entry.scaled(mirror_sign)
+        derivs = euler_lagrange(lagr)
+        unchecked = {}
+        for (_, (i, lam), (j, sigma)), poly in table.items():
+            key = (r, i, lam)
+            term = poly * total_derivative_multi(derivs[j], sigma)
+            unchecked[key] = unchecked.get(key, GradedPolynomial.zero()) + term
+        built = op_of(1, ROLE_GAUGE, noether.eta_family(unchecked))
+        assert check_variational(gauge_vector_field(built), lagr).trivial is accepted
+        if accepted:
+            assert trivial_gauge_symmetry(table, lagr, 1) == built
+        else:
+            with pytest.raises(SemanticError, match="graded-antisymmetric"):
+                trivial_gauge_symmetry(table, lagr, 1)
 
 
 class TestOperatorHousekeeping:
