@@ -11,16 +11,17 @@ boundary certificate.
 
 from pathlib import Path
 
-from nkt import ROLE_GAUGE, ROLE_STAGE, check_reducibility_chain, parse_theory, resolve_component
+from nkt import ROLE_GAUGE, check_reducibility_chain, parse_theory, resolve_component
 
 theories = Path(__file__).parent.parent / "theories"
 
 
 def tower_report(filename):
     theory = parse_theory((theories / filename).read_text())
-    gauge = [op for op in theory.operators.values() if op.role == ROLE_GAUGE][0]
+    ops = theory.operators.values()
+    gauge = [op for op in ops if op.role == ROLE_GAUGE and op.stage is None][0]
     stages = sorted(
-        (op for op in theory.operators.values() if op.role == ROLE_STAGE),
+        (op for op in ops if op.stage is not None),
         key=lambda op: op.stage,
     )
     certificates = {

@@ -56,7 +56,6 @@ from .koszul_tate import (
 )
 from .noether import (
     ROLE_GAUGE,
-    ROLE_STAGE,
     LinearJetOperator,
     NoetherIdentityError,
     NonVariationalError,
@@ -283,10 +282,10 @@ def _cmd_kt(theory: Theory, args: argparse.Namespace) -> VerificationReport:
     )
     ctx = kt_context(_require_lagrangian(theory), theory.dim, fields)
     ops = theory.operators.values()
-    levels = [op for op in ops if op.role != ROLE_STAGE]
+    levels = [op for op in ops if op.stage is None]
     if args.stages:
-        stages = [op for op in ops if op.role == ROLE_STAGE]
-        levels += sorted(stages, key=lambda op: op.stage or 0)
+        stages = [op for op in ops if op.stage is not None]
+        levels += sorted(stages, key=lambda op: op.stage)
     for op in levels:
         ctx = extend_with_operator(ctx, op)
     p = parse_expression(args.expr, theory)
@@ -300,13 +299,14 @@ def _cmd_check_reducibility(
     theory: Theory, args: argparse.Namespace
 ) -> VerificationReport:
     lag = _require_lagrangian(theory)
-    gauge_ops = [op for op in theory.operators.values() if op.role == ROLE_GAUGE]
+    ops = theory.operators.values()
+    gauge_ops = [op for op in ops if op.role == ROLE_GAUGE and op.stage is None]
     if len(gauge_ops) != 1:
         raise SemanticError(
             "check-reducibility needs exactly one gauge-role operator;"
             f" theory {theory.name} declares {len(gauge_ops)}"
         )
-    stage_ops = [op for op in theory.operators.values() if op.role == ROLE_STAGE]
+    stage_ops = [op for op in ops if op.stage is not None]
     labelled = {
         label: resolve_component(theory, label) for label in theory.certificates
     }

@@ -21,13 +21,7 @@ from .graded_poly import (
 )
 from .jet_calculus import euler_lagrange, partial_right, total_derivative_multi
 from .multiindex import MultiIndex
-from .noether import (
-    ROLE_GAUGE,
-    ROLE_NOETHER,
-    ROLE_STAGE,
-    LinearJetOperator,
-    eta,
-)
+from .noether import ROLE_GAUGE, ROLE_NOETHER, LinearJetOperator, eta
 
 DECLARED_NOT_PROVEN = (
     "completeness of the identity tower (no boundary density is itself a"
@@ -69,11 +63,11 @@ def extend_with_operator(
 ) -> KoszulTateContext:
     """Add one antighost level: each parameter's antighost bounds onto its density.
 
-    The operator is taken in the reading a theory file holds: a gauge or
-    stage operator is a symmetry and enters through its dual eta(op), a
-    noether operator is the dual already.  The operator targets must already
-    carry boundaries (the tower is built bottom-up), and the new boundary
-    must shift parity the way an odd derivation does.
+    At every level the operator is taken in its reading: a gauge operator
+    is a symmetry and enters through its dual eta(op), a noether operator
+    is the dual already.  The operator targets must already carry
+    boundaries (the tower is built bottom-up), and the new boundary must
+    shift parity the way an odd derivation does.
     """
     if op.role != ROLE_NOETHER:
         op = eta(op)
@@ -204,23 +198,24 @@ def check_reducibility_chain(
 ) -> ReducibilityReport:
     """Verify the whole identity tower.
 
-    The gauge operator and the stage operators are given in the symmetry
-    reading (each maps its parameters one level down); the tower is built
-    from all of them first, and every level's squared boundary is read off
-    it.  The plain antighosts must bound to zero twice (the Noether
-    identity); every stage antighost's squared boundary must vanish weakly,
-    i.e. be zero or be certified by a declared certificate, whose witness is
-    expanded over the whole tower.
+    The gauge operator is a symmetry without a stage; each stage operator
+    maps its parameters one level down, in either reading, and enters as
+    extend_with_operator reads it.  The tower is built from all of them
+    first, and every level's squared boundary is read off it.  The plain
+    antighosts must bound to zero twice (the Noether identity); every stage
+    antighost's squared boundary must vanish weakly, i.e. be zero or be
+    certified by a declared certificate, whose witness is expanded over the
+    whole tower.
     """
-    if gauge_op.role != ROLE_GAUGE:
+    if gauge_op.role != ROLE_GAUGE or gauge_op.stage is not None:
         raise SemanticError("the base of the tower must be a gauge-role operator")
     certificates = certificates or {}
     tower = [gauge_op, *sorted(stage_ops, key=lambda o: o.stage or 0)]
     for i, (below, op) in enumerate(zip(tower, tower[1:])):
-        if op.role != ROLE_STAGE or op.stage != i:
+        if op.stage != i:
             raise SemanticError(
                 f"stage operators must be consecutive from stage 0; got"
-                f" {op.role} at position {i}"
+                f" stage {op.stage} at position {i}"
             )
         if set(op.targets()) != set(below.parameters()):
             raise SemanticError(

@@ -1,11 +1,14 @@
 """Linear differential operators in the parameters and the eta transform.
 
 A LinearJetOperator is a finite family of field-dependent coefficients
-keyed by (parameter, target, multi-index).  Read with role "gauge" it is a
-parameter-linear symmetry  upsilon = sum u^{A,Xi}_r xi^r_Xi d/dA;  read with
-role "noether" it is the dual density  sum Delta^{A,Lam}_r ybar_{Lam A} xi^r.
-The eta transform intertwines the two readings: it is the unique operator
-with
+keyed by (parameter, target, multi-index).  Its role is its reading.  Read
+with role "gauge" it is a parameter-linear symmetry
+upsilon = sum u^{A,Xi}_r xi^r_Xi d/dA;  read with role "noether" it is the
+dual density  sum Delta^{A,Lam}_r ybar_{Lam A} xi^r.  Its stage is its level
+in the identity tower: None when the parameters are plain ghosts and the
+targets fields, K when the parameters are stage-K ghosts and the targets
+the ghosts one level down.  The eta transform intertwines the two readings
+at every level: it is the unique operator with
 
     sum_Lam (-1)^|Lam| d_Lam(B^Lam f) = sum_Lam eta(B)^Lam d_Lam(f)
 
@@ -38,7 +41,6 @@ from .multiindex import EMPTY, MultiIndex
 
 ROLE_GAUGE = "gauge"
 ROLE_NOETHER = "noether"
-ROLE_STAGE = "stage"
 
 CoeffKey = tuple[VariableId, VariableId, MultiIndex]  # (parameter, target, Lam)
 _Key = TypeVar("_Key")
@@ -73,7 +75,7 @@ class NoetherIdentityError(SemanticError):
 
 
 class LinearJetOperator(Record):
-    """Field-coefficient linear operator family."""
+    """Field-coefficient linear operator family: a reading and a level."""
 
     dim: int
     role: str
@@ -81,10 +83,8 @@ class LinearJetOperator(Record):
     stage: int | None = None
 
     def __init__(self, dim, role, coeffs, stage=None) -> None:
-        if role not in (ROLE_GAUGE, ROLE_NOETHER, ROLE_STAGE):
+        if role not in (ROLE_GAUGE, ROLE_NOETHER):
             raise ValueError(f"unknown operator role {role!r}")
-        if (role == ROLE_STAGE) != (stage is not None):
-            raise ValueError("stage operators and only they carry a stage index")
         cleaned: dict[CoeffKey, GradedPolynomial] = {}
         for (param, target, mi), poly in coeffs.items():
             if poly.is_zero():
@@ -150,8 +150,8 @@ def _sum_nonzero(
 
 
 def eta(op: LinearJetOperator) -> LinearJetOperator:
-    """Intertwine gauge and Noether readings; an involution."""
-    role = {ROLE_GAUGE: ROLE_NOETHER, ROLE_NOETHER: ROLE_GAUGE}.get(op.role, op.role)
+    """Intertwine gauge and Noether readings at the operator's level; an involution."""
+    role = ROLE_NOETHER if op.role == ROLE_GAUGE else ROLE_GAUGE
     return LinearJetOperator(op.dim, role, eta_family(op.coeffs), op.stage)
 
 
@@ -262,11 +262,7 @@ def compose(outer: LinearJetOperator, inner: LinearJetOperator) -> LinearJetOper
     for target, poly in final.items():
         message = "composite is not linear in the parameters"
         _add_slot_coefficients(coeffs, target, poly, probe_vars.get, message)
-    role = outer.role if outer.role != ROLE_STAGE else inner.role
-    stage = outer.stage if outer.role == ROLE_STAGE else None
-    return LinearJetOperator(
-        outer.dim, role, coeffs, stage if role == ROLE_STAGE else None
-    )
+    return LinearJetOperator(outer.dim, outer.role, coeffs, outer.stage)
 
 
 # --------------------------------------------------------------------------
@@ -306,6 +302,12 @@ def check_noether_identity(
     """Does the operator annihilate the variational derivatives?"""
     if op.role != ROLE_NOETHER:
         raise SemanticError("check_noether_identity expects a noether-role operator")
+    if op.stage is not None:
+        # its targets are ghosts, whose E(L) is 0: the identity would hold vacuously
+        raise SemanticError(
+            f"operator of stage {op.stage} states a reducibility identity, not a"
+            " Noether identity; check it with check-reducibility"
+        )
     return NoetherReport(noether_residuals(op, lagrangian))
 
 
@@ -319,7 +321,7 @@ def derive_noether_from_gauge(
     residual per parameter and E(L) is never built.  NonVariationalError
     carries the variational derivatives of a symmetry that fails.
     """
-    if op.role != ROLE_GAUGE:
+    if op.role != ROLE_GAUGE or op.stage is not None:
         raise SemanticError("derive_noether_from_gauge expects a gauge-role operator")
     polys = (_as_expr(lagrangian), *op.coeffs.values())
     read = {jv.var for p in polys for jv in p.variables()}.intersection(op.parameters())

@@ -133,7 +133,7 @@ def random_theory(rng: random.Random, name: str = "fuzz") -> "Theory":
     from .graded_poly import antifield_of
     from .koszul_tate import ReductionCertificate
     from .multiindex import MultiIndex
-    from .noether import ROLE_NOETHER, ROLE_STAGE
+    from .noether import ROLE_NOETHER
     from .theory_dsl import (
         ConstantTensor,
         Theory,
@@ -222,7 +222,7 @@ def random_theory(rng: random.Random, name: str = "fuzz") -> "Theory":
                 rng, stage_ghosts, plain_ghosts, field_comps, dim,
                 max_order=1, keep=0.5,
             )
-            operators["lift"] = LinearJetOperator(dim, ROLE_STAGE, base.coeffs, 0)
+            operators["lift"] = LinearJetOperator(dim, ROLE_GAUGE, base.coeffs, 0)
 
     derivations: dict[str, GeneralizedVectorField] = {}
     if rng.random() < 0.6:

@@ -77,7 +77,7 @@ from .graded_poly import (
 )
 from .koszul_tate import ReductionCertificate
 from .multiindex import MultiIndex
-from .noether import ROLE_GAUGE, ROLE_NOETHER, ROLE_STAGE, LinearJetOperator
+from .noether import ROLE_GAUGE, ROLE_NOETHER, LinearJetOperator
 
 MAX_DIM = 9
 MAX_COMPONENTS = 512
@@ -433,7 +433,7 @@ def _check_operator(
                 )
         # declarations only: LinearJetOperator keeps coefficients to field jets
         _check_vars(declared, poly, f"operator {name}", _ALL_KINDS, at)
-        if op.role in (ROLE_GAUGE, ROLE_NOETHER):
+        if op.stage is None:
             if param.kind is not Kind.GHOST or param.stage is not None:
                 raise SemanticError(
                     f"operator {name}: parameter {param.render()} must be a plain ghost",
@@ -444,13 +444,12 @@ def _check_operator(
                     f"operator {name}: target {target.render()} must be a field", at
                 )
         else:
-            k = op.stage or 0
-            if param.kind is not Kind.GHOST or param.stage != k:
+            if param.kind is not Kind.GHOST or param.stage != op.stage:
                 raise SemanticError(
                     f"operator {name}: parameter {param.render()} must be a"
-                    f" stage {k} ghost", at
+                    f" stage {op.stage} ghost", at
                 )
-            want = None if k == 0 else k - 1
+            want = None if op.stage == 0 else op.stage - 1
             if target.kind is not Kind.GHOST or target.stage != want:
                 raise SemanticError(
                     f"operator {name}: target {target.render()} must be a ghost"
@@ -1695,10 +1694,11 @@ class _TheoryParser:
         head_st.expect("role")
         role = head_st.expect_name("gauge, noether, or stage")
         stage: int | None = None
-        if role == "stage":
+        if role == "stage" or role == ROLE_NOETHER and head_st.accept("stage"):
             stage = head_st.expect_int()
         elif role not in (ROLE_GAUGE, ROLE_NOETHER):
             raise ParseError("role must be gauge, noether, or stage K", head_st.last())
+        reading = ROLE_GAUGE if role == "stage" else role  # `role stage K` is a symmetry
         head_st.expect("{")
         head_st.expect_end()
 
@@ -1713,7 +1713,7 @@ class _TheoryParser:
             st.expect(")")
             self._expand_entry(coeffs, (param_key, target_key), mi, st, (st, 0))
         try:
-            self.operators[name] = LinearJetOperator(self.dim, role, coeffs, stage=stage)
+            self.operators[name] = LinearJetOperator(self.dim, reading, coeffs, stage=stage)
         except SemanticError as exc:
             raise SemanticError(f"operator {name}: {exc}", name_at) from None
 
@@ -1817,7 +1817,8 @@ def render_operator(
     """The block of op, and the strings it is built from: per coefficient, in
     sorted_keys() order, its rendered (parameter, target, multi-index) and
     polynomial, each rendered once."""
-    role = op.role if op.role != ROLE_STAGE else f"stage {op.stage}"
+    reading = "noether " if op.role == ROLE_NOETHER else ""
+    role = op.role if op.stage is None else f"{reading}stage {op.stage}"
     coeffs = [
         ((p.render(), t.render(), mi.render()),
          render_polynomial(op.coeffs[(p, t, mi)], dim))

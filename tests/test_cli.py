@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,6 +19,7 @@ import pytest
 from nkt import cli, config, graded_poly, noether, theory_dsl
 from nkt.cli import main
 from nkt.errors import NktError
+from nkt.randgen import random_theory
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 
@@ -774,6 +776,101 @@ class TestJsonReports:
         ((code, _, err),) = outcomes
         assert code == 2
         assert "~w" in err and "~y" not in err and "~z" not in err
+
+
+# --------------------------------------------------------------------------
+# Printed duals: an operator's role is its reading and its stage its level,
+# so the block eta prints for any operator reads back as that dual.
+
+
+def _printed_dual(name: str, op, dim: int) -> str:
+    lines, _ = theory_dsl.render_operator(name, noether.eta(op), dim)
+    return "\n".join(lines) + "\n"
+
+
+def _theories_with_operators() -> dict[str, str]:
+    """The bundled theories and the seeded random_theory draws with a stage
+    operator (lift), by name."""
+    texts = {path.stem: path.read_text() for path in sorted(THEORY_DIR.glob("*.nkt"))}
+    rng = random.Random(48)
+    for i in range(200):
+        theory = random_theory(rng, f"draw{i}")
+        if "lift" in theory.operators:
+            texts[f"draw{i}"] = theory_dsl.render_theory(theory)
+    return texts
+
+
+PRINTED_CASES = _theories_with_operators()
+
+
+def test_the_printed_cases_hold_stage_operators():
+    assert len(PRINTED_CASES) > 20
+
+
+@pytest.mark.parametrize("label", list(PRINTED_CASES))
+def test_every_printed_dual_reads_back_as_the_dual(label):
+    text = PRINTED_CASES[label]
+    theory = theory_dsl.parse_theory(text)
+    for name, op in theory.operators.items():
+        dual = noether.eta(op)
+        assert dual.role != op.role and dual.stage == op.stage
+        both = theory_dsl.parse_theory(
+            text + "\n" + _printed_dual(f"eta_{name}", op, theory.dim)
+        )
+        read_back = both.operators[f"eta_{name}"]
+        assert read_back == dual
+        assert noether.eta(read_back) == op
+
+
+STAGE_BLOCKS = {
+    # theory: (stage operator, kt expressions on its level and one below)
+    "two_form": ("lambda_shift", ("~e", "~c[1]")),
+    "on_shell_pair": ("null_dir", ("~e2", "~xi")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_BLOCKS))
+def test_a_stage_block_and_its_printed_dual_give_the_same_tower(name, tmp_path):
+    op_name, exprs = STAGE_BLOCKS[name]
+    text = (THEORY_DIR / f"{name}.nkt").read_text()
+    theory = theory_dsl.parse_theory(text)
+    op = theory.operators[op_name]
+    block = re.search(rf"operator {op_name} role stage 0 {{\n.*?\n}}\n", text, re.S)
+    dual = _printed_dual(op_name, op, theory.dim)
+    assert dual.startswith(f"operator {op_name} role noether stage 0 {{\n")
+    replaced = tmp_path / f"{name}.nkt"
+    replaced.write_text(text.replace(block.group(0), dual))
+    calls = [["check-reducibility"]] + [["kt", "--expr", e, "--stages"] for e in exprs]
+    for call in calls:
+        argv = [call[0], "{}", *call[1:], "--json"]
+        original = outcome([a.format(THEORY_DIR / f"{name}.nkt") for a in argv])
+        assert original[0] == 0
+        assert mask_elapsed(outcome([a.format(replaced) for a in argv])) == (
+            mask_elapsed(original)
+        )
+
+
+def test_eta_prints_a_stage_operators_dual_in_the_noether_reading(capsys):
+    code, out, _ = run(capsys, "eta", TWO_FORM, "--op", "lambda_shift")
+    assert code == 0
+    assert out.startswith("operator eta_lambda_shift role noether stage 0 {\n")
+
+
+@pytest.mark.parametrize("command", ["check-noether", "derive-gauge"])
+def test_a_dual_stage_operator_states_no_noether_identity(command, capsys, tmp_path):
+    # its targets are ghosts, whose field equations are 0: without the
+    # refusal the identity would hold with nothing checked
+    theory = theory_dsl.parse_theory(Path(TWO_FORM).read_text())
+    op = theory.operators["lambda_shift"]
+    assert all(r.is_zero() for r in noether.noether_residuals(
+        noether.eta(op), theory.lagrangian).values())
+    f = tmp_path / "two_form_dual.nkt"
+    f.write_text(
+        Path(TWO_FORM).read_text() + "\n" + _printed_dual("eta_lambda_shift", op, 3)
+    )
+    code, out, err = run(capsys, command, str(f), "--op", "eta_lambda_shift")
+    assert (code, out) == (2, "")
+    assert "stage 0" in err and "check-reducibility" in err
 
 
 # --------------------------------------------------------------------------

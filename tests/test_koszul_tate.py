@@ -34,7 +34,6 @@ from nkt.multiindex import EMPTY, MultiIndex
 from nkt.noether import (
     ROLE_GAUGE,
     ROLE_NOETHER,
-    ROLE_STAGE,
     LinearJetOperator,
     eta,
     noether_residuals,
@@ -134,9 +133,10 @@ class TestAntighostExtension:
         assert ctx == extend_with_operator(base, noether_op)
         assert ctx.boundaries[CBAR] == operator_boundary(noether_op, C)
         assert ctx.boundaries[CBAR] != operator_boundary(gauge_op, C)
-        # a stage operator is a symmetry too, and enters through its dual
+        # a stage operator in the gauge reading is a symmetry too, and
+        # enters through its dual
         stage_op = LinearJetOperator(
-            2, ROLE_STAGE, {(E_STAGE, C, MultiIndex((0,))): v(A0)}, stage=0
+            2, ROLE_GAUGE, {(E_STAGE, C, MultiIndex((0,))): v(A0)}, stage=0
         )
         top = extend_with_operator(ctx, stage_op)
         expected = operator_boundary(eta(stage_op), E_STAGE)
@@ -191,7 +191,7 @@ def _two_form_stage_op(sign: int = 1):
     one = GradedPolynomial.one().scaled(sign)
     return LinearJetOperator(
         3,
-        ROLE_STAGE,
+        ROLE_GAUGE,
         {
             (E_STAGE, C0, MultiIndex((0,))): one,
             (E_STAGE, C1, MultiIndex((1,))): GradedPolynomial.one(),
@@ -236,7 +236,7 @@ class TestReducibilityChain:
     def test_nonconsecutive_stages_are_rejected(self):
         bad = LinearJetOperator(
             3,
-            ROLE_STAGE,
+            ROLE_GAUGE,
             {(E_STAGE, C0, EMPTY): GradedPolynomial.one()},
             stage=1,
         )
@@ -245,10 +245,27 @@ class TestReducibilityChain:
                 _two_form_lagrangian(), _two_form_gauge_op(), [bad]
             )
 
+    def test_the_base_must_be_a_plain_gauge_operator(self):
+        stage = _two_form_stage_op()
+        for base in (stage, eta(_two_form_gauge_op())):
+            with pytest.raises(SemanticError) as err:
+                check_reducibility_chain(_two_form_lagrangian(), base, [])
+            assert str(err.value) == "the base of the tower must be a gauge-role operator"
+
+    def test_a_stage_level_enters_in_either_reading(self):
+        lagr, gauge = _two_form_lagrangian(), _two_form_gauge_op()
+        for sign in (1, -1):
+            stage = _two_form_stage_op(sign)
+            dual = eta(stage)
+            assert (dual.role, dual.stage) == (ROLE_NOETHER, 0)
+            assert check_reducibility_chain(lagr, gauge, [dual]) == (
+                check_reducibility_chain(lagr, gauge, [stage])
+            )
+
     def test_mismatched_stage_targets_are_rejected(self):
         bad = LinearJetOperator(
             3,
-            ROLE_STAGE,
+            ROLE_GAUGE,
             {(E_STAGE, B01, EMPTY): GradedPolynomial.one()},
             stage=0,
         )
@@ -270,7 +287,7 @@ def _on_shell_reducible():
         1, ROLE_GAUGE, {(XI, Y1, EMPTY): v(Y2), (XI, Y2, EMPTY): -v(Y1)}
     )
     stage = LinearJetOperator(
-        1, ROLE_STAGE, {(E2, XI, EMPTY): v(Y1)}, stage=0
+        1, ROLE_GAUGE, {(E2, XI, EMPTY): v(Y1)}, stage=0
     )
     return lagr, gauge, stage
 
@@ -375,8 +392,8 @@ def _tower(case, tmp_path):
         text = path.read_text()
     theory = parse_theory(text)
     ops = theory.operators.values()
-    (gauge,) = [op for op in ops if op.role == ROLE_GAUGE]
-    stages = [op for op in ops if op.role == ROLE_STAGE]
+    (gauge,) = [op for op in ops if op.role == ROLE_GAUGE and op.stage is None]
+    stages = [op for op in ops if op.stage is not None]
     certificates = {
         resolve_component(theory, label): cert
         for label, cert in theory.certificates.items()

@@ -389,6 +389,37 @@ class TestNoetherSecondTheorem:
         assert not isinstance(err.value, NoetherIdentityError)
         assert str(err.value) == "check_noether_identity expects a noether-role operator"
 
+    def test_stage_operators_state_no_noether_identity(self):
+        path = Path(__file__).resolve().parent.parent / "theories" / "two_form.nkt"
+        theory = parse_theory(path.read_text())
+        lagr, shift = theory.lagrangian, theory.operators["lambda_shift"]
+        dual = eta(shift)
+        assert (shift.role, shift.stage, dual.role, dual.stage) == (
+            ROLE_GAUGE, 0, ROLE_NOETHER, 0
+        )
+        # the dual's targets are ghosts, whose E(L) is 0: the identity
+        # would hold with nothing checked
+        assert all(r.is_zero() for r in noether_residuals(dual, lagr).values())
+        message = (
+            "operator of stage 0 states a reducibility identity, not a Noether"
+            " identity; check it with check-reducibility"
+        )
+        for refused in (check_noether_identity, derive_gauge_from_noether):
+            with pytest.raises(SemanticError) as err:
+                refused(dual, lagr)
+            assert str(err.value) == message
+        # the gauge reading is refused as every stage operator was before
+        with pytest.raises(SemanticError) as err:
+            check_noether_identity(shift, lagr)
+        assert str(err.value) == "check_noether_identity expects a noether-role operator"
+        with pytest.raises(SemanticError) as err:
+            derive_noether_from_gauge(shift, lagr)
+        assert str(err.value) == "derive_noether_from_gauge expects a gauge-role operator"
+
+    def test_a_role_is_a_reading(self):
+        with pytest.raises(ValueError, match="unknown operator role 'stage'"):
+            op_of(1, "stage", {})
+
 
 def _bundled_gauge_symmetry(name, op):
     theory_dir = Path(__file__).resolve().parent.parent / "theories"
@@ -691,3 +722,63 @@ class TestOperatorHousekeeping:
             "  (xi, a1, [1]) : 1",
             "}",
         ]
+
+
+# --------------------------------------------------------------------------
+# The order-n tensor gauge family: theories/tensor_gauge.nkt is n = 2.
+
+
+def _tensor_gauge_text(n: int) -> str:
+    """A[j,k1..k(n-1)] on a three dimensional base, shifted by the n-th
+    derivative d_j d_k1 ... d_k(n-1) C of an odd ghost; the curl
+    d_i A[j,...] - d_j A[i,...] is invariant."""
+    ks = [f"k{m}" for m in range(1, n)]
+    ranges = ",".join(f"{label}=0..2" for label in ["j", *ks])
+    rest = ",".join(ks)
+    sums = "".join(f"sum({label},0..2, " for label in ["i", "j", *ks])
+    curl = f"(d(A[j,{rest}];i) - d(A[i,{rest}];j))^2"
+    return (
+        f"theory tensor_gauge_{n}\ndim 3\n"
+        f"field A[{ranges}] parity even\nghost C parity odd\n"
+        f"lagrangian 1/2 * {sums}{curl}{')' * (n + 1)}\n"
+        f"operator gauge_sym role gauge {{\n  (C, A[{ranges}], [j,{rest}]) : 1\n}}\n"
+        f"derivation gauge {{\n  A[{ranges}] : d(C;j,{rest})\n}}\n"
+    )
+
+
+def _tensor_gauge_verdicts(theory):
+    lagr, op = theory.lagrangian, theory.operators["gauge_sym"]
+    return (
+        check_variational(theory.derivations["gauge"], lagr),
+        derive_noether_from_gauge(op, lagr),
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_order_n_tensor_gauge_symmetry_is_variational(n):
+    theory = parse_theory(_tensor_gauge_text(n))
+    assert len(theory.lagrangian.monomials()) == 3 ** (n + 1)
+    variational, (noether_op, report) = _tensor_gauge_verdicts(theory)
+    assert variational.trivial
+    assert noether_op.role == ROLE_NOETHER and noether_op.max_order() == n
+    assert report.holds
+    # doubling one coefficient breaks the symmetry
+    op = theory.operators["gauge_sym"]
+    key = op.sorted_keys()[0]
+    doubled = op_of(3, ROLE_GAUGE, {**op.coeffs, key: op.coeffs[key].scaled(2)})
+    assert not check_variational(gauge_vector_field(doubled), theory.lagrangian).trivial
+    with pytest.raises(NonVariationalError):
+        derive_noether_from_gauge(doubled, theory.lagrangian)
+
+
+def test_the_order_2_tensor_gauge_theory_is_the_bundled_one():
+    bundled = Path(__file__).resolve().parent.parent / "theories" / "tensor_gauge.nkt"
+    generated = _tensor_gauge_verdicts(parse_theory(_tensor_gauge_text(2)))
+    assert generated == _tensor_gauge_verdicts(parse_theory(bundled.read_text()))
+
+
+def test_the_order_6_tensor_gauge_field_has_too_many_components():
+    # 3^6 = 729 components pass MAX_COMPONENTS (512) long before the ghost
+    # jet order would pass the jet-order bound, at n = 9
+    with pytest.raises(SemanticError, match="A declares too many components"):
+        parse_theory(_tensor_gauge_text(6))

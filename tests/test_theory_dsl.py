@@ -580,10 +580,21 @@ class TestValidation:
             "ghost e parity even stage 0\n"
         )
         t = parse_theory(base + "operator s role stage 0 {\n  (e, xi, []) : y\n}")
-        assert t.operators["s"].stage == 0
+        assert (t.operators["s"].role, t.operators["s"].stage) == ("gauge", 0)
         with pytest.raises(SemanticError):
             # a stage-0 operator maps stage-0 ghosts to plain ghosts, not fields
             parse_theory(base + "operator s role stage 0 {\n  (e, y, []) : 1\n}")
+        # the dual reading of a stage operator names its stage after noether
+        dual = parse_theory(
+            base + "operator s role noether stage 0 {\n  (e, xi, []) : y\n}"
+        )
+        assert (dual.operators["s"].role, dual.operators["s"].stage) == ("noether", 0)
+        assert "operator s role noether stage 0 {" in render_theory(dual)
+        assert parse_theory(render_theory(dual)) == dual
+        with pytest.raises(SemanticError, match="must be a stage 0 ghost"):
+            parse_theory(base + "operator s role noether stage 0 {\n  (xi, y, []) : 1\n}")
+        with pytest.raises(ParseError):
+            parse_theory(base + "operator s role gauge stage 0 {\n  (e, xi, []) : y\n}")
 
     def test_validation_reports_the_first_offence(self):
         base = parse_theory(
