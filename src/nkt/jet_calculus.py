@@ -13,7 +13,6 @@ from typing import Iterator
 
 from .errors import Record
 from .graded_poly import (
-    Density,
     GradedPolynomial,
     JetVariable,
     VariableId,
@@ -67,17 +66,14 @@ class VariationalDerivatives(Record):
         return not self.nonzero()
 
 
-def _as_expr(density: Density | GradedPolynomial) -> GradedPolynomial:
-    return density.expr if isinstance(density, Density) else density
-
-
 def euler_lagrange(
-    density: Density | GradedPolynomial,
+    density: GradedPolynomial,
     variables: list[VariableId] | None = None,
 ) -> VariationalDerivatives:
     """E_A = sum over multi-indices present of (-1)^|Lam| d_Lam(dL/dA_Lam).
 
-    With variables=None the variation runs over every base variable that
+    The density L is the polynomial coefficient of the volume form.  With
+    variables=None the variation runs over every base variable that
     occurs in the density; variables absent from it have E_A = 0 anyway.
     Each E_A is read from the density's Euler-Lagrange map, one pass over
     its monomials' partials (GradedPolynomial.euler_lagrange_map), when the
@@ -85,10 +81,9 @@ def euler_lagrange(
     raises the JetOrderError of the first variable asked for that passes it,
     or finds every E_A asked for within it.
     """
-    expr = _as_expr(density)
-    found = expr.euler_lagrange_map()
+    found = density.euler_lagrange_map()
     if found is None:
-        return _stepwise(expr, variables)
+        return _stepwise(density, variables)
     if variables is None:
         variables = sorted(found, key=lambda v: v.rank)
     return VariationalDerivatives(
@@ -122,16 +117,14 @@ class TrivialityReport(Record):
     assumptions: tuple[str, ...]
 
 
-def is_variationally_trivial(density: Density | GradedPolynomial) -> TrivialityReport:
+def is_variationally_trivial(density: GradedPolynomial) -> TrivialityReport:
     """Decide whether a density is a total divergence.
 
     A density is d_H-exact iff all its variational derivatives vanish, up to
     the topology caveat recorded in the report's assumptions.
     """
-    expr = _as_expr(density)
-    derivs = euler_lagrange(expr, None)
-    residuals = derivs.nonzero()
+    residuals = euler_lagrange(density).nonzero()
     assumptions = [TRIVIAL_TOPOLOGY_NOTE]
-    if not expr.is_zero() and not expr.variables():
+    if not density.is_zero() and not density.variables():
         assumptions.append(FIELD_INDEPENDENT_NOTE)
     return TrivialityReport(not residuals, residuals, tuple(assumptions))

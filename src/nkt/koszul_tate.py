@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .errors import Record, SemanticError
 from .graded_poly import (
-    Density,
     GradedPolynomial,
     JetVariable,
     VariableId,
@@ -37,7 +36,7 @@ class KoszulTateContext(Record):
 
 
 def kt_context(
-    lagrangian: Density | GradedPolynomial,
+    lagrangian: GradedPolynomial,
     dim: int,
     fields: list[VariableId] | None = None,
 ) -> KoszulTateContext:
@@ -191,7 +190,7 @@ class ReducibilityReport(Record):
 
 
 def check_reducibility_chain(
-    lagrangian: Density | GradedPolynomial,
+    lagrangian: GradedPolynomial,
     gauge_op: LinearJetOperator,
     stage_ops: list[LinearJetOperator],
     certificates: dict[VariableId, ReductionCertificate] | None = None,

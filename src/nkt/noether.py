@@ -26,7 +26,6 @@ from typing import Callable, TypeVar
 from .derivations import GeneralizedVectorField, check_variational
 from .errors import NktError, Record, SemanticError
 from .graded_poly import (
-    Density,
     GradedPolynomial,
     JetVariable,
     Kind,
@@ -35,7 +34,7 @@ from .graded_poly import (
     gp_sum_of_derivatives,
     gp_sum_of_products,
 )
-from .jet_calculus import TRIVIAL_TOPOLOGY_NOTE, TrivialityReport, _as_expr
+from .jet_calculus import TRIVIAL_TOPOLOGY_NOTE, TrivialityReport
 from .jet_calculus import euler_lagrange, total_derivative_multi
 from .multiindex import EMPTY, MultiIndex
 
@@ -282,7 +281,7 @@ class NoetherReport(Record):
 
 
 def noether_residuals(
-    op: LinearJetOperator, lagrangian: Density | GradedPolynomial
+    op: LinearJetOperator, lagrangian: GradedPolynomial
 ) -> dict[VariableId, GradedPolynomial]:
     """Per parameter r: sum over A, Lam of Delta^{A,Lam}_r d_Lam(E_A)."""
     derivs = euler_lagrange(lagrangian, op.targets())
@@ -297,7 +296,7 @@ def noether_residuals(
 
 
 def check_noether_identity(
-    op: LinearJetOperator, lagrangian: Density | GradedPolynomial
+    op: LinearJetOperator, lagrangian: GradedPolynomial
 ) -> NoetherReport:
     """Does the operator annihilate the variational derivatives?"""
     if op.role != ROLE_NOETHER:
@@ -312,7 +311,7 @@ def check_noether_identity(
 
 
 def derive_noether_from_gauge(
-    op: LinearJetOperator, lagrangian: Density | GradedPolynomial
+    op: LinearJetOperator, lagrangian: GradedPolynomial
 ) -> tuple[LinearJetOperator, NoetherReport]:
     """Variational symmetry -> Noether operator, decided by check_variational.
 
@@ -323,7 +322,7 @@ def derive_noether_from_gauge(
     """
     if op.role != ROLE_GAUGE or op.stage is not None:
         raise SemanticError("derive_noether_from_gauge expects a gauge-role operator")
-    polys = (_as_expr(lagrangian), *op.coeffs.values())
+    polys = (lagrangian, *op.coeffs.values())
     read = {jv.var for p in polys for jv in p.variables()}.intersection(op.parameters())
     if read:
         name = min(read, key=lambda r: r.rank).render()
@@ -337,7 +336,7 @@ def derive_noether_from_gauge(
 
 
 def derive_gauge_from_noether(
-    op: LinearJetOperator, lagrangian: Density | GradedPolynomial
+    op: LinearJetOperator, lagrangian: GradedPolynomial
 ) -> tuple[LinearJetOperator, NoetherReport]:
     """Noether operator -> gauge symmetry, decided by check_noether_identity.
 
@@ -361,7 +360,7 @@ Slot = tuple[VariableId, MultiIndex]
 
 def trivial_gauge_symmetry(
     table: dict[tuple[VariableId, Slot, Slot], GradedPolynomial],
-    lagrangian: Density | GradedPolynomial,
+    lagrangian: GradedPolynomial,
     dim: int,
 ) -> LinearJetOperator:
     """Build the gauge symmetry generated by a graded-antisymmetric table.

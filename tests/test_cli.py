@@ -931,6 +931,13 @@ THEORY_PAIRS = {
     ("check-nilpotent", "tensor_gauge"): ("--sym", ("gauge",)),
     ("kt", "tensor_gauge"): ("--expr", ("~A[0,1]", "~C")),
     ("check-reducibility", "tensor_gauge"): None,
+    ("el", "cs_su2"): None,
+    ("eta", "cs_su2"): ("--op", ("gauge_sym",)),
+    ("derive-noether", "cs_su2"): ("--sym", ("brst",)),
+    ("check-variational", "cs_su2"): ("--sym", ("brst",)),
+    ("check-nilpotent", "cs_su2"): ("--sym", ("brst",)),
+    ("kt", "cs_su2"): ("--expr", ("~a[0,1]", "~C[1]")),
+    ("check-reducibility", "cs_su2"): None,
 }
 
 

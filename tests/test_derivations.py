@@ -14,7 +14,6 @@ from nkt.derivations import (
     check_variational,
     contract_with_EL,
     first_variational_residual,
-    lie_derivative_density,
     prolong_apply,
 )
 from nkt.errors import JetOrderError
@@ -34,10 +33,6 @@ from nkt.theory_dsl import parse_theory
 
 Y = even_field("y")
 C = odd_field("c")
-
-
-def _density(p):
-    return Density(p)
 
 
 class TestProlongation:
@@ -93,18 +88,18 @@ class TestVariationalContraction:
     def test_contraction_with_free_field_equations(self):
         # upsilon^y = 1 against L = (1/2) y_x^2: 1 * E_y = -y_xx
         vf = GeneralizedVectorField({Y: GradedPolynomial.one()})
-        lagr = _density(v(Y, 0) * v(Y, 0).scaled(Fraction(1, 2)))
+        lagr = v(Y, 0) * v(Y, 0).scaled(Fraction(1, 2))
         assert contract_with_EL(vf, lagr) == -v(Y, 0, 0)
 
     def test_shift_symmetry_is_variational(self):
         vf = GeneralizedVectorField({Y: GradedPolynomial.one()})
-        lagr = _density(v(Y, 0) * v(Y, 0).scaled(Fraction(1, 2)))
+        lagr = v(Y, 0) * v(Y, 0).scaled(Fraction(1, 2))
         assert check_variational(vf, lagr).trivial
 
     def test_scaling_of_mass_term_is_not_variational(self):
         # upsilon^y = y, L = (1/2) y^2: upsilon . E = y^2, EL residual 2y
         vf = GeneralizedVectorField({Y: v(Y)})
-        lagr = _density(v(Y) * v(Y).scaled(Fraction(1, 2)))
+        lagr = v(Y) * v(Y).scaled(Fraction(1, 2))
         report = check_variational(vf, lagr)
         assert not report.trivial
         assert report.residuals == {Y: v(Y).scaled(2)}
@@ -114,7 +109,7 @@ class TestFirstVariationalFormula:
     def test_graded_shift_example(self):
         # upsilon^c = y on L = c c_x: theta(L) - upsilon^c E_c = -d_x(y c)
         vf = GeneralizedVectorField({C: v(Y)})
-        lagr = _density(v(C) * v(C, 0))
+        lagr = v(C) * v(C, 0)
         report = first_variational_residual(vf, lagr)
         assert report.residual == -total_derivative(v(Y) * v(C), 0)
         assert report.holds
@@ -123,9 +118,8 @@ class TestFirstVariationalFormula:
         vf = GeneralizedVectorField({C: v(Y)})
         p = v(C) * v(C, 0)
         report = first_variational_residual(vf, p)
-        assert report == first_variational_residual(vf, _density(p))
+        assert report == first_variational_residual(vf, Density(p))
         assert not report.residual.is_zero()
-        assert lie_derivative_density(vf, p) == lie_derivative_density(vf, _density(p))
 
     def test_random_even_vector_fields(self):
         rng = random.Random(22)
@@ -137,7 +131,7 @@ class TestFirstVariationalFormula:
                 fields[2]: random_polynomial(rng, fields, 1, parity=Parity.ODD),
             }
             vf = GeneralizedVectorField(comps)
-            lagr = _density(random_polynomial(rng, fields, 1, parity=Parity.EVEN))
+            lagr = random_polynomial(rng, fields, 1, parity=Parity.EVEN)
             assert first_variational_residual(vf, lagr).holds
 
 
@@ -175,7 +169,9 @@ class TestLieDerivative:
         comps = {f: random_polynomial(rng, fields, 2, max_order=1) for f in fields}
         vf = GeneralizedVectorField(comps)
         p = random_polynomial(rng, fields, 2)
-        assert lie_derivative_density(vf, _density(p)) == prolong_apply(vf, p)
+        # R + sum Q^A E_A, R read from a Density, is theta(L) itself
+        report = first_variational_residual(vf, Density(p))
+        assert report.residual + contract_with_EL(vf, p) == prolong_apply(vf, p)
 
 
 SCALE_THEORY = """
@@ -196,18 +192,23 @@ class TestTheLagrangianIsAPolynomial:
         x = GradedPolynomial.coordinate(0)
         assert type(lagr) is GradedPolynomial
         assert lagr == (v(Y, 0) * v(Y, 0)).scaled(Fraction(1, 2)) + x * v(Y)
-        for given in (lagr, Density(lagr)):
-            # theta(L) = y_x^2 + x y, and y E_y = y (x - y_xx)
-            lie = lie_derivative_density(vf, given)
-            assert type(lie) is GradedPolynomial
-            assert lie == v(Y, 0) * v(Y, 0) + x * v(Y)
-            contraction = contract_with_EL(vf, given)
-            assert type(contraction) is GradedPolynomial
-            assert contraction == v(Y) * (x - v(Y, 0, 0))
-            assert euler_lagrange(given)[Y] == x - v(Y, 0, 0)
-            report = first_variational_residual(vf, given)
-            assert report.residual == v(Y, 0) * v(Y, 0) + v(Y) * v(Y, 0, 0)
-            assert report.holds
+        # theta(L) = y_x^2 + x y, and y E_y = y (x - y_xx)
+        lie = prolong_apply(vf, lagr)
+        assert type(lie) is GradedPolynomial
+        assert lie == v(Y, 0) * v(Y, 0) + x * v(Y)
+        contraction = contract_with_EL(vf, lagr)
+        assert type(contraction) is GradedPolynomial
+        assert contraction == v(Y) * (x - v(Y, 0, 0))
+        assert euler_lagrange(lagr)[Y] == x - v(Y, 0, 0)
+        report = first_variational_residual(vf, lagr)
+        assert report.residual == v(Y, 0) * v(Y, 0) + v(Y) * v(Y, 0, 0)
+        assert report.holds
+        # first_variational_residual alone still unwraps a Density
+        bundled = [parse_theory(f.read_text()) for f in sorted(THEORIES.glob("*.nkt"))]
+        for t in [theory, *bundled]:
+            for vf in t.derivations.values():
+                report = first_variational_residual(vf, t.lagrangian)
+                assert first_variational_residual(vf, Density(t.lagrangian)) == report
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +314,18 @@ class TestVariationalityMatchesTheContraction:
         theory = ym_su2(coupled)
         report = assert_matches_definition(theory.derivations["brst"], theory.lagrangian)
         assert report.trivial == coupled
+
+    @pytest.mark.parametrize("cubic, variational", [("+ 1/3", True), ("- 1/3", False)])
+    def test_cs_su2_brst_holds_up_to_a_divergence(self, cubic, variational):
+        # theta(L) is a nonzero divergence; with the cubic term's sign
+        # flipped it is no divergence at all
+        text = (THEORIES / "cs_su2.nkt").read_text()
+        assert text.count("+ 1/3 * sum(p") == 1
+        theory = parse_theory(text.replace("+ 1/3 * sum(p", f"{cubic} * sum(p"))
+        vf, lagr = theory.derivations["brst"], theory.lagrangian
+        assert not prolong_apply(vf, lagr).is_zero()
+        report = assert_matches_definition(vf, lagr)
+        assert report.trivial == variational
 
     @pytest.mark.parametrize("coupled", [True, False])
     def test_ym_su2_noether_paths(self, coupled):

@@ -10,7 +10,6 @@ from conftest import even_field, odd_ghost, v
 from nkt import jet_calculus, koszul_tate, noether
 from nkt.errors import SemanticError
 from nkt.graded_poly import (
-    Density,
     GradedPolynomial,
     Kind,
     Parity,
@@ -84,7 +83,7 @@ CBAR = antifield_of(C)
 
 def _abelian_lagrangian():
     f = v(A1, 0) - v(A0, 1)
-    return Density(half(f * f))
+    return half(f * f)
 
 
 def _abelian_noether_op():
@@ -168,7 +167,7 @@ E_STAGE = VariableId(Kind.GHOST, "e", (), Parity.EVEN, stage=0)
 
 def _two_form_lagrangian():
     h = v(B12, 0) - v(B02, 1) + v(B01, 2)
-    return Density(half(h * h))
+    return half(h * h)
 
 
 def _two_form_gauge_op():
@@ -282,7 +281,7 @@ E2 = VariableId(Kind.GHOST, "e2", (), Parity.EVEN, stage=0)
 
 
 def _on_shell_reducible():
-    lagr = Density(half(v(Y1) * v(Y1) + v(Y2) * v(Y2)))
+    lagr = half(v(Y1) * v(Y1) + v(Y2) * v(Y2))
     gauge = LinearJetOperator(
         1, ROLE_GAUGE, {(XI, Y1, EMPTY): v(Y2), (XI, Y2, EMPTY): -v(Y1)}
     )
